@@ -1,6 +1,7 @@
 //! One execution of a workload: the scenario JSON text in, run metrics
 //! out, through the same public calls `run_scenario` makes.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -28,6 +29,78 @@ pub enum Mode {
     Traced,
 }
 
+/// An execution's `RunMetrics` without their per-node memory: every
+/// scalar field as it is, and each vector as a hash of its length and
+/// contents. Holding one keeps nothing of the mesh's size alive, so the
+/// references executions are checked against add nothing to
+/// `peak_rss_mb`. Equal fingerprints mean equal metrics, up to a 64-bit
+/// hash collision.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint {
+    /// The metrics with every vector left empty.
+    pub scalars: RunMetrics,
+    /// Hashes of `per_node_peak`, `per_node_drops`, `per_node_faulted`
+    /// and `series`.
+    vectors: [u64; 4],
+}
+
+impl Fingerprint {
+    pub fn of(m: &RunMetrics) -> Self {
+        // Destructured without `..`, so that a field added to
+        // `RunMetrics` cannot escape the comparison.
+        let RunMetrics {
+            injected,
+            delivered,
+            forwarded,
+            max_occupancy,
+            max_occupancy_at,
+            max_in_network,
+            per_node_peak,
+            max_staged,
+            latency,
+            dropped,
+            per_node_drops,
+            first_drop_round,
+            faulted,
+            per_node_faulted,
+            first_fault_round,
+            series,
+        } = m;
+        Fingerprint {
+            scalars: RunMetrics {
+                injected: *injected,
+                delivered: *delivered,
+                forwarded: *forwarded,
+                max_occupancy: *max_occupancy,
+                max_occupancy_at: *max_occupancy_at,
+                max_in_network: *max_in_network,
+                per_node_peak: Vec::new(),
+                max_staged: *max_staged,
+                latency: latency.clone(),
+                dropped: *dropped,
+                per_node_drops: Vec::new(),
+                first_drop_round: *first_drop_round,
+                faulted: *faulted,
+                per_node_faulted: Vec::new(),
+                first_fault_round: *first_fault_round,
+                series: None,
+            },
+            vectors: [
+                digest(per_node_peak),
+                digest(per_node_drops),
+                digest(per_node_faulted),
+                digest(series),
+            ],
+        }
+    }
+}
+
+fn digest(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 /// What one execution measured and produced.
 #[derive(Debug, Clone)]
 pub struct Outcome {
@@ -35,7 +108,7 @@ pub struct Outcome {
     pub step_ns: u64,
     pub wall_ns: u64,
     pub rounds: u64,
-    pub metrics: RunMetrics,
+    pub fingerprint: Fingerprint,
     pub summary: RunSummary,
     /// Packets still buffered and staged at the end.
     pub buffered: usize,
@@ -168,14 +241,14 @@ fn execute_inner(
         t.exit(exec);
     }
     let wall_ns = wall.elapsed().as_nanos() as u64;
-    let metrics = sim.metrics().clone();
+    let metrics = sim.metrics();
     Ok(Outcome {
         setup_ns: t1 - t0,
         step_ns: t2 - t1,
         wall_ns,
         rounds: sim.round().value(),
-        summary: summarize(sim.protocol().name(), &metrics),
-        metrics,
+        summary: summarize(sim.protocol().name(), metrics),
+        fingerprint: Fingerprint::of(metrics),
         buffered: sim.state().total_buffered(),
         staged: sim.state().staged_len(),
         telemetry: telemetry.map(|p| p.report().data),

@@ -28,25 +28,21 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use aqt_analysis::{run_scenario, RunSummary};
-use aqt_model::RunMetrics;
 use aqt_telemetry::TelemetryData;
 
-use exec::{execute, setup_only, Mode, Outcome};
+use exec::{execute, setup_only, Fingerprint, Mode, Outcome};
 use host::{Host, HostSample};
 use trace::{layer_totals, phase_name, Tracer, TELEMETRY_HOOK};
 use workloads::{Size, Workload, DEFAULT_SEED};
 
-const USAGE: &str = "usage: perfbench --workload <path_hpts|mesh_sparse|mesh_lossy|mesh_telemetry>
+const USAGE: &str = "usage: perfbench --workload <path_hpts|mesh_lossy|mesh_telemetry>
                  [--seed N] [--seconds S] [--trace 0|1] [--size full|toy]
-                 [--peak-bound N]
 
   --seed N        input seed (default 1); any u64 is accepted
   --seconds S     measure for S seconds of wall-clock (default 20)
   --trace 1       print per-layer metrics from a traced run instead of
                   the end-to-end metrics
-  --size toy      toy-size inputs, for the benchmark's own tests
-  --peak-bound N  check the peak buffer occupancy against N instead of
-                  the scenario's static Thm 4.1 prediction";
+  --size toy      toy-size inputs, for the benchmark's own tests";
 
 /// Executions measured at least, however long they take.
 const MIN_EXECUTIONS: usize = 3;
@@ -60,7 +56,6 @@ struct Args {
     seconds: u64,
     trace: bool,
     size: Size,
-    peak_bound: Option<usize>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -71,7 +66,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seconds: 20,
         trace: false,
         size: Size::Full,
-        peak_bound: None,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -101,9 +95,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     other => return Err(format!("--size takes full or toy, not `{other}`")),
                 }
             }
-            "--peak-bound" => {
-                args.peak_bound = Some(value()?.parse().map_err(|e| format!("--peak-bound: {e}"))?)
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -114,19 +105,20 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// What every execution must reproduce.
 struct Expected {
     /// The unprobed execution's metrics.
-    metrics: RunMetrics,
+    fingerprint: Fingerprint,
     /// `run_scenario`'s summary of the same JSON.
     summary: RunSummary,
     /// The first probed execution's telemetry data, if the workload has a
     /// probe.
     telemetry: Option<TelemetryData>,
-    /// Thm 4.1's `peak_occupancy` prediction, or `--peak-bound`.
+    /// `Scenario::validate()`'s `peak_occupancy` prediction (Thm 4.1 on
+    /// `path_hpts`), if it makes one.
     peak_bound: Option<usize>,
 }
 
 /// The output checks every execution must pass.
 fn check(o: &Outcome, want: &Expected) -> Result<(), String> {
-    let m = &o.metrics;
+    let m = &o.fingerprint.scalars;
     let accounted = m.delivered + m.dropped + m.faulted + o.buffered as u64 + o.staged as u64;
     if m.injected != accounted {
         return Err(format!(
@@ -146,7 +138,7 @@ fn check(o: &Outcome, want: &Expected) -> Result<(), String> {
     if o.summary != want.summary {
         return Err("summary differs from run_scenario's on the same JSON".into());
     }
-    if *m != want.metrics {
+    if o.fingerprint != want.fingerprint {
         return Err("RunMetrics differ from the unprobed execution's".into());
     }
     if let (Some(got), Some(expected)) = (&o.telemetry, &want.telemetry) {
@@ -298,7 +290,7 @@ fn layer_values(o: &Outcome, tracer: &Tracer, exec: u32) -> Vec<f64> {
         .iter()
         .map(|&p| total_s(phase_name(p)))
         .sum();
-    let m = &o.metrics;
+    let m = &o.fingerprint.scalars;
     let injected = m.injected as f64;
     LAYER_METRICS
         .iter()
@@ -347,7 +339,7 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
     let scenario = args.workload.scenario(args.size, args.seed);
     let json = serde_json::to_string(&scenario).expect("generated scenarios serialize");
 
-    let predicted = match scenario.validate() {
+    let peak_bound = match scenario.validate() {
         Ok(report) => report
             .predictions
             .iter()
@@ -359,7 +351,6 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
             None
         }
     };
-    let peak_bound = args.peak_bound.or(predicted);
 
     // References, untimed: `run_scenario` itself, then an unprobed
     // execution whose metrics every later execution must reproduce.
@@ -379,7 +370,7 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
         return (Vec::new(), ledger);
     };
     let mut want = Expected {
-        metrics: bare.metrics.clone(),
+        fingerprint: bare.fingerprint.clone(),
         summary,
         telemetry: None,
         peak_bound,
@@ -403,7 +394,7 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
         );
     }
 
-    let m = &bare.metrics;
+    let m = &bare.fingerprint.scalars;
     println!(
         "counts injected={} moves={} rounds={} peak={} delivered={} dropped={} faulted={} \
          buffered={} staged={}",
@@ -511,7 +502,7 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
             }
         }
     }
-    let moves = bare.metrics.forwarded as f64;
+    let moves = bare.fingerprint.scalars.forwarded as f64;
     let [cpu_s, setup_s, moves_per_s, peak_rss_mb] = END_TO_END_METRICS;
     let metrics = vec![
         Metric::median_of(cpu_s.0, cpu_s.1, cpu),
@@ -589,4 +580,43 @@ fn main() {
         ledger.failed,
         json.join(", ")
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peak bound one below the measured peak fails the check, and the
+    /// ledger counts the execution as failed; the peak itself passes.
+    #[test]
+    fn a_bound_one_below_the_peak_fails_the_check() {
+        let scenario = Workload::PathHpts.scenario(Size::Toy, DEFAULT_SEED);
+        let json = serde_json::to_string(&scenario).expect("generated scenarios serialize");
+        let bare = execute(&json, Mode::Bare, None).expect("toy path_hpts runs");
+        let peak = bare.fingerprint.scalars.max_occupancy;
+        assert!(peak > 0, "toy path_hpts buffers packets");
+        let mut want = Expected {
+            fingerprint: bare.fingerprint.clone(),
+            summary: run_scenario(&scenario).expect("toy path_hpts runs"),
+            telemetry: None,
+            peak_bound: Some(peak - 1),
+        };
+        let reason = check(&bare, &want).expect_err("the peak exceeds peak - 1");
+        assert!(reason.contains("exceeds the bound"), "{reason}");
+
+        let mut ledger = Ledger::default();
+        let passed = ledger.record("plain", execute(&json, Mode::Plain, None), Some(&want));
+        assert!(passed.is_none());
+        assert_eq!((ledger.attempted, ledger.failed), (1, 1));
+        assert!(
+            ledger.reasons[0].contains("exceeds the bound"),
+            "{:?}",
+            ledger.reasons
+        );
+
+        want.peak_bound = Some(peak);
+        let passed = ledger.record("plain", execute(&json, Mode::Plain, None), Some(&want));
+        assert!(passed.is_some(), "{:?}", ledger.reasons);
+        assert_eq!((ledger.attempted, ledger.failed), (2, 1));
+    }
 }

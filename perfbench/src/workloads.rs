@@ -1,4 +1,4 @@
-//! The four workloads, each generated from a seed as a `Scenario`.
+//! The three workloads, each generated from a seed as a `Scenario`.
 //!
 //! Each workload is chosen so that one layer carries its load and the
 //! others bypass that layer: a change to the layer shows on its own
@@ -6,6 +6,12 @@
 //! phase splits quoted below are self-time shares of on-CPU stepping
 //! (`--trace 1`, 2-vCPU Intel Xeon KVM guest); set-up is split into its
 //! own spans.
+//!
+//! The 1024×1024 mesh has no workload: its on-CPU time moves by up to
+//! 1.7× between the host's busy and quiet states, beyond any bound the
+//! benchmark may fix (see `README.md`, Noise). The set-up layers it
+//! would carry, `topology.build` and `engine.alloc`, carry
+//! `mesh_telemetry`'s set-up instead.
 
 use aqt_adversary::{Cadence, DestSpec, SourceSpec};
 use aqt_analysis::{CapacitySpec, Scenario};
@@ -28,46 +34,41 @@ pub enum Workload {
     ///   here and nowhere else.
     /// - Layer: `protocol` (`Hpts::plan`, which rebuilds a per-node
     ///   destination map every round), seen as `engine.plan_s`.
-    /// - Phase split: plan 96%, inject, forward and merge about 1.3%
-    ///   each, over 1.3 s of stepping; set-up is under 0.1 ms, so
-    ///   `topology.build_s + engine.alloc_s` stays under 1 ms.
+    /// - Phase split: plan 96%, inject, forward and merge 1.1–1.4% each,
+    ///   over 1.4 s of stepping (4512 rounds); set-up is about 0.05 ms,
+    ///   so `topology.build_s + engine.alloc_s` stays under 1 ms.
     PathHpts,
-    /// 4096 seeded source→destination packets, injected over rounds
-    /// 0..64, on the 1024×1024 mesh under DagGreedy-FIFO.
+    /// All-floods at rate 1 for 320 rounds on a 96×96 mesh with uniform
+    /// capacity 3, DropFarthest, seeded `random_links` outages and one
+    /// node crash.
     ///
-    /// - Why: the scale regime. Set-up over 10⁶ nodes and the sparse
-    ///   active-set engine carry the cost; at most 4096 of the 10⁶
-    ///   buffers are ever live.
-    /// - Layer: `topology` (`Dag::grid` validation and Kahn order) and
-    ///   `engine` allocation in set-up, then the fused unbounded apply.
-    /// - Phase split: set-up is about 0.12 s, of which `topology.build`
-    ///   is 73% and `engine.alloc` 25%; stepping (about 0.9 s) is plan
-    ///   37%, merge 28%, inject 24%, forward 11%.
-    MeshSparse,
-    /// All-floods at rate 1 on a 96×96 mesh with uniform capacity 3,
-    /// DropFarthest, seeded `random_links` outages and one node crash.
-    ///
-    /// - Why: the same engine phases as `mesh_sparse`, run densely, plus
-    ///   the capacity two-pass apply, the drop policy and the fault
-    ///   mask, so a gain on the sparse path that costs the dense one
+    /// - Why: the engine's phases run densely, plus the capacity
+    ///   two-pass apply, the drop policy and the fault mask, so a gain
+    ///   on the sparse path (`mesh_telemetry`) that costs the dense one
     ///   shows here.
     /// - Layer: `fault` set-up (`random_links` resolves the edge list
     ///   with n² next-hop queries) and `capacity` admission in merge.
-    /// - Phase split: `fault.setup` is 99% of set-up (about 0.9 s);
-    ///   stepping (about 0.56 s over 512 rounds) is forward 29%, merge
-    ///   27%, inject 22%, plan 22%.
+    /// - Phase split: `fault.setup` is 99.9% of set-up (about 0.84 s);
+    ///   stepping (about 0.5 s over 512 rounds: 320 of floods, 192 to
+    ///   drain) is forward 29%, merge 27%, inject 22%, plan 21%.
     MeshLossy,
-    /// `mesh_sparse`'s traffic shape (one packet per 256 nodes) on a
-    /// 512×512 mesh, with the `TelemetryProbe` attached as `scenarios
-    /// --telemetry` attaches it (default `TelemetrySpec`, `WallClock`).
+    /// 1024 seeded source→destination packets, injected over rounds
+    /// 0..64, on a 512×512 mesh under DagGreedy-FIFO, with the
+    /// `TelemetryProbe` attached as `scenarios --telemetry` attaches it
+    /// (default `TelemetrySpec`, `WallClock`).
     ///
     /// - Why: the only workload where `aqt-telemetry` and the probed
     ///   round loop carry the load: `on_observe` samples every node's
-    ///   occupancy every round.
-    /// - Layer: `telemetry` hooks, seen as `telemetry.hook_s`.
+    ///   occupancy every round. Its set-up over 2.6×10⁵ nodes is the
+    ///   one that `topology.build` and `engine.alloc` carry.
+    /// - Layer: `telemetry` hooks, seen as `telemetry.hook_s`; in
+    ///   set-up, `topology` (`Dag::grid` validation and Kahn order) and
+    ///   `engine` allocation.
     /// - Phase split: the telemetry hooks take 93% of stepping (about
-    ///   1.7 s), almost all of it `on_observe` inside the inject phase;
-    ///   the engine's own phases share the rest (plan 3%, inject 2%).
+    ///   1.6 s over 1152 rounds), almost all of it `on_observe` inside
+    ///   the inject phase; the engine's own phases share the rest (plan
+    ///   3%, inject 2%). Set-up (about 20 ms) is `topology.build` 68%
+    ///   and `engine.alloc` 29%.
     MeshTelemetry,
 }
 
@@ -80,9 +81,8 @@ pub enum Size {
 }
 
 impl Workload {
-    pub const ALL: [Workload; 4] = [
+    pub const ALL: [Workload; 3] = [
         Workload::PathHpts,
-        Workload::MeshSparse,
         Workload::MeshLossy,
         Workload::MeshTelemetry,
     ];
@@ -90,7 +90,6 @@ impl Workload {
     pub fn name(self) -> &'static str {
         match self {
             Workload::PathHpts => "path_hpts",
-            Workload::MeshSparse => "mesh_sparse",
             Workload::MeshLossy => "mesh_lossy",
             Workload::MeshTelemetry => "mesh_telemetry",
         }
@@ -132,12 +131,8 @@ impl Workload {
                 };
                 scenario.extra = 2 * n as u64;
             }
-            Workload::MeshSparse | Workload::MeshTelemetry => {
-                let (side, packets) = match (self, toy) {
-                    (_, true) => (16, 32),
-                    (Workload::MeshSparse, false) => (1024, 4096),
-                    _ => (512, 1024),
-                };
+            Workload::MeshTelemetry => {
+                let (side, packets) = if toy { (16, 32) } else { (512, 1024) };
                 scenario.topology = TopologySpec::Grid {
                     rows: side,
                     cols: side,
@@ -146,9 +141,7 @@ impl Workload {
                     injections: mesh_pairs(side, packets, &mut rng),
                 };
                 scenario.extra = 2 * side as u64 + INJECTION_ROUNDS;
-                if self == Workload::MeshTelemetry {
-                    scenario.telemetry = Some(TelemetrySpec::default());
-                }
+                scenario.telemetry = Some(TelemetrySpec::default());
             }
             Workload::MeshLossy => {
                 let (side, rounds) = if toy { (8, 24) } else { (96, 320) };
@@ -192,7 +185,7 @@ impl Workload {
     }
 }
 
-/// Rounds over which the mesh workloads inject their packets.
+/// Rounds over which `mesh_telemetry` injects its packets.
 const INJECTION_ROUNDS: u64 = 64;
 
 /// `count` seeded packets on a `side × side` mesh, each from a uniform
