@@ -10,9 +10,10 @@
 //! `run_scenario` makes: parse → spec builds → `Simulation::from_source`
 //! → `with_capacity`/`with_faults` → `run_past_horizon`. Every execution
 //! is checked (see [`check`]); one that errors, panics or fails a check
-//! counts as failed. With `--trace 0` the end-to-end metrics are printed;
-//! with `--trace 1`, half the executions are traced and the per-layer
-//! metrics are printed instead. The last line of standard output is one
+//! counts as failed. With `--trace 0` the end-to-end metrics are printed,
+//! their on-CPU times scaled to reference speed (see [`reference`]); with
+//! `--trace 1`, half the executions are traced and the per-layer metrics
+//! are printed instead. The last line of standard output is one
 //! JSON object: `{"correct", "attempted", "failed", "metrics"}`.
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
@@ -21,6 +22,7 @@ compile_error!("perfbench reads Linux CPU clocks and /proc: it builds for 64-bit
 mod exec;
 mod host;
 mod micro;
+mod reference;
 mod trace;
 mod workloads;
 
@@ -32,6 +34,7 @@ use aqt_telemetry::TelemetryData;
 
 use exec::{execute, setup_only, Fingerprint, Mode, Outcome};
 use host::{Host, HostSample};
+use reference::Reference;
 use trace::{layer_totals, phase_name, Tracer, TELEMETRY_HOOK};
 use workloads::{Size, Workload, DEFAULT_SEED};
 
@@ -243,7 +246,7 @@ const END_TO_END_METRICS: [(&str, &str); 4] = [
 ];
 
 /// Per-layer metrics, in output order.
-const LAYER_METRICS: [(&str, &str); 32] = [
+const LAYER_METRICS: [(&str, &str); 33] = [
     ("scenario.parse_s", "s"),
     ("topology.build_s", "s"),
     ("protocol.build_s", "s"),
@@ -276,6 +279,7 @@ const LAYER_METRICS: [(&str, &str); 32] = [
     ("host.steal_frac", "ratio"),
     ("host.runqueue_wait_s", "s"),
     ("host.available_parallelism", "count"),
+    ("host.reference_slowdown", "ratio"),
 ];
 
 /// The per-execution layer values of traced execution `exec`, in
@@ -413,13 +417,17 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
         None => println!("check peak {} (no static bound)", m.max_occupancy),
     }
 
-    // The measured loop.
+    // The measured loop. The reference kernel runs after every
+    // execution, so each is bracketed by two kernel runs.
+    let mut reference = Reference::new();
     let budget = Duration::from_secs(args.seconds);
     let started = Instant::now();
     let mut tracer = Tracer::default();
-    // On-CPU (setup s, step s) of every plain execution that passed.
-    let mut plain: Vec<(f64, f64)> = Vec::new();
-    // (on-CPU s, layer values) of every traced execution that passed.
+    // On-CPU (setup s, step s) of every plain execution that passed, and
+    // the factor that scales them to reference speed.
+    let mut plain: Vec<(f64, f64, f64)> = Vec::new();
+    // (on-CPU s at reference speed, layer values) of every traced
+    // execution that passed.
     let mut traced: Vec<(f64, Vec<f64>)> = Vec::new();
     let mut iterations = 0;
     // A failed execution already makes the run incorrect: stop there.
@@ -427,34 +435,36 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
         iterations += 1;
         if let Some(o) = ledger.record("plain", execute(&json, Mode::Plain, None), Some(&want)) {
             let (setup, step) = (o.setup_ns as f64 / 1e9, o.step_ns as f64 / 1e9);
+            let scale = reference.scale();
             // Per-execution samples go to stderr, to show drift in a run.
             eprintln!(
-                "sample t={:.3} setup_s={setup} step_s={step} wall_s={}",
+                "sample t={:.3} setup_s={setup} step_s={step} wall_s={} scale={scale}",
                 started.elapsed().as_secs_f64(),
                 o.wall_ns as f64 / 1e9,
             );
-            plain.push((setup, step));
+            plain.push((setup, step, scale));
         }
         if args.trace {
             let result = execute(&json, Mode::Traced, Some(&mut tracer));
             if let Some(o) = ledger.record("traced", result, Some(&want)) {
                 let values = layer_values(&o, &tracer, tracer.execution());
-                traced.push((o.cpu_ns() as f64 / 1e9, values));
+                traced.push((o.cpu_ns() as f64 / 1e9 * reference.scale(), values));
             }
         }
     }
 
     let host = Host::over(host_start, HostSample::now());
+    let slowdown = median(reference.slowdowns());
     println!(
         "host available_parallelism={} cpu_model=\"{}\" kernel={} steal_frac={} \
-         runqueue_wait_s={}",
+         runqueue_wait_s={} reference_slowdown={slowdown}",
         host.available_parallelism,
         host.cpu_model,
         host.kernel,
         host.steal_frac,
         host.runqueue_wait_s
     );
-    let cpu: Vec<f64> = plain.iter().map(|&(s, t)| s + t).collect();
+    let cpu: Vec<f64> = plain.iter().map(|&(s, t, scale)| (s + t) * scale).collect();
     if args.trace {
         let mut metrics: Vec<Metric> = LAYER_METRICS
             .iter()
@@ -481,6 +491,7 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
                 "host.steal_frac" => host.steal_frac,
                 "host.runqueue_wait_s" => host.runqueue_wait_s,
                 "host.available_parallelism" => host.available_parallelism as f64,
+                "host.reference_slowdown" => slowdown,
                 _ => continue,
             };
             metric.samples.clear();
@@ -488,13 +499,20 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
         return (metrics, ledger);
     }
 
+    println!(
+        "unscaled cpu_s={} setup_s={} step_s={}",
+        median(&plain.iter().map(|p| p.0 + p.1).collect::<Vec<_>>()),
+        median(&plain.iter().map(|p| p.0).collect::<Vec<_>>()),
+        median(&plain.iter().map(|p| p.1).collect::<Vec<_>>()),
+    );
     // `setup_s` is noisy when set-up is short: repeat it alone until
     // there are enough samples, spending at most a tenth of the budget.
-    let mut setups: Vec<f64> = plain.iter().map(|&(s, _)| s).collect();
+    // Each repeat follows a kernel run, as each execution's set-up does.
+    let mut setups: Vec<f64> = plain.iter().map(|&(s, _, scale)| s * scale).collect();
     let extra = Instant::now();
     while setups.len() < SETUP_SAMPLES && extra.elapsed() < budget / 10 {
         match setup_only(&json) {
-            Ok(ns) => setups.push(ns as f64 / 1e9),
+            Ok(ns) => setups.push(ns as f64 / 1e9 * reference.scale()),
             Err(e) => {
                 ledger.attempted += 1;
                 ledger.fail("setup", e);
@@ -510,7 +528,10 @@ fn run(args: &Args) -> (Vec<Metric>, Ledger) {
         Metric::median_of(
             moves_per_s.0,
             moves_per_s.1,
-            plain.iter().map(|&(_, t)| ratio(moves, t)).collect(),
+            plain
+                .iter()
+                .map(|&(_, t, scale)| ratio(moves, t * scale))
+                .collect(),
         ),
         Metric::single(peak_rss_mb.0, peak_rss_mb.1, host::peak_rss_mb()),
     ];

@@ -4,14 +4,16 @@
 //! others bypass that layer: a change to the layer shows on its own
 //! workload, and the prediction on the others is "no change". The traced
 //! phase splits quoted below are self-time shares of on-CPU stepping
-//! (`--trace 1`, 2-vCPU Intel Xeon KVM guest); set-up is split into its
-//! own spans.
+//! (`--trace 1`, seeds 7 and 4242, 2-vCPU Intel Xeon KVM guest), with
+//! times at reference speed (see `reference.rs`); set-up is split into
+//! its own spans.
 //!
-//! The 1024×1024 mesh has no workload: its on-CPU time moves by up to
-//! 1.7× between the host's busy and quiet states, beyond any bound the
-//! benchmark may fix (see `README.md`, Noise). The set-up layers it
-//! would carry, `topology.build` and `engine.alloc`, carry
-//! `mesh_telemetry`'s set-up instead.
+//! The 1024×1024 mesh has no workload: its raw on-CPU time moved by 1.7×
+//! between the host's busy and quiet states, and its 80 MB working set
+//! lives far outside the caches whose contention the reference kernel
+//! tracks (see `README.md`, Noise). The set-up layers it would carry,
+//! `topology.build` and `engine.alloc`, carry `mesh_telemetry`'s set-up
+//! instead.
 
 use aqt_adversary::{Cadence, DestSpec, SourceSpec};
 use aqt_analysis::{CapacitySpec, Scenario};
@@ -35,8 +37,8 @@ pub enum Workload {
     /// - Layer: `protocol` (`Hpts::plan`, which rebuilds a per-node
     ///   destination map every round), seen as `engine.plan_s`.
     /// - Phase split: plan 96%, inject, forward and merge 1.1–1.4% each,
-    ///   over 1.4 s of stepping (4512 rounds); set-up is about 0.05 ms,
-    ///   so `topology.build_s + engine.alloc_s` stays under 1 ms.
+    ///   over about 0.85 s of stepping (4512 rounds); set-up is about
+    ///   0.03 ms, so `topology.build_s + engine.alloc_s` stays under 1 ms.
     PathHpts,
     /// All-floods at rate 1 for 320 rounds on a 96×96 mesh with uniform
     /// capacity 3, DropFarthest, seeded `random_links` outages and one
@@ -48,9 +50,9 @@ pub enum Workload {
     ///   shows here.
     /// - Layer: `fault` set-up (`random_links` resolves the edge list
     ///   with n² next-hop queries) and `capacity` admission in merge.
-    /// - Phase split: `fault.setup` is 99.9% of set-up (about 0.84 s);
-    ///   stepping (about 0.5 s over 512 rounds: 320 of floods, 192 to
-    ///   drain) is forward 29%, merge 27%, inject 22%, plan 21%.
+    /// - Phase split: `fault.setup` is 99.9% of set-up (about 0.49 s);
+    ///   stepping (about 0.33 s over 512 rounds: 320 of floods, 192 to
+    ///   drain) is forward 30%, merge 27%, inject 22–23%, plan 20–22%.
     MeshLossy,
     /// 1024 seeded source→destination packets, injected over rounds
     /// 0..64, on a 512×512 mesh under DagGreedy-FIFO, with the
@@ -64,11 +66,11 @@ pub enum Workload {
     /// - Layer: `telemetry` hooks, seen as `telemetry.hook_s`; in
     ///   set-up, `topology` (`Dag::grid` validation and Kahn order) and
     ///   `engine` allocation.
-    /// - Phase split: the telemetry hooks take 93% of stepping (about
-    ///   1.6 s over 1152 rounds), almost all of it `on_observe` inside
+    /// - Phase split: the telemetry hooks take 92–93% of stepping (about
+    ///   0.9 s over 1152 rounds), almost all of it `on_observe` inside
     ///   the inject phase; the engine's own phases share the rest (plan
-    ///   3%, inject 2%). Set-up (about 20 ms) is `topology.build` 68%
-    ///   and `engine.alloc` 29%.
+    ///   3.5%, inject 2%). `topology.build` and `engine.alloc` together
+    ///   take 97–98% of set-up (about 16 ms).
     MeshTelemetry,
 }
 
