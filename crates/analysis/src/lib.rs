@@ -68,8 +68,8 @@ pub use experiment::{Table, Verdict};
 pub use figure1::render_figure1;
 pub use scenario::{
     run_grid, run_scenario, run_scenario_sharded, run_scenario_telemetry,
-    run_scenario_telemetry_sharded, run_scenario_telemetry_with, run_scenarios,
-    run_scenarios_with_threads, CapacitySpec, Scenario, ScenarioError, ScenarioGrid,
+    run_scenario_telemetry_with, run_scenarios, run_scenarios_with_threads, CapacitySpec, Scenario,
+    ScenarioError, ScenarioGrid,
 };
 pub use sweep::{
     measured_sigma, measured_sigma_on, parallel_map, run_pattern, run_source, run_source_capacity,

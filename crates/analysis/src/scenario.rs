@@ -30,13 +30,15 @@ use std::fmt;
 use aqt_adversary::{SourceSpec, SourceSpecError};
 use aqt_core::{ProtocolSpec, ProtocolSpecError};
 use aqt_model::{
-    CapacityConfig, DropPolicyKind, FaultSpec, ModelError, Simulation, TopologySpec,
-    TopologySpecError,
+    AnyTopology, CapacityConfig, DropPolicyKind, EnginePhase, FaultSpec, FaultState,
+    InjectionSource, ModelError, NetworkState, Packet, Probe, Protocol, Round, RoundOutcome,
+    Simulation, Topology, TopologySpec, TopologySpecError,
 };
 use aqt_telemetry::{Clock, TelemetryProbe, TelemetryReport, TelemetrySpec};
 use serde::{Deserialize, Serialize};
 
 use crate::sweep::{self, RunSummary};
+use crate::validate::check_node_ranges;
 
 /// Finite-buffer enforcement for a scenario: the capacity limits plus the
 /// drop policy consulted on overflow.
@@ -189,6 +191,29 @@ impl From<ModelError> for ScenarioError {
     }
 }
 
+/// The simulation every scenario runner steps.
+type ScenarioSim =
+    Simulation<AnyTopology, Box<dyn Protocol<AnyTopology> + Send + Sync>, Box<dyn InjectionSource>>;
+
+/// Assembles `scenario`'s simulation on `shards` shards: builds the
+/// topology, protocol and source specs, checks that the capacity and
+/// fault specs name only existing nodes (the engine would panic on
+/// them), then applies capacity and faults.
+fn build(scenario: &Scenario, shards: usize) -> Result<ScenarioSim, ScenarioError> {
+    let topology = scenario.topology.build()?;
+    let protocol = scenario.protocol.build(&topology)?;
+    let source = scenario.source.build(&topology)?;
+    check_node_ranges(scenario, topology.node_count())?;
+    let mut sim = Simulation::from_source(topology, protocol, source).with_shards(shards);
+    if let Some(cap) = &scenario.capacity {
+        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
+    }
+    if let Some(faults) = &scenario.faults {
+        sim = sim.with_faults(faults);
+    }
+    Ok(sim)
+}
+
 /// Executes one [`Scenario`] and distills the metrics into a
 /// [`RunSummary`] — the single generic runner behind every workload,
 /// replacing the nine topology-specific `run_*` helpers.
@@ -196,35 +221,19 @@ impl From<ModelError> for ScenarioError {
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] if any spec fails to build (invalid
-/// parameters, protocol/workload not applicable to the topology) or the
+/// parameters, protocol/workload not applicable to the topology, a
+/// capacity or fault spec naming a node the topology lacks) or the
 /// engine rejects the run.
 pub fn run_scenario(scenario: &Scenario) -> Result<RunSummary, ScenarioError> {
-    let topology = scenario.topology.build()?;
-    let protocol = scenario.protocol.build(&topology)?;
-    let source = scenario.source.build(&topology)?;
-    let mut sim = Simulation::from_source(topology, protocol, source);
-    if let Some(cap) = &scenario.capacity {
-        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
-    }
-    if let Some(faults) = &scenario.faults {
-        sim = sim.with_faults(faults);
-    }
-    sim.run_past_horizon(scenario.extra)?;
-    Ok(RunSummary::from_metrics(
-        sim.protocol().name(),
-        sim.metrics(),
-    ))
+    run_scenario_sharded(scenario, 1)
 }
 
-/// [`run_scenario`] on the sharded engine
-/// ([`Simulation::step_sharded`]): the state is partitioned into `shards`
-/// contiguous node ranges and each round's plan/validate/forward phases
-/// run on scoped threads.
+/// [`run_scenario`] with each round's plan and validate phases on
+/// `shards` scoped worker threads ([`Simulation::with_shards`]).
 ///
 /// Byte-identical to [`run_scenario`] for every scenario and any shard
-/// count — the engine's deterministic round-barrier merge guarantees it
-/// (`tests/sharded_conformance.rs` pins the equality across the protocol
-/// × topology × capacity × staging matrix).
+/// count (`tests/sharded_conformance.rs` pins the equality across the
+/// protocol × topology × capacity × staging matrix).
 ///
 /// # Errors
 ///
@@ -233,17 +242,8 @@ pub fn run_scenario_sharded(
     scenario: &Scenario,
     shards: usize,
 ) -> Result<RunSummary, ScenarioError> {
-    let topology = scenario.topology.build()?;
-    let protocol = scenario.protocol.build(&topology)?;
-    let source = scenario.source.build(&topology)?;
-    let mut sim = Simulation::from_source(topology, protocol, source);
-    if let Some(cap) = &scenario.capacity {
-        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
-    }
-    if let Some(faults) = &scenario.faults {
-        sim = sim.with_faults(faults);
-    }
-    sim.run_past_horizon_sharded(scenario.extra, shards)?;
+    let mut sim = build(scenario, shards)?;
+    sim.run_past_horizon(scenario.extra)?;
     Ok(RunSummary::from_metrics(
         sim.protocol().name(),
         sim.metrics(),
@@ -268,23 +268,50 @@ pub fn run_scenario_telemetry(
     run_scenario_telemetry_with(scenario, 1, None, None, |_| {})
 }
 
-/// [`run_scenario_telemetry`] on the sharded engine. The report's
-/// `data` half is identical for every shard count; only the `profile`
-/// half (per-shard move totals, phase times) varies.
-///
-/// # Errors
-///
-/// Exactly as [`run_scenario`].
-pub fn run_scenario_telemetry_sharded(
-    scenario: &Scenario,
-    shards: usize,
-) -> Result<(RunSummary, TelemetryReport), ScenarioError> {
-    run_scenario_telemetry_with(scenario, shards, None, None, |_| {})
+/// A [`TelemetryProbe`] that hands a report snapshot to `flush` after
+/// every `every`-th round (never when `every` is 0).
+struct Flushing<F> {
+    probe: TelemetryProbe,
+    every: u64,
+    flush: F,
+}
+
+impl<F: FnMut(&TelemetryReport)> Probe for Flushing<F> {
+    fn now_nanos(&mut self) -> u64 {
+        self.probe.now_nanos()
+    }
+
+    fn on_fault(&mut self, round: Round, state: &FaultState) {
+        self.probe.on_fault(round, state);
+    }
+
+    fn on_observe(&mut self, round: Round, state: &NetworkState) {
+        self.probe.on_observe(round, state);
+    }
+
+    fn on_phase(&mut self, round: Round, phase: EnginePhase, nanos: u64) {
+        self.probe.on_phase(round, phase, nanos);
+    }
+
+    fn on_shard_moves(&mut self, round: Round, shard: usize, moves: usize) {
+        self.probe.on_shard_moves(round, shard, moves);
+    }
+
+    fn on_delivery(&mut self, round: Round, packet: &Packet) {
+        self.probe.on_delivery(round, packet);
+    }
+
+    fn on_round(&mut self, outcome: &RoundOutcome, state: &NetworkState) {
+        self.probe.on_round(outcome, state);
+        if self.every > 0 && outcome.round.next().value() % self.every == 0 {
+            (self.flush)(&self.probe.report());
+        }
+    }
 }
 
 /// The fully general telemetry runner behind
-/// [`run_scenario_telemetry`]: explicit shard count (1 = sequential
-/// engine), optional profiling [`Clock`] (`None` = deterministic
+/// [`run_scenario_telemetry`]: explicit shard count (1 = no worker
+/// threads), optional profiling [`Clock`] (`None` = deterministic
 /// `NullClock`), and an optional periodic flush — every `flush_every`
 /// rounds, `flush` receives a snapshot of the report so far, so long
 /// runs can stream partial telemetry to disk. A final flush is **not**
@@ -298,57 +325,21 @@ pub fn run_scenario_telemetry_with(
     shards: usize,
     clock: Option<Box<dyn Clock>>,
     flush_every: Option<u64>,
-    mut flush: impl FnMut(&TelemetryReport),
+    flush: impl FnMut(&TelemetryReport),
 ) -> Result<(RunSummary, TelemetryReport), ScenarioError> {
-    let topology = scenario.topology.build()?;
-    let protocol = scenario.protocol.build(&topology)?;
-    let source = scenario.source.build(&topology)?;
-    let mut sim = Simulation::from_source(topology, protocol, source);
-    if let Some(cap) = &scenario.capacity {
-        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
-    }
-    if let Some(faults) = &scenario.faults {
-        sim = sim.with_faults(faults);
-    }
+    let mut sim = build(scenario, shards)?;
     let spec = scenario.telemetry.unwrap_or_default();
-    let mut probe = match clock {
-        Some(clock) => TelemetryProbe::with_clock(spec, clock),
-        None => TelemetryProbe::new(spec),
+    let mut probe = Flushing {
+        probe: match clock {
+            Some(clock) => TelemetryProbe::with_clock(spec, clock),
+            None => TelemetryProbe::new(spec),
+        },
+        every: flush_every.unwrap_or(0),
+        flush,
     };
-    // Inline horizon loop (mirrors Simulation::run_past_horizon) so a
-    // flush can fire between rounds.
-    let flush_every = flush_every.unwrap_or(0);
-    let horizon = sim.source().horizon();
-    let mut step =
-        |sim: &mut Simulation<_, _, _>, probe: &mut TelemetryProbe| -> Result<(), ModelError> {
-            if shards > 1 {
-                sim.step_sharded_probed(shards, probe)?;
-            } else {
-                sim.step_probed(probe)?;
-            }
-            if flush_every > 0 && sim.round().value() % flush_every == 0 {
-                flush(&probe.report());
-            }
-            Ok(())
-        };
-    match horizon {
-        Some(horizon) => {
-            let total = horizon + scenario.extra;
-            while sim.round().value() < total {
-                step(&mut sim, &mut probe)?;
-            }
-        }
-        None => {
-            while !sim.source().is_exhausted() {
-                step(&mut sim, &mut probe)?;
-            }
-            for _ in 0..scenario.extra {
-                step(&mut sim, &mut probe)?;
-            }
-        }
-    }
+    sim.run_past_horizon_probed(scenario.extra, &mut probe)?;
     let summary = RunSummary::from_metrics(sim.protocol().name(), sim.metrics());
-    Ok((summary, probe.report()))
+    Ok((summary, probe.probe.report()))
 }
 
 /// A serializable scenario *grid*: the cartesian product of topology,
@@ -475,6 +466,18 @@ mod tests {
         assert_eq!(summary.injected, 4);
         assert_eq!(summary.delivered, 4);
         assert_eq!(summary.max_occupancy, 4);
+    }
+
+    #[test]
+    fn telemetry_flush_fires_every_n_rounds() {
+        let mut flushed = Vec::new();
+        let (_, report) = run_scenario_telemetry_with(&burst_scenario(), 1, None, Some(3), |r| {
+            flushed.push(r.data.counters.rounds)
+        })
+        .unwrap();
+        // The burst's horizon is 1, so 1 + 10 settle rounds run.
+        assert_eq!(report.data.counters.rounds, 11);
+        assert_eq!(flushed, vec![3, 6, 9]);
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl RunSummary {
 /// # Errors
 ///
 /// Propagates pattern validation or plan errors from the engine.
-pub fn run_pattern<T: Topology, P: Protocol<T>>(
+pub fn run_pattern<T: Topology + Sync, P: Protocol<T> + Sync>(
     topology: T,
     protocol: P,
     pattern: &Pattern,
@@ -98,7 +98,7 @@ pub fn run_pattern<T: Topology, P: Protocol<T>>(
 /// # Errors
 ///
 /// Propagates injection validation or plan errors from the engine.
-pub fn run_source<T: Topology, P: Protocol<T>, S: InjectionSource>(
+pub fn run_source<T: Topology + Sync, P: Protocol<T> + Sync, S: InjectionSource>(
     topology: T,
     protocol: P,
     source: S,
@@ -119,7 +119,7 @@ pub fn run_source<T: Topology, P: Protocol<T>, S: InjectionSource>(
 /// # Errors
 ///
 /// Propagates injection validation or plan errors from the engine.
-pub fn run_source_capacity<T: Topology, P: Protocol<T>, S: InjectionSource>(
+pub fn run_source_capacity<T: Topology + Sync, P: Protocol<T> + Sync, S: InjectionSource>(
     topology: T,
     protocol: P,
     source: S,

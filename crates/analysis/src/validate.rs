@@ -137,23 +137,29 @@ fn check_telemetry_strides(spec: &aqt_telemetry::TelemetrySpec) -> Result<(), Sc
     Ok(())
 }
 
-/// Statically checks a fault schedule against the topology and workload:
+/// Checks that the capacity and fault specs name only nodes of an
+/// `n`-node topology — the engine asserts both, so the run path
+/// ([`run_scenario`](crate::run_scenario) and friends) calls this before
+/// building the simulation, as [`Scenario::validate`] does:
 ///
-/// * `"fault-bounds"` — every node a fault event names must exist
-///   (the engine would panic at [`Simulation::with_faults`] otherwise);
-/// * `"fault-severed-route"` — a *permanent* (never-recovering) fault
-///   that cuts the unique route of a `(source, dest)` pair the schedule
-///   actually injects on guarantees those packets are never delivered,
-///   so the scenario is provably broken before round 0. Recovering
-///   faults (`until` set) and delays never trigger this check.
-///
-/// [`Simulation::with_faults`]: aqt_model::Simulation::with_faults
-fn check_fault_schedule(
-    topology: &AnyTopology,
-    faults: &FaultSpec,
-    pairs: Option<&[(usize, usize)]>,
-) -> Result<(), ScenarioError> {
-    let n = topology.node_count();
+/// * `"capacity-nodes"` — a per-node capacity list must have exactly one
+///   limit per node;
+/// * `"fault-bounds"` — every node a fault event names must exist.
+pub(crate) fn check_node_ranges(scenario: &Scenario, n: usize) -> Result<(), ScenarioError> {
+    if let Some(len) = scenario
+        .capacity
+        .as_ref()
+        .and_then(|c| c.config.node_count())
+    {
+        if len != n {
+            return Err(ScenarioError::Static {
+                check: "capacity-nodes",
+                reason: format!(
+                    "the per-node capacity list has {len} limits for a {n}-node topology"
+                ),
+            });
+        }
+    }
     let check = |what: &str, v: usize| -> Result<(), ScenarioError> {
         if v >= n {
             return Err(ScenarioError::Static {
@@ -163,7 +169,7 @@ fn check_fault_schedule(
         }
         Ok(())
     };
-    for event in &faults.events {
+    for event in scenario.faults.iter().flat_map(|f| &f.events) {
         match event {
             FaultEvent::LinkDown { from, to, .. } | FaultEvent::LinkDelay { from, to, .. } => {
                 check("link", *from)?;
@@ -178,6 +184,20 @@ fn check_fault_schedule(
             FaultEvent::RandomLinks { .. } => {}
         }
     }
+    Ok(())
+}
+
+/// `"fault-severed-route"`: a *permanent* (never-recovering) fault that
+/// cuts the unique route of a `(source, dest)` pair the schedule actually
+/// injects on guarantees those packets are never delivered, so the
+/// scenario is provably broken before round 0. Recovering faults
+/// (`until` set) and delays never trigger this check. Assumes
+/// [`check_node_ranges`] passed.
+fn check_fault_schedule(
+    topology: &AnyTopology,
+    faults: &FaultSpec,
+    pairs: Option<&[(usize, usize)]>,
+) -> Result<(), ScenarioError> {
     let Some(pairs) = pairs else {
         return Ok(());
     };
@@ -254,6 +274,7 @@ impl Scenario {
         let protocol = self.protocol.build(&topology)?;
         let profile = self.source.profile(&topology)?;
 
+        check_node_ranges(self, topology.node_count())?;
         if let Some(cap) = &self.capacity {
             check_round0_capacity(&profile.round0, cap, protocol.injection_mode())?;
         }

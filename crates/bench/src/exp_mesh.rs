@@ -10,12 +10,12 @@
 //!    arithmetic (`O(1)`, zero tables); butterflies and diamonds have
 //!    their own closed forms, and only `random_dag`/arbitrary edge lists
 //!    fall back to dense tables.
-//! 2. **Arena buffers** — `NetworkState` stores packets in per-shard
-//!    slabs with per-node spans instead of one `Vec<Packet>` per node.
-//! 3. **Sharded rounds** — `Simulation::run_sharded` partitions the node
-//!    range across `std::thread::scope` workers with a deterministic
-//!    round-barrier merge (byte-identical to the sequential engine; see
-//!    `tests/sharded_conformance.rs`).
+//! 2. **Arena buffers** — `NetworkState` stores packets in one slab with
+//!    per-node spans instead of one `Vec<Packet>` per node.
+//! 3. **Sharded rounds** — `Simulation::with_shards` runs each round's
+//!    plan and validate phases on `std::thread::scope` workers and merges
+//!    them in shard order, then applies the moves sequentially
+//!    (byte-identical to one shard; see `tests/sharded_conformance.rs`).
 //!
 //! The workload is a *diagonal wave*: at round 0 every node fires one
 //! packet right along its row and one down its column. Under XY routing
@@ -73,8 +73,8 @@ pub struct MeshRun {
     pub shards: usize,
 }
 
-/// Runs the diagonal wave for a fixed number of rounds on the sharded
-/// engine and reports the packet-move rate.
+/// Runs the diagonal wave for a fixed number of rounds on `shards` shards
+/// and reports the packet-move rate.
 ///
 /// # Panics
 ///
@@ -86,9 +86,10 @@ pub fn measure_mesh(rows: usize, cols: usize, rounds: u64, shards: usize) -> Mes
         topo.is_computed_routing(),
         "mesh runs must not build O(n^2) tables"
     );
-    let mut sim = Simulation::from_source(topo, DagGreedy::fifo(), wave_source(rows, cols));
+    let mut sim = Simulation::from_source(topo, DagGreedy::fifo(), wave_source(rows, cols))
+        .with_shards(shards);
     let started = Instant::now();
-    sim.run_sharded(rounds, shards).expect("valid wave run");
+    sim.run(rounds).expect("valid wave run");
     let wall = started.elapsed();
     let moves = sim.metrics().forwarded;
     let wall_ms = wall.as_secs_f64() * 1e3;
@@ -116,9 +117,9 @@ pub fn measure_mesh_median(rows: usize, cols: usize, rounds: u64, shards: usize)
     runs.swap_remove(1)
 }
 
-/// The shard count E13 runs with: one per available core, floored at 1.
-/// (`run_sharded` degrades to the sequential engine at 1, so single-core
-/// hosts measure the computed-routing + arena layers without barrier
+/// The shard count E13, E14 and E16 run with: one per available core,
+/// floored at 1. (One shard spawns no worker threads, so single-core
+/// hosts measure the computed-routing + arena layers without thread
 /// overhead.)
 pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -216,8 +217,9 @@ mod tests {
     fn sharded_wave_matches_sequential_wave() {
         let run = |shards: usize| {
             let mut sim =
-                Simulation::from_source(Dag::grid(16, 16), DagGreedy::fifo(), wave_source(16, 16));
-            sim.run_sharded(40, shards).unwrap();
+                Simulation::from_source(Dag::grid(16, 16), DagGreedy::fifo(), wave_source(16, 16))
+                    .with_shards(shards);
+            sim.run(40).unwrap();
             sim.metrics().clone()
         };
         let seq = run(1);

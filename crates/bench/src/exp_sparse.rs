@@ -70,13 +70,13 @@ pub struct SparseRun {
     pub shards: usize,
 }
 
-/// Runs the sparse wave for a fixed number of rounds on the sharded
-/// engine and reports the packet-move rate. Timing is hardened like the
-/// rest of the bench suite: one discarded warmup run, then the median of
-/// three measured runs (the workload is deterministic, so runs differ
-/// only in wall-clock). Only `run_sharded` is timed — at this scale the
-/// one-off state allocation would otherwise dominate the O(live) rounds
-/// being measured.
+/// Runs the sparse wave for a fixed number of rounds on `shards` shards
+/// and reports the packet-move rate. Timing is hardened like the rest of
+/// the bench suite: one discarded warmup run, then the median of three
+/// measured runs (the workload is deterministic, so runs differ only in
+/// wall-clock). Only `run` is timed — at this scale the one-off state
+/// allocation would otherwise dominate the O(live) rounds being
+/// measured.
 ///
 /// # Panics
 ///
@@ -97,9 +97,10 @@ pub fn measure_sparse(rows: usize, cols: usize, rounds: u64, shards: usize) -> S
             Dag::grid(rows, cols),
             DagGreedy::fifo(),
             sparse_wave_source(rows, cols),
-        );
+        )
+        .with_shards(shards);
         let started = Instant::now();
-        sim.run_sharded(rounds, shards).expect("valid sparse run");
+        sim.run(rounds).expect("valid sparse run");
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let moves = sim.metrics().forwarded;
         assert_eq!(
@@ -229,8 +230,9 @@ mod tests {
                 Dag::grid(16, 16),
                 DagGreedy::fifo(),
                 sparse_wave_source(16, 16),
-            );
-            sim.run_sharded(10, shards).unwrap();
+            )
+            .with_shards(shards);
+            sim.run(10).unwrap();
             sim.metrics().clone()
         };
         let seq = run(1);

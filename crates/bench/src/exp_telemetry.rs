@@ -4,7 +4,7 @@
 //! O(buckets + ring capacity) memory regardless of run length, and a
 //! per-round overhead small enough to leave probes on for million-node
 //! runs. This experiment prices that promise. It reruns the E13 256×256
-//! diagonal-wave smoke twice on the sharded engine — once bare, once
+//! diagonal-wave smoke twice at the E13 shard count — once bare, once
 //! with a full [`TelemetryProbe`] (occupancy + latency sketches, round
 //! series, per-phase wall-clock profiling via [`WallClock`]) — asserts
 //! the two runs produce byte-identical [`RunMetrics`], and reports the
@@ -103,8 +103,9 @@ pub fn measure_telemetry(rows: usize, cols: usize, rounds: u64, shards: usize) -
             Dag::grid(rows, cols),
             DagGreedy::fifo(),
             wave_source(rows, cols),
-        );
-        sim.run_sharded(rounds, shards).expect("valid wave run");
+        )
+        .with_shards(shards);
+        sim.run(rounds).expect("valid wave run");
         sim.metrics().clone()
     });
 
@@ -113,12 +114,13 @@ pub fn measure_telemetry(rows: usize, cols: usize, rounds: u64, shards: usize) -
             Dag::grid(rows, cols),
             DagGreedy::fifo(),
             wave_source(rows, cols),
-        );
+        )
+        .with_shards(shards);
         let mut probe =
             TelemetryProbe::with_clock(TelemetrySpec::default(), Box::new(WallClock::new()));
         for _ in 0..rounds {
             probed_sim
-                .step_sharded_probed(shards, &mut probe)
+                .step_probed(&mut probe)
                 .expect("valid probed wave run");
         }
         (probed_sim.metrics().clone(), probe.report())

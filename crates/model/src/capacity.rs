@@ -224,13 +224,21 @@ impl CapacityConfig {
         }
     }
 
+    /// The number of nodes a per-node config lists limits for; `None`
+    /// for a uniform config, which fits every topology.
+    pub fn node_count(&self) -> Option<usize> {
+        match &self.limits {
+            Limits::Uniform(_) => None,
+            Limits::PerNode(ls) => Some(ls.len()),
+        }
+    }
+
     /// Checks the config against a topology size (per-node vectors must
     /// cover every node exactly).
     pub(crate) fn assert_valid(&self, node_count: usize) {
-        if let Limits::PerNode(ls) = &self.limits {
+        if let Some(len) = self.node_count() {
             assert_eq!(
-                ls.len(),
-                node_count,
+                len, node_count,
                 "per-node capacity vector must have one entry per node"
             );
         }

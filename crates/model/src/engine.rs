@@ -29,15 +29,17 @@
 //!
 //! # Sharded rounds
 //!
-//! [`Simulation::step_sharded`] partitions the nodes into contiguous
-//! ranges and runs the plan, validate and forward phases on
-//! `std::thread::scope` workers, exchanging cross-shard arrivals at a
-//! round barrier with a deterministic merge order (ascending shard, then
-//! the shard's node-major move order). The result is **byte-identical**
-//! to [`step`](Simulation::step) — same metrics, same buffer contents,
-//! same `seq` numbers, same error on an invalid plan — because every
-//! merge point reproduces the sequential order exactly; the differential
-//! suite in `tests/sharded_conformance.rs` pins this across the full
+//! [`Simulation::with_shards`] fans the round's two read-only phases out
+//! to scoped worker threads: planning (for protocols that support
+//! [`Protocol::plan_range`]) and move validation, each cut into
+//! contiguous ranges of near-equal live work and merged in ascending
+//! shard order. Applying the moves stays on the calling thread at every
+//! shard count: on a 2-vCPU host a two-shard parallel apply took twice as
+//! long as the sequential one. The result is **byte-identical** to a
+//! one-shard run — same metrics, same buffer contents, same `seq`
+//! numbers, same error on an invalid plan — because both merges reproduce
+//! the sequential order exactly; the differential suite in
+//! `tests/sharded_conformance.rs` pins this across the full
 //! protocol × topology × capacity × staging matrix.
 
 use std::fmt;
@@ -488,10 +490,10 @@ pub trait Protocol<T: Topology> {
     /// scan remains correct.
     fn plan(&mut self, round: Round, topology: &T, state: &NetworkState, plan: &mut ForwardingPlan);
 
-    /// Whether [`plan_range`](Protocol::plan_range) is implemented. The
-    /// sharded engine plans shards in parallel when this is true and
-    /// falls back to one sequential [`plan`](Protocol::plan) call
-    /// otherwise.
+    /// Whether [`plan_range`](Protocol::plan_range) is implemented. With
+    /// more than one shard the engine plans shards in parallel when this
+    /// is true and falls back to one sequential [`plan`](Protocol::plan)
+    /// call otherwise.
     ///
     /// Range planning must be **node-local**: the sends for node `v` may
     /// depend only on `v`'s own buffer (plus topology and round), so
@@ -506,7 +508,7 @@ pub trait Protocol<T: Topology> {
     /// Takes `&self`: range planners run concurrently, so planning must
     /// not mutate protocol state.
     ///
-    /// The sharded engine cuts window ranges along *active-set* quantiles
+    /// The engine cuts window ranges along *active-set* quantiles
     /// (near-equal live nodes per window), so implementations should walk
     /// [`NetworkState::active_nodes_in`] over the window's range — a dense
     /// range scan stays correct but re-introduces O(n/k) per shard.
@@ -724,17 +726,19 @@ pub struct Simulation<T: Topology, P: Protocol<T>, S: InjectionSource = PatternS
     /// Whether injections still need per-round validation (false when the
     /// whole schedule was validated upfront by [`Simulation::new`]).
     validate_injections: bool,
+    /// Worker threads for the plan and validate phases, set by
+    /// [`with_shards`](Simulation::with_shards); 1 runs the whole round on
+    /// the calling thread.
+    shards: usize,
     // Reusable per-round scratch (hot path performs no allocation once
     // these reach their steady-state capacity).
     injection_buf: Vec<Injection>,
     accept_buf: Vec<Packet>,
     plan_buf: ForwardingPlan,
-    moves_buf: Vec<Move>,
-    lift_buf: Vec<(StoredPacket, NodeId, bool)>,
-    // Sharded-round scratch (empty until `step_sharded` is used).
+    /// The round's validated moves, one list per shard; in shard order
+    /// they are the sequential move list.
     shard_moves: Vec<Vec<Move>>,
-    shard_arrivals: Vec<Vec<Vec<(NodeId, StoredPacket)>>>,
-    shard_deliver: Vec<Vec<Packet>>,
+    lift_buf: Vec<(StoredPacket, NodeId, bool)>,
     /// Capacity enforcement, if enabled via
     /// [`with_capacity`](Simulation::with_capacity). `None` keeps the
     /// unbounded hot path entirely check-free.
@@ -759,17 +763,11 @@ type Move = (NodeId, PacketId, NodeId, bool);
 
 /// Closes phase `phase` of round `t` on `probe`: reads the probe's clock,
 /// reports the elapsed nanoseconds since `last`, and returns the new
-/// anchor. A no-op returning 0 without a probe, so the unprobed hot path
-/// pays exactly one branch per phase boundary.
-fn phase_mark(probe: &mut Option<&mut dyn Probe>, t: Round, phase: EnginePhase, last: u64) -> u64 {
-    match probe.as_deref_mut() {
-        Some(p) => {
-            let now = p.now_nanos();
-            p.on_phase(t, phase, now.saturating_sub(last));
-            now
-        }
-        None => 0,
-    }
+/// anchor. With the null probe `()` this compiles to nothing.
+fn phase_mark<Pr: Probe + ?Sized>(probe: &mut Pr, t: Round, phase: EnginePhase, last: u64) -> u64 {
+    let now = probe.now_nanos();
+    probe.on_phase(t, phase, now.saturating_sub(last));
+    now
 }
 
 /// Cuts `0..n` into `k` contiguous node ranges holding near-equal shares
@@ -809,8 +807,7 @@ fn active_plan_ranges(active: &[u32], n: usize, k: usize) -> Vec<std::ops::Range
 /// With a fault mask (`faults`), a send over a blocked link is silently
 /// skipped *before* the per-link bandwidth check — as if the protocol had
 /// not planned it, so two sends over one blocked link are both skipped
-/// rather than a `LinkOverload`. Skipped sends never enter the move list,
-/// which is why the sharded prefix-seq machinery needs no fault awareness.
+/// rather than a `LinkOverload`. Skipped sends never enter the move list.
 /// The engine also drops the mask entirely when it is empty
 /// ([`FaultState::is_empty`]), skipping the per-send consult.
 fn collect_moves<T: Topology>(
@@ -866,6 +863,92 @@ fn collect_moves<T: Topology>(
         moves.push((v, pid, hop, hop == dest));
     }
     None
+}
+
+/// The parallel plan phase: one [`PlanWindow`] per shard, cut at
+/// active-set quantiles ([`active_plan_ranges`]) so plan wall-clock tracks
+/// traffic rather than fabric size, filled by [`Protocol::plan_range`] on
+/// scoped threads. The windows are disjoint slices of the one plan, so the
+/// filled plan is the one a sequential pass would produce.
+fn plan_sharded<T, P>(
+    protocol: &P,
+    topology: &T,
+    state: &NetworkState,
+    plan: &mut ForwardingPlan,
+    t: Round,
+    k: usize,
+) where
+    T: Topology + Sync,
+    P: Protocol<T> + Sync,
+{
+    let ranges = active_plan_ranges(state.active_slice(), topology.node_count(), k);
+    let windows = plan.windows(&ranges);
+    let parts: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = windows
+            .into_iter()
+            .map(|mut w| {
+                scope.spawn(move || {
+                    protocol.plan_range(t, topology, state, &mut w);
+                    w.into_parts()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("plan worker panicked"))
+            .collect()
+    });
+    for (count, touched) in parts {
+        plan.absorb_window(count, touched);
+    }
+}
+
+/// The validate phase: [`collect_moves`] over the sorted touched list,
+/// cut into one chunk per entry of `shard_moves`, chunk `i` into
+/// `shard_moves[i]`. One shard runs on the calling thread; more run on
+/// scoped threads. Chunks hold near-equal send counts, so validation
+/// wall-clock tracks traffic too, and are node-aligned, so the per-node
+/// `LinkOverload` tail scan never crosses one. Concatenated in shard order
+/// the lists are the sequential move list, and the first error in shard
+/// order is the sequential error.
+fn validate_sharded<T: Topology + Sync>(
+    topology: &T,
+    state: &NetworkState,
+    plan: &ForwardingPlan,
+    faults: Option<&FaultState>,
+    t: Round,
+    shard_moves: &mut [Vec<Move>],
+) -> Option<ModelError> {
+    let touched = plan.touched_slots();
+    if let [moves] = shard_moves {
+        return collect_moves(topology, state, plan, faults, t, touched, moves);
+    }
+    let k = shard_moves.len();
+    let m = touched.len();
+    let mut cuts = Vec::with_capacity(k + 1);
+    cuts.push(0usize);
+    for i in 1..k {
+        let mut end = (m * i / k).max(cuts[i - 1]);
+        while end > 0 && end < m && entry_node(touched[end]) == entry_node(touched[end - 1]) {
+            end += 1;
+        }
+        cuts.push(end);
+    }
+    cuts.push(m);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_moves
+            .iter_mut()
+            .enumerate()
+            .map(|(i, moves)| {
+                let chunk = &touched[cuts[i]..cuts[i + 1]];
+                scope.spawn(move || collect_moves(topology, state, plan, faults, t, chunk, moves))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("validate worker panicked"))
+            .find_map(|e| e)
+    })
 }
 
 /// Places `packet` into `v` unless capacity forbids it; on overflow the
@@ -969,17 +1052,25 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
             round: Round::ZERO,
             metrics: RunMetrics::new(n, false),
             validate_injections: true,
+            shards: 1,
             injection_buf: Vec::new(),
             accept_buf: Vec::new(),
             plan_buf,
-            moves_buf: Vec::new(),
+            shard_moves: vec![Vec::new()],
             lift_buf: Vec::new(),
-            shard_moves: Vec::new(),
-            shard_arrivals: Vec::new(),
-            shard_deliver: Vec::new(),
             capacity: None,
             faults: None,
         }
+    }
+
+    /// Runs each round's plan and validate phases on `k` scoped worker
+    /// threads (clamped to `1..=node_count`; the default is 1, which
+    /// spawns nothing). See the module docs: the run is byte-identical at
+    /// every shard count, and moves are always applied sequentially.
+    pub fn with_shards(mut self, k: usize) -> Self {
+        self.shards = k.clamp(1, self.topology.node_count().max(1));
+        self.shard_moves.resize_with(self.shards, Vec::new);
+        self
     }
 
     /// Enables capacity-bounded execution: every buffer is capped per
@@ -1083,8 +1174,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
             && self.state.staged_len() == 0
     }
 
-    /// The injection step shared by [`step`](Simulation::step) and
-    /// [`step_sharded`](Simulation::step_sharded): phase-boundary
+    /// The round's injection step: the fault mask, phase-boundary
     /// acceptance, then this round's injections. Returns
     /// `(injected, accepted)` and bumps `metrics.injected`.
     fn injection_phase(&mut self, t: Round) -> Result<(usize, usize), ModelError> {
@@ -1095,8 +1185,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         // loses its buffered and staged packets to `faulted` before
         // acceptance, injection or planning can touch them, and the
         // whole round (including sharded planning/validation) sees one
-        // consistent mask. Runs on the coordinating thread only, so
-        // sequential and sharded rounds stay byte-identical.
+        // consistent mask.
         if let Some(faults) = &mut self.faults {
             faults.advance(t);
             for &v in faults.newly_dead() {
@@ -1199,7 +1288,14 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         self.metrics.injected += injected as u64;
         Ok((injected, accepted))
     }
+}
 
+impl<T, P, S> Simulation<T, P, S>
+where
+    T: Topology + Sync,
+    P: Protocol<T> + Sync,
+    S: InjectionSource,
+{
     /// Executes one full round.
     ///
     /// # Errors
@@ -1208,7 +1304,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
     /// or the protocol produced an invalid plan; the simulation must not be
     /// used further after an error.
     pub fn step(&mut self) -> Result<RoundOutcome, ModelError> {
-        self.step_impl(None)
+        self.run_round(&mut ())
     }
 
     /// [`step`](Simulation::step) with a [`Probe`] observing the round.
@@ -1220,59 +1316,134 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
     /// # Errors
     ///
     /// Exactly as [`step`](Simulation::step).
-    pub fn step_probed(&mut self, probe: &mut dyn Probe) -> Result<RoundOutcome, ModelError> {
-        self.step_impl(Some(probe))
+    pub fn step_probed<Pr: Probe + ?Sized>(
+        &mut self,
+        probe: &mut Pr,
+    ) -> Result<RoundOutcome, ModelError> {
+        self.run_round(probe)
     }
 
-    fn step_impl(&mut self, mut probe: Option<&mut dyn Probe>) -> Result<RoundOutcome, ModelError> {
+    /// Runs `rounds` rounds and returns the metrics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first plan validation error.
+    pub fn run(&mut self, rounds: u64) -> Result<&RunMetrics, ModelError> {
+        for _ in 0..rounds {
+            self.run_round(&mut ())?;
+        }
+        Ok(&self.metrics)
+    }
+
+    /// Runs until `extra` rounds past the source's horizon (useful to let
+    /// the network settle after the adversary stops). A source with an
+    /// unknown horizon (e.g. a shaper, whose delays depend on admission)
+    /// is stepped until it reports exhaustion, then `extra` settle rounds
+    /// run; this diverges for a source that never exhausts.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first plan validation error.
+    pub fn run_past_horizon(&mut self, extra: u64) -> Result<&RunMetrics, ModelError> {
+        self.run_past_horizon_probed(extra, &mut ())
+    }
+
+    /// [`run_past_horizon`](Simulation::run_past_horizon) with a
+    /// [`Probe`] observing every round.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first plan validation error.
+    pub fn run_past_horizon_probed<Pr: Probe + ?Sized>(
+        &mut self,
+        extra: u64,
+        probe: &mut Pr,
+    ) -> Result<&RunMetrics, ModelError> {
+        match self.source.horizon() {
+            Some(horizon) => {
+                while self.round.value() < horizon + extra {
+                    self.run_round(probe)?;
+                }
+            }
+            None => {
+                while !self.source.is_exhausted() {
+                    self.run_round(probe)?;
+                }
+                for _ in 0..extra {
+                    self.run_round(probe)?;
+                }
+            }
+        }
+        Ok(&self.metrics)
+    }
+
+    /// The one round of the engine, at any shard count. The null probe
+    /// `()` monomorphizes every hook away.
+    fn run_round<Pr: Probe + ?Sized>(
+        &mut self,
+        probe: &mut Pr,
+    ) -> Result<RoundOutcome, ModelError> {
         let t = self.round;
+        let k = self.shards;
         let drops_before = self.metrics.dropped;
         let faults_before = self.metrics.faulted;
-        let mut mark = match probe.as_deref_mut() {
-            Some(p) => p.now_nanos(),
-            None => 0,
-        };
+        let mut mark = probe.now_nanos();
 
         let (injected, accepted) = self.injection_phase(t)?;
-        if let (Some(f), Some(p)) = (&self.faults, probe.as_deref_mut()) {
-            if !f.state().is_empty() {
-                p.on_fault(t, f.state());
-            }
+        // An empty mask is dropped entirely: no per-send consult on
+        // fault-free rounds.
+        let faults = self
+            .faults
+            .as_ref()
+            .map(FaultRuntime::state)
+            .filter(|f| !f.is_empty());
+        if let Some(f) = faults {
+            probe.on_fault(t, f);
         }
 
         // --- Observe L^t ----------------------------------------------
-        // Collapse the dirty worklist first: `observe` and the protocol's
-        // `plan` both walk the active set, and both need it exact.
+        // Collapse the dirty worklist first: `observe`, the protocol's
+        // plan and the active-balanced shard cuts all need it exact.
         self.state.refresh_active();
         self.metrics.observe(t, &self.state);
-        if let Some(p) = probe.as_deref_mut() {
-            p.on_observe(t, &self.state);
-        }
-        mark = phase_mark(&mut probe, t, EnginePhase::Inject, mark);
+        probe.on_observe(t, &self.state);
+        mark = phase_mark(probe, t, EnginePhase::Inject, mark);
 
         // --- Forwarding step ------------------------------------------
         self.plan_buf.clear_sends();
-        self.protocol
-            .plan(t, &self.topology, &self.state, &mut self.plan_buf);
-        mark = phase_mark(&mut probe, t, EnginePhase::Plan, mark);
+        if k > 1 && self.protocol.supports_range_planning() {
+            plan_sharded(
+                &self.protocol,
+                &self.topology,
+                &self.state,
+                &mut self.plan_buf,
+                t,
+                k,
+            );
+        } else {
+            self.protocol
+                .plan(t, &self.topology, &self.state, &mut self.plan_buf);
+        }
         // Sort the touched slots into node-major order so the move list
         // matches a dense scan's byte-for-byte.
         self.plan_buf.sort_touched();
-        if let Some(e) = collect_moves(
+        mark = phase_mark(probe, t, EnginePhase::Plan, mark);
+        if let Some(e) = validate_sharded(
             &self.topology,
             &self.state,
             &self.plan_buf,
-            self.faults
-                .as_ref()
-                .map(|f| f.state())
-                .filter(|f| !f.is_empty()),
+            faults,
             t,
-            self.plan_buf.touched_slots(),
-            &mut self.moves_buf,
+            &mut self.shard_moves,
         ) {
             return Err(e);
         }
-        mark = phase_mark(&mut probe, t, EnginePhase::Forward, mark);
+        if k > 1 {
+            for (shard, moves) in self.shard_moves.iter().enumerate() {
+                probe.on_shard_moves(t, shard, moves.len());
+            }
+        }
+        mark = phase_mark(probe, t, EnginePhase::Forward, mark);
         // Apply simultaneously: all removals strictly before all placements,
         // so a packet received this round can never be re-forwarded within
         // the same round. With unbounded buffers the two sweeps fuse into
@@ -1284,16 +1455,14 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         // observe occupancy mid-apply.
         let mut delivered = 0usize;
         if self.capacity.is_none() {
-            for &(v, pid, hop, delivers) in &self.moves_buf {
+            for &(v, pid, hop, delivers) in self.shard_moves.iter().flatten() {
                 let stored = self
                     .state
                     .remove(v, pid)
                     .expect("packet verified present above");
                 if delivers {
                     self.metrics.record_delivery(t, stored.packet());
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.on_delivery(t, stored.packet());
-                    }
+                    probe.on_delivery(t, stored.packet());
                     delivered += 1;
                 } else {
                     self.state.place(hop, *stored.packet(), t);
@@ -1301,7 +1470,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
             }
         } else {
             self.lift_buf.clear();
-            for &(v, pid, hop, delivers) in &self.moves_buf {
+            for &(v, pid, hop, delivers) in self.shard_moves.iter().flatten() {
                 let stored = self
                     .state
                     .remove(v, pid)
@@ -1311,9 +1480,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
             for (stored, hop, delivers) in self.lift_buf.drain(..) {
                 if delivers {
                     self.metrics.record_delivery(t, stored.packet());
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.on_delivery(t, stored.packet());
-                    }
+                    probe.on_delivery(t, stored.packet());
                     delivered += 1;
                 } else {
                     // A forwarded packet crossed its link either way; if the
@@ -1330,460 +1497,9 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
                 }
             }
         }
-        let forwarded = self.moves_buf.len();
-        self.metrics.forwarded += forwarded as u64;
-        phase_mark(&mut probe, t, EnginePhase::Merge, mark);
-        self.round = t.next();
-        let outcome = RoundOutcome {
-            round: t,
-            injected,
-            accepted,
-            forwarded,
-            delivered,
-            dropped: (self.metrics.dropped - drops_before) as usize,
-            faulted: (self.metrics.faulted - faults_before) as usize,
-        };
-        if let Some(p) = probe {
-            p.on_round(&outcome, &self.state);
-        }
-        Ok(outcome)
-    }
-
-    /// Runs `rounds` rounds and returns the metrics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first plan validation error.
-    pub fn run(&mut self, rounds: u64) -> Result<&RunMetrics, ModelError> {
-        for _ in 0..rounds {
-            self.step()?;
-        }
-        Ok(&self.metrics)
-    }
-
-    /// Runs until `extra` rounds past the source's horizon (useful to let
-    /// the network settle after the adversary stops). A source with an
-    /// unknown horizon (e.g. a shaper, whose delays depend on admission)
-    /// is stepped until it reports exhaustion, then `extra` settle rounds
-    /// run; this diverges for a source that never exhausts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first plan validation error.
-    pub fn run_past_horizon(&mut self, extra: u64) -> Result<&RunMetrics, ModelError> {
-        match self.source.horizon() {
-            Some(horizon) => {
-                let total = horizon + extra;
-                while self.round.value() < total {
-                    self.step()?;
-                }
-            }
-            None => {
-                while !self.source.is_exhausted() {
-                    self.step()?;
-                }
-                for _ in 0..extra {
-                    self.step()?;
-                }
-            }
-        }
-        Ok(&self.metrics)
-    }
-
-    /// [`run_past_horizon`](Simulation::run_past_horizon) with a
-    /// [`Probe`] observing every round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first plan validation error.
-    pub fn run_past_horizon_probed(
-        &mut self,
-        extra: u64,
-        probe: &mut dyn Probe,
-    ) -> Result<&RunMetrics, ModelError> {
-        match self.source.horizon() {
-            Some(horizon) => {
-                let total = horizon + extra;
-                while self.round.value() < total {
-                    self.step_probed(probe)?;
-                }
-            }
-            None => {
-                while !self.source.is_exhausted() {
-                    self.step_probed(probe)?;
-                }
-                for _ in 0..extra {
-                    self.step_probed(probe)?;
-                }
-            }
-        }
-        Ok(&self.metrics)
-    }
-}
-
-impl<T, P, S> Simulation<T, P, S>
-where
-    T: Topology + Sync,
-    P: Protocol<T> + Sync,
-    S: InjectionSource,
-{
-    /// Executes one full round with the state partitioned into `shards`
-    /// contiguous node ranges, running the plan, validate and forward
-    /// phases on `std::thread::scope` workers.
-    ///
-    /// **Byte-identical to [`step`](Simulation::step)**: same metrics,
-    /// same buffer contents and `seq` numbers, same drop counters, same
-    /// error on an invalid plan. The merge discipline that guarantees it:
-    ///
-    /// 1. *Plan*: shards fill disjoint [`PlanWindow`]s of the one plan
-    ///    (when the protocol supports range planning; otherwise one
-    ///    sequential [`Protocol::plan`] call) — the filled plan is the
-    ///    sequential plan by disjointness.
-    /// 2. *Validate*: each shard collects its node-major move list;
-    ///    concatenated in shard order that is exactly the sequential move
-    ///    list, and the first error in that order is the sequential error.
-    /// 3. *Forward*: removals happen shard-locally; cross-shard arrivals
-    ///    are bucketed by destination shard and exchanged at the round
-    ///    barrier. Each destination shard then places its arrivals in
-    ///    ascending (source shard, source move index) order with `seq`
-    ///    numbers precomputed from per-shard prefix counts — the exact
-    ///    values and per-buffer order the sequential apply produces.
-    ///
-    /// Capacity-bounded runs apply moves sequentially (drop policies are
-    /// stateful and consult buffers in move order), still behind the
-    /// parallel plan and validate phases.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`step`](Simulation::step).
-    pub fn step_sharded(&mut self, shards: usize) -> Result<RoundOutcome, ModelError> {
-        self.step_sharded_impl(shards, None)
-    }
-
-    /// [`step_sharded`](Simulation::step_sharded) with a [`Probe`]
-    /// observing the round. Per-shard validated move counts reach
-    /// [`Probe::on_shard_moves`] in ascending shard order; every other
-    /// hook fires exactly as in [`step_probed`](Simulation::step_probed),
-    /// from the coordinating thread at the sequential merge points.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`step`](Simulation::step).
-    pub fn step_sharded_probed(
-        &mut self,
-        shards: usize,
-        probe: &mut dyn Probe,
-    ) -> Result<RoundOutcome, ModelError> {
-        self.step_sharded_impl(shards, Some(probe))
-    }
-
-    fn step_sharded_impl(
-        &mut self,
-        shards: usize,
-        mut probe: Option<&mut dyn Probe>,
-    ) -> Result<RoundOutcome, ModelError> {
-        let n = self.topology.node_count();
-        let k = shards.clamp(1, n.max(1));
-        if k == 1 {
-            return self.step_impl(probe);
-        }
-        self.state.ensure_shards(k);
-        let t = self.round;
-        let drops_before = self.metrics.dropped;
-        let faults_before = self.metrics.faulted;
-        let mut mark = match probe.as_deref_mut() {
-            Some(p) => p.now_nanos(),
-            None => 0,
-        };
-
-        let (injected, accepted) = self.injection_phase(t)?;
-        if let (Some(f), Some(p)) = (&self.faults, probe.as_deref_mut()) {
-            if !f.state().is_empty() {
-                p.on_fault(t, f.state());
-            }
-        }
-
-        // --- Observe L^t ----------------------------------------------
-        // Collapse the dirty worklist first: `observe`, the protocol's
-        // planning pass and the active-balanced shard partition below all
-        // need the active set exact.
-        self.state.refresh_active();
-        self.metrics.observe(t, &self.state);
-        if let Some(p) = probe.as_deref_mut() {
-            p.on_observe(t, &self.state);
-        }
-        mark = phase_mark(&mut probe, t, EnginePhase::Inject, mark);
-
-        let ranges = self.state.shard_ranges();
-
-        // --- Plan ------------------------------------------------------
-        // Touched-based clearing is O(last round's sends); do it up front
-        // so both branches (and the windows) start from a clean plan.
-        self.plan_buf.clear_sends();
-        if self.protocol.supports_range_planning() {
-            // Partition the *active set*, not the node range: each window
-            // covers a near-equal share of the live nodes, so plan
-            // wall-clock tracks traffic rather than fabric size.
-            let plan_ranges = active_plan_ranges(self.state.active_slice(), n, k);
-            let topology = &self.topology;
-            let protocol = &self.protocol;
-            let state = &self.state;
-            let windows = self.plan_buf.windows(&plan_ranges);
-            let parts: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = windows
-                    .into_iter()
-                    .map(|mut w| {
-                        scope.spawn(move || {
-                            protocol.plan_range(t, topology, state, &mut w);
-                            w.into_parts()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("plan worker panicked"))
-                    .collect()
-            });
-            for (count, touched) in parts {
-                self.plan_buf.absorb_window(count, touched);
-            }
-        } else {
-            self.protocol
-                .plan(t, &self.topology, &self.state, &mut self.plan_buf);
-        }
-        // Node-major order for the touched slots — the dense scan's order.
-        self.plan_buf.sort_touched();
-        mark = phase_mark(&mut probe, t, EnginePhase::Plan, mark);
-
-        // --- Validate & collect moves ---------------------------------
-        // Cut the sorted touched-slot list into k node-aligned chunks of
-        // near-equal send count (node-aligned so the per-node LinkOverload
-        // tail scan never crosses a chunk): validation wall-clock tracks
-        // traffic too. Concatenating the chunk lists in order reproduces
-        // the sequential move list exactly.
-        self.shard_moves.resize_with(k, Vec::new);
-        self.shard_moves.truncate(k);
-        {
-            let topology = &self.topology;
-            let state = &self.state;
-            let plan = &self.plan_buf;
-            let touched = self.plan_buf.touched_slots();
-            let m = touched.len();
-            let mut cuts = Vec::with_capacity(k + 1);
-            cuts.push(0usize);
-            for i in 1..k {
-                let mut end = (m * i / k).max(cuts[i - 1]);
-                while end > 0 && end < m && entry_node(touched[end]) == entry_node(touched[end - 1])
-                {
-                    end += 1;
-                }
-                cuts.push(end);
-            }
-            cuts.push(m);
-            // `Option<&FaultState>` is `Copy` and `FaultState` is plain
-            // `Vec`s (`Sync`), so every validate worker reads the same
-            // mask the sequential path consults. An empty mask is dropped
-            // entirely — no per-send consult on fault-free rounds.
-            let faults = self
-                .faults
-                .as_ref()
-                .map(|f| f.state())
-                .filter(|f| !f.is_empty());
-            let first_error: Option<ModelError> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shard_moves
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, moves)| {
-                        let chunk = &touched[cuts[i]..cuts[i + 1]];
-                        scope.spawn(move || {
-                            collect_moves(topology, state, plan, faults, t, chunk, moves)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("validate worker panicked"))
-                    .find_map(|e| e)
-            });
-            if let Some(e) = first_error {
-                return Err(e);
-            }
-        }
         let forwarded: usize = self.shard_moves.iter().map(Vec::len).sum();
-        if let Some(p) = probe.as_deref_mut() {
-            for (shard, moves) in self.shard_moves.iter().enumerate() {
-                p.on_shard_moves(t, shard, moves.len());
-            }
-        }
-        mark = phase_mark(&mut probe, t, EnginePhase::Forward, mark);
-
-        // --- Apply -----------------------------------------------------
-        let mut delivered = 0usize;
-        if self.capacity.is_some() {
-            // Drop policies are stateful and see buffers in move order;
-            // apply the merged (= sequential) move list sequentially.
-            self.moves_buf.clear();
-            for moves in &self.shard_moves {
-                self.moves_buf.extend_from_slice(moves);
-            }
-            self.lift_buf.clear();
-            for &(v, pid, hop, delivers) in &self.moves_buf {
-                let stored = self
-                    .state
-                    .remove(v, pid)
-                    .expect("packet verified present above");
-                self.lift_buf.push((stored, hop, delivers));
-            }
-            for (stored, hop, delivers) in std::mem::take(&mut self.lift_buf).drain(..) {
-                if delivers {
-                    self.metrics.record_delivery(t, stored.packet());
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.on_delivery(t, stored.packet());
-                    }
-                    delivered += 1;
-                } else {
-                    admit(
-                        &self.topology,
-                        &mut self.capacity,
-                        &mut self.state,
-                        &mut self.metrics,
-                        hop,
-                        *stored.packet(),
-                        t,
-                    )?;
-                }
-            }
-        } else {
-            // Parallel apply. The validate chunks track traffic, not the
-            // arena segmentation, so first concatenate them (that *is* the
-            // sequential move order) and re-slice along the arena shard
-            // boundaries the views below hand out.
-            self.moves_buf.clear();
-            for moves in &self.shard_moves {
-                self.moves_buf.extend_from_slice(moves);
-            }
-            let mut slices: Vec<&[Move]> = Vec::with_capacity(k);
-            let all_moves: &[Move] = &self.moves_buf;
-            let mut at = 0usize;
-            for r in &ranges {
-                let end = at + all_moves[at..].partition_point(|m| m.0.index() < r.end);
-                slices.push(&all_moves[at..end]);
-                at = end;
-            }
-            // Sequential placement order is the global move order and only
-            // non-delivering moves consume a seq, so per-shard prefix
-            // counts give every arrival its sequential seq up front.
-            let extra = n % k;
-            let big = n / k + 1;
-            let split = extra * big;
-            let shard_of = move |v: NodeId| {
-                let x = v.index();
-                if x < split {
-                    x / big
-                } else {
-                    extra + (x - split) / (big - 1)
-                }
-            };
-            let seq0 = self.state.seq_counter();
-            let mut next = seq0;
-            let mut bases = Vec::with_capacity(k);
-            for moves in &slices {
-                bases.push(next);
-                next += moves.iter().filter(|m| !m.3).count() as u64;
-            }
-
-            self.shard_arrivals.resize_with(k, Vec::new);
-            self.shard_arrivals.truncate(k);
-            for row in self.shard_arrivals.iter_mut() {
-                row.resize_with(k, Vec::new);
-                row.truncate(k);
-            }
-            self.shard_deliver.resize_with(k, Vec::new);
-            self.shard_deliver.truncate(k);
-
-            // Phase 1: shard-local removals, arrivals bucketed by
-            // destination shard, deliveries collected per shard.
-            {
-                let views = self.state.shard_views();
-                std::thread::scope(|scope| {
-                    for (((mut view, moves), (arrivals, deliver)), base) in views
-                        .into_iter()
-                        .zip(slices.iter().copied())
-                        .zip(
-                            self.shard_arrivals
-                                .iter_mut()
-                                .zip(self.shard_deliver.iter_mut()),
-                        )
-                        .zip(bases.iter().copied())
-                    {
-                        scope.spawn(move || {
-                            for bucket in arrivals.iter_mut() {
-                                bucket.clear();
-                            }
-                            deliver.clear();
-                            let mut seq = base;
-                            for &(v, pid, hop, delivers) in moves {
-                                let sp =
-                                    view.remove(v, pid).expect("packet verified present above");
-                                if delivers {
-                                    deliver.push(*sp.packet());
-                                } else {
-                                    arrivals[shard_of(hop)]
-                                        .push((hop, StoredPacket::new(*sp.packet(), t, seq)));
-                                    seq += 1;
-                                }
-                            }
-                        });
-                    }
-                });
-            }
-            // Round barrier passed. Phase 2: each destination shard
-            // drains its buckets in ascending source-shard order —
-            // ascending seq, so every buffer receives its arrivals in the
-            // sequential placement order.
-            {
-                let arrivals = &self.shard_arrivals;
-                std::thread::scope(|scope| {
-                    for (j, mut view) in self.state.shard_views().into_iter().enumerate() {
-                        scope.spawn(move || {
-                            for row in arrivals {
-                                for &(hop, sp) in &row[j] {
-                                    view.place_stored(hop, sp);
-                                }
-                            }
-                        });
-                    }
-                });
-            }
-            self.state.advance_seq(next - seq0);
-            // Shard views bypass the incremental bitset/worklist
-            // maintenance (bitset words straddle shard boundaries), so
-            // repair both from the move endpoints — O(moves), and the next
-            // refresh re-sorts the worklist.
-            for i in 0..self.moves_buf.len() {
-                let (v, _, hop, delivers) = self.moves_buf[i];
-                self.state.sync_occupancy(v);
-                if !delivers {
-                    self.state.sync_occupancy(hop);
-                }
-            }
-            // Shard buckets drained in ascending shard order, each in its
-            // shard's move order — the sequential delivery order, so
-            // probes see deliveries exactly as in `step`.
-            for deliver in &self.shard_deliver {
-                for packet in deliver {
-                    self.metrics.record_delivery(t, packet);
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.on_delivery(t, packet);
-                    }
-                    delivered += 1;
-                }
-            }
-        }
-
         self.metrics.forwarded += forwarded as u64;
-        phase_mark(&mut probe, t, EnginePhase::Merge, mark);
+        phase_mark(probe, t, EnginePhase::Merge, mark);
         self.round = t.next();
         let outcome = RoundOutcome {
             round: t,
@@ -1794,85 +1510,8 @@ where
             dropped: (self.metrics.dropped - drops_before) as usize,
             faulted: (self.metrics.faulted - faults_before) as usize,
         };
-        if let Some(p) = probe {
-            p.on_round(&outcome, &self.state);
-        }
+        probe.on_round(&outcome, &self.state);
         Ok(outcome)
-    }
-
-    /// Runs `rounds` sharded rounds (see
-    /// [`step_sharded`](Simulation::step_sharded)) and returns the
-    /// metrics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first plan validation error.
-    pub fn run_sharded(&mut self, rounds: u64, shards: usize) -> Result<&RunMetrics, ModelError> {
-        for _ in 0..rounds {
-            self.step_sharded(shards)?;
-        }
-        Ok(&self.metrics)
-    }
-
-    /// Sharded counterpart of
-    /// [`run_past_horizon`](Simulation::run_past_horizon).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first plan validation error.
-    pub fn run_past_horizon_sharded(
-        &mut self,
-        extra: u64,
-        shards: usize,
-    ) -> Result<&RunMetrics, ModelError> {
-        match self.source.horizon() {
-            Some(horizon) => {
-                let total = horizon + extra;
-                while self.round.value() < total {
-                    self.step_sharded(shards)?;
-                }
-            }
-            None => {
-                while !self.source.is_exhausted() {
-                    self.step_sharded(shards)?;
-                }
-                for _ in 0..extra {
-                    self.step_sharded(shards)?;
-                }
-            }
-        }
-        Ok(&self.metrics)
-    }
-
-    /// [`run_past_horizon_sharded`](Simulation::run_past_horizon_sharded)
-    /// with a [`Probe`] observing every round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first plan validation error.
-    pub fn run_past_horizon_sharded_probed(
-        &mut self,
-        extra: u64,
-        shards: usize,
-        probe: &mut dyn Probe,
-    ) -> Result<&RunMetrics, ModelError> {
-        match self.source.horizon() {
-            Some(horizon) => {
-                let total = horizon + extra;
-                while self.round.value() < total {
-                    self.step_sharded_probed(shards, probe)?;
-                }
-            }
-            None => {
-                while !self.source.is_exhausted() {
-                    self.step_sharded_probed(shards, probe)?;
-                }
-                for _ in 0..extra {
-                    self.step_sharded_probed(shards, probe)?;
-                }
-            }
-        }
-        Ok(&self.metrics)
     }
 }
 
@@ -2045,7 +1684,7 @@ mod tests {
     #[test]
     fn boxed_protocols_work() {
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 1)]);
-        let boxed: Box<dyn Protocol<Path>> = Box::new(Drain);
+        let boxed: Box<dyn Protocol<Path> + Send + Sync> = Box::new(Drain);
         let mut sim = Simulation::new(Path::new(2), boxed, &p).unwrap();
         sim.run(2).unwrap();
         assert_eq!(sim.metrics().delivered, 1);
@@ -2424,7 +2063,7 @@ mod tests {
     }
 
     /// Asserts two simulations have byte-identical observable state:
-    /// metrics, every buffer (contents, order, `seq`s) and the seq counter.
+    /// metrics and every buffer (contents, order, `seq`s).
     fn assert_states_identical<T: Topology, P, Q, S, R>(
         a: &Simulation<T, P, S>,
         b: &Simulation<T, Q, R>,
@@ -2436,13 +2075,10 @@ mod tests {
     {
         assert_eq!(a.metrics(), b.metrics());
         assert_eq!(a.round(), b.round());
-        assert_eq!(a.state().seq_counter(), b.state().seq_counter());
         for v in 0..a.state().node_count() {
             let v = NodeId::new(v);
             assert_eq!(a.state().buffer(v), b.state().buffer(v), "buffer {v}");
-            // The occupancy bitset must stay exact on both engines —
-            // the sharded apply repairs it via sync_occupancy after
-            // ShardView mutations bypass the incremental maintenance.
+            // The occupancy bitset must stay exact on both runs.
             assert_eq!(
                 a.state().is_occupied(v),
                 !a.state().buffer(v).is_empty(),
@@ -2461,10 +2097,12 @@ mod tests {
         use crate::topology::Dag;
         for shards in [2, 3, 4, 7] {
             let mut seq = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern()).unwrap();
-            let mut par = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern()).unwrap();
+            let mut par = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern())
+                .unwrap()
+                .with_shards(shards);
             for _ in 0..14 {
                 let a = seq.step().unwrap();
-                let b = par.step_sharded(shards).unwrap();
+                let b = par.step().unwrap();
                 assert_eq!(a, b, "shards = {shards}");
                 assert_states_identical(&seq, &par);
             }
@@ -2512,9 +2150,11 @@ mod tests {
 
         for shards in [1, 2, 5] {
             let mut seq = Simulation::new(Dag::grid(4, 4), RangeDrain, &grid_pattern()).unwrap();
-            let mut par = Simulation::new(Dag::grid(4, 4), RangeDrain, &grid_pattern()).unwrap();
+            let mut par = Simulation::new(Dag::grid(4, 4), RangeDrain, &grid_pattern())
+                .unwrap()
+                .with_shards(shards);
             seq.run_past_horizon(150).unwrap();
-            par.run_past_horizon_sharded(150, shards).unwrap();
+            par.run_past_horizon(150).unwrap();
             assert_states_identical(&seq, &par);
             assert!(par.is_drained());
         }
@@ -2533,9 +2173,10 @@ mod tests {
             .with_capacity(CapacityConfig::uniform(1), DropFarthest);
         let mut par = Simulation::new(Path::new(4), Drain, &p)
             .unwrap()
-            .with_capacity(CapacityConfig::uniform(1), DropFarthest);
+            .with_capacity(CapacityConfig::uniform(1), DropFarthest)
+            .with_shards(2);
         seq.run(25).unwrap();
-        par.run_sharded(25, 2).unwrap();
+        par.run(25).unwrap();
         assert_states_identical(&seq, &par);
         assert!(par.metrics().dropped > 0);
     }
@@ -2555,8 +2196,10 @@ mod tests {
             }
         }
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 1)]);
-        let mut sim = Simulation::new(Path::new(4), Liar, &p).unwrap();
-        match sim.step_sharded(4) {
+        let mut sim = Simulation::new(Path::new(4), Liar, &p)
+            .unwrap()
+            .with_shards(4);
+        match sim.step() {
             Err(ModelError::UnknownPacket { node, packet, .. }) => {
                 assert_eq!(node, NodeId::new(1));
                 assert_eq!(packet, PacketId::new(998));
@@ -2800,10 +2443,11 @@ mod tests {
                 .with_faults(&faults);
             let mut par = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern())
                 .unwrap()
-                .with_faults(&faults);
+                .with_faults(&faults)
+                .with_shards(shards);
             for _ in 0..16 {
                 let a = seq.step().unwrap();
-                let b = par.step_sharded(shards).unwrap();
+                let b = par.step().unwrap();
                 assert_eq!(a, b, "shards = {shards}");
                 assert_states_identical(&seq, &par);
             }

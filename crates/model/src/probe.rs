@@ -27,14 +27,19 @@
 //!    order — the same deterministic input-order merge the sweep layer
 //!    uses.
 //! 5. [`on_delivery`](Probe::on_delivery) — one call per delivered
-//!    packet, in the sequential engine's delivery order (the sharded
-//!    engine reports shard buckets in ascending shard order, which *is*
-//!    that order).
+//!    packet, in move order (moves are applied on the calling thread at
+//!    every shard count).
 //! 6. [`on_round`](Probe::on_round) — the completed [`RoundOutcome`]
 //!    plus the post-round state.
 //!
-//! All hooks default to no-ops, so `impl Probe for ()` is the canonical
-//! null probe and custom probes override only what they need.
+//! Every hook but `on_shard_moves` fires with the same round and
+//! payload, in the same order, at every shard count
+//! (`tests/sharded_conformance.rs` pins this).
+//!
+//! All hooks default to no-ops, so `()` is the null probe: the unprobed
+//! [`Simulation::step`](crate::Simulation::step) runs the one round with
+//! `()`, whose hooks compile away, and custom probes override only what
+//! they need.
 
 use crate::engine::RoundOutcome;
 use crate::fault::FaultState;
@@ -44,10 +49,10 @@ use crate::state::NetworkState;
 
 /// Phases of one engine round, as reported to [`Probe::on_phase`].
 ///
-/// The sequential engine reports `Inject`, `Plan`, `Forward`, `Merge`;
-/// the sharded engine reports the same four, where `Plan` and `Forward`
-/// cover the parallel plan/validate fan-out and `Merge` covers the
-/// round-barrier arrival exchange and placements.
+/// Every round reports `Inject`, `Plan`, `Forward`, `Merge` in that
+/// order. With more than one shard, `Plan` and `Forward` cover the
+/// parallel plan and validate fan-outs; `Merge` (the move application)
+/// runs on the calling thread at every shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnginePhase {
     /// Injection step: staged acceptance, this round's injections, and
@@ -57,8 +62,8 @@ pub enum EnginePhase {
     Plan,
     /// Move validation and collection — the forwarding step's read half.
     Forward,
-    /// Move application: removals, arrival exchange and placements,
-    /// including deliveries.
+    /// Move application on the calling thread: removals, placements
+    /// (with drop-policy calls under capacity) and deliveries.
     Merge,
 }
 
@@ -84,7 +89,7 @@ impl EnginePhase {
 
 /// Passive observation hooks invoked by
 /// [`Simulation::step_probed`](crate::Simulation::step_probed) and
-/// [`Simulation::step_sharded_probed`](crate::Simulation::step_sharded_probed).
+/// [`Simulation::run_past_horizon_probed`](crate::Simulation::run_past_horizon_probed).
 ///
 /// Every hook has a no-op default; see the [module docs](self) for the
 /// probe points and their ordering guarantees.

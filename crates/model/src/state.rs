@@ -1,19 +1,18 @@
 //! The mutable network configuration: per-node buffers plus the staging
 //! area used by phase-batched protocols (HPTS's ℓ-reduction).
 //!
-//! Buffers live in a **slab arena**: one (or, when sharded, one per shard)
-//! contiguous `Vec<StoredPacket>` of slots, with each node owning a
-//! `[start, start + cap)` span inside it. The hot loop therefore walks
-//! cache-linear memory and never allocates per packet — a full-buffer node
-//! and an empty one cost the same pointer arithmetic — which is what keeps
-//! a million-node mesh round at memory speed. Spans grow to the next
-//! power of two past double their capacity,
-//! relocating to a recycled extent of the right size class when one is
-//! free (vacated extents are released at the per-round active-set
-//! refresh) and to the slab tail otherwise — so total slab size stays
-//! within a constant factor of the peak aggregate occupancy and traveling
-//! sparse traffic reuses the same hot extents round after round; no
-//! compaction pass is needed.
+//! Buffers live in a **slab arena**: one contiguous `Vec<StoredPacket>`
+//! of slots, with each node owning a `[start, start + cap)` span inside
+//! it. The hot loop therefore walks cache-linear memory and never
+//! allocates per packet — a full-buffer node and an empty one cost the
+//! same pointer arithmetic — which is what keeps a million-node mesh round
+//! at memory speed. Spans double their (power-of-two) capacity when full,
+//! relocating to a recycled extent of that size when one is free
+//! (vacated extents are released at the per-round active-set refresh) and
+//! to the slab tail otherwise — so total slab size stays within a constant
+//! factor of the peak aggregate occupancy and traveling sparse traffic
+//! reuses the same hot extents round after round; no compaction pass is
+//! needed.
 //!
 //! On top of the arena sits the **active set**: a dense occupancy bitset
 //! (bit `v` ⇔ `|L(v)| > 0`, exact at all times) plus a dirty-node worklist
@@ -31,144 +30,97 @@ use std::collections::BTreeMap;
 use crate::ids::{NodeId, PacketId, Round};
 use crate::packet::{Packet, StoredPacket};
 
-/// A node's index range inside its segment's slot slab.
+/// A node's index range inside the slot slab.
 #[derive(Debug, Clone, Copy)]
 struct Span {
-    /// Which segment (shard) holds this node's slots.
-    seg: u32,
-    /// First slot of the span inside the segment's slab.
+    /// First slot of the span inside the slab.
     start: u32,
     /// Live packets (the buffer contents are `slots[start..start + len]`).
     len: u32,
-    /// Reserved slots; `len == cap` triggers relocation on the next push.
+    /// Reserved slots: 0 or a power of two; `len == cap` triggers
+    /// relocation on the next push.
     cap: u32,
 }
 
 const EMPTY_SPAN: Span = Span {
-    seg: 0,
     start: 0,
     len: 0,
     cap: 0,
 };
 
-/// One contiguous slot slab covering a contiguous node range — the unit a
-/// shard worker gets exclusive `&mut` access to.
-#[derive(Debug, Clone)]
-struct Segment {
-    /// First node whose span lives in this segment.
-    first_node: u32,
-    /// Number of nodes covered (they are `first_node..first_node + nodes`).
-    nodes: u32,
-    /// The slot slab. Slots outside every live span hold stale copies.
+/// The slot slab every span points into.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    /// The slots. Slots outside every live span hold stale copies.
     slots: Vec<StoredPacket>,
-    /// Total live packets across the segment (Σ span.len).
+    /// Total live packets (Σ span.len).
     live: usize,
-    /// Vacated extents by size class: `free[k]` holds `(start, cap)` of
-    /// recycled extents with `2^k ≤ cap < 2^(k+1)`. Span relocations pop
-    /// an exact-class extent before growing the slab, so traveling sparse
-    /// traffic (a wave vacating one row of spans per round while
-    /// occupying the next) reuses the same hot extents forever instead of
-    /// growing the slab every round.
-    free: Vec<Vec<(u32, u32)>>,
+    /// Vacated extents by size: `free[k]` holds the starts of recycled
+    /// `2^k`-slot extents. Span relocations pop an extent of the wanted
+    /// size before growing the slab, so traveling sparse traffic (a wave
+    /// vacating one row of spans per round while occupying the next)
+    /// reuses the same hot extents forever instead of growing the slab
+    /// every round.
+    free: Vec<Vec<u32>>,
 }
 
-impl Segment {
-    /// Files the extent `[start, start + cap)` for reuse (callers pass
-    /// `cap > 0`). Extents land in the class of their floor-log₂ size, so
-    /// a pop for a power-of-two request from that class always fits; the
-    /// true capacity travels with the extent so any slack beyond the
-    /// request stays usable by the adopting span.
-    fn release_extent(&mut self, start: u32, cap: u32) {
-        let class = (31 - cap.leading_zeros()) as usize;
+impl Slab {
+    /// Files the extent `[start, start + cap)` for reuse (`cap` is a
+    /// power of two).
+    fn release(&mut self, start: u32, cap: u32) {
+        let class = cap.trailing_zeros() as usize;
         if self.free.len() <= class {
             self.free.resize(class + 1, Vec::new());
         }
-        self.free[class].push((start, cap));
+        self.free[class].push(start);
     }
-}
 
-/// Pushes `sp` at the back of `v`'s span, relocating the span to the slab
-/// tail with doubled capacity when full. Free function so both
-/// [`NetworkState`] and [`ShardView`] (which hold the parts pre-split)
-/// share the one implementation.
-fn span_push(span: &mut Span, seg: &mut Segment, sp: StoredPacket) {
-    if span.len == span.cap {
-        // Request a power of two ≥ 2·cap: repacks (`ensure_shards`) leave
-        // arbitrary caps, and the free lists are classed by floor-log₂,
-        // so only a power-of-two request popped from its own class
-        // (extent cap ∈ [2^k, 2^(k+1))) is guaranteed to fit the copy.
-        let want = (span.cap * 2).max(2).next_power_of_two();
-        let (s, l) = (span.start as usize, span.len as usize);
-        let class = want.trailing_zeros() as usize;
-        let (new_start, new_cap) = match seg.free.get_mut(class).and_then(Vec::pop) {
-            // A recycled extent of at least `want` slots: copy the live
-            // prefix over in place of growing the slab. The span adopts
-            // the extent's true capacity so slack slots aren't leaked.
-            Some((start, cap)) => {
-                seg.slots.copy_within(s..s + l, start as usize);
-                (start, cap)
+    /// Pushes `sp` at the back of `span`, relocating the span with doubled
+    /// capacity when full.
+    fn push(&mut self, span: &mut Span, sp: StoredPacket) {
+        if span.len == span.cap {
+            let want = (span.cap * 2).max(2);
+            let (s, l) = (span.start as usize, span.len as usize);
+            let class = want.trailing_zeros() as usize;
+            let new_start = match self.free.get_mut(class).and_then(Vec::pop) {
+                // A recycled extent of exactly `want` slots: copy the live
+                // prefix over in place of growing the slab.
+                Some(start) => {
+                    self.slots.copy_within(s..s + l, start as usize);
+                    start
+                }
+                None => {
+                    let start = self.slots.len() as u32;
+                    self.slots.extend_from_within(s..s + l);
+                    // Pad the reserve with copies of the incoming packet;
+                    // anything beyond `len` is dead storage.
+                    self.slots.resize(start as usize + want as usize, sp);
+                    start
+                }
+            };
+            if span.cap > 0 {
+                self.release(span.start, span.cap);
             }
-            None => {
-                let start = seg.slots.len() as u32;
-                seg.slots.extend_from_within(s..s + l);
-                // Pad the reserve with copies of the incoming packet;
-                // anything beyond `len` is dead storage.
-                seg.slots.resize(start as usize + want as usize, sp);
-                (start, want)
-            }
-        };
-        if span.cap > 0 {
-            seg.release_extent(span.start, span.cap);
+            self.slots[new_start as usize + l] = sp;
+            span.start = new_start;
+            span.cap = want;
+        } else {
+            self.slots[(span.start + span.len) as usize] = sp;
         }
-        seg.slots[new_start as usize + l] = sp;
-        span.start = new_start;
-        span.cap = new_cap;
-    } else {
-        seg.slots[(span.start + span.len) as usize] = sp;
-    }
-    span.len += 1;
-    seg.live += 1;
-}
-
-/// Removes the packet `id` from `v`'s span (shift-left within the span),
-/// returning it. Shared by [`NetworkState`] and [`ShardView`].
-fn span_remove(span: &mut Span, seg: &mut Segment, id: PacketId) -> Option<StoredPacket> {
-    let (s, l) = (span.start as usize, span.len as usize);
-    let pos = seg.slots[s..s + l].iter().position(|sp| sp.id() == id)?;
-    let sp = seg.slots[s + pos];
-    seg.slots.copy_within(s + pos + 1..s + l, s + pos);
-    span.len -= 1;
-    seg.live -= 1;
-    Some(sp)
-}
-
-/// A shard worker's exclusive window into the state: the spans and the one
-/// slot segment of a contiguous node range. Handing out disjoint views
-/// (see [`NetworkState::shard_views`]) lets `std::thread::scope` workers
-/// mutate their shards in parallel without `unsafe`.
-///
-/// Views deliberately do **not** touch the occupancy bitset or worklist —
-/// bitset words straddle shard boundaries, so parallel maintenance would
-/// race. The engine repairs both after the parallel apply via
-/// [`NetworkState::sync_occupancy`] on every move endpoint.
-pub(crate) struct ShardView<'a> {
-    first_node: usize,
-    spans: &'a mut [Span],
-    seg: &'a mut Segment,
-}
-
-impl ShardView<'_> {
-    /// Removes `id` from `v`'s buffer (`v` must be in the shard's range).
-    pub(crate) fn remove(&mut self, v: NodeId, id: PacketId) -> Option<StoredPacket> {
-        span_remove(&mut self.spans[v.index() - self.first_node], self.seg, id)
+        span.len += 1;
+        self.live += 1;
     }
 
-    /// Places an already-sequenced stored packet at the back of `v`'s
-    /// buffer (`v` must be in the shard's range). The caller is
-    /// responsible for assigning `seq`s that reproduce the sequential
-    /// placement order (see the sharded-apply merge in `engine.rs`).
-    pub(crate) fn place_stored(&mut self, v: NodeId, sp: StoredPacket) {
-        span_push(&mut self.spans[v.index() - self.first_node], self.seg, sp);
+    /// Removes the packet `id` from `span` (shift-left within the span),
+    /// returning it.
+    fn remove(&mut self, span: &mut Span, id: PacketId) -> Option<StoredPacket> {
+        let (s, l) = (span.start as usize, span.len as usize);
+        let pos = self.slots[s..s + l].iter().position(|sp| sp.id() == id)?;
+        let sp = self.slots[s + pos];
+        self.slots.copy_within(s + pos + 1..s + l, s + pos);
+        span.len -= 1;
+        self.live -= 1;
+        Some(sp)
     }
 }
 
@@ -185,11 +137,9 @@ impl ShardView<'_> {
 /// [`ForwardingPlan`](crate::ForwardingPlan).
 #[derive(Debug, Clone)]
 pub struct NetworkState {
-    /// Per-node index ranges into the segment slabs.
+    /// Per-node index ranges into the slab.
     spans: Vec<Span>,
-    /// Slot slabs, one per shard (a single segment when unsharded),
-    /// covering contiguous node ranges in order.
-    segs: Vec<Segment>,
+    slab: Slab,
     staged: Vec<Packet>,
     /// Staged packets per source node (capacity enforcement in
     /// [`StagingMode::Counted`](crate::StagingMode::Counted) and
@@ -208,7 +158,7 @@ pub struct NetworkState {
     /// Occupancy bitset: bit `v` is set iff `v`'s buffer is non-empty.
     /// Exact after every mutation (including crash sweeps and capacity
     /// drops, which all funnel through [`place`](NetworkState::place) /
-    /// [`remove`](NetworkState::remove) or the sharded-apply fixup).
+    /// [`remove`](NetworkState::remove)).
     occ_bits: Vec<u64>,
     /// Dirty-node worklist: every node whose occupancy went `0 → 1` since
     /// the last refresh is pushed here (duplicates allowed, emptied nodes
@@ -224,13 +174,7 @@ impl NetworkState {
     pub(crate) fn new(n: usize) -> Self {
         NetworkState {
             spans: vec![EMPTY_SPAN; n],
-            segs: vec![Segment {
-                first_node: 0,
-                nodes: n as u32,
-                slots: Vec::new(),
-                live: 0,
-                free: Vec::new(),
-            }],
+            slab: Slab::default(),
             staged: Vec::new(),
             staged_counts: vec![0; n],
             drops: vec![0; n],
@@ -254,7 +198,7 @@ impl NetworkState {
     pub fn buffer(&self, v: NodeId) -> &[StoredPacket] {
         let span = &self.spans[v.index()];
         let start = span.start as usize;
-        &self.segs[span.seg as usize].slots[start..start + span.len as usize]
+        &self.slab.slots[start..start + span.len as usize]
     }
 
     /// `|L(v)|`: current occupancy of `v`'s buffer.
@@ -273,7 +217,7 @@ impl NetworkState {
 
     /// Total packets currently buffered (excluding staged).
     pub fn total_buffered(&self) -> usize {
-        self.segs.iter().map(|s| s.live).sum()
+        self.slab.live
     }
 
     /// Packets injected but not yet accepted (batched injection mode).
@@ -374,12 +318,7 @@ impl NetworkState {
             self.active.push(i as u32);
             self.active_exact = false;
         }
-        let seg = span.seg as usize;
-        span_push(
-            span,
-            &mut self.segs[seg],
-            StoredPacket::new(packet, round, seq),
-        );
+        self.slab.push(span, StoredPacket::new(packet, round, seq));
     }
 
     /// Adds a packet to the staging area.
@@ -422,8 +361,7 @@ impl NetworkState {
     pub(crate) fn remove(&mut self, v: NodeId, id: PacketId) -> Option<StoredPacket> {
         let i = v.index();
         let span = &mut self.spans[i];
-        let seg = span.seg as usize;
-        let sp = span_remove(span, &mut self.segs[seg], id);
+        let sp = self.slab.remove(span, id);
         if sp.is_some() && span.len == 0 {
             self.occ_bits[i / 64] &= !(1u64 << (i % 64));
             // The node lingers on the worklist until the next refresh.
@@ -503,10 +441,9 @@ impl NetworkState {
         // nodes that emptied since the last refresh. Nodes that empty
         // and refill within a round never reach the release arm, so
         // steady dense buffers keep their reserve (and the in-place
-        // fast path of `span_push`); traveling traffic hands its row of
+        // fast path of `Slab::push`); traveling traffic hands its row of
         // extents straight to the next row.
         let spans = &mut self.spans;
-        let segs = &mut self.segs;
         let mut keep = 0usize;
         // u64 sentinel: no u32 node index can collide with it.
         let mut prev = u64::MAX;
@@ -521,129 +458,13 @@ impl NetworkState {
                 self.active[keep] = v;
                 keep += 1;
             } else if span.cap > 0 {
-                segs[span.seg as usize].release_extent(span.start, span.cap);
+                self.slab.release(span.start, span.cap);
                 span.start = 0;
                 span.cap = 0;
             }
         }
         self.active.truncate(keep);
         self.active_exact = true;
-    }
-
-    /// Re-derives `v`'s occupancy bit from its span and enqueues it on the
-    /// worklist if newly occupied — the sharded-apply fixup.
-    /// [`ShardView`] placements/removals bypass the incremental
-    /// maintenance in [`place`](NetworkState::place) /
-    /// [`remove`](NetworkState::remove), so after a parallel apply the
-    /// engine calls this for every move endpoint (O(moves) total).
-    pub(crate) fn sync_occupancy(&mut self, v: NodeId) {
-        let i = v.index();
-        let occupied = self.spans[i].len > 0;
-        let (w, m) = (i / 64, 1u64 << (i % 64));
-        let was = self.occ_bits[w] & m != 0;
-        if occupied && !was {
-            self.occ_bits[w] |= m;
-            self.active.push(i as u32);
-            self.active_exact = false;
-        } else if !occupied && was {
-            self.occ_bits[w] &= !m;
-            self.active_exact = false;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Sharding support (engine-only).
-    // ------------------------------------------------------------------
-
-    /// The next placement sequence number (what the following
-    /// [`place`](NetworkState::place) would assign).
-    pub(crate) fn seq_counter(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Advances the placement counter by `by` — the sharded apply phase
-    /// hands out the skipped numbers itself (see `engine.rs`).
-    pub(crate) fn advance_seq(&mut self, by: u64) {
-        self.next_seq += by;
-    }
-
-    /// The contiguous node ranges the state is currently segmented into.
-    pub(crate) fn shard_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        self.segs
-            .iter()
-            .map(|s| s.first_node as usize..(s.first_node + s.nodes) as usize)
-            .collect()
-    }
-
-    /// Re-segments the arena into `k` contiguous shards of (near-)equal
-    /// node count: `n / k` nodes each, the first `n mod k` getting one
-    /// extra. No-op when the segmentation already matches. Buffer contents
-    /// and all observable state are unchanged — per-node occupancy is
-    /// preserved, so the occupancy bitset and worklist stay valid as-is.
-    pub(crate) fn ensure_shards(&mut self, k: usize) {
-        let n = self.node_count();
-        let k = k.clamp(1, n.max(1));
-        let base = n / k;
-        let extra = n % k;
-        let matches = self.segs.len() == k
-            && self
-                .segs
-                .iter()
-                .enumerate()
-                .all(|(i, s)| s.nodes as usize == base + usize::from(i < extra));
-        if matches {
-            return;
-        }
-        let old_spans = std::mem::take(&mut self.spans);
-        let old_segs = std::mem::take(&mut self.segs);
-        self.spans = Vec::with_capacity(n);
-        self.segs = Vec::with_capacity(k);
-        let mut node = 0usize;
-        for s in 0..k {
-            let nodes = base + usize::from(s < extra);
-            let mut slots = Vec::new();
-            let mut live = 0usize;
-            for &old in &old_spans[node..node + nodes] {
-                let (os, ol) = (old.start as usize, old.len as usize);
-                let start = slots.len() as u32;
-                slots.extend_from_slice(&old_segs[old.seg as usize].slots[os..os + ol]);
-                live += ol;
-                self.spans.push(Span {
-                    seg: s as u32,
-                    start,
-                    len: old.len,
-                    cap: old.len,
-                });
-            }
-            self.segs.push(Segment {
-                first_node: node as u32,
-                nodes: nodes as u32,
-                slots,
-                live,
-                // Old free extents die with the old slabs (the repack
-                // above keeps only live slots).
-                free: Vec::new(),
-            });
-            node += nodes;
-        }
-    }
-
-    /// Splits the state into one exclusive [`ShardView`] per segment, for
-    /// `std::thread::scope` workers. Views cover disjoint node ranges, so
-    /// the borrow checker proves the parallel mutation race-free.
-    pub(crate) fn shard_views(&mut self) -> Vec<ShardView<'_>> {
-        let mut views = Vec::with_capacity(self.segs.len());
-        let mut rest: &mut [Span] = &mut self.spans;
-        for seg in self.segs.iter_mut() {
-            let (head, tail) = rest.split_at_mut(seg.nodes as usize);
-            views.push(ShardView {
-                first_node: seg.first_node as usize,
-                spans: head,
-                seg,
-            });
-            rest = tail;
-        }
-        views
     }
 }
 
@@ -790,39 +611,6 @@ mod tests {
         assert_eq!(st.total_buffered(), 30);
     }
 
-    #[test]
-    fn resharding_preserves_buffers() {
-        let mut st = NetworkState::new(5);
-        for i in 0..20u64 {
-            st.place(NodeId::new((i % 5) as usize), packet(i, 1), Round::new(0));
-        }
-        let before: Vec<Vec<u64>> = (0..5)
-            .map(|v| {
-                st.buffer(NodeId::new(v))
-                    .iter()
-                    .map(|sp| sp.id().value())
-                    .collect()
-            })
-            .collect();
-        for k in [2usize, 4, 1, 3] {
-            st.ensure_shards(k);
-            assert_eq!(st.shard_ranges().len(), k);
-            let after: Vec<Vec<u64>> = (0..5)
-                .map(|v| {
-                    st.buffer(NodeId::new(v))
-                        .iter()
-                        .map(|sp| sp.id().value())
-                        .collect()
-                })
-                .collect();
-            assert_eq!(before, after, "k = {k}");
-            assert_eq!(st.total_buffered(), 20);
-        }
-        // Ranges are contiguous, ordered, and cover all nodes.
-        st.ensure_shards(2);
-        assert_eq!(st.shard_ranges(), vec![0..3, 3..5]);
-    }
-
     /// Brute-force reference for the active set: the ascending list of
     /// nodes with non-empty buffers, read straight off the span table.
     fn brute_force_active(st: &NetworkState) -> Vec<usize> {
@@ -878,52 +666,21 @@ mod tests {
         assert!(st.active_nodes_in(5..6).next().is_none());
     }
 
-    #[test]
-    fn sync_occupancy_repairs_after_shard_view_mutation() {
-        let mut st = NetworkState::new(4);
-        for i in 0..4u64 {
-            st.place(NodeId::new((i % 2) as usize), packet(i, 3), Round::new(0));
-        }
-        st.ensure_shards(2);
-        let seq = st.seq_counter();
-        {
-            let mut views = st.shard_views();
-            // Empty node 1 into node 3 behind the bitset's back.
-            let a = views[0].remove(NodeId::new(1), PacketId::new(1)).unwrap();
-            let b = views[0].remove(NodeId::new(1), PacketId::new(3)).unwrap();
-            views[1].place_stored(
-                NodeId::new(3),
-                StoredPacket::new(*a.packet(), Round::new(1), seq),
-            );
-            views[1].place_stored(
-                NodeId::new(3),
-                StoredPacket::new(*b.packet(), Round::new(1), seq + 1),
-            );
-        }
-        st.advance_seq(2);
-        // The bitset is stale until the engine-style fixup runs.
-        st.sync_occupancy(NodeId::new(1));
-        st.sync_occupancy(NodeId::new(3));
-        assert!(!st.is_occupied(NodeId::new(1)));
-        assert!(st.is_occupied(NodeId::new(3)));
-        assert_active_consistent(&mut st);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
         /// The occupancy bitset and (refreshed) worklist exactly equal the
         /// brute-force "nodes with non-empty buffers" set after arbitrary
         /// interleavings of injects, removals (forwarding/drops), crash
-        /// sweeps, reshardings and refreshes.
+        /// sweeps and refreshes.
         #[test]
         fn active_set_matches_brute_force(
-            ops in proptest::collection::vec((0u8..5, 0usize..12, 1usize..5), 1..160)
+            ops in proptest::collection::vec((0u8..5, 0usize..12), 1..160)
         ) {
             let n = 12usize;
             let mut st = NetworkState::new(n);
             let mut next_id = 0u64;
-            for (kind, v, k) in ops {
+            for (kind, v) in ops {
                 let v = NodeId::new(v);
                 match kind {
                     // Inject: place a fresh packet (forward-arrivals look
@@ -945,11 +702,7 @@ mod tests {
                             st.note_fault(v);
                         }
                     }
-                    // Reshard (occupancy-preserving) + refresh.
-                    _ => {
-                        st.ensure_shards(k);
-                        st.refresh_active();
-                    }
+                    _ => st.refresh_active(),
                 }
                 // The bitset must be exact after *every* op.
                 for u in 0..n {
@@ -967,93 +720,33 @@ mod tests {
     }
 
     #[test]
-    fn regrow_after_repack_skips_too_small_extents() {
-        let mut st = NetworkState::new(4);
-        for i in 0..3u64 {
-            st.place(NodeId::new(0), packet(i, 3), Round::new(0));
-        }
-        for i in 3..5u64 {
-            st.place(NodeId::new(1), packet(i, 3), Round::new(0));
-        }
-        // Repack leaves cap == len: node 0 gets cap 3, node 1 cap 2,
-        // both in segment 0.
-        st.ensure_shards(2);
-        st.remove(NodeId::new(1), PacketId::new(3)).unwrap();
-        st.remove(NodeId::new(1), PacketId::new(4)).unwrap();
-        // Releases node 1's 2-slot extent into free class 1.
-        st.refresh_active();
-        // Growing node 0 (3 live + 1 incoming) must not adopt that
-        // 2-slot extent: a non-power-of-two request of 6 used to land in
-        // class trailing_zeros(6) == 1 and the relocation copied live
-        // slots past the extent (panicking, or on larger slabs silently
-        // overwriting neighbouring spans).
-        st.place(NodeId::new(0), packet(9, 3), Round::new(0));
-        let ids: Vec<u64> = st
-            .buffer(NodeId::new(0))
-            .iter()
-            .map(|sp| sp.id().value())
-            .collect();
-        assert_eq!(ids, vec![0, 1, 2, 9]);
-        assert!(st.buffer(NodeId::new(1)).is_empty());
-        assert_eq!(st.total_buffered(), 4);
-    }
-
-    #[test]
     fn recycled_extent_keeps_true_capacity() {
         let mut st = NetworkState::new(2);
         for i in 0..5u64 {
             st.place(NodeId::new(0), packet(i, 1), Round::new(0));
         }
-        // Repack leaves node 0 with a 5-slot (non-power-of-two) extent.
-        st.ensure_shards(2);
-        assert_eq!(st.spans[0].cap, 5);
+        // Growing through 2 and 4 slots released those extents; node 0
+        // now holds an 8-slot one.
+        assert_eq!(st.spans[0].cap, 8);
         for i in 0..5u64 {
             st.remove(NodeId::new(0), PacketId::new(i)).unwrap();
         }
-        // Releases the 5-slot extent into free class 2.
+        // Releases the 8-slot extent.
         st.refresh_active();
+        let slab_len = st.slab.slots.len();
         for i in 10..15u64 {
-            st.place(NodeId::new(0), packet(i, 1), Round::new(0));
+            st.place(NodeId::new(1), packet(i, 1), Round::new(0));
         }
-        // The third push requested a power-of-two 4 and popped the
-        // 5-slot extent; the span must keep the full 5, not shrink the
-        // extent to 4 and leak the slack slot from both the span and
-        // the free lists.
-        assert_eq!(st.spans[0].cap, 5, "recycled extent keeps its slack");
+        // Node 1 grows through the 2-, 4- and 8-slot extents node 0
+        // vacated, keeping each one's full capacity, and the slab does
+        // not grow.
+        assert_eq!(st.spans[1].cap, 8, "recycled extent keeps its capacity");
+        assert_eq!(st.slab.slots.len(), slab_len, "slab grew");
         let ids: Vec<u64> = st
-            .buffer(NodeId::new(0))
+            .buffer(NodeId::new(1))
             .iter()
             .map(|sp| sp.id().value())
             .collect();
         assert_eq!(ids, vec![10, 11, 12, 13, 14]);
-    }
-
-    #[test]
-    fn shard_views_mutate_disjoint_ranges() {
-        let mut st = NetworkState::new(4);
-        for i in 0..8u64 {
-            st.place(NodeId::new((i % 4) as usize), packet(i, 1), Round::new(0));
-        }
-        st.ensure_shards(2);
-        let seq = st.seq_counter();
-        {
-            let mut views = st.shard_views();
-            assert_eq!(views.len(), 2);
-            // Remove from shard 0, place into shard 1.
-            let sp = views[0].remove(NodeId::new(0), PacketId::new(0)).unwrap();
-            views[1].place_stored(
-                NodeId::new(3),
-                StoredPacket::new(*sp.packet(), Round::new(1), seq),
-            );
-        }
-        st.advance_seq(1);
-        assert_eq!(st.occupancy(NodeId::new(0)), 1);
-        assert_eq!(st.occupancy(NodeId::new(3)), 3);
-        assert_eq!(st.total_buffered(), 8);
-        assert_eq!(
-            st.buffer(NodeId::new(3)).last().unwrap().id(),
-            PacketId::new(0)
-        );
-        assert_eq!(st.seq_counter(), seq + 1);
     }
 }

@@ -21,7 +21,7 @@
 //!   `aqt-bench`, keeping the workspace no-wall-clock lint clean).
 //!
 //! The entry point is [`TelemetryProbe`]: hand it to
-//! `Simulation::step_probed`/`step_sharded_probed` (or let the
+//! `Simulation::step_probed`/`run_past_horizon_probed` (or let the
 //! `aqt-analysis` scenario runner drive it via `TelemetrySpec`), then
 //! call [`TelemetryProbe::report`] for a serializable
 //! [`TelemetryReport`].
@@ -33,8 +33,8 @@
 //! plain one. The report is split accordingly:
 //!
 //! * [`TelemetryReport::data`] is deterministic and identical across
-//!   shard counts (the sharded engine reports deliveries and moves in
-//!   the same ascending-shard input order the sweep layer uses).
+//!   shard counts (every hook it reads fires in the same order with the
+//!   same payload at any shard count).
 //! * [`TelemetryReport::profile`] carries wall-time and per-shard
 //!   figures that legitimately vary with the clock and shard count, and
 //!   is excluded from conformance comparison.

@@ -46,8 +46,8 @@ impl Default for TelemetrySpec {
 /// [`NullClock`], all phase times 0) or
 /// [`with_clock`](TelemetryProbe::with_clock) (e.g. a wall clock from
 /// `aqt-bench`), drive it through `Simulation::step_probed` /
-/// `run_past_horizon_probed` (or their sharded variants), then take the
-/// result with [`report`](TelemetryProbe::report).
+/// `run_past_horizon_probed` at any shard count, then take the result
+/// with [`report`](TelemetryProbe::report).
 pub struct TelemetryProbe {
     spec: TelemetrySpec,
     clock: Box<dyn Clock>,

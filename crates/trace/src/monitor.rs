@@ -194,7 +194,7 @@ impl Monitor<aqt_model::Path> for BadnessExcessMonitor {
 /// continues so the run completes deterministically.
 pub struct Monitored<T: Topology, P> {
     inner: P,
-    monitors: Vec<Box<dyn Monitor<T> + Send>>,
+    monitors: Vec<Box<dyn Monitor<T> + Send + Sync>>,
     violation: Option<Violation>,
     /// Extra check: quiescent configurations must produce empty plans.
     enforce_quiescence: bool,
@@ -213,7 +213,7 @@ impl<T: Topology, P: fmt::Debug> fmt::Debug for Monitored<T, P> {
 
 impl<T: Topology, P> Monitored<T, P> {
     /// Wraps `inner` with the given monitors.
-    pub fn new(inner: P, monitors: Vec<Box<dyn Monitor<T> + Send>>) -> Self {
+    pub fn new(inner: P, monitors: Vec<Box<dyn Monitor<T> + Send + Sync>>) -> Self {
         Monitored {
             inner,
             monitors,
@@ -294,11 +294,11 @@ pub fn run_monitored<T, P>(
     protocol: P,
     pattern: &Pattern,
     extra: u64,
-    monitors: Vec<Box<dyn Monitor<T> + Send>>,
+    monitors: Vec<Box<dyn Monitor<T> + Send + Sync>>,
 ) -> Result<aqt_model::RunMetrics, Violation>
 where
-    T: Topology,
-    P: Protocol<T>,
+    T: Topology + Sync,
+    P: Protocol<T> + Sync,
 {
     let wrapped = Monitored::new(protocol, monitors);
     let mut sim = Simulation::new(topology, wrapped, pattern).map_err(|e| Violation {

@@ -18,7 +18,7 @@ use small_buffers::{
 };
 
 /// Peak occupancy of `protocol` on the given pattern, run to quiescence.
-fn peak<P: Protocol<Path>>(
+fn peak<P: Protocol<Path> + Sync>(
     n: usize,
     protocol: P,
     pattern: &small_buffers::Pattern,

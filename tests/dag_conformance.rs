@@ -39,8 +39,8 @@ fn run_artifacts<T, P>(
     capacity: Option<(usize, StagingMode, DropPolicyKind)>,
 ) -> (String, String, Vec<u64>)
 where
-    T: Topology,
-    P: Protocol<T>,
+    T: Topology + Sync,
+    P: Protocol<T> + Sync,
 {
     let mut sim = Simulation::new(topo, Traced::new(protocol), pattern).expect("valid pattern");
     if let Some((cap, staging, kind)) = capacity {
@@ -73,7 +73,7 @@ fn capacity_axis() -> Vec<Option<(usize, StagingMode, DropPolicyKind)>> {
 /// axis.
 fn assert_conforms_on_path<P, F>(label: &str, mk: F, pattern: &Pattern)
 where
-    P: Protocol<Path> + Protocol<Dag>,
+    P: Protocol<Path> + Protocol<Dag> + Sync,
     F: Fn() -> P,
 {
     let path = Path::new(N);
@@ -93,7 +93,7 @@ where
 /// Tree counterpart of [`assert_conforms_on_path`].
 fn assert_conforms_on_tree<P, F>(label: &str, mk: F, tree: &DirectedTree, pattern: &Pattern)
 where
-    P: Protocol<DirectedTree> + Protocol<Dag>,
+    P: Protocol<DirectedTree> + Protocol<Dag> + Sync,
     F: Fn() -> P,
 {
     let embedded = Dag::from(tree);

@@ -2,22 +2,32 @@
 //! valid `scenarios/*.json` file passes [`Scenario::validate`] with a
 //! usable [`StaticReport`], and every file in `scenarios/invalid/` is
 //! rejected with the *named* [`ScenarioError`] variant it documents —
-//! all without executing a single round.
+//! all without executing a single round. The run path never panics on
+//! that corpus either.
 
-use small_buffers::{Scenario, ScenarioError, ScenarioGrid};
+use small_buffers::{run_scenario, Scenario, ScenarioError, ScenarioGrid};
 
 fn read(rel: &str) -> String {
     let path = format!("{}/scenarios/{rel}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
+fn parse(rel: &str) -> Scenario {
+    serde_json::from_str(&read(rel)).unwrap_or_else(|e| panic!("{rel} must parse: {e}"))
+}
+
 fn reject(rel: &str) -> ScenarioError {
-    let scenario: Scenario =
-        serde_json::from_str(&read(rel)).unwrap_or_else(|e| panic!("{rel} must parse: {e}"));
-    scenario
+    parse(rel)
         .validate()
         .err()
         .unwrap_or_else(|| panic!("{rel} must be rejected"))
+}
+
+/// The error [`run_scenario`] returns for `rel`.
+fn reject_run(rel: &str) -> ScenarioError {
+    run_scenario(&parse(rel))
+        .err()
+        .unwrap_or_else(|| panic!("{rel} must fail to run"))
 }
 
 #[test]
@@ -126,4 +136,48 @@ fn degenerate_topology_is_a_topology_error() {
     let err = reject("invalid/zero_node_path.json");
     assert!(matches!(err, ScenarioError::Topology(_)), "{err}");
     assert!(err.to_string().contains("at least one node"), "{err}");
+}
+
+#[test]
+fn out_of_range_fault_node_is_a_static_check_on_both_paths() {
+    let file = "invalid/fault_node_out_of_range.json";
+    for err in [reject(file), reject_run(file)] {
+        assert!(
+            matches!(&err, ScenarioError::Static { check, .. } if *check == "fault-bounds"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("names node 99"), "{err}");
+    }
+}
+
+#[test]
+fn short_per_node_capacity_is_a_static_check_on_both_paths() {
+    let file = "invalid/capacity_per_node_len.json";
+    for err in [reject(file), reject_run(file)] {
+        assert!(
+            matches!(&err, ScenarioError::Static { check, .. } if *check == "capacity-nodes"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("3 limits for a 6-node"), "{err}");
+    }
+}
+
+#[test]
+fn the_run_path_never_panics_on_the_invalid_corpus() {
+    let dir = format!("{}/scenarios/invalid", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {dir}: {e}"))
+        .map(|entry| entry.expect("directory entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 11, "corpus shrank: {files:?}");
+    for name in files {
+        let scenario = parse(&format!("invalid/{name}"));
+        // Ok or a named ScenarioError are both fine; a panic is not.
+        if std::panic::catch_unwind(|| run_scenario(&scenario)).is_err() {
+            panic!("run_scenario panicked on invalid/{name}");
+        }
+    }
 }

@@ -6,18 +6,19 @@
 //! latencies — participates).
 //!
 //! The engine-level unit tests (`crates/model/src/engine.rs`) prove the
-//! stronger per-step property — identical `RoundOutcome`s, buffer
-//! contents and sequence counters after every round. This suite drives
+//! stronger per-step property — identical `RoundOutcome`s and buffer
+//! contents, sequence numbers included, after every round. This suite drives
 //! the same machinery end-to-end through the declarative layer, across
 //! protocol adapters (`Batched`, tree/path adapters), the capacity
 //! pipeline (all four drop policies, both staging modes) and both routing
 //! representations (computed grids and dense-table random DAGs).
 
+use small_buffers::model::{EnginePhase, Probe};
 use small_buffers::{
-    run_scenario, run_scenario_sharded, run_scenario_telemetry, run_scenario_telemetry_sharded,
-    CapacityConfig, CapacitySpec, DropPolicyKind, FaultEvent, FaultSpec, GreedyPolicy, Injection,
-    ProtocolSpec, Scenario, SourceSpec, StagingMode, TelemetrySpec, Topology, TopologySpec,
-    TreeSpec,
+    run_scenario, run_scenario_sharded, run_scenario_telemetry, run_scenario_telemetry_with,
+    CapacityConfig, CapacitySpec, DropPolicyKind, FaultEvent, FaultSpec, FaultState, GreedyPolicy,
+    Injection, NetworkState, Packet, PacketId, ProtocolSpec, Round, RoundOutcome, Scenario,
+    Simulation, SourceSpec, StagingMode, TelemetrySpec, Topology, TopologySpec, TreeSpec,
 };
 
 const EXTRA: u64 = 40;
@@ -538,7 +539,7 @@ fn telemetry_data_is_sharding_invariant() {
             run_scenario_telemetry(&s).unwrap_or_else(|e| panic!("{label}: sequential: {e}"));
         let expected = serde_json::to_string(&sequential.data).unwrap();
         for shards in [1usize, 2, 4] {
-            let (_, sharded) = run_scenario_telemetry_sharded(&s, shards)
+            let (_, sharded) = run_scenario_telemetry_with(&s, shards, None, None, |_| {})
                 .unwrap_or_else(|e| panic!("{label}: {shards}-shard run failed: {e}"));
             assert_eq!(
                 expected,
@@ -551,4 +552,91 @@ fn telemetry_data_is_sharding_invariant() {
             "{label}: vacuous telemetry cell"
         );
     }
+}
+
+/// One probe hook as the engine fired it: the round plus its payload.
+#[derive(Debug, Clone, PartialEq)]
+enum Hook {
+    Fault(Round),
+    /// `active_count` at the `L^t` observation.
+    Observe(Round, usize),
+    Phase(Round, EnginePhase),
+    Delivery(Round, PacketId),
+    Round(RoundOutcome),
+}
+
+/// Logs every hook in firing order, except `on_shard_moves` (sharded
+/// rounds only) and phase nanoseconds (clock readings).
+#[derive(Default)]
+struct Recorder(Vec<Hook>);
+
+impl Probe for Recorder {
+    fn on_fault(&mut self, round: Round, _state: &FaultState) {
+        self.0.push(Hook::Fault(round));
+    }
+
+    fn on_observe(&mut self, round: Round, state: &NetworkState) {
+        self.0.push(Hook::Observe(round, state.active_count()));
+    }
+
+    fn on_phase(&mut self, round: Round, phase: EnginePhase, _nanos: u64) {
+        self.0.push(Hook::Phase(round, phase));
+    }
+
+    fn on_delivery(&mut self, round: Round, packet: &Packet) {
+        self.0.push(Hook::Delivery(round, packet.id()));
+    }
+
+    fn on_round(&mut self, outcome: &RoundOutcome, _state: &NetworkState) {
+        self.0.push(Hook::Round(*outcome));
+    }
+}
+
+/// The hook log of `scenario` run to its horizon on `shards` shards.
+fn hook_log(scenario: &Scenario, shards: usize) -> Vec<Hook> {
+    let topology = scenario.topology.build().expect("topology builds");
+    let protocol = scenario.protocol.build(&topology).expect("protocol builds");
+    let source = scenario.source.build(&topology).expect("source builds");
+    let mut sim = Simulation::from_source(topology, protocol, source).with_shards(shards);
+    if let Some(cap) = &scenario.capacity {
+        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
+    }
+    if let Some(faults) = &scenario.faults {
+        sim = sim.with_faults(faults);
+    }
+    let mut recorder = Recorder::default();
+    sim.run_past_horizon_probed(scenario.extra, &mut recorder)
+        .expect("valid run");
+    recorder.0
+}
+
+#[test]
+fn probe_hooks_fire_in_the_same_sequence_at_every_shard_count() {
+    // The unbounded, capacity, faulted and sparse cells: every hook the
+    // engine fires must carry the same round and payload, in the same
+    // order, whatever the shard count.
+    for (label, s) in telemetry_cells() {
+        let sequential = hook_log(&s, 1);
+        assert!(
+            sequential.iter().any(|h| matches!(h, Hook::Delivery(..))),
+            "{label}: vacuous cell, nothing delivered"
+        );
+        for shards in [2usize, 4] {
+            assert_eq!(
+                sequential,
+                hook_log(&s, shards),
+                "{label}: {shards}-shard hook sequence diverged"
+            );
+        }
+    }
+    let (_, faulted) = telemetry_cells()
+        .into_iter()
+        .find(|(label, _)| *label == "grid/faulted")
+        .expect("the faulted cell");
+    assert!(
+        hook_log(&faulted, 1)
+            .iter()
+            .any(|h| matches!(h, Hook::Fault(_))),
+        "grid/faulted: no fault hook fired"
+    );
 }
