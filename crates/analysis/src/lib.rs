@@ -14,10 +14,10 @@
 //! * [`RunSummary`] / [`run_pattern`] / [`run_source`] /
 //!   [`run_source_capacity`] — generic one-shot runs distilled to the
 //!   quantities the theorems speak about;
-//! * [`run_scenario_telemetry`] — any scenario with a streaming
-//!   telemetry probe attached (`aqt-telemetry`): counters, occupancy
-//!   and latency histogram sketches, a bounded round series and phase
-//!   profiling in one serializable `TelemetryReport`;
+//! * [`run_scenario_probed`] — any scenario on any shard count with an
+//!   engine [`Probe`](aqt_model::Probe) attached: a streaming
+//!   `TelemetryProbe` (`aqt-telemetry`), an `aqt-trace` `Tracer` or
+//!   invariant monitors;
 //! * [`sweep`] — scoped-thread parameter sweeps: [`sweep::parallel`]
 //!   scatters a grid across cores and merges deterministically (equal to
 //!   [`sweep::serial`] for pure functions);
@@ -67,9 +67,8 @@ mod validate;
 pub use experiment::{Table, Verdict};
 pub use figure1::render_figure1;
 pub use scenario::{
-    run_grid, run_scenario, run_scenario_sharded, run_scenario_telemetry,
-    run_scenario_telemetry_with, run_scenarios, run_scenarios_with_threads, CapacitySpec, Scenario,
-    ScenarioError, ScenarioGrid,
+    run_grid, run_scenario, run_scenario_probed, run_scenarios, run_scenarios_with_threads,
+    CapacitySpec, Scenario, ScenarioError, ScenarioGrid,
 };
 pub use sweep::{
     measured_sigma, measured_sigma_on, parallel_map, run_pattern, run_source, run_source_capacity,

@@ -30,11 +30,10 @@ use std::fmt;
 use aqt_adversary::{SourceSpec, SourceSpecError};
 use aqt_core::{ProtocolSpec, ProtocolSpecError};
 use aqt_model::{
-    AnyTopology, CapacityConfig, DropPolicyKind, EnginePhase, FaultSpec, FaultState,
-    InjectionSource, ModelError, NetworkState, Packet, Probe, Protocol, Round, RoundOutcome,
-    Simulation, Topology, TopologySpec, TopologySpecError,
+    CapacityConfig, DropPolicyKind, FaultSpec, ModelError, Probe, Simulation, Topology,
+    TopologySpec, TopologySpecError,
 };
-use aqt_telemetry::{Clock, TelemetryProbe, TelemetryReport, TelemetrySpec};
+use aqt_telemetry::TelemetrySpec;
 use serde::{Deserialize, Serialize};
 
 use crate::sweep::{self, RunSummary};
@@ -93,11 +92,12 @@ pub struct Scenario {
     pub extra: u64,
     /// Finite buffers, or `None` for the unbounded engine.
     pub capacity: Option<CapacitySpec>,
-    /// Streaming telemetry configuration for
-    /// [`run_scenario_telemetry`], or `None` to run without a probe.
-    /// Plain [`run_scenario`] ignores this field, so attaching a spec
-    /// never changes a summary. Absent in older JSON artifacts, which
-    /// deserialize as `None`.
+    /// Streaming telemetry configuration: the spec a caller builds its
+    /// `TelemetryProbe` from before handing it to
+    /// [`run_scenario_probed`] (`scenarios --telemetry` does), or `None`
+    /// for the default spec. The runners never read this field, so
+    /// attaching a spec never changes a summary. Absent in older JSON
+    /// artifacts, which deserialize as `None`.
     pub telemetry: Option<TelemetrySpec>,
     /// Deterministic fault schedule applied by every runner, or `None`
     /// (and an empty spec behaves bit-for-bit like `None`). Absent in
@@ -191,29 +191,6 @@ impl From<ModelError> for ScenarioError {
     }
 }
 
-/// The simulation every scenario runner steps.
-type ScenarioSim =
-    Simulation<AnyTopology, Box<dyn Protocol<AnyTopology> + Send + Sync>, Box<dyn InjectionSource>>;
-
-/// Assembles `scenario`'s simulation on `shards` shards: builds the
-/// topology, protocol and source specs, checks that the capacity and
-/// fault specs name only existing nodes (the engine would panic on
-/// them), then applies capacity and faults.
-fn build(scenario: &Scenario, shards: usize) -> Result<ScenarioSim, ScenarioError> {
-    let topology = scenario.topology.build()?;
-    let protocol = scenario.protocol.build(&topology)?;
-    let source = scenario.source.build(&topology)?;
-    check_node_ranges(scenario, topology.node_count())?;
-    let mut sim = Simulation::from_source(topology, protocol, source).with_shards(shards);
-    if let Some(cap) = &scenario.capacity {
-        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
-    }
-    if let Some(faults) = &scenario.faults {
-        sim = sim.with_faults(faults);
-    }
-    Ok(sim)
-}
-
 /// Executes one [`Scenario`] and distills the metrics into a
 /// [`RunSummary`] — the single generic runner behind every workload,
 /// replacing the nine topology-specific `run_*` helpers.
@@ -225,121 +202,46 @@ fn build(scenario: &Scenario, shards: usize) -> Result<ScenarioSim, ScenarioErro
 /// capacity or fault spec naming a node the topology lacks) or the
 /// engine rejects the run.
 pub fn run_scenario(scenario: &Scenario) -> Result<RunSummary, ScenarioError> {
-    run_scenario_sharded(scenario, 1)
+    run_scenario_probed(scenario, 1, &mut ())
 }
 
-/// [`run_scenario`] with each round's plan and validate phases on
-/// `shards` scoped worker threads ([`Simulation::with_shards`]).
+/// [`run_scenario`] on `shards` shards ([`Simulation::with_shards`]; 1
+/// spawns no worker threads) with `probe` observing every round — a
+/// `TelemetryProbe`, an `aqt-trace` `Tracer` or invariant monitors, or
+/// `()` for none.
 ///
-/// Byte-identical to [`run_scenario`] for every scenario and any shard
-/// count (`tests/sharded_conformance.rs` pins the equality across the
-/// protocol × topology × capacity × staging matrix).
+/// The probe cannot perturb the run, and the summary is byte-identical
+/// at every shard count (`tests/sharded_conformance.rs` pins both across
+/// the protocol × topology × capacity × staging matrix).
+///
+/// Assembly: builds the topology, protocol and source specs, checks
+/// that the capacity and fault specs name only existing nodes (the
+/// engine would panic on them), then applies capacity and faults.
 ///
 /// # Errors
 ///
 /// Exactly as [`run_scenario`].
-pub fn run_scenario_sharded(
+pub fn run_scenario_probed<Pr: Probe + ?Sized>(
     scenario: &Scenario,
     shards: usize,
+    probe: &mut Pr,
 ) -> Result<RunSummary, ScenarioError> {
-    let mut sim = build(scenario, shards)?;
-    sim.run_past_horizon(scenario.extra)?;
+    let topology = scenario.topology.build()?;
+    let protocol = scenario.protocol.build(&topology)?;
+    let source = scenario.source.build(&topology)?;
+    check_node_ranges(scenario, topology.node_count())?;
+    let mut sim = Simulation::from_source(topology, protocol, source).with_shards(shards);
+    if let Some(cap) = &scenario.capacity {
+        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
+    }
+    if let Some(faults) = &scenario.faults {
+        sim = sim.with_faults(faults);
+    }
+    sim.run_past_horizon_probed(scenario.extra, probe)?;
     Ok(RunSummary::from_metrics(
         sim.protocol().name(),
         sim.metrics(),
     ))
-}
-
-/// [`run_scenario`] with a streaming telemetry probe attached: returns
-/// the usual [`RunSummary`] plus the probe's [`TelemetryReport`].
-///
-/// The probe is configured from `scenario.telemetry` (the default
-/// [`TelemetrySpec`] when `None`) and uses the deterministic
-/// `NullClock`, so the report's `data` half is reproducible and the
-/// summary is byte-identical to an untelemetered [`run_scenario`]
-/// (`tests/sharded_conformance.rs` pins both).
-///
-/// # Errors
-///
-/// Exactly as [`run_scenario`].
-pub fn run_scenario_telemetry(
-    scenario: &Scenario,
-) -> Result<(RunSummary, TelemetryReport), ScenarioError> {
-    run_scenario_telemetry_with(scenario, 1, None, None, |_| {})
-}
-
-/// A [`TelemetryProbe`] that hands a report snapshot to `flush` after
-/// every `every`-th round (never when `every` is 0).
-struct Flushing<F> {
-    probe: TelemetryProbe,
-    every: u64,
-    flush: F,
-}
-
-impl<F: FnMut(&TelemetryReport)> Probe for Flushing<F> {
-    fn now_nanos(&mut self) -> u64 {
-        self.probe.now_nanos()
-    }
-
-    fn on_fault(&mut self, round: Round, state: &FaultState) {
-        self.probe.on_fault(round, state);
-    }
-
-    fn on_observe(&mut self, round: Round, state: &NetworkState) {
-        self.probe.on_observe(round, state);
-    }
-
-    fn on_phase(&mut self, round: Round, phase: EnginePhase, nanos: u64) {
-        self.probe.on_phase(round, phase, nanos);
-    }
-
-    fn on_shard_moves(&mut self, round: Round, shard: usize, moves: usize) {
-        self.probe.on_shard_moves(round, shard, moves);
-    }
-
-    fn on_delivery(&mut self, round: Round, packet: &Packet) {
-        self.probe.on_delivery(round, packet);
-    }
-
-    fn on_round(&mut self, outcome: &RoundOutcome, state: &NetworkState) {
-        self.probe.on_round(outcome, state);
-        if self.every > 0 && outcome.round.next().value() % self.every == 0 {
-            (self.flush)(&self.probe.report());
-        }
-    }
-}
-
-/// The fully general telemetry runner behind
-/// [`run_scenario_telemetry`]: explicit shard count (1 = no worker
-/// threads), optional profiling [`Clock`] (`None` = deterministic
-/// `NullClock`), and an optional periodic flush — every `flush_every`
-/// rounds, `flush` receives a snapshot of the report so far, so long
-/// runs can stream partial telemetry to disk. A final flush is **not**
-/// implied: the completed report is the return value.
-///
-/// # Errors
-///
-/// Exactly as [`run_scenario`].
-pub fn run_scenario_telemetry_with(
-    scenario: &Scenario,
-    shards: usize,
-    clock: Option<Box<dyn Clock>>,
-    flush_every: Option<u64>,
-    flush: impl FnMut(&TelemetryReport),
-) -> Result<(RunSummary, TelemetryReport), ScenarioError> {
-    let mut sim = build(scenario, shards)?;
-    let spec = scenario.telemetry.unwrap_or_default();
-    let mut probe = Flushing {
-        probe: match clock {
-            Some(clock) => TelemetryProbe::with_clock(spec, clock),
-            None => TelemetryProbe::new(spec),
-        },
-        every: flush_every.unwrap_or(0),
-        flush,
-    };
-    sim.run_past_horizon_probed(scenario.extra, &mut probe)?;
-    let summary = RunSummary::from_metrics(sim.protocol().name(), sim.metrics());
-    Ok((summary, probe.probe.report()))
 }
 
 /// A serializable scenario *grid*: the cartesian product of topology,
@@ -466,18 +368,6 @@ mod tests {
         assert_eq!(summary.injected, 4);
         assert_eq!(summary.delivered, 4);
         assert_eq!(summary.max_occupancy, 4);
-    }
-
-    #[test]
-    fn telemetry_flush_fires_every_n_rounds() {
-        let mut flushed = Vec::new();
-        let (_, report) = run_scenario_telemetry_with(&burst_scenario(), 1, None, Some(3), |r| {
-            flushed.push(r.data.counters.rounds)
-        })
-        .unwrap();
-        // The burst's horizon is 1, so 1 + 10 settle rounds run.
-        assert_eq!(report.data.counters.rounds, 11);
-        assert_eq!(flushed, vec![3, 6, 9]);
     }
 
     #[test]

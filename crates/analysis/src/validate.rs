@@ -139,8 +139,9 @@ fn check_telemetry_strides(spec: &aqt_telemetry::TelemetrySpec) -> Result<(), Sc
 
 /// Checks that the capacity and fault specs name only nodes of an
 /// `n`-node topology — the engine asserts both, so the run path
-/// ([`run_scenario`](crate::run_scenario) and friends) calls this before
-/// building the simulation, as [`Scenario::validate`] does:
+/// ([`run_scenario_probed`](crate::run_scenario_probed), behind every
+/// runner) calls this before building the simulation, as
+/// [`Scenario::validate`] does:
 ///
 /// * `"capacity-nodes"` — a per-node capacity list must have exactly one
 ///   limit per node;

@@ -14,11 +14,14 @@
 //! harness emits (`--csv` for CSV, `--json` for raw `RunSummary` JSON).
 
 use aqt_analysis::{
-    run_scenario_telemetry_with, run_scenarios_with_threads, sweep, RunSummary, Scenario,
-    ScenarioError, ScenarioGrid, StaticReport, Table,
+    run_scenario_probed, run_scenarios_with_threads, sweep, RunSummary, Scenario, ScenarioError,
+    ScenarioGrid, StaticReport, Table,
 };
 use aqt_bench::WallClock;
-use aqt_telemetry::TelemetryReport;
+use aqt_model::{
+    EnginePhase, FaultState, NetworkState, NodeId, Packet, PacketId, Probe, Round, RoundOutcome,
+};
+use aqt_telemetry::{TelemetryProbe, TelemetryReport};
 
 fn usage() {
     println!("Usage: scenarios [--parallel] [--threads N] [--csv | --json]");
@@ -53,6 +56,52 @@ fn usage() {
     println!("executing a round: build applicability, capacity sanity, and the");
     println!("paper's closed-form peak/capacity predictions. Exits nonzero if");
     println!("any scenario fails validation (`--json` emits the reports).");
+}
+
+/// A [`TelemetryProbe`] that hands a report snapshot to `flush` after
+/// every `every`-th round (never when `every` is 0) — how `--telemetry`
+/// streams partial reports of long runs to disk.
+struct Flushing<F> {
+    probe: TelemetryProbe,
+    every: u64,
+    flush: F,
+}
+
+impl<F: FnMut(&TelemetryReport)> Probe for Flushing<F> {
+    fn now_nanos(&mut self) -> u64 {
+        self.probe.now_nanos()
+    }
+
+    fn on_fault(&mut self, round: Round, state: &FaultState) {
+        self.probe.on_fault(round, state);
+    }
+
+    fn on_observe(&mut self, round: Round, state: &NetworkState) {
+        self.probe.on_observe(round, state);
+    }
+
+    fn on_phase(&mut self, round: Round, phase: EnginePhase, nanos: u64) {
+        self.probe.on_phase(round, phase, nanos);
+    }
+
+    fn on_shard_moves(&mut self, round: Round, shard: usize, moves: usize) {
+        self.probe.on_shard_moves(round, shard, moves);
+    }
+
+    fn on_move(&mut self, round: Round, from: NodeId, packet: PacketId, delivers: bool) {
+        self.probe.on_move(round, from, packet, delivers);
+    }
+
+    fn on_delivery(&mut self, round: Round, packet: &Packet) {
+        self.probe.on_delivery(round, packet);
+    }
+
+    fn on_round(&mut self, outcome: &RoundOutcome, state: &NetworkState) {
+        self.probe.on_round(outcome, state);
+        if self.every > 0 && outcome.round.next().value() % self.every == 0 {
+            (self.flush)(&self.probe.report());
+        }
+    }
 }
 
 /// One loaded unit: the file it came from and its expanded scenarios.
@@ -298,22 +347,22 @@ fn main() {
             let results: Vec<Result<RunSummary, ScenarioError>> = scenarios
                 .iter()
                 .map(|scenario| {
-                    let outcome = run_scenario_telemetry_with(
-                        scenario,
-                        1,
-                        Some(Box::new(WallClock::new())),
-                        flush_rounds,
-                        |partial| {
+                    let mut probe = Flushing {
+                        probe: TelemetryProbe::with_clock(
+                            scenario.telemetry.unwrap_or_default(),
+                            Box::new(WallClock::new()),
+                        ),
+                        every: flush_rounds.unwrap_or(0),
+                        flush: |partial: &TelemetryReport| {
                             // Completed scenarios + the in-flight one.
                             let mut snapshot = merged.clone();
                             snapshot.merge(partial);
                             write(&snapshot);
                         },
-                    );
-                    outcome.map(|(summary, report)| {
-                        merged.merge(&report);
-                        summary
-                    })
+                    };
+                    let outcome = run_scenario_probed(scenario, 1, &mut probe);
+                    let report = probe.probe.report();
+                    outcome.inspect(|_| merged.merge(&report))
                 })
                 .collect();
             write(&merged);
@@ -379,5 +428,46 @@ fn main() {
     );
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aqt_adversary::SourceSpec;
+    use aqt_core::{GreedyPolicy, ProtocolSpec};
+    use aqt_model::TopologySpec;
+    use aqt_telemetry::TelemetrySpec;
+
+    #[test]
+    fn telemetry_flush_fires_every_n_rounds() {
+        let scenario = Scenario {
+            name: None,
+            topology: TopologySpec::Path { n: 4 },
+            protocol: ProtocolSpec::Greedy {
+                policy: GreedyPolicy::Fifo,
+            },
+            source: SourceSpec::Burst {
+                round: 0,
+                source: 0,
+                dest: 3,
+                size: 4,
+            },
+            extra: 10,
+            capacity: None,
+            telemetry: None,
+            faults: None,
+        };
+        let mut flushed = Vec::new();
+        let mut probe = Flushing {
+            probe: TelemetryProbe::new(TelemetrySpec::default()),
+            every: 3,
+            flush: |r: &TelemetryReport| flushed.push(r.data.counters.rounds),
+        };
+        run_scenario_probed(&scenario, 1, &mut probe).unwrap();
+        let report = probe.probe.report();
+        // The burst's horizon is 1, so 1 + 10 settle rounds run.
+        assert_eq!(report.data.counters.rounds, 11);
+        assert_eq!(flushed, vec![3, 6, 9]);
     }
 }

@@ -15,8 +15,8 @@
 //! The `profile` half (phase nanos, per-shard move totals) is
 //! clock- and shard-dependent by design and deliberately NOT pinned.
 
-use aqt_analysis::{run_scenario_telemetry, Scenario};
-use aqt_telemetry::{TelemetryData, TelemetryReport};
+use aqt_analysis::{run_scenario_probed, RunSummary, Scenario, ScenarioError};
+use aqt_telemetry::{TelemetryData, TelemetryProbe, TelemetryReport};
 
 fn repo_file(rel: &str) -> String {
     let path = format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"));
@@ -28,6 +28,13 @@ fn smoke_scenario() -> Scenario {
         .expect("telemetry smoke scenario parses")
 }
 
+/// The smoke scenario run with a `TelemetryProbe` built from its spec.
+fn telemetry_run(scenario: &Scenario) -> Result<(RunSummary, TelemetryReport), ScenarioError> {
+    let mut probe = TelemetryProbe::new(scenario.telemetry.unwrap_or_default());
+    let summary = run_scenario_probed(scenario, 1, &mut probe)?;
+    Ok((summary, probe.report()))
+}
+
 fn golden_data() -> TelemetryData {
     serde_json::from_str(include_str!("telemetry_smoke.golden.json"))
         .expect("pinned golden parses as TelemetryData")
@@ -36,7 +43,7 @@ fn golden_data() -> TelemetryData {
 #[test]
 fn smoke_report_data_matches_the_pinned_golden() {
     let scenario = smoke_scenario();
-    let (summary, report) = run_scenario_telemetry(&scenario).expect("smoke scenario runs");
+    let (summary, report) = telemetry_run(&scenario).expect("smoke scenario runs");
     // The run itself: the 16×16 diagonal wave drains completely.
     assert_eq!(summary.injected, 255);
     assert_eq!(summary.delivered, 255);
@@ -54,7 +61,7 @@ fn smoke_report_data_matches_the_pinned_golden() {
 
 #[test]
 fn smoke_report_round_trips_through_json() {
-    let (_, report) = run_scenario_telemetry(&smoke_scenario()).expect("smoke scenario runs");
+    let (_, report) = telemetry_run(&smoke_scenario()).expect("smoke scenario runs");
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     // Schema spot checks on the emitted artifact CI uploads.
     for field in [
@@ -78,7 +85,7 @@ fn smoke_report_round_trips_through_json() {
 fn sketch_memory_is_bounded_by_buckets_not_samples() {
     // The streaming contract: 73k occupancy samples and 255 latency
     // samples land in a handful of log2 buckets plus a capped series.
-    let (_, report) = run_scenario_telemetry(&smoke_scenario()).expect("smoke scenario runs");
+    let (_, report) = telemetry_run(&smoke_scenario()).expect("smoke scenario runs");
     let data = &report.data;
     assert!(data.occupancy.count() > 70_000);
     assert!(data.occupancy.buckets.len() <= 65);

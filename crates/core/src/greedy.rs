@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GreedyPolicy {
     /// First-In-First-Out: forward the packet that arrived at this buffer
-    /// earliest (unstable at arbitrarily low rates in AQT, see [5]).
+    /// earliest (unstable at arbitrarily low rates in AQT, see \[5\]).
     Fifo,
     /// Last-In-First-Out: forward the most recent arrival.
     Lifo,

@@ -1141,7 +1141,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         &self.topology
     }
 
-    /// The protocol (e.g. to inspect instrumentation).
+    /// The protocol.
     pub fn protocol(&self) -> &P {
         &self.protocol
     }
@@ -1442,6 +1442,9 @@ where
             for (shard, moves) in self.shard_moves.iter().enumerate() {
                 probe.on_shard_moves(t, shard, moves.len());
             }
+        }
+        for &(v, pid, _, delivers) in self.shard_moves.iter().flatten() {
+            probe.on_move(t, v, pid, delivers);
         }
         mark = phase_mark(probe, t, EnginePhase::Forward, mark);
         // Apply simultaneously: all removals strictly before all placements,

@@ -1,49 +1,9 @@
-//! Engine observation hooks: the [`Probe`] trait.
-//!
-//! A probe is a passive observer the engine invokes at fixed points of
-//! its round loop — it can count, sketch and time, but it receives only
-//! shared references to engine state and therefore **cannot perturb a
-//! run**: a probed run is byte-identical in
-//! [`RunMetrics`](crate::RunMetrics) to a plain one
-//! (`tests/sharded_conformance.rs` pins this).
-//!
-//! The probe points, in round order:
-//!
-//! 1. [`on_fault`](Probe::on_fault) — fault-active rounds only: the
-//!    resolved [`FaultState`] for the round, right after the fault mask
-//!    is advanced (post-injection, before the `L^t` observation). Never
-//!    called on fault-free rounds or runs.
-//! 2. [`on_observe`](Probe::on_observe) — the paper's `L^t` measurement
-//!    point (post-injection, pre-forwarding), right after
-//!    `RunMetrics::observe`. This is where occupancy distributions are
-//!    sampled.
-//! 3. [`on_phase`](Probe::on_phase) — once per engine phase
-//!    ([`EnginePhase`]) with its wall-time in nanoseconds, measured by
-//!    the probe's own [`now_nanos`](Probe::now_nanos) clock. The default
-//!    clock returns 0, so library runs never read wall-clock time; a
-//!    real clock lives behind this hook in `aqt-bench`.
-//! 4. [`on_shard_moves`](Probe::on_shard_moves) — per-shard validated
-//!    move counts (sharded rounds only), reported in ascending shard
-//!    order — the same deterministic input-order merge the sweep layer
-//!    uses.
-//! 5. [`on_delivery`](Probe::on_delivery) — one call per delivered
-//!    packet, in move order (moves are applied on the calling thread at
-//!    every shard count).
-//! 6. [`on_round`](Probe::on_round) — the completed [`RoundOutcome`]
-//!    plus the post-round state.
-//!
-//! Every hook but `on_shard_moves` fires with the same round and
-//! payload, in the same order, at every shard count
-//! (`tests/sharded_conformance.rs` pins this).
-//!
-//! All hooks default to no-ops, so `()` is the null probe: the unprobed
-//! [`Simulation::step`](crate::Simulation::step) runs the one round with
-//! `()`, whose hooks compile away, and custom probes override only what
-//! they need.
+//! Engine observation hooks: the [`Probe`] trait and the
+//! [`EnginePhase`]s it times.
 
 use crate::engine::RoundOutcome;
 use crate::fault::FaultState;
-use crate::ids::Round;
+use crate::ids::{NodeId, PacketId, Round};
 use crate::packet::Packet;
 use crate::state::NetworkState;
 
@@ -91,8 +51,49 @@ impl EnginePhase {
 /// [`Simulation::step_probed`](crate::Simulation::step_probed) and
 /// [`Simulation::run_past_horizon_probed`](crate::Simulation::run_past_horizon_probed).
 ///
-/// Every hook has a no-op default; see the [module docs](self) for the
-/// probe points and their ordering guarantees.
+/// A probe is a passive observer the engine invokes at fixed points of
+/// its round loop — it can count, sketch, trace and time, but it
+/// receives only shared references to engine state and therefore
+/// **cannot perturb a run**: a probed run is byte-identical in
+/// [`RunMetrics`](crate::RunMetrics) to a plain one
+/// (`tests/sharded_conformance.rs` pins this).
+///
+/// The probe points, in round order:
+///
+/// 1. [`on_fault`](Probe::on_fault) — fault-active rounds only: the
+///    resolved [`FaultState`] for the round, right after the fault mask
+///    is advanced (post-injection, before the `L^t` observation). Never
+///    called on fault-free rounds or runs.
+/// 2. [`on_observe`](Probe::on_observe) — the paper's `L^t` measurement
+///    point (post-injection, pre-forwarding), right after
+///    `RunMetrics::observe`. This is where occupancy distributions are
+///    sampled.
+/// 3. [`on_phase`](Probe::on_phase) — once per engine phase
+///    ([`EnginePhase`]) with its wall-time in nanoseconds, measured by
+///    the probe's own [`now_nanos`](Probe::now_nanos) clock. The default
+///    clock returns 0, so library runs never read wall-clock time; a
+///    real clock lives behind this hook in `aqt-bench`.
+/// 4. [`on_shard_moves`](Probe::on_shard_moves) — per-shard validated
+///    move counts (sharded rounds only), reported in ascending shard
+///    order — the same deterministic input-order merge the sweep layer
+///    uses.
+/// 5. [`on_move`](Probe::on_move) — one call per validated move, in
+///    move order, before any move is applied. A planned send over a
+///    link the fault mask blocks is not a move and is not reported.
+/// 6. [`on_delivery`](Probe::on_delivery) — one call per delivered
+///    packet, in move order (moves are applied on the calling thread at
+///    every shard count).
+/// 7. [`on_round`](Probe::on_round) — the completed [`RoundOutcome`]
+///    plus the post-round state.
+///
+/// Every hook but `on_shard_moves` fires with the same round and
+/// payload, in the same order, at every shard count
+/// (`tests/sharded_conformance.rs` pins this).
+///
+/// All hooks default to no-ops, so `()` is the null probe: the unprobed
+/// [`Simulation::step`](crate::Simulation::step) runs the one round with
+/// `()`, whose hooks compile away, and custom probes override only what
+/// they need.
 pub trait Probe {
     /// Current timestamp in nanoseconds, used by the engine to time
     /// phases. The default returns 0 — phase durations come out as 0 and
@@ -118,6 +119,11 @@ pub trait Probe {
     /// Shard `shard` validated `moves` moves in `round` (sharded rounds
     /// only), reported in ascending shard order.
     fn on_shard_moves(&mut self, _round: Round, _shard: usize, _moves: usize) {}
+
+    /// `packet` moves out of `from` in `round`; `delivers` is whether the
+    /// hop reaches its destination. Reported once per validated move, in
+    /// move order, before the round's moves are applied.
+    fn on_move(&mut self, _round: Round, _from: NodeId, _packet: PacketId, _delivers: bool) {}
 
     /// `packet` was delivered in `round`. End-to-end latency is
     /// `round − packet.injected_at() + 1`, matching

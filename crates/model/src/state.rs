@@ -384,8 +384,8 @@ impl NetworkState {
 
     /// The nodes with non-empty buffers, in ascending order.
     ///
-    /// Only valid between a [`refresh_active`](NetworkState::refresh_active)
-    /// and the next mutation. The engine refreshes once per round right
+    /// Only valid between a `refresh_active` (crate-internal) and the next
+    /// mutation. The engine refreshes once per round right
     /// before the `L^t` observation, so the set is exact throughout
     /// [`Protocol::plan`](crate::Protocol::plan) — protocols may iterate it
     /// instead of `0..node_count()` with identical results (empty buffers

@@ -119,6 +119,14 @@ pub enum TopologySpecError {
     },
     /// An explicit parent array is not a tree.
     Tree(TreeError),
+    /// The spec describes more than `u32::MAX` nodes (or, for a DAG,
+    /// edges): the engine stores node ids and plan slots in 32 bits.
+    TooLarge {
+        /// The spec kind, e.g. `"grid"`.
+        kind: &'static str,
+        /// What overflows: `"nodes"` or `"edges"`.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for TopologySpecError {
@@ -128,6 +136,12 @@ impl fmt::Display for TopologySpecError {
                 write!(f, "invalid {kind} spec: {reason}")
             }
             TopologySpecError::Tree(e) => write!(f, "invalid tree spec: {e}"),
+            TopologySpecError::TooLarge { kind, what } => write!(
+                f,
+                "invalid {kind} spec: more than {} {what}; the engine addresses nodes and \
+                 plan slots in 32 bits",
+                u32::MAX
+            ),
         }
     }
 }
@@ -151,6 +165,19 @@ fn invalid(kind: &'static str, reason: impl Into<String>) -> TopologySpecError {
     TopologySpecError::InvalidParameter {
         kind,
         reason: reason.into(),
+    }
+}
+
+/// Checks that `count` of `what` (`None` when computing it overflowed)
+/// fits the engine's 32-bit node ids and plan slots.
+fn addressable(
+    kind: &'static str,
+    what: &'static str,
+    count: Option<u64>,
+) -> Result<(), TopologySpecError> {
+    match count {
+        Some(c) if c <= u64::from(u32::MAX) => Ok(()),
+        _ => Err(TopologySpecError::TooLarge { kind, what }),
     }
 }
 
@@ -180,6 +207,7 @@ impl TopologySpec {
                 if *n == 0 {
                     return Err(invalid("path", "need at least one node"));
                 }
+                addressable("path", "nodes", Some(*n as u64))?;
                 Ok(AnyTopology::Path(Path::new(*n)))
             }
             TopologySpec::Tree(tree) => tree.build().map(AnyTopology::Tree),
@@ -187,18 +215,27 @@ impl TopologySpec {
                 if *rows == 0 || *cols == 0 {
                     return Err(invalid("grid", "rows and cols must be at least 1"));
                 }
+                let (r, c) = (*rows as u64, *cols as u64);
+                addressable("grid", "nodes", r.checked_mul(c))?;
+                // r·c fits 32 bits now, so the edge count cannot overflow.
+                addressable("grid", "edges", Some(2 * r * c - r - c))?;
                 Ok(AnyTopology::Dag(Dag::grid(*rows, *cols)))
             }
             TopologySpec::Butterfly { k } => {
                 if *k == 0 || *k > 27 {
                     return Err(invalid("butterfly", "dimension must be in 1..=27"));
                 }
+                // (k+1)·2^k nodes always fit; k·2^(k+1) edges do up to k = 26.
+                addressable("butterfly", "edges", Some(u64::from(*k) << (k + 1)))?;
                 Ok(AnyTopology::Dag(Dag::butterfly(*k)))
             }
             TopologySpec::Diamond { width } => {
                 if *width == 0 {
                     return Err(invalid("diamond", "need at least one middle node"));
                 }
+                let width64 = *width as u64;
+                addressable("diamond", "nodes", width64.checked_add(2))?;
+                addressable("diamond", "edges", width64.checked_mul(2))?;
                 Ok(AnyTopology::Dag(Dag::diamond(*width)))
             }
             TopologySpec::RandomDag { n, density, seed } => {
@@ -208,7 +245,11 @@ impl TopologySpec {
                 if !(0.0..=1.0).contains(density) {
                     return Err(invalid("random_dag", "density must be a probability"));
                 }
-                Ok(AnyTopology::Dag(Dag::random_dag(*n, *density, *seed)))
+                addressable("random_dag", "nodes", Some(*n as u64))?;
+                // The edge count depends on the seed: known only once built.
+                let dag = Dag::random_dag(*n, *density, *seed);
+                addressable("random_dag", "edges", Some(dag.edge_count() as u64))?;
+                Ok(AnyTopology::Dag(dag))
             }
         }
     }
@@ -226,6 +267,7 @@ impl TreeSpec {
                 if *leaves == 0 {
                     return Err(invalid("star", "need at least one leaf"));
                 }
+                addressable("star", "nodes", (*leaves as u64).checked_add(1))?;
                 Ok(DirectedTree::star(*leaves))
             }
             TreeSpec::FullBinary { height } => {
@@ -238,15 +280,23 @@ impl TreeSpec {
                 if *spine == 0 {
                     return Err(invalid("caterpillar", "need a non-empty spine"));
                 }
+                let nodes = (*legs as u64)
+                    .checked_add(1)
+                    .and_then(|per_spine| per_spine.checked_mul(*spine as u64));
+                addressable("caterpillar", "nodes", nodes)?;
                 Ok(DirectedTree::caterpillar(*spine, *legs))
             }
             TreeSpec::Random { n, seed } => {
                 if *n == 0 {
                     return Err(invalid("random_tree", "need at least one node"));
                 }
+                addressable("random_tree", "nodes", Some(*n as u64))?;
                 Ok(DirectedTree::random(*n, *seed))
             }
-            TreeSpec::Parents { parents } => Ok(DirectedTree::from_parents(parents)?),
+            TreeSpec::Parents { parents } => {
+                addressable("parents", "nodes", Some(parents.len() as u64))?;
+                Ok(DirectedTree::from_parents(parents)?)
+            }
         }
     }
 }
@@ -542,6 +592,82 @@ mod tests {
             let err = bad.build().expect_err("must reject");
             assert!(!err.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn specs_beyond_32_bit_node_ids_or_plan_slots_are_too_large() {
+        let too_large = |kind, what| Err(TopologySpecError::TooLarge { kind, what });
+        for (spec, kind, what) in [
+            (TopologySpec::Path { n: 1 << 32 }, "path", "nodes"),
+            (
+                TopologySpec::Grid {
+                    rows: 4_000_000,
+                    cols: 4_000_000,
+                },
+                "grid",
+                "nodes",
+            ),
+            (
+                TopologySpec::Grid {
+                    rows: usize::MAX,
+                    cols: 2,
+                },
+                "grid",
+                "nodes",
+            ),
+            // 65 535² nodes fit 32 bits, their 2·65 535·65 534 edges do not.
+            (
+                TopologySpec::Grid {
+                    rows: 65_535,
+                    cols: 65_535,
+                },
+                "grid",
+                "edges",
+            ),
+            (TopologySpec::Butterfly { k: 27 }, "butterfly", "edges"),
+            (
+                TopologySpec::Diamond {
+                    width: usize::MAX - 1,
+                },
+                "diamond",
+                "nodes",
+            ),
+            (TopologySpec::Diamond { width: 1 << 31 }, "diamond", "edges"),
+            (
+                TopologySpec::RandomDag {
+                    n: 1 << 32,
+                    density: 0.0,
+                    seed: 0,
+                },
+                "random_dag",
+                "nodes",
+            ),
+            (
+                TopologySpec::Tree(TreeSpec::Star { leaves: usize::MAX }),
+                "star",
+                "nodes",
+            ),
+            (
+                TopologySpec::Tree(TreeSpec::Caterpillar {
+                    spine: 1 << 16,
+                    legs: 1 << 16,
+                }),
+                "caterpillar",
+                "nodes",
+            ),
+            (
+                TopologySpec::Tree(TreeSpec::Random {
+                    n: 1 << 32,
+                    seed: 0,
+                }),
+                "random_tree",
+                "nodes",
+            ),
+        ] {
+            assert_eq!(spec.build().map(|_| ()), too_large(kind, what), "{spec:?}");
+        }
+        // The largest butterfly whose edges fit still passes the check.
+        assert!(addressable("butterfly", "edges", Some(26 << 27)).is_ok());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! # aqt-telemetry — streaming telemetry for AQT runs
 //!
 //! The million-node engine (`aqt-model`) is a black box at scale: the
-//! only whole-run instrument before this crate was `Traced`, which
-//! materializes a per-node occupancy row every round — O(nodes × rounds)
-//! memory. This crate instead observes a run through the engine's
-//! [`Probe`](aqt_model::Probe) hooks and keeps **bounded** state:
+//! `aqt-trace` `Tracer` materializes a per-node occupancy row every
+//! sampled round, so it keeps O(cell cap) memory only by decimating.
+//! This crate observes a run through the same engine
+//! [`Probe`](aqt_model::Probe) hooks but keeps **bounded** aggregates
+//! of every round:
 //!
 //! * [`TelemetryCounters`] — whole-run injected/accepted/forwarded/
 //!   delivered/dropped totals (O(1)).
@@ -21,10 +22,10 @@
 //!   `aqt-bench`, keeping the workspace no-wall-clock lint clean).
 //!
 //! The entry point is [`TelemetryProbe`]: hand it to
-//! `Simulation::step_probed`/`run_past_horizon_probed` (or let the
-//! `aqt-analysis` scenario runner drive it via `TelemetrySpec`), then
-//! call [`TelemetryProbe::report`] for a serializable
-//! [`TelemetryReport`].
+//! `Simulation::step_probed`/`run_past_horizon_probed` (or to the
+//! `aqt-analysis` scenario runner `run_scenario_probed`, building it
+//! from the scenario's `TelemetrySpec`), then call
+//! [`TelemetryProbe::report`] for a serializable [`TelemetryReport`].
 //!
 //! ## Determinism
 //!

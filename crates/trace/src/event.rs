@@ -2,8 +2,8 @@
 //!
 //! A [`Trace`] is the serializable history of one run, captured at the
 //! paper's measurement point: each record holds the configuration `L^t`
-//! (post-injection, pre-forwarding) and the forwarding plan the protocol
-//! returned for it. Traces support replay-style debugging, offline
+//! (post-injection, pre-forwarding) and the moves the engine applied
+//! from it. Traces support replay-style debugging, offline
 //! invariant checking, CSV export and the ASCII renderings in
 //! [`crate::render`].
 
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use aqt_model::{NodeId, PacketId, Round};
 
-/// One scheduled send within a round.
+/// One applied move within a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SendRecord {
     /// The forwarding node.
@@ -38,7 +38,8 @@ pub struct RoundRecord {
     /// trace entirely if the run stops after round `t` (run a settle
     /// round to capture it; `RunMetrics::dropped` is authoritative).
     pub drops: Vec<u32>,
-    /// The sends of this round's forwarding plan.
+    /// The moves the engine applied this round, in move order. A planned
+    /// send the fault mask blocked is not a move and is absent.
     pub sends: Vec<SendRecord>,
 }
 
@@ -56,13 +57,14 @@ impl RoundRecord {
 /// ```
 /// use aqt_model::{Injection, Path, Pattern, Simulation};
 /// use aqt_core::Greedy;
-/// use aqt_trace::Traced;
+/// use aqt_trace::Tracer;
 ///
 /// let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 3); 2]);
-/// let protocol = Traced::new(Greedy::new(aqt_core::GreedyPolicy::Fifo));
+/// let protocol = Greedy::new(aqt_core::GreedyPolicy::Fifo);
 /// let mut sim = Simulation::new(Path::new(4), protocol, &pattern)?;
-/// sim.run(5)?;
-/// let trace = sim.protocol().trace();
+/// let mut tracer = Tracer::new("Greedy-FIFO");
+/// sim.run_past_horizon_probed(4, &mut tracer)?; // rounds 0..5
+/// let trace = tracer.trace();
 /// assert_eq!(trace.len(), 5);
 /// assert_eq!(trace.peak(), 2);
 /// assert_eq!(trace.total_delivered(), 2);

@@ -2,10 +2,11 @@
 //!
 //! Debugging and verification companion to the small-buffers simulator:
 //!
-//! * [`Traced`] — a protocol decorator that records a serializable
-//!   [`Trace`] (per-round configurations `L^t` and forwarding plans) of
-//!   any run, without changing behavior.
-//! * [`Monitor`] / [`Monitored`] / [`run_monitored`] — online invariant
+//! * [`Tracer`] — a [`Probe`](aqt_model::Probe) that records a
+//!   serializable [`Trace`] (per-round configurations `L^t` and the moves
+//!   the engine applied) of any run, sequential or sharded, without
+//!   changing behavior.
+//! * [`Monitor`] / [`Monitors`] / [`run_monitored`] — online invariant
 //!   checking at the paper's measurement point. [`BadnessExcessMonitor`]
 //!   checks the proof invariant `B^t(i) ≤ ξ_t(i) + 1` that drives
 //!   Props. 3.1/3.2 — *while* the protocol runs.
@@ -16,7 +17,7 @@
 //!   [`HistogramSketch`]es that `aqt-telemetry` probes collect, so a
 //!   telemetry report can be eyeballed without leaving the terminal.
 //!
-//! [`Traced`] keeps memory bounded on long or large runs: past a
+//! [`Tracer`] keeps memory bounded on long or large runs: past a
 //! configurable cell cap it decimates the trace in place (doubling its
 //! sampling stride) rather than growing without bound.
 //!
@@ -25,12 +26,13 @@
 //! ```
 //! use aqt_core::Ppts;
 //! use aqt_model::{Injection, Path, Pattern, Simulation};
-//! use aqt_trace::{heatmap, Traced};
+//! use aqt_trace::{heatmap, Tracer};
 //!
 //! let pattern: Pattern = (0..16u64).map(|t| Injection::new(t, 0, 7)).collect();
-//! let mut sim = Simulation::new(Path::new(8), Traced::new(Ppts::new()), &pattern)?;
-//! sim.run_past_horizon(20)?;
-//! let trace = sim.protocol().trace();
+//! let mut sim = Simulation::new(Path::new(8), Ppts::new(), &pattern)?;
+//! let mut tracer = Tracer::new("PPTS");
+//! sim.run_past_horizon_probed(20, &mut tracer)?;
+//! let trace = tracer.trace();
 //! assert_eq!(trace.peak() as usize, sim.metrics().max_occupancy);
 //! let art = heatmap(trace, 60, 8);
 //! assert!(art.contains("PPTS"));
@@ -67,9 +69,9 @@ mod traced;
 
 pub use event::{RoundRecord, SendRecord, Trace};
 pub use monitor::{
-    run_monitored, BadnessExcessMonitor, Monitor, Monitored, OccupancyMonitor, Violation,
+    run_monitored, BadnessExcessMonitor, Monitor, Monitors, OccupancyMonitor, Violation,
 };
 pub use render::{grid_heatmap, heatmap, histogram, loss_heatmap, sparkline};
-pub use traced::Traced;
+pub use traced::Tracer;
 
 pub use aqt_telemetry::HistogramSketch;

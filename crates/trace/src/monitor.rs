@@ -3,26 +3,27 @@
 //!
 //! A [`Monitor`] observes each configuration `L^t` (post-injection,
 //! pre-forwarding — exactly the measurement point of the proofs). The
-//! [`Monitored`] decorator invokes a stack of monitors from inside
-//! `Protocol::plan`, and [`run_monitored`] is a one-call harness that runs
-//! a protocol to a horizon and returns the first [`Violation`], if any.
+//! [`Monitors`] probe runs a stack of monitors at that point of every
+//! round, and [`run_monitored`] is a one-call harness that runs a
+//! protocol to a horizon and returns the first [`Violation`], if any.
 //!
-//! Monitors included:
+//! Checks included:
 //!
 //! * [`OccupancyMonitor`] — `|L^t(v)| ≤ bound` everywhere (the theorems'
 //!   conclusions);
 //! * [`BadnessExcessMonitor`] — the key proof invariant of Props. 3.1/3.2:
 //!   `B^t(i) ≤ ξ_t(i) + 1` for every node, where ξ is the excess of
 //!   Def. 2.2 computed from the injection pattern;
-//! * [`QuiescenceMonitor`] — if nothing is bad, a faithful peak-to-sink
-//!   protocol must not forward (detects over-eager implementations).
+//! * [`Monitors::enforce_quiescence`] — if nothing is bad, a faithful
+//!   peak-to-sink protocol must not forward (detects over-eager
+//!   implementations).
 
 use std::fmt;
 
 use aqt_core::badness::badness_path;
 use aqt_model::{
-    ExcessTracker, ForwardingPlan, InjectionMode, NetworkState, NodeId, Pattern, Protocol, Rate,
-    Round, Simulation, Topology,
+    ExcessTracker, ModelError, NetworkState, NodeId, PacketId, Pattern, Probe, Protocol, Rate,
+    Round, RunMetrics, Simulation, Topology,
 };
 
 /// A detected invariant violation.
@@ -45,6 +46,10 @@ impl fmt::Display for Violation {
 impl std::error::Error for Violation {}
 
 /// An online observer of configurations at the `L^t` measurement point.
+///
+/// `T` is the topology the monitored invariant is stated for, so a
+/// path-only invariant such as [`BadnessExcessMonitor`] cannot be
+/// attached to a run on any other topology.
 pub trait Monitor<T: Topology> {
     /// Monitor name used in [`Violation`] reports.
     fn name(&self) -> String;
@@ -55,12 +60,7 @@ pub trait Monitor<T: Topology> {
     /// # Errors
     ///
     /// Returns a [`Violation`] describing the failed invariant.
-    fn observe(
-        &mut self,
-        round: Round,
-        topology: &T,
-        state: &NetworkState,
-    ) -> Result<(), Violation>;
+    fn observe(&mut self, round: Round, state: &NetworkState) -> Result<(), Violation>;
 }
 
 /// Checks `|L^t(v)| ≤ bound` for every node, every round.
@@ -81,12 +81,7 @@ impl<T: Topology> Monitor<T> for OccupancyMonitor {
         format!("occupancy<={}", self.bound)
     }
 
-    fn observe(
-        &mut self,
-        round: Round,
-        _topology: &T,
-        state: &NetworkState,
-    ) -> Result<(), Violation> {
+    fn observe(&mut self, round: Round, state: &NetworkState) -> Result<(), Violation> {
         for v in 0..state.node_count() {
             let occ = state.occupancy(NodeId::new(v));
             if occ > self.bound {
@@ -153,12 +148,7 @@ impl Monitor<aqt_model::Path> for BadnessExcessMonitor {
         "badness<=excess+1".into()
     }
 
-    fn observe(
-        &mut self,
-        round: Round,
-        _topology: &aqt_model::Path,
-        state: &NetworkState,
-    ) -> Result<(), Violation> {
+    fn observe(&mut self, round: Round, state: &NetworkState) -> Result<(), Violation> {
         // Bring the excess tracker up to (and including) this round.
         while self.fed <= round.value() {
             if let Some(batch) = self.rounds.get(self.fed as usize) {
@@ -187,43 +177,35 @@ impl Monitor<aqt_model::Path> for BadnessExcessMonitor {
     }
 }
 
-/// Decorates a protocol with a stack of monitors, all observing `L^t`
-/// right before the protocol plans.
+/// A [`Probe`] that runs a stack of monitors at every `L^t`
+/// observation.
 ///
-/// The first violation is latched ([`Monitored::violation`]); planning
-/// continues so the run completes deterministically.
-pub struct Monitored<T: Topology, P> {
-    inner: P,
-    monitors: Vec<Box<dyn Monitor<T> + Send + Sync>>,
+/// The first violation is latched ([`Monitors::violation`]); the run
+/// itself continues, so it completes deterministically.
+pub struct Monitors<T: Topology> {
+    monitors: Vec<Box<dyn Monitor<T>>>,
     violation: Option<Violation>,
-    /// Extra check: quiescent configurations must produce empty plans.
+    /// Extra check: quiescent configurations must produce no moves.
     enforce_quiescence: bool,
+    /// Whether the current round's `L^t` was quiet (only tracked under
+    /// `enforce_quiescence`).
+    quiet: bool,
 }
 
-impl<T: Topology, P: fmt::Debug> fmt::Debug for Monitored<T, P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Monitored")
-            .field("inner", &self.inner)
-            .field("monitors", &self.monitors.len())
-            .field("violation", &self.violation)
-            .field("enforce_quiescence", &self.enforce_quiescence)
-            .finish()
-    }
-}
-
-impl<T: Topology, P> Monitored<T, P> {
-    /// Wraps `inner` with the given monitors.
-    pub fn new(inner: P, monitors: Vec<Box<dyn Monitor<T> + Send + Sync>>) -> Self {
-        Monitored {
-            inner,
+impl<T: Topology> Monitors<T> {
+    /// A probe running the given monitors.
+    pub fn new(monitors: Vec<Box<dyn Monitor<T>>>) -> Self {
+        Monitors {
             monitors,
             violation: None,
             enforce_quiescence: false,
+            quiet: false,
         }
     }
 
-    /// Additionally require that globally quiet configurations (no
-    /// destination with two packets in one buffer) produce empty plans.
+    /// Additionally require that a round starting from a globally quiet
+    /// configuration (no destination with two packets in one buffer)
+    /// moves nothing.
     pub fn enforce_quiescence(mut self) -> Self {
         self.enforce_quiescence = true;
         self
@@ -233,49 +215,31 @@ impl<T: Topology, P> Monitored<T, P> {
     pub fn violation(&self) -> Option<&Violation> {
         self.violation.as_ref()
     }
-
-    /// The wrapped protocol.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
 }
 
-impl<T: Topology, P: Protocol<T>> Protocol<T> for Monitored<T, P> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn injection_mode(&self) -> InjectionMode {
-        self.inner.injection_mode()
-    }
-
-    fn plan(
-        &mut self,
-        round: Round,
-        topology: &T,
-        state: &NetworkState,
-        plan: &mut ForwardingPlan,
-    ) {
+impl<T: Topology> Probe for Monitors<T> {
+    fn on_observe(&mut self, round: Round, state: &NetworkState) {
         for m in &mut self.monitors {
-            if let Err(v) = m.observe(round, topology, state) {
+            if let Err(v) = m.observe(round, state) {
                 self.violation.get_or_insert(v);
             }
         }
-        self.inner.plan(round, topology, state, plan);
-        if self.enforce_quiescence && self.violation.is_none() {
-            let quiet = (0..state.node_count()).all(|v| {
+        self.quiet = self.enforce_quiescence
+            && (0..state.node_count()).all(|v| {
                 state
                     .by_destination(NodeId::new(v))
                     .values()
                     .all(|packets| packets.len() <= 1)
             });
-            if quiet && !plan.is_empty() {
-                self.violation = Some(Violation {
-                    monitor: "quiescence".into(),
-                    round,
-                    message: format!("{} sends from a quiet configuration", plan.len()),
-                });
-            }
+    }
+
+    fn on_move(&mut self, round: Round, from: NodeId, _packet: PacketId, _delivers: bool) {
+        if self.quiet && self.violation.is_none() {
+            self.violation = Some(Violation {
+                monitor: "quiescence".into(),
+                round,
+                message: format!("{from} sends from a quiet configuration"),
+            });
         }
     }
 }
@@ -285,47 +249,42 @@ impl<T: Topology, P: Protocol<T>> Protocol<T> for Monitored<T, P> {
 ///
 /// # Errors
 ///
-/// Returns the violation if any monitor fired, or wraps a [`ModelError`]
-/// from the engine as a violation with monitor name `"engine"`.
-///
-/// [`ModelError`]: aqt_model::ModelError
+/// Returns the first violation if any monitor fired; otherwise wraps a
+/// [`ModelError`] from the engine as a violation with monitor name
+/// `"engine"`.
 pub fn run_monitored<T, P>(
     topology: T,
     protocol: P,
     pattern: &Pattern,
     extra: u64,
-    monitors: Vec<Box<dyn Monitor<T> + Send + Sync>>,
-) -> Result<aqt_model::RunMetrics, Violation>
+    monitors: Vec<Box<dyn Monitor<T>>>,
+) -> Result<RunMetrics, Violation>
 where
     T: Topology + Sync,
     P: Protocol<T> + Sync,
 {
-    let wrapped = Monitored::new(protocol, monitors);
-    let mut sim = Simulation::new(topology, wrapped, pattern).map_err(|e| Violation {
+    let engine = |round: Round, e: ModelError| Violation {
         monitor: "engine".into(),
-        round: Round::ZERO,
+        round,
         message: e.to_string(),
-    })?;
-    let horizon = pattern.last_round().map_or(0, |r| r.value() + 1) + extra;
-    for _ in 0..horizon {
-        let round = sim.round();
-        sim.step().map_err(|e| Violation {
-            monitor: "engine".into(),
-            round,
-            message: e.to_string(),
-        })?;
-        if let Some(v) = sim.protocol().violation() {
-            return Err(v.clone());
-        }
+    };
+    let mut sim =
+        Simulation::new(topology, protocol, pattern).map_err(|e| engine(Round::ZERO, e))?;
+    let mut probe = Monitors::new(monitors);
+    let run = sim.run_past_horizon_probed(extra, &mut probe).cloned();
+    match (probe.violation, run) {
+        (Some(v), _) => Err(v),
+        // A failed round leaves the engine's round counter on it.
+        (None, Err(e)) => Err(engine(sim.round(), e)),
+        (None, Ok(metrics)) => Ok(metrics),
     }
-    Ok(sim.metrics().clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aqt_core::{Greedy, GreedyPolicy, Ppts, Pts};
-    use aqt_model::{Injection, Path, Pattern};
+    use aqt_model::{ForwardingPlan, Injection, Path, Pattern};
 
     fn burst_pattern() -> Pattern {
         Pattern::from_injections(vec![
@@ -419,22 +378,24 @@ mod tests {
     fn quiescence_enforcement_flags_greedy() {
         // Greedy forwards lone packets — not a peak-to-sink protocol.
         let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 7)]);
-        let wrapped =
-            Monitored::new(Greedy::new(GreedyPolicy::Fifo), Vec::new()).enforce_quiescence();
-        let mut sim = Simulation::new(Path::new(8), wrapped, &pattern).unwrap();
-        sim.run(3).unwrap();
-        let v = sim.protocol().violation().expect("greedy is eager");
+        let mut probe = Monitors::<Path>::new(Vec::new()).enforce_quiescence();
+        let mut sim =
+            Simulation::new(Path::new(8), Greedy::new(GreedyPolicy::Fifo), &pattern).unwrap();
+        for _ in 0..3 {
+            sim.step_probed(&mut probe).unwrap();
+        }
+        let v = probe.violation().expect("greedy is eager");
         assert_eq!(v.monitor, "quiescence");
     }
 
     #[test]
     fn quiescence_enforcement_accepts_faithful_ppts() {
-        let wrapped = Monitored::new(Ppts::new(), Vec::new()).enforce_quiescence();
-        let mut sim = Simulation::new(Path::new(8), wrapped, &burst_pattern()).unwrap();
+        let mut probe = Monitors::<Path>::new(Vec::new()).enforce_quiescence();
+        let mut sim = Simulation::new(Path::new(8), Ppts::new(), &burst_pattern()).unwrap();
         for _ in 0..40 {
-            sim.step().unwrap();
+            sim.step_probed(&mut probe).unwrap();
         }
-        assert!(sim.protocol().violation().is_none());
+        assert!(probe.violation().is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use small_buffers::{
     bounds, capacity_threshold, loss_heatmap, sparkline, CapacityConfig, DropPolicy, DropTail,
-    FnSource, Injection, NodeId, Path, Pts, Rate, Simulation, StagingMode, Traced,
+    FnSource, Injection, NodeId, Path, Protocol, Pts, Rate, Simulation, StagingMode, Tracer,
 };
 
 const N: usize = 16;
@@ -84,9 +84,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Where the losses land, one below the threshold ---------------
     let starved = th.threshold.saturating_sub(1).max(1);
-    let mut sim = Simulation::from_source(topo, Traced::new(Pts::eager(sink)), shaped(topo))
+    let mut sim = Simulation::from_source(topo, Pts::eager(sink), shaped(topo))
         .with_capacity(CapacityConfig::uniform(starved), DropTail);
-    sim.run_past_horizon(200)?;
-    println!("{}", loss_heatmap(sim.protocol().trace(), 64, N.min(8)));
+    let mut tracer = Tracer::new(sim.protocol().name());
+    sim.run_past_horizon_probed(200, &mut tracer)?;
+    println!("{}", loss_heatmap(tracer.trace(), 64, N.min(8)));
     Ok(())
 }

@@ -13,7 +13,7 @@
 
 use small_buffers::{
     capacity_threshold, grid, grid_heatmap, Dag, DagGreedy, DropPolicy, DropTail, PatternSource,
-    Rate, Simulation, StagingMode, Topology, Traced,
+    Rate, Simulation, StagingMode, Topology, Tracer,
 };
 
 const ROWS: usize = 8;
@@ -45,10 +45,10 @@ fn main() {
     // toward the bottom-right corner — XY routing funnels all of it into
     // the last column.
     let wave = grid::diagonal_wave(ROWS, COLS, 1, 1);
-    let mut traced =
-        Simulation::new(mesh.clone(), Traced::new(DagGreedy::fifo()), &wave).expect("valid wave");
+    let mut traced = Simulation::new(mesh.clone(), DagGreedy::fifo(), &wave).expect("valid wave");
+    let mut tracer = Tracer::new("DagGreedy-FIFO");
     traced
-        .run_past_horizon(2 * (ROWS + COLS) as u64)
+        .run_past_horizon_probed(2 * (ROWS + COLS) as u64, &mut tracer)
         .expect("valid run");
     println!(
         "diagonal waves: {} packets, peak buffer {} at {:?}",
@@ -56,7 +56,7 @@ fn main() {
         traced.metrics().max_occupancy,
         traced.metrics().max_occupancy_at
     );
-    println!("{}", grid_heatmap(traced.protocol().trace(), ROWS, COLS));
+    println!("{}", grid_heatmap(tracer.trace(), ROWS, COLS));
 
     // The E11/E12 threshold contract, on the mesh: the smallest capacity
     // that loses nothing is exactly the unbounded run's peak.

@@ -14,7 +14,7 @@
 
 use small_buffers::{
     heatmap, run_monitored, sparkline, BadnessExcessMonitor, DestSpec, ForwardingPlan,
-    NetworkState, Path, Ppts, Protocol, RandomAdversary, Rate, Round, Simulation, Traced,
+    NetworkState, Path, Ppts, Protocol, RandomAdversary, Rate, Round, Simulation, Tracer,
 };
 
 /// PPTS that skips odd rounds: a realistic bug (under-provisioned service
@@ -42,9 +42,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build_path(&topo);
 
     // --- Run 1: healthy PPTS, traced and rendered --------------------
-    let mut sim = Simulation::new(topo, Traced::new(Ppts::new()), &pattern)?;
-    sim.run_past_horizon(2 * n as u64)?;
-    let trace = sim.protocol().trace();
+    let mut sim = Simulation::new(topo, Ppts::new(), &pattern)?;
+    let mut tracer = Tracer::new(sim.protocol().name());
+    sim.run_past_horizon_probed(2 * n as u64, &mut tracer)?;
+    let trace = tracer.trace();
     println!("{}", heatmap(trace, 100, 12));
     println!(
         "max-occupancy series: {}\n",

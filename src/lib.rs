@@ -120,11 +120,11 @@ pub use aqt_adversary::{
 };
 pub use aqt_analysis::{
     bounds, capacity_rate_grid, capacity_threshold, measured_sigma, measured_sigma_on,
-    parallel_map, render_figure1, run_grid, run_pattern, run_scenario, run_scenario_sharded,
-    run_scenario_telemetry, run_scenario_telemetry_with, run_scenarios, run_scenarios_with_threads,
-    run_source, run_source_capacity, sweep, sweep_capacity_grid, CapacityGridPoint, CapacityProbe,
-    CapacitySpec, CapacityThreshold, Prediction, RunSummary, Scenario, ScenarioError, ScenarioGrid,
-    StaticReport, SweepAggregate, Table, Verdict,
+    parallel_map, render_figure1, run_grid, run_pattern, run_scenario, run_scenario_probed,
+    run_scenarios, run_scenarios_with_threads, run_source, run_source_capacity, sweep,
+    sweep_capacity_grid, CapacityGridPoint, CapacityProbe, CapacitySpec, CapacityThreshold,
+    Prediction, RunSummary, Scenario, ScenarioError, ScenarioGrid, StaticReport, SweepAggregate,
+    Table, Verdict,
 };
 pub use aqt_core::{
     badness, low_antichain, Batched, DagGreedy, DestSpaceError, Greedy, GreedyPolicy, Hierarchy,
@@ -146,7 +146,7 @@ pub use aqt_telemetry::{
 };
 pub use aqt_trace::{
     grid_heatmap, heatmap, loss_heatmap, run_monitored, sparkline, BadnessExcessMonitor, Monitor,
-    Monitored, OccupancyMonitor, RoundRecord, SendRecord, Trace, Traced, Violation,
+    Monitors, OccupancyMonitor, RoundRecord, SendRecord, Trace, Tracer, Violation,
 };
 
 #[cfg(test)]

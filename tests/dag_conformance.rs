@@ -24,7 +24,7 @@
 use small_buffers::{
     Batched, CapacityConfig, Dag, DagGreedy, DestSpec, DirectedTree, DropPolicyKind, Greedy,
     GreedyPolicy, NodeId, Path, Pattern, Protocol, RandomAdversary, Rate, Simulation, StagingMode,
-    Topology, Traced,
+    Topology, Tracer,
 };
 
 const N: usize = 12;
@@ -42,13 +42,16 @@ where
     T: Topology + Sync,
     P: Protocol<T> + Sync,
 {
-    let mut sim = Simulation::new(topo, Traced::new(protocol), pattern).expect("valid pattern");
+    let mut tracer = Tracer::new(protocol.name());
+    let mut sim = Simulation::new(topo, protocol, pattern).expect("valid pattern");
     if let Some((cap, staging, kind)) = capacity {
         sim = sim.with_capacity(CapacityConfig::uniform(cap).staging(staging), kind.build());
     }
-    sim.run(ROUNDS).expect("valid run");
+    for _ in 0..ROUNDS {
+        sim.step_probed(&mut tracer).expect("valid run");
+    }
     let metrics = serde_json::to_string(sim.metrics()).expect("metrics serialize");
-    let trace = serde_json::to_string(sim.protocol().trace()).expect("trace serializes");
+    let trace = serde_json::to_string(tracer.trace()).expect("trace serializes");
     let drops: Vec<u64> = (0..sim.state().node_count())
         .map(|v| sim.state().drops_at(NodeId::new(v)))
         .collect();

@@ -5,7 +5,7 @@
 //! all without executing a single round. The run path never panics on
 //! that corpus either.
 
-use small_buffers::{run_scenario, Scenario, ScenarioError, ScenarioGrid};
+use small_buffers::{run_scenario, Scenario, ScenarioError, ScenarioGrid, TopologySpecError};
 
 fn read(rel: &str) -> String {
     let path = format!("{}/scenarios/{rel}", env!("CARGO_MANIFEST_DIR"));
@@ -136,6 +136,30 @@ fn degenerate_topology_is_a_topology_error() {
     let err = reject("invalid/zero_node_path.json");
     assert!(matches!(err, ScenarioError::Topology(_)), "{err}");
     assert!(err.to_string().contains("at least one node"), "{err}");
+}
+
+#[test]
+fn grids_beyond_32_bit_node_ids_are_topology_errors_on_both_paths() {
+    // Both used to abort the process: the first on a 512 TB allocation,
+    // the second on a capacity overflow.
+    for file in [
+        "invalid/grid_node_ids.json",
+        "invalid/grid_dims_overflow.json",
+    ] {
+        for err in [reject(file), reject_run(file)] {
+            assert!(
+                matches!(
+                    &err,
+                    ScenarioError::Topology(TopologySpecError::TooLarge {
+                        kind: "grid",
+                        what: "nodes"
+                    })
+                ),
+                "{file}: {err}"
+            );
+            assert!(err.to_string().contains("32 bits"), "{file}: {err}");
+        }
+    }
 }
 
 #[test]

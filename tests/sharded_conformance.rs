@@ -1,6 +1,6 @@
 //! The sharded engine is a **byte-identical drop-in** for the sequential
 //! one: for every cell of a protocol × topology × capacity × staging
-//! matrix, [`run_scenario_sharded`] at 1, 2 and 4 shards must reproduce
+//! matrix, [`run_scenario_probed`] at 1, 2 and 4 shards must reproduce
 //! [`run_scenario`]'s [`RunSummary`] exactly (compared as serialized
 //! JSON, so every counter — injected, delivered, dropped, peaks,
 //! latencies — participates).
@@ -15,10 +15,11 @@
 
 use small_buffers::model::{EnginePhase, Probe};
 use small_buffers::{
-    run_scenario, run_scenario_sharded, run_scenario_telemetry, run_scenario_telemetry_with,
-    CapacityConfig, CapacitySpec, DropPolicyKind, FaultEvent, FaultSpec, FaultState, GreedyPolicy,
-    Injection, NetworkState, Packet, PacketId, ProtocolSpec, Round, RoundOutcome, Scenario,
-    Simulation, SourceSpec, StagingMode, TelemetrySpec, Topology, TopologySpec, TreeSpec,
+    run_scenario, run_scenario_probed, CapacityConfig, CapacitySpec, DropPolicyKind, FaultEvent,
+    FaultSpec, FaultState, GreedyPolicy, Injection, NetworkState, NodeId, Packet, PacketId,
+    ProtocolSpec, Round, RoundOutcome, RunSummary, Scenario, ScenarioError, SourceSpec,
+    StagingMode, TelemetryProbe, TelemetryReport, TelemetrySpec, Topology, TopologySpec, Tracer,
+    TreeSpec,
 };
 
 const EXTRA: u64 = 40;
@@ -29,7 +30,7 @@ fn assert_sharding_invariant(label: &str, scenario: &Scenario) {
     let sequential = run_scenario(scenario).expect("sequential run");
     let expected = serde_json::to_string(&sequential).expect("summary serializes");
     for shards in [1usize, 2, 4] {
-        let sharded = run_scenario_sharded(scenario, shards)
+        let sharded = run_scenario_probed(scenario, shards, &mut ())
             .unwrap_or_else(|e| panic!("{label}: {shards}-shard run failed: {e}"));
         assert_eq!(
             expected,
@@ -499,6 +500,17 @@ fn telemetry_cells() -> Vec<(&'static str, Scenario)> {
     cells
 }
 
+/// `scenario` on `shards` shards with a `TelemetryProbe` built from its
+/// telemetry spec.
+fn telemetry_run(
+    scenario: &Scenario,
+    shards: usize,
+) -> Result<(RunSummary, TelemetryReport), ScenarioError> {
+    let mut probe = TelemetryProbe::new(scenario.telemetry.unwrap_or_default());
+    let summary = run_scenario_probed(scenario, shards, &mut probe)?;
+    Ok((summary, probe.report()))
+}
+
 #[test]
 fn the_probe_observes_without_perturbing() {
     // A probed run must report the exact summary of an unprobed one:
@@ -510,7 +522,7 @@ fn the_probe_observes_without_perturbing() {
         };
         let expected = serde_json::to_string(&run_scenario(&plain).expect("plain run")).unwrap();
         let (summary, report) =
-            run_scenario_telemetry(&probed).unwrap_or_else(|e| panic!("{label}: probed run: {e}"));
+            telemetry_run(&probed, 1).unwrap_or_else(|e| panic!("{label}: probed run: {e}"));
         assert_eq!(
             expected,
             serde_json::to_string(&summary).unwrap(),
@@ -536,10 +548,10 @@ fn telemetry_data_is_sharding_invariant() {
     // shard-shaped by design and excluded.)
     for (label, s) in telemetry_cells() {
         let (_, sequential) =
-            run_scenario_telemetry(&s).unwrap_or_else(|e| panic!("{label}: sequential: {e}"));
+            telemetry_run(&s, 1).unwrap_or_else(|e| panic!("{label}: sequential: {e}"));
         let expected = serde_json::to_string(&sequential.data).unwrap();
         for shards in [1usize, 2, 4] {
-            let (_, sharded) = run_scenario_telemetry_with(&s, shards, None, None, |_| {})
+            let (_, sharded) = telemetry_run(&s, shards)
                 .unwrap_or_else(|e| panic!("{label}: {shards}-shard run failed: {e}"));
             assert_eq!(
                 expected,
@@ -561,6 +573,7 @@ enum Hook {
     /// `active_count` at the `L^t` observation.
     Observe(Round, usize),
     Phase(Round, EnginePhase),
+    Move(Round, NodeId, PacketId, bool),
     Delivery(Round, PacketId),
     Round(RoundOutcome),
 }
@@ -583,6 +596,10 @@ impl Probe for Recorder {
         self.0.push(Hook::Phase(round, phase));
     }
 
+    fn on_move(&mut self, round: Round, from: NodeId, packet: PacketId, delivers: bool) {
+        self.0.push(Hook::Move(round, from, packet, delivers));
+    }
+
     fn on_delivery(&mut self, round: Round, packet: &Packet) {
         self.0.push(Hook::Delivery(round, packet.id()));
     }
@@ -594,19 +611,8 @@ impl Probe for Recorder {
 
 /// The hook log of `scenario` run to its horizon on `shards` shards.
 fn hook_log(scenario: &Scenario, shards: usize) -> Vec<Hook> {
-    let topology = scenario.topology.build().expect("topology builds");
-    let protocol = scenario.protocol.build(&topology).expect("protocol builds");
-    let source = scenario.source.build(&topology).expect("source builds");
-    let mut sim = Simulation::from_source(topology, protocol, source).with_shards(shards);
-    if let Some(cap) = &scenario.capacity {
-        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
-    }
-    if let Some(faults) = &scenario.faults {
-        sim = sim.with_faults(faults);
-    }
     let mut recorder = Recorder::default();
-    sim.run_past_horizon_probed(scenario.extra, &mut recorder)
-        .expect("valid run");
+    run_scenario_probed(scenario, shards, &mut recorder).expect("valid run");
     recorder.0
 }
 
@@ -639,4 +645,29 @@ fn probe_hooks_fire_in_the_same_sequence_at_every_shard_count() {
             .any(|h| matches!(h, Hook::Fault(_))),
         "grid/faulted: no fault hook fired"
     );
+}
+
+#[test]
+fn traces_are_identical_at_every_shard_count() {
+    // The grid cells run DagGreedy, which plans by range, so the 2- and
+    // 4-shard runs trace the parallel plan.
+    for (label, s) in telemetry_cells() {
+        let trace_json = |shards: usize| {
+            let mut tracer = Tracer::new(s.display_name());
+            run_scenario_probed(&s, shards, &mut tracer).expect("valid run");
+            serde_json::to_string(tracer.trace()).expect("trace serializes")
+        };
+        let sequential = trace_json(1);
+        assert!(
+            sequential.contains("\"delivered\":true"),
+            "{label}: vacuous trace"
+        );
+        for shards in [2usize, 4] {
+            assert_eq!(
+                sequential,
+                trace_json(shards),
+                "{label}: {shards}-shard trace diverged"
+            );
+        }
+    }
 }

@@ -3,8 +3,9 @@
 //! execution for PTS and PPTS under randomized bounded adversaries.
 
 use small_buffers::{
-    heatmap, patterns, run_monitored, BadnessExcessMonitor, DestSpec, Greedy, GreedyPolicy, NodeId,
-    OccupancyMonitor, Path, Ppts, Pts, RandomAdversary, Rate, Simulation, Trace, Traced,
+    heatmap, patterns, run_monitored, BadnessExcessMonitor, DestSpec, FaultEvent, FaultSpec,
+    Greedy, GreedyPolicy, Injection, NodeId, OccupancyMonitor, Path, Pattern, Ppts, Protocol, Pts,
+    RandomAdversary, Rate, Simulation, Trace, Tracer,
 };
 
 #[test]
@@ -73,13 +74,53 @@ fn traced_run_agrees_with_engine_metrics_for_every_protocol() {
         .build_path(&topo);
 
     for policy in GreedyPolicy::ALL {
-        let mut sim = Simulation::new(topo, Traced::new(Greedy::new(policy)), &pattern).unwrap();
-        sim.run_past_horizon(150).unwrap();
-        let trace = sim.protocol().trace();
+        let mut sim = Simulation::new(topo, Greedy::new(policy), &pattern).unwrap();
+        let mut tracer = Tracer::new(Protocol::<Path>::name(sim.protocol()));
+        sim.run_past_horizon_probed(150, &mut tracer).unwrap();
+        let trace = tracer.trace();
         let metrics = sim.metrics();
         assert_eq!(trace.peak() as usize, metrics.max_occupancy, "{policy:?}");
         assert_eq!(trace.total_forwards() as u64, metrics.forwarded);
         assert_eq!(trace.total_delivered() as u64, metrics.delivered);
+    }
+}
+
+#[test]
+fn trace_agrees_with_engine_metrics_under_link_faults() {
+    // One packet 0 → 3 on a 4-node path; each schedule takes down one
+    // link of its route for a few rounds. A send over a downed link is
+    // not a move, so the trace must count only the hops the engine
+    // applied: 3 forwards and 1 delivery.
+    let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 3)]);
+    for (from, to, at, until, rounds) in [(1, 2, 1, 3, 6), (2, 3, 2, 5, 7)] {
+        let faults = FaultSpec::new(0).with_event(FaultEvent::LinkDown {
+            from,
+            to,
+            at,
+            until: Some(until),
+        });
+        let mut sim = Simulation::new(Path::new(4), Greedy::new(GreedyPolicy::Fifo), &pattern)
+            .unwrap()
+            .with_faults(&faults);
+        let mut tracer = Tracer::new("Greedy-FIFO");
+        for _ in 0..rounds {
+            sim.step_probed(&mut tracer).unwrap();
+        }
+        let (trace, metrics) = (tracer.trace(), sim.metrics());
+        assert_eq!(
+            metrics.delivered, 1,
+            "link {from}->{to}: the packet arrives"
+        );
+        assert_eq!(
+            trace.total_forwards() as u64,
+            metrics.forwarded,
+            "link {from}->{to}"
+        );
+        assert_eq!(
+            trace.total_delivered() as u64,
+            metrics.delivered,
+            "link {from}->{to}"
+        );
     }
 }
 
@@ -91,10 +132,10 @@ fn trace_serializes_and_replays_identically() {
         .seed(3)
         .build_path(&topo);
     let run = || -> Trace {
-        let mut sim =
-            Simulation::new(topo, Traced::new(Pts::new(NodeId::new(11))), &pattern).unwrap();
-        sim.run_past_horizon(60).unwrap();
-        sim.protocol().trace().clone()
+        let mut sim = Simulation::new(topo, Pts::new(NodeId::new(11)), &pattern).unwrap();
+        let mut tracer = Tracer::new(sim.protocol().name());
+        sim.run_past_horizon_probed(60, &mut tracer).unwrap();
+        tracer.into_trace()
     };
     let first = run();
     let second = run();
@@ -115,14 +156,10 @@ fn heatmap_of_a_real_run_shows_the_wave() {
     let pattern: small_buffers::Pattern = (0..60u64)
         .map(|t| small_buffers::Injection::new(t, 0, n - 1))
         .collect();
-    let mut sim = Simulation::new(
-        Path::new(n),
-        Traced::new(Pts::new(NodeId::new(n - 1))),
-        &pattern,
-    )
-    .unwrap();
-    sim.run_past_horizon(30).unwrap();
-    let trace = sim.protocol().trace();
+    let mut sim = Simulation::new(Path::new(n), Pts::new(NodeId::new(n - 1)), &pattern).unwrap();
+    let mut tracer = Tracer::new(sim.protocol().name());
+    sim.run_past_horizon_probed(30, &mut tracer).unwrap();
+    let trace = tracer.trace();
     let art = heatmap(trace, 70, n);
     assert!(art.contains("PTS"));
     // Node 0 row is non-blank (packets queue at the source).

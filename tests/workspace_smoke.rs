@@ -25,8 +25,9 @@ fn facade_modules_expose_key_types() {
     assert!(tight <= 2);
     assert!(small_buffers::analysis::bounds::pts_bound(2) >= 2);
     // trace
-    let mut sim = Simulation::new(topo, small_buffers::trace::Traced::new(pts), &pattern).unwrap();
-    sim.run_past_horizon(60).unwrap();
+    let mut tracer = small_buffers::trace::Tracer::new("PTS");
+    let mut sim = Simulation::new(topo, pts, &pattern).unwrap();
+    sim.run_past_horizon_probed(60, &mut tracer).unwrap();
     assert!(sim.is_drained());
 }
 
