@@ -27,12 +27,9 @@
 //! validated by property tests and experiment E7, and the protocol is
 //! flagged **experimental** accordingly.
 
-use std::collections::BTreeMap;
+use aqt_model::{ForwardingPlan, InjectionMode, NetworkState, Path, Protocol, Round};
 
-use aqt_model::{
-    ForwardingPlan, InjectionMode, NetworkState, NodeId, PacketId, Path, Protocol, Round,
-};
-
+use super::classes::{Active, ClassTable, Scratch};
 use super::geometry::{GeometryError, Hierarchy};
 use super::LevelSchedule;
 
@@ -83,27 +80,6 @@ impl From<GeometryError> for DestSpaceError {
     }
 }
 
-/// Per-(node, class) summary for one round.
-#[derive(Debug, Clone, Copy)]
-struct Info {
-    count: usize,
-    top: PacketId,
-    top_seq: u64,
-    /// Final (real) destination of the LIFO-top packet.
-    top_dest: usize,
-    /// Real node ending the current segment (`w_{x−1}`), shared by every
-    /// packet of the class at this node.
-    real_target: usize,
-}
-
-/// An activated node: the segment's real target and the designated packet
-/// (`None` keeps the node blocked without sending).
-#[derive(Debug, Clone, Copy)]
-struct Active {
-    real_target: usize,
-    packet: Option<(PacketId, usize)>,
-}
-
 /// Destination-space HPTS (**experimental**; see the module docs).
 ///
 /// # Examples
@@ -129,6 +105,8 @@ pub struct HptsD {
     h: Hierarchy,
     schedule: LevelSchedule,
     prebad: bool,
+    /// Classes share the real node ending their segment (`w_{x−1}`).
+    scratch: Scratch<usize>,
 }
 
 impl HptsD {
@@ -155,6 +133,7 @@ impl HptsD {
             h,
             schedule: LevelSchedule::default(),
             prebad: true,
+            scratch: Scratch::default(),
         })
     }
 
@@ -214,45 +193,22 @@ impl HptsD {
         self.dests[x - 1]
     }
 
-    /// Classifies every stored packet into `(level, column)` classes.
+    /// The `(level, column)` class of a packet at real node `i` destined
+    /// `w`, and the real node ending its current segment (`w_{x−1}`).
     ///
     /// # Panics
     ///
-    /// Panics if a packet's destination is not in `W` — HPTS-D requires
-    /// the adversary to honor the declared destination set.
-    fn classes(&self, state: &NetworkState) -> Vec<BTreeMap<(u32, usize), Info>> {
-        let n = state.node_count();
-        let mut infos: Vec<BTreeMap<(u32, usize), Info>> = vec![BTreeMap::new(); n];
-        for (i, info_map) in infos.iter_mut().enumerate() {
-            let p = self.zone_of(i);
-            for sp in state.buffer(NodeId::new(i)) {
-                let w = sp.dest().index();
-                let rank = self
-                    .rank_of(w)
-                    .unwrap_or_else(|| panic!("packet destined {w} outside declared set"));
-                let q = rank + 1;
-                debug_assert!(p < q, "buffered packet must still have zones to cross");
-                let j = self.h.level(p, q);
-                let k = self.h.dest_index(p, q);
-                let x = self.h.intermediate(p, q);
-                let real_target = self.zone_left_endpoint(x);
-                let e = info_map.entry((j, k)).or_insert(Info {
-                    count: 0,
-                    top: sp.id(),
-                    top_seq: sp.seq(),
-                    top_dest: w,
-                    real_target,
-                });
-                debug_assert_eq!(e.real_target, real_target, "class shares its target");
-                e.count += 1;
-                if sp.seq() >= e.top_seq {
-                    e.top = sp.id();
-                    e.top_seq = sp.seq();
-                    e.top_dest = w;
-                }
-            }
-        }
-        infos
+    /// Panics if `w` is not in `W` — HPTS-D requires the adversary to
+    /// honor the declared destination set.
+    fn classify(&self, i: usize, w: usize) -> ((u32, usize), usize) {
+        let p = self.zone_of(i);
+        let rank = self
+            .rank_of(w)
+            .unwrap_or_else(|| panic!("packet destined {w} outside declared set"));
+        let q = rank + 1;
+        debug_assert!(p < q, "buffered packet must still have zones to cross");
+        let class = self.h.class(p, q);
+        (class, self.zone_left_endpoint(self.h.intermediate(p, q)))
     }
 
     /// Real span `[lo, hi]` of the contracted interval `[za, zb]`
@@ -273,13 +229,13 @@ impl HptsD {
 
     /// FormPaths at real granularity: PPTS-style activation of level-λ
     /// classes within each contracted level-λ interval.
-    fn form_paths(
-        &self,
-        lambda: u32,
-        infos: &[BTreeMap<(u32, usize), Info>],
-        active: &mut [Option<Active>],
-    ) {
-        let n = infos.len();
+    fn form_paths(&self, lambda: u32, scratch: &mut Scratch<usize>) {
+        let Scratch {
+            classes,
+            leftmost_bad,
+            active,
+        } = scratch;
+        let n = classes.node_count();
         let m = self.h.base();
         let step = m.pow(lambda);
         let d = self.dests.len();
@@ -292,18 +248,21 @@ impl HptsD {
             // interval's real span (a column's global left-most bad node is
             // also the left-most in any prefix, so the i′ cutoff semantics
             // below are unchanged).
-            let mut leftmost_bad: BTreeMap<usize, usize> = BTreeMap::new();
-            let span_end = hi.min(n - 1);
-            for (i, info_map) in infos.iter().enumerate().take(span_end + 1).skip(lo) {
-                for (&(j, k), e) in info_map {
-                    if j == lambda && e.count >= 2 {
-                        leftmost_bad.entry(k).or_insert(i);
+            leftmost_bad.fill(None);
+            for i in lo..=hi.min(n - 1) {
+                for (class, e) in classes.node(i) {
+                    let k = class.column();
+                    if class.level() == lambda && e.count >= 2 && leftmost_bad[k].is_none() {
+                        leftmost_bad[k] = Some(i);
                     }
                 }
             }
             // i′ starts past the interval's real right edge.
             let mut iprime = hi + 1;
-            for (&k, &ik) in leftmost_bad.iter().rev() {
+            for (k, ik) in leftmost_bad.iter().enumerate().rev() {
+                let Some(ik) = *ik else {
+                    continue;
+                };
                 let wk_zone = za + k * step;
                 if wk_zone == 0 || wk_zone > d {
                     continue; // zone 0 has no left endpoint; beyond W is empty
@@ -316,16 +275,13 @@ impl HptsD {
                     continue;
                 }
                 let cap = (iprime - 1).min(wk_real - 1).min(n - 1);
-                for (i, info_map) in infos.iter().enumerate().take(cap + 1).skip(ik) {
-                    let packet = info_map
-                        .get(&(lambda, k))
-                        .filter(|e| e.count >= 1)
-                        .map(|e| (e.top, e.top_dest));
+                for i in ik..=cap {
+                    let packet = classes.get(i, (lambda, k)).map(|e| (e.top, e.top_dest));
                     set_active(
                         active,
                         i,
                         Active {
-                            real_target: wk_real,
+                            target: wk_real,
                             packet,
                         },
                     );
@@ -339,13 +295,8 @@ impl HptsD {
     /// its segment at a destination node `a` and would join an occupied
     /// level-j class there, extend the wave from `a` toward the new
     /// segment's target.
-    fn activate_prebad(
-        &self,
-        j: u32,
-        infos: &[BTreeMap<(u32, usize), Info>],
-        active: &mut [Option<Active>],
-    ) {
-        let n = infos.len();
+    fn activate_prebad(&self, j: u32, classes: &ClassTable<usize>, active: &mut [Option<Active>]) {
+        let n = classes.node_count();
         for r in 0..self.h.interval_count(j) {
             let (za, _zb) = self.h.interval(j, r);
             if za == 0 || za > self.dests.len() {
@@ -361,7 +312,7 @@ impl HptsD {
             let Some((_, final_dest)) = sender.packet else {
                 continue;
             };
-            if sender.real_target != a || final_dest == a {
+            if sender.target != a || final_dest == a {
                 continue; // not the last hop of a segment / delivered on arrival
             }
             let p = self.zone_of(a);
@@ -370,11 +321,14 @@ impl HptsD {
                 Some(rank) => rank + 1,
                 None => continue,
             };
-            if p >= q || self.h.level(p, q) != j {
+            if p >= q {
+                continue; // no segment left to join
+            }
+            let (level, k) = self.h.class(p, q);
+            if level != j {
                 continue; // joins some other level
             }
-            let k = self.h.dest_index(p, q);
-            if infos[a].get(&(j, k)).map_or(0, |e| e.count) == 0 {
+            if classes.get(a, (j, k)).is_none() {
                 continue; // receiving class empty: arrival cannot be bad
             }
             let x = self.h.intermediate(p, q);
@@ -382,15 +336,12 @@ impl HptsD {
             let cap = (target_real - 1).min(n - 1);
             let mut i = a;
             while i <= cap && active[i].is_none() {
-                let packet = infos[i]
-                    .get(&(j, k))
-                    .filter(|e| e.count >= 1)
-                    .map(|e| (e.top, e.top_dest));
+                let packet = classes.get(i, (j, k)).map(|e| (e.top, e.top_dest));
                 set_active(
                     active,
                     i,
                     Active {
-                        real_target: target_real,
+                        target: target_real,
                         packet,
                     },
                 );
@@ -440,32 +391,26 @@ impl Protocol<Path> for HptsD {
         state: &NetworkState,
         plan: &mut ForwardingPlan,
     ) {
-        let n = state.node_count();
         let lambda = self.primary_level(round);
-        let infos = self.classes(state);
-        let mut active: Vec<Option<Active>> = vec![None; n];
-        self.form_paths(lambda, &infos, &mut active);
+        // Taken out for the round so the helpers can borrow `self`.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.classes.rebuild(state, |i, w| self.classify(i, w));
+        scratch.reset(state.node_count(), self.h.base());
+        self.form_paths(lambda, &mut scratch);
         if self.prebad {
             for j in (0..lambda).rev() {
-                self.activate_prebad(j, &infos, &mut active);
+                self.activate_prebad(j, &scratch.classes, &mut scratch.active);
             }
         }
-        for (i, entry) in active.iter().enumerate() {
-            if let Some(Active {
-                packet: Some((pid, _)),
-                ..
-            }) = entry
-            {
-                plan.send(NodeId::new(i), *pid);
-            }
-        }
+        scratch.send(plan);
+        self.scratch = scratch;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqt_model::{Injection, Pattern, Simulation};
+    use aqt_model::{Injection, NodeId, Pattern, Simulation};
 
     #[test]
     fn construction_validates_destination_set() {
@@ -595,11 +540,16 @@ mod tests {
         // Occupancy within the empirical bound for σ* = 5 (6-burst at ρ=1/2).
         assert!(m.max_occupancy <= (2 * 2 + 5 + 1) as usize);
         // Quiescence: every class at every node holds at most one packet.
-        let classes = probe.classes(sim.state());
-        for (i, node) in classes.iter().enumerate() {
-            for ((j, k), info) in node {
+        let state = sim.state();
+        for i in 0..state.node_count() {
+            let mut counts = std::collections::BTreeMap::new();
+            for sp in state.buffer(NodeId::new(i)) {
+                let (class, _) = probe.classify(i, sp.dest().index());
+                *counts.entry(class).or_insert(0) += 1;
+            }
+            for ((j, k), count) in counts {
                 assert!(
-                    info.count <= 1,
+                    count <= 1,
                     "node {i} class ({j},{k}) still bad after settling"
                 );
             }

@@ -151,18 +151,36 @@ impl Hierarchy {
     ///
     /// Panics if `i ≥ w` or `w ≥ n` (such a packet has no segment).
     pub fn level(&self, i: usize, w: usize) -> u32 {
+        self.class(i, w).0
+    }
+
+    /// The pseudo-buffer class `(lv(i, w), k)` of a packet at `i` destined
+    /// `w`: its segment level and column, `w`'s digit at that level
+    /// (Defs. 4.2–4.3), found in one pass over the base-m digits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ w` or `w ≥ n` (such a packet has no segment).
+    pub fn class(&self, i: usize, w: usize) -> (u32, usize) {
         assert!(i < w, "segment level requires i < w (got {i}, {w})");
         assert!(
             w < self.n,
             "destination {w} outside virtual line of {}",
             self.n
         );
-        for j in (0..self.l).rev() {
-            if self.digit(i, j) != self.digit(w, j) {
-                return j;
+        // Least significant digit first, so the last difference seen is
+        // the highest; one division per number and digit.
+        let (mut x, mut y) = (i, w);
+        let mut class = None;
+        for j in 0..self.l {
+            let (dx, dy) = (x % self.m, y % self.m);
+            if dx != dy {
+                class = Some((j, dy));
             }
+            x /= self.m;
+            y /= self.m;
         }
-        unreachable!("i != w must differ in some digit")
+        class.expect("i != w must differ in some digit")
     }
 
     /// The intermediate destination `x(i, w) = ⌊w/m^j⌋·m^j` with
@@ -181,7 +199,7 @@ impl Hierarchy {
     /// index of its intermediate destination among the level's destinations,
     /// which equals digit `lv(i,w)` of `w`.
     pub fn dest_index(&self, i: usize, w: usize) -> usize {
-        self.digit(w, self.level(i, w))
+        self.class(i, w).1
     }
 
     /// Size of level-j intervals: `m^{j+1}`.
@@ -385,6 +403,28 @@ mod tests {
             // And strictly right of i.
             assert!(x > i);
         }
+    }
+
+    #[test]
+    fn class_matches_digit_definition() {
+        // Def. 4.2 read literally: the highest differing digit, and w's
+        // digit there — on perfect and non-perfect bases, every level count.
+        for (m, l) in [(2, 4), (3, 3), (4, 1), (5, 2)] {
+            let h = Hierarchy::new(m, l).unwrap();
+            for i in 0..h.n() {
+                for w in (i + 1)..h.n() {
+                    let j = (0..l).rev().find(|&j| h.digit(i, j) != h.digit(w, j));
+                    let j = j.expect("distinct positions differ in a digit");
+                    assert_eq!(h.class(i, w), (j, h.digit(w, j)), "m={m} l={l} {i}->{w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside virtual line")]
+    fn class_rejects_destinations_off_the_line() {
+        fig1().class(3, 16);
     }
 
     #[test]

@@ -23,17 +23,16 @@
 //! phase*). The ascending variant is kept for the A1-adjacent ablation; the
 //! experiments record both.
 
+mod classes;
 mod dest_space;
 mod geometry;
 
 pub use dest_space::{DestSpaceError, HptsD};
 pub use geometry::{GeometryError, Hierarchy};
 
-use std::collections::BTreeMap;
+use aqt_model::{ForwardingPlan, InjectionMode, NetworkState, Path, Protocol, Round, Topology};
 
-use aqt_model::{
-    ForwardingPlan, InjectionMode, NetworkState, NodeId, PacketId, Path, Protocol, Round, Topology,
-};
+use classes::{Active, ClassTable, Scratch};
 
 /// Order in which levels become primary within a phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,26 +44,6 @@ pub enum LevelSchedule {
     /// Round r of a phase serves level `r` (the literal `λ ← t mod ℓ` of
     /// Alg. 3).
     Ascending,
-}
-
-/// Per-pseudo-buffer summary for one round.
-#[derive(Debug, Clone, Copy)]
-struct Info {
-    count: usize,
-    top: PacketId,
-    top_seq: u64,
-    /// Final destination of the LIFO-top packet (needed for pre-bad
-    /// detection at the receiving end).
-    top_dest: usize,
-}
-
-/// An activated pseudo-buffer: level, column, the segment's intermediate
-/// destination, and the designated packet (None when the activated
-/// pseudo-buffer is empty — it still blocks the node for this round).
-#[derive(Debug, Clone, Copy)]
-struct Active {
-    seg_dest: usize,
-    packet: Option<(PacketId, usize)>,
 }
 
 /// The HPTS protocol on a path of at most `m^ℓ` nodes.
@@ -89,6 +68,8 @@ pub struct Hpts {
     h: Hierarchy,
     schedule: LevelSchedule,
     prebad: bool,
+    /// Planning scratch, refilled every round (classes share nothing).
+    scratch: Scratch<()>,
 }
 
 impl Hpts {
@@ -99,6 +80,7 @@ impl Hpts {
             h,
             schedule: LevelSchedule::default(),
             prebad: true,
+            scratch: Scratch::default(),
         }
     }
 
@@ -146,33 +128,6 @@ impl Hpts {
         }
     }
 
-    /// Builds the per-node `(level, column) → Info` summaries.
-    fn pseudo_buffers(&self, state: &NetworkState) -> Vec<BTreeMap<(u32, usize), Info>> {
-        let n_real = state.node_count();
-        let mut infos: Vec<BTreeMap<(u32, usize), Info>> = vec![BTreeMap::new(); n_real];
-        for (i, info_map) in infos.iter_mut().enumerate() {
-            for sp in state.buffer(NodeId::new(i)) {
-                let w = sp.dest().index();
-                debug_assert!(w > i, "packet past its destination");
-                let j = self.h.level(i, w);
-                let k = self.h.dest_index(i, w);
-                let e = info_map.entry((j, k)).or_insert(Info {
-                    count: 0,
-                    top: sp.id(),
-                    top_seq: sp.seq(),
-                    top_dest: w,
-                });
-                e.count += 1;
-                if sp.seq() >= e.top_seq {
-                    e.top = sp.id();
-                    e.top_seq = sp.seq();
-                    e.top_dest = w;
-                }
-            }
-        }
-        infos
-    }
-
     /// Alg. 4 — PPTS-style activation of level-λ pseudo-buffers within each
     /// level-λ interval.
     ///
@@ -181,13 +136,13 @@ impl Hpts {
     /// that actually contain a bad pseudo-buffer (a column's left-most bad
     /// node in the whole interval is also the left-most in any prefix, so
     /// the `i′` cutoff semantics are unchanged).
-    fn form_paths(
-        &self,
-        lambda: u32,
-        infos: &[BTreeMap<(u32, usize), Info>],
-        active: &mut [Option<Active>],
-    ) {
-        let n_real = infos.len();
+    fn form_paths(&self, lambda: u32, scratch: &mut Scratch<()>) {
+        let Scratch {
+            classes,
+            leftmost_bad,
+            active,
+        } = scratch;
+        let n_real = classes.node_count();
         let m = self.h.base();
         let step = self.h.base().pow(lambda);
         for r in 0..self.h.interval_count(lambda) {
@@ -196,18 +151,21 @@ impl Hpts {
                 break;
             }
             // Left-most bad (λ, k) node per column k, in one pass.
-            let mut leftmost_bad: BTreeMap<usize, usize> = BTreeMap::new();
-            let span_end = end.min(n_real - 1);
-            for (i, info_map) in infos.iter().enumerate().take(span_end + 1).skip(base) {
-                for (&(j, k), e) in info_map {
-                    if j == lambda && e.count >= 2 {
-                        leftmost_bad.entry(k).or_insert(i);
+            leftmost_bad.fill(None);
+            for i in base..=end.min(n_real - 1) {
+                for (class, e) in classes.node(i) {
+                    let k = class.column();
+                    if class.level() == lambda && e.count >= 2 && leftmost_bad[k].is_none() {
+                        leftmost_bad[k] = Some(i);
                     }
                 }
             }
             // i′ ← w_{m−1}, the right-most intermediate destination.
             let mut iprime = base + (m - 1) * step;
-            for (&k, &ik) in leftmost_bad.iter().rev() {
+            for (k, ik) in leftmost_bad.iter().enumerate().rev() {
+                let Some(ik) = *ik else {
+                    continue;
+                };
                 let wk = base + k * step;
                 // The bad node must lie left of i′ and of wk — (λ,k)
                 // packets cannot sit at or right of wk.
@@ -217,19 +175,9 @@ impl Hpts {
                 }
                 // Activate [i_k, min(i′−1, w_k−1)] (Alg. 4 line 6).
                 let hi = (iprime - 1).min(wk - 1).min(n_real - 1);
-                for (i, info_map) in infos.iter().enumerate().take(hi + 1).skip(ik) {
-                    let packet = info_map
-                        .get(&(lambda, k))
-                        .filter(|e| e.count >= 1)
-                        .map(|e| (e.top, e.top_dest));
-                    set_active(
-                        active,
-                        i,
-                        Active {
-                            seg_dest: wk,
-                            packet,
-                        },
-                    );
+                for i in ik..=hi {
+                    let packet = classes.get(i, (lambda, k)).map(|e| (e.top, e.top_dest));
+                    set_active(active, i, Active { target: wk, packet });
                 }
                 iprime = ik;
             }
@@ -239,13 +187,8 @@ impl Hpts {
     /// Alg. 5 — activate runs of level-j pseudo-buffers ahead of packets
     /// that are about to finish a higher-level segment at a level-j left
     /// endpoint whose receiving pseudo-buffer is occupied.
-    fn activate_prebad(
-        &self,
-        j: u32,
-        infos: &[BTreeMap<(u32, usize), Info>],
-        active: &mut [Option<Active>],
-    ) {
-        let n_real = infos.len();
+    fn activate_prebad(&self, j: u32, classes: &ClassTable<()>, active: &mut [Option<Active>]) {
+        let n_real = classes.node_count();
         for r in 0..self.h.interval_count(j) {
             let (a, b) = self.h.interval(j, r);
             if a == 0 {
@@ -264,16 +207,16 @@ impl Hpts {
             let Some((_, final_dest)) = sender.packet else {
                 continue;
             };
-            if sender.seg_dest != a || final_dest == a {
+            if sender.target != a || final_dest == a {
                 continue; // not the segment's last hop / delivered on arrival
             }
-            if self.h.level(a, final_dest) != j {
+            let (level, k) = self.h.class(a, final_dest);
+            if level != j {
                 continue; // joins some other level (handled in its own pass)
             }
-            let k = self.h.dest_index(a, final_dest);
             // Pre-bad (Def. 4.6) requires the receiving pseudo-buffer to be
             // occupied.
-            if infos[a].get(&(j, k)).map_or(0, |e| e.count) == 0 {
+            if classes.get(a, (j, k)).is_none() {
                 continue;
             }
             // Chain: maximal inactive run [a, w], capped at w_k − 1.
@@ -282,18 +225,8 @@ impl Hpts {
             let cap = (wk - 1).min(b).min(n_real - 1);
             let mut i = a;
             while i <= cap && active[i].is_none() {
-                let packet = infos[i]
-                    .get(&(j, k))
-                    .filter(|e| e.count >= 1)
-                    .map(|e| (e.top, e.top_dest));
-                set_active(
-                    active,
-                    i,
-                    Active {
-                        seg_dest: wk,
-                        packet,
-                    },
-                );
+                let packet = classes.get(i, (j, k)).map(|e| (e.top, e.top_dest));
+                set_active(active, i, Active { target: wk, packet });
                 i += 1;
             }
         }
@@ -337,30 +270,27 @@ impl Protocol<Path> for Hpts {
         );
         debug_assert_eq!(topo.node_count(), n_real);
         let lambda = self.primary_level(round);
-        let infos = self.pseudo_buffers(state);
-        let mut active: Vec<Option<Active>> = vec![None; n_real];
-        self.form_paths(lambda, &infos, &mut active);
+        // Taken out for the round so the Alg. 4–5 helpers can borrow `self`.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch
+            .classes
+            .rebuild(state, |i, w| (self.h.class(i, w), ()));
+        scratch.reset(n_real, self.h.base());
+        self.form_paths(lambda, &mut scratch);
         if self.prebad {
             for j in (0..lambda).rev() {
-                self.activate_prebad(j, &infos, &mut active);
+                self.activate_prebad(j, &scratch.classes, &mut scratch.active);
             }
         }
-        for (i, entry) in active.iter().enumerate() {
-            if let Some(Active {
-                packet: Some((pid, _)),
-                ..
-            }) = entry
-            {
-                plan.send(NodeId::new(i), *pid);
-            }
-        }
+        scratch.send(plan);
+        self.scratch = scratch;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqt_model::{Injection, Pattern, Simulation};
+    use aqt_model::{Injection, NodeId, Pattern, Simulation};
 
     fn run(
         n: usize,
@@ -426,15 +356,18 @@ mod tests {
         let p: Pattern = (0..40u64).map(|t| Injection::new(2 * t, 0, 15)).collect();
         let hpts = Hpts::for_line(16, 2).unwrap();
         let h = *hpts.hierarchy();
-        let probe = hpts.clone();
+        let bound = hpts.space_bound(2) as usize;
         let mut sim = Simulation::new(Path::new(16), hpts, &p).unwrap();
         sim.run_past_horizon(400).unwrap();
         let state = sim.state();
-        let infos = probe.pseudo_buffers(state);
-        for (i, node) in infos.iter().enumerate() {
-            for ((j, k), info) in node {
+        for i in 0..state.node_count() {
+            let mut counts = std::collections::BTreeMap::new();
+            for sp in state.buffer(NodeId::new(i)) {
+                *counts.entry(h.class(i, sp.dest().index())).or_insert(0) += 1;
+            }
+            for ((j, k), count) in counts {
                 assert!(
-                    info.count <= 1,
+                    count <= 1,
                     "node {i} pseudo-buffer ({j},{k}) still bad after settling"
                 );
             }
@@ -447,8 +380,7 @@ mod tests {
             "conservation"
         );
         // σ* of the 1-per-phase stream is 1; allow one extra for staging.
-        assert!(m.max_occupancy <= probe.space_bound(2) as usize);
-        let _ = h;
+        assert!(m.max_occupancy <= bound);
     }
 
     #[test]

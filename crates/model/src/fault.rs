@@ -613,29 +613,30 @@ impl FaultRuntime {
 }
 
 /// Every directed edge of `topology`, as `(from, to)` index pairs sorted
-/// ascending: for each node, the distinct next hops over all
-/// destinations. O(n²) next-hop queries — only run when a spec actually
-/// contains a `RandomLinks` event.
+/// ascending: for each node, its distinct out-neighbours — the distinct
+/// next hops over all destinations, since every out-edge `v → h` is the
+/// first hop of the route `v → h`. O(n + E); only run when a spec
+/// actually contains a `RandomLinks` event.
 fn edge_list<T: Topology>(topology: &T) -> Vec<(u32, u32)> {
-    let n = topology.node_count();
     let mut edges = Vec::new();
-    for v in 0..n {
+    for v in 0..topology.node_count() {
         let from = NodeId::new(v);
-        let mut outs: Vec<u32> = (0..n)
-            .filter_map(|d| topology.next_hop(from, NodeId::new(d)))
-            .map(|h| h.index() as u32)
-            .collect();
-        outs.sort_unstable();
-        outs.dedup();
-        edges.extend(outs.into_iter().map(|h| (v as u32, h)));
+        let first = edges.len();
+        edges.extend(
+            (0..topology.out_degree(from))
+                .filter_map(|i| topology.out_neighbor(from, i))
+                .map(|h| (v as u32, h.index() as u32)),
+        );
+        edges[first..].sort_unstable();
     }
+    edges.dedup();
     edges
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Dag, Path};
+    use crate::topology::{AnyTopology, Dag, Path, TopologySpec, TreeSpec};
 
     fn rt(spec: &FaultSpec, n: usize) -> FaultRuntime {
         FaultRuntime::new(spec, &Path::new(n))
@@ -743,6 +744,65 @@ mod tests {
         let mut c = FaultRuntime::new(&other, &topo);
         c.advance(Round::ZERO);
         assert_ne!(a.state(), c.state(), "different seed, different links");
+    }
+
+    /// The O(n²) definition `edge_list` must keep: each node's distinct
+    /// next hops over every destination.
+    fn next_hop_edges<T: Topology>(topology: &T) -> Vec<(u32, u32)> {
+        let n = topology.node_count();
+        let mut edges = Vec::new();
+        for v in 0..n {
+            let mut outs: Vec<u32> = (0..n)
+                .filter_map(|d| topology.next_hop(NodeId::new(v), NodeId::new(d)))
+                .map(|h| h.index() as u32)
+                .collect();
+            outs.sort_unstable();
+            outs.dedup();
+            edges.extend(outs.into_iter().map(|h| (v as u32, h)));
+        }
+        edges
+    }
+
+    #[test]
+    fn edge_list_matches_the_next_hop_definition_on_every_family() {
+        let specs = [
+            TopologySpec::Path { n: 1 },
+            TopologySpec::Path { n: 9 },
+            TopologySpec::Tree(TreeSpec::Star { leaves: 5 }),
+            TopologySpec::Tree(TreeSpec::FullBinary { height: 3 }),
+            TopologySpec::Tree(TreeSpec::Caterpillar { spine: 4, legs: 2 }),
+            TopologySpec::Tree(TreeSpec::Random { n: 25, seed: 3 }),
+            TopologySpec::Tree(TreeSpec::Parents {
+                parents: vec![Some(2), Some(2), None, Some(2)],
+            }),
+            TopologySpec::Grid { rows: 5, cols: 7 },
+            TopologySpec::Butterfly { k: 3 },
+            TopologySpec::Diamond { width: 4 },
+            TopologySpec::RandomDag {
+                n: 30,
+                density: 0.3,
+                seed: 5,
+            },
+        ];
+        for spec in specs {
+            let topology = spec.build().expect("valid spec");
+            let edges = edge_list(&topology);
+            assert_eq!(edges, next_hop_edges(&topology), "{spec:?}");
+            if let AnyTopology::Dag(dag) = &topology {
+                assert_eq!(edges.len(), dag.edge_count(), "{spec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_links_resolve_on_a_million_node_mesh() {
+        let spec = FaultSpec::new(11).with_event(FaultEvent::RandomLinks {
+            count: 1000,
+            at: 0,
+            until: None,
+        });
+        let mask = spec.permanent_mask(&Dag::grid(1024, 1024));
+        assert_eq!(mask.down_link_count(), 1000);
     }
 
     #[test]

@@ -722,6 +722,10 @@ impl Topology for Dag {
     fn out_degree(&self, v: NodeId) -> usize {
         self.out_neighbors(v).len()
     }
+
+    fn out_neighbor(&self, v: NodeId, i: usize) -> Option<NodeId> {
+        self.out_neighbors(v).get(i).copied()
+    }
 }
 
 #[cfg(test)]

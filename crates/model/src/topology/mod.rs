@@ -94,6 +94,12 @@ pub trait Topology {
     fn out_degree(&self, _v: NodeId) -> usize {
         1
     }
+
+    /// The head of `v`'s `i`-th outgoing link, for `i < out_degree(v)`;
+    /// `None` otherwise. Every out-neighbour `h` is also the first hop of
+    /// the route `v → h`, so the out-neighbours of all nodes name exactly
+    /// the links [`next_hop`](Topology::next_hop) can use, in O(n + E).
+    fn out_neighbor(&self, v: NodeId, i: usize) -> Option<NodeId>;
 }
 
 #[cfg(test)]

@@ -88,6 +88,10 @@ impl Topology for Path {
     fn out_degree(&self, v: NodeId) -> usize {
         usize::from(v.index() + 1 < self.n)
     }
+
+    fn out_neighbor(&self, v: NodeId, i: usize) -> Option<NodeId> {
+        (i < self.out_degree(v)).then(|| v.succ())
+    }
 }
 
 #[cfg(test)]

@@ -532,6 +532,10 @@ impl Topology for AnyTopology {
     fn out_degree(&self, v: NodeId) -> usize {
         dispatch!(self, t => t.out_degree(v))
     }
+
+    fn out_neighbor(&self, v: NodeId, i: usize) -> Option<NodeId> {
+        dispatch!(self, t => t.out_neighbor(v, i))
+    }
 }
 
 #[cfg(test)]

@@ -407,6 +407,10 @@ impl Topology for DirectedTree {
     fn out_degree(&self, v: NodeId) -> usize {
         usize::from(self.parent(v).is_some())
     }
+
+    fn out_neighbor(&self, v: NodeId, i: usize) -> Option<NodeId> {
+        self.parent(v).filter(|_| i == 0)
+    }
 }
 
 #[cfg(test)]
