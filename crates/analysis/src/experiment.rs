@@ -88,6 +88,13 @@ impl Table {
         &self.title
     }
 
+    /// Whether any cell reads `VIOLATED` ([`Verdict::Violated`]): the
+    /// table records a broken bound.
+    pub fn violated(&self) -> bool {
+        let symbol = Verdict::Violated.symbol();
+        self.rows.iter().flatten().any(|cell| cell == symbol)
+    }
+
     /// Renders an aligned ASCII table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
@@ -236,5 +243,15 @@ mod tests {
         assert_eq!(Verdict::upper(5, 5), Verdict::Holds);
         assert_eq!(Verdict::upper(6, 5), Verdict::Violated);
         assert_eq!(Verdict::Holds.to_string(), "ok");
+    }
+
+    #[test]
+    fn violated_reads_verdict_cells_only() {
+        let mut t = Table::new("VIOLATED bounds, if any", ["bound", "verdict"]);
+        t.push_row(["3", Verdict::Holds.symbol()]);
+        t.note("a VIOLATED verdict means a counterexample");
+        assert!(!t.violated(), "titles and notes are not cells");
+        t.push_row(["3".to_string(), Verdict::upper(4, 3).to_string()]);
+        assert!(t.violated());
     }
 }

@@ -37,6 +37,9 @@ fn main() {
         println!("                         than PCT percent (requires --bench-baseline)");
         println!("  -h, --help             print this message");
         println!();
+        println!("Exit status: 1 if a table has a VIOLATED verdict or a metric regressed");
+        println!("past --fail-on-regression; 2 on a bad option or experiment id.");
+        println!();
         println!(
             "Experiment ids (default: all): {}",
             EXPERIMENT_IDS.join(" ")
@@ -140,6 +143,7 @@ fn main() {
         std::process::exit(2);
     }
     let mut regressed = false;
+    let mut violated = false;
     let started = std::time::Instant::now();
     for id in &ids {
         let t0 = std::time::Instant::now();
@@ -174,6 +178,10 @@ fn main() {
             run_experiment(id, quick)
         };
         for table in &tables {
+            if table.violated() {
+                eprintln!("[{id}] VIOLATED: a bound failed in {:?}", table.title());
+                violated = true;
+            }
             if csv {
                 println!("# {}", table.title());
                 print!("{}", table.to_csv());
@@ -185,7 +193,7 @@ fn main() {
         eprintln!("[{id}] finished in {:.1?}", t0.elapsed());
     }
     eprintln!("all experiments finished in {:.1?}", started.elapsed());
-    if regressed {
+    if regressed || violated {
         std::process::exit(1);
     }
 }

@@ -1,5 +1,4 @@
-//! The per-round class table and planning scratch shared by [`Hpts`] and
-//! [`HptsD`].
+//! The per-round class table and planning scratch of the HPTS planner.
 //!
 //! Every buffered packet belongs to one pseudo-buffer class `(level j,
 //! column k)` at its node (Defs. 4.2–4.3). Algs. 4–5 read each class only
@@ -10,9 +9,6 @@
 //! classes, usually a handful. The protocol owns the table and refills it
 //! in place every round, so after the first round planning allocates
 //! nothing.
-//!
-//! [`Hpts`]: super::Hpts
-//! [`HptsD`]: super::HptsD
 
 use aqt_model::{ForwardingPlan, NetworkState, NodeId, PacketId};
 
@@ -39,7 +35,7 @@ impl Class {
 
 /// One non-empty class at one node, for one round.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct Info<T> {
+pub(super) struct Info {
     pub(super) count: usize,
     /// The LIFO-top packet: the one with the largest `seq`.
     pub(super) top: PacketId,
@@ -47,29 +43,25 @@ pub(super) struct Info<T> {
     /// Final destination of the LIFO-top packet (needed for pre-bad
     /// detection at the receiving end).
     pub(super) top_dest: usize,
-    /// What every packet of the class shares at this node (HPTS-D: the
-    /// real node ending the current segment; HPTS: nothing).
-    shared: T,
 }
 
 /// Every node's non-empty classes for one round, stored flat.
 #[derive(Debug, Clone, Default)]
-pub(super) struct ClassTable<T> {
+pub(super) struct ClassTable {
     /// Node i's classes are `classes[start[i]..start[i + 1]]`.
     start: Vec<usize>,
     /// Kept apart from `infos` so the scan reads consecutive words.
     classes: Vec<Class>,
-    infos: Vec<Info<T>>,
+    infos: Vec<Info>,
 }
 
-impl<T: Copy + PartialEq + std::fmt::Debug> ClassTable<T> {
+impl ClassTable {
     /// Refills the table from `state`. `classify(i, w)` names the `(level,
-    /// column)` class of a packet at node `i` destined `w`, and what its
-    /// class shares.
+    /// column)` class of a packet at node `i` destined `w`.
     pub(super) fn rebuild(
         &mut self,
         state: &NetworkState,
-        mut classify: impl FnMut(usize, usize) -> ((u32, usize), T),
+        mut classify: impl FnMut(usize, usize) -> (u32, usize),
     ) {
         self.start.clear();
         self.classes.clear();
@@ -79,12 +71,10 @@ impl<T: Copy + PartialEq + std::fmt::Debug> ClassTable<T> {
             self.start.push(first);
             for sp in state.buffer(NodeId::new(i)) {
                 let w = sp.dest().index();
-                let (class, shared) = classify(i, w);
-                let class = Class::new(class);
+                let class = Class::new(classify(i, w));
                 match self.classes[first..].iter().position(|&c| c == class) {
                     Some(at) => {
                         let e = &mut self.infos[first + at];
-                        debug_assert_eq!(e.shared, shared, "class shares its data");
                         e.count += 1;
                         if sp.seq() >= e.top_seq {
                             e.top = sp.id();
@@ -99,7 +89,6 @@ impl<T: Copy + PartialEq + std::fmt::Debug> ClassTable<T> {
                             top: sp.id(),
                             top_seq: sp.seq(),
                             top_dest: w,
-                            shared,
                         });
                     }
                 }
@@ -114,7 +103,7 @@ impl<T: Copy + PartialEq + std::fmt::Debug> ClassTable<T> {
     }
 
     /// Node `i`'s non-empty classes, in order of first appearance.
-    pub(super) fn node(&self, i: usize) -> impl Iterator<Item = (Class, &Info<T>)> {
+    pub(super) fn node(&self, i: usize) -> impl Iterator<Item = (Class, &Info)> {
         let range = self.start[i]..self.start[i + 1];
         self.classes[range.clone()]
             .iter()
@@ -123,7 +112,7 @@ impl<T: Copy + PartialEq + std::fmt::Debug> ClassTable<T> {
     }
 
     /// The summary of class `(j, k)` at node `i`, or `None` if it is empty.
-    pub(super) fn get(&self, i: usize, class: (u32, usize)) -> Option<&Info<T>> {
+    pub(super) fn get(&self, i: usize, class: (u32, usize)) -> Option<&Info> {
         let (first, end) = (self.start[i], self.start[i + 1]);
         let class = Class::new(class);
         self.classes[first..end]
@@ -144,15 +133,15 @@ pub(super) struct Active {
 
 /// The scratch one round of planning needs, reused across rounds.
 #[derive(Debug, Clone, Default)]
-pub(super) struct Scratch<T> {
-    pub(super) classes: ClassTable<T>,
+pub(super) struct Scratch {
+    pub(super) classes: ClassTable,
     /// Left-most bad node per column of the interval being formed.
     pub(super) leftmost_bad: Vec<Option<usize>>,
     /// The activation of every node this round.
     pub(super) active: Vec<Option<Active>>,
 }
 
-impl<T> Scratch<T> {
+impl Scratch {
     /// Clears the activations for a round on `n` nodes with `m` columns.
     pub(super) fn reset(&mut self, n: usize, m: usize) {
         self.active.clear();

@@ -3,9 +3,9 @@
 //! The paper's abstract states the headline tradeoff in terms of the number
 //! of *distinct destinations* d: `O(k·d^{1/k})` space for `k = ⌊1/ρ⌋`. The
 //! body proves the node-space version (Thm. 4.1, `ℓ·n^{1/ℓ} + σ + 1`),
-//! which implies the d-version only when destinations are dense. This
-//! module implements the d-version directly by running the HPTS hierarchy
-//! over **destination indices** instead of node positions:
+//! which implies the d-version only when destinations are dense. HPTS-D
+//! implements the d-version directly: it runs the HPTS planner
+//! ([`Hierarchical`]) over **destination zones** instead of nodes.
 //!
 //! * The d destinations `w_0 < w_1 < … < w_{d−1}` split the line into
 //!   `D = d + 1` *zones*; node `i` lies in zone `z(i) = |{w ∈ W : w ≤ i}|`.
@@ -16,9 +16,12 @@
 //!   packet a level `j` and column `k` exactly as in Defs. 4.2–4.3; a
 //!   segment's contracted target `x` corresponds to the real destination
 //!   `w_{x−1}` (the left endpoint of zone `x`).
-//! * Forwarding performs the FormPaths / ActivatePreBad scans at **real
-//!   node granularity** inside the real span of each contracted interval
-//!   ("in-zone compaction"): within a zone, a class advances as a PTS wave.
+//! * FormPaths and ActivatePreBad scan each contracted interval at **real
+//!   node granularity** ("in-zone compaction"): within a zone, a class
+//!   advances as a PTS wave.
+//!
+//! With every node but 0 a destination, zone `z(i)` is `i` itself and
+//! HPTS-D is HPTS.
 //!
 //! Per node there are at most `ℓ·m` non-empty classes with
 //! `m = ⌈(d+1)^{1/ℓ}⌉`, so the empirical space bound is
@@ -27,11 +30,8 @@
 //! validated by property tests and experiment E7, and the protocol is
 //! flagged **experimental** accordingly.
 
-use aqt_model::{ForwardingPlan, InjectionMode, NetworkState, Path, Protocol, Round};
-
-use super::classes::{Active, ClassTable, Scratch};
 use super::geometry::{GeometryError, Hierarchy};
-use super::LevelSchedule;
+use super::{sealed, Hierarchical, ZoneMap};
 
 /// Errors constructing [`HptsD`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +80,55 @@ impl From<GeometryError> for DestSpaceError {
     }
 }
 
+/// HPTS-D's zone map: the d sorted destinations cut the line into d + 1
+/// zones, zone `x ≥ 1` starting at destination `w_{x−1}`.
+#[derive(Debug, Clone)]
+pub struct DestZones {
+    /// Sorted destinations `w_0 < … < w_{d−1}`.
+    dests: Vec<usize>,
+}
+
+impl sealed::Sealed for DestZones {}
+
+impl DestZones {
+    fn zone_of(&self, i: usize) -> usize {
+        self.dests.partition_point(|&w| w <= i)
+    }
+
+    fn rank_of(&self, w: usize) -> Option<usize> {
+        self.dests.binary_search(&w).ok()
+    }
+}
+
+impl ZoneMap for DestZones {
+    /// # Panics
+    ///
+    /// Panics if `w` is not a declared destination — HPTS-D requires the
+    /// adversary to honor the declared destination set.
+    fn class(&self, h: &Hierarchy, i: usize, w: usize) -> (u32, usize) {
+        let rank = self
+            .rank_of(w)
+            .unwrap_or_else(|| panic!("packet destined {w} outside declared set"));
+        h.class(self.zone_of(i), rank + 1)
+    }
+
+    fn start(&self, z: usize) -> usize {
+        match z {
+            0 => 0,
+            _ => self.dests.get(z - 1).copied().unwrap_or(usize::MAX),
+        }
+    }
+
+    fn name(&self, h: &Hierarchy) -> String {
+        format!(
+            "HPTS-D(d={},m={},l={})",
+            self.dests.len(),
+            h.base(),
+            h.levels()
+        )
+    }
+}
+
 /// Destination-space HPTS (**experimental**; see the module docs).
 ///
 /// # Examples
@@ -97,17 +146,7 @@ impl From<GeometryError> for DestSpaceError {
 /// assert!(sim.metrics().max_occupancy <= (2 * 2 + 1 + 1) as usize);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct HptsD {
-    /// Sorted destinations `w_0 < … < w_{d−1}`.
-    dests: Vec<usize>,
-    /// Hierarchy over the `d + 1` contracted zone positions.
-    h: Hierarchy,
-    schedule: LevelSchedule,
-    prebad: bool,
-    /// Classes share the real node ending their segment (`w_{x−1}`).
-    scratch: Scratch<usize>,
-}
+pub type HptsD = Hierarchical<DestZones>;
 
 impl HptsD {
     /// Builds the protocol for the given destination set and level count.
@@ -126,291 +165,31 @@ impl HptsD {
         if let Some(i) = (1..dests.len()).find(|&i| dests[i] <= dests[i - 1]) {
             return Err(DestSpaceError::Unsorted { index: i });
         }
-        let zones = dests.len() + 1;
-        let h = Hierarchy::covering(zones, l)?;
-        Ok(HptsD {
-            dests,
-            h,
-            schedule: LevelSchedule::default(),
-            prebad: true,
-            scratch: Scratch::default(),
-        })
-    }
-
-    /// Selects the level schedule (builder-style).
-    pub fn schedule(mut self, schedule: LevelSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Disables the pre-bad cascade (ablation).
-    pub fn without_prebad(mut self) -> Self {
-        self.prebad = false;
-        self
+        let h = Hierarchy::covering(dests.len() + 1, l)?;
+        Ok(Hierarchical::with_zones(DestZones { dests }, h))
     }
 
     /// The sorted destination set.
     pub fn destinations(&self) -> &[usize] {
-        &self.dests
-    }
-
-    /// The hierarchy over the `d + 1` contracted zones.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.h
-    }
-
-    /// The **empirical** space bound `ℓ·m + σ + 1` with
-    /// `m = ⌈(d+1)^{1/ℓ}⌉`. Validated by tests and E7, not by a proof in
-    /// the paper (which covers the node-space hierarchy only).
-    pub fn space_bound(&self, sigma: u64) -> u64 {
-        u64::from(self.h.levels()) * self.h.base() as u64 + sigma + 1
-    }
-
-    /// The primary level of `round` under the configured schedule.
-    pub fn primary_level(&self, round: Round) -> u32 {
-        let l = self.h.levels();
-        let r = (round.value() % u64::from(l)) as u32;
-        match self.schedule {
-            LevelSchedule::Ascending => r,
-            LevelSchedule::Descending => l - 1 - r,
-        }
+        &self.zones.dests
     }
 
     /// Zone of a real node: `z(i) = |{w ∈ W : w ≤ i}|`.
     pub fn zone_of(&self, i: usize) -> usize {
-        self.dests.partition_point(|&w| w <= i)
+        self.zones.zone_of(i)
     }
 
     /// Rank of a destination in `W`, or `None` if `w ∉ W`.
     pub fn rank_of(&self, w: usize) -> Option<usize> {
-        self.dests.binary_search(&w).ok()
-    }
-
-    /// Real node ending zone-entry into contracted position `x ≥ 1`: the
-    /// destination `w_{x−1}`.
-    fn zone_left_endpoint(&self, x: usize) -> usize {
-        debug_assert!(x >= 1 && x <= self.dests.len());
-        self.dests[x - 1]
-    }
-
-    /// The `(level, column)` class of a packet at real node `i` destined
-    /// `w`, and the real node ending its current segment (`w_{x−1}`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not in `W` — HPTS-D requires the adversary to
-    /// honor the declared destination set.
-    fn classify(&self, i: usize, w: usize) -> ((u32, usize), usize) {
-        let p = self.zone_of(i);
-        let rank = self
-            .rank_of(w)
-            .unwrap_or_else(|| panic!("packet destined {w} outside declared set"));
-        let q = rank + 1;
-        debug_assert!(p < q, "buffered packet must still have zones to cross");
-        let class = self.h.class(p, q);
-        (class, self.zone_left_endpoint(self.h.intermediate(p, q)))
-    }
-
-    /// Real span `[lo, hi]` of the contracted interval `[za, zb]`
-    /// (clamped to the actual zone count and network size).
-    fn real_span(&self, za: usize, zb: usize, n: usize) -> Option<(usize, usize)> {
-        let d = self.dests.len();
-        if za > d {
-            return None;
-        }
-        let lo = if za == 0 { 0 } else { self.dests[za - 1] };
-        let hi = if zb >= d {
-            n - 1
-        } else {
-            self.dests[zb].saturating_sub(1).min(n - 1)
-        };
-        (lo <= hi).then_some((lo, hi))
-    }
-
-    /// FormPaths at real granularity: PPTS-style activation of level-λ
-    /// classes within each contracted level-λ interval.
-    fn form_paths(&self, lambda: u32, scratch: &mut Scratch<usize>) {
-        let Scratch {
-            classes,
-            leftmost_bad,
-            active,
-        } = scratch;
-        let n = classes.node_count();
-        let m = self.h.base();
-        let step = m.pow(lambda);
-        let d = self.dests.len();
-        for r in 0..self.h.interval_count(lambda) {
-            let (za, zb) = self.h.interval(lambda, r);
-            let Some((lo, hi)) = self.real_span(za, zb, n) else {
-                continue;
-            };
-            // Left-most bad real node per column, in one pass over the
-            // interval's real span (a column's global left-most bad node is
-            // also the left-most in any prefix, so the i′ cutoff semantics
-            // below are unchanged).
-            leftmost_bad.fill(None);
-            for i in lo..=hi.min(n - 1) {
-                for (class, e) in classes.node(i) {
-                    let k = class.column();
-                    if class.level() == lambda && e.count >= 2 && leftmost_bad[k].is_none() {
-                        leftmost_bad[k] = Some(i);
-                    }
-                }
-            }
-            // i′ starts past the interval's real right edge.
-            let mut iprime = hi + 1;
-            for (k, ik) in leftmost_bad.iter().enumerate().rev() {
-                let Some(ik) = *ik else {
-                    continue;
-                };
-                let wk_zone = za + k * step;
-                if wk_zone == 0 || wk_zone > d {
-                    continue; // zone 0 has no left endpoint; beyond W is empty
-                }
-                let wk_real = self.zone_left_endpoint(wk_zone);
-                // The bad node must lie left of both i′ and the class's own
-                // target.
-                let scan_hi = iprime.min(wk_real).min(n);
-                if ik >= scan_hi {
-                    continue;
-                }
-                let cap = (iprime - 1).min(wk_real - 1).min(n - 1);
-                for i in ik..=cap {
-                    let packet = classes.get(i, (lambda, k)).map(|e| (e.top, e.top_dest));
-                    set_active(
-                        active,
-                        i,
-                        Active {
-                            target: wk_real,
-                            packet,
-                        },
-                    );
-                }
-                iprime = ik;
-            }
-        }
-    }
-
-    /// ActivatePreBad at real granularity: if a packet is about to finish
-    /// its segment at a destination node `a` and would join an occupied
-    /// level-j class there, extend the wave from `a` toward the new
-    /// segment's target.
-    fn activate_prebad(&self, j: u32, classes: &ClassTable<usize>, active: &mut [Option<Active>]) {
-        let n = classes.node_count();
-        for r in 0..self.h.interval_count(j) {
-            let (za, _zb) = self.h.interval(j, r);
-            if za == 0 || za > self.dests.len() {
-                continue;
-            }
-            let a = self.zone_left_endpoint(za);
-            if a == 0 || a >= n || active[a].is_some() {
-                continue;
-            }
-            let Some(sender) = active[a - 1] else {
-                continue;
-            };
-            let Some((_, final_dest)) = sender.packet else {
-                continue;
-            };
-            if sender.target != a || final_dest == a {
-                continue; // not the last hop of a segment / delivered on arrival
-            }
-            let p = self.zone_of(a);
-            debug_assert_eq!(p, za);
-            let q = match self.rank_of(final_dest) {
-                Some(rank) => rank + 1,
-                None => continue,
-            };
-            if p >= q {
-                continue; // no segment left to join
-            }
-            let (level, k) = self.h.class(p, q);
-            if level != j {
-                continue; // joins some other level
-            }
-            if classes.get(a, (j, k)).is_none() {
-                continue; // receiving class empty: arrival cannot be bad
-            }
-            let x = self.h.intermediate(p, q);
-            let target_real = self.zone_left_endpoint(x);
-            let cap = (target_real - 1).min(n - 1);
-            let mut i = a;
-            while i <= cap && active[i].is_none() {
-                let packet = classes.get(i, (j, k)).map(|e| (e.top, e.top_dest));
-                set_active(
-                    active,
-                    i,
-                    Active {
-                        target: target_real,
-                        packet,
-                    },
-                );
-                i += 1;
-            }
-        }
-    }
-}
-
-/// Marks node `i` active; panics on double activation (feasibility is
-/// enforced, not assumed).
-fn set_active(active: &mut [Option<Active>], i: usize, entry: Active) {
-    assert!(
-        active[i].is_none(),
-        "HPTS-D activated node {i} twice (feasibility violation)"
-    );
-    active[i] = Some(entry);
-}
-
-impl Protocol<Path> for HptsD {
-    fn name(&self) -> String {
-        let mut name = format!(
-            "HPTS-D(d={},m={},l={})",
-            self.dests.len(),
-            self.h.base(),
-            self.h.levels()
-        );
-        if self.schedule == LevelSchedule::Ascending {
-            name.push_str("-asc");
-        }
-        if !self.prebad {
-            name.push_str("-noprebad");
-        }
-        name
-    }
-
-    fn injection_mode(&self) -> InjectionMode {
-        InjectionMode::Batched {
-            len: u64::from(self.h.levels()),
-        }
-    }
-
-    fn plan(
-        &mut self,
-        round: Round,
-        _topo: &Path,
-        state: &NetworkState,
-        plan: &mut ForwardingPlan,
-    ) {
-        let lambda = self.primary_level(round);
-        // Taken out for the round so the helpers can borrow `self`.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.classes.rebuild(state, |i, w| self.classify(i, w));
-        scratch.reset(state.node_count(), self.h.base());
-        self.form_paths(lambda, &mut scratch);
-        if self.prebad {
-            for j in (0..lambda).rev() {
-                self.activate_prebad(j, &scratch.classes, &mut scratch.active);
-            }
-        }
-        scratch.send(plan);
-        self.scratch = scratch;
+        self.zones.rank_of(w)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqt_model::{Injection, NodeId, Pattern, Simulation};
+    use crate::hpts::{Hpts, LevelSchedule};
+    use aqt_model::{Injection, InjectionMode, NodeId, Path, Pattern, Protocol, Simulation};
 
     #[test]
     fn construction_validates_destination_set() {
@@ -544,7 +323,7 @@ mod tests {
         for i in 0..state.node_count() {
             let mut counts = std::collections::BTreeMap::new();
             for sp in state.buffer(NodeId::new(i)) {
-                let (class, _) = probe.classify(i, sp.dest().index());
+                let class = probe.classify(i, sp.dest().index());
                 *counts.entry(class).or_insert(0) += 1;
             }
             for ((j, k), count) in counts {
@@ -556,5 +335,28 @@ mod tests {
         }
         // Nothing was lost: delivered + buffered = 6.
         assert_eq!(m.delivered + sim.state().total_buffered() as u64, 6);
+    }
+
+    #[test]
+    fn deep_hierarchies_scan_only_intervals_that_hold_nodes() {
+        // ℓ = 40 with m = 2 has 2^39 level-0 intervals, almost all past the
+        // 64-node line. A planner that walked them would not finish a round;
+        // both variants must stop at the first interval without a node.
+        fn run(protocol: impl Protocol<Path> + Sync) -> aqt_model::RunMetrics {
+            let p = Pattern::from_injections(vec![Injection::new(0, 0, 63); 4]);
+            let mut sim = Simulation::new(Path::new(64), protocol, &p).unwrap();
+            sim.run(120).unwrap();
+            assert_eq!(
+                sim.metrics().delivered + sim.state().total_buffered() as u64,
+                4
+            );
+            sim.metrics().clone()
+        }
+        let hpts_d = run(HptsD::new(vec![21, 42, 63], 40).unwrap());
+        let hpts = run(Hpts::for_line(64, 40).unwrap());
+        for m in [hpts_d, hpts] {
+            assert!(m.forwarded > 0, "the burst's class is bad and must move");
+            assert!(m.max_occupancy <= 40 * 2 + 3 + 1);
+        }
     }
 }

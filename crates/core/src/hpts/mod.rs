@@ -4,13 +4,28 @@
 //! hierarchical partition ([`Hierarchy`]), with the m intermediate
 //! destinations of each interval playing the role of PPTS destinations.
 //! Capacity is shared by **time-division multiplexing**: in each round only
-//! one level λ is primary ([`FormPaths`](Hpts), Alg. 4), plus cascading
+//! one level λ is primary (`FormPaths`, Alg. 4), plus cascading
 //! activations at lower levels for packets about to switch level
 //! (`ActivatePreBad`, Alg. 5). Packet acceptance is phase-batched (the
 //! ℓ-reduction, Alg. 3 lines 3–5).
 //!
 //! Theorem 4.1: for every (ρ, σ)-bounded adversary with ρ·ℓ ≤ 1, HPTS
 //! keeps every buffer at `ℓ·n^{1/ℓ} + σ + 1` or less.
+//!
+//! ## One planner, two zone maps
+//!
+//! [`Hierarchical`] is the one implementation of Algs. 3–5. It builds the
+//! hierarchy over *zones*, runs of consecutive nodes that a [`ZoneMap`]
+//! names, and scans each zone interval node by node:
+//!
+//! * [`Hpts`] makes every node its own zone ([`NodeZones`]), so a packet's
+//!   class is plain [`Hierarchy::class`] arithmetic on its node and its
+//!   destination.
+//! * [`HptsD`] cuts the line at its d declared destinations
+//!   ([`DestZones`]): the hierarchy covers d + 1 zones instead of n nodes,
+//!   and a class takes two binary searches.
+//!
+//! HPTS is therefore HPTS-D with every node but 0 a destination.
 //!
 //! ## A note on the level schedule
 //!
@@ -27,10 +42,10 @@ mod classes;
 mod dest_space;
 mod geometry;
 
-pub use dest_space::{DestSpaceError, HptsD};
+pub use dest_space::{DestSpaceError, DestZones, HptsD};
 pub use geometry::{GeometryError, Hierarchy};
 
-use aqt_model::{ForwardingPlan, InjectionMode, NetworkState, Path, Protocol, Round, Topology};
+use aqt_model::{ForwardingPlan, InjectionMode, NetworkState, Path, Protocol, Round};
 
 use classes::{Active, ClassTable, Scratch};
 
@@ -44,6 +59,60 @@ pub enum LevelSchedule {
     /// Round r of a phase serves level `r` (the literal `λ ← t mod ℓ` of
     /// Alg. 3).
     Ascending,
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// How a [`Hierarchical`] planner groups the nodes of a path into the
+/// zones its [`Hierarchy`] is built over. Zone `z` is the run of nodes
+/// from `start(z)` up to `start(z + 1) − 1`.
+///
+/// Sealed: [`NodeZones`] (HPTS) and [`DestZones`] (HPTS-D) are the only
+/// zone maps.
+pub trait ZoneMap: sealed::Sealed {
+    /// The `(level, column)` class (Defs. 4.2–4.3) of a packet at node `i`
+    /// destined `w`, in hierarchy `h` over the zones.
+    fn class(&self, h: &Hierarchy, i: usize, w: usize) -> (u32, usize);
+
+    /// The first node of zone `z`, or `usize::MAX` past the last zone.
+    fn start(&self, z: usize) -> usize;
+
+    /// The protocol name over hierarchy `h`, before any option suffix.
+    fn name(&self, h: &Hierarchy) -> String;
+}
+
+/// HPTS's zone map: every node is its own zone.
+#[derive(Debug, Clone)]
+pub struct NodeZones;
+
+impl sealed::Sealed for NodeZones {}
+
+impl ZoneMap for NodeZones {
+    fn class(&self, h: &Hierarchy, i: usize, w: usize) -> (u32, usize) {
+        h.class(i, w)
+    }
+
+    fn start(&self, z: usize) -> usize {
+        z
+    }
+
+    fn name(&self, h: &Hierarchy) -> String {
+        format!("HPTS(m={},l={})", h.base(), h.levels())
+    }
+}
+
+/// The hierarchical planner of Algs. 3–5 over the zones of `Z`; use it as
+/// [`Hpts`] or [`HptsD`].
+#[derive(Debug, Clone)]
+pub struct Hierarchical<Z> {
+    zones: Z,
+    h: Hierarchy,
+    schedule: LevelSchedule,
+    prebad: bool,
+    /// Planning scratch, refilled every round.
+    scratch: Scratch,
 }
 
 /// The HPTS protocol on a path of at most `m^ℓ` nodes.
@@ -63,25 +132,13 @@ pub enum LevelSchedule {
 /// assert!(sim.metrics().max_occupancy <= 10);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Hpts {
-    h: Hierarchy,
-    schedule: LevelSchedule,
-    prebad: bool,
-    /// Planning scratch, refilled every round (classes share nothing).
-    scratch: Scratch<()>,
-}
+pub type Hpts = Hierarchical<NodeZones>;
 
 impl Hpts {
     /// HPTS over an exact hierarchy (network must have at most `m^ℓ`
     /// nodes).
     pub fn new(h: Hierarchy) -> Self {
-        Hpts {
-            h,
-            schedule: LevelSchedule::default(),
-            prebad: true,
-            scratch: Scratch::default(),
-        }
+        Hierarchical::with_zones(NodeZones, h)
     }
 
     /// HPTS for a line of `nodes` nodes with `l` levels, choosing the
@@ -92,6 +149,18 @@ impl Hpts {
     /// Returns a [`GeometryError`] for `l = 0` or overflow.
     pub fn for_line(nodes: usize, l: u32) -> Result<Self, GeometryError> {
         Ok(Hpts::new(Hierarchy::covering(nodes, l)?))
+    }
+}
+
+impl<Z: ZoneMap> Hierarchical<Z> {
+    fn with_zones(zones: Z, h: Hierarchy) -> Self {
+        Hierarchical {
+            zones,
+            h,
+            schedule: LevelSchedule::default(),
+            prebad: true,
+            scratch: Scratch::default(),
+        }
     }
 
     /// Selects the level schedule (builder-style). See the module docs.
@@ -108,14 +177,16 @@ impl Hpts {
         self
     }
 
-    /// The underlying hierarchy.
+    /// The hierarchy over the zones (for HPTS, over the nodes).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.h
     }
 
-    /// The Theorem 4.1 space bound `ℓ·m + σ + 1` for a given burst σ.
+    /// The space bound `ℓ·m + σ + 1` for a given burst σ: Theorem 4.1's
+    /// for HPTS, and for HPTS-D (`m = ⌈(d+1)^{1/ℓ}⌉`) an empirical one,
+    /// validated by tests and E7 rather than proved in the paper.
     pub fn space_bound(&self, sigma: u64) -> u64 {
-        self.h.levels() as u64 * self.h.base() as u64 + sigma + 1
+        u64::from(self.h.levels()) * self.h.base() as u64 + sigma + 1
     }
 
     /// The primary level of `round` under the configured schedule.
@@ -128,31 +199,38 @@ impl Hpts {
         }
     }
 
+    /// The `(level, column)` class of a packet at node `i` destined `w`.
+    fn classify(&self, i: usize, w: usize) -> (u32, usize) {
+        self.zones.class(&self.h, i, w)
+    }
+
     /// Alg. 4 — PPTS-style activation of level-λ pseudo-buffers within each
     /// level-λ interval.
     ///
-    /// One pass over the interval collects the left-most bad node per
-    /// column; the descending-k scan of Alg. 4 then touches only columns
-    /// that actually contain a bad pseudo-buffer (a column's left-most bad
-    /// node in the whole interval is also the left-most in any prefix, so
-    /// the `i′` cutoff semantics are unchanged).
-    fn form_paths(&self, lambda: u32, scratch: &mut Scratch<()>) {
+    /// One pass over the interval's nodes collects the left-most bad node
+    /// per column; the descending-k scan of Alg. 4 then touches only
+    /// columns that actually contain a bad pseudo-buffer (a column's
+    /// left-most bad node in the whole interval is also the left-most in
+    /// any prefix, so the `i′` cutoff semantics are unchanged).
+    fn form_paths(&self, lambda: u32, scratch: &mut Scratch) {
         let Scratch {
             classes,
             leftmost_bad,
             active,
         } = scratch;
-        let n_real = classes.node_count();
-        let m = self.h.base();
+        let n = classes.node_count();
         let step = self.h.base().pow(lambda);
         for r in 0..self.h.interval_count(lambda) {
-            let (base, end) = self.h.interval(lambda, r);
-            if base >= n_real {
-                break;
+            // The interval's zones [za, zb] hold the nodes [lo, hi].
+            let (za, zb) = self.h.interval(lambda, r);
+            let lo = self.zones.start(za);
+            if lo >= n {
+                break; // neither this interval nor any later one has a node
             }
+            let hi = self.zones.start(zb + 1).min(n) - 1;
             // Left-most bad (λ, k) node per column k, in one pass.
             leftmost_bad.fill(None);
-            for i in base..=end.min(n_real - 1) {
+            for i in lo..=hi {
                 for (class, e) in classes.node(i) {
                     let k = class.column();
                     if class.level() == lambda && e.count >= 2 && leftmost_bad[k].is_none() {
@@ -160,22 +238,21 @@ impl Hpts {
                     }
                 }
             }
-            // i′ ← w_{m−1}, the right-most intermediate destination.
-            let mut iprime = base + (m - 1) * step;
+            // i′ starts past the interval's last node.
+            let mut iprime = hi + 1;
             for (k, ik) in leftmost_bad.iter().enumerate().rev() {
                 let Some(ik) = *ik else {
                     continue;
                 };
-                let wk = base + k * step;
-                // The bad node must lie left of i′ and of wk — (λ,k)
-                // packets cannot sit at or right of wk.
-                let scan_hi = iprime.min(wk).min(n_real);
-                if ik >= scan_hi {
+                // w_k, the first node of the class's target zone: (λ, k)
+                // packets cannot sit at or right of it.
+                let wk = self.zones.start(za + k * step);
+                // Activate [i_k, min(i′, w_k) − 1] (Alg. 4 line 6).
+                let end = iprime.min(wk);
+                if ik >= end {
                     continue;
                 }
-                // Activate [i_k, min(i′−1, w_k−1)] (Alg. 4 line 6).
-                let hi = (iprime - 1).min(wk - 1).min(n_real - 1);
-                for i in ik..=hi {
+                for i in ik..end {
                     let packet = classes.get(i, (lambda, k)).map(|e| (e.top, e.top_dest));
                     set_active(active, i, Active { target: wk, packet });
                 }
@@ -187,44 +264,41 @@ impl Hpts {
     /// Alg. 5 — activate runs of level-j pseudo-buffers ahead of packets
     /// that are about to finish a higher-level segment at a level-j left
     /// endpoint whose receiving pseudo-buffer is occupied.
-    fn activate_prebad(&self, j: u32, classes: &ClassTable<()>, active: &mut [Option<Active>]) {
-        let n_real = classes.node_count();
-        for r in 0..self.h.interval_count(j) {
-            let (a, b) = self.h.interval(j, r);
-            if a == 0 {
-                continue; // no node to the left of the line
-            }
-            if a >= n_real {
+    fn activate_prebad(&self, j: u32, classes: &ClassTable, active: &mut [Option<Active>]) {
+        let n = classes.node_count();
+        let step = self.h.base().pow(j);
+        // Interval 0 starts at node 0, which has no node to its left.
+        for r in 1..self.h.interval_count(j) {
+            let (za, _) = self.h.interval(j, r);
+            let a = self.zones.start(za);
+            if a >= n {
                 break;
             }
             if active[a].is_some() {
                 continue; // Alg. 5 line 3: a must be inactive
             }
             // Is a packet about to arrive at `a` and join level j there?
-            let Some(sender) = active[a - 1] else {
+            let Some(Active {
+                target,
+                packet: Some((_, dest)),
+            }) = active[a - 1]
+            else {
                 continue;
             };
-            let Some((_, final_dest)) = sender.packet else {
-                continue;
-            };
-            if sender.target != a || final_dest == a {
+            if target != a || dest == a {
                 continue; // not the segment's last hop / delivered on arrival
             }
-            let (level, k) = self.h.class(a, final_dest);
-            if level != j {
-                continue; // joins some other level (handled in its own pass)
-            }
-            // Pre-bad (Def. 4.6) requires the receiving pseudo-buffer to be
+            let (level, k) = self.classify(a, dest);
+            // It must join level j (other levels have their own pass), and
+            // pre-bad (Def. 4.6) requires the receiving pseudo-buffer to be
             // occupied.
-            if classes.get(a, (j, k)).is_none() {
+            if level != j || classes.get(a, (j, k)).is_none() {
                 continue;
             }
-            // Chain: maximal inactive run [a, w], capped at w_k − 1.
-            let wk = self.h.intermediate(a, final_dest);
-            debug_assert!(wk > a && wk <= b + 1, "intermediate dest must lie in I");
-            let cap = (wk - 1).min(b).min(n_real - 1);
+            // Chain: the maximal inactive run from a, capped at w_k − 1.
+            let wk = self.zones.start(za + k * step);
             let mut i = a;
-            while i <= cap && active[i].is_none() {
+            while i < wk && active[i].is_none() {
                 let packet = classes.get(i, (j, k)).map(|e| (e.top, e.top_dest));
                 set_active(active, i, Active { target: wk, packet });
                 i += 1;
@@ -243,9 +317,9 @@ fn set_active(active: &mut [Option<Active>], i: usize, entry: Active) {
     active[i] = Some(entry);
 }
 
-impl Protocol<Path> for Hpts {
+impl<Z: ZoneMap> Protocol<Path> for Hierarchical<Z> {
     fn name(&self) -> String {
-        let mut name = format!("HPTS(m={},l={})", self.h.base(), self.h.levels());
+        let mut name = self.zones.name(&self.h);
         if self.schedule == LevelSchedule::Ascending {
             name.push_str("-asc");
         }
@@ -261,21 +335,18 @@ impl Protocol<Path> for Hpts {
         }
     }
 
-    fn plan(&mut self, round: Round, topo: &Path, state: &NetworkState, plan: &mut ForwardingPlan) {
-        let n_real = state.node_count();
+    fn plan(&mut self, round: Round, _: &Path, state: &NetworkState, plan: &mut ForwardingPlan) {
+        let n = state.node_count();
         assert!(
-            n_real <= self.h.n(),
-            "network ({n_real} nodes) exceeds hierarchy ({} nodes); use Hpts::for_line",
+            self.zones.start(self.h.n()) >= n,
+            "network ({n} nodes) exceeds hierarchy ({} zones); use Hpts::for_line",
             self.h.n()
         );
-        debug_assert_eq!(topo.node_count(), n_real);
         let lambda = self.primary_level(round);
         // Taken out for the round so the Alg. 4–5 helpers can borrow `self`.
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch
-            .classes
-            .rebuild(state, |i, w| (self.h.class(i, w), ()));
-        scratch.reset(n_real, self.h.base());
+        scratch.classes.rebuild(state, |i, w| self.classify(i, w));
+        scratch.reset(n, self.h.base());
         self.form_paths(lambda, &mut scratch);
         if self.prebad {
             for j in (0..lambda).rev() {

@@ -11,7 +11,7 @@
 //! | [`TreePts`] | App. B.2, Prop. B.3 | `2 + σ` (directed tree) |
 //! | [`TreePpts`] | Alg. 6, Prop. 3.5 | `1 + d′ + σ` (tree, d′ = max destinations per leaf-root path) |
 //! | [`Hpts`] | Algs. 3–5, Thm. 4.1 | `ℓ·n^{1/ℓ} + σ + 1` (ρ·ℓ ≤ 1) |
-//! | [`HptsD`] | abstract's d-version (**experimental**) | `ℓ·(d+1)^{1/ℓ} + σ + 1`, validated empirically |
+//! | [`HptsD`] | abstract's d-version (**experimental**): HPTS over the zones between destinations; HPTS is the case where every node is a destination | `ℓ·(d+1)^{1/ℓ} + σ + 1`, validated empirically |
 //! | [`LocalPts`] | open problem (**exploratory**) | locality-r restriction of PTS; no bound claimed |
 //! | [`Greedy`] | classical AQT | none matching the above |
 //! | [`DagGreedy`] | grid/DAG extension (cf. Even–Medina grids) | per-link greedy; coincides with [`Greedy`] on paths/trees |

@@ -492,4 +492,33 @@ proptest! {
         prop_assert_eq!(moves.0, ref_moves.0);
         prop_assert_eq!(metrics, ref_metrics);
     }
+
+    /// Thm 4.1's HPTS is HPTS-D with every node but 0 a destination: the
+    /// zone of node i is then i itself, so the two must apply the same
+    /// moves (only the protocol names differ).
+    #[test]
+    fn hpts_is_hpts_d_over_every_node(
+        config in configs(),
+        traffic in traffic(),
+        bursty in proptest::bool::ANY,
+        seed in 0u64..1_000,
+    ) {
+        let (n, l, ascending, prebad) = config;
+        let (rate, sigma) = traffic;
+        let pattern = RandomAdversary::new(rate, sigma, 120)
+            .destinations(DestSpec::AnyReachable)
+            .cadence(cadence(bursty))
+            .seed(seed)
+            .build_path(&Path::new(n));
+        let mut hpts = Hpts::for_line(n, l).unwrap().schedule(schedule(ascending));
+        let mut hpts_d = HptsD::new((1..n).collect(), l).unwrap().schedule(schedule(ascending));
+        if !prebad {
+            hpts = hpts.without_prebad();
+            hpts_d = hpts_d.without_prebad();
+        }
+        let (moves, metrics) = run(n, hpts, &pattern);
+        let (d_moves, d_metrics) = run(n, hpts_d, &pattern);
+        prop_assert_eq!(moves.0, d_moves.0);
+        prop_assert_eq!(metrics, d_metrics);
+    }
 }
