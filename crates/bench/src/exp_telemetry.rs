@@ -1,30 +1,34 @@
-//! E14 — telemetry overhead: the streaming probe on the E13 mesh smoke.
+//! E14 — telemetry overhead: the streaming probe on the E13 mesh smoke
+//! and on the E16 sparse wave.
 //!
 //! The telemetry layer (`aqt-telemetry`) promises *streaming* cost:
 //! O(buckets + ring capacity) memory regardless of run length, and a
-//! per-round overhead small enough to leave probes on for million-node
-//! runs. This experiment prices that promise. It reruns the E13 256×256
-//! diagonal-wave smoke twice at the E13 shard count — once bare, once
-//! with a full [`TelemetryProbe`] (occupancy + latency sketches, round
-//! series, per-phase wall-clock profiling via [`WallClock`]) — asserts
-//! the two runs produce byte-identical [`RunMetrics`], and reports the
-//! wall-clock delta plus the collected histograms.
+//! per-round cost of O(active nodes), like the round it observes, so
+//! probes can stay on for million-node runs. This experiment prices that
+//! promise on two waves at the E13 shard count: the E13 256×256
+//! diagonal-wave smoke, where nearly every node is busy, and E16's sparse
+//! 1024×1024 wave, where about one node in a thousand is. Each wave runs
+//! twice — once bare, once with a full [`TelemetryProbe`] (occupancy +
+//! latency sketches, round series, per-phase wall-clock profiling via
+//! [`WallClock`]) — the two runs must produce byte-identical
+//! [`RunMetrics`], and the table reports the stepping wall-clock delta
+//! plus the collected histograms.
 //!
-//! The pair also feeds the `telemetry_overhead_*` fields of
-//! `BENCH_engine.json`, so CI tracks the probe tax as a trajectory: the
-//! acceptance bar is < 10% over the untelemetered run (wall-clock on
-//! shared runners is noisy, so the committed baseline records the trend
-//! rather than gating on a single sample).
+//! The smoke pair also feeds the `telemetry_overhead_*` fields of
+//! `BENCH_engine.json`, so CI tracks the probe tax as a trajectory. The
+//! bar is < 10% over the untelemetered run on both waves; it is reported,
+//! not gated, because wall-clock on shared runners is noisy.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use aqt_analysis::Table;
 use aqt_core::DagGreedy;
-use aqt_model::{Dag, Simulation};
+use aqt_model::{Dag, InjectionSource, Simulation};
 use aqt_telemetry::{Clock, TelemetryProbe, TelemetryReport, TelemetrySpec};
 use serde::{Deserialize, Serialize};
 
 use crate::exp_mesh::wave_source;
+use crate::exp_sparse::sparse_wave_source;
 
 /// Wall-clock [`Clock`] backed by [`Instant`], for phase profiling in
 /// benches.
@@ -60,11 +64,41 @@ impl Clock for WallClock {
     }
 }
 
+/// The mesh waves E14 prices the probe on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum MeshWave {
+    /// E13's round-0 diagonal wave ([`wave_source`]): about two packets
+    /// per node, so nearly every node is active.
+    Diagonal,
+    /// E16's sparse wave ([`sparse_wave_source`]): one packet per
+    /// column, so one row of nodes is active.
+    Sparse,
+}
+
+impl MeshWave {
+    /// Table label.
+    fn name(self) -> &'static str {
+        match self {
+            MeshWave::Diagonal => "diagonal (E13)",
+            MeshWave::Sparse => "sparse (E16)",
+        }
+    }
+
+    fn source(self, rows: usize, cols: usize) -> Box<dyn InjectionSource> {
+        match self {
+            MeshWave::Diagonal => Box::new(wave_source(rows, cols)),
+            MeshWave::Sparse => Box::new(sparse_wave_source(rows, cols)),
+        }
+    }
+}
+
 /// One measured pair: the same mesh wave bare and probed, the row format
 /// behind the E14 table and the `telemetry_*` fields of
 /// `BENCH_engine.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TelemetryRun {
+    /// The wave both runs carried.
+    pub wave: MeshWave,
     /// Mesh shape, e.g. `"256x256"`.
     pub grid: String,
     /// Node count (`rows × cols`).
@@ -75,9 +109,9 @@ pub struct TelemetryRun {
     pub shards: usize,
     /// Packet-moves executed (identical across the pair by assertion).
     pub moves: u64,
-    /// Wall-clock of the bare run in milliseconds.
+    /// Stepping wall-clock of the bare run in milliseconds.
     pub plain_wall_ms: f64,
-    /// Wall-clock of the probed run in milliseconds.
+    /// Stepping wall-clock of the probed run in milliseconds.
     pub probed_wall_ms: f64,
     /// Probe tax in percent: `(probed − plain) / plain × 100` (can be
     /// slightly negative from timing noise).
@@ -86,44 +120,64 @@ pub struct TelemetryRun {
     pub report: TelemetryReport,
 }
 
-/// Runs the diagonal wave bare and with a full telemetry probe — each
-/// with a discarded warmup pass and the median of three timed passes,
-/// like the rest of the bench suite — and reports the overhead plus the
-/// collected report (from the last probed pass; a fresh probe is built
-/// per pass, and the workload is deterministic, so every pass collects
-/// the same data).
+/// A discarded warmup pass, then the median of three timed passes, like
+/// the rest of the bench suite. Each pass reports its own timed span, so
+/// building a simulation (a million-node state at E16's shape) stays out
+/// of the probe tax. Returns the last pass's output.
+fn median_pass_ms<T>(mut pass: impl FnMut() -> (Duration, T)) -> (f64, T) {
+    pass();
+    let mut samples = [0.0f64; 3];
+    let mut last = None;
+    for s in &mut samples {
+        let (took, out) = pass();
+        *s = took.as_secs_f64() * 1e3;
+        last = Some(out);
+    }
+    samples.sort_unstable_by(f64::total_cmp);
+    (samples[1], last.expect("three passes ran"))
+}
+
+/// Runs `wave` bare and with a full telemetry probe — each with a
+/// discarded warmup pass and the median of three passes, timing the
+/// stepping only — and reports the overhead plus the collected report (a
+/// fresh probe is built per pass, and the workload is deterministic, so
+/// every pass collects the same data).
 ///
 /// # Panics
 ///
 /// Panics if the engine rejects the run or the probed run diverges from
 /// the bare run (the probe must be a pure observer).
-pub fn measure_telemetry(rows: usize, cols: usize, rounds: u64, shards: usize) -> TelemetryRun {
-    let (plain_ms, plain_metrics) = crate::exp_throughput::timed_median_ms(|| {
-        let mut sim = Simulation::from_source(
+pub fn measure_telemetry(
+    wave: MeshWave,
+    rows: usize,
+    cols: usize,
+    rounds: u64,
+    shards: usize,
+) -> TelemetryRun {
+    let build = || {
+        Simulation::from_source(
             Dag::grid(rows, cols),
             DagGreedy::fifo(),
-            wave_source(rows, cols),
+            wave.source(rows, cols),
         )
-        .with_shards(shards);
+        .with_shards(shards)
+    };
+    let (plain_ms, plain_metrics) = median_pass_ms(|| {
+        let mut sim = build();
+        let started = Instant::now();
         sim.run(rounds).expect("valid wave run");
-        sim.metrics().clone()
+        (started.elapsed(), sim.metrics().clone())
     });
 
-    let (probed_ms, (probed_metrics, report)) = crate::exp_throughput::timed_median_ms(|| {
-        let mut probed_sim = Simulation::from_source(
-            Dag::grid(rows, cols),
-            DagGreedy::fifo(),
-            wave_source(rows, cols),
-        )
-        .with_shards(shards);
+    let (probed_ms, (probed_metrics, report)) = median_pass_ms(|| {
+        let mut sim = build();
         let mut probe =
             TelemetryProbe::with_clock(TelemetrySpec::default(), Box::new(WallClock::new()));
+        let started = Instant::now();
         for _ in 0..rounds {
-            probed_sim
-                .step_probed(&mut probe)
-                .expect("valid probed wave run");
+            sim.step_probed(&mut probe).expect("valid probed wave run");
         }
-        (probed_sim.metrics().clone(), probe.report())
+        (started.elapsed(), (sim.metrics().clone(), probe.report()))
     });
 
     assert_eq!(
@@ -132,6 +186,7 @@ pub fn measure_telemetry(rows: usize, cols: usize, rounds: u64, shards: usize) -
     );
 
     TelemetryRun {
+        wave,
         grid: format!("{rows}x{cols}"),
         nodes: rows * cols,
         rounds,
@@ -144,19 +199,25 @@ pub fn measure_telemetry(rows: usize, cols: usize, rounds: u64, shards: usize) -
     }
 }
 
-/// The E14 instance: the E13 smoke shape with the E13 round budgets, so
-/// the overhead is measured against the same workload the `mesh_*`
-/// baseline fields record.
+/// The E14 smoke instance: the E13 smoke shape with the E13 round
+/// budgets, so the overhead is measured against the same workload the
+/// `mesh_*` baseline fields record.
 pub fn e14_instance(quick: bool) -> (usize, usize, u64) {
     (256, 256, if quick { 16 } else { 96 })
 }
 
-/// Renders a measured pair into the E14 tables: the overhead row plus
-/// the occupancy/latency histograms the probe collected.
-pub fn render_e14(run: &TelemetryRun) -> Vec<Table> {
+/// Renders measured pairs into the E14 tables: one overhead row per
+/// wave, the sketches of every run, and the histogram charts of the
+/// first run.
+///
+/// # Panics
+///
+/// Panics if `runs` is empty.
+pub fn render_e14(runs: &[TelemetryRun]) -> Vec<Table> {
     let mut overhead = Table::new(
-        "E14a - telemetry probe overhead on the E13 mesh smoke",
+        "E14a - telemetry probe overhead on the E13 mesh smoke and the E16 sparse wave",
         [
+            "wave",
             "grid",
             "rounds",
             "moves",
@@ -166,34 +227,43 @@ pub fn render_e14(run: &TelemetryRun) -> Vec<Table> {
             "shards",
         ],
     );
-    overhead.push_row([
-        run.grid.clone(),
-        run.rounds.to_string(),
-        run.moves.to_string(),
-        format!("{:.1}", run.plain_wall_ms),
-        format!("{:.1}", run.probed_wall_ms),
-        format!("{:+.1}", run.overhead_pct),
-        run.shards.to_string(),
-    ]);
-    overhead.note("identical RunMetrics across the pair is asserted, not assumed");
-    overhead.note("acceptance bar: < 10% probe tax at full telemetry (all sketches + profiling)");
-
-    let data = &run.report.data;
     let mut sketches = Table::new(
         "E14b - histogram sketches collected by the probe",
-        ["sketch", "count", "mean", "p50", "p99", "max"],
+        ["wave", "sketch", "count", "mean", "p50", "p99", "max"],
     );
-    for (name, h) in [("occupancy", &data.occupancy), ("latency", &data.latency)] {
-        sketches.push_row([
-            name.to_string(),
-            h.count().to_string(),
-            format!("{:.2}", h.mean()),
-            h.approx_quantile(0.5).to_string(),
-            h.approx_quantile(0.99).to_string(),
-            h.max.to_string(),
+    for run in runs {
+        overhead.push_row([
+            run.wave.name().to_string(),
+            run.grid.clone(),
+            run.rounds.to_string(),
+            run.moves.to_string(),
+            format!("{:.1}", run.plain_wall_ms),
+            format!("{:.1}", run.probed_wall_ms),
+            format!("{:+.1}", run.overhead_pct),
+            run.shards.to_string(),
         ]);
+        let data = &run.report.data;
+        for (name, h) in [("occupancy", &data.occupancy), ("latency", &data.latency)] {
+            sketches.push_row([
+                run.wave.name().to_string(),
+                name.to_string(),
+                h.count().to_string(),
+                format!("{:.2}", h.mean()),
+                h.approx_quantile(0.5).to_string(),
+                h.approx_quantile(0.99).to_string(),
+                h.max.to_string(),
+            ]);
+        }
     }
+    overhead.note("identical RunMetrics across each pair is asserted, not assumed");
+    overhead.note("ms: stepping only (set-up excluded), median of three after a warmup");
+    overhead.note(
+        "bar: < 10% probe tax at full telemetry (all sketches + profiling); \
+         reported, not gated",
+    );
     sketches.note("log2 buckets: quantiles overestimate by < 2x; count/mean/max are exact");
+
+    let data = &runs.first().expect("at least one E14 run").report.data;
     let mut charts = String::new();
     charts.push_str(&aqt_trace::histogram(&data.occupancy, "occupancy", 40));
     charts.push('\n');
@@ -204,15 +274,16 @@ pub fn render_e14(run: &TelemetryRun) -> Vec<Table> {
     vec![overhead, sketches, rendered]
 }
 
-/// E14 — telemetry overhead (runs the measurement pair and renders it).
+/// E14 — telemetry overhead (runs the smoke pair and the sparse pair at
+/// E16's quick shape, and renders them).
 pub fn e14_telemetry(quick: bool) -> Vec<Table> {
+    let shards = crate::exp_mesh::default_shards();
     let (rows, cols, rounds) = e14_instance(quick);
-    render_e14(&measure_telemetry(
-        rows,
-        cols,
-        rounds,
-        crate::exp_mesh::default_shards(),
-    ))
+    let (s_rows, s_cols, s_rounds) = crate::exp_sparse::e16_instances(true)[0];
+    render_e14(&[
+        measure_telemetry(MeshWave::Diagonal, rows, cols, rounds, shards),
+        measure_telemetry(MeshWave::Sparse, s_rows, s_cols, s_rounds, shards),
+    ])
 }
 
 #[cfg(test)]
@@ -231,7 +302,7 @@ mod tests {
     fn measure_telemetry_observes_without_perturbing() {
         // Small shape: the assertion inside measure_telemetry is the
         // real check; here we validate what the probe collected.
-        let run = measure_telemetry(32, 32, 8, 2);
+        let run = measure_telemetry(MeshWave::Diagonal, 32, 32, 8, 2);
         assert_eq!(run.grid, "32x32");
         assert_eq!(run.nodes, 1024);
         let data = &run.report.data;
@@ -256,10 +327,26 @@ mod tests {
     }
 
     #[test]
+    fn sparse_wave_samples_every_node_of_the_mesh() {
+        // 16 packets on a 32×16 mesh: 16 of 512 nodes are active each
+        // round, yet the sketch counts every node's occupancy.
+        let run = measure_telemetry(MeshWave::Sparse, 32, 16, 8, 2);
+        let occupancy = &run.report.data.occupancy;
+        assert_eq!(occupancy.count(), 8 * 512);
+        assert_eq!(occupancy.buckets, vec![8 * (512 - 16), 8 * 16]);
+        assert_eq!(run.moves, 8 * 16);
+    }
+
+    #[test]
     fn e14_renders_histograms() {
-        let tables = render_e14(&measure_telemetry(16, 16, 8, 2));
+        let tables = render_e14(&[
+            measure_telemetry(MeshWave::Diagonal, 16, 16, 8, 2),
+            measure_telemetry(MeshWave::Sparse, 16, 16, 8, 2),
+        ]);
         assert_eq!(tables.len(), 3);
-        assert!(tables[0].render().contains("16x16"));
+        let overhead = tables[0].render();
+        assert!(overhead.contains("diagonal (E13)") && overhead.contains("sparse (E16)"));
+        assert!(overhead.contains("16x16"));
         assert!(tables[1].render().contains("latency"));
         assert!(tables[2].render().contains("histogram"));
         assert!(!tables[0].to_csv().contains("NaN"));

@@ -397,7 +397,13 @@ pub fn measure_engine(quick: bool) -> EngineBenchReport {
     // The same smoke shape rerun bare vs fully probed; the delta is the
     // streaming-telemetry tax tracked as a trajectory.
     let (t_rows, t_cols, t_rounds) = crate::exp_telemetry::e14_instance(quick);
-    let telemetry = crate::exp_telemetry::measure_telemetry(t_rows, t_cols, t_rounds, mesh_shards);
+    let telemetry = crate::exp_telemetry::measure_telemetry(
+        crate::exp_telemetry::MeshWave::Diagonal,
+        t_rows,
+        t_cols,
+        t_rounds,
+        mesh_shards,
+    );
 
     // --- Part 8: the fault-mask hot path (E15's engine side) ----------
     // The exact Part-5 flood workload rerun under a recovering outage

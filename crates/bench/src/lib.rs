@@ -19,7 +19,7 @@
 //! | E11 | finite buffers: goodput vs capacity, space thresholds | [`e11_capacity`] |
 //! | E12 | grid routing: peak buffer vs mesh dimensions | [`e12_grid`] |
 //! | E13 | million-node mesh: computed routing, arenas, sharded rounds | [`e13_mesh`] |
-//! | E14 | telemetry probe overhead + histogram sketches | [`e14_telemetry`] |
+//! | E14 | telemetry probe overhead (dense smoke + sparse wave) + histogram sketches | [`e14_telemetry`] |
 //! | E15 | degraded regime: peak buffer + goodput vs dead links | [`e15_faults`] |
 //! | E16 | sparse wave: O(live packets) rounds on the 1M-node mesh | [`e16_sparse`] |
 //! | A1  | pre-bad cascade ablation | [`a1_prebad`] |
@@ -66,7 +66,7 @@ pub use exp_sparse::{
     e16_instances, e16_sparse, measure_sparse, render_e16, sparse_wave_source, SparseRun,
 };
 pub use exp_telemetry::{
-    e14_instance, e14_telemetry, measure_telemetry, render_e14, TelemetryRun, WallClock,
+    e14_instance, e14_telemetry, measure_telemetry, render_e14, MeshWave, TelemetryRun, WallClock,
 };
 pub use exp_throughput::{
     bench_delta_table, bench_regressions, e10_throughput, e6_grid, engine_bench_json,

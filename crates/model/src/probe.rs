@@ -67,7 +67,8 @@ impl EnginePhase {
 /// 2. [`on_observe`](Probe::on_observe) — the paper's `L^t` measurement
 ///    point (post-injection, pre-forwarding), right after
 ///    `RunMetrics::observe`. This is where occupancy distributions are
-///    sampled.
+///    sampled, and the one hook where
+///    [`NetworkState::active_nodes`] is exact.
 /// 3. [`on_phase`](Probe::on_phase) — once per engine phase
 ///    ([`EnginePhase`]) with its wall-time in nanoseconds, measured by
 ///    the probe's own [`now_nanos`](Probe::now_nanos) clock. The default
@@ -109,7 +110,11 @@ pub trait Probe {
     fn on_fault(&mut self, _round: Round, _state: &FaultState) {}
 
     /// The `L^t` measurement point of `round`: post-injection,
-    /// pre-forwarding.
+    /// pre-forwarding. The engine refreshes the active set just before
+    /// this hook, so [`NetworkState::active_nodes`] is exact here and a
+    /// probe can observe in O(active nodes) instead of O(n). It is not
+    /// exact at [`on_round`](Probe::on_round), where the round's moves
+    /// have left the worklist stale.
     fn on_observe(&mut self, _round: Round, _state: &NetworkState) {}
 
     /// One engine phase of `round` took `nanos` nanoseconds (0 when

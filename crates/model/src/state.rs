@@ -207,14 +207,6 @@ impl NetworkState {
         self.spans[v.index()].len as usize
     }
 
-    /// Per-node buffer occupancies in node order — the bulk counterpart
-    /// of [`occupancy`](NetworkState::occupancy), a single unchecked pass
-    /// over the span table for probes that sample every buffer each
-    /// round.
-    pub fn occupancies(&self) -> impl Iterator<Item = usize> + '_ {
-        self.spans.iter().map(|s| s.len as usize)
-    }
-
     /// Total packets currently buffered (excluding staged).
     pub fn total_buffered(&self) -> usize {
         self.slab.live

@@ -10,7 +10,8 @@
 //! * [`TelemetryCounters`] — whole-run injected/accepted/forwarded/
 //!   delivered/dropped totals (O(1)).
 //! * [`HistogramSketch`] — log2-bucket sketches of buffer occupancy
-//!   (sampled at the paper's `L^t` measurement point) and packet
+//!   (sampled at the paper's `L^t` measurement point, every node
+//!   counted, at O(active nodes) per sampled round) and packet
 //!   end-to-end latency (O(buckets) ≤ 65 words each).
 //! * [`RoundSeries`] — a bounded ring buffer of per-round
 //!   [`RoundSample`]s with a configurable stride, so long-horizon runs

@@ -22,8 +22,9 @@ pub struct TelemetrySpec {
     /// Keep rounds where `round % series_stride == 0` in the series.
     pub series_stride: u64,
     /// Sample buffer occupancy distributions only on rounds where
-    /// `round % occupancy_stride == 0` (occupancy sampling touches every
-    /// node, so large meshes may want a stride > 1).
+    /// `round % occupancy_stride == 0`. A sampled round records every
+    /// node's occupancy but costs O(active nodes): the empty buffers
+    /// enter the sketch in one step.
     pub occupancy_stride: u64,
 }
 
@@ -40,7 +41,8 @@ impl Default for TelemetrySpec {
 }
 
 /// The standard telemetry probe: O(histogram buckets + ring capacity)
-/// memory, independent of rounds and node count.
+/// memory, independent of rounds and node count, and O(active nodes +
+/// deliveries) work per round.
 ///
 /// Construct with [`new`](TelemetryProbe::new) (deterministic
 /// [`NullClock`], all phase times 0) or
@@ -119,9 +121,15 @@ impl Probe for TelemetryProbe {
         if round.value() % self.spec.occupancy_stride.max(1) != 0 {
             return;
         }
-        for occ in state.occupancies() {
-            self.occupancy.record(occ as u64);
+        // The worklist is exact at this hook: sample the live buffers,
+        // then every other buffer's 0 in one call.
+        let mut active = 0u64;
+        for v in state.active_nodes() {
+            self.occupancy.record(state.occupancy(v) as u64);
+            active += 1;
         }
+        self.occupancy
+            .record_n(0, state.node_count() as u64 - active);
     }
 
     fn on_phase(&mut self, _round: Round, phase: EnginePhase, nanos: u64) {

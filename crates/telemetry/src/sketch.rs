@@ -50,16 +50,25 @@ impl HistogramSketch {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `value` `times` times in O(1): the same buckets, count,
+    /// sum and max as `times` calls of [`record`](Self::record), since
+    /// the sketch does not depend on sample order. `times == 0` leaves
+    /// the sketch untouched (no bucket is grown).
+    pub fn record_n(&mut self, value: u64, times: u64) {
+        if times == 0 {
+            return;
+        }
         let idx = bucket_index(value);
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
         }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        if value > self.max {
-            self.max = value;
-        }
+        self.buckets[idx] += times;
+        self.count += times;
+        self.sum = self.sum.saturating_add(value.saturating_mul(times));
+        self.max = self.max.max(value);
     }
 
     /// Number of recorded samples.
@@ -150,6 +159,59 @@ mod tests {
         assert_eq!(h.max, 8);
         assert_eq!(h.buckets, vec![1, 1, 1, 0, 1]);
         assert!((h.mean() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        for value in [0, 1, 3, 1 << 63, u64::MAX] {
+            for times in [0, 1, 7] {
+                let mut batched = HistogramSketch::new();
+                batched.record_n(value, times);
+                let mut repeated = HistogramSketch::new();
+                for _ in 0..times {
+                    repeated.record(value);
+                }
+                assert_eq!(batched, repeated, "record_n({value}, {times})");
+            }
+        }
+    }
+
+    #[test]
+    fn record_n_matches_the_closed_form_at_scale() {
+        let times = 1u64 << 40;
+        for value in [0, 1, 3, 1 << 63, u64::MAX] {
+            let mut h = HistogramSketch::new();
+            h.record_n(value, times);
+            let idx = bucket_index(value);
+            let mut buckets = vec![0; idx + 1];
+            buckets[idx] = times;
+            assert_eq!(h.buckets, buckets, "value {value}");
+            assert_eq!(h.count, times);
+            let exact = u128::from(value) * u128::from(times);
+            assert_eq!(h.sum, u64::try_from(exact).unwrap_or(u64::MAX));
+            assert_eq!(h.max, value);
+        }
+    }
+
+    #[test]
+    fn record_n_of_nothing_keeps_the_trimmed_form() {
+        let mut h = HistogramSketch::new();
+        h.record_n(5, 0);
+        assert_eq!(h, HistogramSketch::new());
+        assert!(h.buckets.is_empty());
+        assert_eq!(
+            serde_json::to_string(&h).unwrap(),
+            serde_json::to_string(&HistogramSketch::new()).unwrap()
+        );
+    }
+
+    #[test]
+    fn record_n_saturates_the_sum() {
+        let mut h = HistogramSketch::new();
+        h.record_n(u64::MAX, 2);
+        assert_eq!(h.sum, u64::MAX);
+        assert_eq!(h.count, 2);
+        assert_eq!(h.max, u64::MAX);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::fmt;
 use aqt_core::badness::badness_path;
 use aqt_model::{
     ExcessTracker, ModelError, NetworkState, NodeId, PacketId, Pattern, Probe, Protocol, Rate,
-    Round, RunMetrics, Simulation, Topology,
+    Round, RunMetrics, Simulation, StoredPacket, Topology,
 };
 
 /// A detected invariant violation.
@@ -55,7 +55,8 @@ pub trait Monitor<T: Topology> {
     fn name(&self) -> String;
 
     /// Inspects the configuration of `round`; returns the violation if the
-    /// monitored invariant fails.
+    /// monitored invariant fails. [`Monitors`] calls it at the `L^t`
+    /// observation, where `state.active_nodes()` is exact.
     ///
     /// # Errors
     ///
@@ -82,13 +83,15 @@ impl<T: Topology> Monitor<T> for OccupancyMonitor {
     }
 
     fn observe(&mut self, round: Round, state: &NetworkState) -> Result<(), Violation> {
-        for v in 0..state.node_count() {
-            let occ = state.occupancy(NodeId::new(v));
+        // An empty buffer never exceeds a bound, and the active nodes
+        // ascend, so the first violation found is the lowest node's.
+        for v in state.active_nodes() {
+            let occ = state.occupancy(v);
             if occ > self.bound {
                 return Err(Violation {
                     monitor: Monitor::<T>::name(self),
                     round,
-                    message: format!("node {v} holds {occ} > {}", self.bound),
+                    message: format!("node {} holds {occ} > {}", v.index(), self.bound),
                 });
             }
         }
@@ -190,6 +193,10 @@ pub struct Monitors<T: Topology> {
     /// Whether the current round's `L^t` was quiet (only tracked under
     /// `enforce_quiescence`).
     quiet: bool,
+    /// One buffer's destinations, reused by the quiescence check: it
+    /// grows to the largest buffer seen, so steady rounds allocate
+    /// nothing.
+    dests: Vec<NodeId>,
 }
 
 impl<T: Topology> Monitors<T> {
@@ -200,6 +207,7 @@ impl<T: Topology> Monitors<T> {
             violation: None,
             enforce_quiescence: false,
             quiet: false,
+            dests: Vec::new(),
         }
     }
 
@@ -224,13 +232,11 @@ impl<T: Topology> Probe for Monitors<T> {
                 self.violation.get_or_insert(v);
             }
         }
+        let dests = &mut self.dests;
         self.quiet = self.enforce_quiescence
-            && (0..state.node_count()).all(|v| {
-                state
-                    .by_destination(NodeId::new(v))
-                    .values()
-                    .all(|packets| packets.len() <= 1)
-            });
+            && !state
+                .active_nodes()
+                .any(|v| repeats_a_destination(state.buffer(v), dests));
     }
 
     fn on_move(&mut self, round: Round, from: NodeId, _packet: PacketId, _delivers: bool) {
@@ -242,6 +248,15 @@ impl<T: Topology> Probe for Monitors<T> {
             });
         }
     }
+}
+
+/// Whether two packets in `buffer` share a destination, sorting the
+/// destinations in the caller's reusable `dests` buffer.
+fn repeats_a_destination(buffer: &[StoredPacket], dests: &mut Vec<NodeId>) -> bool {
+    dests.clear();
+    dests.extend(buffer.iter().map(StoredPacket::dest));
+    dests.sort_unstable();
+    dests.chunk_by(|a, b| a == b).any(|run| run.len() > 1)
 }
 
 /// Runs `protocol` under `monitors` until `extra` rounds past the
