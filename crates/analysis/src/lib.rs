@@ -14,13 +14,14 @@
 //! * [`RunSummary`] / [`run_pattern`] / [`run_source`] /
 //!   [`run_source_capacity`] — generic one-shot runs distilled to the
 //!   quantities the theorems speak about;
-//! * [`run_scenario_probed`] — any scenario on any shard count with an
-//!   engine [`Probe`](aqt_model::Probe) attached: a streaming
+//! * [`run_scenario_probed`] — any scenario with an engine
+//!   [`Probe`](aqt_model::Probe) attached: a streaming
 //!   `TelemetryProbe` (`aqt-telemetry`), an `aqt-trace` `Tracer` or
 //!   invariant monitors;
-//! * [`sweep`] — scoped-thread parameter sweeps: [`sweep::parallel`]
-//!   scatters a grid across cores and merges deterministically (equal to
-//!   [`sweep::serial`] for pure functions);
+//! * [`sweep`] — scoped-thread parameter sweeps, the one parallel layer
+//!   (every run steps on one thread): [`sweep::parallel`] scatters a
+//!   grid of independent runs across cores and merges deterministically
+//!   (equal to [`sweep::serial`] for pure functions);
 //! * [`capacity_threshold`] / [`sweep_capacity_grid`] — finite-buffer
 //!   experiments: binary-search the smallest zero-drop capacity and run
 //!   capacity × rate grids through the parallel runners;

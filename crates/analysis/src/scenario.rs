@@ -202,17 +202,15 @@ impl From<ModelError> for ScenarioError {
 /// capacity or fault spec naming a node the topology lacks) or the
 /// engine rejects the run.
 pub fn run_scenario(scenario: &Scenario) -> Result<RunSummary, ScenarioError> {
-    run_scenario_probed(scenario, 1, &mut ())
+    run_scenario_probed(scenario, &mut ())
 }
 
-/// [`run_scenario`] on `shards` shards ([`Simulation::with_shards`]; 1
-/// spawns no worker threads) with `probe` observing every round — a
+/// [`run_scenario`] with `probe` observing every round — a
 /// `TelemetryProbe`, an `aqt-trace` `Tracer` or invariant monitors, or
 /// `()` for none.
 ///
-/// The probe cannot perturb the run, and the summary is byte-identical
-/// at every shard count (`tests/sharded_conformance.rs` pins both across
-/// the protocol × topology × capacity × staging matrix).
+/// The probe cannot perturb the run (`tests/probe_conformance.rs` pins
+/// this).
 ///
 /// Assembly: builds the topology, protocol and source specs, checks
 /// that the capacity and fault specs name only existing nodes (the
@@ -223,14 +221,13 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunSummary, ScenarioError> {
 /// Exactly as [`run_scenario`].
 pub fn run_scenario_probed<Pr: Probe + ?Sized>(
     scenario: &Scenario,
-    shards: usize,
     probe: &mut Pr,
 ) -> Result<RunSummary, ScenarioError> {
     let topology = scenario.topology.build()?;
     let protocol = scenario.protocol.build(&topology)?;
     let source = scenario.source.build(&topology)?;
     check_node_ranges(scenario, topology.node_count())?;
-    let mut sim = Simulation::from_source(topology, protocol, source).with_shards(shards);
+    let mut sim = Simulation::from_source(topology, protocol, source);
     if let Some(cap) = &scenario.capacity {
         sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
     }

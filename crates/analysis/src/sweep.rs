@@ -77,7 +77,7 @@ impl RunSummary {
 /// # Errors
 ///
 /// Propagates pattern validation or plan errors from the engine.
-pub fn run_pattern<T: Topology + Sync, P: Protocol<T> + Sync>(
+pub fn run_pattern<T: Topology, P: Protocol<T>>(
     topology: T,
     protocol: P,
     pattern: &Pattern,
@@ -98,7 +98,7 @@ pub fn run_pattern<T: Topology + Sync, P: Protocol<T> + Sync>(
 /// # Errors
 ///
 /// Propagates injection validation or plan errors from the engine.
-pub fn run_source<T: Topology + Sync, P: Protocol<T> + Sync, S: InjectionSource>(
+pub fn run_source<T: Topology, P: Protocol<T>, S: InjectionSource>(
     topology: T,
     protocol: P,
     source: S,
@@ -119,7 +119,7 @@ pub fn run_source<T: Topology + Sync, P: Protocol<T> + Sync, S: InjectionSource>
 /// # Errors
 ///
 /// Propagates injection validation or plan errors from the engine.
-pub fn run_source_capacity<T: Topology + Sync, P: Protocol<T> + Sync, S: InjectionSource>(
+pub fn run_source_capacity<T: Topology, P: Protocol<T>, S: InjectionSource>(
     topology: T,
     protocol: P,
     source: S,

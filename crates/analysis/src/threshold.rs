@@ -100,8 +100,8 @@ pub fn capacity_threshold<T, P, S, FP, FS, FD>(
     extra: u64,
 ) -> Result<CapacityThreshold, ModelError>
 where
-    T: Topology + Clone + Sync,
-    P: Protocol<T> + Sync,
+    T: Topology + Clone,
+    P: Protocol<T>,
     S: InjectionSource,
     FP: Fn() -> P,
     FS: Fn() -> S,
@@ -221,7 +221,7 @@ pub fn sweep_capacity_grid<P, S, FP, FS, FD>(
     extra: u64,
 ) -> Result<Vec<RunSummary>, ModelError>
 where
-    P: Protocol<Path> + Sync,
+    P: Protocol<Path>,
     S: InjectionSource,
     FP: Fn(Rate) -> P + Sync,
     FS: Fn(Rate) -> S + Sync,

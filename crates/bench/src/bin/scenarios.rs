@@ -84,10 +84,6 @@ impl<F: FnMut(&TelemetryReport)> Probe for Flushing<F> {
         self.probe.on_phase(round, phase, nanos);
     }
 
-    fn on_shard_moves(&mut self, round: Round, shard: usize, moves: usize) {
-        self.probe.on_shard_moves(round, shard, moves);
-    }
-
     fn on_move(&mut self, round: Round, from: NodeId, packet: PacketId, delivers: bool) {
         self.probe.on_move(round, from, packet, delivers);
     }
@@ -360,7 +356,7 @@ fn main() {
                             write(&snapshot);
                         },
                     };
-                    let outcome = run_scenario_probed(scenario, 1, &mut probe);
+                    let outcome = run_scenario_probed(scenario, &mut probe);
                     let report = probe.probe.report();
                     outcome.inspect(|_| merged.merge(&report))
                 })
@@ -464,7 +460,7 @@ mod tests {
             every: 3,
             flush: |r: &TelemetryReport| flushed.push(r.data.counters.rounds),
         };
-        run_scenario_probed(&scenario, 1, &mut probe).unwrap();
+        run_scenario_probed(&scenario, &mut probe).unwrap();
         let report = probe.probe.report();
         // The burst's horizon is 1, so 1 + 10 settle rounds run.
         assert_eq!(report.data.counters.rounds, 11);

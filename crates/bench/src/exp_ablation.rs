@@ -114,8 +114,7 @@ pub fn a2_eager(quick: bool) -> Vec<Table> {
     let fmt_latency = |l: Option<f64>| l.map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
     for (protocol, pattern) in [
         (
-            Box::new(Pts::new(NodeId::new(n - 1)))
-                as Box<dyn aqt_model::Protocol<Path> + Send + Sync>,
+            Box::new(Pts::new(NodeId::new(n - 1))) as Box<dyn aqt_model::Protocol<Path>>,
             &single,
         ),
         (Box::new(Pts::eager(NodeId::new(n - 1))), &single),

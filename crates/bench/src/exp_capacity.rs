@@ -436,12 +436,7 @@ mod tests {
 
     /// Runs `protocol` against `pattern` at a uniform capacity and
     /// returns the drop count.
-    fn drops_at<P: Protocol<Path> + Sync>(
-        n: usize,
-        protocol: P,
-        pattern: &Pattern,
-        cap: usize,
-    ) -> u64 {
+    fn drops_at<P: Protocol<Path>>(n: usize, protocol: P, pattern: &Pattern, cap: usize) -> u64 {
         let mut sim = Simulation::from_source(Path::new(n), protocol, PatternSource::new(pattern))
             .with_capacity(CapacityConfig::uniform(cap), DropTail);
         sim.run_past_horizon(EXTRA).expect("valid run");
@@ -460,7 +455,7 @@ mod tests {
                 out.extend(std::iter::repeat_n(Injection::new(t, 0, n - 1), 2));
             });
             let shaped = ShapingSource::new(topo, wishes, contender.rate(), sigma);
-            let protocol: Box<dyn Protocol<Path> + Send + Sync> = match contender {
+            let protocol: Box<dyn Protocol<Path>> = match contender {
                 Contender::PtsEager => Box::new(Pts::eager(NodeId::new(n - 1))),
                 Contender::Ppts => Box::new(Ppts::new()),
                 Contender::Hpts => Box::new(Hpts::for_line(n, 2).expect("geometry fits")),

@@ -14,8 +14,8 @@ use aqt_model::{analyze, Path, Protocol, Rate, Topology};
 
 /// Builds the protocol zoo for a line of `nodes` nodes with an ℓ-level
 /// hierarchy where applicable.
-fn zoo(nodes: usize, l: u32) -> Vec<(&'static str, Box<dyn Protocol<Path> + Send + Sync>)> {
-    let mut v: Vec<(&'static str, Box<dyn Protocol<Path> + Send + Sync>)> = vec![
+fn zoo(nodes: usize, l: u32) -> Vec<(&'static str, Box<dyn Protocol<Path>>)> {
+    let mut v: Vec<(&'static str, Box<dyn Protocol<Path>>)> = vec![
         ("Greedy-FIFO", Box::new(Greedy::new(GreedyPolicy::Fifo))),
         (
             "Greedy-LIS",

@@ -1,10 +1,10 @@
-//! E13 — the million-node mesh: table-free computed routing, arena
-//! buffers and sharded rounds at scale.
+//! E13 — the million-node mesh: table-free computed routing and arena
+//! buffers at scale.
 //!
 //! E10/E12 cap out around 10³–10⁴ nodes because the old [`Dag`] carried
 //! dense `n × n` next-hop/distance tables — a 1024×1024 mesh would need
 //! two 4 TiB tables before the first round runs. This experiment is the
-//! scale probe for the three layers that removed that wall:
+//! scale probe for the two layers that removed that wall:
 //!
 //! 1. **Computed routing** — `Dag::grid` answers `next_hop` by XY
 //!    arithmetic (`O(1)`, zero tables); butterflies and diamonds have
@@ -12,10 +12,8 @@
 //!    fall back to dense tables.
 //! 2. **Arena buffers** — `NetworkState` stores packets in one slab with
 //!    per-node spans instead of one `Vec<Packet>` per node.
-//! 3. **Sharded rounds** — `Simulation::with_shards` runs each round's
-//!    plan and validate phases on `std::thread::scope` workers and merges
-//!    them in shard order, then applies the moves sequentially
-//!    (byte-identical to one shard; see `tests/sharded_conformance.rs`).
+//!
+//! Every run steps on one thread; see DESIGN.md §2f for why.
 //!
 //! The workload is a *diagonal wave*: at round 0 every node fires one
 //! packet right along its row and one down its column. Under XY routing
@@ -69,25 +67,22 @@ pub struct MeshRun {
     pub wall_ms: f64,
     /// Packet-moves per second — the headline rate.
     pub moves_per_sec: f64,
-    /// Shards (= scoped worker threads) the run used.
-    pub shards: usize,
 }
 
-/// Runs the diagonal wave for a fixed number of rounds on `shards` shards
-/// and reports the packet-move rate.
+/// Runs the diagonal wave for a fixed number of rounds and reports the
+/// packet-move rate.
 ///
 /// # Panics
 ///
 /// Panics if the grid would require dense tables (the scale contract of
 /// this experiment) or the engine rejects the run.
-pub fn measure_mesh(rows: usize, cols: usize, rounds: u64, shards: usize) -> MeshRun {
+pub fn measure_mesh(rows: usize, cols: usize, rounds: u64) -> MeshRun {
     let topo = Dag::grid(rows, cols);
     assert!(
         topo.is_computed_routing(),
         "mesh runs must not build O(n^2) tables"
     );
-    let mut sim = Simulation::from_source(topo, DagGreedy::fifo(), wave_source(rows, cols))
-        .with_shards(shards);
+    let mut sim = Simulation::from_source(topo, DagGreedy::fifo(), wave_source(rows, cols));
     let started = Instant::now();
     sim.run(rounds).expect("valid wave run");
     let wall = started.elapsed();
@@ -100,7 +95,6 @@ pub fn measure_mesh(rows: usize, cols: usize, rounds: u64, shards: usize) -> Mes
         moves,
         wall_ms,
         moves_per_sec: moves as f64 / wall.as_secs_f64().max(1e-9),
-        shards,
     }
 }
 
@@ -108,21 +102,11 @@ pub fn measure_mesh(rows: usize, cols: usize, rounds: u64, shards: usize) -> Mes
 /// warmup run, then the median-wall-clock run of three. The wave is
 /// deterministic, so the three runs differ only in `wall_ms` — this is
 /// what the `mesh_*`/`mesh1m_*` fields of `BENCH_engine.json` record.
-pub fn measure_mesh_median(rows: usize, cols: usize, rounds: u64, shards: usize) -> MeshRun {
-    let _warmup = measure_mesh(rows, cols, rounds, shards);
-    let mut runs: Vec<MeshRun> = (0..3)
-        .map(|_| measure_mesh(rows, cols, rounds, shards))
-        .collect();
+pub fn measure_mesh_median(rows: usize, cols: usize, rounds: u64) -> MeshRun {
+    let _warmup = measure_mesh(rows, cols, rounds);
+    let mut runs: Vec<MeshRun> = (0..3).map(|_| measure_mesh(rows, cols, rounds)).collect();
     runs.sort_unstable_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms));
     runs.swap_remove(1)
-}
-
-/// The shard count E13, E14 and E16 run with: one per available core,
-/// floored at 1. (One shard spawns no worker threads, so single-core
-/// hosts measure the computed-routing + arena layers without thread
-/// overhead.)
-pub fn default_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// The E13 instance ladder: `(rows, cols, rounds)` per mode. Quick keeps
@@ -139,10 +123,8 @@ pub fn e13_instances(quick: bool) -> Vec<(usize, usize, u64)> {
 /// Renders measured runs into the E13 table.
 pub fn render_e13(runs: &[MeshRun]) -> Vec<Table> {
     let mut table = Table::new(
-        "E13 - million-node mesh wave (computed routing, arenas, sharded rounds)",
-        [
-            "grid", "nodes", "rounds", "moves", "wall ms", "moves/s", "shards",
-        ],
+        "E13 - million-node mesh wave (computed routing, arenas)",
+        ["grid", "nodes", "rounds", "moves", "wall ms", "moves/s"],
     );
     for run in runs {
         table.push_row([
@@ -152,7 +134,6 @@ pub fn render_e13(runs: &[MeshRun]) -> Vec<Table> {
             run.moves.to_string(),
             format!("{:.1}", run.wall_ms),
             format!("{:.2e}", run.moves_per_sec),
-            run.shards.to_string(),
         ]);
     }
     table.note("diagonal wave: every node fires right + down at round 0; link-disjoint under XY");
@@ -162,10 +143,9 @@ pub fn render_e13(runs: &[MeshRun]) -> Vec<Table> {
 
 /// E13 — mesh scale probe (runs the instance ladder and renders it).
 pub fn e13_mesh(quick: bool) -> Vec<Table> {
-    let shards = default_shards();
     let runs: Vec<MeshRun> = e13_instances(quick)
         .into_iter()
-        .map(|(rows, cols, rounds)| measure_mesh(rows, cols, rounds, shards))
+        .map(|(rows, cols, rounds)| measure_mesh(rows, cols, rounds))
         .collect();
     render_e13(&runs)
 }
@@ -202,7 +182,7 @@ mod tests {
 
     #[test]
     fn measure_mesh_reports_the_steady_rate() {
-        let run = measure_mesh(64, 64, 8, 2);
+        let run = measure_mesh(64, 64, 8);
         assert_eq!(run.grid, "64x64");
         assert_eq!(run.nodes, 4096);
         assert_eq!(run.rounds, 8);
@@ -210,28 +190,13 @@ mod tests {
         // rounds of a 64-wide mesh except those injected near the edge.
         assert!(run.moves > 0);
         assert!(run.moves_per_sec > 0.0);
-        assert_eq!(run.shards, 2);
-    }
-
-    #[test]
-    fn sharded_wave_matches_sequential_wave() {
-        let run = |shards: usize| {
-            let mut sim =
-                Simulation::from_source(Dag::grid(16, 16), DagGreedy::fifo(), wave_source(16, 16))
-                    .with_shards(shards);
-            sim.run(40).unwrap();
-            sim.metrics().clone()
-        };
-        let seq = run(1);
-        assert_eq!(seq, run(2));
-        assert_eq!(seq, run(5));
     }
 
     #[test]
     fn e13_quick_renders() {
         // Smallest shape through the full render path (the quick ladder
         // itself runs in the e13 smoke + CI, not in unit tests).
-        let tables = render_e13(&[measure_mesh(32, 32, 4, default_shards())]);
+        let tables = render_e13(&[measure_mesh(32, 32, 4)]);
         assert_eq!(tables.len(), 1);
         assert!(tables[0].render().contains("32x32"));
         assert!(!tables[0].to_csv().contains("NaN"));

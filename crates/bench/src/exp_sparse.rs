@@ -66,12 +66,10 @@ pub struct SparseRun {
     pub wall_ms: f64,
     /// Packet-moves per second — the active-set headline rate.
     pub moves_per_sec: f64,
-    /// Shards (= scoped worker threads) the run used.
-    pub shards: usize,
 }
 
-/// Runs the sparse wave for a fixed number of rounds on `shards` shards
-/// and reports the packet-move rate. Timing is hardened like the rest of
+/// Runs the sparse wave for a fixed number of rounds and reports the
+/// packet-move rate. Timing is hardened like the rest of
 /// the bench suite: one discarded warmup run, then the median of three
 /// measured runs (the workload is deterministic, so runs differ only in
 /// wall-clock). Only `run` is timed — at this scale the one-off state
@@ -83,7 +81,7 @@ pub struct SparseRun {
 /// Panics if the grid would require dense tables, if the bounded run
 /// would start draining (`rounds` must stay below the route length), or
 /// if any live packet fails to advance in some round.
-pub fn measure_sparse(rows: usize, cols: usize, rounds: u64, shards: usize) -> SparseRun {
+pub fn measure_sparse(rows: usize, cols: usize, rounds: u64) -> SparseRun {
     assert!(
         rounds < (rows - 1) as u64,
         "bounded run must end before the wave starts draining (column length)"
@@ -97,8 +95,7 @@ pub fn measure_sparse(rows: usize, cols: usize, rounds: u64, shards: usize) -> S
             Dag::grid(rows, cols),
             DagGreedy::fifo(),
             sparse_wave_source(rows, cols),
-        )
-        .with_shards(shards);
+        );
         let started = Instant::now();
         sim.run(rounds).expect("valid sparse run");
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -122,7 +119,6 @@ pub fn measure_sparse(rows: usize, cols: usize, rounds: u64, shards: usize) -> S
         moves,
         wall_ms,
         moves_per_sec: moves as f64 / (wall_ms / 1e3).max(1e-9),
-        shards,
     }
 }
 
@@ -142,7 +138,7 @@ pub fn render_e16(runs: &[SparseRun]) -> Vec<Table> {
     let mut table = Table::new(
         "E16 - sparse wave on the million-node mesh (active-set engine)",
         [
-            "grid", "nodes", "live", "rounds", "moves", "wall ms", "moves/s", "shards",
+            "grid", "nodes", "live", "rounds", "moves", "wall ms", "moves/s",
         ],
     );
     for run in runs {
@@ -154,7 +150,6 @@ pub fn render_e16(runs: &[SparseRun]) -> Vec<Table> {
             run.moves.to_string(),
             format!("{:.1}", run.wall_ms),
             format!("{:.2e}", run.moves_per_sec),
-            run.shards.to_string(),
         ]);
     }
     table.note(
@@ -171,10 +166,9 @@ pub fn render_e16(runs: &[SparseRun]) -> Vec<Table> {
 /// E16 — sparse-wave scale probe (runs the instance ladder and renders
 /// it).
 pub fn e16_sparse(quick: bool) -> Vec<Table> {
-    let shards = crate::exp_mesh::default_shards();
     let runs: Vec<SparseRun> = e16_instances(quick)
         .into_iter()
-        .map(|(rows, cols, rounds)| measure_sparse(rows, cols, rounds, shards))
+        .map(|(rows, cols, rounds)| measure_sparse(rows, cols, rounds))
         .collect();
     render_e16(&runs)
 }
@@ -214,42 +208,24 @@ mod tests {
 
     #[test]
     fn measure_sparse_reports_the_exact_move_count() {
-        let run = measure_sparse(16, 64, 8, 2);
+        let run = measure_sparse(16, 64, 8);
         assert_eq!(run.grid, "16x64");
         assert_eq!(run.nodes, 1024);
         assert_eq!(run.live, 64);
         assert_eq!(run.moves, 64 * 8);
         assert!(run.moves_per_sec > 0.0);
-        assert_eq!(run.shards, 2);
-    }
-
-    #[test]
-    fn sharded_sparse_wave_matches_sequential() {
-        let run = |shards: usize| {
-            let mut sim = Simulation::from_source(
-                Dag::grid(16, 16),
-                DagGreedy::fifo(),
-                sparse_wave_source(16, 16),
-            )
-            .with_shards(shards);
-            sim.run(10).unwrap();
-            sim.metrics().clone()
-        };
-        let seq = run(1);
-        assert_eq!(seq, run(2));
-        assert_eq!(seq, run(5));
     }
 
     #[test]
     #[should_panic(expected = "start")]
     fn overlong_bounded_runs_are_rejected() {
         // 8 rounds down a 4-row mesh would start delivering at round 3.
-        measure_sparse(4, 8, 8, 1);
+        measure_sparse(4, 8, 8);
     }
 
     #[test]
     fn e16_quick_renders() {
-        let tables = render_e16(&[measure_sparse(32, 32, 4, 2)]);
+        let tables = render_e16(&[measure_sparse(32, 32, 4)]);
         assert_eq!(tables.len(), 1);
         assert!(tables[0].render().contains("32x32"));
         assert!(!tables[0].to_csv().contains("NaN"));

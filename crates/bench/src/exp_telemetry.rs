@@ -5,8 +5,7 @@
 //! O(buckets + ring capacity) memory regardless of run length, and a
 //! per-round cost of O(active nodes), like the round it observes, so
 //! probes can stay on for million-node runs. This experiment prices that
-//! promise on two waves at the E13 shard count: the E13 256×256
-//! diagonal-wave smoke, where nearly every node is busy, and E16's sparse
+//! promise on two waves: the E13 256×256 diagonal-wave smoke, where nearly every node is busy, and E16's sparse
 //! 1024×1024 wave, where about one node in a thousand is. Each wave runs
 //! twice — once bare, once with a full [`TelemetryProbe`] (occupancy +
 //! latency sketches, round series, per-phase wall-clock profiling via
@@ -105,8 +104,6 @@ pub struct TelemetryRun {
     pub nodes: usize,
     /// Rounds executed by both runs.
     pub rounds: u64,
-    /// Shards (scoped worker threads) both runs used.
-    pub shards: usize,
     /// Packet-moves executed (identical across the pair by assertion).
     pub moves: u64,
     /// Stepping wall-clock of the bare run in milliseconds.
@@ -147,20 +144,13 @@ fn median_pass_ms<T>(mut pass: impl FnMut() -> (Duration, T)) -> (f64, T) {
 ///
 /// Panics if the engine rejects the run or the probed run diverges from
 /// the bare run (the probe must be a pure observer).
-pub fn measure_telemetry(
-    wave: MeshWave,
-    rows: usize,
-    cols: usize,
-    rounds: u64,
-    shards: usize,
-) -> TelemetryRun {
+pub fn measure_telemetry(wave: MeshWave, rows: usize, cols: usize, rounds: u64) -> TelemetryRun {
     let build = || {
         Simulation::from_source(
             Dag::grid(rows, cols),
             DagGreedy::fifo(),
             wave.source(rows, cols),
         )
-        .with_shards(shards)
     };
     let (plain_ms, plain_metrics) = median_pass_ms(|| {
         let mut sim = build();
@@ -190,7 +180,6 @@ pub fn measure_telemetry(
         grid: format!("{rows}x{cols}"),
         nodes: rows * cols,
         rounds,
-        shards,
         moves: plain_metrics.forwarded,
         plain_wall_ms: plain_ms,
         probed_wall_ms: probed_ms,
@@ -224,7 +213,6 @@ pub fn render_e14(runs: &[TelemetryRun]) -> Vec<Table> {
             "plain ms",
             "probed ms",
             "overhead %",
-            "shards",
         ],
     );
     let mut sketches = Table::new(
@@ -240,7 +228,6 @@ pub fn render_e14(runs: &[TelemetryRun]) -> Vec<Table> {
             format!("{:.1}", run.plain_wall_ms),
             format!("{:.1}", run.probed_wall_ms),
             format!("{:+.1}", run.overhead_pct),
-            run.shards.to_string(),
         ]);
         let data = &run.report.data;
         for (name, h) in [("occupancy", &data.occupancy), ("latency", &data.latency)] {
@@ -277,12 +264,11 @@ pub fn render_e14(runs: &[TelemetryRun]) -> Vec<Table> {
 /// E14 — telemetry overhead (runs the smoke pair and the sparse pair at
 /// E16's quick shape, and renders them).
 pub fn e14_telemetry(quick: bool) -> Vec<Table> {
-    let shards = crate::exp_mesh::default_shards();
     let (rows, cols, rounds) = e14_instance(quick);
     let (s_rows, s_cols, s_rounds) = crate::exp_sparse::e16_instances(true)[0];
     render_e14(&[
-        measure_telemetry(MeshWave::Diagonal, rows, cols, rounds, shards),
-        measure_telemetry(MeshWave::Sparse, s_rows, s_cols, s_rounds, shards),
+        measure_telemetry(MeshWave::Diagonal, rows, cols, rounds),
+        measure_telemetry(MeshWave::Sparse, s_rows, s_cols, s_rounds),
     ])
 }
 
@@ -302,7 +288,7 @@ mod tests {
     fn measure_telemetry_observes_without_perturbing() {
         // Small shape: the assertion inside measure_telemetry is the
         // real check; here we validate what the probe collected.
-        let run = measure_telemetry(MeshWave::Diagonal, 32, 32, 8, 2);
+        let run = measure_telemetry(MeshWave::Diagonal, 32, 32, 8);
         assert_eq!(run.grid, "32x32");
         assert_eq!(run.nodes, 1024);
         let data = &run.report.data;
@@ -318,19 +304,13 @@ mod tests {
         // The wall clock actually timed the phases.
         let profile = &run.report.profile;
         assert!(profile.plan.nanos > 0 && profile.forward.nanos > 0);
-        // Sharded run: per-shard move counts were collected and sum to
-        // the forwarded counter.
-        assert_eq!(
-            profile.shard_moves.iter().sum::<u64>(),
-            data.counters.forwarded
-        );
     }
 
     #[test]
     fn sparse_wave_samples_every_node_of_the_mesh() {
         // 16 packets on a 32×16 mesh: 16 of 512 nodes are active each
         // round, yet the sketch counts every node's occupancy.
-        let run = measure_telemetry(MeshWave::Sparse, 32, 16, 8, 2);
+        let run = measure_telemetry(MeshWave::Sparse, 32, 16, 8);
         let occupancy = &run.report.data.occupancy;
         assert_eq!(occupancy.count(), 8 * 512);
         assert_eq!(occupancy.buckets, vec![8 * (512 - 16), 8 * 16]);
@@ -340,8 +320,8 @@ mod tests {
     #[test]
     fn e14_renders_histograms() {
         let tables = render_e14(&[
-            measure_telemetry(MeshWave::Diagonal, 16, 16, 8, 2),
-            measure_telemetry(MeshWave::Sparse, 16, 16, 8, 2),
+            measure_telemetry(MeshWave::Diagonal, 16, 16, 8),
+            measure_telemetry(MeshWave::Sparse, 16, 16, 8),
         ]);
         assert_eq!(tables.len(), 3);
         let overhead = tables[0].render();

@@ -140,8 +140,8 @@ pub struct EngineBenchReport {
     pub dag_packets_per_sec: f64,
     /// Peak buffer occupancy of the DAG run.
     pub dag_peak_occupancy: usize,
-    /// Mesh shape of the E13 smoke wave (computed routing + arena +
-    /// sharded engine), e.g. `"256x256"`.
+    /// Mesh shape of the E13 smoke wave (computed routing + arena),
+    /// e.g. `"256x256"`.
     pub mesh_grid: String,
     /// Nodes in the E13 smoke mesh.
     pub mesh_nodes: usize,
@@ -153,8 +153,6 @@ pub struct EngineBenchReport {
     pub mesh_wall_ms: f64,
     /// Packet-moves per second of the E13 smoke wave.
     pub mesh_packets_per_sec: f64,
-    /// Shards (scoped worker threads) of the E13 smoke wave.
-    pub mesh_shards: usize,
     /// Mesh shape of the million-node run (always `"1024x1024"`).
     pub mesh1m_grid: String,
     /// Nodes in the million-node mesh (1,048,576).
@@ -168,8 +166,6 @@ pub struct EngineBenchReport {
     /// Packet-moves per second of the million-node wave — the tentpole
     /// headline rate.
     pub mesh1m_packets_per_sec: f64,
-    /// Shards (scoped worker threads) of the million-node wave.
-    pub mesh1m_shards: usize,
     /// Wall-clock of the E14 bare mesh-smoke rerun in milliseconds (the
     /// untelemetered half of the overhead pair).
     pub telemetry_overhead_plain_ms: f64,
@@ -214,8 +210,6 @@ pub struct EngineBenchReport {
     /// mesh1m rate because every round walked all 2²⁰ buffers to find
     /// ~2¹⁰ live packets.
     pub sparse_packets_per_sec: f64,
-    /// Shards (scoped worker threads) of the sparse wave.
-    pub sparse_shards: usize,
 }
 
 /// One point of the E6-style sweep grid: level count k and adversary seed.
@@ -383,15 +377,12 @@ pub fn measure_engine(quick: bool) -> EngineBenchReport {
     let dag_secs = (dag_wall_ms / 1e3).max(1e-9);
     let (dag_injected, dag_peak_occupancy) = (dag_metrics.injected, dag_metrics.max_occupancy);
 
-    // --- Part 6: the E13 mesh waves (computed routing + arena + shards)
+    // --- Part 6: the E13 mesh waves (computed routing + arena) -------
     // Smoke at 256x256 plus the tentpole 1024x1024 (~1M node) instance;
     // round budgets keep quick mode CI-sized while still touching the
     // million-node regime.
-    let mesh_shards = crate::exp_mesh::default_shards();
-    let mesh =
-        crate::exp_mesh::measure_mesh_median(256, 256, if quick { 16 } else { 96 }, mesh_shards);
-    let mesh1m =
-        crate::exp_mesh::measure_mesh_median(1024, 1024, if quick { 2 } else { 24 }, mesh_shards);
+    let mesh = crate::exp_mesh::measure_mesh_median(256, 256, if quick { 16 } else { 96 });
+    let mesh1m = crate::exp_mesh::measure_mesh_median(1024, 1024, if quick { 2 } else { 24 });
 
     // --- Part 7: the E14 telemetry overhead pair ----------------------
     // The same smoke shape rerun bare vs fully probed; the delta is the
@@ -402,7 +393,6 @@ pub fn measure_engine(quick: bool) -> EngineBenchReport {
         t_rows,
         t_cols,
         t_rounds,
-        mesh_shards,
     );
 
     // --- Part 8: the fault-mask hot path (E15's engine side) ----------
@@ -448,7 +438,7 @@ pub fn measure_engine(quick: bool) -> EngineBenchReport {
     // 512 rounds (~0.5M moves) per timed pass: long enough that the
     // per-round rate, not timer and scheduler noise, decides the
     // committed `sparse_packets_per_sec`.
-    let sparse = crate::exp_sparse::measure_sparse(1024, 1024, 512, mesh_shards);
+    let sparse = crate::exp_sparse::measure_sparse(1024, 1024, 512);
 
     EngineBenchReport {
         quick,
@@ -489,14 +479,12 @@ pub fn measure_engine(quick: bool) -> EngineBenchReport {
         mesh_moves: mesh.moves,
         mesh_wall_ms: mesh.wall_ms,
         mesh_packets_per_sec: mesh.moves_per_sec,
-        mesh_shards: mesh.shards,
         mesh1m_grid: mesh1m.grid,
         mesh1m_nodes: mesh1m.nodes,
         mesh1m_rounds: mesh1m.rounds,
         mesh1m_moves: mesh1m.moves,
         mesh1m_wall_ms: mesh1m.wall_ms,
         mesh1m_packets_per_sec: mesh1m.moves_per_sec,
-        mesh1m_shards: mesh1m.shards,
         telemetry_overhead_plain_ms: telemetry.plain_wall_ms,
         telemetry_overhead_probed_ms: telemetry.probed_wall_ms,
         telemetry_overhead_pct: telemetry.overhead_pct,
@@ -512,7 +500,6 @@ pub fn measure_engine(quick: bool) -> EngineBenchReport {
         sparse_moves: sparse.moves,
         sparse_wall_ms: sparse.wall_ms,
         sparse_packets_per_sec: sparse.moves_per_sec,
-        sparse_shards: sparse.shards,
     }
 }
 
@@ -638,17 +625,16 @@ pub fn render_e10(report: &EngineBenchReport) -> Vec<Table> {
     ));
 
     let mut mesh = Table::new(
-        "E10e - E13 mesh waves (computed routing, arenas, sharded rounds)",
-        ["grid", "rounds", "moves", "wall ms", "moves/s", "shards"],
+        "E10e - E13 mesh waves (computed routing, arenas)",
+        ["grid", "rounds", "moves", "wall ms", "moves/s"],
     );
-    for (grid, rounds, moves, wall, rate, shards) in [
+    for (grid, rounds, moves, wall, rate) in [
         (
             &report.mesh_grid,
             report.mesh_rounds,
             report.mesh_moves,
             report.mesh_wall_ms,
             report.mesh_packets_per_sec,
-            report.mesh_shards,
         ),
         (
             &report.mesh1m_grid,
@@ -656,7 +642,6 @@ pub fn render_e10(report: &EngineBenchReport) -> Vec<Table> {
             report.mesh1m_moves,
             report.mesh1m_wall_ms,
             report.mesh1m_packets_per_sec,
-            report.mesh1m_shards,
         ),
     ] {
         mesh.push_row([
@@ -665,7 +650,6 @@ pub fn render_e10(report: &EngineBenchReport) -> Vec<Table> {
             moves.to_string(),
             format!("{wall:.1}"),
             format!("{rate:.2e}"),
-            shards.to_string(),
         ]);
     }
     mesh.note("same workload as E13; exported to BENCH_engine.json as mesh_*/mesh1m_* fields");

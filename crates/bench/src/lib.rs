@@ -18,7 +18,7 @@
 //! | E10 | engine throughput + parallel sweep scaling | [`e10_throughput`] |
 //! | E11 | finite buffers: goodput vs capacity, space thresholds | [`e11_capacity`] |
 //! | E12 | grid routing: peak buffer vs mesh dimensions | [`e12_grid`] |
-//! | E13 | million-node mesh: computed routing, arenas, sharded rounds | [`e13_mesh`] |
+//! | E13 | million-node mesh: computed routing, arenas | [`e13_mesh`] |
 //! | E14 | telemetry probe overhead (dense smoke + sparse wave) + histogram sketches | [`e14_telemetry`] |
 //! | E15 | degraded regime: peak buffer + goodput vs dead links | [`e15_faults`] |
 //! | E16 | sparse wave: O(live packets) rounds on the 1M-node mesh | [`e16_sparse`] |
@@ -59,8 +59,7 @@ pub use exp_grid::{
 pub use exp_locality::e9_locality;
 pub use exp_lower::e5_duel;
 pub use exp_mesh::{
-    default_shards, e13_instances, e13_mesh, measure_mesh, measure_mesh_median, render_e13,
-    wave_source, MeshRun,
+    e13_instances, e13_mesh, measure_mesh, measure_mesh_median, render_e13, wave_source, MeshRun,
 };
 pub use exp_sparse::{
     e16_instances, e16_sparse, measure_sparse, render_e16, sparse_wave_source, SparseRun,
@@ -141,7 +140,7 @@ pub const EXPERIMENT_INDEX: [(&str, &str, &str); 18] = [
     ),
     (
         "e13",
-        "million-node mesh - computed routing, arenas, sharded rounds",
+        "million-node mesh - computed routing, arenas",
         "e13_mesh",
     ),
     (

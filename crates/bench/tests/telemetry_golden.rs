@@ -12,8 +12,8 @@
 //! series retention fails here instead of quietly rewriting the
 //! artifact CI uploads.
 //!
-//! The `profile` half (phase nanos, per-shard move totals) is
-//! clock- and shard-dependent by design and deliberately NOT pinned.
+//! The `profile` half (phase nanos) is clock-dependent by design and
+//! deliberately NOT pinned.
 
 use aqt_analysis::{run_scenario_probed, RunSummary, Scenario, ScenarioError};
 use aqt_telemetry::{TelemetryData, TelemetryProbe, TelemetryReport};
@@ -31,7 +31,7 @@ fn smoke_scenario() -> Scenario {
 /// The smoke scenario run with a `TelemetryProbe` built from its spec.
 fn telemetry_run(scenario: &Scenario) -> Result<(RunSummary, TelemetryReport), ScenarioError> {
     let mut probe = TelemetryProbe::new(scenario.telemetry.unwrap_or_default());
-    let summary = run_scenario_probed(scenario, 1, &mut probe)?;
+    let summary = run_scenario_probed(scenario, &mut probe)?;
     Ok((summary, probe.report()))
 }
 
@@ -73,7 +73,6 @@ fn smoke_report_round_trips_through_json() {
         "\"series\"",
         "\"buckets\"",
         "\"samples\"",
-        "\"shard_moves\"",
     ] {
         assert!(json.contains(field), "emitted JSON lacks {field}:\n{json}");
     }

@@ -78,22 +78,6 @@ impl<T: Topology, P: Protocol<T>> Protocol<T> for Batched<P> {
     ) {
         self.inner.plan(round, topology, state, plan);
     }
-
-    // Phase staging only changes *injection* timing; planning forwards
-    // verbatim, so range planning does too.
-    fn supports_range_planning(&self) -> bool {
-        self.inner.supports_range_planning()
-    }
-
-    fn plan_range(
-        &self,
-        round: Round,
-        topology: &T,
-        state: &NetworkState,
-        window: &mut aqt_model::PlanWindow<'_>,
-    ) {
-        self.inner.plan_range(round, topology, state, window);
-    }
 }
 
 #[cfg(test)]

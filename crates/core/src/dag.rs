@@ -14,59 +14,9 @@
 //! [`Greedy`](crate::Greedy) move-for-move — a fact the differential
 //! conformance harness checks byte-for-byte.
 
-use aqt_model::{
-    ForwardingPlan, NetworkState, NodeId, PacketId, PlanWindow, Protocol, Round, Topology,
-};
+use aqt_model::{ForwardingPlan, NetworkState, NodeId, Protocol, Round, Topology};
 
 use crate::greedy::GreedyPolicy;
-
-/// Plans one node's per-link sends: partitions `v`'s buffer by next hop
-/// (in placement order) and forwards the policy pick of each partition.
-/// Shared by the sequential and the sharded planning paths.
-fn plan_node<T: Topology>(
-    policy: GreedyPolicy,
-    topo: &T,
-    state: &NetworkState,
-    v: NodeId,
-    hops: &mut Vec<NodeId>,
-    mut send: impl FnMut(NodeId, PacketId),
-) {
-    let buffer = state.buffer(v);
-    if buffer.is_empty() {
-        return;
-    }
-    // Singleton fast path: one packet is one candidate link, and every
-    // policy's pick among one candidate is that packet — skip the
-    // partition pass (and its extra `next_hop` calls). On sparse meshes
-    // almost every live buffer lands here.
-    if let [sp] = buffer {
-        if topo.next_hop(v, sp.dest()).is_some() {
-            send(v, sp.id());
-        }
-        return;
-    }
-    // Distinct links with traffic, in buffer (placement) order.
-    hops.clear();
-    for sp in buffer {
-        if let Some(h) = topo.next_hop(v, sp.dest()) {
-            if !hops.contains(&h) {
-                hops.push(h);
-            }
-        }
-    }
-    for &h in hops.iter() {
-        let pick = policy.select_from(
-            topo,
-            v,
-            buffer
-                .iter()
-                .filter(|sp| topo.next_hop(v, sp.dest()) == Some(h)),
-        );
-        if let Some(sp) = pick {
-            send(v, sp.id());
-        }
-    }
-}
 
 /// A per-link greedy protocol for multi-out topologies: each round, each
 /// node forwards the policy-preferred packet over *every* outgoing link
@@ -127,29 +77,44 @@ impl<T: Topology> Protocol<T> for DagGreedy {
     }
 
     fn plan(&mut self, _round: Round, topo: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
-        let policy = self.policy;
-        let mut hops = std::mem::take(&mut self.hops);
         // Only nodes with buffered packets can send; the active set is
         // exact at plan time and ascending, so this is the dense scan
         // minus its empty-buffer no-ops — O(live nodes) per round.
         for v in state.active_nodes() {
-            plan_node(policy, topo, state, v, &mut hops, |v, id| plan.send(v, id));
-        }
-        self.hops = hops;
-    }
-
-    // Per-link selection is node-local; the sharded path pays a tiny
-    // per-shard scratch allocation instead of reusing `self.hops`.
-    fn supports_range_planning(&self) -> bool {
-        true
-    }
-
-    fn plan_range(&self, _round: Round, topo: &T, state: &NetworkState, w: &mut PlanWindow<'_>) {
-        let mut hops = Vec::new();
-        for v in state.active_nodes_in(w.node_range()) {
-            plan_node(self.policy, topo, state, v, &mut hops, |v, id| {
-                w.send(v, id)
-            });
+            let buffer = state.buffer(v);
+            // Singleton fast path: one packet is one candidate link, and
+            // every policy's pick among one candidate is that packet — skip
+            // the partition pass (and its extra `next_hop` calls). On
+            // sparse meshes almost every live buffer lands here.
+            if let [sp] = buffer {
+                if topo.next_hop(v, sp.dest()).is_some() {
+                    plan.send(v, sp.id());
+                }
+                continue;
+            }
+            // Partition the buffer by next hop: the distinct links with
+            // traffic, in buffer (placement) order, each forwarding its
+            // partition's policy pick.
+            self.hops.clear();
+            for sp in buffer {
+                if let Some(h) = topo.next_hop(v, sp.dest()) {
+                    if !self.hops.contains(&h) {
+                        self.hops.push(h);
+                    }
+                }
+            }
+            for &h in &self.hops {
+                let pick = self.policy.select_from(
+                    topo,
+                    v,
+                    buffer
+                        .iter()
+                        .filter(|sp| topo.next_hop(v, sp.dest()) == Some(h)),
+                );
+                if let Some(sp) = pick {
+                    plan.send(v, sp.id());
+                }
+            }
         }
     }
 }

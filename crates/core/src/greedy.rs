@@ -9,9 +9,7 @@
 //! needs Ω(d) buffers ([17]) — greedy ones included — but greedy policies
 //! generally have no matching `O(d + σ)` guarantee.
 
-use aqt_model::{
-    ForwardingPlan, NetworkState, NodeId, PlanWindow, Protocol, Round, StoredPacket, Topology,
-};
+use aqt_model::{ForwardingPlan, NetworkState, NodeId, Protocol, Round, StoredPacket, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The packet-selection rule of a greedy protocol.
@@ -125,16 +123,6 @@ impl Greedy {
     pub fn policy(&self) -> GreedyPolicy {
         self.policy
     }
-
-    fn select<'a, T: Topology>(
-        &self,
-        topo: &T,
-        v: NodeId,
-        buffer: &'a [StoredPacket],
-    ) -> Option<&'a StoredPacket> {
-        // Ties broken by seq for determinism.
-        self.policy.select_from(topo, v, buffer)
-    }
 }
 
 impl<T: Topology> Protocol<T> for Greedy {
@@ -147,23 +135,8 @@ impl<T: Topology> Protocol<T> for Greedy {
         // plan time) visits the same nodes a dense scan would send from,
         // in the same ascending order — O(live nodes) per round.
         for v in state.active_nodes() {
-            let buffer = state.buffer(v);
-            if let Some(sp) = self.select(topo, v, buffer) {
+            if let Some(sp) = self.policy.select_from(topo, v, state.buffer(v)) {
                 plan.send(v, sp.id());
-            }
-        }
-    }
-
-    // Selection only reads the local buffer, so sharded planning is just
-    // the same loop over the window's active nodes.
-    fn supports_range_planning(&self) -> bool {
-        true
-    }
-
-    fn plan_range(&self, _round: Round, topo: &T, state: &NetworkState, w: &mut PlanWindow<'_>) {
-        for v in state.active_nodes_in(w.node_range()) {
-            if let Some(sp) = self.select(topo, v, state.buffer(v)) {
-                w.send(v, sp.id());
             }
         }
     }

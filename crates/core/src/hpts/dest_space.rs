@@ -342,7 +342,7 @@ mod tests {
         // ℓ = 40 with m = 2 has 2^39 level-0 intervals, almost all past the
         // 64-node line. A planner that walked them would not finish a round;
         // both variants must stop at the first interval without a node.
-        fn run(protocol: impl Protocol<Path> + Sync) -> aqt_model::RunMetrics {
+        fn run(protocol: impl Protocol<Path>) -> aqt_model::RunMetrics {
             let p = Pattern::from_injections(vec![Injection::new(0, 0, 63); 4]);
             let mut sim = Simulation::new(Path::new(64), protocol, &p).unwrap();
             sim.run(120).unwrap();

@@ -119,7 +119,7 @@ mod tests {
     use crate::Pts;
     use aqt_model::{Injection, Pattern, Simulation};
 
-    fn run(protocol: impl Protocol<Path> + Sync, pattern: &Pattern, n: usize, extra: u64) -> usize {
+    fn run(protocol: impl Protocol<Path>, pattern: &Pattern, n: usize, extra: u64) -> usize {
         let mut sim = Simulation::new(Path::new(n), protocol, pattern).unwrap();
         sim.run_past_horizon(extra).unwrap();
         sim.metrics().max_occupancy

@@ -262,23 +262,6 @@ fn resolve_dest(
 struct OnPath<P>(P);
 
 impl<P: Protocol<Path>> Protocol<AnyTopology> for OnPath<P> {
-    fn supports_range_planning(&self) -> bool {
-        self.0.supports_range_planning()
-    }
-
-    fn plan_range(
-        &self,
-        round: Round,
-        topology: &AnyTopology,
-        state: &NetworkState,
-        window: &mut aqt_model::PlanWindow<'_>,
-    ) {
-        let path = topology
-            .as_path()
-            .expect("applicability checked at build time");
-        self.0.plan_range(round, path, state, window);
-    }
-
     fn name(&self) -> String {
         self.0.name()
     }
@@ -305,23 +288,6 @@ impl<P: Protocol<Path>> Protocol<AnyTopology> for OnPath<P> {
 struct OnTree<P>(P);
 
 impl<P: Protocol<DirectedTree>> Protocol<AnyTopology> for OnTree<P> {
-    fn supports_range_planning(&self) -> bool {
-        self.0.supports_range_planning()
-    }
-
-    fn plan_range(
-        &self,
-        round: Round,
-        topology: &AnyTopology,
-        state: &NetworkState,
-        window: &mut aqt_model::PlanWindow<'_>,
-    ) {
-        let tree = topology
-            .as_tree()
-            .expect("applicability checked at build time");
-        self.0.plan_range(round, tree, state, window);
-    }
-
     fn name(&self) -> String {
         self.0.name()
     }

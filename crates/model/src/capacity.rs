@@ -27,8 +27,7 @@
 //!
 //! All capacity decisions are applied through
 //! [`NetworkState::place`](crate::NetworkState::place) /
-//! [`NetworkState::remove`](crate::NetworkState::remove) on the
-//! coordinating thread, so evictions and rejections maintain the active
+//! [`NetworkState::remove`](crate::NetworkState::remove), so evictions and rejections maintain the active
 //! set (occupancy bitset + worklist) incrementally — a drop that empties
 //! a buffer deactivates its node with no extra bookkeeping here.
 //!

@@ -27,21 +27,6 @@
 //! same hot path, no extra allocation, losses recorded in
 //! [`RunMetrics`].
 //!
-//! # Sharded rounds
-//!
-//! [`Simulation::with_shards`] fans the round's two read-only phases out
-//! to scoped worker threads: planning (for protocols that support
-//! [`Protocol::plan_range`]) and move validation, each cut into
-//! contiguous ranges of near-equal live work and merged in ascending
-//! shard order. Applying the moves stays on the calling thread at every
-//! shard count: on a 2-vCPU host a two-shard parallel apply took twice as
-//! long as the sequential one. The result is **byte-identical** to a
-//! one-shard run — same metrics, same buffer contents, same `seq`
-//! numbers, same error on an invalid plan — because both merges reproduce
-//! the sequential order exactly; the differential suite in
-//! `tests/sharded_conformance.rs` pins this across the full
-//! protocol × topology × capacity × staging matrix.
-
 use std::fmt;
 
 use crate::capacity::{CapacityConfig, DropContext, DropPolicy, StagingMode, Victim};
@@ -117,9 +102,6 @@ pub struct ForwardingPlan {
     /// collection never searches the offset table — the plan-side half
     /// of the active-set engine.
     touched: Vec<u64>,
-    /// Recycled touched-lists for [`PlanWindow`]s (avoids per-round
-    /// allocation on the sharded path).
-    window_touched_pool: Vec<Vec<u64>>,
 }
 
 /// Encodes a touched-list entry: the slot in the high 32 bits (so
@@ -152,7 +134,6 @@ impl ForwardingPlan {
             offsets: Vec::new(),
             count: 0,
             touched: Vec::new(),
-            window_touched_pool: Vec::new(),
         }
     }
 
@@ -220,13 +201,6 @@ impl ForwardingPlan {
     /// engine relies on this for byte-identical move collection.
     fn sort_touched(&mut self) {
         self.touched.sort_unstable();
-    }
-
-    /// The touched entries (call
-    /// [`sort_touched`](ForwardingPlan::sort_touched) first for
-    /// node-major order). Decode with [`entry_slot`] / [`entry_node`].
-    fn touched_slots(&self) -> &[u64] {
-        &self.touched
     }
 
     /// Number of nodes the current layout covers.
@@ -309,156 +283,6 @@ impl ForwardingPlan {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
-
-    /// Splits the plan's send slots into one exclusive [`PlanWindow`] per
-    /// node range (the ranges must be contiguous, ordered, and cover all
-    /// nodes). The windows borrow disjoint slices, so shard workers fill
-    /// them in parallel; the caller must hand each consumed window's parts
-    /// back via [`absorb_window`](ForwardingPlan::absorb_window), which
-    /// re-derives [`len`](ForwardingPlan::len) and merges the touched-slot
-    /// lists. The plan must be cleared *before* splitting
-    /// ([`clear_sends`](ForwardingPlan::clear_sends)).
-    pub(crate) fn windows<'a>(
-        &'a mut self,
-        ranges: &[std::ops::Range<usize>],
-    ) -> Vec<PlanWindow<'a>> {
-        debug_assert!(self.touched.is_empty(), "windows on an uncleared plan");
-        while self.window_touched_pool.len() < ranges.len() {
-            self.window_touched_pool.push(Vec::new());
-        }
-        let offsets: &[u32] = &self.offsets;
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [Option<PacketId>] = &mut self.sends;
-        let mut base = 0usize;
-        for r in ranges {
-            let end = if offsets.is_empty() {
-                r.end
-            } else {
-                offsets[r.end] as usize
-            };
-            let (head, tail) = rest.split_at_mut(end - base);
-            let mut touched = self.window_touched_pool.pop().expect("pool refilled above");
-            touched.clear();
-            out.push(PlanWindow {
-                first_node: r.start,
-                nodes: r.len(),
-                base_slot: base,
-                offsets,
-                sends: head,
-                count: 0,
-                touched,
-            });
-            base = end;
-            rest = tail;
-        }
-        out
-    }
-
-    /// Folds a consumed window's parts (see [`PlanWindow::into_parts`])
-    /// back into the plan: the send count, and the window's touched slots
-    /// (global indices) onto the plan's list. The emptied vec returns to
-    /// the pool.
-    pub(crate) fn absorb_window(&mut self, count: usize, mut touched: Vec<u64>) {
-        self.count += count;
-        self.touched.append(&mut touched);
-        self.window_touched_pool.push(touched);
-    }
-}
-
-/// A shard worker's exclusive window into a [`ForwardingPlan`]: the send
-/// slots of one contiguous node range.
-///
-/// Protocols that implement [`Protocol::plan_range`] receive one window
-/// per shard and fill them concurrently, with the same
-/// [`send`](PlanWindow::send) semantics as the full plan. Because the
-/// windows are disjoint slices of the one plan, the filled plan is
-/// bit-identical to what a sequential [`Protocol::plan`] pass over the
-/// same per-node decisions would produce.
-pub struct PlanWindow<'a> {
-    /// First node of the window's range.
-    first_node: usize,
-    /// Nodes covered by the window.
-    nodes: usize,
-    /// Slot index (in the full plan) of the window's first slot.
-    base_slot: usize,
-    /// The full plan's slot offsets (empty = one slot per node).
-    offsets: &'a [u32],
-    /// The window's slice of the plan's send slots.
-    sends: &'a mut [Option<PacketId>],
-    count: usize,
-    /// Slots filled through this window, as *global* touched entries
-    /// (see [`touched_entry`]); folded back into the plan's touched list
-    /// after the parallel fill.
-    touched: Vec<u64>,
-}
-
-impl PlanWindow<'_> {
-    /// The contiguous node range this window plans for.
-    pub fn node_range(&self) -> std::ops::Range<usize> {
-        self.first_node..self.first_node + self.nodes
-    }
-
-    /// The (window-local) slot range of `v`.
-    fn slot_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        let x = v.index();
-        debug_assert!(
-            self.node_range().contains(&x),
-            "node {v} is outside the window's range"
-        );
-        if self.offsets.is_empty() {
-            let i = x - self.first_node;
-            i..i + 1
-        } else {
-            self.offsets[x] as usize - self.base_slot..self.offsets[x + 1] as usize - self.base_slot
-        }
-    }
-
-    /// Number of forwarding slots `v` owns (its clamped out-degree).
-    pub fn width(&self, v: NodeId) -> usize {
-        self.slot_range(v).len()
-    }
-
-    /// Schedules `packet` out of `v` (which must lie in the window's node
-    /// range), occupying `v`'s first free slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all of `v`'s slots are taken, exactly like
-    /// [`ForwardingPlan::send`].
-    pub fn send(&mut self, v: NodeId, packet: PacketId) {
-        let range = self.slot_range(v);
-        for i in range.clone() {
-            if self.sends[i].is_none() {
-                self.sends[i] = Some(packet);
-                self.touched
-                    .push(touched_entry(self.base_slot + i, v.index()));
-                self.count += 1;
-                return;
-            }
-        }
-        panic!(
-            "node {v} already forwards {} packet(s) this round",
-            range.len()
-        );
-    }
-
-    /// Sends scheduled in this window so far.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the window has no scheduled sends.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Consumes the window, returning its send count and touched-entry
-    /// list (global encoding) for [`ForwardingPlan::absorb_window`]. This
-    /// is how the per-shard fill results escape the `thread::scope`
-    /// workers.
-    pub(crate) fn into_parts(self) -> (usize, Vec<u64>) {
-        (self.count, self.touched)
-    }
 }
 
 /// A forwarding protocol (the paper's "algorithm"): given the observable
@@ -482,45 +306,12 @@ pub trait Protocol<T: Topology> {
     ///
     /// The engine guarantees the state's active set is exact here (it
     /// refreshes right before the `L^t` observation), so implementations
-    /// may iterate [`NetworkState::active_nodes`] /
-    /// [`NetworkState::active_nodes_in`] instead of `0..node_count()`:
-    /// only non-empty buffers can send, and both walks visit them in the
-    /// same ascending order, so the filled plan is identical while the
-    /// cost drops to O(live nodes). The contract is additive — a dense
-    /// scan remains correct.
+    /// may iterate [`NetworkState::active_nodes`] instead of
+    /// `0..node_count()`: only non-empty buffers can send, and both walks
+    /// visit them in the same ascending order, so the filled plan is
+    /// identical while the cost drops to O(live nodes). The contract is
+    /// additive — a dense scan remains correct.
     fn plan(&mut self, round: Round, topology: &T, state: &NetworkState, plan: &mut ForwardingPlan);
-
-    /// Whether [`plan_range`](Protocol::plan_range) is implemented. With
-    /// more than one shard the engine plans shards in parallel when this
-    /// is true and falls back to one sequential [`plan`](Protocol::plan)
-    /// call otherwise.
-    ///
-    /// Range planning must be **node-local**: the sends for node `v` may
-    /// depend only on `v`'s own buffer (plus topology and round), so
-    /// planning disjoint ranges concurrently fills the same plan a
-    /// sequential pass would.
-    fn supports_range_planning(&self) -> bool {
-        false
-    }
-
-    /// Computes the forwarding decision for the window's node range only
-    /// (see [`supports_range_planning`](Protocol::supports_range_planning)).
-    /// Takes `&self`: range planners run concurrently, so planning must
-    /// not mutate protocol state.
-    ///
-    /// The engine cuts window ranges along *active-set* quantiles
-    /// (near-equal live nodes per window), so implementations should walk
-    /// [`NetworkState::active_nodes_in`] over the window's range — a dense
-    /// range scan stays correct but re-introduces O(n/k) per shard.
-    fn plan_range(
-        &self,
-        _round: Round,
-        _topology: &T,
-        _state: &NetworkState,
-        _window: &mut PlanWindow<'_>,
-    ) {
-        unimplemented!("protocol does not support range planning")
-    }
 }
 
 impl<T: Topology, P: Protocol<T> + ?Sized> Protocol<T> for Box<P> {
@@ -540,20 +331,6 @@ impl<T: Topology, P: Protocol<T> + ?Sized> Protocol<T> for Box<P> {
         plan: &mut ForwardingPlan,
     ) {
         (**self).plan(round, topology, state, plan);
-    }
-
-    fn supports_range_planning(&self) -> bool {
-        (**self).supports_range_planning()
-    }
-
-    fn plan_range(
-        &self,
-        round: Round,
-        topology: &T,
-        state: &NetworkState,
-        window: &mut PlanWindow<'_>,
-    ) {
-        (**self).plan_range(round, topology, state, window);
     }
 }
 
@@ -726,18 +503,13 @@ pub struct Simulation<T: Topology, P: Protocol<T>, S: InjectionSource = PatternS
     /// Whether injections still need per-round validation (false when the
     /// whole schedule was validated upfront by [`Simulation::new`]).
     validate_injections: bool,
-    /// Worker threads for the plan and validate phases, set by
-    /// [`with_shards`](Simulation::with_shards); 1 runs the whole round on
-    /// the calling thread.
-    shards: usize,
     // Reusable per-round scratch (hot path performs no allocation once
     // these reach their steady-state capacity).
     injection_buf: Vec<Injection>,
     accept_buf: Vec<Packet>,
     plan_buf: ForwardingPlan,
-    /// The round's validated moves, one list per shard; in shard order
-    /// they are the sequential move list.
-    shard_moves: Vec<Vec<Move>>,
+    /// The round's validated moves, in node order.
+    moves: Vec<Move>,
     lift_buf: Vec<(StoredPacket, NodeId, bool)>,
     /// Capacity enforcement, if enabled via
     /// [`with_capacity`](Simulation::with_capacity). `None` keeps the
@@ -770,39 +542,11 @@ fn phase_mark<Pr: Probe + ?Sized>(probe: &mut Pr, t: Round, phase: EnginePhase, 
     now
 }
 
-/// Cuts `0..n` into `k` contiguous node ranges holding near-equal shares
-/// of the (sorted, exact) active node list — the sharded plan partition.
-/// The ranges still cover every node, so the window machinery is
-/// unchanged; but only the live nodes inside each range cost anything to
-/// plan, so balancing live nodes (not fabric nodes) keeps shard wall-clock
-/// proportional to traffic.
-fn active_plan_ranges(active: &[u32], n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
-    let a = active.len();
-    let mut out = Vec::with_capacity(k);
-    let mut prev = 0usize;
-    for i in 1..k {
-        let cut = a * i / k;
-        let b = if cut >= a {
-            n
-        } else {
-            (active[cut] as usize).max(prev)
-        };
-        out.push(prev..b);
-        prev = b;
-    }
-    out.push(prev..n);
-    out
-}
-
-/// Validates the plan's sends for a slice of its (sorted) touched slots
-/// and collects their moves. Slots are node-major, so walking a sorted
-/// touched slice visits sends exactly as a dense `0..node_count()` scan of
-/// the same slots would — concatenating per-slice lists in slice order
-/// reproduces the full sequential move list, in O(sends) instead of O(n).
-/// Returns the first error in that order, if any; each send's validity
-/// depends only on the plan and the (immutable) pre-forwarding state, so
-/// the first error over the concatenated slices is exactly the sequential
-/// engine's error.
+/// Validates the plan's sends and collects their moves into `moves`.
+/// The touched slots must be sorted: slots are node-major, so walking
+/// them visits sends exactly as a dense `0..node_count()` scan would, in
+/// O(sends) instead of O(n). Returns the first error in that node order,
+/// if any.
 ///
 /// With a fault mask (`faults`), a send over a blocked link is silently
 /// skipped *before* the per-link bandwidth check — as if the protocol had
@@ -816,11 +560,10 @@ fn collect_moves<T: Topology>(
     plan: &ForwardingPlan,
     faults: Option<&FaultState>,
     t: Round,
-    touched: &[u64],
     moves: &mut Vec<Move>,
 ) -> Option<ModelError> {
     moves.clear();
-    for &entry in touched {
+    for &entry in &plan.touched {
         let v = NodeId::new(entry_node(entry));
         let Some(pid) = plan.sends[entry_slot(entry)] else {
             continue; // touched then cleared elsewhere: cannot happen today
@@ -863,92 +606,6 @@ fn collect_moves<T: Topology>(
         moves.push((v, pid, hop, hop == dest));
     }
     None
-}
-
-/// The parallel plan phase: one [`PlanWindow`] per shard, cut at
-/// active-set quantiles ([`active_plan_ranges`]) so plan wall-clock tracks
-/// traffic rather than fabric size, filled by [`Protocol::plan_range`] on
-/// scoped threads. The windows are disjoint slices of the one plan, so the
-/// filled plan is the one a sequential pass would produce.
-fn plan_sharded<T, P>(
-    protocol: &P,
-    topology: &T,
-    state: &NetworkState,
-    plan: &mut ForwardingPlan,
-    t: Round,
-    k: usize,
-) where
-    T: Topology + Sync,
-    P: Protocol<T> + Sync,
-{
-    let ranges = active_plan_ranges(state.active_slice(), topology.node_count(), k);
-    let windows = plan.windows(&ranges);
-    let parts: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = windows
-            .into_iter()
-            .map(|mut w| {
-                scope.spawn(move || {
-                    protocol.plan_range(t, topology, state, &mut w);
-                    w.into_parts()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("plan worker panicked"))
-            .collect()
-    });
-    for (count, touched) in parts {
-        plan.absorb_window(count, touched);
-    }
-}
-
-/// The validate phase: [`collect_moves`] over the sorted touched list,
-/// cut into one chunk per entry of `shard_moves`, chunk `i` into
-/// `shard_moves[i]`. One shard runs on the calling thread; more run on
-/// scoped threads. Chunks hold near-equal send counts, so validation
-/// wall-clock tracks traffic too, and are node-aligned, so the per-node
-/// `LinkOverload` tail scan never crosses one. Concatenated in shard order
-/// the lists are the sequential move list, and the first error in shard
-/// order is the sequential error.
-fn validate_sharded<T: Topology + Sync>(
-    topology: &T,
-    state: &NetworkState,
-    plan: &ForwardingPlan,
-    faults: Option<&FaultState>,
-    t: Round,
-    shard_moves: &mut [Vec<Move>],
-) -> Option<ModelError> {
-    let touched = plan.touched_slots();
-    if let [moves] = shard_moves {
-        return collect_moves(topology, state, plan, faults, t, touched, moves);
-    }
-    let k = shard_moves.len();
-    let m = touched.len();
-    let mut cuts = Vec::with_capacity(k + 1);
-    cuts.push(0usize);
-    for i in 1..k {
-        let mut end = (m * i / k).max(cuts[i - 1]);
-        while end > 0 && end < m && entry_node(touched[end]) == entry_node(touched[end - 1]) {
-            end += 1;
-        }
-        cuts.push(end);
-    }
-    cuts.push(m);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_moves
-            .iter_mut()
-            .enumerate()
-            .map(|(i, moves)| {
-                let chunk = &touched[cuts[i]..cuts[i + 1]];
-                scope.spawn(move || collect_moves(topology, state, plan, faults, t, chunk, moves))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("validate worker panicked"))
-            .find_map(|e| e)
-    })
 }
 
 /// Places `packet` into `v` unless capacity forbids it; on overflow the
@@ -1052,25 +709,14 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
             round: Round::ZERO,
             metrics: RunMetrics::new(n, false),
             validate_injections: true,
-            shards: 1,
             injection_buf: Vec::new(),
             accept_buf: Vec::new(),
             plan_buf,
-            shard_moves: vec![Vec::new()],
+            moves: Vec::new(),
             lift_buf: Vec::new(),
             capacity: None,
             faults: None,
         }
-    }
-
-    /// Runs each round's plan and validate phases on `k` scoped worker
-    /// threads (clamped to `1..=node_count`; the default is 1, which
-    /// spawns nothing). See the module docs: the run is byte-identical at
-    /// every shard count, and moves are always applied sequentially.
-    pub fn with_shards(mut self, k: usize) -> Self {
-        self.shards = k.clamp(1, self.topology.node_count().max(1));
-        self.shard_moves.resize_with(self.shards, Vec::new);
-        self
     }
 
     /// Enables capacity-bounded execution: every buffer is capped per
@@ -1184,8 +830,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         // Advance the mask to this round first: a node crashing at `t`
         // loses its buffered and staged packets to `faulted` before
         // acceptance, injection or planning can touch them, and the
-        // whole round (including sharded planning/validation) sees one
-        // consistent mask.
+        // whole round sees one consistent mask.
         if let Some(faults) = &mut self.faults {
             faults.advance(t);
             for &v in faults.newly_dead() {
@@ -1288,14 +933,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         self.metrics.injected += injected as u64;
         Ok((injected, accepted))
     }
-}
 
-impl<T, P, S> Simulation<T, P, S>
-where
-    T: Topology + Sync,
-    P: Protocol<T> + Sync,
-    S: InjectionSource,
-{
     /// Executes one full round.
     ///
     /// # Errors
@@ -1377,14 +1015,13 @@ where
         Ok(&self.metrics)
     }
 
-    /// The one round of the engine, at any shard count. The null probe
+    /// The one round of the engine, on the calling thread. The null probe
     /// `()` monomorphizes every hook away.
     fn run_round<Pr: Probe + ?Sized>(
         &mut self,
         probe: &mut Pr,
     ) -> Result<RoundOutcome, ModelError> {
         let t = self.round;
-        let k = self.shards;
         let drops_before = self.metrics.dropped;
         let faults_before = self.metrics.faulted;
         let mut mark = probe.now_nanos();
@@ -1402,8 +1039,8 @@ where
         }
 
         // --- Observe L^t ----------------------------------------------
-        // Collapse the dirty worklist first: `observe`, the protocol's
-        // plan and the active-balanced shard cuts all need it exact.
+        // Collapse the dirty worklist first: `observe` and the protocol's
+        // plan both need it exact.
         self.state.refresh_active();
         self.metrics.observe(t, &self.state);
         probe.on_observe(t, &self.state);
@@ -1411,39 +1048,23 @@ where
 
         // --- Forwarding step ------------------------------------------
         self.plan_buf.clear_sends();
-        if k > 1 && self.protocol.supports_range_planning() {
-            plan_sharded(
-                &self.protocol,
-                &self.topology,
-                &self.state,
-                &mut self.plan_buf,
-                t,
-                k,
-            );
-        } else {
-            self.protocol
-                .plan(t, &self.topology, &self.state, &mut self.plan_buf);
-        }
+        self.protocol
+            .plan(t, &self.topology, &self.state, &mut self.plan_buf);
         // Sort the touched slots into node-major order so the move list
         // matches a dense scan's byte-for-byte.
         self.plan_buf.sort_touched();
         mark = phase_mark(probe, t, EnginePhase::Plan, mark);
-        if let Some(e) = validate_sharded(
+        if let Some(e) = collect_moves(
             &self.topology,
             &self.state,
             &self.plan_buf,
             faults,
             t,
-            &mut self.shard_moves,
+            &mut self.moves,
         ) {
             return Err(e);
         }
-        if k > 1 {
-            for (shard, moves) in self.shard_moves.iter().enumerate() {
-                probe.on_shard_moves(t, shard, moves.len());
-            }
-        }
-        for &(v, pid, _, delivers) in self.shard_moves.iter().flatten() {
+        for &(v, pid, _, delivers) in &self.moves {
             probe.on_move(t, v, pid, delivers);
         }
         mark = phase_mark(probe, t, EnginePhase::Forward, mark);
@@ -1458,7 +1079,7 @@ where
         // observe occupancy mid-apply.
         let mut delivered = 0usize;
         if self.capacity.is_none() {
-            for &(v, pid, hop, delivers) in self.shard_moves.iter().flatten() {
+            for &(v, pid, hop, delivers) in &self.moves {
                 let stored = self
                     .state
                     .remove(v, pid)
@@ -1473,7 +1094,7 @@ where
             }
         } else {
             self.lift_buf.clear();
-            for &(v, pid, hop, delivers) in self.shard_moves.iter().flatten() {
+            for &(v, pid, hop, delivers) in &self.moves {
                 let stored = self
                     .state
                     .remove(v, pid)
@@ -1500,7 +1121,7 @@ where
                 }
             }
         }
-        let forwarded: usize = self.shard_moves.iter().map(Vec::len).sum();
+        let forwarded = self.moves.len();
         self.metrics.forwarded += forwarded as u64;
         phase_mark(probe, t, EnginePhase::Merge, mark);
         self.round = t.next();
@@ -1687,7 +1308,7 @@ mod tests {
     #[test]
     fn boxed_protocols_work() {
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 1)]);
-        let boxed: Box<dyn Protocol<Path> + Send + Sync> = Box::new(Drain);
+        let boxed: Box<dyn Protocol<Path>> = Box::new(Drain);
         let mut sim = Simulation::new(Path::new(2), boxed, &p).unwrap();
         sim.run(2).unwrap();
         assert_eq!(sim.metrics().delivered, 1);
@@ -2048,8 +1669,8 @@ mod tests {
         assert!(sim.is_drained());
     }
 
-    /// A grid pattern with enough crossing traffic that shards exchange
-    /// packets every round.
+    /// A grid pattern with enough crossing traffic that packets cross
+    /// paths every round.
     fn grid_pattern() -> Pattern {
         let mut inj = Vec::new();
         for t in 0..6u64 {
@@ -2085,123 +1706,32 @@ mod tests {
             assert_eq!(
                 a.state().is_occupied(v),
                 !a.state().buffer(v).is_empty(),
-                "sequential occupancy bit {v}"
+                "first run's occupancy bit {v}"
             );
             assert_eq!(
                 b.state().is_occupied(v),
                 !b.state().buffer(v).is_empty(),
-                "sharded occupancy bit {v}"
+                "second run's occupancy bit {v}"
             );
         }
     }
 
     #[test]
-    fn sharded_step_is_byte_identical_to_sequential() {
-        use crate::topology::Dag;
-        for shards in [2, 3, 4, 7] {
-            let mut seq = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern()).unwrap();
-            let mut par = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern())
-                .unwrap()
-                .with_shards(shards);
-            for _ in 0..14 {
-                let a = seq.step().unwrap();
-                let b = par.step().unwrap();
-                assert_eq!(a, b, "shards = {shards}");
-                assert_states_identical(&seq, &par);
-            }
-            // Enough rounds that deliveries (and cross-shard hops) happened.
-            assert!(seq.metrics().delivered > 0);
-        }
-    }
-
-    #[test]
-    fn range_planning_protocol_matches_sequential_plan() {
-        use crate::topology::Dag;
-
-        /// `Drain` again, but planning shard-locally through `PlanWindow`.
-        struct RangeDrain;
-        impl<T: Topology> Protocol<T> for RangeDrain {
-            fn name(&self) -> String {
-                "range-drain".into()
-            }
-            fn plan(&mut self, _: Round, _: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
-                for v in 0..state.node_count() {
-                    let v = NodeId::new(v);
-                    if let Some(top) = state.lifo_top_where(v, |_| true) {
-                        plan.send(v, top.id());
-                    }
-                }
-            }
-            fn supports_range_planning(&self) -> bool {
-                true
-            }
-            fn plan_range(
-                &self,
-                _: Round,
-                _: &T,
-                state: &NetworkState,
-                window: &mut PlanWindow<'_>,
-            ) {
-                for v in window.node_range() {
-                    let v = NodeId::new(v);
-                    if let Some(top) = state.lifo_top_where(v, |_| true) {
-                        window.send(v, top.id());
-                    }
-                }
-            }
-        }
-
-        for shards in [1, 2, 5] {
-            let mut seq = Simulation::new(Dag::grid(4, 4), RangeDrain, &grid_pattern()).unwrap();
-            let mut par = Simulation::new(Dag::grid(4, 4), RangeDrain, &grid_pattern())
-                .unwrap()
-                .with_shards(shards);
-            seq.run_past_horizon(150).unwrap();
-            par.run_past_horizon(150).unwrap();
-            assert_states_identical(&seq, &par);
-            assert!(par.is_drained());
-        }
-    }
-
-    #[test]
-    fn sharded_capacity_run_matches_sequential_drops() {
-        use crate::capacity::{CapacityConfig, DropFarthest};
-        // Injections at both 0 and 1 collide with arrivals from upstream,
-        // so the unit-capacity buffers overflow and the drop policy runs.
-        let p: Pattern = (0..20u64)
-            .flat_map(|t| [Injection::new(t, 0, 3), Injection::new(t, 1, 3)])
-            .collect();
-        let mut seq = Simulation::new(Path::new(4), Drain, &p)
-            .unwrap()
-            .with_capacity(CapacityConfig::uniform(1), DropFarthest);
-        let mut par = Simulation::new(Path::new(4), Drain, &p)
-            .unwrap()
-            .with_capacity(CapacityConfig::uniform(1), DropFarthest)
-            .with_shards(2);
-        seq.run(25).unwrap();
-        par.run(25).unwrap();
-        assert_states_identical(&seq, &par);
-        assert!(par.metrics().dropped > 0);
-    }
-
-    #[test]
-    fn sharded_invalid_plan_reports_the_sequential_first_error() {
+    fn invalid_plan_reports_the_first_error_in_node_order() {
         struct Liar;
         impl<T: Topology> Protocol<T> for Liar {
             fn name(&self) -> String {
                 "liar".into()
             }
             fn plan(&mut self, _: Round, _: &T, _: &NetworkState, plan: &mut ForwardingPlan) {
-                // Two bad sends; the lower node's error must win even when
-                // a later shard hits its own error concurrently.
-                plan.send(NodeId::new(1), PacketId::new(998));
+                // Two bad sends, planned out of node order; the lower
+                // node's error must win.
                 plan.send(NodeId::new(3), PacketId::new(999));
+                plan.send(NodeId::new(1), PacketId::new(998));
             }
         }
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 1)]);
-        let mut sim = Simulation::new(Path::new(4), Liar, &p)
-            .unwrap()
-            .with_shards(4);
+        let mut sim = Simulation::new(Path::new(4), Liar, &p).unwrap();
         match sim.step() {
             Err(ModelError::UnknownPacket { node, packet, .. }) => {
                 assert_eq!(node, NodeId::new(1));
@@ -2418,44 +1948,6 @@ mod tests {
             let b = empty.step().unwrap();
             assert_eq!(a, b);
             assert_states_identical(&plain, &empty);
-        }
-    }
-
-    #[test]
-    fn sharded_fault_run_is_byte_identical_to_sequential() {
-        use crate::topology::Dag;
-        let faults = FaultSpec::new(11)
-            .with_event(FaultEvent::RandomLinks {
-                count: 4,
-                at: 2,
-                until: Some(8),
-            })
-            .with_event(FaultEvent::NodeCrash {
-                node: 5,
-                at: 3,
-                until: Some(7),
-            })
-            .with_event(FaultEvent::Partition {
-                group: vec![0, 1, 2, 3],
-                at: 9,
-                until: Some(11),
-            });
-        for shards in [2, 3, 7] {
-            let mut seq = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern())
-                .unwrap()
-                .with_faults(&faults);
-            let mut par = Simulation::new(Dag::grid(4, 4), Drain, &grid_pattern())
-                .unwrap()
-                .with_faults(&faults)
-                .with_shards(shards);
-            for _ in 0..16 {
-                let a = seq.step().unwrap();
-                let b = par.step().unwrap();
-                assert_eq!(a, b, "shards = {shards}");
-                assert_states_identical(&seq, &par);
-            }
-            assert!(seq.metrics().faulted > 0, "crash never swept anything");
-            assert_fault_conservation(&seq);
         }
     }
 }

@@ -23,10 +23,10 @@
 //!   divisible by `d + 1` (bandwidth `1/(d+1)` instead of 1).
 //!
 //! Everything is deterministic: the same spec (same seed) produces the
-//! same `FaultState` sequence, and because the mask is applied inside the
-//! engine's shared validation gates, sharded runs stay byte-identical to
-//! sequential ones with faults active. An empty spec is never expanded at
-//! all, so fault-free runs are bit-for-bit unchanged.
+//! same `FaultState` sequence, and the engine advances the mask once at
+//! the top of each round, so every phase of the round sees the same
+//! mask. An empty spec is never expanded at all, so fault-free runs are
+//! bit-for-bit unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -229,7 +229,7 @@ impl Deserialize for FaultEvent {
 /// The seed resolves [`FaultEvent::RandomLinks`] events into concrete
 /// edges; specs without random events ignore it. The same spec always
 /// produces the same per-round [`FaultState`] sequence, so runs are
-/// reproducible and sharding-invariant. An empty spec (`events` empty) is
+/// reproducible. An empty spec (`events` empty) is
 /// exactly the fault-free run.
 ///
 /// # Examples
@@ -544,8 +544,8 @@ impl FaultRuntime {
     }
 
     /// Rebuilds the [`FaultState`] for round `t` and records which nodes
-    /// crashed this round. O(events + n) on event-boundary rounds, on the
-    /// coordinating thread only; a no-op (plus clearing the crash-edge
+    /// crashed this round. O(events + n) on event-boundary rounds; a
+    /// no-op (plus clearing the crash-edge
     /// list) on every other round — event windows are half-open
     /// `[at, until)`, so the mask only changes where some `at` or `until`
     /// lands. Delay gating (`t % (extra + 1)`) is evaluated against `t` at

@@ -83,9 +83,7 @@ pub use capacity::{
     CapacityConfig, DropContext, DropFarthest, DropHead, DropNewest, DropPolicy, DropPolicyKind,
     DropTail, StagingMode, Victim,
 };
-pub use engine::{
-    ForwardingPlan, InjectionMode, ModelError, PlanWindow, Protocol, RoundOutcome, Simulation,
-};
+pub use engine::{ForwardingPlan, InjectionMode, ModelError, Protocol, RoundOutcome, Simulation};
 pub use fault::{FaultEvent, FaultSpec, FaultState};
 pub use ids::{NodeId, PacketId, Round};
 pub use metrics::{LatencyStats, RunMetrics};

@@ -10,20 +10,18 @@ use crate::state::NetworkState;
 /// Phases of one engine round, as reported to [`Probe::on_phase`].
 ///
 /// Every round reports `Inject`, `Plan`, `Forward`, `Merge` in that
-/// order. With more than one shard, `Plan` and `Forward` cover the
-/// parallel plan and validate fan-outs; `Merge` (the move application)
-/// runs on the calling thread at every shard count.
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnginePhase {
     /// Injection step: staged acceptance, this round's injections, and
     /// the `L^t` observation.
     Inject,
-    /// Protocol planning (parallel across shards when sharded).
+    /// Protocol planning.
     Plan,
     /// Move validation and collection — the forwarding step's read half.
     Forward,
-    /// Move application on the calling thread: removals, placements
-    /// (with drop-policy calls under capacity) and deliveries.
+    /// Move application: removals, placements (with drop-policy calls
+    /// under capacity) and deliveries.
     Merge,
 }
 
@@ -56,7 +54,7 @@ impl EnginePhase {
 /// receives only shared references to engine state and therefore
 /// **cannot perturb a run**: a probed run is byte-identical in
 /// [`RunMetrics`](crate::RunMetrics) to a plain one
-/// (`tests/sharded_conformance.rs` pins this).
+/// (`tests/probe_conformance.rs` pins this).
 ///
 /// The probe points, in round order:
 ///
@@ -74,22 +72,26 @@ impl EnginePhase {
 ///    the probe's own [`now_nanos`](Probe::now_nanos) clock. The default
 ///    clock returns 0, so library runs never read wall-clock time; a
 ///    real clock lives behind this hook in `aqt-bench`.
-/// 4. [`on_shard_moves`](Probe::on_shard_moves) — per-shard validated
-///    move counts (sharded rounds only), reported in ascending shard
-///    order — the same deterministic input-order merge the sweep layer
-///    uses.
-/// 5. [`on_move`](Probe::on_move) — one call per validated move, in
+/// 4. [`on_move`](Probe::on_move) — one call per validated move, in
 ///    move order, before any move is applied. A planned send over a
 ///    link the fault mask blocks is not a move and is not reported.
-/// 6. [`on_delivery`](Probe::on_delivery) — one call per delivered
-///    packet, in move order (moves are applied on the calling thread at
-///    every shard count).
-/// 7. [`on_round`](Probe::on_round) — the completed [`RoundOutcome`]
+/// 5. [`on_delivery`](Probe::on_delivery) — one call per delivered
+///    packet, in move order.
+/// 6. [`on_round`](Probe::on_round) — the completed [`RoundOutcome`]
 ///    plus the post-round state.
 ///
-/// Every hook but `on_shard_moves` fires with the same round and
-/// payload, in the same order, at every shard count
-/// (`tests/sharded_conformance.rs` pins this).
+/// Interleaved, one round fires exactly this sequence (`?` at most once,
+/// `*` once per move or delivery):
+///
+/// ```text
+/// on_fault? on_observe on_phase(Inject) on_phase(Plan) on_move*
+/// on_phase(Forward) on_delivery* on_phase(Merge) on_round
+/// ```
+///
+/// with as many `on_move`s as the round's
+/// [`forwarded`](RoundOutcome::forwarded) and as many `on_delivery`s as
+/// its [`delivered`](RoundOutcome::delivered)
+/// (`tests/probe_conformance.rs` pins this).
 ///
 /// All hooks default to no-ops, so `()` is the null probe: the unprobed
 /// [`Simulation::step`](crate::Simulation::step) runs the one round with
@@ -120,10 +122,6 @@ pub trait Probe {
     /// One engine phase of `round` took `nanos` nanoseconds (0 when
     /// [`now_nanos`](Probe::now_nanos) is the default).
     fn on_phase(&mut self, _round: Round, _phase: EnginePhase, _nanos: u64) {}
-
-    /// Shard `shard` validated `moves` moves in `round` (sharded rounds
-    /// only), reported in ascending shard order.
-    fn on_shard_moves(&mut self, _round: Round, _shard: usize, _moves: usize) {}
 
     /// `packet` moves out of `from` in `round`; `delivers` is whether the
     /// hop reaches its destination. Reported once per validated move, in

@@ -387,33 +387,11 @@ impl NetworkState {
         self.active.iter().map(|&v| NodeId::new(v as usize))
     }
 
-    /// The active nodes within `range`, in ascending order — the
-    /// range-planner counterpart of
-    /// [`active_nodes`](NetworkState::active_nodes), with the same
-    /// exactness contract. A binary search into the sorted worklist, so
-    /// the cost is O(log live + live-in-range).
-    pub fn active_nodes_in(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = NodeId> + '_ {
-        debug_assert!(self.active_exact, "active_nodes_in on a stale worklist");
-        let lo = self.active.partition_point(|&v| (v as usize) < range.start);
-        let hi = self.active.partition_point(|&v| (v as usize) < range.end);
-        self.active[lo..hi].iter().map(|&v| NodeId::new(v as usize))
-    }
-
     /// Number of active (non-empty) nodes. Derived from the occupancy
     /// bitset, so — unlike the worklist iterators — it is exact at any
     /// time, not just post-refresh. O(n / 64).
     pub fn active_count(&self) -> usize {
         self.occ_bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The refreshed worklist as a raw sorted slice (engine-only: used to
-    /// cut active-balanced shard boundaries).
-    pub(crate) fn active_slice(&self) -> &[u32] {
-        debug_assert!(self.active_exact, "active_slice on a stale worklist");
-        &self.active
     }
 
     /// Collapses the dirty-node worklist to the exact ascending occupied
@@ -642,20 +620,6 @@ mod tests {
         st.remove(NodeId::new(2), PacketId::new(2)).unwrap();
         assert!(!st.is_occupied(NodeId::new(2)), "buffer emptied");
         assert_active_consistent(&mut st);
-    }
-
-    #[test]
-    fn active_nodes_in_cuts_by_range() {
-        let mut st = NetworkState::new(10);
-        for v in [1usize, 4, 7, 9] {
-            st.place(NodeId::new(v), packet(v as u64, 0), Round::new(0));
-        }
-        st.refresh_active();
-        let in_range: Vec<usize> = st.active_nodes_in(2..8).map(|v| v.index()).collect();
-        assert_eq!(in_range, vec![4, 7]);
-        let all: Vec<usize> = st.active_nodes_in(0..10).map(|v| v.index()).collect();
-        assert_eq!(all, vec![1, 4, 7, 9]);
-        assert!(st.active_nodes_in(5..6).next().is_none());
     }
 
     proptest::proptest! {

@@ -17,7 +17,7 @@
 //!   [`RoundSample`]s with a configurable stride, so long-horizon runs
 //!   keep O(capacity) samples, not O(rounds).
 //! * [`TelemetryProfile`] — per-phase wall-time (inject/plan/forward/
-//!   merge) and per-shard validated-move totals. Wall time comes from an
+//!   merge). Wall time comes from an
 //!   injectable [`Clock`]; the default [`NullClock`] returns 0, so
 //!   library runs never read the wall clock (the real clock lives in
 //!   `aqt-bench`, keeping the workspace no-wall-clock lint clean).
@@ -30,16 +30,16 @@
 //!
 //! ## Determinism
 //!
-//! A probe receives only shared references at sequential merge points of
-//! the engine, so a probed run is byte-identical in `RunMetrics` to a
-//! plain one. The report is split accordingly:
+//! A probe receives only shared references to engine state, so a probed
+//! run is byte-identical in `RunMetrics` to a plain one. The report is
+//! split accordingly:
 //!
-//! * [`TelemetryReport::data`] is deterministic and identical across
-//!   shard counts (every hook it reads fires in the same order with the
-//!   same payload at any shard count).
-//! * [`TelemetryReport::profile`] carries wall-time and per-shard
-//!   figures that legitimately vary with the clock and shard count, and
-//!   is excluded from conformance comparison.
+//! * [`TelemetryReport::data`] is deterministic: every hook it reads
+//!   fires in a fixed order with a payload that depends only on the
+//!   scenario.
+//! * [`TelemetryReport::profile`] carries wall-time figures that
+//!   legitimately vary with the clock, and is excluded from conformance
+//!   comparison.
 //!
 //! ## Example
 //!

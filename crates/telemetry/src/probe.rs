@@ -48,7 +48,7 @@ impl Default for TelemetrySpec {
 /// [`NullClock`], all phase times 0) or
 /// [`with_clock`](TelemetryProbe::with_clock) (e.g. a wall clock from
 /// `aqt-bench`), drive it through `Simulation::step_probed` /
-/// `run_past_horizon_probed` at any shard count, then take the result
+/// `run_past_horizon_probed`, then take the result
 /// with [`report`](TelemetryProbe::report).
 pub struct TelemetryProbe {
     spec: TelemetrySpec,
@@ -141,13 +141,6 @@ impl Probe for TelemetryProbe {
         }
     }
 
-    fn on_shard_moves(&mut self, _round: Round, shard: usize, moves: usize) {
-        if self.profile.shard_moves.len() <= shard {
-            self.profile.shard_moves.resize(shard + 1, 0);
-        }
-        self.profile.shard_moves[shard] += moves as u64;
-    }
-
     fn on_delivery(&mut self, round: Round, packet: &Packet) {
         // Same latency convention as RunMetrics: a packet injected and
         // delivered in the same round took 1 round. A delivery round
@@ -230,7 +223,6 @@ mod tests {
         // NullClock: all phase durations are zero.
         assert_eq!(report.profile.plan.nanos, 0);
         assert_eq!(report.profile.plan.rounds, report.data.counters.rounds);
-        assert!(report.profile.shard_moves.is_empty());
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! A report has two halves with different determinism contracts:
 //!
 //! * [`TelemetryData`] — counters, occupancy/latency sketches and the
-//!   round series. Deterministic: identical across shard counts and
-//!   across probed/unprobed clocks (`tests/sharded_conformance.rs` pins
-//!   this), so it derives `PartialEq` and is safe to golden-test.
-//! * [`TelemetryProfile`] — phase wall-times and per-shard move totals.
-//!   These legitimately vary with the injected [`Clock`](crate::Clock)
-//!   and the shard count, so conformance comparisons must exclude them.
+//!   round series. Deterministic: a pure function of the scenario,
+//!   whatever the injected clock (`crates/bench/tests/telemetry_golden.rs`
+//!   pins it), so it derives `PartialEq` and is safe to golden-test.
+//! * [`TelemetryProfile`] — phase wall-times. These legitimately vary
+//!   with the injected [`Clock`](crate::Clock), so conformance
+//!   comparisons must exclude them.
 //!
 //! [`TelemetryReport::merge`] aggregates reports across runs (e.g. a
 //! sweep): counters, sketches and profile add order-insensitively,
 //! while the round series concatenates in input order — the same merge
-//! convention the sweep layer uses for shard results.
+//! convention the sweep layer uses for its results.
 
 use serde::{Deserialize, Serialize};
 
@@ -81,10 +81,10 @@ impl PhaseStat {
     }
 }
 
-/// Profiling half of a report: phase wall-times and per-shard work.
+/// Profiling half of a report: phase wall-times.
 ///
-/// Everything here depends on the injected clock and/or the shard
-/// count, so it is excluded from determinism comparisons.
+/// Everything here depends on the injected clock, so it is excluded
+/// from determinism comparisons.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryProfile {
     /// Injection step (staged acceptance + injections + `L^t` observe).
@@ -95,30 +95,20 @@ pub struct TelemetryProfile {
     pub forward: PhaseStat,
     /// Move application (removals, arrivals, deliveries).
     pub merge: PhaseStat,
-    /// Validated moves per shard, summed over all sharded rounds
-    /// (`shard_moves[s]` is shard `s`'s total; empty for sequential
-    /// runs).
-    pub shard_moves: Vec<u64>,
 }
 
 impl TelemetryProfile {
-    /// Adds `other` into `self`; shard totals add index-wise.
+    /// Adds `other` into `self`, phase by phase.
     pub fn merge(&mut self, other: &TelemetryProfile) {
         self.inject.merge(&other.inject);
         self.plan.merge(&other.plan);
         self.forward.merge(&other.forward);
         self.merge.merge(&other.merge);
-        if self.shard_moves.len() < other.shard_moves.len() {
-            self.shard_moves.resize(other.shard_moves.len(), 0);
-        }
-        for (dst, &src) in self.shard_moves.iter_mut().zip(other.shard_moves.iter()) {
-            *dst += src;
-        }
     }
 }
 
-/// Deterministic half of a report: identical for 1/2/4-shard runs of
-/// the same scenario.
+/// Deterministic half of a report: identical for every run of the same
+/// scenario.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryData {
     /// Whole-run packet counters.
@@ -147,9 +137,9 @@ impl TelemetryData {
 /// A complete telemetry report for one run (or a merged aggregate).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
-    /// Deterministic measurements (shard-count independent).
+    /// Deterministic measurements.
     pub data: TelemetryData,
-    /// Clock- and shard-dependent profiling.
+    /// Clock-dependent profiling.
     pub profile: TelemetryProfile,
 }
 
@@ -205,12 +195,10 @@ mod tests {
         a.data.counters.rounds = 4;
         a.data.occupancy.record(3);
         a.profile.plan.record(10);
-        a.profile.shard_moves = vec![1, 2];
         let mut b = TelemetryReport::default();
         b.data.counters.rounds = 2;
         b.data.occupancy.record(9);
         b.profile.plan.record(5);
-        b.profile.shard_moves = vec![0, 0, 7];
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -218,7 +206,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.data, ba.data);
         assert_eq!(ab.profile, ba.profile);
-        assert_eq!(ab.profile.shard_moves, vec![1, 2, 7]);
         assert_eq!(ab.profile.plan.nanos, 15);
         assert_eq!(ab.profile.plan.rounds, 2);
     }

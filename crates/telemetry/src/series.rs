@@ -114,8 +114,8 @@ impl RoundSeries {
 
 impl SeriesData {
     /// Appends `other`'s retained window after `self`'s (input-order
-    /// concatenation, the same convention as the sweep layer's shard
-    /// merge), re-trimming to `self.capacity` newest samples.
+    /// concatenation, the same convention as the sweep layer's
+    /// deterministic merge), re-trimming to `self.capacity` newest samples.
     ///
     /// A default `SeriesData` (capacity 0 — a live series never has one,
     /// [`RoundSeries::new`] clamps) is the merge identity: merging into

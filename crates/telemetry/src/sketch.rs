@@ -5,8 +5,8 @@
 //! in `[2^(k-1), 2^k)`. That is the classic HdrHistogram-style
 //! power-of-two compaction — relative error ≤ 2× per sample, memory
 //! O(buckets) regardless of stream length, and merges are plain
-//! bucket-wise addition (order-insensitive, so sharded and sequential
-//! runs aggregate identically).
+//! bucket-wise addition (order-insensitive, so a sweep's runs aggregate
+//! identically in any completion order).
 
 use serde::{Deserialize, Serialize};
 

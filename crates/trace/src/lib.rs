@@ -4,8 +4,7 @@
 //!
 //! * [`Tracer`] — a [`Probe`](aqt_model::Probe) that records a
 //!   serializable [`Trace`] (per-round configurations `L^t` and the moves
-//!   the engine applied) of any run, sequential or sharded, without
-//!   changing behavior.
+//!   the engine applied) of any run, without changing behavior.
 //! * [`Monitor`] / [`Monitors`] / [`run_monitored`] — online invariant
 //!   checking at the paper's measurement point. [`BadnessExcessMonitor`]
 //!   checks the proof invariant `B^t(i) ≤ ξ_t(i) + 1` that drives

@@ -275,8 +275,8 @@ pub fn run_monitored<T, P>(
     monitors: Vec<Box<dyn Monitor<T>>>,
 ) -> Result<RunMetrics, Violation>
 where
-    T: Topology + Sync,
-    P: Protocol<T> + Sync,
+    T: Topology,
+    P: Protocol<T>,
 {
     let engine = |round: Round, e: ModelError| Violation {
         monitor: "engine".into(),

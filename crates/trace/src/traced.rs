@@ -16,8 +16,7 @@ use crate::event::{RoundRecord, SendRecord, Trace};
 /// fault mask blocks is not a move. Pass the tracer to
 /// [`Simulation::run_past_horizon_probed`](aqt_model::Simulation::run_past_horizon_probed)
 /// (or `step_probed`, or the scenario layer's `run_scenario_probed`) and
-/// read the trace afterwards. It observes sharded runs exactly as
-/// sequential ones.
+/// read the trace afterwards.
 ///
 /// ## Bounded memory
 ///
@@ -173,11 +172,7 @@ mod tests {
     use aqt_model::{CapacityConfig, DropTail, Injection, Path, Pattern, Protocol, Simulation};
 
     /// Steps `sim` for `rounds` rounds with `tracer` attached.
-    fn run<P: Protocol<Path> + Sync>(
-        sim: &mut Simulation<Path, P>,
-        rounds: u64,
-        tracer: &mut Tracer,
-    ) {
+    fn run<P: Protocol<Path>>(sim: &mut Simulation<Path, P>, rounds: u64, tracer: &mut Tracer) {
         for _ in 0..rounds {
             sim.step_probed(tracer).unwrap();
         }

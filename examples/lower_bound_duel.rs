@@ -14,7 +14,7 @@ use small_buffers::{
     Simulation, Table, Topology,
 };
 
-fn duel<P: Protocol<Path> + Sync>(
+fn duel<P: Protocol<Path>>(
     adversary: &LowerBoundAdversary,
     protocol: P,
 ) -> Result<(String, usize), Box<dyn std::error::Error>> {

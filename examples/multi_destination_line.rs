@@ -18,7 +18,7 @@ use small_buffers::{
 };
 
 /// Peak occupancy of `protocol` on the given pattern, run to quiescence.
-fn peak<P: Protocol<Path> + Sync>(
+fn peak<P: Protocol<Path>>(
     n: usize,
     protocol: P,
     pattern: &small_buffers::Pattern,

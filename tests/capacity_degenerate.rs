@@ -35,7 +35,7 @@ fn all_policies() -> Vec<(&'static str, Box<dyn DropPolicy>)> {
 /// metrics each way.
 fn check_path<P, F>(label: &str, mk: F, pattern: &Pattern, rounds: u64)
 where
-    P: Protocol<Path> + Sync,
+    P: Protocol<Path>,
     F: Fn() -> P,
 {
     let topo = Path::new(N);
@@ -73,7 +73,7 @@ where
 /// Tree counterpart of [`check_path`].
 fn check_tree<P, F>(label: &str, mk: F, pattern: &Pattern, tree: &DirectedTree, rounds: u64)
 where
-    P: Protocol<DirectedTree> + Sync,
+    P: Protocol<DirectedTree>,
     F: Fn() -> P,
 {
     let mut unbounded = Simulation::new(tree.clone(), mk(), pattern).expect("valid pattern");

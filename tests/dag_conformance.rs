@@ -39,8 +39,8 @@ fn run_artifacts<T, P>(
     capacity: Option<(usize, StagingMode, DropPolicyKind)>,
 ) -> (String, String, Vec<u64>)
 where
-    T: Topology + Sync,
-    P: Protocol<T> + Sync,
+    T: Topology,
+    P: Protocol<T>,
 {
     let mut tracer = Tracer::new(protocol.name());
     let mut sim = Simulation::new(topo, protocol, pattern).expect("valid pattern");
@@ -76,7 +76,7 @@ fn capacity_axis() -> Vec<Option<(usize, StagingMode, DropPolicyKind)>> {
 /// axis.
 fn assert_conforms_on_path<P, F>(label: &str, mk: F, pattern: &Pattern)
 where
-    P: Protocol<Path> + Protocol<Dag> + Sync,
+    P: Protocol<Path> + Protocol<Dag>,
     F: Fn() -> P,
 {
     let path = Path::new(N);
@@ -96,7 +96,7 @@ where
 /// Tree counterpart of [`assert_conforms_on_path`].
 fn assert_conforms_on_tree<P, F>(label: &str, mk: F, tree: &DirectedTree, pattern: &Pattern)
 where
-    P: Protocol<DirectedTree> + Protocol<Dag> + Sync,
+    P: Protocol<DirectedTree> + Protocol<Dag>,
     F: Fn() -> P,
 {
     let embedded = Dag::from(tree);

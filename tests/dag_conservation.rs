@@ -46,7 +46,7 @@ fn dag_pattern(dag: &Dag, seed: u64, count: usize, horizon: u64) -> Pattern {
 /// Steps the simulation round by round, checking the conservation ledger
 /// at every round boundary.
 #[allow(clippy::too_many_arguments)]
-fn assert_conserves<P: Protocol<Dag> + Sync>(
+fn assert_conserves<P: Protocol<Dag>>(
     label: &str,
     dag: Dag,
     protocol: P,

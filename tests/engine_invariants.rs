@@ -12,7 +12,7 @@ use small_buffers::{
 
 /// Steps the simulation and checks conservation and capacity after every
 /// single round.
-fn run_checked<T: Topology + Clone + Sync, P: Protocol<T> + Sync>(
+fn run_checked<T: Topology + Clone, P: Protocol<T>>(
     topo: T,
     protocol: P,
     pattern: &Pattern,

@@ -283,7 +283,7 @@ fn proptest_faults(n: usize, seed: u64) -> FaultSpec {
 }
 
 /// Steps round by round, checking the five-way conservation ledger.
-fn assert_conserves_with_faults<P: Protocol<Dag> + Sync>(
+fn assert_conserves_with_faults<P: Protocol<Dag>>(
     label: &str,
     dag: Dag,
     protocol: P,

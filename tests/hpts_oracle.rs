@@ -382,7 +382,7 @@ impl Probe for Moves {
 
 /// Runs `protocol` on `pattern` past its horizon; the move log and the
 /// `RunMetrics` JSON.
-fn run<P: Protocol<Path> + Sync>(n: usize, protocol: P, pattern: &Pattern) -> (Moves, String) {
+fn run<P: Protocol<Path>>(n: usize, protocol: P, pattern: &Pattern) -> (Moves, String) {
     let mut sim = Simulation::new(Path::new(n), protocol, pattern).expect("valid pattern");
     let mut moves = Moves::default();
     let metrics = sim

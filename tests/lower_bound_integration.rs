@@ -7,7 +7,7 @@ use small_buffers::{
     Rate, Simulation, Topology,
 };
 
-fn peak_against<P: Protocol<Path> + Sync>(adv: &LowerBoundAdversary, protocol: P) -> f64 {
+fn peak_against<P: Protocol<Path>>(adv: &LowerBoundAdversary, protocol: P) -> f64 {
     let mut sim = Simulation::new(adv.topology(), protocol, &adv.pattern()).expect("valid pattern");
     sim.run(adv.total_rounds()).expect("valid plan");
     sim.metrics().max_occupancy as f64

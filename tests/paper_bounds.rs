@@ -17,11 +17,7 @@ use small_buffers::{
 };
 
 /// Max occupancy of a protocol run to quiescence on a path.
-fn path_peak<P: small_buffers::Protocol<Path> + Sync>(
-    n: usize,
-    protocol: P,
-    pattern: &Pattern,
-) -> u64 {
+fn path_peak<P: small_buffers::Protocol<Path>>(n: usize, protocol: P, pattern: &Pattern) -> u64 {
     let mut sim = Simulation::new(Path::new(n), protocol, pattern).expect("valid pattern");
     sim.run_past_horizon(6 * n as u64).expect("valid plan");
     sim.metrics().max_occupancy as u64

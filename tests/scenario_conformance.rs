@@ -31,7 +31,7 @@ const N: usize = 12;
 const EXTRA: u64 = 40;
 
 /// Serialized `(metrics, per-node drops)` of a hand-wired run.
-fn artifacts<T: Topology + Sync, P: Protocol<T> + Sync, S: InjectionSource>(
+fn artifacts<T: Topology, P: Protocol<T>, S: InjectionSource>(
     topo: T,
     protocol: P,
     source: S,
@@ -123,7 +123,7 @@ fn scenario(
 fn path_pattern_runs_are_byte_identical() {
     let single = single_dest_pattern();
     let multi = multi_dest_pattern();
-    type MkPath = Box<dyn Fn() -> Box<dyn Protocol<Path> + Send + Sync>>;
+    type MkPath = Box<dyn Fn() -> Box<dyn Protocol<Path>>>;
     let cases: Vec<(&str, MkPath, ProtocolSpec, &Pattern)> = vec![
         (
             "pts",

@@ -23,7 +23,7 @@ const N: usize = 16;
 /// byte-identical metrics.
 fn check_path<P, F>(label: &str, mk: F, adv: &RandomAdversary, rounds: u64)
 where
-    P: Protocol<Path> + Sync,
+    P: Protocol<Path>,
     F: Fn() -> P,
 {
     let topo = Path::new(N);
@@ -51,7 +51,7 @@ where
 /// Tree counterpart of [`check_path`].
 fn check_tree<P, F>(label: &str, mk: F, adv: &RandomAdversary, tree: &DirectedTree, rounds: u64)
 where
-    P: Protocol<DirectedTree> + Sync,
+    P: Protocol<DirectedTree>,
     F: Fn() -> P,
 {
     let pattern = adv.build_tree(tree);

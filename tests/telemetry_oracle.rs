@@ -38,12 +38,6 @@ impl Probe for Fanout<'_> {
             .for_each(|p| p.on_phase(round, phase, nanos));
     }
 
-    fn on_shard_moves(&mut self, round: Round, shard: usize, moves: usize) {
-        self.0
-            .iter_mut()
-            .for_each(|p| p.on_shard_moves(round, shard, moves));
-    }
-
     fn on_move(&mut self, round: Round, from: NodeId, packet: PacketId, delivers: bool) {
         self.0
             .iter_mut()
@@ -220,19 +214,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The probe's occupancy sketch is the one a dense walk of every node
-    /// records, at any stride, under capacity drops, a node crash and
-    /// sharding.
+    /// records, at any stride, under capacity drops and a node crash.
     #[test]
     fn occupancy_sketch_matches_a_dense_walk(
         cell in (0usize..3, 8usize..=32, 0usize..3),
         traffic in traffic(),
         capacity in (proptest::bool::ANY, 1usize..=3, 0usize..4),
         crash in (proptest::bool::ANY, 0usize..32, 0u64..20, 1u64..8),
-        run in (1usize..=2, 1u64..=4, 0u64..1_000),
+        run in (1u64..=4, 0u64..1_000),
     ) {
         let (family, size, pick) = cell;
         let (rate, sigma) = traffic;
-        let (shards, stride, seed) = run;
+        let (stride, seed) = run;
         let topology = topology(family, size, seed);
         let n = topology.build().expect("topology builds").node_count();
         let mut s = scenario(
@@ -263,7 +256,7 @@ proptest! {
             stride,
             sketch: HistogramSketch::new(),
         };
-        let summary = run_scenario_probed(&s, shards, &mut Fanout(vec![&mut probe, &mut reference]))
+        let summary = run_scenario_probed(&s, &mut Fanout(vec![&mut probe, &mut reference]))
             .expect("valid scenario");
         prop_assert!(summary.injected > 0, "vacuous cell");
         prop_assert_eq!(probe.report().data.occupancy, reference.sketch);
@@ -277,7 +270,6 @@ proptest! {
         pick in 0usize..3,
         traffic in traffic(),
         bound in 1usize..=3,
-        shards in 1usize..=2,
         seed in 0u64..1_000,
     ) {
         let (rate, sigma) = traffic;
@@ -292,7 +284,6 @@ proptest! {
         let mut reference = RefMonitors::new(bound);
         let summary = run_scenario_probed(
             &s,
-            shards,
             &mut Fanout(vec![&mut quiescence, &mut occupancy, &mut reference]),
         )
         .expect("valid scenario");
