@@ -602,6 +602,24 @@ mod tests {
         assert!(summary.max_occupancy as u64 <= peak.value);
     }
 
+    /// Counts the moves a run applies.
+    struct MoveCount(u64);
+
+    impl aqt_model::Probe for MoveCount {
+        fn on_move(&mut self, _: Round, _: NodeId, _: aqt_model::PacketId, _: bool) {
+            self.0 += 1;
+        }
+    }
+
+    /// Runs `scenario` to completion and checks that no packet ever moved.
+    fn assert_never_moves(scenario: &Scenario) {
+        let mut moves = MoveCount(0);
+        let summary = crate::run_scenario_probed(scenario, &mut moves).unwrap();
+        assert_eq!(moves.0, 0, "{}", summary.protocol);
+        assert_eq!(summary.delivered, 0);
+        assert_eq!(summary.injected, 2);
+    }
+
     #[test]
     fn warnings_flag_suspect_but_legal_specs() {
         // PTS fed traffic for a destination it was not built for.
@@ -625,6 +643,31 @@ mod tests {
         };
         let report = scenario.validate().unwrap();
         assert!(report.warnings.iter().any(|w| w.contains("pts is proven")));
+        // Legal, so it runs: PTS never forwards the foreign packets.
+        assert_never_moves(&scenario);
+
+        // Tree-PTS toward the root, fed a burst for the internal node 1.
+        let scenario = Scenario {
+            name: None,
+            topology: TopologySpec::Tree(aqt_model::TreeSpec::FullBinary { height: 2 }),
+            protocol: ProtocolSpec::TreePts { dest: None },
+            source: SourceSpec::Burst {
+                round: 0,
+                source: 3,
+                dest: 1,
+                size: 2,
+            },
+            extra: 20,
+            capacity: None,
+            telemetry: None,
+            faults: None,
+        };
+        let report = scenario.validate().unwrap();
+        assert!(report
+            .warnings
+            .iter()
+            .any(|w| w.contains("tree_pts is proven")));
+        assert_never_moves(&scenario);
 
         // Sustained overload.
         let scenario = Scenario {

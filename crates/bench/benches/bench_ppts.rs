@@ -1,8 +1,11 @@
 //! Timing bench for E2: PPTS throughput as the destination count grows.
 //!
-//! PPTS scans pseudo-buffers right-to-left per destination, so its per-round
-//! cost scales with d; this bench quantifies that against the greedy
-//! baseline's d-independent cost.
+//! PPTS plans from one flat per-node table of pseudo-buffers, sorts the
+//! bad ones root-most destination first and walks from each toward its
+//! destination, so its per-round cost follows the buffered packets, the
+//! destinations per node and the bad pseudo-buffers, not n per
+//! destination; this bench quantifies that against the greedy baseline's
+//! d-independent cost.
 
 use aqt_adversary::{DestSpec, RandomAdversary};
 use aqt_analysis::run_pattern;

@@ -1,53 +1,55 @@
-//! The per-round class table and planning scratch of the HPTS planner.
+//! The per-round class table the paper's planners read.
 //!
-//! Every buffered packet belongs to one pseudo-buffer class `(level j,
-//! column k)` at its node (Defs. 4.2–4.3). Algs. 4–5 read each class only
-//! through its count and its LIFO-top packet, so a round starts by
-//! summarising every non-empty class once. The summaries are stored flat:
-//! node i's classes sit contiguously in one vector behind a per-node
-//! offset, and a class is found by linear scan — a node holds at most ℓ·m
-//! classes, usually a handful. The protocol owns the table and refills it
-//! in place every round, so after the first round planning allocates
-//! nothing.
+//! Every buffered packet belongs to one pseudo-buffer class at its node:
+//! `(level j, column k)` for HPTS (Defs. 4.2–4.3), its destination for
+//! the peak-to-sink planners. The planners read each class only through
+//! its count and its LIFO-top packet, so a round starts by summarising
+//! every non-empty class once. The summaries are stored flat: node i's
+//! classes sit contiguously in one vector behind a per-node offset, and a
+//! class is found by linear scan — a node holds few classes (at most ℓ·m
+//! under HPTS), usually a handful. Each protocol owns its table and
+//! refills it in place every round, so after the first round planning
+//! allocates nothing.
 
-use aqt_model::{ForwardingPlan, NetworkState, NodeId, PacketId};
+use aqt_model::{NetworkState, NodeId, PacketId};
 
 /// A pseudo-buffer `(level j, column k)`, packed into one word so that
 /// a scan makes one comparison per class. A column is a base-m digit of a
-/// `u32` node index (or zone), so it fits in the low 32 bits.
+/// `u32` node index (or zone), or a destination node, so it fits in the
+/// low 32 bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Class(u64);
+pub(crate) struct Class(u64);
 
 impl Class {
-    pub(super) fn new((j, k): (u32, usize)) -> Self {
+    pub(crate) fn new((j, k): (u32, usize)) -> Self {
         let k = u32::try_from(k).expect("a column is a digit of a u32 index");
         Class((u64::from(j) << 32) | u64::from(k))
     }
 
-    pub(super) fn level(self) -> u32 {
+    pub(crate) fn level(self) -> u32 {
         (self.0 >> 32) as u32
     }
 
-    pub(super) fn column(self) -> usize {
+    pub(crate) fn column(self) -> usize {
         (self.0 & u64::from(u32::MAX)) as usize
     }
 }
 
 /// One non-empty class at one node, for one round.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct Info {
-    pub(super) count: usize,
+pub(crate) struct Info {
+    pub(crate) count: usize,
     /// The LIFO-top packet: the one with the largest `seq`.
-    pub(super) top: PacketId,
+    pub(crate) top: PacketId,
     top_seq: u64,
     /// Final destination of the LIFO-top packet (needed for pre-bad
     /// detection at the receiving end).
-    pub(super) top_dest: usize,
+    pub(crate) top_dest: usize,
 }
 
 /// Every node's non-empty classes for one round, stored flat.
 #[derive(Debug, Clone, Default)]
-pub(super) struct ClassTable {
+pub(crate) struct ClassTable {
     /// Node i's classes are `classes[start[i]..start[i + 1]]`.
     start: Vec<usize>,
     /// Kept apart from `infos` so the scan reads consecutive words.
@@ -58,7 +60,7 @@ pub(super) struct ClassTable {
 impl ClassTable {
     /// Refills the table from `state`. `classify(i, w)` names the `(level,
     /// column)` class of a packet at node `i` destined `w`.
-    pub(super) fn rebuild(
+    pub(crate) fn rebuild(
         &mut self,
         state: &NetworkState,
         mut classify: impl FnMut(usize, usize) -> (u32, usize),
@@ -98,12 +100,12 @@ impl ClassTable {
     }
 
     /// Number of nodes the table summarises.
-    pub(super) fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.start.len().saturating_sub(1)
     }
 
     /// Node `i`'s non-empty classes, in order of first appearance.
-    pub(super) fn node(&self, i: usize) -> impl Iterator<Item = (Class, &Info)> {
+    pub(crate) fn node(&self, i: usize) -> impl Iterator<Item = (Class, &Info)> {
         let range = self.start[i]..self.start[i + 1];
         self.classes[range.clone()]
             .iter()
@@ -112,54 +114,12 @@ impl ClassTable {
     }
 
     /// The summary of class `(j, k)` at node `i`, or `None` if it is empty.
-    pub(super) fn get(&self, i: usize, class: (u32, usize)) -> Option<&Info> {
+    pub(crate) fn get(&self, i: usize, class: (u32, usize)) -> Option<&Info> {
         let (first, end) = (self.start[i], self.start[i + 1]);
         let class = Class::new(class);
         self.classes[first..end]
             .iter()
             .position(|&c| c == class)
             .map(|at| &self.infos[first + at])
-    }
-}
-
-/// An activated node: the node its segment ends at, and the designated
-/// packet with its final destination (`None` when the activated class is
-/// empty — the node is still blocked for this round).
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Active {
-    pub(super) target: usize,
-    pub(super) packet: Option<(PacketId, usize)>,
-}
-
-/// The scratch one round of planning needs, reused across rounds.
-#[derive(Debug, Clone, Default)]
-pub(super) struct Scratch {
-    pub(super) classes: ClassTable,
-    /// Left-most bad node per column of the interval being formed.
-    pub(super) leftmost_bad: Vec<Option<usize>>,
-    /// The activation of every node this round.
-    pub(super) active: Vec<Option<Active>>,
-}
-
-impl Scratch {
-    /// Clears the activations for a round on `n` nodes with `m` columns.
-    pub(super) fn reset(&mut self, n: usize, m: usize) {
-        self.active.clear();
-        self.active.resize(n, None);
-        self.leftmost_bad.clear();
-        self.leftmost_bad.resize(m, None);
-    }
-
-    /// Sends every activated node's designated packet.
-    pub(super) fn send(&self, plan: &mut ForwardingPlan) {
-        for (i, entry) in self.active.iter().enumerate() {
-            if let Some(Active {
-                packet: Some((pid, _)),
-                ..
-            }) = entry
-            {
-                plan.send(NodeId::new(i), *pid);
-            }
-        }
     }
 }

@@ -38,16 +38,17 @@
 //! phase*). The ascending variant is kept for the A1-adjacent ablation; the
 //! experiments record both.
 
-mod classes;
 mod dest_space;
 mod geometry;
 
 pub use dest_space::{DestSpaceError, DestZones, HptsD};
 pub use geometry::{GeometryError, Hierarchy};
 
-use aqt_model::{ForwardingPlan, InjectionMode, NetworkState, Path, Protocol, Round};
+use aqt_model::{
+    ForwardingPlan, InjectionMode, NetworkState, NodeId, PacketId, Path, Protocol, Round,
+};
 
-use classes::{Active, ClassTable, Scratch};
+use crate::classes::ClassTable;
 
 /// Order in which levels become primary within a phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -302,6 +303,48 @@ impl<Z: ZoneMap> Hierarchical<Z> {
                 let packet = classes.get(i, (j, k)).map(|e| (e.top, e.top_dest));
                 set_active(active, i, Active { target: wk, packet });
                 i += 1;
+            }
+        }
+    }
+}
+
+/// An activated node: the node its segment ends at, and the designated
+/// packet with its final destination (`None` when the activated class is
+/// empty — the node is still blocked for this round).
+#[derive(Debug, Clone, Copy)]
+struct Active {
+    target: usize,
+    packet: Option<(PacketId, usize)>,
+}
+
+/// The scratch one round of planning needs, reused across rounds.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    classes: ClassTable,
+    /// Left-most bad node per column of the interval being formed.
+    leftmost_bad: Vec<Option<usize>>,
+    /// The activation of every node this round.
+    active: Vec<Option<Active>>,
+}
+
+impl Scratch {
+    /// Clears the activations for a round on `n` nodes with `m` columns.
+    fn reset(&mut self, n: usize, m: usize) {
+        self.active.clear();
+        self.active.resize(n, None);
+        self.leftmost_bad.clear();
+        self.leftmost_bad.resize(m, None);
+    }
+
+    /// Sends every activated node's designated packet.
+    fn send(&self, plan: &mut ForwardingPlan) {
+        for (i, entry) in self.active.iter().enumerate() {
+            if let Some(Active {
+                packet: Some((pid, _)),
+                ..
+            }) = entry
+            {
+                plan.send(NodeId::new(i), *pid);
             }
         }
     }

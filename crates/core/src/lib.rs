@@ -6,10 +6,10 @@
 //!
 //! | Protocol | Paper | Space bound |
 //! |----------|-------|-------------|
-//! | [`Pts`] | Alg. 1, Prop. 3.1 | `2 + σ` (single destination, path) |
-//! | [`Ppts`] | Alg. 2, Prop. 3.2 | `1 + d + σ` (d destinations, path) |
-//! | [`TreePts`] | App. B.2, Prop. B.3 | `2 + σ` (directed tree) |
-//! | [`TreePpts`] | Alg. 6, Prop. 3.5 | `1 + d′ + σ` (tree, d′ = max destinations per leaf-root path) |
+//! | [`Pts`] | Alg. 1, Prop. 3.1: Tree-PPTS on a path with one destination | `2 + σ` (single destination, path) |
+//! | [`Ppts`] | Alg. 2, Prop. 3.2: Tree-PPTS on a path | `1 + d + σ` (d destinations, path) |
+//! | [`TreePts`] | App. B.2, Prop. B.3: Tree-PPTS with one destination | `2 + σ` (directed tree) |
+//! | [`TreePpts`] | Alg. 6, Prop. 3.5: the one peak-to-sink planner, [`pts::PeakToSink`], of which the three rows above are cases | `1 + d′ + σ` (tree, d′ = max destinations per leaf-root path) |
 //! | [`Hpts`] | Algs. 3–5, Thm. 4.1 | `ℓ·n^{1/ℓ} + σ + 1` (ρ·ℓ ≤ 1) |
 //! | [`HptsD`] | abstract's d-version (**experimental**): HPTS over the zones between destinations; HPTS is the case where every node is a destination | `ℓ·(d+1)^{1/ℓ} + σ + 1`, validated empirically |
 //! | [`LocalPts`] | open problem (**exploratory**) | locality-r restriction of PTS; no bound claimed |
@@ -50,12 +50,12 @@
 
 pub mod badness;
 mod batched;
+mod classes;
 mod dag;
 mod greedy;
 pub mod hpts;
 mod local;
-mod ppts;
-mod pts;
+pub mod pts;
 mod spec;
 mod tree;
 
@@ -64,7 +64,6 @@ pub use dag::DagGreedy;
 pub use greedy::{Greedy, GreedyPolicy};
 pub use hpts::{DestSpaceError, Hierarchy, Hpts, HptsD, LevelSchedule};
 pub use local::LocalPts;
-pub use ppts::{Ppts, PseudoPriority};
-pub use pts::Pts;
+pub use pts::{Ppts, PseudoPriority, Pts};
 pub use spec::{ProtocolSpec, ProtocolSpecError};
 pub use tree::{low_antichain, TreePpts, TreePts};

@@ -23,8 +23,7 @@ use crate::batched::Batched;
 use crate::dag::DagGreedy;
 use crate::greedy::{Greedy, GreedyPolicy};
 use crate::hpts::Hpts;
-use crate::ppts::Ppts;
-use crate::pts::Pts;
+use crate::pts::{Ppts, Pts};
 use crate::tree::{TreePpts, TreePts};
 
 /// A serializable description of a forwarding protocol.

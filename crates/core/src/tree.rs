@@ -3,17 +3,18 @@
 //! On a directed tree (edges toward the root), the "left-most bad buffer"
 //! of the path algorithms generalizes to the **low-antichain** of bad
 //! buffers: the ≺-minimal bad nodes. Tree-PTS activates every node on the
-//! path from any bad node to the root; Tree-PPTS does this per destination,
-//! processing destinations in reverse topological order and never
-//! re-claiming an already-activated node (Algorithm 6).
+//! path from any bad node to the destination; Tree-PPTS does this per
+//! destination, processing destinations in reverse topological order and
+//! never re-claiming an already-activated node (Algorithm 6). Both are the
+//! one peak-to-sink planner of [`crate::pts`] over a [`DirectedTree`].
 //!
 //! * Prop. B.3 (Tree-PTS): max occupancy ≤ 2 + σ.
 //! * Prop. 3.5 (Tree-PPTS): max occupancy ≤ 1 + d′ + σ, where d′ is the
 //!   maximum number of destinations on any leaf-root path.
 
-use std::collections::BTreeMap;
+use aqt_model::{DirectedTree, NodeId};
 
-use aqt_model::{DirectedTree, ForwardingPlan, NetworkState, NodeId, PacketId, Protocol, Round};
+use crate::pts::{Every, One, PeakToSink};
 
 /// Computes the low-antichain `min(B)` of Def. B.2: the ≺-minimal elements
 /// of `bad` (no other bad node strictly below them).
@@ -29,9 +30,11 @@ pub fn low_antichain(tree: &DirectedTree, bad: &[NodeId]) -> Vec<NodeId> {
 
 /// Tree-PTS: single-destination forwarding on a directed tree.
 ///
-/// Every node on a path from a bad buffer (occupancy ≥ 2) to the
-/// destination is activated; activated non-empty buffers forward their
-/// LIFO top. All packets must share the destination (normally the root).
+/// Every node on a path from a bad buffer (at least two packets destined
+/// `w`) to the destination `w` is activated; activated non-empty buffers
+/// forward their LIFO top. Prop. B.3 assumes that all packets share the
+/// destination (normally the root); packets for other destinations are
+/// never forwarded.
 ///
 /// # Examples
 ///
@@ -52,68 +55,7 @@ pub fn low_antichain(tree: &DirectedTree, bad: &[NodeId]) -> Vec<NodeId> {
 /// assert_eq!(sim.metrics().max_occupancy, 2);
 /// # Ok::<(), aqt_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct TreePts {
-    dest: NodeId,
-}
-
-impl TreePts {
-    /// Tree-PTS toward `dest` (typically the root).
-    pub fn new(dest: NodeId) -> Self {
-        TreePts { dest }
-    }
-
-    /// The destination.
-    pub fn dest(&self) -> NodeId {
-        self.dest
-    }
-}
-
-impl Protocol<DirectedTree> for TreePts {
-    fn name(&self) -> String {
-        format!("TreePTS(w={})", self.dest)
-    }
-
-    fn plan(
-        &mut self,
-        _round: Round,
-        tree: &DirectedTree,
-        state: &NetworkState,
-        plan: &mut ForwardingPlan,
-    ) {
-        let n = state.node_count();
-        debug_assert!(
-            (0..n).all(|v| state
-                .buffer(NodeId::new(v))
-                .iter()
-                .all(|p| p.dest() == self.dest)),
-            "TreePTS requires single-destination traffic"
-        );
-        // Union of paths from bad nodes to the destination.
-        let mut active = vec![false; n];
-        for v in 0..n {
-            let v = NodeId::new(v);
-            if state.occupancy(v) >= 2 {
-                let mut at = v;
-                while at != self.dest && !active[at.index()] {
-                    active[at.index()] = true;
-                    match tree.parent(at) {
-                        Some(p) => at = p,
-                        None => break,
-                    }
-                }
-            }
-        }
-        for (v, &is_active) in active.iter().enumerate() {
-            if is_active {
-                let v = NodeId::new(v);
-                if let Some(top) = state.lifo_top_where(v, |p| p.dest() == self.dest) {
-                    plan.send(v, top.id());
-                }
-            }
-        }
-    }
-}
+pub type TreePts = PeakToSink<DirectedTree, One>;
 
 /// Tree-PPTS (Algorithm 6): multi-destination forwarding on a directed
 /// tree via per-destination pseudo-buffers.
@@ -142,86 +84,12 @@ impl Protocol<DirectedTree> for TreePts {
 /// assert!(sim.metrics().max_occupancy <= 1 + 2 + 2);
 /// # Ok::<(), aqt_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct TreePpts {
-    _private: (),
-}
-
-impl TreePpts {
-    /// Tree-PPTS faithful to Algorithm 6.
-    pub fn new() -> Self {
-        TreePpts::default()
-    }
-}
-
-impl Protocol<DirectedTree> for TreePpts {
-    fn name(&self) -> String {
-        "TreePPTS".into()
-    }
-
-    fn plan(
-        &mut self,
-        _round: Round,
-        tree: &DirectedTree,
-        state: &NetworkState,
-        plan: &mut ForwardingPlan,
-    ) {
-        let n = state.node_count();
-
-        // Per-node per-destination (count, lifo top) summaries.
-        let mut counts: Vec<BTreeMap<NodeId, (usize, PacketId, u64)>> = vec![BTreeMap::new(); n];
-        let mut dest_set = std::collections::BTreeSet::new();
-        for (v, count_map) in counts.iter_mut().enumerate() {
-            for sp in state.buffer(NodeId::new(v)) {
-                dest_set.insert(sp.dest());
-                let e = count_map.entry(sp.dest()).or_insert((0, sp.id(), sp.seq()));
-                e.0 += 1;
-                if sp.seq() >= e.2 {
-                    e.1 = sp.id();
-                    e.2 = sp.seq();
-                }
-            }
-        }
-
-        // W topologically sorted with w_i ≺ w_j ⇒ i < j; process k = d−1
-        // downto 0, i.e. reversed (root-most destinations first).
-        let sorted = tree.topo_sort_destinations(&dest_set);
-        let mut claimed = vec![false; n];
-        for &w in sorted.iter().rev() {
-            // Bad nodes for w.
-            let bad: Vec<NodeId> = (0..n)
-                .map(NodeId::new)
-                .filter(|v| counts[v.index()].get(&w).is_some_and(|e| e.0 >= 2))
-                .collect();
-            // A_k = (∪_{u ∈ min(B_k)} Path(u, w)) \ A. The union over the
-            // low-antichain equals the union over all bad nodes, so we walk
-            // up from each bad node.
-            for u in bad {
-                let mut at = u;
-                while at != w {
-                    if claimed[at.index()] {
-                        break;
-                    }
-                    claimed[at.index()] = true;
-                    if let Some((count, top, _)) = counts[at.index()].get(&w) {
-                        if *count >= 1 {
-                            plan.send(at, *top);
-                        }
-                    }
-                    match tree.parent(at) {
-                        Some(p) => at = p,
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
-}
+pub type TreePpts = PeakToSink<DirectedTree, Every>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqt_model::{Injection, Pattern, Simulation};
+    use aqt_model::{Injection, Pattern, Protocol, Simulation};
 
     #[test]
     fn low_antichain_picks_minimal_elements() {

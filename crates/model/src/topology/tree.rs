@@ -354,20 +354,6 @@ impl DirectedTree {
         }
         best
     }
-
-    /// Sorts destinations topologically so that `w_i ≺ w_j ⇒ i < j`
-    /// (deeper destinations first), as required by Tree-PPTS (App. B.2).
-    pub fn topo_sort_destinations(&self, dests: &BTreeSet<NodeId>) -> Vec<NodeId> {
-        let mut sorted: Vec<NodeId> = dests.iter().copied().collect();
-        // Deeper nodes are ≺-smaller; stable sort keeps NodeId order within
-        // a depth level, which is deterministic.
-        sorted.sort_by(|a, b| {
-            self.depth(*b)
-                .cmp(&self.depth(*a))
-                .then_with(|| a.index().cmp(&b.index()))
-        });
-        sorted
-    }
 }
 
 impl Topology for DirectedTree {
@@ -522,24 +508,6 @@ mod tests {
         let w: BTreeSet<NodeId> = [NodeId::new(2), NodeId::new(3)].into_iter().collect();
         assert_eq!(t.destination_depth(&w), 1);
         assert_eq!(t.destination_depth(&BTreeSet::new()), 0);
-    }
-
-    #[test]
-    fn topo_sort_puts_deeper_destinations_first() {
-        let t = diamondless();
-        let w: BTreeSet<NodeId> = [NodeId::new(5), NodeId::new(0), NodeId::new(2)]
-            .into_iter()
-            .collect();
-        let sorted = t.topo_sort_destinations(&w);
-        assert_eq!(sorted, vec![NodeId::new(0), NodeId::new(2), NodeId::new(5)]);
-        // Invariant: wi ≺ wj ⇒ i < j.
-        for i in 0..sorted.len() {
-            for j in 0..sorted.len() {
-                if t.strictly_precedes(sorted[i], sorted[j]) {
-                    assert!(i < j);
-                }
-            }
-        }
     }
 
     #[test]
