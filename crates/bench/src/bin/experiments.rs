@@ -6,13 +6,21 @@
 //! cargo run -p aqt-bench --release --bin experiments -- --quick # smaller instances
 //! cargo run -p aqt-bench --release --bin experiments -- --csv e2
 //! cargo run -p aqt-bench --release --bin experiments -- --list
-//! cargo run -p aqt-bench --release --bin experiments -- e10 --bench-json BENCH_engine.json
+//! cargo run -p aqt-bench --release --bin experiments -- --quick --bench-json BENCH_engine.json e10
 //! ```
 
+use std::io::Write;
+
 use aqt_bench::{
-    bench_delta_table, bench_regressions, engine_bench_json, measure_engine,
-    parse_engine_bench_json, render_e10, run_experiment, EXPERIMENT_IDS, EXPERIMENT_INDEX,
+    engine_experiment, run_experiment, EngineBench, ENGINE_EXPERIMENT_IDS, EXPERIMENT_IDS,
+    EXPERIMENT_INDEX,
 };
+
+/// Prints `error: {message}` and exits 2, the status for bad input.
+fn bad_input(message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,17 +36,19 @@ fn main() {
         println!("  --list                 print the experiment-id -> claim -> function index");
         println!("  --threads N            worker count for every parallel sweep");
         println!("                         (default: all cores)");
-        println!("  --bench-json PATH      write E10's engine measurements as JSON");
-        println!("                         (the perf-trajectory artifact; implies e10 runs)");
+        println!("  --bench-json PATH      write the engine records of e10 e13 e14 e16 as JSON");
+        println!("                         (the perf-trajectory artifact; implies they run)");
         println!("  --bench-baseline PATH  print the delta vs a committed BENCH_engine.json");
-        println!("                         baseline (implies e10 runs)");
+        println!("                         baseline, record by record (implies e10 e13 e14 e16)");
         println!("  --fail-on-regression PCT");
-        println!("                         exit 1 if any baseline metric regressed more");
-        println!("                         than PCT percent (requires --bench-baseline)");
+        println!("                         exit 1 if the instance differs from the baseline's,");
+        println!("                         a baseline record is missing, a count differs, or");
+        println!("                         a record's stepping is more than PCT percent slower");
+        println!("                         (requires --bench-baseline)");
         println!("  -h, --help             print this message");
         println!();
-        println!("Exit status: 1 if a table has a VIOLATED verdict or a metric regressed");
-        println!("past --fail-on-regression; 2 on a bad option or experiment id.");
+        println!("Exit status: 1 if a table has a VIOLATED verdict or the regression gate");
+        println!("fails; 2 on a bad option, experiment id, baseline or --bench-json path.");
         println!();
         println!(
             "Experiment ids (default: all): {}",
@@ -82,37 +92,22 @@ fn main() {
             "--csv" => csv = true,
             "--bench-json" => match iter.next() {
                 Some(path) if !path.starts_with('-') => bench_json = Some(path.clone()),
-                _ => {
-                    eprintln!("error: --bench-json needs a path (try --help)");
-                    std::process::exit(2);
-                }
+                _ => bad_input("--bench-json needs a path (try --help)"),
             },
             "--bench-baseline" => match iter.next() {
                 Some(path) if !path.starts_with('-') => bench_baseline = Some(path.clone()),
-                _ => {
-                    eprintln!("error: --bench-baseline needs a path (try --help)");
-                    std::process::exit(2);
-                }
+                _ => bad_input("--bench-baseline needs a path (try --help)"),
             },
             "--fail-on-regression" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(pct) if pct >= 0.0 => fail_on_regression = Some(pct),
-                _ => {
-                    eprintln!(
-                        "error: --fail-on-regression needs a non-negative percentage (try --help)"
-                    );
-                    std::process::exit(2);
-                }
+                _ => bad_input("--fail-on-regression needs a non-negative percentage (try --help)"),
             },
             "--threads" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n > 0 => aqt_analysis::sweep::set_default_threads(n),
-                _ => {
-                    eprintln!("error: --threads needs a positive integer (try --help)");
-                    std::process::exit(2);
-                }
+                _ => bad_input("--threads needs a positive integer (try --help)"),
             },
             other if other.starts_with('-') => {
-                eprintln!("error: unknown option `{other}` (try --help)");
-                std::process::exit(2);
+                bad_input(format!("unknown option `{other}` (try --help)"))
             }
             id => ids.push(id.to_string()),
         }
@@ -135,44 +130,52 @@ fn main() {
     } else {
         ids.iter().map(String::as_str).collect()
     };
-    if (bench_json.is_some() || bench_baseline.is_some()) && !ids.contains(&"e10") {
-        ids.push("e10");
-    }
     if fail_on_regression.is_some() && bench_baseline.is_none() {
-        eprintln!("error: --fail-on-regression requires --bench-baseline (try --help)");
-        std::process::exit(2);
+        bad_input("--fail-on-regression requires --bench-baseline (try --help)");
     }
-    let mut regressed = false;
+    // Bad bench input fails here, before any experiment runs.
+    let baseline = bench_baseline.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| bad_input(format!("cannot read baseline {path}: {e}")));
+        serde_json::from_str::<EngineBench>(&text).unwrap_or_else(|e| {
+            bad_input(format!(
+                "baseline {path} is not an engine bench record: {e}"
+            ))
+        })
+    });
+    let bench_file = bench_json.map(|path| {
+        let file = std::fs::File::create(&path)
+            .unwrap_or_else(|e| bad_input(format!("cannot create {path}: {e}")));
+        (path, file)
+    });
+    if baseline.is_some() || bench_file.is_some() {
+        for id in ENGINE_EXPERIMENT_IDS {
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+    }
+    let print = |table: &aqt_analysis::Table| {
+        if csv {
+            println!("# {}", table.title());
+            print!("{}", table.to_csv());
+            println!();
+        } else {
+            println!("{}", table.render());
+        }
+    };
     let mut violated = false;
+    let mut bench = EngineBench {
+        quick,
+        cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        runs: Vec::new(),
+    };
     let started = std::time::Instant::now();
     for id in &ids {
         let t0 = std::time::Instant::now();
-        // E10 is special-cased so its measurement can also feed the JSON
-        // artifact without running twice.
-        let tables = if *id == "e10" {
-            let report = measure_engine(quick);
-            if let Some(path) = &bench_json {
-                std::fs::write(path, engine_bench_json(&report))
-                    .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                eprintln!("[e10] wrote {path}");
-            }
-            let mut tables = render_e10(&report);
-            if let Some(path) = &bench_baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-                let baseline = parse_engine_bench_json(&text)
-                    .unwrap_or_else(|e| panic!("baseline {path} is not a bench report: {e}"));
-                tables.push(bench_delta_table(&report, &baseline));
-                if let Some(pct) = fail_on_regression {
-                    for (metric, delta) in bench_regressions(&report, &baseline, pct) {
-                        eprintln!(
-                            "[e10] REGRESSION: {metric} is {delta:+.1}% vs baseline \
-                             (threshold -{pct}%)"
-                        );
-                        regressed = true;
-                    }
-                }
-            }
+        let tables = if ENGINE_EXPERIMENT_IDS.contains(id) {
+            let (runs, tables) = engine_experiment(id, quick);
+            bench.runs.extend(runs);
             tables
         } else {
             run_experiment(id, quick)
@@ -182,17 +185,29 @@ fn main() {
                 eprintln!("[{id}] VIOLATED: a bound failed in {:?}", table.title());
                 violated = true;
             }
-            if csv {
-                println!("# {}", table.title());
-                print!("{}", table.to_csv());
-                println!();
-            } else {
-                println!("{}", table.render());
-            }
+            print(table);
         }
         eprintln!("[{id}] finished in {:.1?}", t0.elapsed());
     }
     eprintln!("all experiments finished in {:.1?}", started.elapsed());
+    if let Some((path, mut file)) = bench_file {
+        let json = serde_json::to_string_pretty(&bench).expect("records serialize");
+        file.write_all(json.as_bytes())
+            .unwrap_or_else(|e| bad_input(format!("cannot write {path}: {e}")));
+        eprintln!("[bench] wrote {path}");
+    }
+    let mut regressed = false;
+    if let Some(baseline) = baseline {
+        let (table, failures) =
+            bench.compare(&baseline, fail_on_regression.unwrap_or(f64::INFINITY));
+        print(&table);
+        if let Some(pct) = fail_on_regression {
+            for failure in failures {
+                eprintln!("[bench] REGRESSION (gate -{pct}%): {failure}");
+                regressed = true;
+            }
+        }
+    }
     if regressed || violated {
         std::process::exit(1);
     }

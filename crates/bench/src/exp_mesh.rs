@@ -23,12 +23,11 @@
 //! bounded by rounds (not drain time) so the measured rate is the steady
 //! state, not the tail.
 
-use std::time::Instant;
-
 use aqt_analysis::Table;
 use aqt_core::DagGreedy;
 use aqt_model::{Dag, FnSource, Injection, InjectionSource, Simulation};
-use serde::{Deserialize, Serialize};
+
+use crate::engine_bench::{render_runs, time_run, EngineRun};
 
 /// The round-0 wave on a `rows × cols` mesh: node `(r, c)` injects one
 /// packet to the end of its row (when it has a right link) and one to the
@@ -51,62 +50,26 @@ pub fn wave_source(rows: usize, cols: usize) -> impl InjectionSource {
     })
 }
 
-/// One measured wave run, the row format behind both the E13 tables and
-/// the `mesh_*`/`mesh1m_*` fields of `BENCH_engine.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MeshRun {
-    /// Mesh shape, e.g. `"1024x1024"`.
-    pub grid: String,
-    /// Node count (`rows × cols`).
-    pub nodes: usize,
-    /// Rounds executed.
-    pub rounds: u64,
-    /// Packet-moves executed (the engine's `forwarded` counter).
-    pub moves: u64,
-    /// Wall-clock in milliseconds.
-    pub wall_ms: f64,
-    /// Packet-moves per second — the headline rate.
-    pub moves_per_sec: f64,
-}
-
-/// Runs the diagonal wave for a fixed number of rounds and reports the
-/// packet-move rate.
+/// Times the diagonal wave for a fixed number of rounds into a record.
 ///
 /// # Panics
 ///
 /// Panics if the grid would require dense tables (the scale contract of
 /// this experiment) or the engine rejects the run.
-pub fn measure_mesh(rows: usize, cols: usize, rounds: u64) -> MeshRun {
-    let topo = Dag::grid(rows, cols);
-    assert!(
-        topo.is_computed_routing(),
-        "mesh runs must not build O(n^2) tables"
-    );
-    let mut sim = Simulation::from_source(topo, DagGreedy::fifo(), wave_source(rows, cols));
-    let started = Instant::now();
-    sim.run(rounds).expect("valid wave run");
-    let wall = started.elapsed();
-    let moves = sim.metrics().forwarded;
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    MeshRun {
-        grid: format!("{rows}x{cols}"),
-        nodes: rows * cols,
-        rounds,
-        moves,
-        wall_ms,
-        moves_per_sec: moves as f64 / wall.as_secs_f64().max(1e-9),
-    }
-}
-
-/// [`measure_mesh`] hardened for baseline recording: one discarded
-/// warmup run, then the median-wall-clock run of three. The wave is
-/// deterministic, so the three runs differ only in `wall_ms` — this is
-/// what the `mesh_*`/`mesh1m_*` fields of `BENCH_engine.json` record.
-pub fn measure_mesh_median(rows: usize, cols: usize, rounds: u64) -> MeshRun {
-    let _warmup = measure_mesh(rows, cols, rounds);
-    let mut runs: Vec<MeshRun> = (0..3).map(|_| measure_mesh(rows, cols, rounds)).collect();
-    runs.sort_unstable_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms));
-    runs.swap_remove(1)
+pub fn measure_mesh(rows: usize, cols: usize, rounds: u64) -> EngineRun {
+    let build = || {
+        let topo = Dag::grid(rows, cols);
+        assert!(
+            topo.is_computed_routing(),
+            "mesh runs must not build O(n^2) tables"
+        );
+        Simulation::from_source(topo, DagGreedy::fifo(), wave_source(rows, cols))
+    };
+    let topology = format!("grid {rows}x{cols}");
+    let (run, ()) = time_run("diagonal wave", &topology, build, |sim| {
+        sim.run(rounds).expect("valid wave run");
+    });
+    run
 }
 
 /// The E13 instance ladder: `(rows, cols, rounds)` per mode. Quick keeps
@@ -120,34 +83,20 @@ pub fn e13_instances(quick: bool) -> Vec<(usize, usize, u64)> {
     }
 }
 
-/// Renders measured runs into the E13 table.
-pub fn render_e13(runs: &[MeshRun]) -> Vec<Table> {
-    let mut table = Table::new(
-        "E13 - million-node mesh wave (computed routing, arenas)",
-        ["grid", "nodes", "rounds", "moves", "wall ms", "moves/s"],
-    );
-    for run in runs {
-        table.push_row([
-            run.grid.clone(),
-            run.nodes.to_string(),
-            run.rounds.to_string(),
-            run.moves.to_string(),
-            format!("{:.1}", run.wall_ms),
-            format!("{:.2e}", run.moves_per_sec),
-        ]);
-    }
-    table.note("diagonal wave: every node fires right + down at round 0; link-disjoint under XY");
-    table.note("rate counts executed packet-moves (forwarded), not injections");
-    vec![table]
-}
-
-/// E13 — mesh scale probe (runs the instance ladder and renders it).
-pub fn e13_mesh(quick: bool) -> Vec<Table> {
-    let runs: Vec<MeshRun> = e13_instances(quick)
+/// E13 — mesh scale probe: the instance ladder's records and their
+/// table.
+pub fn e13_mesh(quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
+    let runs: Vec<EngineRun> = e13_instances(quick)
         .into_iter()
         .map(|(rows, cols, rounds)| measure_mesh(rows, cols, rounds))
         .collect();
-    render_e13(&runs)
+    let mut table = render_runs(
+        "E13 - million-node mesh wave (computed routing, arenas)",
+        &runs,
+    );
+    table.note("diagonal wave: every node fires right + down at round 0; link-disjoint under XY");
+    table.note("rate counts executed packet-moves (forwarded), not injections");
+    (runs, vec![table])
 }
 
 #[cfg(test)]
@@ -183,22 +132,19 @@ mod tests {
     #[test]
     fn measure_mesh_reports_the_steady_rate() {
         let run = measure_mesh(64, 64, 8);
-        assert_eq!(run.grid, "64x64");
+        assert_eq!(run.workload, "diagonal wave");
+        assert_eq!(run.topology, "grid 64x64");
         assert_eq!(run.nodes, 4096);
         assert_eq!(run.rounds, 8);
-        // 2·64·64 − 128 = 8064 live packets, none delivered within 8
-        // rounds of a 64-wide mesh except those injected near the edge.
-        assert!(run.moves > 0);
-        assert!(run.moves_per_sec > 0.0);
-    }
-
-    #[test]
-    fn e13_quick_renders() {
-        // Smallest shape through the full render path (the quick ladder
-        // itself runs in the e13 smoke + CI, not in unit tests).
-        let tables = render_e13(&[measure_mesh(32, 32, 4)]);
-        assert_eq!(tables.len(), 1);
-        assert!(tables[0].render().contains("32x32"));
-        assert!(!tables[0].to_csv().contains("NaN"));
+        // 2·64·64 − 128 = 8064 packets injected at round 0; the wave is
+        // link-disjoint, so the peak buffer stays tiny.
+        assert_eq!(run.injected, 8064);
+        assert!(run.moves > 0 && run.peak_occupancy <= 2);
+        assert!(run.moves_per_sec() > 0.0);
+        // Both ladders reach the million-node mesh.
+        for quick in [true, false] {
+            let &(rows, cols, _) = e13_instances(quick).last().unwrap();
+            assert_eq!(rows * cols, 1024 * 1024);
+        }
     }
 }

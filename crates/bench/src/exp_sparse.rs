@@ -20,17 +20,16 @@
 //! `observe` walks the live set and `clear_sends` resets only the slots
 //! written last round — the dense scan is gone from every phase.
 //!
-//! The quick instance shares E13's 1024×1024 shape, so the exported
-//! `sparse_packets_per_sec` vs `mesh1m_packets_per_sec` fields of
+//! The quick instance shares E13's 1024×1024 shape, so the moves/s of the
+//! `sparse wave` and `diagonal wave` records on `grid 1024x1024` in
 //! `BENCH_engine.json` read directly as per-packet cost with and without
 //! a saturated mesh around the traffic.
-
-use std::time::Instant;
 
 use aqt_analysis::Table;
 use aqt_core::DagGreedy;
 use aqt_model::{Dag, FnSource, Injection, InjectionSource, Simulation};
-use serde::{Deserialize, Serialize};
+
+use crate::engine_bench::{render_runs, time_run, EngineRun};
 
 /// The sparse round-0 wave on a `rows × cols` mesh: one packet per
 /// column, injected at `(0, c)` with destination `(rows − 1, c)` — `cols`
@@ -48,83 +47,45 @@ pub fn sparse_wave_source(rows: usize, cols: usize) -> impl InjectionSource {
     })
 }
 
-/// One measured sparse-wave run, the row format behind the E16 table and
-/// the `sparse_*` fields of `BENCH_engine.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SparseRun {
-    /// Mesh shape, e.g. `"1024x1024"`.
-    pub grid: String,
-    /// Node count (`rows × cols`).
-    pub nodes: usize,
-    /// Packets live for the whole bounded run (one per column).
-    pub live: usize,
-    /// Rounds executed.
-    pub rounds: u64,
-    /// Packet-moves executed (`live × rounds` exactly; asserted).
-    pub moves: u64,
-    /// Median wall-clock in milliseconds (warmup + median of three).
-    pub wall_ms: f64,
-    /// Packet-moves per second — the active-set headline rate.
-    pub moves_per_sec: f64,
-}
-
-/// Runs the sparse wave for a fixed number of rounds and reports the
-/// packet-move rate. Timing is hardened like the rest of
-/// the bench suite: one discarded warmup run, then the median of three
-/// measured runs (the workload is deterministic, so runs differ only in
-/// wall-clock). Only `run` is timed — at this scale the one-off state
-/// allocation would otherwise dominate the O(live) rounds being
-/// measured.
+/// Times the sparse wave for a fixed number of rounds into a record.
+/// Only stepping counts as `wall_ms`: at this scale the one-off state
+/// allocation, which `setup_ms` records, would otherwise dominate the
+/// O(live) rounds being measured.
 ///
 /// # Panics
 ///
 /// Panics if the grid would require dense tables, if the bounded run
 /// would start draining (`rounds` must stay below the route length), or
 /// if any live packet fails to advance in some round.
-pub fn measure_sparse(rows: usize, cols: usize, rounds: u64) -> SparseRun {
+pub fn measure_sparse(rows: usize, cols: usize, rounds: u64) -> EngineRun {
     assert!(
         rounds < (rows - 1) as u64,
         "bounded run must end before the wave starts draining (column length)"
     );
-    assert!(
-        Dag::grid(rows, cols).is_computed_routing(),
-        "sparse runs must not build O(n^2) tables"
-    );
-    let run_once = || {
-        let mut sim = Simulation::from_source(
-            Dag::grid(rows, cols),
-            DagGreedy::fifo(),
-            sparse_wave_source(rows, cols),
+    let build = || {
+        let topo = Dag::grid(rows, cols);
+        assert!(
+            topo.is_computed_routing(),
+            "sparse runs must not build O(n^2) tables"
         );
-        let started = Instant::now();
-        sim.run(rounds).expect("valid sparse run");
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let moves = sim.metrics().forwarded;
-        assert_eq!(
-            moves,
-            cols as u64 * rounds,
-            "every live packet advances every round"
-        );
-        (wall_ms, moves)
+        Simulation::from_source(topo, DagGreedy::fifo(), sparse_wave_source(rows, cols))
     };
-    let _warmup = run_once();
-    let mut samples: Vec<(f64, u64)> = (0..3).map(|_| run_once()).collect();
-    samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (wall_ms, moves) = samples[1];
-    SparseRun {
-        grid: format!("{rows}x{cols}"),
-        nodes: rows * cols,
-        live: cols,
-        rounds,
-        moves,
-        wall_ms,
-        moves_per_sec: moves as f64 / (wall_ms / 1e3).max(1e-9),
-    }
+    let topology = format!("grid {rows}x{cols}");
+    let (run, ()) = time_run("sparse wave", &topology, build, |sim| {
+        sim.run(rounds).expect("valid sparse run");
+    });
+    assert_eq!(
+        run.moves,
+        cols as u64 * rounds,
+        "every live packet advances every round"
+    );
+    run
 }
 
 /// The E16 instance ladder: `(rows, cols, rounds)` per mode. Quick keeps
-/// the mesh1m shape for a direct dense-vs-sparse rate comparison; full
-/// adds a 4M-node shape where the dense scan would be 4096× the traffic.
+/// E13's million-node shape for a direct dense-vs-sparse rate
+/// comparison; full adds a 4M-node shape where the dense scan would be
+/// 4096× the traffic.
 pub fn e16_instances(quick: bool) -> Vec<(usize, usize, u64)> {
     if quick {
         vec![(1024, 1024, 512)]
@@ -133,44 +94,25 @@ pub fn e16_instances(quick: bool) -> Vec<(usize, usize, u64)> {
     }
 }
 
-/// Renders measured runs into the E16 table.
-pub fn render_e16(runs: &[SparseRun]) -> Vec<Table> {
-    let mut table = Table::new(
-        "E16 - sparse wave on the million-node mesh (active-set engine)",
-        [
-            "grid", "nodes", "live", "rounds", "moves", "wall ms", "moves/s",
-        ],
-    );
-    for run in runs {
-        table.push_row([
-            run.grid.clone(),
-            run.nodes.to_string(),
-            run.live.to_string(),
-            run.rounds.to_string(),
-            run.moves.to_string(),
-            format!("{:.1}", run.wall_ms),
-            format!("{:.2e}", run.moves_per_sec),
-        ]);
-    }
-    table.note(
-        "one packet per column on link-disjoint routes: live = cols for the whole bounded run",
-    );
-    table.note(
-        "rounds cost O(live + active edges): compare moves/s against mesh1m_packets_per_sec, \
-         where the same shape carries ~2 packets per node",
-    );
-    table.note("wall ms is the median of three runs after a discarded warmup");
-    vec![table]
-}
-
-/// E16 — sparse-wave scale probe (runs the instance ladder and renders
-/// it).
-pub fn e16_sparse(quick: bool) -> Vec<Table> {
-    let runs: Vec<SparseRun> = e16_instances(quick)
+/// E16 — sparse-wave scale probe: the instance ladder's records and
+/// their table.
+pub fn e16_sparse(quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
+    let runs: Vec<EngineRun> = e16_instances(quick)
         .into_iter()
         .map(|(rows, cols, rounds)| measure_sparse(rows, cols, rounds))
         .collect();
-    render_e16(&runs)
+    let mut table = render_runs(
+        "E16 - sparse wave on the million-node mesh (active-set engine)",
+        &runs,
+    );
+    table.note(
+        "one packet per column on link-disjoint routes: peak live = cols for the whole bounded run",
+    );
+    table.note(
+        "rounds cost O(live + active edges): compare moves/s with E13's diagonal wave on \
+         grid 1024x1024, where the same shape carries ~2 packets per node",
+    );
+    (runs, vec![table])
 }
 
 #[cfg(test)]
@@ -209,11 +151,19 @@ mod tests {
     #[test]
     fn measure_sparse_reports_the_exact_move_count() {
         let run = measure_sparse(16, 64, 8);
-        assert_eq!(run.grid, "16x64");
+        assert_eq!(run.workload, "sparse wave");
+        assert_eq!(run.topology, "grid 16x64");
         assert_eq!(run.nodes, 1024);
-        assert_eq!(run.live, 64);
+        assert_eq!(run.peak_live, 64);
         assert_eq!(run.moves, 64 * 8);
-        assert!(run.moves_per_sec > 0.0);
+        assert!(run.moves_per_sec() > 0.0);
+        // The quick ladder runs on E13's million-node shape, one packet
+        // per column for every bounded round.
+        let (rows, cols, rounds) = e16_instances(true)[0];
+        let (mesh_rows, mesh_cols, _) = *crate::e13_instances(true).last().unwrap();
+        assert_eq!((rows, cols), (mesh_rows, mesh_cols));
+        assert_eq!(cols, 1024);
+        assert!(rounds < rows as u64 - 1);
     }
 
     #[test]
@@ -221,13 +171,5 @@ mod tests {
     fn overlong_bounded_runs_are_rejected() {
         // 8 rounds down a 4-row mesh would start delivering at round 3.
         measure_sparse(4, 8, 8);
-    }
-
-    #[test]
-    fn e16_quick_renders() {
-        let tables = render_e16(&[measure_sparse(32, 32, 4)]);
-        assert_eq!(tables.len(), 1);
-        assert!(tables[0].render().contains("32x32"));
-        assert!(!tables[0].to_csv().contains("NaN"));
     }
 }

@@ -5,27 +5,28 @@
 //! O(buckets + ring capacity) memory regardless of run length, and a
 //! per-round cost of O(active nodes), like the round it observes, so
 //! probes can stay on for million-node runs. This experiment prices that
-//! promise on two waves: the E13 256×256 diagonal-wave smoke, where nearly every node is busy, and E16's sparse
-//! 1024×1024 wave, where about one node in a thousand is. Each wave runs
+//! promise on two waves: the E13 256×256 diagonal-wave smoke, where
+//! nearly every node is busy, and E16's sparse 1024×1024 wave, where
+//! about one node in a thousand is. Each wave runs
 //! twice — once bare, once with a full [`TelemetryProbe`] (occupancy +
 //! latency sketches, round series, per-phase wall-clock profiling via
 //! [`WallClock`]) — the two runs must produce byte-identical
 //! [`RunMetrics`], and the table reports the stepping wall-clock delta
 //! plus the collected histograms.
 //!
-//! The smoke pair also feeds the `telemetry_overhead_*` fields of
-//! `BENCH_engine.json`, so CI tracks the probe tax as a trajectory. The
-//! bar is < 10% over the untelemetered run on both waves; it is reported,
-//! not gated, because wall-clock on shared runners is noisy.
+//! All four runs are records in `BENCH_engine.json` (`"<wave>, plain"`
+//! and `"<wave>, probed"`), so CI tracks the probe tax as a trajectory.
+//! The bar is < 10% over the untelemetered run on both waves; it is
+//! reported, not gated, because wall-clock on shared runners is noisy.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use aqt_analysis::Table;
 use aqt_core::DagGreedy;
 use aqt_model::{Dag, InjectionSource, Simulation};
 use aqt_telemetry::{Clock, TelemetryProbe, TelemetryReport, TelemetrySpec};
-use serde::{Deserialize, Serialize};
 
+use crate::engine_bench::{time_run, EngineRun};
 use crate::exp_mesh::wave_source;
 use crate::exp_sparse::sparse_wave_source;
 
@@ -64,7 +65,7 @@ impl Clock for WallClock {
 }
 
 /// The mesh waves E14 prices the probe on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeshWave {
     /// E13's round-0 diagonal wave ([`wave_source`]): about two packets
     /// per node, so nearly every node is active.
@@ -75,11 +76,11 @@ pub enum MeshWave {
 }
 
 impl MeshWave {
-    /// Table label.
+    /// The workload name E13 or E16 records the wave under.
     fn name(self) -> &'static str {
         match self {
-            MeshWave::Diagonal => "diagonal (E13)",
-            MeshWave::Sparse => "sparse (E16)",
+            MeshWave::Diagonal => "diagonal wave",
+            MeshWave::Sparse => "sparse wave",
         }
     }
 
@@ -92,53 +93,30 @@ impl MeshWave {
 }
 
 /// One measured pair: the same mesh wave bare and probed, the row format
-/// behind the E14 table and the `telemetry_*` fields of
-/// `BENCH_engine.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// behind the E14 tables.
+#[derive(Debug, Clone)]
 pub struct TelemetryRun {
     /// The wave both runs carried.
     pub wave: MeshWave,
-    /// Mesh shape, e.g. `"256x256"`.
-    pub grid: String,
-    /// Node count (`rows × cols`).
-    pub nodes: usize,
-    /// Rounds executed by both runs.
-    pub rounds: u64,
-    /// Packet-moves executed (identical across the pair by assertion).
-    pub moves: u64,
-    /// Stepping wall-clock of the bare run in milliseconds.
-    pub plain_wall_ms: f64,
-    /// Stepping wall-clock of the probed run in milliseconds.
-    pub probed_wall_ms: f64,
-    /// Probe tax in percent: `(probed − plain) / plain × 100` (can be
-    /// slightly negative from timing noise).
-    pub overhead_pct: f64,
-    /// Everything the probe collected during the probed run.
+    /// The bare run, recorded as `"<wave>, plain"`.
+    pub plain: EngineRun,
+    /// The fully probed run, recorded as `"<wave>, probed"`.
+    pub probed: EngineRun,
+    /// Everything the probe collected during the last probed pass.
     pub report: TelemetryReport,
 }
 
-/// A discarded warmup pass, then the median of three timed passes, like
-/// the rest of the bench suite. Each pass reports its own timed span, so
-/// building a simulation (a million-node state at E16's shape) stays out
-/// of the probe tax. Returns the last pass's output.
-fn median_pass_ms<T>(mut pass: impl FnMut() -> (Duration, T)) -> (f64, T) {
-    pass();
-    let mut samples = [0.0f64; 3];
-    let mut last = None;
-    for s in &mut samples {
-        let (took, out) = pass();
-        *s = took.as_secs_f64() * 1e3;
-        last = Some(out);
+impl TelemetryRun {
+    /// Probe tax in percent of the bare stepping time (can be slightly
+    /// negative from timing noise).
+    pub fn overhead_pct(&self) -> f64 {
+        (self.probed.wall_ms / self.plain.wall_ms.max(1e-9) - 1.0) * 100.0
     }
-    samples.sort_unstable_by(f64::total_cmp);
-    (samples[1], last.expect("three passes ran"))
 }
 
-/// Runs `wave` bare and with a full telemetry probe — each with a
-/// discarded warmup pass and the median of three passes, timing the
-/// stepping only — and reports the overhead plus the collected report (a
-/// fresh probe is built per pass, and the workload is deterministic, so
-/// every pass collects the same data).
+/// Times `wave` bare and with a full telemetry probe (a fresh probe per
+/// pass; the workload is deterministic, so every pass collects the same
+/// data) and returns both records plus the report.
 ///
 /// # Panics
 ///
@@ -152,45 +130,47 @@ pub fn measure_telemetry(wave: MeshWave, rows: usize, cols: usize, rounds: u64) 
             wave.source(rows, cols),
         )
     };
-    let (plain_ms, plain_metrics) = median_pass_ms(|| {
-        let mut sim = build();
-        let started = Instant::now();
-        sim.run(rounds).expect("valid wave run");
-        (started.elapsed(), sim.metrics().clone())
-    });
-
-    let (probed_ms, (probed_metrics, report)) = median_pass_ms(|| {
-        let mut sim = build();
-        let mut probe =
-            TelemetryProbe::with_clock(TelemetrySpec::default(), Box::new(WallClock::new()));
-        let started = Instant::now();
-        for _ in 0..rounds {
-            sim.step_probed(&mut probe).expect("valid probed wave run");
-        }
-        (started.elapsed(), (sim.metrics().clone(), probe.report()))
-    });
-
+    let topology = format!("grid {rows}x{cols}");
+    // Each side keeps the metrics of its first pass, the untimed warmup,
+    // so the copy of a million-node `RunMetrics` stays out of the timing.
+    let (mut plain_metrics, mut probed_metrics) = (None, None);
+    let (plain, ()) = time_run(
+        &format!("{}, plain", wave.name()),
+        &topology,
+        build,
+        |sim| {
+            sim.run(rounds).expect("valid wave run");
+            plain_metrics.get_or_insert_with(|| sim.metrics().clone());
+        },
+    );
+    let (probed, report) = time_run(
+        &format!("{}, probed", wave.name()),
+        &topology,
+        build,
+        |sim| {
+            let mut probe =
+                TelemetryProbe::with_clock(TelemetrySpec::default(), Box::new(WallClock::new()));
+            for _ in 0..rounds {
+                sim.step_probed(&mut probe).expect("valid probed wave run");
+            }
+            probed_metrics.get_or_insert_with(|| sim.metrics().clone());
+            probe.report()
+        },
+    );
     assert_eq!(
         plain_metrics, probed_metrics,
         "the probe must observe, never perturb"
     );
-
     TelemetryRun {
         wave,
-        grid: format!("{rows}x{cols}"),
-        nodes: rows * cols,
-        rounds,
-        moves: plain_metrics.forwarded,
-        plain_wall_ms: plain_ms,
-        probed_wall_ms: probed_ms,
-        overhead_pct: (probed_ms - plain_ms) / plain_ms.max(1e-9) * 100.0,
+        plain,
+        probed,
         report,
     }
 }
 
-/// The E14 smoke instance: the E13 smoke shape with the E13 round
-/// budgets, so the overhead is measured against the same workload the
-/// `mesh_*` baseline fields record.
+/// The E14 smoke instance: E13's 256×256 smoke shape for 16 rounds in
+/// quick mode and 96 in full mode (E13's full round budget).
 pub fn e14_instance(quick: bool) -> (usize, usize, u64) {
     (256, 256, if quick { 16 } else { 96 })
 }
@@ -207,7 +187,7 @@ pub fn render_e14(runs: &[TelemetryRun]) -> Vec<Table> {
         "E14a - telemetry probe overhead on the E13 mesh smoke and the E16 sparse wave",
         [
             "wave",
-            "grid",
+            "topology",
             "rounds",
             "moves",
             "plain ms",
@@ -222,12 +202,12 @@ pub fn render_e14(runs: &[TelemetryRun]) -> Vec<Table> {
     for run in runs {
         overhead.push_row([
             run.wave.name().to_string(),
-            run.grid.clone(),
-            run.rounds.to_string(),
-            run.moves.to_string(),
-            format!("{:.1}", run.plain_wall_ms),
-            format!("{:.1}", run.probed_wall_ms),
-            format!("{:+.1}", run.overhead_pct),
+            run.plain.topology.clone(),
+            run.plain.rounds.to_string(),
+            run.plain.moves.to_string(),
+            format!("{:.1}", run.plain.wall_ms),
+            format!("{:.1}", run.probed.wall_ms),
+            format!("{:+.1}", run.overhead_pct()),
         ]);
         let data = &run.report.data;
         for (name, h) in [("occupancy", &data.occupancy), ("latency", &data.latency)] {
@@ -261,15 +241,21 @@ pub fn render_e14(runs: &[TelemetryRun]) -> Vec<Table> {
     vec![overhead, sketches, rendered]
 }
 
-/// E14 — telemetry overhead (runs the smoke pair and the sparse pair at
-/// E16's quick shape, and renders them).
-pub fn e14_telemetry(quick: bool) -> Vec<Table> {
+/// E14 — telemetry overhead: the smoke pair and the sparse pair at E16's
+/// quick shape, as four records (each pair's plain and probed runs) and
+/// their tables.
+pub fn e14_telemetry(quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
     let (rows, cols, rounds) = e14_instance(quick);
     let (s_rows, s_cols, s_rounds) = crate::exp_sparse::e16_instances(true)[0];
-    render_e14(&[
+    let pairs = [
         measure_telemetry(MeshWave::Diagonal, rows, cols, rounds),
         measure_telemetry(MeshWave::Sparse, s_rows, s_cols, s_rounds),
-    ])
+    ];
+    let runs = pairs
+        .iter()
+        .flat_map(|pair| [pair.plain.clone(), pair.probed.clone()])
+        .collect();
+    (runs, render_e14(&pairs))
 }
 
 #[cfg(test)]
@@ -289,8 +275,14 @@ mod tests {
         // Small shape: the assertion inside measure_telemetry is the
         // real check; here we validate what the probe collected.
         let run = measure_telemetry(MeshWave::Diagonal, 32, 32, 8);
-        assert_eq!(run.grid, "32x32");
-        assert_eq!(run.nodes, 1024);
+        assert_eq!(run.plain.workload, "diagonal wave, plain");
+        assert_eq!(run.probed.workload, "diagonal wave, probed");
+        assert_eq!(run.plain.topology, "grid 32x32");
+        assert_eq!(run.plain.nodes, 1024);
+        let counts = |r: &EngineRun| (r.rounds, r.injected, r.moves, r.peak_live);
+        assert_eq!(counts(&run.plain), counts(&run.probed));
+        assert!(run.plain.wall_ms > 0.0 && run.probed.wall_ms > 0.0);
+        assert!(run.overhead_pct().is_finite());
         let data = &run.report.data;
         assert_eq!(data.counters.rounds, 8);
         assert!(data.counters.forwarded > 0);
@@ -314,7 +306,7 @@ mod tests {
         let occupancy = &run.report.data.occupancy;
         assert_eq!(occupancy.count(), 8 * 512);
         assert_eq!(occupancy.buckets, vec![8 * (512 - 16), 8 * 16]);
-        assert_eq!(run.moves, 8 * 16);
+        assert_eq!(run.plain.moves, 8 * 16);
     }
 
     #[test]
@@ -325,8 +317,8 @@ mod tests {
         ]);
         assert_eq!(tables.len(), 3);
         let overhead = tables[0].render();
-        assert!(overhead.contains("diagonal (E13)") && overhead.contains("sparse (E16)"));
-        assert!(overhead.contains("16x16"));
+        assert!(overhead.contains("diagonal wave") && overhead.contains("sparse wave"));
+        assert!(overhead.contains("grid 16x16"));
         assert!(tables[1].render().contains("latency"));
         assert!(tables[2].render().contains("histogram"));
         assert!(!tables[0].to_csv().contains("NaN"));

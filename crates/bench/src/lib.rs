@@ -27,12 +27,16 @@
 //!
 //! Run all of them with `cargo run -p aqt-bench --release --bin
 //! experiments`; timing benches live under `benches/` (`cargo bench`).
-//! E10's numbers can be exported for trend tracking with
-//! `experiments -- e10 --bench-json BENCH_engine.json`.
+//! The engine experiments (E10, E13, E14, E16) also return [`EngineRun`]
+//! records, one per timed workload, all produced by one timer;
+//! `experiments --bench-json BENCH_engine.json` writes them as one
+//! [`EngineBench`] for trend tracking, and `--bench-baseline` compares a
+//! fresh one against it with [`EngineBench::compare`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod engine_bench;
 mod exp_ablation;
 mod exp_capacity;
 mod exp_faults;
@@ -46,6 +50,7 @@ mod exp_throughput;
 mod exp_tradeoff;
 mod exp_upper;
 
+pub use engine_bench::{EngineBench, EngineRun};
 pub use exp_ablation::{a1_prebad, a2_eager, e8_figure1};
 pub use exp_capacity::{
     e11_capacity, e11a_scenario, e11b_rows, pts_two_wave, Contender, ThresholdRow,
@@ -58,20 +63,12 @@ pub use exp_grid::{
 };
 pub use exp_locality::e9_locality;
 pub use exp_lower::e5_duel;
-pub use exp_mesh::{
-    e13_instances, e13_mesh, measure_mesh, measure_mesh_median, render_e13, wave_source, MeshRun,
-};
-pub use exp_sparse::{
-    e16_instances, e16_sparse, measure_sparse, render_e16, sparse_wave_source, SparseRun,
-};
+pub use exp_mesh::{e13_instances, e13_mesh, measure_mesh, wave_source};
+pub use exp_sparse::{e16_instances, e16_sparse, measure_sparse, sparse_wave_source};
 pub use exp_telemetry::{
     e14_instance, e14_telemetry, measure_telemetry, render_e14, MeshWave, TelemetryRun, WallClock,
 };
-pub use exp_throughput::{
-    bench_delta_table, bench_regressions, e10_throughput, e6_grid, engine_bench_json,
-    measure_engine, pairs_source, parse_engine_bench_json, render_e10, run_e6_point,
-    timed_median_ms, E6Point, EngineBenchReport,
-};
+pub use exp_throughput::{e10_runs, e10_throughput, e6_grid, pairs_source, run_e6_point, E6Point};
 pub use exp_tradeoff::{e6_tradeoff, e7_alpha};
 pub use exp_upper::{e1_pts, e2_ppts, e3_trees, e4_hpts};
 
@@ -162,6 +159,25 @@ pub const EXPERIMENT_INDEX: [(&str, &str, &str); 18] = [
     ("a2", "ablation - eager delivery variants", "a2_eager"),
 ];
 
+/// The engine experiments: besides tables, each returns the
+/// [`EngineRun`] records that `experiments --bench-json` writes.
+pub const ENGINE_EXPERIMENT_IDS: [&str; 4] = ["e10", "e13", "e14", "e16"];
+
+/// Runs one engine experiment by id, returning its records and tables.
+///
+/// # Panics
+///
+/// Panics on an id outside [`ENGINE_EXPERIMENT_IDS`].
+pub fn engine_experiment(id: &str, quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
+    match id {
+        "e10" => e10_throughput(quick),
+        "e13" => e13_mesh(quick),
+        "e14" => e14_telemetry(quick),
+        "e16" => e16_sparse(quick),
+        other => panic!("{other:?} is not an engine experiment; known: {ENGINE_EXPERIMENT_IDS:?}"),
+    }
+}
+
 /// Runs one experiment by id, returning its tables (E8 returns a pseudo
 /// table wrapping the figure).
 ///
@@ -183,13 +199,10 @@ pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
             vec![t]
         }
         "e9" => e9_locality(quick),
-        "e10" => e10_throughput(quick),
+        "e10" | "e13" | "e14" | "e16" => engine_experiment(id, quick).1,
         "e11" => e11_capacity(quick),
         "e12" => e12_grid(quick),
-        "e13" => e13_mesh(quick),
-        "e14" => e14_telemetry(quick),
         "e15" => e15_faults(quick),
-        "e16" => e16_sparse(quick),
         "a1" => a1_prebad(quick),
         "a2" => a2_eager(quick),
         other => panic!("unknown experiment id {other:?}; known: {EXPERIMENT_IDS:?}"),
