@@ -150,30 +150,27 @@ impl ForwardingPlan {
     /// Clears all sends and lays slots out for `topology`: every node gets
     /// `max(1, out_degree)` slots. Single-out topologies produce the
     /// identity layout of [`reset`](ForwardingPlan::reset), so the hot
-    /// path is unchanged for paths and trees.
+    /// path is unchanged for paths and trees. One pass over the nodes:
+    /// the offsets are written from the first node with more than one
+    /// slot on, and never exist for the identity layout.
     pub fn reset_for<T: Topology>(&mut self, topology: &T) {
         let n = topology.node_count();
-        let mut total = 0usize;
-        let mut uniform = true;
-        for v in 0..n {
-            let width = topology.out_degree(NodeId::new(v)).max(1);
-            uniform &= width == 1;
-            total += width;
-        }
-        if uniform {
-            self.reset(n);
-            return;
-        }
         self.offsets.clear();
-        self.offsets.reserve(n + 1);
         let mut at = 0u32;
-        self.offsets.push(0);
         for v in 0..n {
-            at += topology.out_degree(NodeId::new(v)).max(1) as u32;
-            self.offsets.push(at);
+            let width = topology.out_degree(NodeId::new(v)).max(1) as u32;
+            if width > 1 && self.offsets.is_empty() {
+                // Every node before `v` had one slot: offsets 0..=v.
+                self.offsets.reserve(n + 1);
+                self.offsets.extend(0..=at);
+            }
+            at += width;
+            if !self.offsets.is_empty() {
+                self.offsets.push(at);
+            }
         }
         self.sends.clear();
-        self.sends.resize(total, None);
+        self.sends.resize(at as usize, None);
         self.count = 0;
         self.touched.clear();
     }
@@ -697,8 +694,9 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         let n = topology.node_count();
         // Lay the plan's slots out once: the layout is a pure function of
         // the (immutable) topology, so the per-round reset is just a
-        // clear.
-        let mut plan_buf = ForwardingPlan::new(n);
+        // clear. The empty plan owns no memory, so `reset_for` allocates
+        // it once, at its final size.
+        let mut plan_buf = ForwardingPlan::new(0);
         plan_buf.reset_for(&topology);
         Simulation {
             topology,
@@ -1428,6 +1426,18 @@ mod tests {
         plan.reset_for(&Path::new(4));
         assert_eq!(plan.width(NodeId::new(0)), 1);
         assert!(plan.is_empty());
+        let mut identity = ForwardingPlan::new(0);
+        identity.reset(4);
+        assert_eq!(plan, identity);
+        // The first node with two slots comes after a one-slot node.
+        plan.reset_for(&Dag::from_edges(4, &[(0, 1), (1, 2), (1, 3)]).unwrap());
+        let widths: Vec<usize> = (0..4).map(|v| plan.width(NodeId::new(v))).collect();
+        assert_eq!(widths, vec![1, 2, 1, 1]);
+        plan.send(NodeId::new(1), PacketId::new(4));
+        plan.send(NodeId::new(1), PacketId::new(5));
+        plan.send(NodeId::new(2), PacketId::new(6));
+        let sends: Vec<(usize, u64)> = plan.sends().map(|(v, p)| (v.index(), p.value())).collect();
+        assert_eq!(sends, vec![(1, 4), (1, 5), (2, 6)]);
     }
 
     #[test]

@@ -143,13 +143,15 @@ pub struct NetworkState {
     staged: Vec<Packet>,
     /// Staged packets per source node (capacity enforcement in
     /// [`StagingMode::Counted`](crate::StagingMode::Counted) and
-    /// observability both want this without scanning `staged`).
+    /// observability both want this without scanning `staged`). Like
+    /// `drops` and `faults`, a per-node ledger that most runs never
+    /// write: empty until its first write (see `ledger`).
     staged_counts: Vec<usize>,
-    /// Cumulative drops per node (capacity-bounded runs; all zero
+    /// Cumulative drops per node (capacity-bounded runs; empty
     /// otherwise). Observable by protocols and tracers.
     drops: Vec<u64>,
     dropped_total: u64,
-    /// Cumulative fault losses per node (fault-injected runs; all zero
+    /// Cumulative fault losses per node (fault-injected runs; empty
     /// otherwise): packets swept from a crashing node's buffer, or
     /// injections arriving at a dead node.
     faults: Vec<u64>,
@@ -170,16 +172,26 @@ pub struct NetworkState {
     active_exact: bool,
 }
 
+/// A per-node ledger of `n` entries, allocated (all zero) on its first
+/// write: an empty ledger reads as zero everywhere, so runs that never
+/// stage, drop or fault pay nothing for it.
+fn ledger<T: Clone + Default>(entries: &mut Vec<T>, n: usize) -> &mut Vec<T> {
+    if entries.is_empty() {
+        entries.resize(n, T::default());
+    }
+    entries
+}
+
 impl NetworkState {
     pub(crate) fn new(n: usize) -> Self {
         NetworkState {
             spans: vec![EMPTY_SPAN; n],
             slab: Slab::default(),
             staged: Vec::new(),
-            staged_counts: vec![0; n],
-            drops: vec![0; n],
+            staged_counts: Vec::new(),
+            drops: Vec::new(),
             dropped_total: 0,
-            faults: vec![0; n],
+            faults: Vec::new(),
             faulted_total: 0,
             next_seq: 0,
             occ_bits: vec![0; n.div_ceil(64)],
@@ -225,12 +237,12 @@ impl NetworkState {
     /// Staged packets whose source buffer is `v` (they will enter `v` at
     /// the next phase boundary).
     pub fn staged_count(&self, v: NodeId) -> usize {
-        self.staged_counts[v.index()]
+        self.staged_counts.get(v.index()).copied().unwrap_or(0)
     }
 
     /// Cumulative packets dropped at `v` so far (capacity-bounded runs).
     pub fn drops_at(&self, v: NodeId) -> u64 {
-        self.drops[v.index()]
+        self.drops.get(v.index()).copied().unwrap_or(0)
     }
 
     /// Cumulative packets dropped anywhere so far.
@@ -241,7 +253,7 @@ impl NetworkState {
     /// Cumulative packets lost to faults at `v` so far (fault-injected
     /// runs; 0 otherwise).
     pub fn faults_at(&self, v: NodeId) -> u64 {
-        self.faults[v.index()]
+        self.faults.get(v.index()).copied().unwrap_or(0)
     }
 
     /// Cumulative packets lost to faults anywhere so far.
@@ -315,7 +327,7 @@ impl NetworkState {
 
     /// Adds a packet to the staging area.
     pub(crate) fn stage(&mut self, packet: Packet) {
-        self.staged_counts[packet.source().index()] += 1;
+        ledger(&mut self.staged_counts, self.spans.len())[packet.source().index()] += 1;
         self.staged.push(packet);
     }
 
@@ -333,19 +345,21 @@ impl NetworkState {
         let before = self.staged.len();
         self.staged.retain(|p| p.source() != v);
         let removed = before - self.staged.len();
-        self.staged_counts[v.index()] -= removed;
+        if removed > 0 {
+            self.staged_counts[v.index()] -= removed;
+        }
         removed
     }
 
     /// Records a capacity drop at `v` in the cumulative counters.
     pub(crate) fn note_drop(&mut self, v: NodeId) {
-        self.drops[v.index()] += 1;
+        ledger(&mut self.drops, self.spans.len())[v.index()] += 1;
         self.dropped_total += 1;
     }
 
     /// Records a fault loss at `v` in the cumulative counters.
     pub(crate) fn note_fault(&mut self, v: NodeId) {
-        self.faults[v.index()] += 1;
+        ledger(&mut self.faults, self.spans.len())[v.index()] += 1;
         self.faulted_total += 1;
     }
 
@@ -561,6 +575,22 @@ mod tests {
         assert_eq!(st.drops_at(NodeId::new(1)), 2);
         assert_eq!(st.drops_at(NodeId::new(0)), 0);
         assert_eq!(st.total_dropped(), 3);
+    }
+
+    #[test]
+    fn ledgers_read_zero_until_their_first_write() {
+        let mut st = NetworkState::new(3);
+        let v = NodeId::new(2);
+        assert_eq!(
+            (st.staged_count(v), st.drops_at(v), st.faults_at(v)),
+            (0, 0, 0)
+        );
+        // A crash sweep at a node that never staged leaves the ledger alone.
+        assert_eq!(st.sweep_staged(v), 0);
+        assert!(st.staged_counts.is_empty() && st.drops.is_empty() && st.faults.is_empty());
+        st.note_fault(v);
+        assert_eq!(st.faults, vec![0, 0, 1]);
+        assert!(st.drops.is_empty(), "one ledger's write allocates only it");
     }
 
     #[test]

@@ -18,13 +18,19 @@
 //! grids answer `next_hop`/`route_len` from coordinates (XY routing is
 //! O(1) arithmetic — Even & Medina's grid routing never materializes
 //! tables), butterflies from the bit pattern of `row XOR dest_row`, and
-//! diamonds from the three-layer shape. Only [`Dag::from_edges`] on an
-//! arbitrary edge list (and so [`Dag::random_dag`]) falls back to dense
-//! `O(n²)` next-hop/distance tables, confined to the `dense` module. The
+//! diamonds from the three-layer shape. Adjacency is computed the same
+//! way: a grid, butterfly or diamond is only its dimensions, and answers
+//! `out_degree`, `out_neighbor`, `edge_count` and `edges` from them, so
+//! building a million-node mesh allocates nothing. Every edge of these
+//! families goes from a smaller id to a larger one, so their ids are
+//! already a topological order. Only [`Dag::from_edges`] on an arbitrary
+//! edge list (and so [`Dag::random_dag`]) stores a CSR adjacency, checks
+//! acyclicity with Kahn's algorithm and falls back to dense `O(n²)`
+//! next-hop/distance tables, confined to the `dense` module. The
 //! computed and dense paths agree input-for-input: building the same mesh
-//! through `from_edges` yields identical routing — the property the
-//! `computed_routing` differential suite checks on every `(from, dest)`
-//! pair.
+//! through `from_edges` yields identical adjacency and routing — the
+//! property the `computed_routing` differential suite checks on every
+//! node and every `(from, dest)` pair.
 //!
 //! Single-out topologies embed losslessly: [`Dag::from`] a [`Path`] or a
 //! [`DirectedTree`] yields a DAG whose `next_hop`, `route_len`,
@@ -38,6 +44,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::NodeId;
 use crate::topology::dense::DenseTables;
+use crate::topology::spec::{addressable, invalid, TopologySpecError};
 use crate::topology::{DirectedTree, Path, Topology};
 use crate::util::SplitMix64;
 
@@ -77,12 +84,20 @@ impl fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
-/// How a [`Dag`] answers routing queries: a structured family's closed
-/// form, or the dense-table fallback for arbitrary edge lists.
+/// How a [`Dag`] answers adjacency and routing queries: a structured
+/// family's closed form, or the stored adjacency and dense tables of an
+/// arbitrary edge list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Routing {
-    /// Dense `n × n` tables (the `from_edges`/`random_dag` fallback).
-    Dense(DenseTables),
+    /// An arbitrary edge list (the `from_edges`/`random_dag` fallback).
+    Dense {
+        /// CSR edge targets, grouped by source in insertion order.
+        adj: Vec<NodeId>,
+        /// CSR offsets: out-edges of `v` are `adj[adj_off[v]..adj_off[v+1]]`.
+        adj_off: Vec<u32>,
+        /// Dense `n × n` next-hop and distance tables.
+        tables: DenseTables,
+    },
     /// Row-column (XY) routing from coordinates; node `(r, c)` at
     /// `r·cols + c`.
     Grid {
@@ -106,13 +121,14 @@ enum Routing {
 
 /// A directed acyclic network with deterministic next-hop routing.
 ///
-/// Stores the adjacency in CSR form (out-edges of `v` in insertion order)
-/// and a topological order. Routing queries are O(1): structured
-/// constructors ([`grid`](Dag::grid), [`butterfly`](Dag::butterfly),
-/// [`diamond`](Dag::diamond)) compute next hops and distances from
-/// coordinates alone — no per-pair state, so a 1024×1024 mesh costs the
-/// same per query as an 8×8 one — while [`from_edges`](Dag::from_edges)
-/// precomputes dense `n × n` tables as the general-graph fallback.
+/// Adjacency and routing queries are O(1). The structured constructors
+/// ([`grid`](Dag::grid), [`butterfly`](Dag::butterfly),
+/// [`diamond`](Dag::diamond)) store only their dimensions and compute
+/// out-neighbours, next hops and distances from coordinates — no
+/// per-node or per-pair state, so a 1024×1024 mesh costs the same to
+/// build and per query as an 8×8 one. [`from_edges`](Dag::from_edges)
+/// stores the adjacency in CSR form (out-edges of `v` in insertion order)
+/// and precomputes dense `n × n` tables as the general-graph fallback.
 ///
 /// Serialization stores only the defining data — the constructor
 /// parameters for computed families, the insertion-ordered edge list for
@@ -138,13 +154,10 @@ enum Routing {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dag {
-    /// CSR edge targets, grouped by source in insertion order.
-    adj: Vec<NodeId>,
-    /// CSR offsets: out-edges of `v` are `adj[adj_off[v]..adj_off[v+1]]`.
-    adj_off: Vec<u32>,
-    /// A topological order (every edge points forward in it).
-    topo: Vec<NodeId>,
-    /// The routing representation (closed form or dense fallback).
+    /// Number of nodes (derived from the dimensions or the edge list;
+    /// kept because every routing query range-checks against it).
+    n: usize,
+    /// The adjacency and routing representation.
     routing: Routing,
     /// `(rows, cols)` when built by [`Dag::grid`] (drives renderers).
     grid: Option<(usize, usize)>,
@@ -224,8 +237,8 @@ impl Dag {
     /// Edge insertion order is semantic: it is the routing tie-break (see
     /// the module docs). Prefer the structured constructors
     /// ([`grid`](Dag::grid), [`butterfly`](Dag::butterfly),
-    /// [`diamond`](Dag::diamond)) where they apply — they route from
-    /// closed forms with no `O(n²)` table cost.
+    /// [`diamond`](Dag::diamond)) where they apply — they store only their
+    /// dimensions, with no adjacency and no `O(n²)` table cost.
     ///
     /// # Errors
     ///
@@ -235,132 +248,103 @@ impl Dag {
         let (adj, adj_off, topo) = validated_parts(n, edges)?;
         let tables = DenseTables::build(n, &adj, &adj_off, &topo);
         Ok(Dag {
-            adj,
-            adj_off,
-            topo,
-            routing: Routing::Dense(tables),
+            n,
+            routing: Routing::Dense {
+                adj,
+                adj_off,
+                tables,
+            },
             grid: None,
         })
     }
 
-    /// The canonical edge list of a `rows × cols` mesh (row edge before
-    /// column edge at every cell — the XY tie-break).
-    fn grid_edges(rows: usize, cols: usize) -> Vec<(usize, usize)> {
-        let mut edges = Vec::with_capacity(2 * rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = r * cols + c;
-                if c + 1 < cols {
-                    edges.push((v, v + 1)); // row edge first: XY routing
-                }
-                if r + 1 < rows {
-                    edges.push((v, v + cols));
-                }
-            }
-        }
-        edges
-    }
-
     /// A `rows × cols` mesh with edges pointing right (within a row) and
     /// down (within a column); node `(r, c)` has id `r·cols + c`. The row
-    /// edge is inserted first, so routing is row-column (XY): along the row
-    /// to the destination column, then down — computed from coordinates,
-    /// with no routing tables, so million-node meshes are cheap to build.
+    /// edge comes first, so routing is row-column (XY): along the row to
+    /// the destination column, then down. Adjacency and routing are
+    /// computed from coordinates, so building any mesh costs O(1).
     ///
     /// # Panics
     ///
-    /// Panics if `rows == 0` or `cols == 0`.
+    /// Panics if `rows == 0` or `cols == 0`, or if the mesh has more than
+    /// `u32::MAX` nodes or edges (node ids and plan slots are 32-bit).
     pub fn grid(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "grid must have at least one cell");
-        let edges = Dag::grid_edges(rows, cols);
-        let (adj, adj_off, topo) =
-            validated_parts(rows * cols, &edges).expect("mesh edge list is acyclic");
-        Dag {
-            adj,
-            adj_off,
-            topo,
-            routing: Routing::Grid { rows, cols },
-            grid: Some((rows, cols)),
-        }
+        Dag::try_grid(rows, cols).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The canonical butterfly edge list (straight before cross at every
-    /// node — the same-row tie-break).
-    fn butterfly_edges(k: u32) -> Vec<(usize, usize)> {
-        let per_level = 1usize << k;
-        let mut edges = Vec::with_capacity(2 * per_level * k as usize);
-        for level in 0..k as usize {
-            for row in 0..per_level {
-                let v = level * per_level + row;
-                edges.push((v, v + per_level)); // straight
-                edges.push((v, (level + 1) * per_level + (row ^ (1 << level))));
-                // cross
-            }
+    /// [`Dag::grid`], or the error naming the parameter or the 32-bit
+    /// limit the dimensions break.
+    pub(super) fn try_grid(rows: usize, cols: usize) -> Result<Self, TopologySpecError> {
+        if rows == 0 || cols == 0 {
+            return Err(invalid("grid", "rows and cols must be at least 1"));
         }
-        edges
+        let (r, c) = (rows as u64, cols as u64);
+        addressable("grid", "nodes", r.checked_mul(c))?;
+        // r·c fits 32 bits now, so the edge count cannot overflow.
+        addressable("grid", "edges", Some(2 * r * c - r - c))?;
+        Ok(Dag {
+            n: rows * cols,
+            routing: Routing::Grid { rows, cols },
+            grid: Some((rows, cols)),
+        })
     }
 
     /// The `k`-dimensional butterfly: `k + 1` levels of `2^k` rows each,
     /// node `(level, row)` at id `level·2^k + row`, with a *straight* edge
-    /// to `(level+1, row)` (inserted first) and a *cross* edge to
+    /// to `(level+1, row)` (listed first) and a *cross* edge to
     /// `(level+1, row XOR 2^level)`. Routing is bit-fixing, computed from
     /// `row XOR dest_row` — no tables.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or the butterfly would exceed `u32` node ids.
+    /// Panics if `k` is not in `1..=26`: at `k = 27` the nodes still fit
+    /// 32-bit ids, but the edges overflow the 32-bit plan slots.
     pub fn butterfly(k: u32) -> Self {
-        assert!(k >= 1, "butterfly needs at least one dimension");
-        // (k+1)·2^k must fit u32 node ids; k = 27 is the last that does.
-        assert!(k <= 27, "butterfly of dimension {k} exceeds u32 node ids");
-        let per_level = 1usize << k;
-        let n = per_level * (k as usize + 1);
-        let edges = Dag::butterfly_edges(k);
-        let (adj, adj_off, topo) =
-            validated_parts(n, &edges).expect("butterfly edge list is acyclic");
-        Dag {
-            adj,
-            adj_off,
-            topo,
-            routing: Routing::Butterfly { k },
-            grid: None,
-        }
+        Dag::try_butterfly(k).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The canonical diamond edge list (middles in ascending order — the
-    /// first-middle tie-break).
-    fn diamond_edges(width: usize) -> Vec<(usize, usize)> {
-        let sink = width + 1;
-        let mut edges = Vec::with_capacity(2 * width);
-        for m in 1..=width {
-            edges.push((0, m));
+    /// [`Dag::butterfly`], or the error naming the range or the 32-bit
+    /// limit `k` breaks.
+    pub(super) fn try_butterfly(k: u32) -> Result<Self, TopologySpecError> {
+        if k == 0 || k > 27 {
+            return Err(invalid("butterfly", "dimension must be in 1..=27"));
         }
-        for m in 1..=width {
-            edges.push((m, sink));
-        }
-        edges
+        // (k+1)·2^k nodes always fit; k·2^(k+1) edges do up to k = 26.
+        addressable("butterfly", "edges", Some(u64::from(k) << (k + 1)))?;
+        Ok(Dag {
+            n: (k as usize + 1) << k,
+            routing: Routing::Butterfly { k },
+            grid: None,
+        })
     }
 
     /// A diamond: one source (node 0) fanning out to `width` parallel
     /// middle nodes (`1..=width`), all converging on one sink
     /// (`width + 1`). The canonical multi-out-edge / multi-in-edge stress
-    /// shape; routing is computed from the three-layer structure.
+    /// shape; adjacency and routing are computed from the three layers.
     ///
     /// # Panics
     ///
-    /// Panics if `width == 0`.
+    /// Panics if `width == 0`, or if the diamond has more than `u32::MAX`
+    /// nodes or edges.
     pub fn diamond(width: usize) -> Self {
-        assert!(width > 0, "diamond needs at least one middle node");
-        let edges = Dag::diamond_edges(width);
-        let (adj, adj_off, topo) =
-            validated_parts(width + 2, &edges).expect("diamond edge list is acyclic");
-        Dag {
-            adj,
-            adj_off,
-            topo,
+        Dag::try_diamond(width).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Dag::diamond`], or the error naming the parameter or the 32-bit
+    /// limit `width` breaks.
+    pub(super) fn try_diamond(width: usize) -> Result<Self, TopologySpecError> {
+        if width == 0 {
+            return Err(invalid("diamond", "need at least one middle node"));
+        }
+        let width64 = width as u64;
+        addressable("diamond", "nodes", width64.checked_add(2))?;
+        addressable("diamond", "edges", width64.checked_mul(2))?;
+        Ok(Dag {
+            n: width + 2,
             routing: Routing::Diamond { width },
             grid: None,
-        }
+        })
     }
 
     /// A pseudo-random DAG on `n` nodes, deterministic in `seed`: the spine
@@ -397,25 +381,19 @@ impl Dag {
         Dag::from_edges(n, &edges).expect("forward edge list is acyclic")
     }
 
-    /// The out-neighbors of `v`, in insertion (= routing tie-break) order.
-    #[inline]
-    pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.adj[self.adj_off[v.index()] as usize..self.adj_off[v.index() + 1] as usize]
-    }
-
     /// Total number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// A topological order of the nodes (every edge points forward in it).
-    pub fn topo_order(&self) -> &[NodeId] {
-        &self.topo
+        match &self.routing {
+            Routing::Dense { adj, .. } => adj.len(),
+            Routing::Grid { rows, cols } => 2 * rows * cols - rows - cols,
+            Routing::Butterfly { k } => (*k as usize) << (k + 1),
+            Routing::Diamond { width } => 2 * width,
+        }
     }
 
     /// Whether `v` has no outgoing edges.
     pub fn is_sink(&self, v: NodeId) -> bool {
-        self.out_neighbors(v).is_empty()
+        self.out_degree(v) == 0
     }
 
     /// `(rows, cols)` when this DAG was built by [`Dag::grid`] — renderers
@@ -426,7 +404,7 @@ impl Dag {
 
     /// Whether routing is answered from a closed form (no dense tables).
     pub fn is_computed_routing(&self) -> bool {
-        !matches!(self.routing, Routing::Dense(_))
+        !matches!(self.routing, Routing::Dense { .. })
     }
 
     /// The edge list in per-source insertion order — exactly the input
@@ -435,8 +413,8 @@ impl Dag {
     pub fn edges(&self) -> Vec<(usize, usize)> {
         (0..self.node_count())
             .flat_map(|v| {
-                self.out_neighbors(NodeId::new(v))
-                    .iter()
+                (0..)
+                    .map_while(move |i| self.out_neighbor(NodeId::new(v), i))
                     .map(move |u| (v, u.index()))
             })
             .collect()
@@ -453,7 +431,7 @@ impl Dag {
 impl Serialize for Dag {
     fn to_value(&self) -> serde::Value {
         match &self.routing {
-            Routing::Dense(_) => serde::Value::Object(vec![
+            Routing::Dense { .. } => serde::Value::Object(vec![
                 ("n".into(), self.node_count().to_value()),
                 ("edges".into(), self.edges().to_value()),
                 ("grid".into(), self.grid.to_value()),
@@ -484,46 +462,44 @@ impl Deserialize for Dag {
             .ok_or_else(|| serde::Error::custom("expected DAG object"))?;
         let n = usize::from_value(serde::__field(obj, "n"))?;
         let routing: Option<String> = Option::from_value(serde::__field(obj, "routing"))?;
-        match routing.as_deref() {
+        let computed = match routing.as_deref() {
             None | Some("dense") => {
                 let edges: Vec<(usize, usize)> = Vec::from_value(serde::__field(obj, "edges"))?;
                 let grid: Option<(usize, usize)> = Option::from_value(serde::__field(obj, "grid"))?;
                 let mut dag = Dag::from_edges(n, &edges).map_err(serde::Error::custom)?;
                 if let Some((rows, cols)) = grid {
-                    if rows * cols != n {
+                    if rows.checked_mul(cols) != Some(n) {
                         return Err(serde::Error::custom("grid dims do not cover the node set"));
                     }
                     dag.grid = Some((rows, cols));
                 }
-                Ok(dag)
+                return Ok(dag);
             }
             Some("grid") => {
                 let dims: Option<(usize, usize)> = Option::from_value(serde::__field(obj, "grid"))?;
                 let (rows, cols) =
                     dims.ok_or_else(|| serde::Error::custom("grid routing needs grid dims"))?;
-                if rows == 0 || cols == 0 || rows * cols != n {
-                    return Err(serde::Error::custom("grid dims do not cover the node set"));
-                }
-                Ok(Dag::grid(rows, cols))
+                Dag::try_grid(rows, cols)
             }
-            Some("butterfly") => {
-                let k = u32::from_value(serde::__field(obj, "k"))?;
-                if !(1..=27).contains(&k) || (1usize << k) * (k as usize + 1) != n {
-                    return Err(serde::Error::custom("butterfly dims do not match n"));
-                }
-                Ok(Dag::butterfly(k))
+            Some("butterfly") => Dag::try_butterfly(u32::from_value(serde::__field(obj, "k"))?),
+            Some("diamond") => Dag::try_diamond(usize::from_value(serde::__field(obj, "width"))?),
+            Some(other) => {
+                return Err(serde::Error::custom(format!(
+                    "unknown DAG routing kind {other:?}"
+                )))
             }
-            Some("diamond") => {
-                let width = usize::from_value(serde::__field(obj, "width"))?;
-                if width == 0 || width + 2 != n {
-                    return Err(serde::Error::custom("diamond width does not match n"));
-                }
-                Ok(Dag::diamond(width))
-            }
-            Some(other) => Err(serde::Error::custom(format!(
-                "unknown DAG routing kind {other:?}"
-            ))),
+        };
+        // The same checks as `TopologySpec::build`, in checked arithmetic:
+        // the error names the parameter or the 32-bit limit it breaks.
+        let dag = computed.map_err(serde::Error::custom)?;
+        if dag.node_count() != n {
+            return Err(serde::Error::custom(format!(
+                "{} dims give {} nodes, not n = {n}",
+                routing.unwrap_or_default(),
+                dag.node_count()
+            )));
         }
+        Ok(dag)
     }
 }
 
@@ -569,9 +545,43 @@ fn row_col(i: usize, cols: usize) -> (usize, usize) {
     }
 }
 
+/// The out-neighbours of `v` on a `rows × cols` mesh, in insertion
+/// order: the row edge (right), then the column edge (down).
+fn grid_out(v: usize, rows: usize, cols: usize) -> impl Iterator<Item = usize> {
+    let (r, c) = row_col(v, cols);
+    let right = (c + 1 < cols).then_some(v + 1);
+    right.into_iter().chain((r + 1 < rows).then_some(v + cols))
+}
+
+/// The out-neighbours of `v` on the `k`-dimensional butterfly, in
+/// insertion order: the straight edge, then the cross edge.
+fn butterfly_out(v: usize, k: u32) -> impl Iterator<Item = usize> {
+    let per_level = 1usize << k;
+    let (level, row) = (v / per_level, v % per_level);
+    (level < k as usize)
+        .then(|| {
+            [
+                v + per_level,
+                (level + 1) * per_level + (row ^ (1 << level)),
+            ]
+        })
+        .into_iter()
+        .flatten()
+}
+
+/// The out-neighbours of `v` on a diamond with `width` middles, in
+/// insertion order: the source's middles ascending, a middle's sink.
+fn diamond_out(v: usize, width: usize) -> std::ops::Range<usize> {
+    match v {
+        0 => 1..width + 1,
+        _ if v <= width => width + 1..width + 2,
+        _ => 0..0,
+    }
+}
+
 impl Topology for Dag {
     fn node_count(&self) -> usize {
-        self.adj_off.len() - 1
+        self.n
     }
 
     fn next_hop(&self, from: NodeId, dest: NodeId) -> Option<NodeId> {
@@ -581,7 +591,7 @@ impl Topology for Dag {
             return None;
         }
         match &self.routing {
-            Routing::Dense(t) => t.next_hop(f, d),
+            Routing::Dense { tables, .. } => tables.next_hop(f, d),
             // XY: along the row to the destination column, then down —
             // exactly the row-edge-first tie-break of the dense DP.
             Routing::Grid { cols, .. } => {
@@ -634,7 +644,7 @@ impl Topology for Dag {
             return true;
         }
         match &self.routing {
-            Routing::Dense(t) => t.reaches(f, d),
+            Routing::Dense { tables, .. } => tables.reaches(f, d),
             Routing::Grid { cols, .. } => {
                 let (r, c) = row_col(f, *cols);
                 let (dr, dc) = row_col(d, *cols);
@@ -660,7 +670,7 @@ impl Topology for Dag {
             return Some(0);
         }
         match &self.routing {
-            Routing::Dense(t) => t.route_len(f, d),
+            Routing::Dense { tables, .. } => tables.route_len(f, d),
             Routing::Grid { cols, .. } => {
                 let (r, c) = row_col(f, *cols);
                 let (dr, dc) = row_col(d, *cols);
@@ -720,11 +730,26 @@ impl Topology for Dag {
     }
 
     fn out_degree(&self, v: NodeId) -> usize {
-        self.out_neighbors(v).len()
+        let v = v.index();
+        match &self.routing {
+            Routing::Dense { adj_off, .. } => (adj_off[v + 1] - adj_off[v]) as usize,
+            Routing::Grid { rows, cols } => grid_out(v, *rows, *cols).count(),
+            Routing::Butterfly { k } => butterfly_out(v, *k).count(),
+            Routing::Diamond { width } => diamond_out(v, *width).len(),
+        }
     }
 
     fn out_neighbor(&self, v: NodeId, i: usize) -> Option<NodeId> {
-        self.out_neighbors(v).get(i).copied()
+        let v = v.index();
+        match &self.routing {
+            Routing::Dense { adj, adj_off, .. } => adj
+                [adj_off[v] as usize..adj_off[v + 1] as usize]
+                .get(i)
+                .copied(),
+            Routing::Grid { rows, cols } => grid_out(v, *rows, *cols).nth(i).map(NodeId::new),
+            Routing::Butterfly { k } => butterfly_out(v, *k).nth(i).map(NodeId::new),
+            Routing::Diamond { width } => diamond_out(v, *width).nth(i).map(NodeId::new),
+        }
     }
 }
 
@@ -965,18 +990,20 @@ mod tests {
 
     #[test]
     fn topo_order_respects_edges() {
-        let d = Dag::random_dag(20, 0.4, 11);
-        let pos: Vec<usize> = {
-            let mut pos = vec![0usize; 20];
-            for (i, &v) in d.topo_order().iter().enumerate() {
-                pos[v.index()] = i;
-            }
-            pos
-        };
-        for v in 0..20usize {
-            for &u in d.out_neighbors(NodeId::new(v)) {
-                assert!(pos[v] < pos[u.index()], "edge v{v} -> {u} goes backward");
-            }
+        // Kahn's order on edges that all point to smaller ids, so the id
+        // order itself is not topological.
+        let edges: Vec<(usize, usize)> = Dag::random_dag(20, 0.4, 11)
+            .edges()
+            .into_iter()
+            .map(|(u, v)| (19 - u, 19 - v))
+            .collect();
+        let (_, _, topo) = validated_parts(20, &edges).unwrap();
+        let mut pos = [0usize; 20];
+        for (i, &v) in topo.iter().enumerate() {
+            pos[v.index()] = i;
+        }
+        for (u, v) in edges {
+            assert!(pos[u] < pos[v], "edge v{u} -> v{v} goes backward");
         }
     }
 }

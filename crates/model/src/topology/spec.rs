@@ -161,7 +161,7 @@ impl From<TreeError> for TopologySpecError {
     }
 }
 
-fn invalid(kind: &'static str, reason: impl Into<String>) -> TopologySpecError {
+pub(super) fn invalid(kind: &'static str, reason: impl Into<String>) -> TopologySpecError {
     TopologySpecError::InvalidParameter {
         kind,
         reason: reason.into(),
@@ -170,7 +170,7 @@ fn invalid(kind: &'static str, reason: impl Into<String>) -> TopologySpecError {
 
 /// Checks that `count` of `what` (`None` when computing it overflowed)
 /// fits the engine's 32-bit node ids and plan slots.
-fn addressable(
+pub(super) fn addressable(
     kind: &'static str,
     what: &'static str,
     count: Option<u64>,
@@ -211,33 +211,9 @@ impl TopologySpec {
                 Ok(AnyTopology::Path(Path::new(*n)))
             }
             TopologySpec::Tree(tree) => tree.build().map(AnyTopology::Tree),
-            TopologySpec::Grid { rows, cols } => {
-                if *rows == 0 || *cols == 0 {
-                    return Err(invalid("grid", "rows and cols must be at least 1"));
-                }
-                let (r, c) = (*rows as u64, *cols as u64);
-                addressable("grid", "nodes", r.checked_mul(c))?;
-                // r·c fits 32 bits now, so the edge count cannot overflow.
-                addressable("grid", "edges", Some(2 * r * c - r - c))?;
-                Ok(AnyTopology::Dag(Dag::grid(*rows, *cols)))
-            }
-            TopologySpec::Butterfly { k } => {
-                if *k == 0 || *k > 27 {
-                    return Err(invalid("butterfly", "dimension must be in 1..=27"));
-                }
-                // (k+1)·2^k nodes always fit; k·2^(k+1) edges do up to k = 26.
-                addressable("butterfly", "edges", Some(u64::from(*k) << (k + 1)))?;
-                Ok(AnyTopology::Dag(Dag::butterfly(*k)))
-            }
-            TopologySpec::Diamond { width } => {
-                if *width == 0 {
-                    return Err(invalid("diamond", "need at least one middle node"));
-                }
-                let width64 = *width as u64;
-                addressable("diamond", "nodes", width64.checked_add(2))?;
-                addressable("diamond", "edges", width64.checked_mul(2))?;
-                Ok(AnyTopology::Dag(Dag::diamond(*width)))
-            }
+            TopologySpec::Grid { rows, cols } => Dag::try_grid(*rows, *cols).map(AnyTopology::Dag),
+            TopologySpec::Butterfly { k } => Dag::try_butterfly(*k).map(AnyTopology::Dag),
+            TopologySpec::Diamond { width } => Dag::try_diamond(*width).map(AnyTopology::Dag),
             TopologySpec::RandomDag { n, density, seed } => {
                 if *n == 0 {
                     return Err(invalid("random_dag", "need at least one node"));

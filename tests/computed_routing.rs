@@ -1,22 +1,29 @@
-//! Computed routing ≡ dense tables, exhaustively.
+//! Computed adjacency and routing ≡ dense tables, exhaustively.
 //!
 //! The million-node engine answers `next_hop`/`route_len`/`reaches`/
 //! `on_route` from closed forms (XY arithmetic on grids, bit tricks on
 //! butterflies, layer arithmetic on diamonds, Euler intervals on trees)
-//! instead of `O(n²)` tables. These are drop-in replacements only if they
-//! agree with the dense-table fallback **input-for-input**: for every DAG
-//! family this suite builds the *dense twin* — `Dag::from_edges` on the
-//! computed topology's own edge list, which always routes from tables —
-//! and checks every routing query at every pair of nodes, on randomized
-//! shapes up to ~200 nodes. Trees are checked against a literal
-//! parent-walk instead (the pre-interval reference semantics).
+//! instead of `O(n²)` tables, and grids, butterflies and diamonds answer
+//! their adjacency from their dimensions instead of a stored edge list.
+//! These are drop-in replacements only if they agree with the dense-table
+//! fallback **input-for-input**: for every DAG family this suite builds
+//! the *dense twin* — `Dag::from_edges` on the computed topology's own
+//! edge list, which stores a CSR adjacency, re-runs the duplicate scan
+//! and Kahn's acyclicity check, and always routes from tables — and
+//! checks every adjacency query at every node and every routing query at
+//! every pair of nodes, on randomized shapes up to ~200 nodes. Trees are
+//! checked against a literal parent-walk instead (the pre-interval
+//! reference semantics).
 
 use small_buffers::model::util::SplitMix64;
-use small_buffers::{Dag, DirectedTree, NodeId, Topology};
+use small_buffers::{Dag, DirectedTree, ForwardingPlan, NodeId, Topology};
 
-/// Asserts `g` (computed routing) and its dense twin agree on every
-/// routing query at every `(from, dest)` pair, and on `on_route` at every
-/// `(from, dest, v)` triple for a deterministic sample of `v`.
+/// Asserts `g` (computed adjacency and routing) and its dense twin agree
+/// on every adjacency query at every node — including the plan slots
+/// `ForwardingPlan::reset_for` lays out — and on every routing query at
+/// every `(from, dest)` pair, and on `on_route` at every `(from, dest, v)`
+/// triple for a deterministic sample of `v`. Also checks that the ids
+/// are a topological order: every edge goes to a larger id.
 fn assert_matches_dense_twin(label: &str, g: &Dag) {
     assert!(g.is_computed_routing(), "{label}: expected a closed form");
     let dense = Dag::from_edges(g.node_count(), &g.edges()).expect("twin edge list is acyclic");
@@ -25,6 +32,37 @@ fn assert_matches_dense_twin(label: &str, g: &Dag) {
         "{label}: twin must use tables"
     );
     let n = g.node_count();
+    assert_eq!(g.edge_count(), dense.edge_count(), "{label}: edge_count");
+    let (mut plan, mut twin_plan) = (ForwardingPlan::new(0), ForwardingPlan::new(0));
+    plan.reset_for(g);
+    twin_plan.reset_for(&dense);
+    for v in 0..n {
+        let v = NodeId::new(v);
+        let degree = g.out_degree(v);
+        assert_eq!(degree, dense.out_degree(v), "{label}: out_degree({v})");
+        assert_eq!(g.is_sink(v), dense.is_sink(v), "{label}: is_sink({v})");
+        for i in 0..=degree + 1 {
+            let head = g.out_neighbor(v, i);
+            assert_eq!(
+                head,
+                dense.out_neighbor(v, i),
+                "{label}: out_neighbor({v}, {i})"
+            );
+            assert_eq!(
+                head.is_some(),
+                i < degree,
+                "{label}: out_neighbor({v}, {i})"
+            );
+            if let Some(head) = head {
+                assert!(head > v, "{label}: edge {v} -> {head} goes to a smaller id");
+            }
+        }
+        assert_eq!(
+            plan.width(v),
+            twin_plan.width(v),
+            "{label}: plan width({v})"
+        );
+    }
     let mut rng = SplitMix64::new(0xD15C0);
     for from in 0..n {
         let from = NodeId::new(from);

@@ -161,6 +161,37 @@ fn dag_serialization_is_the_defining_data_and_revalidates() {
 }
 
 #[test]
+fn oversized_computed_dags_are_named_errors() {
+    // Each names the 32-bit limit it breaks instead of overflowing,
+    // panicking or allocating.
+    for (json, what) in [
+        // rows · cols overflows usize.
+        (
+            r#"{"n":0,"routing":"grid","grid":[9223372036854775808,2]}"#,
+            "nodes",
+        ),
+        // 65 536² is one node past u32::MAX.
+        (
+            r#"{"n":4294967296,"routing":"grid","grid":[65536,65536]}"#,
+            "nodes",
+        ),
+        // width + 2 overflows usize.
+        (
+            r#"{"n":1,"routing":"diamond","width":18446744073709551615}"#,
+            "nodes",
+        ),
+    ] {
+        let err = serde_json::from_str::<Dag>(json)
+            .expect_err(json)
+            .to_string();
+        assert!(
+            err.contains(&format!("more than {} {what}", u32::MAX)),
+            "{json}: {err}"
+        );
+    }
+}
+
+#[test]
 fn invalid_capacity_artifacts_are_rejected() {
     // Constructor invariants hold for replayed configs too: capacity 0
     // and empty per-node lists must fail at deserialize time, not panic
