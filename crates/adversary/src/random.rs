@@ -20,17 +20,24 @@ use aqt_model::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 use crate::admission::Admitter;
 
 /// Which destinations random packets may have.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum DestSpec {
     /// Any node reachable from the source.
+    #[default]
+    #[serde(rename = "any")]
     AnyReachable,
     /// Only the given destinations (the paper's `W`); sources are drawn so
     /// that some allowed destination is reachable.
-    Fixed(Vec<NodeId>),
+    Fixed {
+        /// The allowed destinations.
+        dests: Vec<NodeId>,
+    },
     /// `count` destinations evenly spread over the topology (rightmost
     /// nodes on a path; for trees, chosen among distinct depths greedily).
     Spread {
@@ -51,18 +58,22 @@ impl DestSpec {
     ///
     /// assert_eq!(
     ///     DestSpec::fixed([3, 7]),
-    ///     DestSpec::Fixed(vec![NodeId::new(3), NodeId::new(7)])
+    ///     DestSpec::Fixed { dests: vec![NodeId::new(3), NodeId::new(7)] }
     /// );
     /// ```
     pub fn fixed<I: IntoIterator<Item = usize>>(dests: I) -> Self {
-        DestSpec::Fixed(dests.into_iter().map(NodeId::new).collect())
+        DestSpec::Fixed {
+            dests: dests.into_iter().map(NodeId::new).collect(),
+        }
     }
 }
 
 /// How injections are spaced in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Cadence {
     /// Try to inject in every round (smooth load at rate ≈ ρ).
+    #[default]
     Smooth,
     /// Stay idle, then exhaust the accumulated budget in bursts every
     /// `period` rounds — the adversary's nastiest legal behaviour.
@@ -70,6 +81,12 @@ pub enum Cadence {
         /// Burst period in rounds (≥ 1).
         period: u64,
     },
+}
+
+/// Candidate draws per active round unless
+/// [`RandomAdversary::attempts_per_round`] says otherwise.
+pub(crate) fn default_attempts() -> usize {
+    8
 }
 
 /// Configuration for random adversaries.
@@ -113,7 +130,7 @@ impl RandomAdversary {
             dests: DestSpec::AnyReachable,
             cadence: Cadence::Smooth,
             seed: 0,
-            attempts_per_round: 8,
+            attempts_per_round: default_attempts(),
         }
     }
 
@@ -147,8 +164,8 @@ impl RandomAdversary {
         let n = topo.node_count();
         match &self.dests {
             DestSpec::AnyReachable => (1..n).map(NodeId::new).collect(),
-            DestSpec::Fixed(ws) => {
-                let mut ws = ws.clone();
+            DestSpec::Fixed { dests } => {
+                let mut ws = dests.clone();
                 ws.sort();
                 ws.dedup();
                 assert!(
@@ -208,7 +225,7 @@ impl RandomAdversary {
         assert!(n >= 2, "need at least two nodes to route");
         let allowed: Option<BTreeSet<NodeId>> = match &self.dests {
             DestSpec::AnyReachable => None,
-            DestSpec::Fixed(ws) => Some(ws.iter().copied().collect()),
+            DestSpec::Fixed { dests } => Some(dests.iter().copied().collect()),
             DestSpec::Spread { count } => Some(spread_tree_dests(topo, *count)),
         };
         RandomTreeSource {
@@ -452,7 +469,7 @@ mod tests {
         let topo = Path::new(10);
         let ws = vec![NodeId::new(4), NodeId::new(9)];
         let p = RandomAdversary::new(Rate::ONE, 1, 40)
-            .destinations(DestSpec::Fixed(ws.clone()))
+            .destinations(DestSpec::Fixed { dests: ws.clone() })
             .seed(1)
             .build_path(&topo);
         let got = p.destinations();
@@ -537,7 +554,7 @@ mod tests {
     fn single_destination_mode_for_pts_experiments() {
         let topo = Path::new(16);
         let p = RandomAdversary::new(Rate::ONE, 2, 64)
-            .destinations(DestSpec::Fixed(vec![NodeId::new(15)]))
+            .destinations(DestSpec::fixed([15]))
             .seed(2)
             .build_path(&topo);
         assert_eq!(p.destinations().len(), 1);

@@ -42,7 +42,8 @@ use crate::{grid, patterns::staircase_source};
 /// assert_eq!(built.horizon(), Some(10));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum SourceSpec {
     /// An explicit injection list (the fully-materialized escape hatch).
     Pattern {
@@ -132,13 +133,16 @@ pub enum SourceSpec {
         sigma: u64,
         /// Active rounds.
         rounds: u64,
-        /// Destination restriction.
+        /// Destination restriction; any reachable node when omitted.
+        #[serde(default)]
         dests: DestSpec,
-        /// Injection cadence.
+        /// Injection cadence; smooth when omitted.
+        #[serde(default)]
         cadence: Cadence,
         /// RNG seed; same seed ⇒ same schedule.
         seed: u64,
-        /// Candidate draws per active round (≥ 1).
+        /// Candidate draws per active round (≥ 1); 8 when omitted.
+        #[serde(default = "crate::random::default_attempts")]
         attempts: usize,
     },
     /// A paced stream across one row of a mesh (grids only).
@@ -330,6 +334,26 @@ fn invalid(source: &'static str, reason: impl Into<String>) -> SourceSpecError {
     }
 }
 
+/// Checks a count of packets injected at one site in one round: a buffer
+/// span counts its packets in 32 bits, so a larger count is not
+/// representable (and would abort the allocation that materializes it).
+fn check_count<T>(kind: &'static str, field: &str, count: T) -> Result<(), SourceSpecError>
+where
+    T: Copy + fmt::Display,
+    u32: TryFrom<T>,
+{
+    if u32::try_from(count).is_err() {
+        return Err(invalid(
+            kind,
+            format!(
+                "{field} = {count} exceeds the {} packets a buffer can count",
+                u32::MAX
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// Checks that `source → dest` is a real route of `topo`.
 fn check_route(
     topo: &AnyTopology,
@@ -408,6 +432,7 @@ impl SourceSpec {
                 size,
             } => {
                 check_route(topo, "burst", *source, *dest)?;
+                check_count("burst", "size", *size)?;
                 let pattern =
                     Pattern::from_injections(vec![Injection::new(*round, *source, *dest); *size]);
                 Ok(Box::new(PatternSource::from(pattern)))
@@ -420,6 +445,7 @@ impl SourceSpec {
                 count,
             } => {
                 check_route(topo, "burst_train", *source, *dest)?;
+                check_count("burst_train", "size", *size)?;
                 if *period == 0 {
                     return Err(invalid("burst_train", "period must be at least 1"));
                 }
@@ -448,6 +474,7 @@ impl SourceSpec {
                 if *per_round == 0 {
                     return Err(invalid("repeat", "per_round must be at least 1"));
                 }
+                check_count("repeat", "per_round", *per_round)?;
                 let (source, dest, per_round) = (*source, *dest, *per_round);
                 Ok(Box::new(FnSource::new(*rounds, move |t, out| {
                     out.extend(std::iter::repeat_n(
@@ -482,6 +509,7 @@ impl SourceSpec {
                 for &w in dests {
                     check_route(topo, "staircase", 0, w)?;
                 }
+                check_count("staircase", "per_step", *per_step)?;
                 Ok(Box::new(staircase_source(dests, *per_step, *gap)))
             }
             SourceSpec::PeakChase {
@@ -500,6 +528,7 @@ impl SourceSpec {
                 if rate.num() == 0 {
                     return Err(invalid("peak_chase", "rate must be positive"));
                 }
+                check_count("peak_chase", "sigma", *sigma)?;
                 Ok(Box::new(patterns::peak_chase_source(
                     path.node_count(),
                     *rate,
@@ -583,6 +612,7 @@ impl SourceSpec {
                 if *per_step == 0 {
                     return Err(invalid("diagonal_wave", "waves must carry packets"));
                 }
+                check_count("diagonal_wave", "per_step", *per_step)?;
                 Ok(Box::new(grid::diagonal_wave_source(
                     rows, cols, *per_step, *gap,
                 )))
@@ -731,7 +761,7 @@ impl SourceSpec {
 fn validate_path_dests(dests: &DestSpec, n: usize) -> Result<(), SourceSpecError> {
     match dests {
         DestSpec::AnyReachable => Ok(()),
-        DestSpec::Fixed(ws) => {
+        DestSpec::Fixed { dests: ws } => {
             if ws.iter().all(|w| w.index() > 0 && w.index() < n) {
                 Ok(())
             } else {
@@ -756,7 +786,7 @@ fn validate_tree_dests(
     tree: &aqt_model::DirectedTree,
 ) -> Result<(), SourceSpecError> {
     match dests {
-        DestSpec::AnyReachable | DestSpec::Fixed(_) => Ok(()),
+        DestSpec::AnyReachable | DestSpec::Fixed { .. } => Ok(()),
         DestSpec::Spread { count } => {
             let internal = (0..tree.node_count())
                 .filter(|&v| !tree.is_leaf(NodeId::new(v)))
@@ -769,293 +799,6 @@ fn validate_tree_dests(
                     format!("tree has only {internal} internal nodes, need {count}"),
                 ))
             }
-        }
-    }
-}
-
-// Data-carrying enums: manual `kind`-tagged serde (the stub derives only
-// unit-variant enums).
-impl Serialize for DestSpec {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            DestSpec::AnyReachable => {
-                serde::Value::Object(vec![("kind".into(), serde::Value::Str("any".into()))])
-            }
-            DestSpec::Fixed(ws) => serde::Value::Object(vec![
-                ("kind".into(), serde::Value::Str("fixed".into())),
-                ("dests".into(), ws.to_value()),
-            ]),
-            DestSpec::Spread { count } => serde::Value::Object(vec![
-                ("kind".into(), serde::Value::Str("spread".into())),
-                ("count".into(), count.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for DestSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected destination spec object"))?;
-        match serde::__field(obj, "kind").as_str() {
-            Some("any") => Ok(DestSpec::AnyReachable),
-            Some("fixed") => Ok(DestSpec::Fixed(Vec::from_value(serde::__field(
-                obj, "dests",
-            ))?)),
-            Some("spread") => Ok(DestSpec::Spread {
-                count: usize::from_value(serde::__field(obj, "count"))?,
-            }),
-            _ => Err(serde::Error::custom("unknown destination spec kind")),
-        }
-    }
-}
-
-impl Serialize for Cadence {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Cadence::Smooth => {
-                serde::Value::Object(vec![("kind".into(), serde::Value::Str("smooth".into()))])
-            }
-            Cadence::Bursty { period } => serde::Value::Object(vec![
-                ("kind".into(), serde::Value::Str("bursty".into())),
-                ("period".into(), period.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for Cadence {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected cadence object"))?;
-        match serde::__field(obj, "kind").as_str() {
-            Some("smooth") => Ok(Cadence::Smooth),
-            Some("bursty") => Ok(Cadence::Bursty {
-                period: u64::from_value(serde::__field(obj, "period"))?,
-            }),
-            _ => Err(serde::Error::custom("unknown cadence kind")),
-        }
-    }
-}
-
-impl Serialize for SourceSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> =
-            vec![("kind".into(), serde::Value::Str(self.kind().into()))];
-        match self {
-            SourceSpec::Pattern { injections } => {
-                fields.push(("injections".into(), injections.to_value()));
-            }
-            SourceSpec::Burst {
-                round,
-                source,
-                dest,
-                size,
-            } => {
-                fields.push(("round".into(), round.to_value()));
-                fields.push(("source".into(), source.to_value()));
-                fields.push(("dest".into(), dest.to_value()));
-                fields.push(("size".into(), size.to_value()));
-            }
-            SourceSpec::BurstTrain {
-                source,
-                dest,
-                size,
-                period,
-                count,
-            } => {
-                fields.push(("source".into(), source.to_value()));
-                fields.push(("dest".into(), dest.to_value()));
-                fields.push(("size".into(), size.to_value()));
-                fields.push(("period".into(), period.to_value()));
-                fields.push(("count".into(), count.to_value()));
-            }
-            SourceSpec::PacedStream {
-                source,
-                dest,
-                rate,
-                rounds,
-            } => {
-                fields.push(("source".into(), source.to_value()));
-                fields.push(("dest".into(), dest.to_value()));
-                fields.push(("rate".into(), rate.to_value()));
-                fields.push(("rounds".into(), rounds.to_value()));
-            }
-            SourceSpec::Repeat {
-                source,
-                dest,
-                per_round,
-                rounds,
-            } => {
-                fields.push(("source".into(), source.to_value()));
-                fields.push(("dest".into(), dest.to_value()));
-                fields.push(("per_round".into(), per_round.to_value()));
-                fields.push(("rounds".into(), rounds.to_value()));
-            }
-            SourceSpec::RoundRobin {
-                dests,
-                rate,
-                rounds,
-            } => {
-                fields.push(("dests".into(), dests.to_value()));
-                fields.push(("rate".into(), rate.to_value()));
-                fields.push(("rounds".into(), rounds.to_value()));
-            }
-            SourceSpec::Staircase {
-                dests,
-                per_step,
-                gap,
-            } => {
-                fields.push(("dests".into(), dests.to_value()));
-                fields.push(("per_step".into(), per_step.to_value()));
-                fields.push(("gap".into(), gap.to_value()));
-            }
-            SourceSpec::PeakChase {
-                rate,
-                sigma,
-                rounds,
-            } => {
-                fields.push(("rate".into(), rate.to_value()));
-                fields.push(("sigma".into(), sigma.to_value()));
-                fields.push(("rounds".into(), rounds.to_value()));
-            }
-            SourceSpec::Random {
-                rate,
-                sigma,
-                rounds,
-                dests,
-                cadence,
-                seed,
-                attempts,
-            } => {
-                fields.push(("rate".into(), rate.to_value()));
-                fields.push(("sigma".into(), sigma.to_value()));
-                fields.push(("rounds".into(), rounds.to_value()));
-                fields.push(("dests".into(), dests.to_value()));
-                fields.push(("cadence".into(), cadence.to_value()));
-                fields.push(("seed".into(), seed.to_value()));
-                fields.push(("attempts".into(), attempts.to_value()));
-            }
-            SourceSpec::RowFlood { row, rate, rounds } => {
-                fields.push(("row".into(), row.to_value()));
-                fields.push(("rate".into(), rate.to_value()));
-                fields.push(("rounds".into(), rounds.to_value()));
-            }
-            SourceSpec::ColumnFlood { col, rate, rounds } => {
-                fields.push(("col".into(), col.to_value()));
-                fields.push(("rate".into(), rate.to_value()));
-                fields.push(("rounds".into(), rounds.to_value()));
-            }
-            SourceSpec::AllFloods { rounds } => {
-                fields.push(("rounds".into(), rounds.to_value()));
-            }
-            SourceSpec::DiagonalWave { per_step, gap } => {
-                fields.push(("per_step".into(), per_step.to_value()));
-                fields.push(("gap".into(), gap.to_value()));
-            }
-            SourceSpec::Shaped { inner, rate, sigma } => {
-                fields.push(("inner".into(), inner.to_value()));
-                fields.push(("rate".into(), rate.to_value()));
-                fields.push(("sigma".into(), sigma.to_value()));
-            }
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for SourceSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected source spec object"))?;
-        let f = |name: &str| serde::__field(obj, name);
-        match f("kind").as_str() {
-            Some("pattern") => Ok(SourceSpec::Pattern {
-                injections: Vec::from_value(f("injections"))?,
-            }),
-            Some("burst") => Ok(SourceSpec::Burst {
-                round: u64::from_value(f("round"))?,
-                source: usize::from_value(f("source"))?,
-                dest: usize::from_value(f("dest"))?,
-                size: usize::from_value(f("size"))?,
-            }),
-            Some("burst_train") => Ok(SourceSpec::BurstTrain {
-                source: usize::from_value(f("source"))?,
-                dest: usize::from_value(f("dest"))?,
-                size: usize::from_value(f("size"))?,
-                period: u64::from_value(f("period"))?,
-                count: usize::from_value(f("count"))?,
-            }),
-            Some("paced_stream") => Ok(SourceSpec::PacedStream {
-                source: usize::from_value(f("source"))?,
-                dest: usize::from_value(f("dest"))?,
-                rate: Rate::from_value(f("rate"))?,
-                rounds: u64::from_value(f("rounds"))?,
-            }),
-            Some("repeat") => Ok(SourceSpec::Repeat {
-                source: usize::from_value(f("source"))?,
-                dest: usize::from_value(f("dest"))?,
-                per_round: usize::from_value(f("per_round"))?,
-                rounds: u64::from_value(f("rounds"))?,
-            }),
-            Some("round_robin") => Ok(SourceSpec::RoundRobin {
-                dests: Vec::from_value(f("dests"))?,
-                rate: Rate::from_value(f("rate"))?,
-                rounds: u64::from_value(f("rounds"))?,
-            }),
-            Some("staircase") => Ok(SourceSpec::Staircase {
-                dests: Vec::from_value(f("dests"))?,
-                per_step: usize::from_value(f("per_step"))?,
-                gap: u64::from_value(f("gap"))?,
-            }),
-            Some("peak_chase") => Ok(SourceSpec::PeakChase {
-                rate: Rate::from_value(f("rate"))?,
-                sigma: u64::from_value(f("sigma"))?,
-                rounds: u64::from_value(f("rounds"))?,
-            }),
-            Some("random") => Ok(SourceSpec::Random {
-                rate: Rate::from_value(f("rate"))?,
-                sigma: u64::from_value(f("sigma"))?,
-                rounds: u64::from_value(f("rounds"))?,
-                dests: match f("dests") {
-                    serde::Value::Null => DestSpec::AnyReachable,
-                    other => DestSpec::from_value(other)?,
-                },
-                cadence: match f("cadence") {
-                    serde::Value::Null => Cadence::Smooth,
-                    other => Cadence::from_value(other)?,
-                },
-                seed: u64::from_value(f("seed"))?,
-                attempts: match f("attempts") {
-                    serde::Value::Null => 8,
-                    other => usize::from_value(other)?,
-                },
-            }),
-            Some("row_flood") => Ok(SourceSpec::RowFlood {
-                row: usize::from_value(f("row"))?,
-                rate: Rate::from_value(f("rate"))?,
-                rounds: u64::from_value(f("rounds"))?,
-            }),
-            Some("column_flood") => Ok(SourceSpec::ColumnFlood {
-                col: usize::from_value(f("col"))?,
-                rate: Rate::from_value(f("rate"))?,
-                rounds: u64::from_value(f("rounds"))?,
-            }),
-            Some("all_floods") => Ok(SourceSpec::AllFloods {
-                rounds: u64::from_value(f("rounds"))?,
-            }),
-            Some("diagonal_wave") => Ok(SourceSpec::DiagonalWave {
-                per_step: usize::from_value(f("per_step"))?,
-                gap: u64::from_value(f("gap"))?,
-            }),
-            Some("shaped") => Ok(SourceSpec::Shaped {
-                inner: Box::new(SourceSpec::from_value(f("inner"))?),
-                rate: Rate::from_value(f("rate"))?,
-                sigma: u64::from_value(f("sigma"))?,
-            }),
-            _ => Err(serde::Error::custom("unknown source spec kind")),
         }
     }
 }
@@ -1282,6 +1025,90 @@ mod tests {
             .build(&path),
             Err(SourceSpecError::Pattern(_))
         ));
+    }
+
+    #[test]
+    fn per_site_counts_beyond_32_bits_are_named_errors() {
+        let path = TopologySpec::Path { n: 8 }.build().unwrap();
+        let mesh = TopologySpec::Grid { rows: 3, cols: 3 }.build().unwrap();
+        let (huge, big) = (usize::MAX, 1usize << 32);
+        let fits = u32::MAX as usize;
+        for (spec, topo, field) in [
+            (
+                SourceSpec::Burst {
+                    round: 0,
+                    source: 0,
+                    dest: 7,
+                    size: huge,
+                },
+                &path,
+                "size",
+            ),
+            (
+                SourceSpec::BurstTrain {
+                    source: 0,
+                    dest: 7,
+                    size: big,
+                    period: 2,
+                    count: 3,
+                },
+                &path,
+                "size",
+            ),
+            (
+                SourceSpec::Repeat {
+                    source: 0,
+                    dest: 7,
+                    per_round: huge,
+                    rounds: 4,
+                },
+                &path,
+                "per_round",
+            ),
+            (
+                SourceSpec::Staircase {
+                    dests: vec![3, 7],
+                    per_step: big,
+                    gap: 1,
+                },
+                &path,
+                "per_step",
+            ),
+            (
+                SourceSpec::DiagonalWave {
+                    per_step: huge,
+                    gap: 1,
+                },
+                &mesh,
+                "per_step",
+            ),
+            (
+                SourceSpec::PeakChase {
+                    rate: Rate::ONE,
+                    sigma: u64::MAX,
+                    rounds: 4,
+                },
+                &path,
+                "sigma",
+            ),
+        ] {
+            let err = spec.build(topo).map(|_| ()).expect_err(spec.kind());
+            assert!(
+                matches!(&err, SourceSpecError::InvalidParameter { source, .. } if *source == spec.kind()),
+                "{err}"
+            );
+            assert!(err.to_string().contains(&format!("{field} = ")), "{err}");
+        }
+        // The largest representable count still builds (lazily: a
+        // repeat source materializes nothing until it is stepped).
+        assert!(SourceSpec::Repeat {
+            source: 0,
+            dest: 7,
+            per_round: fits,
+            rounds: 4,
+        }
+        .build(&path)
+        .is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 fn pattern_for(n: usize, rounds: u64) -> Pattern {
     RandomAdversary::new(Rate::ONE, 4, rounds)
-        .destinations(DestSpec::Fixed(vec![NodeId::new(n - 1)]))
+        .destinations(DestSpec::fixed([n - 1]))
         .seed(1)
         .build_path(&Path::new(n))
 }

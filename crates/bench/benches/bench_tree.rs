@@ -17,7 +17,7 @@ fn bench_tree(c: &mut Criterion) {
     for (label, tree) in shapes {
         let root = tree.root();
         let single = RandomAdversary::new(Rate::new(1, 2).expect("valid"), 2, rounds)
-            .destinations(DestSpec::Fixed(vec![root]))
+            .destinations(DestSpec::Fixed { dests: vec![root] })
             .seed(3)
             .build_tree(&tree);
         let multi = RandomAdversary::new(Rate::new(1, 2).expect("valid"), 2, rounds)

@@ -104,7 +104,7 @@ pub fn a2_eager(quick: bool) -> Vec<Table> {
     );
     let rho = Rate::new(1, 2).expect("valid rate");
     let single = RandomAdversary::new(rho, 2, rounds)
-        .destinations(DestSpec::Fixed(vec![NodeId::new(n - 1)]))
+        .destinations(DestSpec::fixed([n - 1]))
         .seed(8)
         .build_path(&Path::new(n));
     let multi = RandomAdversary::new(rho, 2, rounds)

@@ -30,7 +30,7 @@ pub fn e1_pts(quick: bool) -> Vec<Table> {
                 (Cadence::Bursty { period: 20 }, "bursty"),
             ] {
                 let pattern = RandomAdversary::new(rho, sigma, rounds)
-                    .destinations(DestSpec::Fixed(vec![NodeId::new(n - 1)]))
+                    .destinations(DestSpec::fixed([n - 1]))
                     .cadence(cadence)
                     .seed(11 + sigma)
                     .build_path(&Path::new(n));
@@ -185,7 +185,7 @@ pub fn e3_trees(quick: bool) -> Vec<Table> {
     for (label, tree) in &shapes {
         let root = tree.root();
         let pattern = RandomAdversary::new(rho, 3, rounds)
-            .destinations(DestSpec::Fixed(vec![root]))
+            .destinations(DestSpec::Fixed { dests: vec![root] })
             .seed(7)
             .build_tree(tree);
         let sigma_star = aqt_analysis::measured_sigma_on(tree, &pattern, rho);

@@ -43,18 +43,21 @@ use crate::tree::{TreePpts, TreePts};
 /// assert!(ProtocolSpec::Pts { dest: None, eager: false }.build(&grid).is_err());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum ProtocolSpec {
     /// [`Pts`] (Alg. 1) — single destination, paths only.
     Pts {
         /// Destination node; defaults to the path's last node.
         dest: Option<usize>,
-        /// Eager delivery variant (ablation A2).
+        /// Eager delivery variant (ablation A2); `false` when omitted.
+        #[serde(default)]
         eager: bool,
     },
     /// [`Ppts`] (Alg. 2) — multi-destination, paths only.
     Ppts {
-        /// Eager delivery variant.
+        /// Eager delivery variant; `false` when omitted.
+        #[serde(default)]
         eager: bool,
     },
     /// [`Hpts`] (Algs. 3–5) — hierarchical, paths only; the hierarchy is
@@ -306,77 +309,6 @@ impl<P: Protocol<DirectedTree>> Protocol<AnyTopology> for OnTree<P> {
             .as_tree()
             .expect("applicability checked at build time");
         self.0.plan(round, tree, state, plan);
-    }
-}
-
-// Data-carrying enum: manual `kind`-tagged serde (the stub derives only
-// unit-variant enums).
-impl Serialize for ProtocolSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> =
-            vec![("kind".into(), serde::Value::Str(self.kind().into()))];
-        match self {
-            ProtocolSpec::Pts { dest, eager } => {
-                fields.push(("dest".into(), dest.to_value()));
-                fields.push(("eager".into(), eager.to_value()));
-            }
-            ProtocolSpec::Ppts { eager } => fields.push(("eager".into(), eager.to_value())),
-            ProtocolSpec::Hpts { levels } => fields.push(("levels".into(), levels.to_value())),
-            ProtocolSpec::TreePts { dest } => fields.push(("dest".into(), dest.to_value())),
-            ProtocolSpec::TreePpts => {}
-            ProtocolSpec::Greedy { policy } | ProtocolSpec::DagGreedy { policy } => {
-                fields.push(("policy".into(), policy.to_value()));
-            }
-            ProtocolSpec::Batched { inner, phase } => {
-                fields.push(("inner".into(), inner.to_value()));
-                fields.push(("phase".into(), phase.to_value()));
-            }
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ProtocolSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected protocol spec object"))?;
-        match serde::__field(obj, "kind").as_str() {
-            Some("pts") => Ok(ProtocolSpec::Pts {
-                dest: Option::from_value(serde::__field(obj, "dest"))?,
-                eager: deserialize_flag(obj, "eager")?,
-            }),
-            Some("ppts") => Ok(ProtocolSpec::Ppts {
-                eager: deserialize_flag(obj, "eager")?,
-            }),
-            Some("hpts") => Ok(ProtocolSpec::Hpts {
-                levels: u32::from_value(serde::__field(obj, "levels"))?,
-            }),
-            Some("tree_pts") => Ok(ProtocolSpec::TreePts {
-                dest: Option::from_value(serde::__field(obj, "dest"))?,
-            }),
-            Some("tree_ppts") => Ok(ProtocolSpec::TreePpts),
-            Some("greedy") => Ok(ProtocolSpec::Greedy {
-                policy: GreedyPolicy::from_value(serde::__field(obj, "policy"))?,
-            }),
-            Some("dag_greedy") => Ok(ProtocolSpec::DagGreedy {
-                policy: GreedyPolicy::from_value(serde::__field(obj, "policy"))?,
-            }),
-            Some("batched") => Ok(ProtocolSpec::Batched {
-                inner: Box::new(ProtocolSpec::from_value(serde::__field(obj, "inner"))?),
-                phase: u64::from_value(serde::__field(obj, "phase"))?,
-            }),
-            _ => Err(serde::Error::custom("unknown protocol spec kind")),
-        }
-    }
-}
-
-/// A missing boolean field reads as `false`, so scenario files can omit
-/// `"eager": false`.
-fn deserialize_flag(obj: &[(String, serde::Value)], name: &str) -> Result<bool, serde::Error> {
-    match serde::__field(obj, name) {
-        serde::Value::Null => Ok(false),
-        other => bool::from_value(other),
     }
 }
 

@@ -69,49 +69,40 @@ use crate::ids::{NodeId, PacketId, Round};
 use crate::packet::{Packet, StoredPacket};
 
 /// Buffer limits: one shared cap or one per node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 enum Limits {
     /// Every buffer holds at most this many packets.
-    Uniform(usize),
+    Uniform {
+        /// The shared cap.
+        limit: usize,
+    },
     /// `limits[v]` caps node `v`'s buffer.
-    PerNode(Vec<usize>),
+    PerNode {
+        /// One cap per node.
+        limits: Vec<usize>,
+    },
 }
 
-// The vendored serde stub derives only unit-variant enums, so the
-// data-carrying `Limits` serializes by hand as a tagged object.
-impl Serialize for Limits {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Limits::Uniform(l) => serde::Value::Object(vec![
-                ("kind".into(), serde::Value::Str("uniform".into())),
-                ("limit".into(), l.to_value()),
-            ]),
-            Limits::PerNode(ls) => serde::Value::Object(vec![
-                ("kind".into(), serde::Value::Str("per_node".into())),
-                ("limits".into(), ls.to_value()),
-            ]),
-        }
-    }
-}
-
+// Deserialization re-asserts the constructor invariants, so a replayed
+// artifact cannot build a config the rest of the code assumes impossible
+// (capacity 0, an empty per-node list). Real serde has no attribute for
+// such checks, so this impl stays hand-written.
+// #[allow(aqt::no-hand-serde)] re-checks the constructor invariants
 impl Deserialize for Limits {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected limits object"))?;
-        // Re-assert the constructor invariants: replayed artifacts must
-        // not be able to build configs the rest of the code assumes
-        // impossible (capacity 0, empty per-node lists).
-        match serde::__field(obj, "kind").as_str() {
-            Some("uniform") => {
-                let limit = usize::from_value(serde::__field(obj, "limit"))?;
+        use serde::__private::{field, object, tag, unknown_tag};
+        let obj = object(v, "limits")?;
+        match tag(obj, "kind")? {
+            "uniform" => {
+                let limit: usize = field(obj, "limit")?;
                 if limit == 0 {
                     return Err(serde::Error::custom("buffer capacity must be at least 1"));
                 }
-                Ok(Limits::Uniform(limit))
+                Ok(Limits::Uniform { limit })
             }
-            Some("per_node") => {
-                let limits: Vec<usize> = Vec::from_value(serde::__field(obj, "limits"))?;
+            "per_node" => {
+                let limits: Vec<usize> = field(obj, "limits")?;
                 if limits.is_empty() {
                     return Err(serde::Error::custom("need at least one buffer limit"));
                 }
@@ -120,9 +111,9 @@ impl Deserialize for Limits {
                         "every buffer capacity must be at least 1",
                     ));
                 }
-                Ok(Limits::PerNode(limits))
+                Ok(Limits::PerNode { limits })
             }
-            _ => Err(serde::Error::custom("unknown limits kind")),
+            other => Err(unknown_tag("kind", other, &["uniform", "per_node"])),
         }
     }
 }
@@ -180,7 +171,7 @@ impl CapacityConfig {
     pub fn uniform(limit: usize) -> Self {
         assert!(limit >= 1, "buffer capacity must be at least 1");
         CapacityConfig {
-            limits: Limits::Uniform(limit),
+            limits: Limits::Uniform { limit },
             staging: StagingMode::default(),
         }
     }
@@ -199,7 +190,7 @@ impl CapacityConfig {
             "every buffer capacity must be at least 1"
         );
         CapacityConfig {
-            limits: Limits::PerNode(limits),
+            limits: Limits::PerNode { limits },
             staging: StagingMode::default(),
         }
     }
@@ -218,8 +209,8 @@ impl CapacityConfig {
     /// The capacity of node `v`'s buffer.
     pub fn limit(&self, v: NodeId) -> usize {
         match &self.limits {
-            Limits::Uniform(l) => *l,
-            Limits::PerNode(ls) => ls[v.index()],
+            Limits::Uniform { limit } => *limit,
+            Limits::PerNode { limits } => limits[v.index()],
         }
     }
 
@@ -227,8 +218,8 @@ impl CapacityConfig {
     /// for a uniform config, which fits every topology.
     pub fn node_count(&self) -> Option<usize> {
         match &self.limits {
-            Limits::Uniform(_) => None,
-            Limits::PerNode(ls) => Some(ls.len()),
+            Limits::Uniform { .. } => None,
+            Limits::PerNode { limits } => Some(limits.len()),
         }
     }
 

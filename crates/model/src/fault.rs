@@ -37,7 +37,8 @@ use crate::util::SplitMix64;
 /// A single scheduled fault. Rounds are 0-based; every event activates at
 /// round `at` and, when `until` is `Some(u)`, recovers at round `u`
 /// (active on rounds `at..u`). `until: None` means permanent.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum FaultEvent {
     /// The directed link `from → to` forwards nothing while active.
     LinkDown {
@@ -101,117 +102,57 @@ pub enum FaultEvent {
     },
 }
 
-// The vendored serde stub derives only unit-variant enums, so the
-// data-carrying `FaultEvent` serializes by hand as a kind-tagged object
-// (same convention as `Limits` in `capacity.rs`).
-impl Serialize for FaultEvent {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        match self {
-            FaultEvent::LinkDown {
-                from,
-                to,
-                at,
-                until,
-            } => Value::Object(vec![
-                ("kind".into(), Value::Str("link_down".into())),
-                ("from".into(), from.to_value()),
-                ("to".into(), to.to_value()),
-                ("at".into(), at.to_value()),
-                ("until".into(), until.to_value()),
-            ]),
-            FaultEvent::NodeCrash { node, at, until } => Value::Object(vec![
-                ("kind".into(), Value::Str("node_crash".into())),
-                ("node".into(), node.to_value()),
-                ("at".into(), at.to_value()),
-                ("until".into(), until.to_value()),
-            ]),
-            FaultEvent::Partition { group, at, until } => Value::Object(vec![
-                ("kind".into(), Value::Str("partition".into())),
-                ("group".into(), group.to_value()),
-                ("at".into(), at.to_value()),
-                ("until".into(), until.to_value()),
-            ]),
-            FaultEvent::LinkDelay {
-                from,
-                to,
-                extra,
-                at,
-                until,
-            } => Value::Object(vec![
-                ("kind".into(), Value::Str("link_delay".into())),
-                ("from".into(), from.to_value()),
-                ("to".into(), to.to_value()),
-                ("extra".into(), extra.to_value()),
-                ("at".into(), at.to_value()),
-                ("until".into(), until.to_value()),
-            ]),
-            FaultEvent::RandomLinks { count, at, until } => Value::Object(vec![
-                ("kind".into(), Value::Str("random_links".into())),
-                ("count".into(), count.to_value()),
-                ("at".into(), at.to_value()),
-                ("until".into(), until.to_value()),
-            ]),
-        }
-    }
-}
-
-/// Reads the `at`/`until` window of a fault-event object, re-asserting
-/// the invariant `until > at` (an empty window would be dead weight a
-/// replayed artifact could smuggle past the constructors).
-fn event_window(obj: &[(String, serde::Value)]) -> Result<(u64, Option<u64>), serde::Error> {
-    let at = u64::from_value(serde::__field(obj, "at"))?;
-    let until = Option::<u64>::from_value(serde::__field(obj, "until"))?;
-    if let Some(u) = until {
-        if u <= at {
+// Deserialization re-asserts the constructor invariants (a window that
+// ends after it starts, a non-empty partition group, `extra` ≥ 1,
+// `count` ≥ 1): an empty window or a no-op event would be dead weight a
+// replayed artifact could smuggle past the constructors. Real serde has
+// no attribute for such checks, so this impl stays hand-written.
+// #[allow(aqt::no-hand-serde)] re-checks the constructor invariants
+impl Deserialize for FaultEvent {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        use serde::__private::{field, object, tag, unknown_tag};
+        let obj = object(v, "fault event")?;
+        let at: u64 = field(obj, "at")?;
+        let until: Option<u64> = field(obj, "until")?;
+        if until.is_some_and(|u| u <= at) {
             return Err(serde::Error::custom(
                 "fault window must end after it starts (until > at)",
             ));
         }
-    }
-    Ok((at, until))
-}
-
-impl Deserialize for FaultEvent {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected fault event object"))?;
-        let (at, until) = event_window(obj)?;
-        match serde::__field(obj, "kind").as_str() {
-            Some("link_down") => Ok(FaultEvent::LinkDown {
-                from: usize::from_value(serde::__field(obj, "from"))?,
-                to: usize::from_value(serde::__field(obj, "to"))?,
+        match tag(obj, "kind")? {
+            "link_down" => Ok(FaultEvent::LinkDown {
+                from: field(obj, "from")?,
+                to: field(obj, "to")?,
                 at,
                 until,
             }),
-            Some("node_crash") => Ok(FaultEvent::NodeCrash {
-                node: usize::from_value(serde::__field(obj, "node"))?,
+            "node_crash" => Ok(FaultEvent::NodeCrash {
+                node: field(obj, "node")?,
                 at,
                 until,
             }),
-            Some("partition") => {
-                let group: Vec<usize> = Vec::from_value(serde::__field(obj, "group"))?;
+            "partition" => {
+                let group: Vec<usize> = field(obj, "group")?;
                 if group.is_empty() {
                     return Err(serde::Error::custom("partition group must be non-empty"));
                 }
                 Ok(FaultEvent::Partition { group, at, until })
             }
-            Some("link_delay") => {
-                let extra = u64::from_value(serde::__field(obj, "extra"))?;
+            "link_delay" => {
+                let extra: u64 = field(obj, "extra")?;
                 if extra == 0 {
                     return Err(serde::Error::custom("link delay extra must be at least 1"));
                 }
                 Ok(FaultEvent::LinkDelay {
-                    from: usize::from_value(serde::__field(obj, "from"))?,
-                    to: usize::from_value(serde::__field(obj, "to"))?,
+                    from: field(obj, "from")?,
+                    to: field(obj, "to")?,
                     extra,
                     at,
                     until,
                 })
             }
-            Some("random_links") => {
-                let count = usize::from_value(serde::__field(obj, "count"))?;
+            "random_links" => {
+                let count: usize = field(obj, "count")?;
                 if count == 0 {
                     return Err(serde::Error::custom(
                         "random_links count must be at least 1",
@@ -219,7 +160,17 @@ impl Deserialize for FaultEvent {
                 }
                 Ok(FaultEvent::RandomLinks { count, at, until })
             }
-            _ => Err(serde::Error::custom("unknown fault event kind")),
+            other => Err(unknown_tag(
+                "kind",
+                other,
+                &[
+                    "link_down",
+                    "node_crash",
+                    "partition",
+                    "link_delay",
+                    "random_links",
+                ],
+            )),
         }
     }
 }

@@ -34,7 +34,8 @@ use crate::topology::{Dag, DirectedTree, Path, Topology, TreeError};
 /// assert_eq!(spec, serde_json::from_str(&json).unwrap());
 /// # Ok::<(), aqt_model::TopologySpecError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum TopologySpec {
     /// The directed path `0 → 1 → … → n−1` (the paper's §2–§5 topology).
     Path {
@@ -42,7 +43,10 @@ pub enum TopologySpec {
         n: usize,
     },
     /// A directed tree, edges oriented toward the root (§3.3, App. B.2).
-    Tree(TreeSpec),
+    Tree {
+        /// The tree family and its parameters.
+        tree: TreeSpec,
+    },
     /// A `rows × cols` mesh with row-column (XY) routing.
     Grid {
         /// Rows (≥ 1).
@@ -72,8 +76,10 @@ pub enum TopologySpec {
     },
 }
 
-/// The tree families a [`TopologySpec::Tree`] can describe.
-#[derive(Debug, Clone, PartialEq)]
+/// The tree families a [`TopologySpec::Tree`](variant@TopologySpec::Tree)
+/// can describe.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum TreeSpec {
     /// `leaves` leaves all pointing at root 0.
     Star {
@@ -182,11 +188,19 @@ pub(super) fn addressable(
 }
 
 impl TopologySpec {
+    /// The [`Tree`](variant@TopologySpec::Tree) variant around `tree`, so
+    /// call sites may write `TopologySpec::Tree(spec)`. The variant itself
+    /// names its field because the JSON nests the tree under `tree`.
+    #[allow(non_snake_case)]
+    pub fn Tree(tree: TreeSpec) -> Self {
+        TopologySpec::Tree { tree }
+    }
+
     /// Short kind label (matches the serialized `kind` tag).
     pub fn kind(&self) -> &'static str {
         match self {
             TopologySpec::Path { .. } => "path",
-            TopologySpec::Tree(_) => "tree",
+            TopologySpec::Tree { .. } => "tree",
             TopologySpec::Grid { .. } => "grid",
             TopologySpec::Butterfly { .. } => "butterfly",
             TopologySpec::Diamond { .. } => "diamond",
@@ -210,7 +224,7 @@ impl TopologySpec {
                 addressable("path", "nodes", Some(*n as u64))?;
                 Ok(AnyTopology::Path(Path::new(*n)))
             }
-            TopologySpec::Tree(tree) => tree.build().map(AnyTopology::Tree),
+            TopologySpec::Tree { tree } => tree.build().map(AnyTopology::Tree),
             TopologySpec::Grid { rows, cols } => Dag::try_grid(*rows, *cols).map(AnyTopology::Dag),
             TopologySpec::Butterfly { k } => Dag::try_butterfly(*k).map(AnyTopology::Dag),
             TopologySpec::Diamond { width } => Dag::try_diamond(*width).map(AnyTopology::Dag),
@@ -273,120 +287,6 @@ impl TreeSpec {
                 addressable("parents", "nodes", Some(parents.len() as u64))?;
                 Ok(DirectedTree::from_parents(parents)?)
             }
-        }
-    }
-}
-
-// The serde stub derives only unit-variant enums; the spec enums carry
-// data, so they serialize by hand as `kind`-tagged objects (same idiom as
-// `CapacityConfig`'s limits).
-impl Serialize for TopologySpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> =
-            vec![("kind".into(), serde::Value::Str(self.kind().into()))];
-        match self {
-            TopologySpec::Path { n } => fields.push(("n".into(), n.to_value())),
-            TopologySpec::Tree(tree) => fields.push(("tree".into(), tree.to_value())),
-            TopologySpec::Grid { rows, cols } => {
-                fields.push(("rows".into(), rows.to_value()));
-                fields.push(("cols".into(), cols.to_value()));
-            }
-            TopologySpec::Butterfly { k } => fields.push(("k".into(), k.to_value())),
-            TopologySpec::Diamond { width } => fields.push(("width".into(), width.to_value())),
-            TopologySpec::RandomDag { n, density, seed } => {
-                fields.push(("n".into(), n.to_value()));
-                fields.push(("density".into(), density.to_value()));
-                fields.push(("seed".into(), seed.to_value()));
-            }
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for TopologySpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected topology spec object"))?;
-        match serde::__field(obj, "kind").as_str() {
-            Some("path") => Ok(TopologySpec::Path {
-                n: usize::from_value(serde::__field(obj, "n"))?,
-            }),
-            Some("tree") => Ok(TopologySpec::Tree(TreeSpec::from_value(serde::__field(
-                obj, "tree",
-            ))?)),
-            Some("grid") => Ok(TopologySpec::Grid {
-                rows: usize::from_value(serde::__field(obj, "rows"))?,
-                cols: usize::from_value(serde::__field(obj, "cols"))?,
-            }),
-            Some("butterfly") => Ok(TopologySpec::Butterfly {
-                k: u32::from_value(serde::__field(obj, "k"))?,
-            }),
-            Some("diamond") => Ok(TopologySpec::Diamond {
-                width: usize::from_value(serde::__field(obj, "width"))?,
-            }),
-            Some("random_dag") => Ok(TopologySpec::RandomDag {
-                n: usize::from_value(serde::__field(obj, "n"))?,
-                density: f64::from_value(serde::__field(obj, "density"))?,
-                seed: u64::from_value(serde::__field(obj, "seed"))?,
-            }),
-            _ => Err(serde::Error::custom("unknown topology spec kind")),
-        }
-    }
-}
-
-impl Serialize for TreeSpec {
-    fn to_value(&self) -> serde::Value {
-        let (kind, mut fields): (&str, Vec<(String, serde::Value)>) = match self {
-            TreeSpec::Star { leaves } => ("star", vec![("leaves".into(), leaves.to_value())]),
-            TreeSpec::FullBinary { height } => {
-                ("full_binary", vec![("height".into(), height.to_value())])
-            }
-            TreeSpec::Caterpillar { spine, legs } => (
-                "caterpillar",
-                vec![
-                    ("spine".into(), spine.to_value()),
-                    ("legs".into(), legs.to_value()),
-                ],
-            ),
-            TreeSpec::Random { n, seed } => (
-                "random",
-                vec![("n".into(), n.to_value()), ("seed".into(), seed.to_value())],
-            ),
-            TreeSpec::Parents { parents } => {
-                ("parents", vec![("parents".into(), parents.to_value())])
-            }
-        };
-        let mut out = vec![("kind".into(), serde::Value::Str(kind.into()))];
-        out.append(&mut fields);
-        serde::Value::Object(out)
-    }
-}
-
-impl Deserialize for TreeSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected tree spec object"))?;
-        match serde::__field(obj, "kind").as_str() {
-            Some("star") => Ok(TreeSpec::Star {
-                leaves: usize::from_value(serde::__field(obj, "leaves"))?,
-            }),
-            Some("full_binary") => Ok(TreeSpec::FullBinary {
-                height: u32::from_value(serde::__field(obj, "height"))?,
-            }),
-            Some("caterpillar") => Ok(TreeSpec::Caterpillar {
-                spine: usize::from_value(serde::__field(obj, "spine"))?,
-                legs: usize::from_value(serde::__field(obj, "legs"))?,
-            }),
-            Some("random") => Ok(TreeSpec::Random {
-                n: usize::from_value(serde::__field(obj, "n"))?,
-                seed: u64::from_value(serde::__field(obj, "seed"))?,
-            }),
-            Some("parents") => Ok(TreeSpec::Parents {
-                parents: Vec::from_value(serde::__field(obj, "parents"))?,
-            }),
-            _ => Err(serde::Error::custom("unknown tree spec kind")),
         }
     }
 }

@@ -132,7 +132,7 @@ proptest! {
     ) {
         let sink = NodeId::new(N - 1);
         let adv = RandomAdversary::new(Rate::ONE, sigma, horizon)
-            .destinations(DestSpec::Fixed(vec![sink]))
+            .destinations(DestSpec::Fixed { dests: vec![sink] })
             .seed(seed);
         let pattern = adv.build_path(&Path::new(N));
         let rounds = horizon + 40;

@@ -482,7 +482,7 @@ proptest! {
         let topo = tree(family, size, tree_seed);
         let w = NodeId::new(internal_node(&topo, pick));
         let pattern = adversary(traffic, bursty, seed)
-            .destinations(DestSpec::Fixed(vec![w]))
+            .destinations(DestSpec::Fixed { dests: vec![w] })
             .build_tree(&topo);
         let (moves, metrics) = run(topo.clone(), TreePts::new(w), &pattern);
         let (ref_moves, ref_metrics) = run(topo, RefTreePts { dest: w }, &pattern);

@@ -187,6 +187,30 @@ fn short_per_node_capacity_is_a_static_check_on_both_paths() {
 }
 
 #[test]
+fn a_burst_beyond_32_bit_counts_is_a_source_error_on_both_paths() {
+    // A buffer span counts its packets in 32 bits; materializing a
+    // larger burst aborts with "capacity overflow", so build refuses it.
+    use small_buffers::SourceSpecError;
+    let file = "invalid/burst_size_overflow.json";
+    for err in [reject(file), reject_run(file)] {
+        assert!(
+            matches!(
+                &err,
+                ScenarioError::Source(SourceSpecError::InvalidParameter {
+                    source: "burst",
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("size = 18446744073709551615"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn the_run_path_never_panics_on_the_invalid_corpus() {
     let dir = format!("{}/scenarios/invalid", env!("CARGO_MANIFEST_DIR"));
     let mut files: Vec<String> = std::fs::read_dir(&dir)

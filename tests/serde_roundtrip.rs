@@ -477,3 +477,131 @@ mod scenario_specs {
         assert_eq!(roundtrip(&grid), grid);
     }
 }
+
+// --- Deserialize errors name the path to the bad value ------------------
+
+mod error_paths {
+    use small_buffers::Scenario;
+
+    const PATH: &str = r#"{"kind":"path","n":8}"#;
+    const GREEDY: &str = r#"{"kind":"greedy","policy":"Fifo"}"#;
+    const BURST: &str = r#"{"kind":"burst","round":0,"source":0,"dest":3,"size":1}"#;
+
+    fn scenario(topology: &str, protocol: &str, source: &str, faults: &str) -> String {
+        format!(
+            r#"{{"topology":{topology},"protocol":{protocol},"source":{source},"extra":5,"capacity":null,"faults":{faults}}}"#
+        )
+    }
+
+    fn random_source(extra_fields: &str) -> String {
+        format!(
+            r#"{{"kind":"random","rate":{{"num":1,"den":2}},"sigma":1,"rounds":9,"seed":1{extra_fields}}}"#
+        )
+    }
+
+    #[test]
+    fn a_bad_field_is_named_by_its_path() {
+        let cases = [
+            (
+                scenario(r#"{"kind":"path","n":"eight"}"#, GREEDY, BURST, "null"),
+                vec!["topology.n", "expected usize", "string"],
+            ),
+            (
+                scenario(
+                    r#"{"kind":"gird","rows":2,"cols":2}"#,
+                    GREEDY,
+                    BURST,
+                    "null",
+                ),
+                vec!["topology.kind", "gird", "random_dag"],
+            ),
+            (
+                scenario(r#"{"rows":2,"cols":2}"#, GREEDY, BURST, "null"),
+                vec!["topology", "missing field", "kind"],
+            ),
+            (
+                scenario(
+                    PATH,
+                    GREEDY,
+                    r#"{"kind":"random","rate":{"num":1,"den":2},"sigma":1,"rounds":"many","seed":1}"#,
+                    "null",
+                ),
+                vec!["source.rounds", "expected u64"],
+            ),
+            (
+                scenario(
+                    PATH,
+                    GREEDY,
+                    BURST,
+                    r#"{"seed":1,"events":[{"kind":"link_down","from":1,"to":"two","at":0,"until":null}]}"#,
+                ),
+                vec!["faults.events[0]", "expected usize"],
+            ),
+            (
+                scenario(
+                    PATH,
+                    GREEDY,
+                    r#"{"kind":"pattern","injections":[{"round":0,"src":0,"dest":3}]}"#,
+                    "null",
+                ),
+                vec!["source.injections[0]", "missing field", "\"source\""],
+            ),
+            // One per nested spec enum: a tree, a destination set, a
+            // cadence and a wrapped protocol.
+            (
+                scenario(
+                    r#"{"kind":"tree","tree":{"kind":"star","leaves":-1}}"#,
+                    GREEDY,
+                    BURST,
+                    "null",
+                ),
+                vec!["topology.tree.leaves", "expected usize", "-1"],
+            ),
+            (
+                scenario(
+                    PATH,
+                    GREEDY,
+                    &random_source(r#","dests":{"kind":"fixed","dests":[3,"x"]}"#),
+                    "null",
+                ),
+                vec!["source.dests.dests[1]", "expected u32"],
+            ),
+            (
+                scenario(
+                    PATH,
+                    GREEDY,
+                    &random_source(r#","cadence":{"kind":"bursty"}"#),
+                    "null",
+                ),
+                vec!["source.cadence", "missing field", "period"],
+            ),
+            (
+                scenario(
+                    PATH,
+                    r#"{"kind":"batched","inner":{"kind":"pts","eager":"yes"},"phase":2}"#,
+                    BURST,
+                    "null",
+                ),
+                vec!["protocol.inner.eager", "expected bool"],
+            ),
+            (
+                scenario(PATH, r#"{"kind":"greedy","policy":"Fifoo"}"#, BURST, "null"),
+                vec!["protocol.policy", "Fifoo", "FurthestToGo"],
+            ),
+            // A default fills an absent field only, as in real serde: an
+            // explicit null is a type error.
+            (
+                scenario(PATH, r#"{"kind":"ppts","eager":null}"#, BURST, "null"),
+                vec!["protocol.eager", "expected bool, found null"],
+            ),
+        ];
+        for (json, parts) in cases {
+            let err = serde_json::from_str::<Scenario>(&json)
+                .expect_err(&json)
+                .to_string();
+            for part in parts {
+                assert!(err.contains(part), "{err:?} lacks {part:?}");
+            }
+        }
+    }
+}

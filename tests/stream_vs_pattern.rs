@@ -117,7 +117,7 @@ proptest! {
     ) {
         let sink = NodeId::new(N - 1);
         let adv = RandomAdversary::new(Rate::ONE, sigma, horizon)
-            .destinations(DestSpec::Fixed(vec![sink]))
+            .destinations(DestSpec::Fixed { dests: vec![sink] })
             .seed(seed);
         let rounds = horizon + 40;
         check_path("PTS", || Pts::new(sink), &adv, rounds);
@@ -137,7 +137,7 @@ proptest! {
         let rounds = horizon + 40;
         // Root-only traffic for the single-destination protocol…
         let to_root = RandomAdversary::new(Rate::ONE, sigma, horizon)
-            .destinations(DestSpec::Fixed(vec![root]))
+            .destinations(DestSpec::Fixed { dests: vec![root] })
             .seed(seed);
         check_tree("TreePTS", || TreePts::new(root), &to_root, &tree, rounds);
         // …and unrestricted ancestor traffic for the rest.

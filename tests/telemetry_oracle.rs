@@ -146,7 +146,7 @@ fn protocol(topology: &TopologySpec, pick: usize) -> ProtocolSpec {
         (_, 0) => greedy,
         (TopologySpec::Path { .. }, 1) => ProtocolSpec::Ppts { eager: false },
         (TopologySpec::Path { .. }, _) => ProtocolSpec::Hpts { levels: 2 },
-        (TopologySpec::Tree(_), 1) => ProtocolSpec::TreePpts,
+        (TopologySpec::Tree { .. }, 1) => ProtocolSpec::TreePpts,
         (TopologySpec::Grid { .. }, 1) => greedy,
         _ => ProtocolSpec::Batched {
             inner: Box::new(greedy),

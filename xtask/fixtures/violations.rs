@@ -15,3 +15,9 @@ fn nondeterministic_everything() {
     let _ = run_path(&topo, proto, &pattern, 64);
     let next_hop_table = vec![u32::MAX; n * n];
 }
+
+impl Serialize for HandWrittenSpec {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}

@@ -16,7 +16,7 @@ use std::path::Path;
 
 /// Every rule id, in reporting order (the waiver comment grammar is
 /// `#[allow(aqt::<id>)]`).
-pub const RULE_IDS: [&str; 9] = [
+pub const RULE_IDS: [&str; 10] = [
     "no-std-hash",
     "no-wall-clock",
     "no-unseeded-rand",
@@ -24,6 +24,7 @@ pub const RULE_IDS: [&str; 9] = [
     "no-print",
     "no-deprecated-runners",
     "no-dense-tables",
+    "no-hand-serde",
     "crate-headers",
     "vendor-lock",
 ];
@@ -75,7 +76,7 @@ fn in_bin(path: &str) -> bool {
     path.contains("/bin/")
 }
 
-const CONTENT_RULES: [ContentRule; 7] = [
+const CONTENT_RULES: [ContentRule; 8] = [
     ContentRule {
         id: "no-std-hash",
         tokens: &["HashMap", "HashSet"],
@@ -144,6 +145,23 @@ const CONTENT_RULES: [ContentRule; 7] = [
                   through the dense fallback module",
         // The fallback module is the one place dense tables may live.
         applies: |path| path != "crates/model/src/topology/dense.rs",
+        skip_line: never_skip,
+    },
+    ContentRule {
+        id: "no-hand-serde",
+        tokens: &[
+            "impl Serialize for",
+            "impl Deserialize for",
+            "impl serde::Serialize for",
+            "impl serde::Deserialize for",
+        ],
+        message: "a hand-written serde impl is a second serialization path \
+                  that only the vendored stub compiles; derive it (with \
+                  #[serde(tag = \"kind\", rename_all = \"snake_case\")], \
+                  rename and default for spec enums; see vendor/README.md)",
+        // The impls real serde has no attribute for carry a waiver that
+        // says why.
+        applies: |_| true,
         skip_line: never_skip,
     },
 ];
@@ -578,6 +596,7 @@ mod tests {
             "no-print",
             "no-deprecated-runners",
             "no-dense-tables",
+            "no-hand-serde",
         ] {
             assert!(
                 violations.iter().any(|v| v.rule == id),
@@ -695,6 +714,25 @@ pub fn f() -> &'static str {
         // Word boundaries: `len * n` or `n * next` must not fire.
         assert!(rules_fired("crates/model/src/x.rs", "let a = len * n;\n").is_empty());
         assert!(rules_fired("crates/model/src/x.rs", "let a = n * next;\n").is_empty());
+    }
+
+    #[test]
+    fn hand_serde_impls_fire_unless_waived() {
+        let hand = "impl Deserialize for Spec {\n";
+        assert_eq!(
+            rules_fired("crates/model/src/x.rs", hand),
+            vec!["no-hand-serde"]
+        );
+        assert_eq!(
+            rules_fired("crates/core/src/x.rs", "impl serde::Serialize for Spec {\n"),
+            vec!["no-hand-serde"]
+        );
+        let waived =
+            "// #[allow(aqt::no-hand-serde)] re-checks invariants\nimpl Deserialize for Spec {\n";
+        assert!(rules_fired("crates/model/src/x.rs", waived).is_empty());
+        // Deriving is the sanctioned path.
+        let derived = "#[derive(Serialize, Deserialize)]\n#[serde(tag = \"kind\")]\nenum Spec {}\n";
+        assert!(rules_fired("crates/model/src/x.rs", derived).is_empty());
     }
 
     #[test]
