@@ -108,26 +108,23 @@ struct Loaded {
 
 fn load(file: &str) -> Result<Loaded, String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    // A file holds either a single Scenario or a ScenarioGrid; the two
-    // shapes share no required fields, so try both parsers in order.
-    let scenario_err = match serde_json::from_str::<Scenario>(&text) {
-        Ok(scenario) => {
-            return Ok(Loaded {
-                file: file.to_string(),
-                scenarios: vec![scenario],
-            })
-        }
-        Err(e) => e,
+    // A top-level `topologies` key makes the file a ScenarioGrid, anything
+    // else a single Scenario; only that parser's error applies.
+    let top: serde_json::Value =
+        serde_json::from_str(&text).map_err(|e| format!("{file}: not JSON ({e})"))?;
+    let scenarios = if top.get("topologies").is_some() {
+        let grid: ScenarioGrid =
+            serde_json::from_str(&text).map_err(|e| format!("{file}: not a ScenarioGrid ({e})"))?;
+        grid.expand()
+    } else {
+        let scenario =
+            serde_json::from_str(&text).map_err(|e| format!("{file}: not a Scenario ({e})"))?;
+        vec![scenario]
     };
-    match serde_json::from_str::<ScenarioGrid>(&text) {
-        Ok(grid) => Ok(Loaded {
-            file: file.to_string(),
-            scenarios: grid.expand(),
-        }),
-        Err(grid_err) => Err(format!(
-            "{file}: neither a Scenario ({scenario_err}) nor a ScenarioGrid ({grid_err})"
-        )),
-    }
+    Ok(Loaded {
+        file: file.to_string(),
+        scenarios,
+    })
 }
 
 fn summary_row(scenario: &Scenario, result: &Result<RunSummary, ScenarioError>) -> [String; 9] {

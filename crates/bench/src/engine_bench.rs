@@ -75,20 +75,31 @@ impl EngineRun {
     }
 }
 
+/// The stepping time a timed pass aims at: the warmup sets how many
+/// build-then-step repetitions a pass makes to step this long, so a
+/// median of passes no longer hangs on one scheduler quantum.
+const PASS_MS: f64 = 20.0;
+
 /// Times one workload into a record: one discarded warmup pass, then
 /// three timed passes. Each pass builds a fresh [`Simulation`] with
 /// `build` (timed as set-up) and steps it with `step` (timed as
-/// stepping); the record keeps the median of each. Returns the record
-/// and the last pass's `step` output.
+/// stepping), `r` times back to back, where `r` is the smallest count
+/// that makes the warmup's stepping last 20 ms (a step under a
+/// microsecond counts as one, so `r` stays at most 20,000). The record
+/// keeps the median over passes of each pass's per-repetition means.
+/// Returns the record and the last repetition's `step` output.
 ///
 /// One wall-clock sample on a shared runner flaps enough to trip the CI
-/// gate on noise alone, hence the median. The workloads are
-/// deterministic, so the counts are the warmup's; only its metrics are
-/// kept, not its state, so a million-node run never holds two.
+/// gate on noise alone, and a millisecond-long sample hangs on a single
+/// scheduler quantum, hence the repetitions and the median. The
+/// workloads are deterministic, so the counts are the warmup's; only its
+/// metrics are kept, not its state, and each repetition drops its
+/// simulation before the next is built, so a million-node run never
+/// holds two.
 ///
 /// # Panics
 ///
-/// Panics if a timed pass ends with other
+/// Panics if a timed repetition ends with other
 /// [`RunMetrics`](aqt_model::RunMetrics) or another round than the
 /// warmup did.
 pub fn time_run<T, P, S, R>(
@@ -102,29 +113,34 @@ where
     P: Protocol<T>,
     S: InjectionSource,
 {
-    let (round, metrics, nodes) = {
+    let (round, metrics, nodes, warmup_ms) = {
         let mut sim = build();
+        let started = Instant::now();
         step(&mut sim);
+        let warmup_ms = started.elapsed().as_secs_f64() * 1e3;
         let nodes = sim.topology().node_count();
-        (sim.round(), sim.metrics().clone(), nodes)
+        (sim.round(), sim.metrics().clone(), nodes, warmup_ms)
     };
+    let reps = (PASS_MS / warmup_ms.max(1e-3)).ceil().max(1.0) as u32;
     let (mut setup_ms, mut wall_ms, mut last) = ([0.0; 3], [0.0; 3], None);
     for pass in 0..3 {
-        let started = Instant::now();
-        let mut sim = build();
-        setup_ms[pass] = started.elapsed().as_secs_f64() * 1e3;
-        let started = Instant::now();
-        let out = step(&mut sim);
-        wall_ms[pass] = started.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            sim.round() == round && *sim.metrics() == metrics,
-            "{workload} on {topology}: every pass must end like the warmup"
-        );
-        last = Some(out);
+        for _ in 0..reps {
+            let started = Instant::now();
+            let mut sim = build();
+            setup_ms[pass] += started.elapsed().as_secs_f64() * 1e3;
+            let started = Instant::now();
+            let out = step(&mut sim);
+            wall_ms[pass] += started.elapsed().as_secs_f64() * 1e3;
+            assert!(
+                sim.round() == round && *sim.metrics() == metrics,
+                "{workload} on {topology}: every pass must end like the warmup"
+            );
+            last = Some(out);
+        }
     }
     let median = |mut samples: [f64; 3]| {
         samples.sort_unstable_by(f64::total_cmp);
-        samples[1]
+        samples[1] / f64::from(reps)
     };
     let record = EngineRun {
         workload: workload.to_string(),
@@ -181,9 +197,10 @@ pub fn render_runs(title: &str, runs: &[EngineRun]) -> Table {
             format!("{:.2e}", run.moves_per_sec()),
         ]);
     }
-    table.note(
-        "setup ms builds the Simulation, wall ms steps it: medians of three passes after a warmup",
-    );
+    table.note(format!(
+        "setup ms builds the Simulation, wall ms steps it: medians of three passes after a \
+         warmup, each pass a mean over enough repetitions to step about {PASS_MS} ms"
+    ));
     table
 }
 
@@ -399,7 +416,7 @@ mod tests {
                 Simulation::from_source(
                     Path::new(8),
                     Greedy::new(GreedyPolicy::Fifo),
-                    crate::pairs_source(8, 10),
+                    crate::exp_throughput::pairs_source(8, 10),
                 )
             },
             |sim| sim.run_past_horizon(1).unwrap().delivered,
@@ -412,6 +429,29 @@ mod tests {
         assert_eq!((run.peak_live, run.peak_occupancy), (4, 1));
         assert!(run.wall_ms > 0.0 && run.setup_ms > 0.0);
         assert!(render_runs("t", &[run]).render().contains("path 8"));
+    }
+
+    #[test]
+    fn time_run_repeats_a_short_run_within_each_pass() {
+        // A sub-millisecond run: a warmup plus one build per pass would
+        // be four builds.
+        let mut builds = 0;
+        time_run(
+            "pairs",
+            "path 8",
+            || {
+                builds += 1;
+                Simulation::from_source(
+                    Path::new(8),
+                    Greedy::new(GreedyPolicy::Fifo),
+                    crate::exp_throughput::pairs_source(8, 10),
+                )
+            },
+            |sim| {
+                sim.run_past_horizon(1).unwrap();
+            },
+        );
+        assert!(builds > 4, "{builds} builds");
     }
 
     #[test]

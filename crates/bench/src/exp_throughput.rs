@@ -11,18 +11,21 @@
 //! the per-edge plans with and without faults. Finally the E6 tradeoff
 //! grid is timed under [`sweep::serial`] vs [`sweep::parallel`]
 //! (identical results by construction; see the determinism test).
+//! E10b times the paper's planners themselves: PPTS, Tree-PPTS, HPTS and
+//! HPTS-D against a random bounded adversary, and HPTS against the
+//! Thm. 5.1 adversary.
 //!
 //! Every record lands in `BENCH_engine.json` (via `experiments
 //! --bench-json`) next to those of E13, E14 and E16.
 
 use std::time::Instant;
 
-use aqt_adversary::RandomAdversary;
+use aqt_adversary::{patterns, DestSpec, LowerBoundAdversary, RandomAdversary};
 use aqt_analysis::{sweep, Table};
-use aqt_core::{DagGreedy, Greedy, GreedyPolicy, Hpts};
+use aqt_core::{DagGreedy, Greedy, GreedyPolicy, Hpts, HptsD, Ppts, TreePpts};
 use aqt_model::{
-    CapacityConfig, Dag, DropTail, FaultEvent, FaultSpec, FnSource, Injection, InjectionSource,
-    Packet, Path, Rate, RunMetrics, Simulation, StoredPacket,
+    CapacityConfig, Dag, DirectedTree, DropTail, FaultEvent, FaultSpec, FnSource, Injection,
+    InjectionSource, Packet, Path, Protocol, Rate, RunMetrics, Simulation, StoredPacket, Topology,
 };
 
 use crate::engine_bench::{render_runs, time_run, EngineRun};
@@ -186,6 +189,95 @@ pub fn e10_runs(n: usize, rounds: u64, side: usize, flood_rounds: u64) -> [Engin
     [stream, capped, lossy, flooded, faulted]
 }
 
+/// Settle rounds after the planner records' random adversary stops.
+const PLANNER_SETTLE: u64 = 50;
+
+/// The random adversary of the planner records: ρ = 1/2, σ = 2, any
+/// destination unless restricted, `rounds` rounds.
+fn planner_adversary(rounds: u64) -> RandomAdversary {
+    RandomAdversary::new(Rate::new(1, 2).expect("valid rate"), 2, rounds).seed(19)
+}
+
+/// Steps a planner record past its horizon by [`PLANNER_SETTLE`] rounds.
+fn settle<T: Topology, P: Protocol<T>, S: InjectionSource>(sim: &mut Simulation<T, P, S>) {
+    sim.run_past_horizon(PLANNER_SETTLE)
+        .expect("valid planner run");
+}
+
+/// The paper's planners, one record each, on one instance size `scale`:
+/// PPTS (Prop. 3.2) on a `4·scale`-node path, Tree-PPTS (Prop. 3.5) on
+/// `DirectedTree::random(4·scale, 11)`, HPTS with ℓ = 2 (Thm. 4.1) on a
+/// `scale`-node path, all against a random (ρ, σ) = (1/2, 2) adversary
+/// with any destination; HPTS-D with ℓ = 2 on a `2·scale`-node path
+/// against the same adversary toward 7 even destinations; and HPTS with
+/// ℓ = 2 against the Thm. 5.1 adversary at m = `duel_m`, which is E5a's
+/// HPTS row. Each random run is `rounds` adversary rounds plus 50 settle
+/// rounds; the duel settles for 8 rounds as E5a does. Every pattern is
+/// built once, outside the timer.
+///
+/// # Panics
+///
+/// Panics if `scale < 4` (HPTS-D needs 7 destinations on `2·scale`
+/// nodes) or `duel_m` is not a valid ℓ = 2, ρ = 1/2 construction.
+fn planner_runs(scale: usize, rounds: u64, duel_m: u64) -> [EngineRun; 5] {
+    let n = 4 * scale;
+    let pattern = planner_adversary(rounds).build_path(&Path::new(n));
+    let (ppts, ()) = time_run(
+        "PPTS, random adversary",
+        &format!("path {n}"),
+        || Simulation::new(Path::new(n), Ppts::new(), &pattern).expect("valid pattern"),
+        settle,
+    );
+    let tree = DirectedTree::random(n, 11);
+    let pattern = planner_adversary(rounds).build_tree(&tree);
+    let (tree_ppts, ()) = time_run(
+        "Tree-PPTS, random adversary",
+        &format!("random tree {n}"),
+        || Simulation::new(tree.clone(), TreePpts::new(), &pattern).expect("valid pattern"),
+        settle,
+    );
+    let pattern = planner_adversary(rounds).build_path(&Path::new(scale));
+    let (hpts, ()) = time_run(
+        "HPTS l=2, random adversary",
+        &format!("path {scale}"),
+        || {
+            let hpts = Hpts::for_line(scale, 2).expect("geometry fits");
+            Simulation::new(Path::new(scale), hpts, &pattern).expect("valid pattern")
+        },
+        settle,
+    );
+    let n = 2 * scale;
+    let dests = patterns::even_destinations(n, 7);
+    let pattern = planner_adversary(rounds)
+        .destinations(DestSpec::fixed(dests.clone()))
+        .build_path(&Path::new(n));
+    let (hpts_d, ()) = time_run(
+        "HPTS-D l=2 d=7, random adversary",
+        &format!("path {n}"),
+        || {
+            let hpts_d = HptsD::new(dests.clone(), 2).expect("valid destination set");
+            Simulation::new(Path::new(n), hpts_d, &pattern).expect("valid pattern")
+        },
+        settle,
+    );
+    let adversary = LowerBoundAdversary::new(2, duel_m, Rate::new(1, 2).expect("valid rate"))
+        .expect("valid parameters");
+    let pattern = adversary.pattern();
+    let n = adversary.topology().node_count();
+    let (duel, ()) = time_run(
+        "HPTS l=2, Thm 5.1 adversary",
+        &format!("path {n}"),
+        || {
+            let hpts = Hpts::for_line(n, 2).expect("geometry fits");
+            Simulation::new(Path::new(n), hpts, &pattern).expect("valid pattern")
+        },
+        |sim| {
+            sim.run_past_horizon(8).expect("valid duel run");
+        },
+    );
+    [ppts, tree_ppts, hpts, hpts_d, duel]
+}
+
 /// Times the `grid` points under [`sweep::serial`] and
 /// [`sweep::parallel_with_threads`] and returns their two records (every
 /// count summed over the points, set-up inside the wall-clock) and the
@@ -298,8 +390,8 @@ pub fn render_e10(runs: &[EngineRun], threads: usize) -> Table {
     table
 }
 
-/// E10 — streaming throughput, overheads and sweep scaling: its seven
-/// records and their table.
+/// E10 — streaming throughput, overheads, sweep scaling and the paper's
+/// planners: its twelve records and their two tables.
 pub fn e10_throughput(quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
     // Path nodes, stream rounds, mesh side, flood rounds: full mode
     // streams 1,048,576 packets.
@@ -312,12 +404,30 @@ pub fn e10_throughput(quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
     let (sweeps, threads) = sweep_runs(&e6_grid(quick), quick);
     runs.extend(sweeps);
     let table = render_e10(&runs, threads);
-    (runs, vec![table])
+    // Adversary rounds and duel base m (the duel is E5a's (2, m) row);
+    // scale 256 puts PPTS and Tree-PPTS on 1,024 nodes in both modes.
+    let (planner_rounds, duel_m) = if quick { (1000, 6) } else { (4000, 16) };
+    let planners = planner_runs(256, planner_rounds, duel_m);
+    let mut planner_table = render_runs(
+        "E10b - the paper's planners: PPTS, Tree-PPTS, HPTS, HPTS-D, the Thm 5.1 duel",
+        &planners,
+    );
+    planner_table.note(format!(
+        "random adversary: rho 1/2, sigma 2, {planner_rounds} rounds + {PLANNER_SETTLE} settle; \
+         HPTS-D routes to 7 even destinations"
+    ));
+    planner_table.note(format!(
+        "Thm 5.1 adversary at (l, m) = (2, {duel_m}), rho 1/2: E5a's HPTS row"
+    ));
+    runs.extend(planners);
+    (runs, vec![table, planner_table])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqt_analysis::bounds;
+    use aqt_model::analyze;
 
     #[test]
     fn pairs_source_is_dense_and_drains_instantly() {
@@ -384,17 +494,94 @@ mod tests {
             (parallel.rounds, parallel.moves)
         );
 
-        let records: Vec<EngineRun> = runs.iter().cloned().chain([serial, parallel]).collect();
-        let json = serde_json::to_string(&records).unwrap();
+        // The planners: the random runs are the adversary's rounds plus
+        // the settle, the duel E5a's m^3 rounds plus 8, and nothing is
+        // lost.
+        let planners = planner_runs(16, 100, 6);
+        let keys: Vec<(&str, usize, u64)> = planners
+            .iter()
+            .map(|run| (run.topology.as_str(), run.nodes, run.rounds))
+            .collect();
         assert_eq!(
-            serde_json::from_str::<Vec<EngineRun>>(&json).unwrap(),
-            records
+            keys,
+            [
+                ("path 64", 64, 150),
+                ("random tree 64", 64, 150),
+                ("path 16", 16, 150),
+                ("path 32", 32, 150),
+                ("path 109", 109, 224),
+            ]
         );
+        for run in &planners {
+            assert!(run.injected > 0 && run.moves > 0, "{run:?}");
+            assert_eq!((run.dropped, run.faulted), (0, 0), "{run:?}");
+            assert!(run.peak_occupancy >= 1 && run.wall_ms > 0.0, "{run:?}");
+        }
+
+        let records: Vec<EngineRun> = runs.iter().cloned().chain([serial, parallel]).collect();
         let table = render_e10(&records, threads);
         assert_eq!(table.len(), 7);
         let rendered = table.render();
         assert!(rendered.contains("pairs stream, capacity 1") && rendered.contains("grid 4x4"));
         assert!(rendered.contains("KiB streamed") && rendered.contains("identical: ok"));
         assert!(!table.to_csv().contains("NaN"));
+        let records: Vec<EngineRun> = records.into_iter().chain(planners).collect();
+        let json = serde_json::to_string(&records).unwrap();
+        assert_eq!(
+            serde_json::from_str::<Vec<EngineRun>>(&json).unwrap(),
+            records
+        );
+    }
+
+    #[test]
+    fn planner_records_keep_the_paper_bounds() {
+        let (scale, rounds) = (16, 100);
+        let [ppts, tree_ppts, hpts, hpts_d, duel] = planner_runs(scale, rounds, 6);
+        let rho = Rate::new(1, 2).unwrap();
+        let within = |run: &EngineRun, bound: u64| {
+            assert!(
+                run.peak_occupancy as u64 <= bound,
+                "{} peaks at {} > {bound}",
+                run.workload,
+                run.peak_occupancy
+            );
+        };
+        // Each bound takes the tight sigma of the instance's own pattern
+        // and d or d' from the destinations it uses.
+        let path = Path::new(4 * scale);
+        let pattern = planner_adversary(rounds).build_path(&path);
+        let sigma = analyze(&path, &pattern, rho).tight_sigma;
+        within(
+            &ppts,
+            bounds::ppts_bound(pattern.destinations().len(), sigma),
+        );
+        let tree = DirectedTree::random(4 * scale, 11);
+        let pattern = planner_adversary(rounds).build_tree(&tree);
+        let d_prime = tree.destination_depth(&pattern.destinations());
+        let sigma = analyze(&tree, &pattern, rho).tight_sigma;
+        within(&tree_ppts, bounds::tree_ppts_bound(d_prime, sigma));
+        let path = Path::new(scale);
+        let pattern = planner_adversary(rounds).build_path(&path);
+        let sigma = analyze(&path, &pattern, rho).tight_sigma;
+        let m = Hpts::for_line(scale, 2).unwrap().hierarchy().base();
+        within(&hpts, bounds::hpts_bound(2, m, sigma));
+        // HPTS-D's hierarchy covers the 7 destinations, not the path.
+        let path = Path::new(2 * scale);
+        let dests = patterns::even_destinations(2 * scale, 7);
+        let pattern = planner_adversary(rounds)
+            .destinations(DestSpec::fixed(dests.clone()))
+            .build_path(&path);
+        assert_eq!(pattern.destinations().len(), 7);
+        let sigma = analyze(&path, &pattern, rho).tight_sigma;
+        let m = HptsD::new(dests, 2).unwrap().hierarchy().base();
+        within(&hpts_d, bounds::hpts_bound(2, m, sigma));
+        // The duel is E5a's (l, m) = (2, 6) HPTS cell.
+        let e5a = crate::e5_duel(true)[0].to_csv();
+        let row = e5a
+            .lines()
+            .map(|line| line.split(',').collect::<Vec<_>>())
+            .find(|row| row[..2] == ["2", "6"] && row[6] == "HPTS")
+            .expect("E5a has an HPTS row at (2, 6)");
+        assert_eq!(duel.peak_occupancy.to_string(), row[7]);
     }
 }

@@ -15,7 +15,7 @@
 //! | E7  | §1 α-factor implication | [`e7_alpha`] |
 //! | E8  | Figure 1 | [`e8_figure1`] |
 //! | E9  | locality axis (open problem, exploratory) | [`e9_locality`] |
-//! | E10 | engine throughput + parallel sweep scaling | [`e10_throughput`] |
+//! | E10 | engine throughput, parallel sweep scaling, the paper's planners timed | [`e10_throughput`] |
 //! | E11 | finite buffers: goodput vs capacity, space thresholds | [`e11_capacity`] |
 //! | E12 | grid routing: peak buffer vs mesh dimensions | [`e12_grid`] |
 //! | E13 | million-node mesh: computed routing, arenas | [`e13_mesh`] |
@@ -26,9 +26,9 @@
 //! | A2  | eager delivery ablation | [`a2_eager`] |
 //!
 //! Run all of them with `cargo run -p aqt-bench --release --bin
-//! experiments`; timing benches live under `benches/` (`cargo bench`).
-//! The engine experiments (E10, E13, E14, E16) also return [`EngineRun`]
-//! records, one per timed workload, all produced by one timer;
+//! experiments`. The engine experiments (E10, E13, E14, E16) also return
+//! [`EngineRun`] records, one per timed workload (E10's include the
+//! paper's planners), all produced by one timer;
 //! `experiments --bench-json BENCH_engine.json` writes them as one
 //! [`EngineBench`] for trend tracking, and `--bench-baseline` compares a
 //! fresh one against it with [`EngineBench::compare`].
@@ -68,7 +68,7 @@ pub use exp_sparse::{e16_instances, e16_sparse, measure_sparse, sparse_wave_sour
 pub use exp_telemetry::{
     e14_instance, e14_telemetry, measure_telemetry, render_e14, MeshWave, TelemetryRun, WallClock,
 };
-pub use exp_throughput::{e10_runs, e10_throughput, e6_grid, pairs_source, run_e6_point, E6Point};
+pub use exp_throughput::{e10_runs, e10_throughput, e6_grid, run_e6_point, E6Point};
 pub use exp_tradeoff::{e6_tradeoff, e7_alpha};
 pub use exp_upper::{e1_pts, e2_ppts, e3_trees, e4_hpts};
 
@@ -122,7 +122,7 @@ pub const EXPERIMENT_INDEX: [(&str, &str, &str); 18] = [
     ),
     (
         "e10",
-        "engine throughput (streaming) + parallel sweep scaling",
+        "engine throughput (streaming) + parallel sweep scaling + timed planners",
         "e10_throughput",
     ),
     (

@@ -72,7 +72,7 @@
 //! ```text
 //! cargo run -p aqt-bench --release --bin experiments          # all tables
 //! cargo run -p aqt-bench --release --bin experiments -- e4    # one claim
-//! cargo bench -p aqt-bench                                    # timing benches
+//! cargo run -p aqt-bench --release --bin experiments -- --quick e10 --bench-baseline BENCH_engine.json
 //! ```
 //!
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for

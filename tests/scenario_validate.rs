@@ -222,10 +222,12 @@ fn the_run_path_never_panics_on_the_invalid_corpus() {
     files.sort();
     assert!(files.len() >= 11, "corpus shrank: {files:?}");
     for name in files {
-        let scenario = parse(&format!("invalid/{name}"));
-        // Ok or a named ScenarioError are both fine; a panic is not.
-        if std::panic::catch_unwind(|| run_scenario(&scenario)).is_err() {
-            panic!("run_scenario panicked on invalid/{name}");
+        let text = read(&format!("invalid/{name}"));
+        // A parse error, a named ScenarioError or Ok are all fine; a
+        // panic is not.
+        let run = || serde_json::from_str::<Scenario>(&text).map(|s| run_scenario(&s));
+        if std::panic::catch_unwind(run).is_err() {
+            panic!("parsing or running invalid/{name} panicked");
         }
     }
 }

@@ -506,6 +506,11 @@ mod error_paths {
                 scenario(r#"{"kind":"path","n":"eight"}"#, GREEDY, BURST, "null"),
                 vec!["topology.n", "expected usize", "string"],
             ),
+            // An integer takes no float, even one with no fraction.
+            (
+                scenario(r#"{"kind":"path","n":8.0}"#, GREEDY, BURST, "null"),
+                vec!["topology.n: expected usize, found float 8"],
+            ),
             (
                 scenario(
                     r#"{"kind":"gird","rows":2,"cols":2}"#,

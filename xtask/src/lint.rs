@@ -531,8 +531,8 @@ fn rust_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
 /// (path, rule) order.
 pub fn lint_workspace(root: &Path) -> Vec<Violation> {
     // Library sources: the façade crate and every aqt-* crate. Bin
-    // targets are included (some rules exempt them); tests/, benches/
-    // and xtask itself are not library code.
+    // targets are included (some rules exempt them); tests/ and xtask
+    // itself are not library code.
     let mut files = Vec::new();
     rust_files(root, &root.join("src"), &mut files);
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
