@@ -75,27 +75,31 @@ impl EngineRun {
     }
 }
 
-/// The stepping time a timed pass aims at: the warmup sets how many
-/// build-then-step repetitions a pass makes to step this long, so a
-/// median of passes no longer hangs on one scheduler quantum.
+/// The stepping time the warmup and each timed pass aim at: the warmup
+/// steps this long, and sets how many build-then-step repetitions a pass
+/// makes to step this long, so a median of passes no longer hangs on one
+/// scheduler quantum.
 const PASS_MS: f64 = 20.0;
 
-/// Times one workload into a record: one discarded warmup pass, then
-/// three timed passes. Each pass builds a fresh [`Simulation`] with
-/// `build` (timed as set-up) and steps it with `step` (timed as
-/// stepping), `r` times back to back, where `r` is the smallest count
-/// that makes the warmup's stepping last 20 ms (a step under a
-/// microsecond counts as one, so `r` stays at most 20,000). The record
-/// keeps the median over passes of each pass's per-repetition means.
-/// Returns the record and the last repetition's `step` output.
+/// Times one workload into a record: a discarded warmup, then three
+/// timed passes. The warmup and each pass build a fresh [`Simulation`]
+/// with `build` (timed as set-up) and step it with `step` (timed as
+/// stepping), back to back. The warmup repeats until its stepping has
+/// lasted 20 ms (a step under a microsecond counts as one, so it makes at
+/// most 20,000 repetitions). Each pass then makes `r` repetitions, where
+/// `r` is the smallest count for which `r` of the warmup's mean steps
+/// last 20 ms. The record keeps the median over passes of each pass's
+/// per-repetition means. Returns the record and the last repetition's
+/// `step` output.
 ///
 /// One wall-clock sample on a shared runner flaps enough to trip the CI
 /// gate on noise alone, and a millisecond-long sample hangs on a single
-/// scheduler quantum, hence the repetitions and the median. The
-/// workloads are deterministic, so the counts are the warmup's; only its
-/// metrics are kept, not its state, and each repetition drops its
-/// simulation before the next is built, so a million-node run never
-/// holds two.
+/// scheduler quantum, hence the repetitions and the median. A process's
+/// first steps run cold, hence a warmup as long as a pass, and `r` from
+/// its mean rather than from its first step. The workloads are
+/// deterministic, so the counts are the warmup's; only its metrics are
+/// kept, not its state, and each repetition drops its simulation before
+/// the next is built, so a million-node run never holds two.
 ///
 /// # Panics
 ///
@@ -113,15 +117,20 @@ where
     P: Protocol<T>,
     S: InjectionSource,
 {
-    let (round, metrics, nodes, warmup_ms) = {
+    let (mut warmups, mut warmup_ms) = (0u32, 0.0);
+    let (round, metrics, nodes) = loop {
         let mut sim = build();
         let started = Instant::now();
         step(&mut sim);
-        let warmup_ms = started.elapsed().as_secs_f64() * 1e3;
-        let nodes = sim.topology().node_count();
-        (sim.round(), sim.metrics().clone(), nodes, warmup_ms)
+        warmup_ms += (started.elapsed().as_secs_f64() * 1e3).max(1e-3);
+        warmups += 1;
+        if warmup_ms >= PASS_MS {
+            let nodes = sim.topology().node_count();
+            break (sim.round(), sim.metrics().clone(), nodes);
+        }
     };
-    let reps = (PASS_MS / warmup_ms.max(1e-3)).ceil().max(1.0) as u32;
+    // Between 1 and `warmups`, as the warmup stepped at least PASS_MS.
+    let reps = (PASS_MS * f64::from(warmups) / warmup_ms).ceil() as u32;
     let (mut setup_ms, mut wall_ms, mut last) = ([0.0; 3], [0.0; 3], None);
     for pass in 0..3 {
         for _ in 0..reps {
@@ -452,6 +461,35 @@ mod tests {
             },
         );
         assert!(builds > 4, "{builds} builds");
+    }
+
+    #[test]
+    fn time_run_sets_the_repetitions_from_the_warmups_mean() {
+        // The first step returns at once and every later one sleeps 1 ms.
+        // Repetitions set from the first step alone would be thousands a
+        // pass. The warmup makes at most 21 steps, since the later ones
+        // last 1 ms or more, so its mean is at least 20/21 ms, and each
+        // pass makes at most 21 repetitions.
+        let (mut builds, mut steps) = (0, 0);
+        time_run(
+            "sleeps",
+            "path 2",
+            || {
+                builds += 1;
+                Simulation::from_source(
+                    Path::new(2),
+                    Greedy::new(GreedyPolicy::Fifo),
+                    FnSource::new(0, |_, _| {}),
+                )
+            },
+            |_| {
+                steps += 1;
+                if steps > 1 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            },
+        );
+        assert!(builds <= 21 + 3 * 21, "{builds} builds");
     }
 
     #[test]

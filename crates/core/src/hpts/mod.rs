@@ -112,7 +112,7 @@ pub struct Hierarchical<Z> {
     h: Hierarchy,
     schedule: LevelSchedule,
     prebad: bool,
-    /// Planning scratch, refilled every round.
+    /// The class table, kept across rounds, and per-round scratch.
     scratch: Scratch,
 }
 
@@ -231,7 +231,7 @@ impl<Z: ZoneMap> Hierarchical<Z> {
             let hi = self.zones.start(zb + 1).min(n) - 1;
             // Left-most bad (λ, k) node per column k, in one pass.
             leftmost_bad.fill(None);
-            for i in lo..=hi {
+            for i in (lo..=hi).filter(|&i| classes.has_bad(i, lambda)) {
                 for (class, e) in classes.node(i) {
                     let k = class.column();
                     if class.level() == lambda && e.count >= 2 && leftmost_bad[k].is_none() {
@@ -317,7 +317,8 @@ struct Active {
     packet: Option<(PacketId, usize)>,
 }
 
-/// The scratch one round of planning needs, reused across rounds.
+/// The class table and the scratch one round of planning needs, reused
+/// across rounds.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     classes: ClassTable,
@@ -388,7 +389,9 @@ impl<Z: ZoneMap> Protocol<Path> for Hierarchical<Z> {
         let lambda = self.primary_level(round);
         // Taken out for the round so the Alg. 4–5 helpers can borrow `self`.
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.classes.rebuild(state, |i, w| self.classify(i, w));
+        scratch
+            .classes
+            .sync(round, state, |i, w| self.classify(i, w));
         scratch.reset(n, self.h.base());
         self.form_paths(lambda, &mut scratch);
         if self.prebad {

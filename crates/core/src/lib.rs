@@ -23,7 +23,9 @@
 //! All protocols implement [`aqt_model::Protocol`] and run under the
 //! `aqt-model` engine; they are pure functions of the observable
 //! configuration (plus their own parameters), never mutating the network
-//! directly.
+//! directly. The paper's planners keep a class table of the buffers
+//! across rounds, but only as a cache: each plan first brings it up to
+//! date with the configuration it is given.
 //!
 //! The [`badness`] module exposes the potential functions from the proofs
 //! so tests can check invariants *during* execution, and [`hpts::Hierarchy`]

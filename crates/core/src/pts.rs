@@ -19,11 +19,12 @@
 //!
 //! [`PeakToSink`] is the one implementation, generic over the topology
 //! ([`Sink`]: [`Path`] or [`DirectedTree`]) and the destinations it serves
-//! ([`One`] or [`Every`]). Each round it summarises every pseudo-buffer
-//! once into a flat class table reused across rounds, sorts the bad ones
-//! by `(depth of the destination, destination, node)`, and walks from
-//! each toward its destination, stopping at the first claimed node: every
-//! node past it is claimed too.
+//! ([`One`] or [`Every`]). Each round it brings its class table of
+//! pseudo-buffers up to date (only the buffers that changed since the
+//! last round are re-read), sorts the bad ones by `(depth of the
+//! destination, destination, node)`, and walks from each toward its
+//! destination, stopping at the first claimed node: every node past it is
+//! claimed too.
 //!
 //! * Prop. 3.1 (PTS) and Prop. B.3 (Tree-PTS): max occupancy ≤ **2 + σ**
 //!   when all packets share one destination.
@@ -133,12 +134,13 @@ pub struct PeakToSink<T, D> {
     dests: D,
     priority: PseudoPriority,
     eager: bool,
-    /// Planning scratch, refilled every round.
+    /// The class table, kept across rounds, and per-round scratch.
     scratch: Scratch,
     sink: PhantomData<fn(&T)>,
 }
 
-/// The scratch one round of planning needs, reused across rounds.
+/// The class table and the scratch one round of planning needs, reused
+/// across rounds.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Every node's pseudo-buffers, keyed by destination.
@@ -310,7 +312,7 @@ impl<T: Sink, D: Destinations> Protocol<T> for PeakToSink<T, D> {
         }
     }
 
-    fn plan(&mut self, _round: Round, topo: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
+    fn plan(&mut self, round: Round, topo: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
         let Scratch {
             classes,
             bad,
@@ -319,13 +321,16 @@ impl<T: Sink, D: Destinations> Protocol<T> for PeakToSink<T, D> {
         let only = self.dests.only().map(NodeId::index);
         let serves = |w: usize| only.is_none_or(|o| o == w);
         // A packet's pseudo-buffer is its destination.
-        classes.rebuild(state, |_, w| (0, w));
+        classes.sync(round, state, |_, w| (0, w));
         bad.clear();
-        for v in state.active_nodes() {
-            for (class, e) in classes.node(v.index()) {
+        for v in state.active_nodes().map(NodeId::index) {
+            if !classes.has_bad(v, 0) {
+                continue;
+            }
+            for (class, e) in classes.node(v) {
                 let w = class.column();
                 if e.count >= 2 && serves(w) {
-                    bad.push((topo.depth(NodeId::new(w)), w, v.index()));
+                    bad.push((topo.depth(NodeId::new(w)), w, v));
                 }
             }
         }

@@ -4,19 +4,27 @@
 //! Algs. 3–5: every round they rebuild one `BTreeMap` of
 //! `(level, column) → summary` per node from `NetworkState::buffer`, and
 //! they use only the public API ([`Hierarchy`] and the destination set).
-//! The library planners keep a flat class table reused across rounds; each
-//! runs beside its reference under random (ρ, σ)-bounded traffic, and the
-//! two must apply the same moves, round for round, and report the same
-//! `RunMetrics`.
+//! The library planners keep one class table across rounds and re-read
+//! only the buffers that changed. Each runs beside its reference under
+//! random (ρ, σ)-bounded traffic, and the two must apply the same moves,
+//! round for round, and report the same `RunMetrics`.
+//!
+//! Without losses, every packet that leaves a buffer is the LIFO top the
+//! planner sent. The cases under a capacity limit (every drop policy, both
+//! staging modes) and under node crashes and link outages change buffers
+//! as the planner did not plan: a drop evicts a packet from anywhere in a
+//! buffer, a crash empties one, and a blocked send leaves its packet in
+//! place. A planner cloned after a run must plan a new run like a fresh
+//! one, even where a buffer looks as it did when the first run ended.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use small_buffers::model::Probe;
 use small_buffers::{
-    Cadence, DestSpec, ForwardingPlan, Hierarchy, Hpts, HptsD, InjectionMode, LevelSchedule,
-    NetworkState, NodeId, PacketId, Path, Pattern, Protocol, RandomAdversary, Rate, Round,
-    Simulation,
+    Cadence, CapacityConfig, DestSpec, DropPolicyKind, FaultEvent, FaultSpec, ForwardingPlan,
+    Hierarchy, Hpts, HptsD, Injection, InjectionMode, LevelSchedule, NetworkState, NodeId,
+    PacketId, Path, Pattern, Protocol, RandomAdversary, Rate, Round, Simulation, StagingMode,
 };
 
 /// One class's summary: count, LIFO-top packet, its `seq` and destination.
@@ -380,16 +388,145 @@ impl Probe for Moves {
     }
 }
 
-/// Runs `protocol` on `pattern` past its horizon; the move log and the
-/// `RunMetrics` JSON.
-fn run<P: Protocol<Path>>(n: usize, protocol: P, pattern: &Pattern) -> (Moves, String) {
-    let mut sim = Simulation::new(Path::new(n), protocol, pattern).expect("valid pattern");
+/// What the engine does to buffers besides the planner's sends.
+#[derive(Debug, Clone, Default)]
+struct Losses {
+    /// A capacity limit and the policy that picks each drop victim.
+    capacity: Option<(CapacityConfig, DropPolicyKind)>,
+    faults: FaultSpec,
+}
+
+/// Runs `protocol` on `pattern` past its horizon under `losses`; the move
+/// log and the `RunMetrics` JSON.
+fn run<P: Protocol<Path>>(
+    n: usize,
+    protocol: P,
+    pattern: &Pattern,
+    losses: &Losses,
+) -> (Moves, String) {
+    let mut sim = Simulation::new(Path::new(n), protocol, pattern)
+        .expect("valid pattern")
+        .with_faults(&losses.faults);
+    if let Some((config, kind)) = &losses.capacity {
+        sim = sim.with_capacity(config.clone(), kind.build());
+    }
     let mut moves = Moves::default();
     let metrics = sim
         .run_past_horizon_probed(2 * n as u64, &mut moves)
         .expect("valid plan");
     let json = serde_json::to_string(metrics).expect("metrics serialise");
     (moves, json)
+}
+
+/// Runs a library planner and its reference side by side: the two must
+/// apply the same moves and report the same metrics.
+fn assert_matches<P: Protocol<Path>, R: Protocol<Path>>(
+    n: usize,
+    (planner, reference): (P, R),
+    pattern: &Pattern,
+    losses: &Losses,
+) {
+    let (moves, metrics) = run(n, planner, pattern, losses);
+    let (ref_moves, ref_metrics) = run(n, reference, pattern, losses);
+    assert_eq!(moves.0, ref_moves.0, "moves differ under {losses:?}");
+    assert_eq!(metrics, ref_metrics, "metrics differ under {losses:?}");
+}
+
+/// HPTS and its reference, configured alike.
+fn hpts_pair(n: usize, l: u32, ascending: bool, prebad: bool) -> (Hpts, RefHpts) {
+    let mut hpts = Hpts::for_line(n, l).unwrap().schedule(schedule(ascending));
+    if !prebad {
+        hpts = hpts.without_prebad();
+    }
+    let reference = RefHpts {
+        h: *hpts.hierarchy(),
+        schedule: schedule(ascending),
+        prebad,
+    };
+    (hpts, reference)
+}
+
+/// HPTS-D and its reference, configured alike.
+fn hpts_d_pair(dests: Vec<usize>, l: u32, ascending: bool, prebad: bool) -> (HptsD, RefHptsD) {
+    let mut hpts = HptsD::new(dests.clone(), l)
+        .unwrap()
+        .schedule(schedule(ascending));
+    if !prebad {
+        hpts = hpts.without_prebad();
+    }
+    let reference = RefHptsD {
+        dests,
+        h: *hpts.hierarchy(),
+        schedule: schedule(ascending),
+        prebad,
+    };
+    (hpts, reference)
+}
+
+/// A capacity of `cap` under every drop policy and both staging modes.
+fn capacity_limits(cap: usize) -> impl Iterator<Item = Losses> {
+    DropPolicyKind::ALL.into_iter().flat_map(move |kind| {
+        [StagingMode::Exempt, StagingMode::Counted].map(|staging| Losses {
+            capacity: Some((CapacityConfig::uniform(cap).staging(staging), kind)),
+            faults: FaultSpec::default(),
+        })
+    })
+}
+
+/// Node crashes and link outages on an `n`-node path, inside the
+/// traffic's 120 rounds: node `pick % n` crashes at round `at` for 12
+/// rounds, node `pick / 3 % n` crashes for good at `at + 40`, the link
+/// out of node `pick % (n − 1)` goes down from round `at / 2` to
+/// `at / 2 + 30`, and two random links are down from round 20 to 60.
+fn outages(n: usize, seed: u64, pick: usize, at: u64) -> Losses {
+    let link = pick % (n - 1);
+    let faults = FaultSpec::new(seed)
+        .with_event(FaultEvent::NodeCrash {
+            node: pick % n,
+            at,
+            until: Some(at + 12),
+        })
+        .with_event(FaultEvent::NodeCrash {
+            node: pick / 3 % n,
+            at: at + 40,
+            until: None,
+        })
+        .with_event(FaultEvent::LinkDown {
+            from: link,
+            to: link + 1,
+            at: at / 2,
+            until: Some(at / 2 + 30),
+        })
+        .with_event(FaultEvent::RandomLinks {
+            count: 2,
+            at: 20,
+            until: Some(60),
+        });
+    Losses {
+        capacity: None,
+        faults,
+    }
+}
+
+/// Records every move, and the length and last `seq` of node 0's buffer
+/// when round 0 is planned.
+#[derive(Default)]
+struct Replay {
+    first: Option<(usize, Option<u64>)>,
+    moves: Moves,
+}
+
+impl Probe for Replay {
+    fn on_observe(&mut self, round: Round, state: &NetworkState) {
+        if round == Round::ZERO {
+            let buffer = state.buffer(NodeId::new(0));
+            self.first = Some((buffer.len(), buffer.last().map(|sp| sp.seq())));
+        }
+    }
+
+    fn on_move(&mut self, round: Round, from: NodeId, packet: PacketId, delivers: bool) {
+        self.moves.on_move(round, from, packet, delivers);
+    }
 }
 
 fn schedule(ascending: bool) -> LevelSchedule {
@@ -446,19 +583,7 @@ proptest! {
             .cadence(cadence(bursty))
             .seed(seed)
             .build_path(&topo);
-        let mut hpts = Hpts::for_line(n, l).unwrap().schedule(schedule(ascending));
-        if !prebad {
-            hpts = hpts.without_prebad();
-        }
-        let reference = RefHpts {
-            h: *hpts.hierarchy(),
-            schedule: schedule(ascending),
-            prebad,
-        };
-        let (moves, metrics) = run(n, hpts, &pattern);
-        let (ref_moves, ref_metrics) = run(n, reference, &pattern);
-        prop_assert_eq!(moves.0, ref_moves.0);
-        prop_assert_eq!(metrics, ref_metrics);
+        assert_matches(n, hpts_pair(n, l, ascending, prebad), &pattern, &Losses::default());
     }
 
     #[test]
@@ -477,20 +602,7 @@ proptest! {
             .destinations(DestSpec::fixed(dests.clone()))
             .seed(seed)
             .build_path(&topo);
-        let mut hpts = HptsD::new(dests.clone(), l).unwrap().schedule(schedule(ascending));
-        if !prebad {
-            hpts = hpts.without_prebad();
-        }
-        let reference = RefHptsD {
-            dests,
-            h: *hpts.hierarchy(),
-            schedule: schedule(ascending),
-            prebad,
-        };
-        let (moves, metrics) = run(n, hpts, &pattern);
-        let (ref_moves, ref_metrics) = run(n, reference, &pattern);
-        prop_assert_eq!(moves.0, ref_moves.0);
-        prop_assert_eq!(metrics, ref_metrics);
+        assert_matches(n, hpts_d_pair(dests, l, ascending, prebad), &pattern, &Losses::default());
     }
 
     /// Thm 4.1's HPTS is HPTS-D with every node but 0 a destination: the
@@ -516,9 +628,121 @@ proptest! {
             hpts = hpts.without_prebad();
             hpts_d = hpts_d.without_prebad();
         }
-        let (moves, metrics) = run(n, hpts, &pattern);
-        let (d_moves, d_metrics) = run(n, hpts_d, &pattern);
+        let (moves, metrics) = run(n, hpts, &pattern, &Losses::default());
+        let (d_moves, d_metrics) = run(n, hpts_d, &pattern, &Losses::default());
         prop_assert_eq!(moves.0, d_moves.0);
         prop_assert_eq!(metrics, d_metrics);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn hpts_planners_match_the_references_under_capacity_drops(
+        config in configs(),
+        traffic in traffic(),
+        picks in proptest::collection::btree_set(1usize..81, 1..8),
+        cap in 1usize..=4,
+        seed in 0u64..1_000,
+    ) {
+        let (n, l, ascending, prebad) = config;
+        let (rate, sigma) = traffic;
+        let topo = Path::new(n);
+        let pattern = RandomAdversary::new(rate, sigma, 120)
+            .destinations(DestSpec::AnyReachable)
+            .seed(seed)
+            .build_path(&topo);
+        let dests: Vec<usize> = picks.into_iter().filter(|&w| w < n).collect();
+        prop_assume!(!dests.is_empty());
+        let d_pattern = RandomAdversary::new(rate, sigma, 120)
+            .destinations(DestSpec::fixed(dests.clone()))
+            .seed(seed)
+            .build_path(&topo);
+        for losses in capacity_limits(cap) {
+            assert_matches(n, hpts_pair(n, l, ascending, prebad), &pattern, &losses);
+            assert_matches(
+                n,
+                hpts_d_pair(dests.clone(), l, ascending, prebad),
+                &d_pattern,
+                &losses,
+            );
+        }
+    }
+
+    #[test]
+    fn hpts_planners_match_the_references_under_crashes_and_outages(
+        config in configs(),
+        traffic in traffic(),
+        picks in proptest::collection::btree_set(1usize..81, 1..8),
+        faults in (0u64..1_000, 0usize..1_000, 0u64..100),
+        seed in 0u64..1_000,
+    ) {
+        let (n, l, ascending, prebad) = config;
+        let (rate, sigma) = traffic;
+        let topo = Path::new(n);
+        let losses = outages(n, faults.0, faults.1, faults.2);
+        let pattern = RandomAdversary::new(rate, sigma, 120)
+            .destinations(DestSpec::AnyReachable)
+            .seed(seed)
+            .build_path(&topo);
+        assert_matches(n, hpts_pair(n, l, ascending, prebad), &pattern, &losses);
+        let dests: Vec<usize> = picks.into_iter().filter(|&w| w < n).collect();
+        prop_assume!(!dests.is_empty());
+        let pattern = RandomAdversary::new(rate, sigma, 120)
+            .destinations(DestSpec::fixed(dests.clone()))
+            .seed(seed)
+            .build_path(&topo);
+        assert_matches(n, hpts_d_pair(dests, l, ascending, prebad), &pattern, &losses);
+    }
+}
+
+/// HPTS with every injection placed at once: a batched planner's first
+/// round of a run sees only empty buffers, and this one's does not.
+#[derive(Clone)]
+struct Immediate(Hpts);
+
+impl Protocol<Path> for Immediate {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn plan(&mut self, round: Round, path: &Path, state: &NetworkState, plan: &mut ForwardingPlan) {
+        self.0.plan(round, path, state, plan);
+    }
+}
+
+/// A planner cloned after a run starts its class table over in a new
+/// run. Here node 0 ends the first run holding two packets with the
+/// `seq`s 0 and 1 in classes that are not bad, and the second run plans
+/// its first round with two packets of those `seq`s in one bad class at
+/// node 0. A table that trusted the fingerprint would see nothing bad
+/// and never send.
+#[test]
+fn a_reused_hpts_plans_like_a_fresh_one() {
+    let hpts = || Immediate(Hpts::for_line(16, 2).unwrap());
+    let first = Pattern::from_injections(vec![Injection::new(0, 0, 1), Injection::new(0, 0, 4)]);
+    let mut sim = Simulation::new(Path::new(16), hpts(), &first).unwrap();
+    sim.run(10).unwrap();
+    assert_eq!(
+        sim.metrics().forwarded,
+        0,
+        "nothing is bad in the first run"
+    );
+    let left = sim.state().buffer(NodeId::new(0));
+    let fingerprint = (left.len(), left.last().map(|sp| sp.seq()));
+    let reused = sim.protocol().clone();
+
+    let second = Pattern::from_injections(vec![Injection::new(0, 0, 15); 2]);
+    let replay = |protocol: Immediate| {
+        let mut sim = Simulation::new(Path::new(16), protocol, &second).unwrap();
+        let mut replay = Replay::default();
+        sim.run_past_horizon_probed(32, &mut replay).unwrap();
+        (replay.first, replay.moves.0)
+    };
+    let (seen, fresh_moves) = replay(hpts());
+    assert_eq!(seen, Some(fingerprint), "node 0 must look as it did");
+    let (_, reused_moves) = replay(reused);
+    assert!(!fresh_moves.is_empty(), "the bad class must move");
+    assert_eq!(reused_moves, fresh_moves);
 }

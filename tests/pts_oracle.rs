@@ -7,19 +7,28 @@
 //! summaries per node every round and scans the line once per destination,
 //! and the tree planners walk up from every bad node with destinations in
 //! reverse topological order. They use only the public API. The library
-//! has one planner for all four, reading a flat class table reused across
-//! rounds; each protocol runs beside its reference under random
-//! (ρ, σ)-bounded traffic, and the two must apply the same moves, round
-//! for round, and report the same `RunMetrics`.
+//! has one planner for all four, reading one class table kept across
+//! rounds, which re-reads only the buffers that changed. Each protocol
+//! runs beside its reference under random (ρ, σ)-bounded traffic, and the
+//! two must apply the same moves, round for round, and report the same
+//! `RunMetrics`.
+//!
+//! Without losses, every packet that leaves a buffer is one the planner
+//! sent. The cases under a capacity limit (every drop policy) and under
+//! node crashes and link outages change buffers as the planner did not
+//! plan: a drop evicts a packet from anywhere in a buffer, a crash empties
+//! one, and a blocked send leaves its packet in place. A planner cloned
+//! after a run must plan a new run like a fresh one, even where a buffer
+//! looks as it did when the first run ended.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use small_buffers::model::Probe;
 use small_buffers::{
-    Cadence, DestSpec, DirectedTree, ForwardingPlan, NetworkState, NodeId, PacketId, Path, Pattern,
-    Ppts, Protocol, PseudoPriority, Pts, RandomAdversary, Rate, Round, Simulation, Topology,
-    TreePpts, TreePts,
+    Cadence, CapacityConfig, DestSpec, DirectedTree, DropPolicyKind, FaultEvent, FaultSpec,
+    ForwardingPlan, Injection, NetworkState, NodeId, PacketId, Path, Pattern, Ppts, Protocol,
+    PseudoPriority, Pts, RandomAdversary, Rate, Round, Simulation, Topology, TreePpts, TreePts,
 };
 
 /// Reference PTS (Alg. 1): the left-most bad buffer activates every
@@ -345,17 +354,102 @@ impl Probe for Moves {
     }
 }
 
+/// What the engine does to buffers besides the planner's sends.
+#[derive(Debug, Clone, Default)]
+struct Losses {
+    /// A capacity limit and the policy that picks each drop victim.
+    capacity: Option<(CapacityConfig, DropPolicyKind)>,
+    faults: FaultSpec,
+}
+
+/// A capacity of `cap` under every drop policy (the peak-to-sink
+/// planners inject immediately, so the staging mode plays no part).
+fn capacity_limits(cap: usize) -> impl Iterator<Item = Losses> {
+    DropPolicyKind::ALL.into_iter().map(move |kind| Losses {
+        capacity: Some((CapacityConfig::uniform(cap), kind)),
+        faults: FaultSpec::default(),
+    })
+}
+
+/// Node crashes and link outages inside the traffic's 120 rounds: node
+/// `pick % n` crashes at round `at` for 12 rounds, node `pick / 3 % n`
+/// crashes for good at `at + 40`, the first link out of a node from
+/// `pick` on goes down from round `at / 2` to `at / 2 + 30`, and two
+/// random links are down from round 20 to 60.
+fn outages<T: Topology>(topo: &T, seed: u64, pick: usize, at: u64) -> Losses {
+    let n = topo.node_count();
+    let (from, to) = (0..n)
+        .map(|k| NodeId::new((pick + k) % n))
+        .find_map(|v| Some((v.index(), topo.out_neighbor(v, 0)?.index())))
+        .expect("a topology of two or more nodes has a link");
+    let faults = FaultSpec::new(seed)
+        .with_event(FaultEvent::NodeCrash {
+            node: pick % n,
+            at,
+            until: Some(at + 12),
+        })
+        .with_event(FaultEvent::NodeCrash {
+            node: pick / 3 % n,
+            at: at + 40,
+            until: None,
+        })
+        .with_event(FaultEvent::LinkDown {
+            from,
+            to,
+            at: at / 2,
+            until: Some(at / 2 + 30),
+        })
+        .with_event(FaultEvent::RandomLinks {
+            count: 2,
+            at: 20,
+            until: Some(60),
+        });
+    Losses {
+        capacity: None,
+        faults,
+    }
+}
+
 /// Runs `protocol` on `pattern` past its horizon; the move log and the
 /// `RunMetrics` JSON.
 fn run<T: Topology, P: Protocol<T>>(topo: T, protocol: P, pattern: &Pattern) -> (Moves, String) {
+    run_with(topo, protocol, pattern, &Losses::default())
+}
+
+/// [`run`] under `losses`.
+fn run_with<T: Topology, P: Protocol<T>>(
+    topo: T,
+    protocol: P,
+    pattern: &Pattern,
+    losses: &Losses,
+) -> (Moves, String) {
     let extra = 2 * topo.node_count() as u64;
-    let mut sim = Simulation::new(topo, protocol, pattern).expect("valid pattern");
+    let mut sim = Simulation::new(topo, protocol, pattern)
+        .expect("valid pattern")
+        .with_faults(&losses.faults);
+    if let Some((config, kind)) = &losses.capacity {
+        sim = sim.with_capacity(config.clone(), kind.build());
+    }
     let mut moves = Moves::default();
     let metrics = sim
         .run_past_horizon_probed(extra, &mut moves)
         .expect("valid plan");
     let json = serde_json::to_string(metrics).expect("metrics serialise");
     (moves, json)
+}
+
+/// Runs a library planner and its reference side by side under `losses`:
+/// the two must apply the same moves and report the same metrics.
+fn assert_matches<T: Topology + Clone, P: Protocol<T>, R: Protocol<T>>(
+    topo: &T,
+    (planner, reference): (P, R),
+    pattern: &Pattern,
+    losses: &Losses,
+) {
+    let (moves, metrics) = run_with(topo.clone(), planner, pattern, losses);
+    let (ref_moves, ref_metrics) = run_with(topo.clone(), reference, pattern, losses);
+    assert_eq!(moves.0, ref_moves.0, "moves differ under {losses:?}");
+    assert_eq!(metrics, ref_metrics, "metrics differ under {losses:?}");
 }
 
 fn cadence(bursty: bool) -> Cadence {
@@ -530,5 +624,129 @@ proptest! {
         let (tree_moves, tree_metrics) = run(DirectedTree::path(n), TreePpts::new(), &pattern);
         prop_assert_eq!(moves.0, tree_moves.0);
         prop_assert_eq!(metrics, tree_metrics);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn path_planners_match_the_references_under_losses(
+        shape in (2usize..64, 0usize..64, 0usize..8),
+        traffic in traffic(),
+        variant in (proptest::bool::ANY, proptest::bool::ANY),
+        losses in (1usize..=4, 0u64..1_000, 0u64..100),
+        seed in 0u64..1_000,
+    ) {
+        let (n, pick, spread) = shape;
+        let (cap, fault_seed, at) = losses;
+        let (fifo, eager) = variant;
+        let priority = if fifo { PseudoPriority::Fifo } else { PseudoPriority::Lifo };
+        let topo = Path::new(n);
+        let w = NodeId::new(1 + pick % (n - 1));
+        let single = adversary(traffic, false, seed)
+            .destinations(DestSpec::fixed([w.index()]))
+            .build_path(&topo);
+        let many = adversary(traffic, false, seed)
+            .destinations(destinations(spread.min(n - 1)))
+            .build_path(&topo);
+        let pts = || {
+            let pts = if eager { Pts::eager(w) } else { Pts::new(w) };
+            (pts, RefPts { dest: w, eager })
+        };
+        let ppts = || {
+            let ppts = Ppts::new().priority(priority);
+            let ppts = if eager { ppts.eager() } else { ppts };
+            (ppts, RefPpts { priority, eager })
+        };
+        let outage = outages(&topo, fault_seed, pick, at);
+        for losses in capacity_limits(cap).chain([outage]) {
+            assert_matches(&topo, pts(), &single, &losses);
+            assert_matches(&topo, ppts(), &many, &losses);
+        }
+    }
+
+    #[test]
+    fn tree_planners_match_the_references_under_losses(
+        shape in trees(),
+        picks in (0usize..64, 0usize..8),
+        traffic in traffic(),
+        losses in (1usize..=4, 0u64..1_000, 0u64..100),
+        seed in 0u64..1_000,
+    ) {
+        let (family, size, tree_seed) = shape;
+        let (pick, spread) = picks;
+        let (cap, fault_seed, at) = losses;
+        let topo = tree(family, size, tree_seed);
+        let w = NodeId::new(internal_node(&topo, pick));
+        let single = adversary(traffic, false, seed)
+            .destinations(DestSpec::Fixed { dests: vec![w] })
+            .build_tree(&topo);
+        let internal = (0..topo.node_count())
+            .filter(|&v| !topo.is_leaf(NodeId::new(v)))
+            .count();
+        let many = adversary(traffic, false, seed)
+            .destinations(destinations(spread.min(internal)))
+            .build_tree(&topo);
+        let outage = outages(&topo, fault_seed, pick, at);
+        for losses in capacity_limits(cap).chain([outage]) {
+            assert_matches(&topo, (TreePts::new(w), RefTreePts { dest: w }), &single, &losses);
+            assert_matches(&topo, (TreePpts::new(), RefTreePpts), &many, &losses);
+        }
+    }
+}
+
+/// A planner cloned after a run starts its class table over in a new
+/// run. Here node 0 ends the first run holding two packets with the
+/// `seq`s 0 and 1 for two destinations, and the second run plans its
+/// first round with two packets of those `seq`s for one destination at
+/// node 0. A table that trusted the fingerprint would see nothing bad and
+/// never send.
+#[test]
+fn a_reused_ppts_plans_like_a_fresh_one() {
+    let first = Pattern::from_injections(vec![Injection::new(0, 0, 3), Injection::new(0, 0, 5)]);
+    let mut sim = Simulation::new(Path::new(8), Ppts::new(), &first).unwrap();
+    sim.run(10).unwrap();
+    assert_eq!(
+        sim.metrics().forwarded,
+        0,
+        "nothing is bad in the first run"
+    );
+    let left = sim.state().buffer(NodeId::new(0));
+    let fingerprint = (left.len(), left.last().map(|sp| sp.seq()));
+    let reused = sim.protocol().clone();
+
+    let second = Pattern::from_injections(vec![Injection::new(0, 0, 5); 2]);
+    let replay = |protocol: Ppts| {
+        let mut sim = Simulation::new(Path::new(8), protocol, &second).unwrap();
+        let mut replay = Replay::default();
+        sim.run_past_horizon_probed(16, &mut replay).unwrap();
+        (replay.first, replay.moves.0)
+    };
+    let (seen, fresh_moves) = replay(Ppts::new());
+    assert_eq!(seen, Some(fingerprint), "node 0 must look as it did");
+    let (_, reused_moves) = replay(reused);
+    assert!(!fresh_moves.is_empty(), "the bad pseudo-buffer must move");
+    assert_eq!(reused_moves, fresh_moves);
+}
+
+/// Records every move, and the length and last `seq` of node 0's buffer
+/// when round 0 is planned.
+#[derive(Default)]
+struct Replay {
+    first: Option<(usize, Option<u64>)>,
+    moves: Moves,
+}
+
+impl Probe for Replay {
+    fn on_observe(&mut self, round: Round, state: &NetworkState) {
+        if round == Round::ZERO {
+            let buffer = state.buffer(NodeId::new(0));
+            self.first = Some((buffer.len(), buffer.last().map(|sp| sp.seq())));
+        }
+    }
+
+    fn on_move(&mut self, round: Round, from: NodeId, packet: PacketId, delivers: bool) {
+        self.moves.on_move(round, from, packet, delivers);
     }
 }
