@@ -76,6 +76,14 @@ pub fn column_flood(rows: usize, cols: usize, col: usize, rate: Rate, rounds: u6
     column_flood_source(rows, cols, col, rate, rounds).into_pattern()
 }
 
+/// The horizon of a diagonal wave on a `rows × cols` mesh,
+/// `(rows + cols − 2)·gap + 1`, or `None` when it overflows the round
+/// counter.
+pub(crate) fn diagonal_wave_horizon(rows: usize, cols: usize, gap: u64) -> Option<u64> {
+    let steps = (rows as u64).checked_add(cols as u64)?.checked_sub(2)?;
+    steps.checked_mul(gap)?.checked_add(1)
+}
+
 /// Streaming [`diagonal_wave`]: wave `k` (at round `k·gap`, or all in
 /// round 0 when `gap = 0`) injects `per_step` packets at every cell of
 /// anti-diagonal `k` (`r + c = k`), all destined for the bottom-right
@@ -84,7 +92,8 @@ pub fn column_flood(rows: usize, cols: usize, col: usize, rate: Rate, rounds: u6
 ///
 /// # Panics
 ///
-/// Panics if the mesh has fewer than 2 cells or `per_step == 0`.
+/// Panics if the mesh has fewer than 2 cells, `per_step == 0`, or
+/// `(rows + cols − 2)·gap + 1` overflows `u64`.
 pub fn diagonal_wave_source(
     rows: usize,
     cols: usize,
@@ -95,7 +104,8 @@ pub fn diagonal_wave_source(
     assert!(per_step > 0, "waves must carry packets");
     let corner = grid_node(cols, rows - 1, cols - 1);
     let waves = (rows + cols - 1) as u64;
-    let horizon = if gap == 0 { 1 } else { (waves - 1) * gap + 1 };
+    let horizon =
+        diagonal_wave_horizon(rows, cols, gap).expect("(rows + cols - 2) * gap + 1 overflows u64");
     FnSource::new(horizon, move |t, out| {
         let emit_wave = |k: u64, t: u64, out: &mut Vec<Injection>| {
             for r in 0..rows {
@@ -198,6 +208,12 @@ pub fn shaped_cross_traffic(
 mod tests {
     use super::*;
     use aqt_model::{analyze, InjectionSource, NodeId, Topology};
+
+    #[test]
+    #[should_panic(expected = "(rows + cols - 2) * gap + 1 overflows u64")]
+    fn diagonal_wave_horizon_overflow_panics_with_its_formula() {
+        let _ = diagonal_wave_source(2, 2, 1, u64::MAX);
+    }
 
     #[test]
     fn row_flood_stays_in_its_row() {

@@ -21,8 +21,21 @@ pub fn burst(round: u64, source: usize, dest: usize, size: usize) -> Pattern {
     Pattern::from_injections(vec![Injection::new(round, source, dest); size])
 }
 
+/// The horizon of a burst train, `(count − 1)·period + 1` (0 with no
+/// bursts), or `None` when it overflows the round counter.
+pub(crate) fn burst_train_horizon(period: u64, count: usize) -> Option<u64> {
+    (count as u64)
+        .saturating_sub(1)
+        .checked_mul(period)?
+        .checked_add(u64::from(count > 0))
+}
+
 /// Streaming [`burst_train`]: `count` bursts of `size` packets every
 /// `period` rounds, all on the same route, generated one round at a time.
+///
+/// # Panics
+///
+/// Panics if `period == 0` or `(count − 1)·period + 1` overflows `u64`.
 pub fn burst_train_source(
     source: usize,
     dest: usize,
@@ -31,7 +44,8 @@ pub fn burst_train_source(
     count: usize,
 ) -> impl InjectionSource {
     assert!(period > 0, "period must be positive");
-    let horizon = (count as u64).saturating_sub(1) * period + u64::from(count > 0);
+    let horizon =
+        burst_train_horizon(period, count).expect("(count - 1) * period + 1 overflows u64");
     FnSource::new(horizon, move |t, out| {
         if t % period == 0 && (t / period) < count as u64 {
             out.extend(std::iter::repeat_n(Injection::new(t, source, dest), size));
@@ -98,14 +112,25 @@ pub fn round_robin(dests: &[usize], rate: Rate, rounds: u64) -> Pattern {
     round_robin_source(dests, rate, rounds).into_pattern()
 }
 
+/// The horizon of a staircase of `steps ≥ 1` steps, `(steps − 1)·gap + 1`,
+/// or `None` when it overflows the round counter.
+pub(crate) fn staircase_horizon(steps: usize, gap: u64) -> Option<u64> {
+    (steps as u64 - 1).checked_mul(gap)?.checked_add(1)
+}
+
 /// Streaming [`staircase`]: far destinations first, one step every `gap`
 /// rounds (all steps in round 0 when `gap` = 0).
+///
+/// # Panics
+///
+/// Panics if `dests` is empty or `(|dests| − 1)·gap + 1` overflows `u64`.
 pub fn staircase_source(dests: &[usize], per_step: usize, gap: u64) -> impl InjectionSource {
     assert!(!dests.is_empty(), "need at least one destination");
     let mut sorted: Vec<usize> = dests.to_vec();
     sorted.sort_unstable();
     sorted.reverse(); // far destinations first
-    let horizon = (sorted.len() as u64 - 1) * gap + 1;
+    let horizon =
+        staircase_horizon(sorted.len(), gap).expect("(|dests| - 1) * gap + 1 overflows u64");
     FnSource::new(horizon, move |t, out| {
         let emit = |w: usize, out: &mut Vec<Injection>| {
             out.extend(std::iter::repeat_n(Injection::new(t, 0, w), per_step));
@@ -223,6 +248,18 @@ pub fn active_rounds(pattern: &Pattern) -> u64 {
 mod tests {
     use super::*;
     use aqt_model::{analyze, Path};
+
+    #[test]
+    #[should_panic(expected = "(count - 1) * period + 1 overflows u64")]
+    fn burst_train_horizon_overflow_panics_with_its_formula() {
+        let _ = burst_train_source(0, 1, 1, u64::MAX, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "(|dests| - 1) * gap + 1 overflows u64")]
+    fn staircase_horizon_overflow_panics_with_its_formula() {
+        let _ = staircase_source(&[1, 2], 1, u64::MAX);
+    }
 
     #[test]
     fn burst_has_expected_sigma() {

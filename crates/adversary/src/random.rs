@@ -76,7 +76,9 @@ pub enum Cadence {
     #[default]
     Smooth,
     /// Stay idle, then exhaust the accumulated budget in bursts every
-    /// `period` rounds — the adversary's nastiest legal behaviour.
+    /// `period` rounds — the adversary's nastiest legal behaviour. A
+    /// burst round draws `attempts·period` candidates; a source panics
+    /// in its first burst round if that overflows `usize`.
     Bursty {
         /// Burst period in rounds (≥ 1).
         period: u64,
@@ -253,18 +255,26 @@ impl RandomAdversary {
     }
 }
 
+/// The candidate draws of a bursty cadence's burst round, which gets the
+/// whole quiet window's attempts: `attempts·period` (a period of 0 acts
+/// as 1), or `None` when that overflows `usize`.
+pub(crate) fn burst_draws(attempts_per_round: usize, period: u64) -> Option<usize> {
+    attempts_per_round.checked_mul(usize::try_from(period.max(1)).ok()?)
+}
+
 /// Whether round `t` is active and with how many candidate draws.
+///
+/// # Panics
+///
+/// Panics on a burst round whose `attempts·period` overflows `usize`.
 fn round_budget(cadence: Cadence, attempts_per_round: usize, t: u64) -> (bool, usize) {
     match cadence {
         Cadence::Smooth => (true, attempts_per_round),
         Cadence::Bursty { period } => {
-            let period = period.max(1);
-            if t % period == 0 {
-                // A burst round gets the whole quiet window's attempts.
-                (
-                    true,
-                    attempts_per_round * usize::try_from(period).unwrap_or(usize::MAX),
-                )
+            if t % period.max(1) == 0 {
+                let draws = burst_draws(attempts_per_round, period)
+                    .expect("attempts * period overflows usize");
+                (true, draws)
             } else {
                 (false, 0)
             }
@@ -432,6 +442,15 @@ fn spread_tree_dests(topo: &DirectedTree, count: usize) -> BTreeSet<NodeId> {
 mod tests {
     use super::*;
     use aqt_model::analyze;
+
+    #[test]
+    #[should_panic(expected = "attempts * period overflows usize")]
+    fn burst_draws_overflow_panics_in_the_first_burst_round() {
+        let _ = RandomAdversary::new(Rate::ONE, 1, 4)
+            .cadence(Cadence::Bursty { period: u64::MAX })
+            .attempts_per_round(2)
+            .build_path(&Path::new(4));
+    }
 
     #[test]
     fn path_pattern_is_bounded_by_construction() {

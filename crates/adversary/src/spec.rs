@@ -19,7 +19,7 @@ use aqt_model::{
 use serde::{Deserialize, Serialize};
 
 use crate::patterns;
-use crate::random::{Cadence, DestSpec, RandomAdversary};
+use crate::random::{burst_draws, Cadence, DestSpec, RandomAdversary};
 use crate::shaper::ShapingSource;
 use crate::{grid, patterns::staircase_source};
 
@@ -334,6 +334,12 @@ fn invalid(source: &'static str, reason: impl Into<String>) -> SourceSpecError {
     }
 }
 
+/// A schedule whose `arithmetic` (a formula with its values) overflows
+/// 64 bits.
+fn overflow(source: &'static str, arithmetic: String) -> SourceSpecError {
+    invalid(source, format!("{arithmetic} overflows 64 bits"))
+}
+
 /// Checks a count of packets injected at one site in one round: a buffer
 /// span counts its packets in 32 bits, so a larger count is not
 /// representable (and would abort the allocation that materializes it).
@@ -449,6 +455,12 @@ impl SourceSpec {
                 if *period == 0 {
                     return Err(invalid("burst_train", "period must be at least 1"));
                 }
+                if patterns::burst_train_horizon(*period, *count).is_none() {
+                    return Err(overflow(
+                        "burst_train",
+                        format!("(count - 1) * period + 1 = ({count} - 1) * {period} + 1"),
+                    ));
+                }
                 Ok(Box::new(patterns::burst_train_source(
                     *source, *dest, *size, *period, *count,
                 )))
@@ -510,6 +522,15 @@ impl SourceSpec {
                     check_route(topo, "staircase", 0, w)?;
                 }
                 check_count("staircase", "per_step", *per_step)?;
+                if patterns::staircase_horizon(dests.len(), *gap).is_none() {
+                    return Err(overflow(
+                        "staircase",
+                        format!(
+                            "(|dests| - 1) * gap + 1 = ({} - 1) * {gap} + 1",
+                            dests.len()
+                        ),
+                    ));
+                }
                 Ok(Box::new(staircase_source(dests, *per_step, *gap)))
             }
             SourceSpec::PeakChase {
@@ -547,6 +568,14 @@ impl SourceSpec {
             } => {
                 if *attempts == 0 {
                     return Err(invalid("random", "need at least one attempt per round"));
+                }
+                if let Cadence::Bursty { period } = cadence {
+                    if burst_draws(*attempts, *period).is_none() {
+                        return Err(overflow(
+                            "random",
+                            format!("attempts * period = {attempts} * {period}"),
+                        ));
+                    }
                 }
                 let n = topo.node_count();
                 if n < 2 {
@@ -613,6 +642,12 @@ impl SourceSpec {
                     return Err(invalid("diagonal_wave", "waves must carry packets"));
                 }
                 check_count("diagonal_wave", "per_step", *per_step)?;
+                if grid::diagonal_wave_horizon(rows, cols, *gap).is_none() {
+                    return Err(overflow(
+                        "diagonal_wave",
+                        format!("(rows + cols - 2) * gap + 1 = ({rows} + {cols} - 2) * {gap} + 1"),
+                    ));
+                }
                 Ok(Box::new(grid::diagonal_wave_source(
                     rows, cols, *per_step, *gap,
                 )))

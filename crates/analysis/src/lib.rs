@@ -22,9 +22,9 @@
 //!   (every run steps on one thread): [`sweep::parallel`] scatters a
 //!   grid of independent runs across cores and merges deterministically
 //!   (equal to [`sweep::serial`] for pure functions);
-//! * [`capacity_threshold`] / [`sweep_capacity_grid`] — finite-buffer
-//!   experiments: binary-search the smallest zero-drop capacity and run
-//!   capacity × rate grids through the parallel runners;
+//! * [`capacity_threshold`] — finite-buffer experiments: binary-search
+//!   the smallest zero-drop capacity under any
+//!   [`DropPolicyKind`](aqt_model::DropPolicyKind);
 //! * [`Table`] / [`Verdict`] — bound-vs-measured table rendering (ASCII +
 //!   CSV);
 //! * [`render_figure1`] — the paper's Figure 1 as ASCII art.
@@ -72,11 +72,8 @@ pub use scenario::{
     CapacitySpec, Scenario, ScenarioError, ScenarioGrid,
 };
 pub use sweep::{
-    measured_sigma, measured_sigma_on, parallel_map, run_pattern, run_source, run_source_capacity,
-    RunSummary, SweepAggregate,
+    measured_sigma, measured_sigma_on, run_pattern, run_source, run_source_capacity, RunSummary,
+    SweepAggregate,
 };
-pub use threshold::{
-    capacity_rate_grid, capacity_threshold, sweep_capacity_grid, CapacityGridPoint, CapacityProbe,
-    CapacityThreshold,
-};
+pub use threshold::{capacity_threshold, CapacityProbe, CapacityThreshold};
 pub use validate::{Prediction, StaticReport};

@@ -229,7 +229,7 @@ pub fn run_scenario_probed<Pr: Probe + ?Sized>(
     check_node_ranges(scenario, topology.node_count())?;
     let mut sim = Simulation::from_source(topology, protocol, source);
     if let Some(cap) = &scenario.capacity {
-        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
+        sim = sim.with_capacity(cap.config.clone(), cap.policy);
     }
     if let Some(faults) = &scenario.faults {
         sim = sim.with_faults(faults);

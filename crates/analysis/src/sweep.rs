@@ -23,7 +23,7 @@
 //! source instances the spec enums cannot express.
 
 use aqt_model::{
-    analyze, CapacityConfig, DropPolicy, InjectionSource, ModelError, Path, Pattern, Protocol,
+    analyze, CapacityConfig, DropPolicyKind, InjectionSource, ModelError, Path, Pattern, Protocol,
     Rate, RunMetrics, Simulation, Topology,
 };
 use serde::{Deserialize, Serialize};
@@ -125,7 +125,7 @@ pub fn run_source_capacity<T: Topology, P: Protocol<T>, S: InjectionSource>(
     source: S,
     extra: u64,
     config: CapacityConfig,
-    policy: impl DropPolicy + 'static,
+    policy: DropPolicyKind,
 ) -> Result<RunSummary, ModelError> {
     let mut sim = Simulation::from_source(topology, protocol, source).with_capacity(config, policy);
     sim.run_past_horizon(extra)?;
@@ -271,23 +271,6 @@ where
     indexed.into_iter().map(|(_, o)| o).collect()
 }
 
-/// Applies `f` to every input on scoped threads (at most `threads` at a
-/// time), preserving input order.
-///
-/// Compatibility alias for [`parallel_with_threads`] taking owned inputs.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    parallel_with_threads(&inputs, threads, f)
-}
-
 /// Order-insensitive reduction of many [`RunSummary`]s: totals and worst
 /// cases only, so serial and parallel sweeps aggregate identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -390,7 +373,6 @@ mod tests {
     #[test]
     fn run_source_capacity_reports_dag_losses() {
         use aqt_core::DagGreedy;
-        use aqt_model::DropTail;
         let source = FnSource::new(1, |t, out| {
             out.extend(std::iter::repeat_n(Injection::new(t, 0, 3), 4));
         });
@@ -400,7 +382,7 @@ mod tests {
             source,
             10,
             CapacityConfig::uniform(2),
-            DropTail,
+            DropPolicyKind::Tail,
         )
         .unwrap();
         assert_eq!(s.injected, 4);
@@ -410,7 +392,6 @@ mod tests {
 
     #[test]
     fn run_source_capacity_reports_path_losses() {
-        use aqt_model::DropTail;
         let source = FnSource::new(1, |t, out| {
             out.extend(std::iter::repeat_n(Injection::new(t, 0, 3), 4));
         });
@@ -420,7 +401,7 @@ mod tests {
             source,
             10,
             CapacityConfig::uniform(2),
-            DropTail,
+            DropPolicyKind::Tail,
         )
         .unwrap();
         assert_eq!(s.injected, 4);
@@ -432,7 +413,6 @@ mod tests {
 
     #[test]
     fn run_source_capacity_runs_trees() {
-        use aqt_model::DropHead;
         let tree = DirectedTree::star(3);
         let source = FnSource::new(1, |t, out| {
             out.extend(std::iter::repeat_n(Injection::new(t, 1, 0), 3));
@@ -443,7 +423,7 @@ mod tests {
             source,
             6,
             CapacityConfig::uniform(1),
-            DropHead,
+            DropPolicyKind::Head,
         )
         .unwrap();
         assert_eq!(s.dropped, 2);
@@ -457,22 +437,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let inputs: Vec<u64> = (0..100).collect();
-        let out = parallel_map(inputs, 8, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn parallel_map_with_more_threads_than_items() {
-        let out = parallel_map(vec![1, 2], 16, |x| x + 1);
-        assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
-    fn parallel_map_empty_input() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), 4, |x| *x);
+    fn parallel_with_threads_handles_empty_input() {
+        let out: Vec<u32> = parallel_with_threads(&Vec::<u32>::new(), 4, |x| *x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn parallel_with_more_threads_than_items() {
+        let out = parallel_with_threads(&[1, 2], 16, |x| x + 1);
+        assert_eq!(out, vec![2, 3]);
     }
 
     #[test]

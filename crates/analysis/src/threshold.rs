@@ -1,6 +1,5 @@
 //! Empirical space thresholds: the smallest buffer capacity at which a
-//! protocol survives a workload without loss, and capacity × rate sweep
-//! grids over the lossy regime.
+//! protocol survives a workload without loss.
 //!
 //! The paper's theorems say "occupancy never exceeds B"; with the
 //! finite-buffer engine that becomes a *threshold experiment*: run with
@@ -17,11 +16,9 @@
 //! loss behavior just below.
 
 use aqt_model::{
-    CapacityConfig, DropPolicy, InjectionSource, ModelError, Path, Protocol, Rate, Round,
-    Simulation, StagingMode, Topology,
+    CapacityConfig, DropPolicyKind, InjectionSource, ModelError, Protocol, Round, Simulation,
+    StagingMode, Topology,
 };
-
-use crate::sweep::{self, RunSummary};
 
 /// One capacity probe of a threshold search.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +55,12 @@ pub struct CapacityThreshold {
 }
 
 /// Binary-searches the smallest zero-drop uniform capacity for
-/// `(protocol, source)` on `topology`.
+/// `(protocol, source)` on `topology`, with `policy` resolving overflow.
 ///
-/// The factories are invoked once per probe (sources are consumed by a
-/// run and policies may be stateful); each probe runs to the source
-/// horizon plus `extra` settle rounds, like
-/// [`run_source`](crate::run_source). The search probes O(log peak)
-/// capacities plus one unbounded reference run.
+/// The factories are invoked once per probe (a run consumes its protocol
+/// and source); each probe runs to the source horizon plus `extra`
+/// settle rounds, like [`run_source`](crate::run_source). The search
+/// probes O(log peak) capacities plus one unbounded reference run.
 ///
 /// # Errors
 ///
@@ -75,7 +71,7 @@ pub struct CapacityThreshold {
 /// ```
 /// use aqt_analysis::capacity_threshold;
 /// use aqt_core::{Greedy, GreedyPolicy};
-/// use aqt_model::{DropPolicy, DropTail, Injection, Path, Pattern, PatternSource, StagingMode};
+/// use aqt_model::{DropPolicyKind, Injection, Path, Pattern, PatternSource, StagingMode};
 ///
 /// // A burst of 4 needs exactly 4 slots at the injection site.
 /// let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 3); 4]);
@@ -83,7 +79,7 @@ pub struct CapacityThreshold {
 ///     &Path::new(4),
 ///     || Greedy::new(GreedyPolicy::Fifo),
 ///     || PatternSource::new(&pattern),
-///     || Box::new(DropTail) as Box<dyn DropPolicy>,
+///     DropPolicyKind::Tail,
 ///     StagingMode::Exempt,
 ///     10,
 /// )?;
@@ -91,11 +87,11 @@ pub struct CapacityThreshold {
 /// assert!(th.drops_below.unwrap() > 0);
 /// # Ok::<(), aqt_model::ModelError>(())
 /// ```
-pub fn capacity_threshold<T, P, S, FP, FS, FD>(
+pub fn capacity_threshold<T, P, S, FP, FS>(
     topology: &T,
     mk_protocol: FP,
     mk_source: FS,
-    mk_policy: FD,
+    policy: DropPolicyKind,
     staging: StagingMode,
     extra: u64,
 ) -> Result<CapacityThreshold, ModelError>
@@ -105,7 +101,6 @@ where
     S: InjectionSource,
     FP: Fn() -> P,
     FS: Fn() -> S,
-    FD: Fn() -> Box<dyn DropPolicy>,
 {
     let mut reference = Simulation::from_source(topology.clone(), mk_protocol(), mk_source());
     reference.run_past_horizon(extra)?;
@@ -113,10 +108,7 @@ where
 
     let probe = |capacity: usize| -> Result<CapacityProbe, ModelError> {
         let mut sim = Simulation::from_source(topology.clone(), mk_protocol(), mk_source())
-            .with_capacity(
-                CapacityConfig::uniform(capacity).staging(staging),
-                mk_policy(),
-            );
+            .with_capacity(CapacityConfig::uniform(capacity).staging(staging), policy);
         sim.run_past_horizon(extra)?;
         let m = sim.metrics();
         Ok(CapacityProbe {
@@ -181,95 +173,59 @@ where
     })
 }
 
-/// One point of a capacity × rate grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacityGridPoint {
-    /// Uniform buffer capacity of this run.
-    pub capacity: usize,
-    /// Injection rate ρ of this run.
-    pub rate: Rate,
-}
-
-/// The cartesian capacity × rate grid, capacities outermost.
-pub fn capacity_rate_grid(capacities: &[usize], rates: &[Rate]) -> Vec<CapacityGridPoint> {
-    let mut grid = Vec::with_capacity(capacities.len() * rates.len());
-    for &capacity in capacities {
-        for &rate in rates {
-            grid.push(CapacityGridPoint { capacity, rate });
-        }
-    }
-    grid
-}
-
-/// Runs every grid point on a path of `n` nodes through the parallel
-/// sweep runner ([`sweep::parallel`]) and returns the summaries in grid
-/// order (deterministic: the parallel merge preserves input order).
-///
-/// `mk_protocol` and `mk_source` build a fresh protocol/source for a
-/// point's rate; `mk_policy` supplies the drop policy per run.
-///
-/// # Errors
-///
-/// Returns the first engine error in grid order.
-pub fn sweep_capacity_grid<P, S, FP, FS, FD>(
-    n: usize,
-    grid: &[CapacityGridPoint],
-    mk_protocol: FP,
-    mk_source: FS,
-    mk_policy: FD,
-    staging: StagingMode,
-    extra: u64,
-) -> Result<Vec<RunSummary>, ModelError>
-where
-    P: Protocol<Path>,
-    S: InjectionSource,
-    FP: Fn(Rate) -> P + Sync,
-    FS: Fn(Rate) -> S + Sync,
-    FD: Fn() -> Box<dyn DropPolicy> + Sync,
-{
-    sweep::parallel(grid, |point| {
-        sweep::run_source_capacity(
-            Path::new(n),
-            mk_protocol(point.rate),
-            mk_source(point.rate),
-            extra,
-            CapacityConfig::uniform(point.capacity).staging(staging),
-            mk_policy(),
-        )
-    })
-    .into_iter()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aqt_core::{Greedy, GreedyPolicy};
-    use aqt_model::{DropHead, DropTail, FnSource, Injection, Pattern, PatternSource};
-
-    fn boxed_tail() -> Box<dyn DropPolicy> {
-        Box::new(DropTail)
-    }
+    use aqt_model::{DirectedTree, FnSource, Injection, Path, Pattern, PatternSource, Rate};
 
     #[test]
     fn threshold_equals_unbounded_peak() {
-        // Burst of 5 at node 0: greedy FIFO peaks at 5 there.
-        let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 3); 5]);
-        let th = capacity_threshold(
-            &Path::new(4),
-            || Greedy::new(GreedyPolicy::Fifo),
-            || PatternSource::new(&pattern),
-            boxed_tail,
-            StagingMode::Exempt,
-            12,
-        )
-        .unwrap();
-        assert_eq!(th.threshold, 5);
-        assert_eq!(th.unbounded_peak, 5);
-        assert!(th.drops_below.unwrap() > 0);
-        assert!(!th.probes.is_empty());
-        // Every probe respected its cap.
-        assert!(th.probes.iter().all(|p| p.max_occupancy <= p.capacity));
+        // Leaves 3 and 4 each burst four packets toward the root and
+        // node 1; node 2, their parent, bursts two a round later. Node 2
+        // receives two packets a round and sends one, so it peaks at 7.
+        // Its packets' destinations lie one and two hops away, and its own
+        // packets are newer than the leaves', so one below the threshold
+        // `Head`, `Farthest` and `Newest` each evict a stored packet: a
+        // policy that only ever rejected the incoming packet would replay
+        // `Tail`'s run exactly.
+        let tree = DirectedTree::from_parents(&[None, Some(0), Some(1), Some(2), Some(2)]).unwrap();
+        let mut injections = Vec::new();
+        for (leaf, dests) in [(3, [0, 1, 0, 1]), (4, [1, 0, 0, 1])] {
+            injections.extend(dests.map(|dest| Injection::new(0, leaf, dest)));
+        }
+        injections.extend([Injection::new(1, 2, 0), Injection::new(1, 2, 1)]);
+        let pattern = Pattern::from_injections(injections);
+        let lossy = |policy, capacity| {
+            let mut sim = Simulation::new(tree.clone(), Greedy::new(GreedyPolicy::Fifo), &pattern)
+                .unwrap()
+                .with_capacity(CapacityConfig::uniform(capacity), policy);
+            sim.run_past_horizon(12).unwrap();
+            sim.metrics().clone()
+        };
+        for policy in DropPolicyKind::ALL {
+            let th = capacity_threshold(
+                &tree,
+                || Greedy::new(GreedyPolicy::Fifo),
+                || PatternSource::new(&pattern),
+                policy,
+                StagingMode::Exempt,
+                12,
+            )
+            .unwrap();
+            assert_eq!(th.threshold, 7, "{policy:?}");
+            assert_eq!(th.unbounded_peak, 7, "{policy:?}");
+            assert!(th.drops_below.unwrap() > 0, "{policy:?}");
+            // Every probe respected its cap.
+            assert!(th.probes.iter().all(|p| p.max_occupancy <= p.capacity));
+            if policy != DropPolicyKind::Tail {
+                assert_ne!(
+                    lossy(policy, th.threshold - 1),
+                    lossy(DropPolicyKind::Tail, th.threshold - 1),
+                    "{policy:?} must evict a stored packet below the threshold"
+                );
+            }
+        }
     }
 
     #[test]
@@ -279,7 +235,7 @@ mod tests {
             &Path::new(2),
             || Greedy::new(GreedyPolicy::Fifo),
             || FnSource::new(20, |t, out| out.push(Injection::new(t, 0, 1))),
-            || Box::new(DropHead) as Box<dyn DropPolicy>,
+            DropPolicyKind::Head,
             StagingMode::Exempt,
             4,
         )
@@ -309,7 +265,7 @@ mod tests {
             &Path::new(n),
             || Hpts::for_line(n, 2).unwrap(),
             || PatternSource::new(&pattern),
-            boxed_tail,
+            DropPolicyKind::Tail,
             StagingMode::Counted,
             60,
         )
@@ -324,7 +280,7 @@ mod tests {
             )
             .with_capacity(
                 CapacityConfig::uniform(cap).staging(StagingMode::Counted),
-                DropTail,
+                DropPolicyKind::Tail,
             );
             sim.run_past_horizon(60).unwrap();
             sim.metrics().dropped
@@ -349,7 +305,7 @@ mod tests {
             &mesh,
             DagGreedy::fifo,
             || PatternSource::new(&pattern),
-            boxed_tail,
+            DropPolicyKind::Tail,
             StagingMode::Exempt,
             10,
         )
@@ -357,44 +313,5 @@ mod tests {
         assert_eq!(th.threshold, 4);
         assert_eq!(th.unbounded_peak, 4);
         assert!(th.drops_below.unwrap() > 0);
-    }
-
-    #[test]
-    fn grid_is_cartesian_and_ordered() {
-        let rates = [Rate::ONE, Rate::new(1, 2).unwrap()];
-        let grid = capacity_rate_grid(&[1, 2], &rates);
-        assert_eq!(grid.len(), 4);
-        assert_eq!(grid[0].capacity, 1);
-        assert_eq!(grid[1].rate, rates[1]);
-        assert_eq!(grid[3].capacity, 2);
-    }
-
-    #[test]
-    fn capacity_grid_sweep_reports_losses_below_threshold() {
-        // Paced single-route stream into a 2-node path; capacity 1 always
-        // suffices when packets leave immediately, but a burst of 3 needs
-        // 3 slots.
-        let grid = capacity_rate_grid(&[1, 3], &[Rate::ONE]);
-        let out = sweep_capacity_grid(
-            2,
-            &grid,
-            |_| Greedy::new(GreedyPolicy::Fifo),
-            |_| {
-                FnSource::new(6, |t, out| {
-                    if t == 0 {
-                        out.extend(std::iter::repeat_n(Injection::new(0, 0, 1), 3));
-                    }
-                })
-            },
-            boxed_tail,
-            StagingMode::Exempt,
-            8,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 2);
-        assert!(out[0].dropped > 0, "capacity 1 must lose the burst tail");
-        assert_eq!(out[1].dropped, 0, "capacity 3 holds the whole burst");
-        assert_eq!(out[1].goodput, Some(Rate::ONE));
-        assert!(out[0].goodput.unwrap() < Rate::ONE);
     }
 }

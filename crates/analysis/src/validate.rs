@@ -242,24 +242,6 @@ fn check_fault_schedule(
     Ok(())
 }
 
-/// Destination-depth d′ for Tree-PPTS (Prop. 3.5): the maximum number of
-/// destinations on any single root path. On a directed tree a node's
-/// root path is exactly the set of nodes it reaches, and every root path
-/// is contained in some leaf's, so the max over leaves suffices.
-fn tree_dest_depth(topo: &AnyTopology, dests: &[usize]) -> Option<usize> {
-    let tree = topo.as_tree()?;
-    (0..tree.node_count())
-        .map(NodeId::new)
-        .filter(|&v| tree.is_leaf(v))
-        .map(|leaf| {
-            dests
-                .iter()
-                .filter(|&&w| tree.reaches(leaf, NodeId::new(w)))
-                .count()
-        })
-        .max()
-}
-
 impl Scenario {
     /// Statically validates the scenario and derives closed-form
     /// predictions, without executing a single round.
@@ -373,17 +355,17 @@ impl Scenario {
                 }
             }
             ProtocolSpec::TreePpts => {
-                if let (Some((_, sigma)), Some(dests)) = (usable_sigma, &profile.dests) {
-                    if let Some(d_prime) = tree_dest_depth(&topology, dests) {
-                        predictions.push(Prediction {
-                            metric: "peak_occupancy".into(),
-                            value: bounds::tree_ppts_bound(d_prime, sigma),
-                            formula: format!(
-                                "1 + d' + sigma = 1 + {d_prime} + {sigma} (Prop. 3.5)"
-                            ),
-                            exact: false,
-                        });
-                    }
+                if let (Some((_, sigma)), Some(dests), Some(tree)) =
+                    (usable_sigma, &profile.dests, topology.as_tree())
+                {
+                    let dests = dests.iter().map(|&w| NodeId::new(w)).collect();
+                    let d_prime = tree.destination_depth(&dests);
+                    predictions.push(Prediction {
+                        metric: "peak_occupancy".into(),
+                        value: bounds::tree_ppts_bound(d_prime, sigma),
+                        formula: format!("1 + d' + sigma = 1 + {d_prime} + {sigma} (Prop. 3.5)"),
+                        exact: false,
+                    });
                 }
             }
             ProtocolSpec::Greedy { .. } | ProtocolSpec::DagGreedy { .. } => {

@@ -29,8 +29,8 @@ use aqt_analysis::{
 };
 use aqt_core::{Greedy, GreedyPolicy, Hpts, Ppts, ProtocolSpec, Pts};
 use aqt_model::{
-    analyze, CapacityConfig, DropPolicy, DropPolicyKind, DropTail, Injection, NodeId, Path,
-    Pattern, PatternSource, Protocol, Rate, StagingMode, TopologySpec,
+    analyze, CapacityConfig, DropPolicyKind, Injection, NodeId, Path, Pattern, PatternSource,
+    Protocol, Rate, StagingMode, TopologySpec,
 };
 
 /// Settle time after the adversary stops.
@@ -263,10 +263,6 @@ impl ThresholdRow {
     }
 }
 
-fn boxed_tail() -> Box<dyn DropPolicy> {
-    Box::new(DropTail)
-}
-
 /// The E11b threshold searches — shared by the table, the module tests
 /// and the golden regression suite that pins the measured values.
 pub fn e11b_rows(quick: bool) -> Vec<ThresholdRow> {
@@ -283,7 +279,7 @@ pub fn e11b_rows(quick: bool) -> Vec<ThresholdRow> {
             &Path::new(n),
             || Pts::new(NodeId::new(n - 1)),
             || PatternSource::new(&pattern),
-            boxed_tail,
+            DropPolicyKind::Tail,
             StagingMode::Exempt,
             EXTRA,
         )
@@ -309,7 +305,7 @@ pub fn e11b_rows(quick: bool) -> Vec<ThresholdRow> {
             &Path::new(n),
             Ppts::new,
             || PatternSource::new(&pattern),
-            boxed_tail,
+            DropPolicyKind::Tail,
             StagingMode::Exempt,
             EXTRA,
         )
@@ -340,7 +336,7 @@ pub fn e11b_rows(quick: bool) -> Vec<ThresholdRow> {
             &Path::new(n),
             || Hpts::for_line(n, l).expect("geometry fits"),
             || PatternSource::new(&pattern),
-            boxed_tail,
+            DropPolicyKind::Tail,
             StagingMode::Exempt,
             EXTRA,
         )
@@ -366,7 +362,7 @@ pub fn e11b_rows(quick: bool) -> Vec<ThresholdRow> {
             &Path::new(n),
             || Greedy::new(GreedyPolicy::Fifo),
             || PatternSource::new(&pattern),
-            boxed_tail,
+            DropPolicyKind::Tail,
             StagingMode::Exempt,
             EXTRA,
         )
@@ -438,7 +434,7 @@ mod tests {
     /// returns the drop count.
     fn drops_at<P: Protocol<Path>>(n: usize, protocol: P, pattern: &Pattern, cap: usize) -> u64 {
         let mut sim = Simulation::from_source(Path::new(n), protocol, PatternSource::new(pattern))
-            .with_capacity(CapacityConfig::uniform(cap), DropTail);
+            .with_capacity(CapacityConfig::uniform(cap), DropPolicyKind::Tail);
         sim.run_past_horizon(EXTRA).expect("valid run");
         sim.metrics().dropped
     }
@@ -462,7 +458,7 @@ mod tests {
                 Contender::GreedyFifo => Box::new(Greedy::new(GreedyPolicy::Fifo)),
             };
             let mut sim = Simulation::from_source(topo, protocol, shaped)
-                .with_capacity(CapacityConfig::uniform(cap), DropTail);
+                .with_capacity(CapacityConfig::uniform(cap), DropPolicyKind::Tail);
             sim.run_past_horizon(EXTRA).expect("valid run");
             let summary =
                 run_scenario(&e11a_scenario(contender, cap, n, sigma, wish_rounds)).unwrap();

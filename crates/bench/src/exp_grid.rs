@@ -23,7 +23,7 @@
 use aqt_adversary::{grid as gridpat, SourceSpec};
 use aqt_analysis::{capacity_threshold, run_grid, sweep, Scenario, ScenarioGrid, Table};
 use aqt_core::{DagGreedy, GreedyPolicy, ProtocolSpec};
-use aqt_model::{Dag, DropPolicy, DropTail, PatternSource, Rate, StagingMode, TopologySpec};
+use aqt_model::{Dag, DropPolicyKind, PatternSource, Rate, StagingMode, TopologySpec};
 
 /// Settle time after the adversary stops.
 const EXTRA: u64 = 100;
@@ -168,7 +168,7 @@ fn e12b_thresholds(quick: bool) -> Table {
             &mesh,
             DagGreedy::fifo,
             || PatternSource::new(&pattern),
-            || Box::new(DropTail) as Box<dyn DropPolicy>,
+            DropPolicyKind::Tail,
             StagingMode::Exempt,
             EXTRA,
         )

@@ -24,7 +24,7 @@ use aqt_adversary::{patterns, DestSpec, LowerBoundAdversary, RandomAdversary};
 use aqt_analysis::{sweep, Table};
 use aqt_core::{DagGreedy, Greedy, GreedyPolicy, Hpts, HptsD, Ppts, TreePpts};
 use aqt_model::{
-    CapacityConfig, Dag, DirectedTree, DropTail, FaultEvent, FaultSpec, FnSource, Injection,
+    CapacityConfig, Dag, DirectedTree, DropPolicyKind, FaultEvent, FaultSpec, FnSource, Injection,
     InjectionSource, Packet, Path, Protocol, Rate, RunMetrics, Simulation, StoredPacket, Topology,
 };
 
@@ -113,7 +113,7 @@ pub fn e10_runs(n: usize, rounds: u64, side: usize, flood_rounds: u64) -> [Engin
     let (capped, ()) = time_run(
         "pairs stream, capacity 1",
         &path,
-        || pairs().with_capacity(CapacityConfig::uniform(1), DropTail),
+        || pairs().with_capacity(CapacityConfig::uniform(1), DropPolicyKind::Tail),
         |sim| {
             sim.run_past_horizon(2).expect("valid capacity run");
             assert!(sim.is_drained(), "capacity-1 pairs stream must drain");
@@ -134,7 +134,7 @@ pub fn e10_runs(n: usize, rounds: u64, side: usize, flood_rounds: u64) -> [Engin
                     out.extend(std::iter::repeat_n(Injection::new(t, 0, n - 1), 4));
                 }),
             )
-            .with_capacity(CapacityConfig::uniform(lossy_cap), DropTail)
+            .with_capacity(CapacityConfig::uniform(lossy_cap), DropPolicyKind::Tail)
         },
         |sim| {
             sim.run_past_horizon((n * lossy_cap + n) as u64)

@@ -4,9 +4,9 @@
 //! this module supplies the other half of the experiment: what happens
 //! when a buffer has **less**. A [`CapacityConfig`] caps every buffer
 //! (uniformly or per node). Whenever the engine would place a packet into
-//! a full buffer it consults a [`DropPolicy`], which picks a [`Victim`]:
-//! either the incoming packet is rejected, or a stored packet is evicted
-//! to make room. Either way exactly one packet is lost and the loss is
+//! a full buffer, its [`DropPolicyKind`] picks the loser: either the
+//! incoming packet is rejected, or a stored packet is evicted to make
+//! room. Either way exactly one packet is lost and the loss is
 //! recorded in [`RunMetrics`](crate::RunMetrics) (totals, per-node counts,
 //! first-drop round) and in the cumulative per-node counters of
 //! [`NetworkState`](crate::NetworkState).
@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use aqt_model::{
-//!     CapacityConfig, DropTail, Injection, NodeId, Path, Pattern, Simulation,
+//!     CapacityConfig, DropPolicyKind, Injection, NodeId, Path, Pattern, Simulation,
 //! };
 //! # use aqt_model::{ForwardingPlan, NetworkState, Protocol, Round, Topology};
 //! # struct Drain;
@@ -54,18 +54,16 @@
 //! // Three packets burst into a buffer that holds two: one is dropped.
 //! let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 3); 3]);
 //! let mut sim = Simulation::new(Path::new(4), Drain, &pattern)?
-//!     .with_capacity(CapacityConfig::uniform(2), DropTail);
+//!     .with_capacity(CapacityConfig::uniform(2), DropPolicyKind::Tail);
 //! sim.run(6)?;
 //! assert_eq!(sim.metrics().dropped, 1);
 //! assert_eq!(sim.metrics().delivered, 2);
 //! # Ok::<(), aqt_model::ModelError>(())
 //! ```
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{NodeId, PacketId, Round};
+use crate::ids::{NodeId, PacketId};
 use crate::packet::{Packet, StoredPacket};
 
 /// Buffer limits: one shared cap or one per node.
@@ -235,134 +233,46 @@ impl CapacityConfig {
     }
 }
 
-/// The outcome of a [`DropPolicy`] consultation: who loses their place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Victim {
-    /// Reject the incoming packet; the buffer is untouched.
-    Incoming,
-    /// Evict this stored packet and admit the incoming one in its stead.
-    /// The id must name a packet currently in the full buffer, or the
-    /// engine reports
-    /// [`ModelError::InvalidVictim`](crate::ModelError::InvalidVictim).
-    Stored(PacketId),
-}
-
-/// Context handed to a [`DropPolicy`] alongside the full buffer: where the
-/// overflow happens and how far packets still have to travel.
-pub struct DropContext<'a> {
-    node: NodeId,
-    round: Round,
-    distance: &'a dyn Fn(NodeId) -> usize,
-}
-
-impl fmt::Debug for DropContext<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DropContext")
-            .field("node", &self.node)
-            .field("round", &self.round)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> DropContext<'a> {
-    /// A context for an overflow at `node` in `round`; `distance` maps a
-    /// destination to the route length from `node`.
-    pub fn new(node: NodeId, round: Round, distance: &'a dyn Fn(NodeId) -> usize) -> Self {
-        DropContext {
-            node,
-            round,
-            distance,
-        }
-    }
-
-    /// The node whose buffer is full.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The round of the overflow.
-    pub fn round(&self) -> Round {
-        self.round
-    }
-
-    /// Remaining route length (in links) from the full buffer to `dest`,
-    /// or `usize::MAX` when `dest` is unreachable from this buffer — an
-    /// unreachable destination is *infinitely* far, so distance-ordering
-    /// policies ([`DropFarthest`]) evict such packets first rather than
-    /// treating them as already arrived.
-    pub fn distance_to(&self, dest: NodeId) -> usize {
-        (self.distance)(dest)
-    }
-}
-
-/// Chooses which packet to sacrifice when a buffer is full.
-///
-/// The engine calls [`select`](DropPolicy::select) with the full buffer
-/// (in placement order: ascending `seq`, so index 0 is the FIFO head and
-/// the last element the LIFO top), the incoming packet, and a
-/// [`DropContext`]. The policy must be deterministic for reproducible
-/// runs; it may keep internal state (hence `&mut self`).
-///
-/// Implementations here: [`DropTail`], [`DropHead`], [`DropFarthest`],
-/// [`DropNewest`].
-pub trait DropPolicy: fmt::Debug + Send {
-    /// Human-readable policy name for reports.
-    fn name(&self) -> String;
-
-    /// Picks the victim for an overflow. `buffer` is non-empty (capacity
-    /// limits are ≥ 1 and the buffer is at its limit).
-    fn select(
-        &mut self,
-        buffer: &[StoredPacket],
-        incoming: &Packet,
-        ctx: &DropContext<'_>,
-    ) -> Victim;
-}
-
-impl<P: DropPolicy + ?Sized> DropPolicy for Box<P> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn select(
-        &mut self,
-        buffer: &[StoredPacket],
-        incoming: &Packet,
-        ctx: &DropContext<'_>,
-    ) -> Victim {
-        (**self).select(buffer, incoming, ctx)
-    }
-}
-
-/// A serializable *selection* of one of the built-in drop policies —
-/// the archivable form of a policy choice. Experiment configs and sweep
-/// matrices name policies through this enum and instantiate fresh policy
-/// state per run with [`build`](DropPolicyKind::build).
+/// Which packet a full buffer loses: the drop policy of a
+/// capacity-bounded run, a closed set that scenarios store as data and
+/// hand to [`Simulation::with_capacity`](crate::Simulation::with_capacity).
 ///
 /// # Examples
 ///
 /// ```
 /// use aqt_model::DropPolicyKind;
 ///
-/// let kind = DropPolicyKind::Head;
-/// let policy = kind.build();
-/// assert_eq!(policy.name(), "drop-head");
+/// assert_eq!(DropPolicyKind::Head.label(), "drop-head");
 /// assert_eq!(DropPolicyKind::ALL.len(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DropPolicyKind {
-    /// [`DropTail`].
+    /// Classic drop-tail: the incoming packet is rejected, the buffer
+    /// keeps what it has. The baseline policy of router queues.
     Tail,
-    /// [`DropHead`].
+    /// Drop-head (drop-front): evict the FIFO head — the packet that has
+    /// waited in this buffer longest — and admit the incoming one.
+    /// Favors fresh traffic; the classic latency-bounding policy.
     Head,
-    /// [`DropFarthest`].
+    /// Drop the packet (stored or incoming) farthest from its destination
+    /// — the work-conserving heuristic of the competitive-throughput
+    /// literature: packets close to delivery embody the most sunk
+    /// forwarding work. An unreachable destination is infinitely far, so
+    /// a packet that can never arrive is evicted first.
+    ///
+    /// Ties between a stored packet and the incoming one favor dropping
+    /// the incoming packet (less buffer churn); ties among stored packets
+    /// evict the most recently placed (largest `seq`).
     Farthest,
-    /// [`DropNewest`].
+    /// Drop the packet (stored or incoming) injected most recently —
+    /// protects the oldest traffic, approximating longest-in-system
+    /// priority under loss. Ties favor dropping the incoming packet; ties
+    /// among stored packets evict the most recently placed.
     Newest,
 }
 
 impl DropPolicyKind {
-    /// Every built-in policy, for sweep matrices.
+    /// Every policy, for sweep matrices.
     pub const ALL: [DropPolicyKind; 4] = [
         DropPolicyKind::Tail,
         DropPolicyKind::Head,
@@ -370,8 +280,7 @@ impl DropPolicyKind {
         DropPolicyKind::Newest,
     ];
 
-    /// Short display name (matches [`DropPolicy::name`] of the built
-    /// policy).
+    /// Short display name for reports.
     pub fn label(self) -> &'static str {
         match self {
             DropPolicyKind::Tail => "drop-tail",
@@ -381,108 +290,43 @@ impl DropPolicyKind {
         }
     }
 
-    /// Instantiates a fresh boxed policy of this kind.
-    pub fn build(self) -> Box<dyn DropPolicy> {
+    /// Returns `self` unchanged: the kind is the policy. Kept so that
+    /// callers written as `with_capacity(config, kind.build())` still
+    /// compile.
+    pub fn build(self) -> Self {
+        self
+    }
+
+    /// The stored packet a full buffer evicts to admit `incoming`, or
+    /// `None` when `incoming` itself is lost. An empty buffer, full with
+    /// reservations under [`StagingMode::Counted`], has nothing to evict.
+    ///
+    /// `buffer` is in placement order (ascending `seq`: index 0 is the
+    /// FIFO head). `distance` maps a destination to its route length from
+    /// the full buffer, `usize::MAX` when unreachable.
+    pub(crate) fn victim(
+        self,
+        buffer: &[StoredPacket],
+        incoming: &Packet,
+        distance: impl Fn(NodeId) -> usize,
+    ) -> Option<PacketId> {
         match self {
-            DropPolicyKind::Tail => Box::new(DropTail),
-            DropPolicyKind::Head => Box::new(DropHead),
-            DropPolicyKind::Farthest => Box::new(DropFarthest),
-            DropPolicyKind::Newest => Box::new(DropNewest),
-        }
-    }
-}
-
-/// Classic drop-tail: the incoming packet is rejected, the buffer keeps
-/// what it has. The baseline policy of router queues.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropTail;
-
-impl DropPolicy for DropTail {
-    fn name(&self) -> String {
-        "drop-tail".into()
-    }
-
-    fn select(&mut self, _: &[StoredPacket], _: &Packet, _: &DropContext<'_>) -> Victim {
-        Victim::Incoming
-    }
-}
-
-/// Drop-head (drop-front): evict the FIFO head — the packet that has
-/// waited in this buffer longest — and admit the incoming one. Favors
-/// fresh traffic; the classic latency-bounding policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropHead;
-
-impl DropPolicy for DropHead {
-    fn name(&self) -> String {
-        "drop-head".into()
-    }
-
-    fn select(&mut self, buffer: &[StoredPacket], _: &Packet, _: &DropContext<'_>) -> Victim {
-        // Buffers are kept in placement order: the first entry is the
-        // FIFO head.
-        Victim::Stored(buffer.first().expect("full buffer is non-empty").id())
-    }
-}
-
-/// Drop the packet (stored or incoming) farthest from its destination —
-/// the work-conserving heuristic of the competitive-throughput literature:
-/// packets close to delivery embody the most sunk forwarding work.
-///
-/// Ties between a stored packet and the incoming one favor dropping the
-/// incoming packet (less buffer churn); ties among stored packets evict
-/// the most recently placed (largest `seq`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropFarthest;
-
-impl DropPolicy for DropFarthest {
-    fn name(&self) -> String {
-        "drop-farthest".into()
-    }
-
-    fn select(
-        &mut self,
-        buffer: &[StoredPacket],
-        incoming: &Packet,
-        ctx: &DropContext<'_>,
-    ) -> Victim {
-        let farthest = buffer
-            .iter()
-            .max_by_key(|sp| (ctx.distance_to(sp.dest()), sp.seq()))
-            .expect("full buffer is non-empty");
-        if ctx.distance_to(farthest.dest()) > ctx.distance_to(incoming.dest()) {
-            Victim::Stored(farthest.id())
-        } else {
-            Victim::Incoming
-        }
-    }
-}
-
-/// Drop the packet (stored or incoming) injected most recently — protects
-/// the oldest traffic, approximating longest-in-system priority under
-/// loss. Ties favor dropping the incoming packet.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropNewest;
-
-impl DropPolicy for DropNewest {
-    fn name(&self) -> String {
-        "drop-newest".into()
-    }
-
-    fn select(
-        &mut self,
-        buffer: &[StoredPacket],
-        incoming: &Packet,
-        _: &DropContext<'_>,
-    ) -> Victim {
-        let newest = buffer
-            .iter()
-            .max_by_key(|sp| (sp.packet().injected_at(), sp.seq()))
-            .expect("full buffer is non-empty");
-        if newest.packet().injected_at() > incoming.injected_at() {
-            Victim::Stored(newest.id())
-        } else {
-            Victim::Incoming
+            DropPolicyKind::Tail => None,
+            DropPolicyKind::Head => buffer.first().map(StoredPacket::id),
+            DropPolicyKind::Farthest => {
+                let (far, _, id) = buffer
+                    .iter()
+                    .map(|sp| (distance(sp.dest()), sp.seq(), sp.id()))
+                    .max()?;
+                (far > distance(incoming.dest())).then_some(id)
+            }
+            DropPolicyKind::Newest => {
+                let (newest, _, id) = buffer
+                    .iter()
+                    .map(|sp| (sp.packet().injected_at(), sp.seq(), sp.id()))
+                    .max()?;
+                (newest > incoming.injected_at()).then_some(id)
+            }
         }
     }
 }
@@ -490,6 +334,7 @@ impl DropPolicy for DropNewest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Round;
 
     fn stored(id: u64, injected: u64, dest: usize, seq: u64) -> StoredPacket {
         StoredPacket::new(
@@ -514,8 +359,8 @@ mod tests {
     }
 
     /// Distance on a path from node 0: the destination index itself.
-    fn ctx(distance: &dyn Fn(NodeId) -> usize) -> DropContext<'_> {
-        DropContext::new(NodeId::new(0), Round::new(5), distance)
+    fn on_path(dest: NodeId) -> usize {
+        dest.index()
     }
 
     #[test]
@@ -548,47 +393,45 @@ mod tests {
     #[test]
     fn drop_tail_always_rejects_incoming() {
         let buf = vec![stored(1, 0, 3, 0)];
-        let d = |_: NodeId| 1;
-        assert_eq!(
-            DropTail.select(&buf, &incoming(9, 9, 1), &ctx(&d)),
-            Victim::Incoming
-        );
+        let victim = DropPolicyKind::Tail.victim(&buf, &incoming(9, 9, 1), on_path);
+        assert_eq!(victim, None);
     }
 
     #[test]
     fn drop_head_evicts_fifo_head() {
         let buf = vec![stored(1, 0, 3, 0), stored(2, 1, 3, 1)];
-        let d = |_: NodeId| 1;
-        assert_eq!(
-            DropHead.select(&buf, &incoming(9, 9, 3), &ctx(&d)),
-            Victim::Stored(PacketId::new(1))
-        );
+        let victim = DropPolicyKind::Head.victim(&buf, &incoming(9, 9, 3), on_path);
+        assert_eq!(victim, Some(PacketId::new(1)));
     }
 
     #[test]
     fn drop_farthest_prefers_distant_stored_packet() {
         // Stored packet to node 7 is farther than incoming to node 2.
         let buf = vec![stored(1, 0, 7, 0), stored(2, 0, 3, 1)];
-        let d = |dest: NodeId| dest.index();
-        assert_eq!(
-            DropFarthest.select(&buf, &incoming(9, 1, 2), &ctx(&d)),
-            Victim::Stored(PacketId::new(1))
-        );
+        let farthest = |dest| DropPolicyKind::Farthest.victim(&buf, &incoming(9, 1, dest), on_path);
+        assert_eq!(farthest(2), Some(PacketId::new(1)));
         // Incoming to node 9 is farthest: incoming loses.
-        assert_eq!(
-            DropFarthest.select(&buf, &incoming(9, 1, 9), &ctx(&d)),
-            Victim::Incoming
-        );
+        assert_eq!(farthest(9), None);
     }
 
     #[test]
     fn drop_farthest_tie_rejects_incoming() {
         let buf = vec![stored(1, 0, 5, 0)];
-        let d = |dest: NodeId| dest.index();
-        assert_eq!(
-            DropFarthest.select(&buf, &incoming(9, 1, 5), &ctx(&d)),
-            Victim::Incoming
-        );
+        let victim = DropPolicyKind::Farthest.victim(&buf, &incoming(9, 1, 5), on_path);
+        assert_eq!(victim, None);
+    }
+
+    #[test]
+    fn stored_ties_evict_the_most_recently_placed() {
+        // Same distance and injection round: the larger `seq` goes.
+        let buf = vec![stored(1, 0, 5, 0), stored(2, 0, 5, 1)];
+        let late = incoming(9, 1, 1);
+        let farthest = DropPolicyKind::Farthest.victim(&buf, &late, on_path);
+        assert_eq!(farthest, Some(PacketId::new(2)));
+        let early = incoming(9, 0, 5);
+        let buf = vec![stored(1, 3, 5, 0), stored(2, 3, 5, 1)];
+        let newest = DropPolicyKind::Newest.victim(&buf, &early, on_path);
+        assert_eq!(newest, Some(PacketId::new(2)));
     }
 
     #[test]
@@ -597,7 +440,7 @@ mod tests {
         // Regression: the engine's distance closure maps an unreachable
         // destination (`route_len` = `None`) to `usize::MAX`, not 0. With
         // 0, a packet that can never arrive looked *closest* and
-        // `DropFarthest` would never evict it. Two components:
+        // `Farthest` would never evict it. Two components:
         // 0 → 1 and 2 → 3, so node 3 is unreachable from node 0.
         let dag = Dag::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let v = NodeId::new(0);
@@ -609,14 +452,14 @@ mod tests {
         // must be the victim.
         let buf = vec![stored(1, 0, 3, 0), stored(2, 0, 1, 1)];
         assert_eq!(
-            DropFarthest.select(&buf, &incoming(9, 1, 1), &ctx(&d)),
-            Victim::Stored(PacketId::new(1))
+            DropPolicyKind::Farthest.victim(&buf, &incoming(9, 1, 1), d),
+            Some(PacketId::new(1))
         );
         // An unreachable incoming packet loses to a viable stored one.
         let viable = vec![stored(2, 0, 1, 0)];
         assert_eq!(
-            DropFarthest.select(&viable, &incoming(9, 1, 3), &ctx(&d)),
-            Victim::Incoming
+            DropPolicyKind::Farthest.victim(&viable, &incoming(9, 1, 3), d),
+            None
         );
     }
 
@@ -625,44 +468,20 @@ mod tests {
         // A late-injected stored packet loses to an earlier incoming one
         // (a forwarded old packet arriving at a congested buffer).
         let buf = vec![stored(1, 0, 3, 0), stored(2, 8, 3, 1)];
-        let d = |_: NodeId| 1;
-        assert_eq!(
-            DropNewest.select(&buf, &incoming(9, 4, 3), &ctx(&d)),
-            Victim::Stored(PacketId::new(2))
-        );
+        let newest = |at| DropPolicyKind::Newest.victim(&buf, &incoming(9, at, 3), on_path);
+        assert_eq!(newest(4), Some(PacketId::new(2)));
         // Incoming is the newest: it is the victim (ties included).
-        assert_eq!(
-            DropNewest.select(&buf, &incoming(9, 8, 3), &ctx(&d)),
-            Victim::Incoming
-        );
+        assert_eq!(newest(8), None);
     }
 
     #[test]
-    fn boxed_policies_delegate() {
-        let mut boxed: Box<dyn DropPolicy> = Box::new(DropHead);
-        assert_eq!(boxed.name(), "drop-head");
-        let buf = vec![stored(1, 0, 3, 0)];
-        let d = |_: NodeId| 1;
-        assert_eq!(
-            boxed.select(&buf, &incoming(9, 9, 3), &ctx(&d)),
-            Victim::Stored(PacketId::new(1))
-        );
-    }
-
-    #[test]
-    fn policy_kinds_build_matching_policies() {
+    fn an_empty_buffer_always_loses_the_incoming_packet() {
         for kind in DropPolicyKind::ALL {
-            assert_eq!(kind.build().name(), kind.label());
+            assert_eq!(
+                kind.victim(&[], &incoming(9, 0, 3), on_path),
+                None,
+                "{kind:?}"
+            );
         }
-    }
-
-    #[test]
-    fn context_reports_site() {
-        let d = |dest: NodeId| dest.index() * 2;
-        let c = DropContext::new(NodeId::new(3), Round::new(7), &d);
-        assert_eq!(c.node(), NodeId::new(3));
-        assert_eq!(c.round(), Round::new(7));
-        assert_eq!(c.distance_to(NodeId::new(4)), 8);
-        assert!(format!("{c:?}").contains("DropContext"));
     }
 }

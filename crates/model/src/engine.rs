@@ -22,14 +22,14 @@
 //! performs no heap allocation beyond buffer growth.
 //!
 //! Buffers are unbounded by default (the theorems ask how much space is
-//! *needed*); [`Simulation::with_capacity`] caps them and routes every
-//! overflowing placement through a [`DropPolicy`](crate::DropPolicy) —
+//! *needed*); [`Simulation::with_capacity`] caps them and lets a
+//! [`DropPolicyKind`] pick the packet each overflowing placement loses —
 //! same hot path, no extra allocation, losses recorded in
 //! [`RunMetrics`].
 //!
 use std::fmt;
 
-use crate::capacity::{CapacityConfig, DropContext, DropPolicy, StagingMode, Victim};
+use crate::capacity::{CapacityConfig, DropPolicyKind, StagingMode};
 use crate::fault::{FaultRuntime, FaultSpec, FaultState};
 use crate::ids::{NodeId, PacketId, Round};
 use crate::metrics::RunMetrics;
@@ -368,15 +368,6 @@ pub enum ModelError {
         /// Round of the offense.
         round: Round,
     },
-    /// A [`DropPolicy`] named a victim that is not in the full buffer.
-    InvalidVictim {
-        /// The node whose buffer overflowed.
-        node: NodeId,
-        /// The claimed (absent) victim.
-        packet: PacketId,
-        /// Round of the offense.
-        round: Round,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -399,14 +390,6 @@ impl fmt::Display for ModelError {
             ModelError::LinkOverload { node, hop, round } => write!(
                 f,
                 "plan at {round} forwards two packets over link {node} -> {hop}"
-            ),
-            ModelError::InvalidVictim {
-                node,
-                packet,
-                round,
-            } => write!(
-                f,
-                "drop policy at {round} evicts {packet} absent from full buffer {node}"
             ),
         }
     }
@@ -521,10 +504,10 @@ pub struct Simulation<T: Topology, P: Protocol<T>, S: InjectionSource = PatternS
 
 /// Enforcement state of a capacity-bounded run: the limits plus the
 /// policy consulted on overflow.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CapacityState {
     config: CapacityConfig,
-    policy: Box<dyn DropPolicy>,
+    policy: DropPolicyKind,
 }
 
 /// A validated forwarding move: `(from, packet, next hop, delivers)`.
@@ -611,16 +594,16 @@ fn collect_moves<T: Topology>(
 /// borrow checker accepts calls from inside the scratch-buffer loops.
 fn admit<T: Topology>(
     topology: &T,
-    capacity: &mut Option<CapacityState>,
+    capacity: &Option<CapacityState>,
     state: &mut NetworkState,
     metrics: &mut RunMetrics,
     v: NodeId,
     packet: Packet,
     t: Round,
-) -> Result<bool, ModelError> {
-    let Some(cap) = capacity.as_mut() else {
+) -> bool {
+    let Some(cap) = capacity else {
         state.place(v, packet, t);
-        return Ok(true);
+        return true;
     };
     let mut occupied = state.occupancy(v);
     if cap.config.staging_mode() == StagingMode::Counted {
@@ -628,43 +611,26 @@ fn admit<T: Topology>(
     }
     if occupied < cap.config.limit(v) {
         state.place(v, packet, t);
-        return Ok(true);
-    }
-    // Under counted staging the limit can be reached by staged wishes
-    // alone. Staged packets are invisible to drop policies (they are not
-    // part of the observable configuration), so with an empty buffer no
-    // stored victim exists and the incoming packet is necessarily the
-    // loss — policies are only consulted on non-empty buffers, as their
-    // contract states.
-    if state.occupancy(v) == 0 {
-        metrics.record_drop(t, v);
-        state.note_drop(v);
-        return Ok(false);
+        return true;
     }
     // Unreachable destinations sort as infinitely far (`route_len` is
-    // `None`): `DropFarthest` must prefer evicting a packet that can
-    // never arrive over one that still can. `unwrap_or(0)` here would
-    // make such a packet look *closest* and therefore unevictable.
+    // `None`): `Farthest` must prefer evicting a packet that can never
+    // arrive over one that still can. `unwrap_or(0)` here would make such
+    // a packet look *closest* and therefore unevictable. Under counted
+    // staging the limit can be reached by staged wishes alone; staged
+    // packets are invisible to the policy, so an empty buffer has no
+    // stored victim and the incoming packet is the loss.
     let distance = |dest: NodeId| topology.route_len(v, dest).unwrap_or(usize::MAX);
-    let ctx = DropContext::new(v, t, &distance);
-    match cap.policy.select(state.buffer(v), &packet, &ctx) {
-        Victim::Incoming => {
-            metrics.record_drop(t, v);
-            state.note_drop(v);
-            Ok(false)
-        }
-        Victim::Stored(id) => {
-            state.remove(v, id).ok_or(ModelError::InvalidVictim {
-                node: v,
-                packet: id,
-                round: t,
-            })?;
-            metrics.record_drop(t, v);
-            state.note_drop(v);
-            state.place(v, packet, t);
-            Ok(true)
-        }
+    let victim = cap.policy.victim(state.buffer(v), &packet, distance);
+    metrics.record_drop(t, v);
+    state.note_drop(v);
+    if let Some(id) = victim {
+        state
+            .remove(v, id)
+            .expect("the victim is a stored packet of v");
+        state.place(v, packet, t);
     }
+    victim.is_some()
 }
 
 impl<T: Topology, P: Protocol<T>> Simulation<T, P> {
@@ -718,7 +684,8 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
     }
 
     /// Enables capacity-bounded execution: every buffer is capped per
-    /// `config` and overflowing placements are resolved by `policy` (see
+    /// `config` and `policy` picks the packet an overflowing placement
+    /// loses (see
     /// the [`capacity`](crate::CapacityConfig) module docs for the exact
     /// enforcement points). With a capacity no placement can ever exceed
     /// the limit; losses appear in [`RunMetrics::dropped`] and friends.
@@ -730,17 +697,10 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
     ///
     /// Panics if called after stepping, or if a per-node config does not
     /// match the topology's node count.
-    pub fn with_capacity(
-        mut self,
-        config: CapacityConfig,
-        policy: impl DropPolicy + 'static,
-    ) -> Self {
+    pub fn with_capacity(mut self, config: CapacityConfig, policy: DropPolicyKind) -> Self {
         assert_eq!(self.round, Round::ZERO, "enable capacity before stepping");
         config.assert_valid(self.topology.node_count());
-        self.capacity = Some(CapacityState {
-            config,
-            policy: Box::new(policy),
-        });
+        self.capacity = Some(CapacityState { config, policy });
         self
     }
 
@@ -859,13 +819,13 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
                 for packet in self.accept_buf.drain(..) {
                     if admit(
                         &self.topology,
-                        &mut self.capacity,
+                        &self.capacity,
                         &mut self.state,
                         &mut self.metrics,
                         packet.source(),
                         packet,
                         t,
-                    )? {
+                    ) {
                         accepted += 1;
                     }
                 }
@@ -901,13 +861,13 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
                 InjectionMode::Immediate => {
                     admit(
                         &self.topology,
-                        &mut self.capacity,
+                        &self.capacity,
                         &mut self.state,
                         &mut self.metrics,
                         injection.source,
                         packet,
                         t,
-                    )?;
+                    );
                 }
                 InjectionMode::Batched { .. } => {
                     // Counted staging: the wish needs a reserved slot at
@@ -1109,13 +1069,13 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
                     // receiving buffer is full it (or a victim) is lost here.
                     admit(
                         &self.topology,
-                        &mut self.capacity,
+                        &self.capacity,
                         &mut self.state,
                         &mut self.metrics,
                         hop,
                         *stored.packet(),
                         t,
-                    )?;
+                    );
                 }
             }
         }
@@ -1454,12 +1414,12 @@ mod tests {
 
     #[test]
     fn capacity_drop_tail_rejects_overflow_and_records_it() {
-        use crate::capacity::{CapacityConfig, DropTail};
+        use crate::capacity::{CapacityConfig, DropPolicyKind};
         // Three packets burst into node 0 (cap 2): the third is dropped.
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 3); 3]);
         let mut sim = Simulation::new(Path::new(4), Drain, &p)
             .unwrap()
-            .with_capacity(CapacityConfig::uniform(2), DropTail);
+            .with_capacity(CapacityConfig::uniform(2), DropPolicyKind::Tail);
         let o = sim.step().unwrap();
         assert_eq!(o.injected, 3);
         assert_eq!(o.dropped, 1);
@@ -1477,11 +1437,11 @@ mod tests {
 
     #[test]
     fn capacity_drop_head_evicts_oldest() {
-        use crate::capacity::{CapacityConfig, DropHead};
+        use crate::capacity::{CapacityConfig, DropPolicyKind};
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 3), Injection::new(0, 0, 2)]);
         let mut sim = Simulation::new(Path::new(4), Idle, &p)
             .unwrap()
-            .with_capacity(CapacityConfig::uniform(1), DropHead);
+            .with_capacity(CapacityConfig::uniform(1), DropPolicyKind::Head);
         sim.step().unwrap();
         // The first-injected packet (id 0, dest 3) was evicted; the
         // second survives.
@@ -1493,7 +1453,7 @@ mod tests {
 
     #[test]
     fn capacity_enforced_on_forwarding_arrivals() {
-        use crate::capacity::{CapacityConfig, DropTail};
+        use crate::capacity::{CapacityConfig, DropPolicyKind};
         // Node 1 starts full (one parked packet, cap 1); a packet
         // forwarded from node 0 into node 1 is dropped on arrival.
         let p = Pattern::from_injections(vec![
@@ -1514,7 +1474,7 @@ mod tests {
         }
         let mut sim = Simulation::new(Path::new(4), PushFromZero, &p)
             .unwrap()
-            .with_capacity(CapacityConfig::uniform(1), DropTail);
+            .with_capacity(CapacityConfig::uniform(1), DropPolicyKind::Tail);
         sim.run(2).unwrap();
         assert_eq!(sim.metrics().dropped, 1);
         assert_eq!(sim.metrics().per_node_drops[1], 1);
@@ -1524,7 +1484,7 @@ mod tests {
 
     #[test]
     fn counted_staging_tail_drops_wishes_and_acceptance_never_overflows() {
-        use crate::capacity::{CapacityConfig, DropTail, StagingMode};
+        use crate::capacity::{CapacityConfig, DropPolicyKind, StagingMode};
         // Phase length 2, cap 2 at node 0, three wishes staged in round 0:
         // the third wish is dropped at stage time; acceptance at round 2
         // fits exactly.
@@ -1533,7 +1493,7 @@ mod tests {
             .unwrap()
             .with_capacity(
                 CapacityConfig::uniform(2).staging(StagingMode::Counted),
-                DropTail,
+                DropPolicyKind::Tail,
             );
         let o = sim.step().unwrap();
         assert_eq!(o.dropped, 1);
@@ -1548,12 +1508,11 @@ mod tests {
 
     #[test]
     fn counted_staging_overflow_with_empty_buffer_drops_the_arrival() {
-        use crate::capacity::{CapacityConfig, DropHead, StagingMode};
+        use crate::capacity::{CapacityConfig, DropPolicyKind, StagingMode};
         // Node 1's single slot is reserved by a staged wish while its
         // buffer is still empty; a packet forwarded into node 1 finds no
-        // stored victim, so the arrival itself is lost — and stored-victim
-        // policies like DropHead must not be consulted on the empty
-        // buffer.
+        // stored victim, so the arrival itself is lost — even under
+        // `Head`, which otherwise evicts a stored packet.
         let p = Pattern::from_injections(vec![
             Injection::new(0, 0, 2), // forwarded 0 → 1 in round 1
             Injection::new(1, 1, 2), // staged wish reserving node 1's slot
@@ -1577,7 +1536,7 @@ mod tests {
             .unwrap()
             .with_capacity(
                 CapacityConfig::uniform(1).staging(StagingMode::Counted),
-                DropHead,
+                DropPolicyKind::Head,
             );
         // Round 0: wish 0 staged. Round 1: wish 1 staged (reserves node
         // 1's slot)… but forwarding needs packet 0 *in* a buffer, which
@@ -1590,13 +1549,13 @@ mod tests {
 
     #[test]
     fn exempt_staging_drops_at_acceptance() {
-        use crate::capacity::{CapacityConfig, DropTail, StagingMode};
+        use crate::capacity::{CapacityConfig, DropPolicyKind, StagingMode};
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 3); 3]);
         let mut sim = Simulation::new(Path::new(4), BatchedDrain(2), &p)
             .unwrap()
             .with_capacity(
                 CapacityConfig::uniform(2).staging(StagingMode::Exempt),
-                DropTail,
+                DropPolicyKind::Tail,
             );
         // All three wishes stage freely.
         let o = sim.step().unwrap();
@@ -1611,40 +1570,17 @@ mod tests {
     }
 
     #[test]
-    fn invalid_victim_is_reported() {
-        use crate::capacity::{CapacityConfig, DropPolicy, Victim};
-        /// Always names a victim that does not exist.
-        #[derive(Debug)]
-        struct Phantom;
-        impl DropPolicy for Phantom {
-            fn name(&self) -> String {
-                "phantom".into()
-            }
-            fn select(
-                &mut self,
-                _: &[StoredPacket],
-                _: &Packet,
-                _: &crate::capacity::DropContext<'_>,
-            ) -> Victim {
-                Victim::Stored(PacketId::new(4096))
-            }
-        }
-        let p = Pattern::from_injections(vec![Injection::new(0, 0, 1); 2]);
-        let mut sim = Simulation::new(Path::new(2), Idle, &p)
-            .unwrap()
-            .with_capacity(CapacityConfig::uniform(1), Phantom);
-        assert!(matches!(sim.step(), Err(ModelError::InvalidVictim { .. })));
-    }
-
-    #[test]
     fn generous_capacity_matches_unbounded_run() {
-        use crate::capacity::{CapacityConfig, DropFarthest};
+        use crate::capacity::{CapacityConfig, DropPolicyKind};
         let p: Pattern = (0..20u64).map(|t| Injection::new(t, 0, 3)).collect();
         let mut unbounded = Simulation::new(Path::new(4), Drain, &p).unwrap();
         unbounded.run(30).unwrap();
         let mut capped = Simulation::new(Path::new(4), Drain, &p)
             .unwrap()
-            .with_capacity(CapacityConfig::uniform(usize::MAX), DropFarthest);
+            .with_capacity(
+                CapacityConfig::uniform(usize::MAX),
+                DropPolicyKind::Farthest,
+            );
         capped.run(30).unwrap();
         assert_eq!(unbounded.metrics(), capped.metrics());
     }

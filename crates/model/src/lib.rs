@@ -27,8 +27,8 @@
 //!   materializing the whole schedule; [`PatternSource`] adapts a
 //!   [`Pattern`], [`FnSource`] wraps a closure.
 //! * **Finite buffers** — [`Simulation::with_capacity`] caps buffers
-//!   ([`CapacityConfig`]) and resolves overflow through a [`DropPolicy`]
-//!   ([`DropTail`], [`DropHead`], [`DropFarthest`], [`DropNewest`]),
+//!   ([`CapacityConfig`]) and lets a [`DropPolicyKind`] (tail, head,
+//!   farthest or newest) pick the packet each overflow loses,
 //!   turning every occupancy bound into a falsifiable zero-drop
 //!   threshold; losses land in [`RunMetrics::dropped`] and goodput is
 //!   exact ([`RunMetrics::goodput`]).
@@ -79,10 +79,7 @@ pub mod util;
 pub use boundedness::{
     analyze, brute_force_tight_sigma, interval_load, is_bounded, BoundednessReport, ExcessTracker,
 };
-pub use capacity::{
-    CapacityConfig, DropContext, DropFarthest, DropHead, DropNewest, DropPolicy, DropPolicyKind,
-    DropTail, StagingMode, Victim,
-};
+pub use capacity::{CapacityConfig, DropPolicyKind, StagingMode};
 pub use engine::{ForwardingPlan, InjectionMode, ModelError, Protocol, RoundOutcome, Simulation};
 pub use fault::{FaultEvent, FaultSpec, FaultState};
 pub use ids::{NodeId, PacketId, Round};

@@ -169,7 +169,9 @@ impl Probe for Tracer {
 mod tests {
     use super::*;
     use aqt_core::{Hpts, Ppts};
-    use aqt_model::{CapacityConfig, DropTail, Injection, Path, Pattern, Protocol, Simulation};
+    use aqt_model::{
+        CapacityConfig, DropPolicyKind, Injection, Path, Pattern, Protocol, Simulation,
+    };
 
     /// Steps `sim` for `rounds` rounds with `tracer` attached.
     fn run<P: Protocol<Path>>(sim: &mut Simulation<Path, P>, rounds: u64, tracer: &mut Tracer) {
@@ -213,7 +215,7 @@ mod tests {
         let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 7); 4]);
         let mut sim = Simulation::new(Path::new(8), Ppts::new(), &pattern)
             .unwrap()
-            .with_capacity(CapacityConfig::uniform(2), DropTail);
+            .with_capacity(CapacityConfig::uniform(2), DropPolicyKind::Tail);
         let mut tracer = Tracer::new("PPTS");
         run(&mut sim, 5, &mut tracer);
         let trace = tracer.trace();
@@ -271,7 +273,7 @@ mod tests {
         let traced = |mut tracer: Tracer| {
             let mut sim = Simulation::new(Path::new(8), Ppts::new(), &pattern)
                 .unwrap()
-                .with_capacity(CapacityConfig::uniform(2), DropTail);
+                .with_capacity(CapacityConfig::uniform(2), DropPolicyKind::Tail);
             run(&mut sim, 8, &mut tracer);
             tracer
         };

@@ -12,8 +12,8 @@
 //! ```
 
 use small_buffers::{
-    bounds, capacity_threshold, loss_heatmap, sparkline, CapacityConfig, DropPolicy, DropTail,
-    FnSource, Injection, NodeId, Path, Protocol, Pts, Rate, Simulation, StagingMode, Tracer,
+    bounds, capacity_threshold, loss_heatmap, sparkline, CapacityConfig, DropPolicyKind, FnSource,
+    Injection, NodeId, Path, Protocol, Pts, Rate, Simulation, StagingMode, Tracer,
 };
 
 const N: usize = 16;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("goodput of eager PTS vs buffer capacity (n = {N}, sigma = {SIGMA}):\n");
     for &cap in &capacities {
         let mut sim = Simulation::from_source(topo, Pts::eager(sink), shaped(topo))
-            .with_capacity(CapacityConfig::uniform(cap), DropTail);
+            .with_capacity(CapacityConfig::uniform(cap), DropPolicyKind::Tail);
         sim.run_past_horizon(200)?;
         let m = sim.metrics();
         goodput_permille.push((m.delivered * 1000 / m.injected.max(1)) as u32);
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &topo,
         || Pts::eager(sink),
         || shaped(topo),
-        || Box::new(DropTail) as Box<dyn DropPolicy>,
+        DropPolicyKind::Tail,
         StagingMode::Exempt,
         200,
     )?;
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Where the losses land, one below the threshold ---------------
     let starved = th.threshold.saturating_sub(1).max(1);
     let mut sim = Simulation::from_source(topo, Pts::eager(sink), shaped(topo))
-        .with_capacity(CapacityConfig::uniform(starved), DropTail);
+        .with_capacity(CapacityConfig::uniform(starved), DropPolicyKind::Tail);
     let mut tracer = Tracer::new(sim.protocol().name());
     sim.run_past_horizon_probed(200, &mut tracer)?;
     println!("{}", loss_heatmap(tracer.trace(), 64, N.min(8)));

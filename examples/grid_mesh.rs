@@ -12,8 +12,8 @@
 //! ```
 
 use small_buffers::{
-    capacity_threshold, grid, grid_heatmap, Dag, DagGreedy, DropPolicy, DropTail, PatternSource,
-    Rate, Simulation, StagingMode, Topology, Tracer,
+    capacity_threshold, grid, grid_heatmap, Dag, DagGreedy, DropPolicyKind, PatternSource, Rate,
+    Simulation, StagingMode, Topology, Tracer,
 };
 
 const ROWS: usize = 8;
@@ -64,7 +64,7 @@ fn main() {
         &mesh,
         DagGreedy::fifo,
         || PatternSource::new(&wave),
-        || Box::new(DropTail) as Box<dyn DropPolicy>,
+        DropPolicyKind::Tail,
         StagingMode::Exempt,
         2 * (ROWS + COLS) as u64,
     )

@@ -119,10 +119,9 @@ pub use aqt_adversary::{
     SourceSpecError,
 };
 pub use aqt_analysis::{
-    bounds, capacity_rate_grid, capacity_threshold, measured_sigma, measured_sigma_on,
-    parallel_map, render_figure1, run_grid, run_pattern, run_scenario, run_scenario_probed,
-    run_scenarios, run_scenarios_with_threads, run_source, run_source_capacity, sweep,
-    sweep_capacity_grid, CapacityGridPoint, CapacityProbe, CapacitySpec, CapacityThreshold,
+    bounds, capacity_threshold, measured_sigma, measured_sigma_on, render_figure1, run_grid,
+    run_pattern, run_scenario, run_scenario_probed, run_scenarios, run_scenarios_with_threads,
+    run_source, run_source_capacity, sweep, CapacityProbe, CapacitySpec, CapacityThreshold,
     Prediction, RunSummary, Scenario, ScenarioError, ScenarioGrid, StaticReport, SweepAggregate,
     Table, Verdict,
 };
@@ -133,12 +132,11 @@ pub use aqt_core::{
 };
 pub use aqt_model::{
     analyze, brute_force_tight_sigma, interval_load, is_bounded, AnyTopology, BoundednessReport,
-    CapacityConfig, Dag, DagError, DirectedTree, DropContext, DropFarthest, DropHead, DropNewest,
-    DropPolicy, DropPolicyKind, DropTail, ExcessTracker, FaultEvent, FaultSpec, FaultState,
-    FnSource, ForwardingPlan, Injection, InjectionMode, InjectionSource, LatencyStats, ModelError,
-    NetworkState, NodeId, Packet, PacketId, Path, Pattern, PatternError, PatternSource, Protocol,
-    Rate, RateError, Round, RoundOutcome, RunMetrics, Simulation, StagingMode, StoredPacket,
-    Topology, TopologySpec, TopologySpecError, TreeError, TreeSpec, Victim,
+    CapacityConfig, Dag, DagError, DirectedTree, DropPolicyKind, ExcessTracker, FaultEvent,
+    FaultSpec, FaultState, FnSource, ForwardingPlan, Injection, InjectionMode, InjectionSource,
+    LatencyStats, ModelError, NetworkState, NodeId, Packet, PacketId, Path, Pattern, PatternError,
+    PatternSource, Protocol, Rate, RateError, Round, RoundOutcome, RunMetrics, Simulation,
+    StagingMode, StoredPacket, Topology, TopologySpec, TopologySpecError, TreeError, TreeSpec,
 };
 pub use aqt_telemetry::{
     Clock, HistogramSketch, NullClock, PhaseStat, RoundSample, TelemetryCounters, TelemetryData,

@@ -1,6 +1,6 @@
 //! Degenerate-capacity property: running with an *unlimited* capacity —
-//! any [`DropPolicy`], either staging mode — is **byte-identical** to the
-//! unbounded engine, across the protocol × topology matrix.
+//! any [`DropPolicyKind`], either staging mode — is **byte-identical** to
+//! the unbounded engine, across the protocol × topology matrix.
 //!
 //! This is the contract that makes the finite-buffer subsystem safe to
 //! layer on the verified engine: capacity only changes behavior through
@@ -13,22 +13,12 @@
 use proptest::prelude::*;
 
 use small_buffers::{
-    CapacityConfig, DestSpec, DirectedTree, DropFarthest, DropHead, DropNewest, DropPolicy,
-    DropTail, Greedy, GreedyPolicy, Hpts, Injection, NodeId, Path, Pattern, Ppts, Protocol, Pts,
-    RandomAdversary, Rate, Simulation, StagingMode, TreePpts,
+    CapacityConfig, DestSpec, DirectedTree, DropPolicyKind, Greedy, GreedyPolicy, Hpts, Injection,
+    NodeId, Path, Pattern, Ppts, Protocol, Pts, RandomAdversary, Rate, Simulation, StagingMode,
+    TreePpts,
 };
 
 const N: usize = 16;
-
-/// The policy matrix: every drop policy, boxed so one loop covers all.
-fn all_policies() -> Vec<(&'static str, Box<dyn DropPolicy>)> {
-    vec![
-        ("drop-tail", Box::new(DropTail)),
-        ("drop-head", Box::new(DropHead)),
-        ("drop-farthest", Box::new(DropFarthest)),
-        ("drop-newest", Box::new(DropNewest)),
-    ]
-}
 
 /// Runs `protocol` against `pattern` unbounded and at unlimited capacity
 /// under every policy and both staging modes, demanding byte-identical
@@ -43,7 +33,8 @@ where
     unbounded.run(rounds).expect("valid run");
     let reference = serde_json::to_string(unbounded.metrics()).expect("serializes");
     for staging in [StagingMode::Exempt, StagingMode::Counted] {
-        for (name, policy) in all_policies() {
+        for policy in DropPolicyKind::ALL {
+            let name = policy.label();
             let mut capped = Simulation::new(topo, mk(), pattern)
                 .expect("valid pattern")
                 .with_capacity(CapacityConfig::uniform(usize::MAX).staging(staging), policy);
@@ -79,7 +70,8 @@ where
     let mut unbounded = Simulation::new(tree.clone(), mk(), pattern).expect("valid pattern");
     unbounded.run(rounds).expect("valid run");
     let reference = serde_json::to_string(unbounded.metrics()).expect("serializes");
-    for (name, policy) in all_policies() {
+    for policy in DropPolicyKind::ALL {
+        let name = policy.label();
         let mut capped = Simulation::new(tree.clone(), mk(), pattern)
             .expect("valid pattern")
             .with_capacity(CapacityConfig::uniform(usize::MAX), policy);
@@ -171,7 +163,7 @@ fn drop_tail_at_capacity_one_on_two_node_path_still_delivers() {
     let pattern: Pattern = (0..10u64).map(|t| Injection::new(t, 0, 1)).collect();
     let mut sim = Simulation::new(Path::new(2), Greedy::new(GreedyPolicy::Fifo), &pattern)
         .unwrap()
-        .with_capacity(CapacityConfig::uniform(1), DropTail);
+        .with_capacity(CapacityConfig::uniform(1), DropPolicyKind::Tail);
     sim.run(12).unwrap();
     let m = sim.metrics();
     assert_eq!(m.injected, 10);
@@ -187,7 +179,7 @@ fn capacity_one_burst_keeps_exactly_one() {
     let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 1); 3]);
     let mut sim = Simulation::new(Path::new(2), Greedy::new(GreedyPolicy::Fifo), &pattern)
         .unwrap()
-        .with_capacity(CapacityConfig::uniform(1), DropTail);
+        .with_capacity(CapacityConfig::uniform(1), DropPolicyKind::Tail);
     sim.run(3).unwrap();
     assert_eq!(sim.metrics().dropped, 2);
     assert_eq!(sim.metrics().delivered, 1);

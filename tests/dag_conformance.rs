@@ -45,7 +45,7 @@ where
     let mut tracer = Tracer::new(protocol.name());
     let mut sim = Simulation::new(topo, protocol, pattern).expect("valid pattern");
     if let Some((cap, staging, kind)) = capacity {
-        sim = sim.with_capacity(CapacityConfig::uniform(cap).staging(staging), kind.build());
+        sim = sim.with_capacity(CapacityConfig::uniform(cap).staging(staging), kind);
     }
     for _ in 0..ROUNDS {
         sim.step_probed(&mut tracer).expect("valid run");

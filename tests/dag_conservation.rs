@@ -58,10 +58,7 @@ fn assert_conserves<P: Protocol<Dag>>(
 ) {
     let mut sim = Simulation::new(dag, protocol, pattern)
         .expect("valid pattern")
-        .with_capacity(
-            CapacityConfig::uniform(capacity).staging(staging),
-            kind.build(),
-        );
+        .with_capacity(CapacityConfig::uniform(capacity).staging(staging), kind);
     for _ in 0..rounds {
         sim.step().expect("valid round");
         let m = sim.metrics();

@@ -294,7 +294,7 @@ fn assert_conserves_with_faults<P: Protocol<Dag>>(
 ) {
     let mut sim = Simulation::new(dag, protocol, pattern).expect("valid pattern");
     if let Some((cap, staging, kind)) = capacity {
-        sim = sim.with_capacity(CapacityConfig::uniform(cap).staging(staging), kind.build());
+        sim = sim.with_capacity(CapacityConfig::uniform(cap).staging(staging), kind);
     }
     sim = sim.with_faults(faults);
     for _ in 0..rounds {

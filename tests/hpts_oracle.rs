@@ -408,7 +408,7 @@ fn run<P: Protocol<Path>>(
         .expect("valid pattern")
         .with_faults(&losses.faults);
     if let Some((config, kind)) = &losses.capacity {
-        sim = sim.with_capacity(config.clone(), kind.build());
+        sim = sim.with_capacity(config.clone(), *kind);
     }
     let mut moves = Moves::default();
     let metrics = sim

@@ -428,7 +428,7 @@ fn run_with<T: Topology, P: Protocol<T>>(
         .expect("valid pattern")
         .with_faults(&losses.faults);
     if let Some((config, kind)) = &losses.capacity {
-        sim = sim.with_capacity(config.clone(), kind.build());
+        sim = sim.with_capacity(config.clone(), *kind);
     }
     let mut moves = Moves::default();
     let metrics = sim

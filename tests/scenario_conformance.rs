@@ -39,7 +39,7 @@ fn artifacts<T: Topology, P: Protocol<T>, S: InjectionSource>(
 ) -> (String, Vec<u64>) {
     let mut sim = Simulation::from_source(topo, protocol, source);
     if let Some(cap) = capacity {
-        sim = sim.with_capacity(cap.config.clone(), cap.policy.build());
+        sim = sim.with_capacity(cap.config.clone(), cap.policy);
     }
     sim.run_past_horizon(EXTRA).expect("valid run");
     let metrics = serde_json::to_string(sim.metrics()).expect("metrics serialize");
@@ -338,7 +338,7 @@ fn path_capacity_runs_are_byte_identical() {
                     overload(),
                     EXTRA,
                     config.clone(),
-                    kind.build(),
+                    kind,
                 )
                 .unwrap();
                 let cap_spec = CapacitySpec {
@@ -471,7 +471,7 @@ fn tree_runs_are_byte_identical() {
             small_buffers::PatternSource::new(&gather),
             EXTRA,
             config.clone(),
-            DropPolicyKind::Head.build(),
+            DropPolicyKind::Head,
         )
         .unwrap();
         let cap_spec = CapacitySpec {
@@ -561,7 +561,7 @@ fn dag_runs_are_byte_identical() {
             small_buffers::PatternSource::new(&burst),
             EXTRA,
             config.clone(),
-            DropPolicyKind::Tail.build(),
+            DropPolicyKind::Tail,
         )
         .unwrap();
         let cap_spec = CapacitySpec {

@@ -211,6 +211,71 @@ fn a_burst_beyond_32_bit_counts_is_a_source_error_on_both_paths() {
 }
 
 #[test]
+fn schedule_arithmetic_beyond_64_bits_is_a_source_error_on_both_paths() {
+    // With 2^64 - 1 as the period or gap, a horizon or a burst round's
+    // draw count overflows; build names the formula instead of wrapping
+    // (release) or panicking (debug).
+    use small_buffers::SourceSpecError;
+    for (file, kind) in [
+        ("invalid/burst_train_horizon_overflow.json", "burst_train"),
+        ("invalid/staircase_horizon_overflow.json", "staircase"),
+        (
+            "invalid/diagonal_wave_horizon_overflow.json",
+            "diagonal_wave",
+        ),
+        ("invalid/random_burst_draws_overflow.json", "random"),
+    ] {
+        for err in [reject(file), reject_run(file)] {
+            assert!(
+                matches!(
+                    &err,
+                    ScenarioError::Source(SourceSpecError::InvalidParameter { source, .. })
+                        if *source == kind
+                ),
+                "{file}: {err}"
+            );
+            let message = err.to_string();
+            assert!(
+                message.contains("* 18446744073709551615")
+                    && message.ends_with("overflows 64 bits"),
+                "{file}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tree_ppts_predicts_from_the_destination_depth() {
+    // Destinations 0, 1 and 2 of a height-2 binary tree (children of v
+    // at 2v+1 and 2v+2): d = 3, but no root path holds more than two of
+    // them (leaf 3 -> 1 -> 0), so d' = 2. Two packets share buffer 3 in
+    // round 0, so sigma = 1 and Prop. 3.5 predicts 1 + 2 + 1.
+    let scenario: Scenario = serde_json::from_str(
+        r#"{
+            "topology": { "kind": "tree", "tree": { "kind": "full_binary", "height": 2 } },
+            "protocol": { "kind": "tree_ppts" },
+            "source": { "kind": "pattern", "injections": [
+                { "round": 0, "source": 3, "dest": 1 },
+                { "round": 0, "source": 3, "dest": 0 },
+                { "round": 0, "source": 5, "dest": 2 },
+                { "round": 1, "source": 6, "dest": 0 }
+            ] },
+            "extra": 20
+        }"#,
+    )
+    .expect("scenario parses");
+    let report = scenario.validate().expect("scenario validates");
+    let predicted = report
+        .prediction("peak_occupancy")
+        .expect("Tree-PPTS gets a peak prediction");
+    assert_eq!(predicted.value, 4);
+    assert_eq!(predicted.formula, "1 + d' + sigma = 1 + 2 + 1 (Prop. 3.5)");
+    let summary = run_scenario(&scenario).expect("scenario runs");
+    assert_eq!(summary.injected, 4);
+    assert!(summary.max_occupancy as u64 <= predicted.value);
+}
+
+#[test]
 fn the_run_path_never_panics_on_the_invalid_corpus() {
     let dir = format!("{}/scenarios/invalid", env!("CARGO_MANIFEST_DIR"));
     let mut files: Vec<String> = std::fs::read_dir(&dir)

@@ -5,14 +5,10 @@
 //! threshold.
 
 use small_buffers::{
-    capacity_threshold, Batched, CapacityConfig, DirectedTree, DropPolicy, DropTail, FnSource,
-    Greedy, GreedyPolicy, Injection, NodeId, Path, Pattern, PatternSource, Simulation, StagingMode,
+    capacity_threshold, Batched, CapacityConfig, DirectedTree, DropPolicyKind, FnSource, Greedy,
+    GreedyPolicy, Injection, NodeId, Path, Pattern, PatternSource, Simulation, StagingMode,
     Topology,
 };
-
-fn boxed_tail() -> Box<dyn DropPolicy> {
-    Box::new(DropTail)
-}
 
 #[test]
 fn random_tree_of_one_node_is_just_a_root() {
@@ -67,7 +63,7 @@ fn threshold_on_single_node_topology_with_no_traffic() {
         &Path::new(1),
         || Greedy::new(GreedyPolicy::Fifo),
         || PatternSource::new(&Pattern::new()),
-        boxed_tail,
+        DropPolicyKind::Tail,
         StagingMode::Exempt,
         4,
     )
@@ -87,7 +83,7 @@ fn threshold_on_a_single_edge_equals_the_burst_size() {
         &Path::new(2),
         || Greedy::new(GreedyPolicy::Fifo),
         || PatternSource::new(&pattern),
-        boxed_tail,
+        DropPolicyKind::Tail,
         StagingMode::Exempt,
         6,
     )
@@ -114,7 +110,7 @@ fn star_at_capacity_one_routes_loss_free() {
     };
     let mut sim =
         Simulation::from_source(star.clone(), Greedy::new(GreedyPolicy::Fifo), mk_source())
-            .with_capacity(CapacityConfig::uniform(1), DropTail);
+            .with_capacity(CapacityConfig::uniform(1), DropPolicyKind::Tail);
     sim.run_past_horizon(4).unwrap();
     assert!(sim.is_drained());
     assert_eq!(sim.metrics().dropped, 0);
@@ -125,7 +121,7 @@ fn star_at_capacity_one_routes_loss_free() {
         &star,
         || Greedy::new(GreedyPolicy::Fifo),
         mk_source,
-        boxed_tail,
+        DropPolicyKind::Tail,
         StagingMode::Exempt,
         4,
     )
@@ -149,7 +145,7 @@ fn counted_staging_is_loss_free_at_exactly_the_threshold() {
         &Path::new(n),
         mk,
         || PatternSource::new(&pattern),
-        boxed_tail,
+        DropPolicyKind::Tail,
         StagingMode::Counted,
         30,
     )
@@ -159,7 +155,7 @@ fn counted_staging_is_loss_free_at_exactly_the_threshold() {
             .unwrap()
             .with_capacity(
                 CapacityConfig::uniform(cap).staging(StagingMode::Counted),
-                DropTail,
+                DropPolicyKind::Tail,
             );
         sim.run_past_horizon(30).unwrap();
         sim.metrics().dropped
