@@ -86,15 +86,22 @@ pub fn run_e6_point(point: &E6Point, quick: bool) -> (u64, RunMetrics) {
 
 /// E10's single-simulation records on an instance: the pairs stream on
 /// an `n`-node path, bare and at capacity 1; an overloaded route into
-/// capacity 8; and all floods on a `side × side` mesh, fault-free and
-/// faulted.
+/// capacity 8; all floods on a `side × side` mesh, fault-free and
+/// faulted; and all floods on a `lossy_side × lossy_side` mesh at
+/// capacity 3 under link outages and a crash.
 ///
 /// # Panics
 ///
 /// Panics if a run breaks its construction: the streams and the
 /// fault-free floods must drain, capacity 1 must drop nothing, the lossy
-/// route must drop and the crash window must fault packets.
-pub fn e10_runs(n: usize, rounds: u64, side: usize, flood_rounds: u64) -> [EngineRun; 5] {
+/// route must drop and the crash windows must fault packets.
+pub fn e10_runs(
+    n: usize,
+    rounds: u64,
+    side: usize,
+    flood_rounds: u64,
+    lossy_side: usize,
+) -> [EngineRun; 6] {
     let path = format!("path {n}");
     let pairs = || {
         Simulation::from_source(
@@ -186,7 +193,56 @@ pub fn e10_runs(n: usize, rounds: u64, side: usize, flood_rounds: u64) -> [Engin
         faulted.faulted > 0,
         "the crash window must cover a row injector"
     );
-    [stream, capped, lossy, flooded, faulted]
+    let lossy_mesh = lossy_mesh_run(lossy_side);
+    [stream, capped, lossy, flooded, faulted, lossy_mesh]
+}
+
+/// All floods on a `side × side` mesh at capacity 3 with `Farthest`
+/// drops, under two back-to-back windows of `side²/40` random link
+/// outages and a crash inside the second: perfbench's `mesh_lossy` shape
+/// (which is `side` 96), where buffers stay full, most moves end in a
+/// drop and every move consults the fault mask.
+fn lossy_mesh_run(side: usize) -> EngineRun {
+    let rounds = 320;
+    let links = side * side / 40;
+    let faults = FaultSpec::new(0x1055)
+        .with_event(FaultEvent::RandomLinks {
+            count: links,
+            at: rounds / 8,
+            until: Some(rounds / 2),
+        })
+        .with_event(FaultEvent::RandomLinks {
+            count: links,
+            at: rounds / 2,
+            until: Some(rounds),
+        })
+        .with_event(FaultEvent::NodeCrash {
+            node: (side / 4) * side + side / 4,
+            at: rounds / 2 + 1,
+            until: Some(3 * rounds / 4),
+        });
+    let (run, ()) = time_run(
+        "all floods, capacity 3, faulted",
+        &format!("grid {side}x{side}"),
+        || {
+            Simulation::from_source(
+                Dag::grid(side, side),
+                DagGreedy::fifo(),
+                all_floods_source(side, side, rounds),
+            )
+            .with_capacity(CapacityConfig::uniform(3), DropPolicyKind::Farthest)
+            .with_faults(&faults)
+        },
+        |sim| {
+            sim.run_past_horizon(2 * side as u64)
+                .expect("valid lossy mesh run");
+        },
+    );
+    assert!(
+        run.dropped > 0 && run.faulted > 0,
+        "the lossy mesh must drop and the crash must fault packets"
+    );
+    run
 }
 
 /// Settle rounds after the planner records' random adversary stops.
@@ -355,17 +411,17 @@ pub fn sweep_runs(grid: &[E6Point], quick: bool) -> ([EngineRun; 2], usize) {
     )
 }
 
-/// Renders E10's seven records into one table; its notes derive the
+/// Renders E10's eight records into one table; its notes derive the
 /// working set, the capacity and fault overheads and the sweep speedup
 /// from the records.
 ///
 /// # Panics
 ///
-/// Panics unless `runs` is [`e10_runs`]'s five records followed by
+/// Panics unless `runs` is [`e10_runs`]'s six records followed by
 /// [`sweep_runs`]' two.
 pub fn render_e10(runs: &[EngineRun], threads: usize) -> Table {
-    let [stream, capped, _, flooded, faulted, serial, parallel] = runs else {
-        panic!("E10 renders its seven records");
+    let [stream, capped, _, flooded, faulted, _, serial, parallel] = runs else {
+        panic!("E10 renders its eight records");
     };
     let overhead = |base: &EngineRun, run: &EngineRun| (run.wall_ms / base.wall_ms - 1.0) * 100.0;
     let mut table = render_runs(
@@ -391,16 +447,17 @@ pub fn render_e10(runs: &[EngineRun], threads: usize) -> Table {
 }
 
 /// E10 — streaming throughput, overheads, sweep scaling and the paper's
-/// planners: its twelve records and their two tables.
+/// planners: its thirteen records and their two tables.
 pub fn e10_throughput(quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
-    // Path nodes, stream rounds, mesh side, flood rounds: full mode
-    // streams 1,048,576 packets.
-    let (n, rounds, side, flood_rounds) = if quick {
-        (256, 256, 8, 256)
+    // Path nodes, stream rounds, mesh side, flood rounds, lossy mesh
+    // side: full mode streams 1,048,576 packets and runs the lossy mesh
+    // at perfbench's size.
+    let (n, rounds, side, flood_rounds, lossy_side) = if quick {
+        (256, 256, 8, 256, 48)
     } else {
-        (1024, 2048, 32, 1024)
+        (1024, 2048, 32, 1024, 96)
     };
-    let mut runs = e10_runs(n, rounds, side, flood_rounds).to_vec();
+    let mut runs = e10_runs(n, rounds, side, flood_rounds, lossy_side).to_vec();
     let (sweeps, threads) = sweep_runs(&e6_grid(quick), quick);
     runs.extend(sweeps);
     let table = render_e10(&runs, threads);
@@ -458,8 +515,8 @@ mod tests {
     fn e10_report_is_sane_and_serializes() {
         // A tiny instance: the quick and full ones run in CI's release
         // step.
-        let runs = e10_runs(16, 16, 4, 16);
-        let [stream, capped, lossy, flooded, faulted] = &runs;
+        let runs = e10_runs(16, 16, 4, 16, 8);
+        let [stream, capped, lossy, flooded, faulted, lossy_mesh] = &runs;
         assert_eq!((stream.topology.as_str(), stream.nodes), ("path 16", 16));
         assert_eq!(stream.injected, 16 * 8);
         assert_eq!(stream.peak_live, 8);
@@ -482,6 +539,12 @@ mod tests {
         // The faulted rerun faulted packets and lost goodput.
         assert!(faulted.faulted > 0 && faulted.faulted < faulted.injected);
         assert!(faulted.wall_ms > 0.0);
+        // The lossy mesh drops and faults, and never buffers past 3.
+        assert_eq!(
+            (lossy_mesh.topology.as_str(), lossy_mesh.peak_occupancy),
+            ("grid 8x8", 3)
+        );
+        assert!(lossy_mesh.dropped > 0 && lossy_mesh.faulted > 0);
 
         // The sweep: >= 2 workers are always *requested*; the sweep
         // library caps at available cores.
@@ -520,7 +583,7 @@ mod tests {
 
         let records: Vec<EngineRun> = runs.iter().cloned().chain([serial, parallel]).collect();
         let table = render_e10(&records, threads);
-        assert_eq!(table.len(), 7);
+        assert_eq!(table.len(), 8);
         let rendered = table.render();
         assert!(rendered.contains("pairs stream, capacity 1") && rendered.contains("grid 4x4"));
         assert!(rendered.contains("KiB streamed") && rendered.contains("identical: ok"));

@@ -28,8 +28,9 @@
 //! All capacity decisions are applied through
 //! [`NetworkState::place`](crate::NetworkState::place) /
 //! [`NetworkState::remove`](crate::NetworkState::remove), so evictions and rejections maintain the active
-//! set (occupancy bitset + worklist) incrementally — a drop that empties
-//! a buffer deactivates its node with no extra bookkeeping here.
+//! set (occupancy bitset, its summary and the emptied list) incrementally
+//! — a drop that empties a buffer deactivates its node with no extra
+//! bookkeeping here.
 //!
 //! # Examples
 //!

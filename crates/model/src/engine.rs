@@ -997,8 +997,8 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         }
 
         // --- Observe L^t ----------------------------------------------
-        // Collapse the dirty worklist first: `observe` and the protocol's
-        // plan both need it exact.
+        // Rebuild the active set first: `observe` and the protocol's plan
+        // both need it exact.
         self.state.refresh_active();
         self.metrics.observe(t, &self.state);
         probe.on_observe(t, &self.state);

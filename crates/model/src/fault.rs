@@ -240,6 +240,7 @@ impl FaultSpec {
         for &(f, t, _, until) in &rt.link_events {
             if until.is_none() {
                 push_link(&mut state.down_links, (f, t));
+                state.link_faulted[f as usize] = true;
             }
         }
         for &(v, _, until) in &rt.node_events {
@@ -280,6 +281,10 @@ pub struct FaultState {
     down_links: Vec<(u32, u32)>,
     /// Active link delays `(from, to, extra)`, sorted by `(from, to)`.
     delays: Vec<(u32, u32, u64)>,
+    /// `link_faulted[v]` — some out-link of `v` is in `down_links` or
+    /// `delays` this round, so [`blocks`](FaultState::blocks) searches
+    /// those lists only for sends from flagged nodes.
+    link_faulted: Vec<bool>,
     /// Membership masks of every partition event in the spec (stable
     /// across rounds; only `active_masks` changes).
     masks: Vec<Vec<bool>>,
@@ -296,6 +301,7 @@ impl FaultState {
             dead_count: 0,
             down_links: Vec::new(),
             delays: Vec::new(),
+            link_faulted: vec![false; n],
             masks,
             active_masks: Vec::new(),
         }
@@ -322,12 +328,17 @@ impl FaultState {
     /// either endpoint is dead, the link (or a partition crossing it) is
     /// down, or an active delay keeps it idle this round (a link with
     /// extra latency `d` forwards only when `t % (d+1) == 0`).
+    ///
+    /// O(1) plus the active partitions for a node with no down or delayed
+    /// out-link this round; a binary search over the round's down links
+    /// and delays otherwise.
     pub fn blocks(&self, from: NodeId, to: NodeId, t: Round) -> bool {
         if self.dead[from.index()] || self.dead[to.index()] {
             return true;
         }
+        let flagged = self.link_faulted[from.index()];
         let link = (from.index() as u32, to.index() as u32);
-        if self.down_links.binary_search(&link).is_ok() {
+        if flagged && self.down_links.binary_search(&link).is_ok() {
             return true;
         }
         for &mi in &self.active_masks {
@@ -336,7 +347,7 @@ impl FaultState {
                 return true;
             }
         }
-        if !self.delays.is_empty() {
+        if flagged {
             if let Ok(i) = self.delays.binary_search_by(|&(f, h, _)| (f, h).cmp(&link)) {
                 let extra = self.delays[i].2;
                 return t.value() % (extra + 1) != 0;
@@ -404,8 +415,8 @@ impl FaultRuntime {
         let mut partition_events = Vec::new();
         let mut delay_events = Vec::new();
         let mut masks = Vec::new();
-        // Drawn lazily: the O(n²) edge enumeration only runs when a
-        // `RandomLinks` event actually needs it.
+        // Drawn lazily: the O(n + edges) edge enumeration only runs when
+        // a `RandomLinks` event actually needs it.
         let mut edges: Option<Vec<(u32, u32)>> = None;
         let mut rng = SplitMix64::new(spec.seed);
         for event in &spec.events {
@@ -519,15 +530,18 @@ impl FaultRuntime {
                 self.state.dead_count += 1;
             }
         }
+        self.state.link_faulted.fill(false);
         self.state.down_links.clear();
         for &(f, to, at, until) in &self.link_events {
             if active(at, until) {
                 push_link(&mut self.state.down_links, (f, to));
+                self.state.link_faulted[f as usize] = true;
             }
         }
         self.state.delays.clear();
         for &(f, to, extra, at, until) in &self.delay_events {
             if active(at, until) {
+                self.state.link_faulted[f as usize] = true;
                 // Overlapping delay windows on one link: the largest
                 // extra wins (the link is at its slowest).
                 match self.state.delays.last_mut() {
@@ -785,6 +799,191 @@ mod tests {
         assert!(!mask.blocks(NodeId::new(1), NodeId::new(2), Round::ZERO));
         for t in 0..4u64 {
             assert!(!mask.blocks(NodeId::new(2), NodeId::new(3), Round::new(t)));
+        }
+    }
+
+    /// One raw event draw: `(kind, (x, y), (at, len), extra, group)`.
+    type Draw = (u8, (usize, usize), (u64, u64), u64, u32);
+
+    /// Builds a spec on `n` nodes with edge list `edges` from raw draws:
+    /// `len == 0` makes the event permanent, `x` picks a node or an edge,
+    /// and `group`'s low bits pick a partition side.
+    fn spec_from_draws(seed: u64, n: usize, edges: &[(u32, u32)], draws: &[Draw]) -> FaultSpec {
+        let mut spec = FaultSpec::new(seed);
+        for &(kind, (x, y), (at, len), extra, group) in draws {
+            let until = (len > 0).then_some(at + len);
+            let (from, to) = edges[x % edges.len()];
+            let (from, to) = (from as usize, to as usize);
+            spec.events.push(match kind {
+                0 => FaultEvent::NodeCrash {
+                    node: x % n,
+                    at,
+                    until,
+                },
+                1 => FaultEvent::LinkDown {
+                    from,
+                    to,
+                    at,
+                    until,
+                },
+                2 => FaultEvent::Partition {
+                    group: (0..n)
+                        .filter(|&v| v == y % n || group >> v & 1 == 1)
+                        .collect(),
+                    at,
+                    until,
+                },
+                3 => FaultEvent::LinkDelay {
+                    from,
+                    to,
+                    extra,
+                    at,
+                    until,
+                },
+                _ => FaultEvent::RandomLinks {
+                    count: 1 + y % 4,
+                    at,
+                    until,
+                },
+            });
+        }
+        spec
+    }
+
+    /// Whether `from → to` is blocked at round `t`, by a linear scan of
+    /// the spec's events: `random` holds the links its `RandomLinks`
+    /// events drew, with their windows. With `permanent`, only events
+    /// without an `until` count, whatever their `at`, and delays do not.
+    fn reference_blocks(
+        spec: &FaultSpec,
+        random: &[(u32, u32, u64, Option<u64>)],
+        (from, to): (usize, usize),
+        t: u64,
+        permanent: bool,
+    ) -> bool {
+        let active = |at: u64, until: Option<u64>| match until {
+            None => permanent || at <= t,
+            Some(u) => !permanent && at <= t && t < u,
+        };
+        let mut slowest = None;
+        for event in &spec.events {
+            match *event {
+                FaultEvent::NodeCrash { node, at, until } => {
+                    if active(at, until) && (node == from || node == to) {
+                        return true;
+                    }
+                }
+                FaultEvent::LinkDown {
+                    from: f,
+                    to: h,
+                    at,
+                    until,
+                } => {
+                    if active(at, until) && (f, h) == (from, to) {
+                        return true;
+                    }
+                }
+                FaultEvent::Partition {
+                    ref group,
+                    at,
+                    until,
+                } => {
+                    if active(at, until) && group.contains(&from) != group.contains(&to) {
+                        return true;
+                    }
+                }
+                FaultEvent::LinkDelay {
+                    from: f,
+                    to: h,
+                    extra,
+                    at,
+                    until,
+                } => {
+                    if !permanent && active(at, until) && (f, h) == (from, to) {
+                        slowest = slowest.max(Some(extra));
+                    }
+                }
+                FaultEvent::RandomLinks { .. } => {}
+            }
+        }
+        let link = (from as u32, to as u32);
+        if random
+            .iter()
+            .any(|&(f, h, at, until)| active(at, until) && (f, h) == link)
+        {
+            return true;
+        }
+        slowest.is_some_and(|extra| t % (extra + 1) != 0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `blocks` — on masks built by `advance` round by round and by
+        /// `permanent_mask` — agrees with a linear scan of the spec on
+        /// every link, its reverse and one more pair from each node, on small
+        /// paths and grids under random crashes, down links, partitions,
+        /// delays and random links.
+        #[test]
+        fn blocks_matches_a_linear_scan_of_the_spec(
+            shape in (0u8..2, 2usize..9, 1usize..5),
+            seed in 0u64..1000,
+            draws in proptest::collection::vec(
+                (0u8..5, (0usize..64, 0usize..64), (0u64..12, 0u64..6), 1u64..4, 0u32..1 << 16),
+                1..7,
+            ),
+        ) {
+            let (kind, a, b) = shape;
+            let topology = if kind == 0 {
+                TopologySpec::Path { n: a }
+            } else {
+                TopologySpec::Grid { rows: a.min(4), cols: b }
+            }
+            .build()
+            .expect("valid spec");
+            let n = topology.node_count();
+            let edges = edge_list(&topology);
+            proptest::prop_assume!(!edges.is_empty());
+            let spec = spec_from_draws(seed, n, &edges, &draws);
+            // The `RandomLinks` events alone consume the generator in the
+            // same order, so their runtime's link list is what they drew.
+            let random_only = FaultSpec {
+                seed,
+                events: spec
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, FaultEvent::RandomLinks { .. }))
+                    .cloned()
+                    .collect(),
+            };
+            let random = FaultRuntime::new(&random_only, &topology).link_events;
+            // Every edge, its reverse, and one pair per node two ids on.
+            let mut pairs: Vec<(usize, usize)> = edges
+                .iter()
+                .flat_map(|&(f, h)| [(f as usize, h as usize), (h as usize, f as usize)])
+                .collect();
+            pairs.extend((0..n).map(|v| (v, (v + 2) % n)));
+            let mut rt = FaultRuntime::new(&spec, &topology);
+            for t in 0..20u64 {
+                rt.advance(Round::new(t));
+                for &(f, h) in &pairs {
+                    proptest::prop_assert_eq!(
+                        rt.state().blocks(NodeId::new(f), NodeId::new(h), Round::new(t)),
+                        reference_blocks(&spec, &random, (f, h), t, false),
+                        "advance: link {}->{} at round {}", f, h, t
+                    );
+                }
+            }
+            let mask = spec.permanent_mask(&topology);
+            for t in 0..6u64 {
+                for &(f, h) in &pairs {
+                    proptest::prop_assert_eq!(
+                        mask.blocks(NodeId::new(f), NodeId::new(h), Round::new(t)),
+                        reference_blocks(&spec, &random, (f, h), t, true),
+                        "permanent_mask: link {}->{} at round {}", f, h, t
+                    );
+                }
+            }
         }
     }
 

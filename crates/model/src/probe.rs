@@ -116,7 +116,7 @@ pub trait Probe {
     /// this hook, so [`NetworkState::active_nodes`] is exact here and a
     /// probe can observe in O(active nodes) instead of O(n). It is not
     /// exact at [`on_round`](Probe::on_round), where the round's moves
-    /// have left the worklist stale.
+    /// have left it stale.
     fn on_observe(&mut self, _round: Round, _state: &NetworkState) {}
 
     /// One engine phase of `round` took `nanos` nanoseconds (0 when

@@ -15,15 +15,17 @@
 //! needed.
 //!
 //! On top of the arena sits the **active set**: a dense occupancy bitset
-//! (bit `v` ⇔ `|L(v)| > 0`, exact at all times) plus a dirty-node worklist
-//! that over-approximates the occupied set between refreshes. Every
-//! `0 → 1` occupancy transition pushes the node onto the worklist; a
-//! [`refresh_active`](NetworkState::refresh_active) sort/dedup/retain pass
-//! collapses it back to the exact ascending occupied set. The engine
-//! refreshes once per round (after injections and crash sweeps, before the
-//! `L^t` observation), which is what lets planning, validation and metrics
-//! run in O(live packets) instead of O(nodes) — the point of the
-//! active-set engine.
+//! (bit `v` ⇔ `|L(v)| > 0`, exact at all times) with a summary word per
+//! 4,096 nodes (bit `w` ⇔ bitset word `w` is non-zero, also exact at all
+//! times), plus an `emptied` list of the nodes whose buffers emptied since
+//! the last refresh. [`refresh_active`](NetworkState::refresh_active)
+//! first releases the extents of emptied nodes that are still empty, then
+//! rebuilds the exact ascending occupied set by walking the summary, the
+//! non-zero words and their set bits: O(n / 4096 + occupied words + live
+//! nodes), with no comparison sort. The engine refreshes once per round
+//! (after injections and crash sweeps, before the `L^t` observation),
+//! which is what lets planning, validation and metrics run in O(live
+//! packets) instead of O(nodes) — the point of the active-set engine.
 
 use std::collections::BTreeMap;
 
@@ -162,13 +164,18 @@ pub struct NetworkState {
     /// drops, which all funnel through [`place`](NetworkState::place) /
     /// [`remove`](NetworkState::remove)).
     occ_bits: Vec<u64>,
-    /// Dirty-node worklist: every node whose occupancy went `0 → 1` since
-    /// the last refresh is pushed here (duplicates allowed, emptied nodes
-    /// linger). Invariant: occupied ⊆ worklist. After
-    /// [`refresh_active`](NetworkState::refresh_active) it is exactly the
-    /// ascending occupied set.
+    /// One bit per word of `occ_bits`: bit `w` is set iff `occ_bits[w]`
+    /// is non-zero. Exact after every mutation, like `occ_bits`, so a
+    /// refresh skips 4,096 empty nodes per clear summary bit.
+    occ_summary: Vec<u64>,
+    /// Nodes whose buffer emptied since the last refresh, in removal order
+    /// (a node that empties twice is listed twice). The refresh releases
+    /// the extents of those still empty.
+    emptied: Vec<u32>,
+    /// The ascending occupied set as of the last refresh.
     active: Vec<u32>,
-    /// Whether `active` is currently the exact sorted occupied set.
+    /// Whether `active` is still the exact occupied set: cleared by every
+    /// `0 → 1` or `1 → 0` occupancy transition, set by a refresh.
     active_exact: bool,
 }
 
@@ -195,6 +202,8 @@ impl NetworkState {
             faulted_total: 0,
             next_seq: 0,
             occ_bits: vec![0; n.div_ceil(64)],
+            occ_summary: vec![0; n.div_ceil(64 * 64)],
+            emptied: Vec::new(),
             active: Vec::new(),
             active_exact: true,
         }
@@ -318,8 +327,11 @@ impl NetworkState {
         let i = v.index();
         let span = &mut self.spans[i];
         if span.len == 0 {
-            self.occ_bits[i / 64] |= 1u64 << (i % 64);
-            self.active.push(i as u32);
+            let word = i / 64;
+            if self.occ_bits[word] == 0 {
+                self.occ_summary[word / 64] |= 1u64 << (word % 64);
+            }
+            self.occ_bits[word] |= 1u64 << (i % 64);
             self.active_exact = false;
         }
         self.slab.push(span, StoredPacket::new(packet, round, seq));
@@ -369,19 +381,25 @@ impl NetworkState {
         let span = &mut self.spans[i];
         let sp = self.slab.remove(span, id);
         if sp.is_some() && span.len == 0 {
-            self.occ_bits[i / 64] &= !(1u64 << (i % 64));
-            // The node lingers on the worklist until the next refresh.
+            let word = i / 64;
+            self.occ_bits[word] &= !(1u64 << (i % 64));
+            if self.occ_bits[word] == 0 {
+                self.occ_summary[word / 64] &= !(1u64 << (word % 64));
+            }
+            // Its extent is released at the next refresh, if it is still
+            // empty then.
+            self.emptied.push(i as u32);
             self.active_exact = false;
         }
         sp
     }
 
     // ------------------------------------------------------------------
-    // Active set (occupancy bitset + dirty-node worklist).
+    // Active set (occupancy bitset + summary + emptied list).
     // ------------------------------------------------------------------
 
     /// Whether `v`'s buffer is non-empty — an O(1) bitset probe, exact at
-    /// all times (unlike the worklist, which is only exact post-refresh).
+    /// all times (unlike `active_nodes`, which is only exact post-refresh).
     #[inline]
     pub fn is_occupied(&self, v: NodeId) -> bool {
         let i = v.index();
@@ -391,65 +409,70 @@ impl NetworkState {
     /// The nodes with non-empty buffers, in ascending order.
     ///
     /// Only valid between a `refresh_active` (crate-internal) and the next
-    /// mutation. The engine refreshes once per round right
+    /// occupancy transition. The engine refreshes once per round right
     /// before the `L^t` observation, so the set is exact throughout
     /// [`Protocol::plan`](crate::Protocol::plan) — protocols may iterate it
     /// instead of `0..node_count()` with identical results (empty buffers
     /// never produce sends).
     pub fn active_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        debug_assert!(self.active_exact, "active_nodes on a stale worklist");
+        debug_assert!(self.active_exact, "active_nodes on a stale active set");
         self.active.iter().map(|&v| NodeId::new(v as usize))
     }
 
     /// Number of active (non-empty) nodes. Derived from the occupancy
-    /// bitset, so — unlike the worklist iterators — it is exact at any
-    /// time, not just post-refresh. O(n / 64).
+    /// bitset, so — unlike [`active_nodes`](NetworkState::active_nodes) —
+    /// it is exact at any time, not just post-refresh. O(n / 64).
     pub fn active_count(&self) -> usize {
         self.occ_bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Collapses the dirty-node worklist to the exact ascending occupied
-    /// set: sort, dedup, drop nodes whose buffers have emptied. O(dirty ·
-    /// log dirty), where dirty is bounded by the round's traffic — this is
-    /// the only per-round pass that is not O(1) per live packet, and the
-    /// sort is near-linear on the almost-sorted worklists real rounds
-    /// produce. The engine calls it once per round between the injection
-    /// phase and the `L^t` observation.
+    /// Rebuilds the exact ascending occupied set. First the extents of the
+    /// nodes that emptied since the last refresh and are still empty go
+    /// back to the slab's free lists, in removal order (nodes that empty
+    /// and refill within a round keep theirs, so steady dense buffers keep
+    /// their reserve and the in-place fast path of `Slab::push`, and
+    /// traveling traffic hands its row of extents straight to the next
+    /// row). Then the summary, the non-zero words and their set bits are
+    /// walked in order: O(emptied + n / 4096 + occupied words + live
+    /// nodes), with no sort. The engine calls it once per round between
+    /// the injection phase and the `L^t` observation.
     pub(crate) fn refresh_active(&mut self) {
         if self.active_exact {
             return;
         }
-        self.active.sort_unstable();
-        // One fused compaction pass instead of dedup + retain: skip
-        // duplicates, keep occupied nodes, and recycle the extents of
-        // nodes that emptied since the last refresh. Nodes that empty
-        // and refill within a round never reach the release arm, so
-        // steady dense buffers keep their reserve (and the in-place
-        // fast path of `Slab::push`); traveling traffic hands its row of
-        // extents straight to the next row.
-        let spans = &mut self.spans;
-        let mut keep = 0usize;
-        // u64 sentinel: no u32 node index can collide with it.
-        let mut prev = u64::MAX;
-        for r in 0..self.active.len() {
-            let v = self.active[r];
-            if u64::from(v) == prev {
-                continue;
-            }
-            prev = u64::from(v);
-            let span = &mut spans[v as usize];
-            if span.len > 0 {
-                self.active[keep] = v;
-                keep += 1;
-            } else if span.cap > 0 {
+        for &v in &self.emptied {
+            let span = &mut self.spans[v as usize];
+            // `cap == 0` after the first release, so a node listed twice
+            // is released once.
+            if span.len == 0 && span.cap > 0 {
                 self.slab.release(span.start, span.cap);
                 span.start = 0;
                 span.cap = 0;
             }
         }
-        self.active.truncate(keep);
+        self.emptied.clear();
+        self.active.clear();
+        for (s, &summary) in self.occ_summary.iter().enumerate() {
+            for b in set_bits(summary) {
+                let w = s * 64 + b;
+                for bit in set_bits(self.occ_bits[w]) {
+                    self.active.push((w * 64 + bit) as u32);
+                }
+            }
+        }
         self.active_exact = true;
     }
+}
+
+/// The positions of the set bits of `bits`, ascending.
+fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            b
+        })
+    })
 }
 
 #[cfg(test)]
@@ -619,6 +642,14 @@ mod tests {
             .collect()
     }
 
+    /// Whether every summary bit says exactly whether its word is non-zero.
+    fn summary_exact(st: &NetworkState) -> bool {
+        st.occ_bits
+            .iter()
+            .enumerate()
+            .all(|(w, &bits)| (st.occ_summary[w / 64] >> (w % 64) & 1 == 1) == (bits != 0))
+    }
+
     fn assert_active_consistent(st: &mut NetworkState) {
         let expect = brute_force_active(st);
         for v in 0..st.node_count() {
@@ -628,9 +659,10 @@ mod tests {
                 "bitset diverges at node {v}"
             );
         }
+        assert!(summary_exact(st), "summary diverges from the bitset");
         st.refresh_active();
         let got: Vec<usize> = st.active_nodes().map(|v| v.index()).collect();
-        assert_eq!(got, expect, "worklist diverges post-refresh");
+        assert_eq!(got, expect, "active set diverges post-refresh");
         assert_eq!(st.active_count(), expect.len());
     }
 
@@ -652,13 +684,49 @@ mod tests {
         assert_active_consistent(&mut st);
     }
 
+    /// Applies one random op to `st`: inject (twice as likely), remove the
+    /// FIFO head (a forward or drop), crash-sweep the whole buffer, or
+    /// refresh.
+    fn apply_op(st: &mut NetworkState, kind: u8, v: usize, next_id: &mut u64) {
+        let n = st.node_count();
+        let v = NodeId::new(v);
+        match kind {
+            // Inject: place a fresh packet (forward-arrivals look
+            // identical at the state layer).
+            0 | 1 => {
+                *next_id += 1;
+                st.place(v, packet(*next_id, (*next_id as usize) % n), Round::new(0));
+            }
+            // Forward/drop: remove the FIFO head if present.
+            2 => {
+                if let Some(id) = st.buffer(v).first().map(|sp| sp.id()) {
+                    st.remove(v, id).unwrap();
+                }
+            }
+            // Crash sweep: drain the whole buffer, engine-style.
+            3 => {
+                while let Some(id) = st.buffer(v).first().map(|sp| sp.id()) {
+                    st.remove(v, id).unwrap();
+                    st.note_fault(v);
+                }
+            }
+            _ => st.refresh_active(),
+        }
+    }
+
+    /// Nodes on either side of a bitset word (64 nodes) and of a summary
+    /// bit (4,096 nodes), for a state of `n` > 8,192 nodes.
+    fn boundary_nodes(n: usize) -> [usize; 10] {
+        [0, 1, 63, 64, 4095, 4096, 4097, 8191, 8192, n - 1]
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// The occupancy bitset and (refreshed) worklist exactly equal the
-        /// brute-force "nodes with non-empty buffers" set after arbitrary
-        /// interleavings of injects, removals (forwarding/drops), crash
-        /// sweeps and refreshes.
+        /// The occupancy bitset, its summary and the refreshed active set
+        /// exactly equal the brute-force "nodes with non-empty buffers"
+        /// set after arbitrary interleavings of injects, removals
+        /// (forwarding/drops), crash sweeps and refreshes.
         #[test]
         fn active_set_matches_brute_force(
             ops in proptest::collection::vec((0u8..5, 0usize..12), 1..160)
@@ -667,41 +735,85 @@ mod tests {
             let mut st = NetworkState::new(n);
             let mut next_id = 0u64;
             for (kind, v) in ops {
-                let v = NodeId::new(v);
-                match kind {
-                    // Inject: place a fresh packet (forward-arrivals look
-                    // identical at the state layer).
-                    0 | 1 => {
-                        next_id += 1;
-                        st.place(v, packet(next_id, (next_id as usize) % n), Round::new(0));
-                    }
-                    // Forward/drop: remove the FIFO head if present.
-                    2 => {
-                        if let Some(id) = st.buffer(v).first().map(|sp| sp.id()) {
-                            st.remove(v, id).unwrap();
-                        }
-                    }
-                    // Crash sweep: drain the whole buffer, engine-style.
-                    3 => {
-                        while let Some(id) = st.buffer(v).first().map(|sp| sp.id()) {
-                            st.remove(v, id).unwrap();
-                            st.note_fault(v);
-                        }
-                    }
-                    _ => st.refresh_active(),
-                }
-                // The bitset must be exact after *every* op.
+                apply_op(&mut st, kind, v, &mut next_id);
+                // The bitset and its summary must be exact after *every* op.
                 for u in 0..n {
                     proptest::prop_assert_eq!(
                         st.is_occupied(NodeId::new(u)),
                         !st.buffer(NodeId::new(u)).is_empty()
                     );
                 }
+                proptest::prop_assert!(summary_exact(&st));
             }
             let expect = brute_force_active(&st);
             st.refresh_active();
             let got: Vec<usize> = st.active_nodes().map(|x| x.index()).collect();
             proptest::prop_assert_eq!(got, expect);
+        }
+
+        /// The same on more than two summary words' worth of nodes, with
+        /// every op on a node next to a word or summary boundary, so words
+        /// and summary bits fill and empty across those boundaries.
+        #[test]
+        fn active_set_matches_brute_force_across_word_boundaries(
+            ops in proptest::collection::vec((0u8..5, 0usize..10), 1..160)
+        ) {
+            let n = 8192 + 37;
+            let nodes = boundary_nodes(n);
+            let mut st = NetworkState::new(n);
+            let mut next_id = 0u64;
+            for (kind, i) in ops {
+                apply_op(&mut st, kind, nodes[i], &mut next_id);
+                for u in nodes {
+                    proptest::prop_assert_eq!(
+                        st.is_occupied(NodeId::new(u)),
+                        !st.buffer(NodeId::new(u)).is_empty()
+                    );
+                }
+                proptest::prop_assert!(summary_exact(&st));
+                proptest::prop_assert_eq!(
+                    st.active_count(),
+                    brute_force_active(&st).len()
+                );
+            }
+            let expect = brute_force_active(&st);
+            st.refresh_active();
+            let got: Vec<usize> = st.active_nodes().map(|x| x.index()).collect();
+            proptest::prop_assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn a_traveling_row_keeps_the_slab_size_constant() {
+        // One packet per column moves down one row per round (wrapping
+        // around), as the sparse wave does: each refresh hands the row of
+        // extents just vacated to the next row, so after the first round
+        // the slab never grows. The mesh spans two summary words.
+        let (rows, cols) = (50usize, 97usize);
+        let mut st = NetworkState::new(rows * cols);
+        for c in 0..cols {
+            st.place(NodeId::new(c), packet(c as u64, 0), Round::ZERO);
+        }
+        st.refresh_active();
+        let mut warm_len = None;
+        for round in 0..3 * rows {
+            let row = round % rows;
+            let next = (row + 1) % rows;
+            for c in 0..cols {
+                let id = PacketId::new(c as u64);
+                let sp = st.remove(NodeId::new(row * cols + c), id).unwrap();
+                st.place(NodeId::new(next * cols + c), *sp.packet(), Round::ZERO);
+            }
+            st.refresh_active();
+            let expect: Vec<usize> = (next * cols..(next + 1) * cols).collect();
+            let got: Vec<usize> = st.active_nodes().map(|v| v.index()).collect();
+            assert_eq!(got, expect, "round {round}");
+            let len = st.slab.slots.len();
+            assert_eq!(
+                *warm_len.get_or_insert(len),
+                len,
+                "slab grew in round {round}"
+            );
         }
     }
 

@@ -121,7 +121,7 @@ impl Probe for TelemetryProbe {
         if round.value() % self.spec.occupancy_stride.max(1) != 0 {
             return;
         }
-        // The worklist is exact at this hook: sample the live buffers,
+        // The active set is exact at this hook: sample the live buffers,
         // then every other buffer's 0 in one call.
         let mut active = 0u64;
         for v in state.active_nodes() {
