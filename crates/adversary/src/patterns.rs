@@ -179,8 +179,11 @@ pub fn even_destinations(n: usize, d: usize) -> Vec<usize> {
 /// mid-line sites, reproducing the "peak" scenarios of the PTS analysis.
 ///
 /// The stream is suppressed for `⌈σ/ρ⌉` rounds after each burst so the
-/// burst's excess drains before pacing resumes; the resulting pattern is
-/// (ρ, σ′)-bounded with `σ ≤ σ′ ≤ σ + 1` (the +1 is floor-pacing slack).
+/// burst's excess drains before pacing resumes, and the mid-run burst
+/// waits until the first one has drained (round `max(rounds/2, 1 +
+/// ⌈σ/ρ⌉)`; no second burst when that is past the horizon). The
+/// resulting pattern is (ρ, σ′)-bounded with `σ′ ≤ σ + 1`: the +1 is the
+/// floor-pacing slack the stream may hold when a burst lands.
 ///
 /// # Panics
 ///
@@ -205,7 +208,7 @@ pub fn peak_chase_source(n: usize, rate: Rate, sigma: u64, rounds: u64) -> impl 
         .checked_mul(u64::from(rate.den()))
         .expect("recovery fits u64")
         .div_ceil(u64::from(rate.num()));
-    let mid = rounds / 2;
+    let mid = (rounds / 2).max(recovery.saturating_add(1));
     let mut quiet_until = 0u64;
     FnSource::new(rounds, move |t, out| {
         // One full burst at the start and one mid-stream, at middle sites.

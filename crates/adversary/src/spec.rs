@@ -272,12 +272,9 @@ pub struct SourceProfile {
     pub pairs: Option<Vec<(usize, usize)>>,
     /// A (ρ, σ) bound the schedule satisfies, when known.
     pub bound: Option<(Rate, u64)>,
-    /// Whether `bound` holds by construction / closed form (`true`) or
-    /// was measured tight at ρ = 1 on the materialized schedule
-    /// (`false`).
-    pub bound_declared: bool,
-    /// Whether `injections` and `dests` come from the exact materialized
-    /// schedule.
+    /// Whether `injections`, `dests` and `bound` come from the exact
+    /// materialized schedule, `bound`'s σ being the σ* measured on it at
+    /// the declared ρ. When not, `bound` is the spec's declaration.
     pub exact: bool,
     /// The spec injects more than one packet per round indefinitely
     /// (ρ > 1): every finite buffer eventually overflows.
@@ -678,14 +675,16 @@ impl SourceSpec {
     /// A (ρ, σ) bound this spec satisfies by construction or closed
     /// form, without materializing the schedule.
     ///
-    /// Shaped, random and peak-chase sources declare their bound
-    /// directly; paced streams and floods are (ρ, 1)-bounded by the
-    /// pacing invariant; `repeat` is exactly (per_round, 0)-bounded.
+    /// Shaped and random sources declare their bound directly; peak
+    /// chase keeps (ρ, σ + 1) (see [`patterns::peak_chase`]); paced
+    /// streams and floods are (ρ, 1)-bounded by the pacing invariant;
+    /// `repeat` is exactly (per_round, 0)-bounded.
     fn declared_bound(&self) -> Option<(Rate, u64)> {
         match self {
-            SourceSpec::Shaped { rate, sigma, .. }
-            | SourceSpec::PeakChase { rate, sigma, .. }
-            | SourceSpec::Random { rate, sigma, .. } => Some((*rate, *sigma)),
+            SourceSpec::Shaped { rate, sigma, .. } | SourceSpec::Random { rate, sigma, .. } => {
+                Some((*rate, *sigma))
+            }
+            SourceSpec::PeakChase { rate, sigma, .. } => Some((*rate, sigma + 1)),
             SourceSpec::PacedStream { rate, .. }
             | SourceSpec::RoundRobin { rate, .. }
             | SourceSpec::RowFlood { rate, .. }
@@ -724,10 +723,11 @@ impl SourceSpec {
     /// volume, and a (ρ, σ) bound — all without running a simulation.
     ///
     /// Schedules with a horizon of at most [`PROFILE_DRAIN_CAP`] rounds
-    /// are materialized for exact answers (the tight σ at ρ = 1 is
-    /// measured with [`aqt_model::analyze`] unless the spec declares a
-    /// bound by construction). Longer schedules keep the declared
-    /// closed-form bound and an exact round-0 probe only.
+    /// are materialized for exact answers: the bound is (ρ, σ*), where ρ
+    /// is the declared rate (1 when the spec declares none) and σ* the
+    /// tight σ that [`aqt_model::analyze`] measures at that ρ. Longer
+    /// schedules keep the declared closed-form bound and an exact round-0
+    /// probe only.
     ///
     /// # Errors
     ///
@@ -743,16 +743,15 @@ impl SourceSpec {
 
         if horizon.is_some_and(|h| h <= PROFILE_DRAIN_CAP) {
             let pattern = materialize(built.as_mut());
-            let bound = declared
-                .or_else(|| Some((Rate::ONE, analyze(topo, &pattern, Rate::ONE).tight_sigma)));
+            let rate = declared.map_or(Rate::ONE, |(rate, _)| rate);
+            let sigma = analyze(topo, &pattern, rate).tight_sigma;
             return Ok(SourceProfile {
                 horizon,
                 injections: Some(pattern.len() as u64),
                 round0: round0_counts(pattern.injections()),
                 dests: Some(distinct_dests(pattern.injections())),
                 pairs: Some(distinct_pairs(pattern.injections())),
-                bound,
-                bound_declared: declared.is_some(),
+                bound: Some((rate, sigma)),
                 exact: true,
                 sustained_overload: false,
             });
@@ -786,7 +785,6 @@ impl SourceSpec {
             dests: self.declared_dests(),
             pairs: None,
             bound: declared,
-            bound_declared: declared.is_some(),
             exact: false,
             sustained_overload,
         })
@@ -1173,19 +1171,137 @@ mod tests {
         assert_eq!(p.dests, Some(vec![7]));
         // 5 packets in one round at ρ = 1 measure tight σ = 4.
         assert_eq!(p.bound, Some((Rate::ONE, 4)));
-        assert!(!p.bound_declared);
         assert!(!p.sustained_overload);
 
-        // Peak-chase declares its (ρ, σ) by construction.
+        // A materialized schedule is measured at its declared ρ, not
+        // trusted: peak-chase declares (1/2, 5) and keeps (1/2, 4).
         let half = Rate::new(1, 2).unwrap();
         let spec = SourceSpec::PeakChase {
             rate: half,
             sigma: 4,
             rounds: 40,
         };
+        assert_eq!(spec.declared_bound(), Some((half, 5)));
         let p = spec.profile(&path).unwrap();
-        assert!(p.exact && p.bound_declared);
+        assert!(p.exact);
         assert_eq!(p.bound, Some((half, 4)));
+    }
+
+    /// The spec with declared bound `kind` (0..8) on an `n`-node path
+    /// (an `n`-column grid for the floods), at rate `num/den`.
+    fn declaring_spec(
+        kind: usize,
+        n: usize,
+        (num, den): (u32, u32),
+        sigma: u64,
+        rounds: u64,
+        seed: u64,
+    ) -> (SourceSpec, AnyTopology) {
+        let rate = Rate::new(num, den).unwrap();
+        let path = TopologySpec::Path { n }.build().unwrap();
+        let spec = match kind {
+            0 => SourceSpec::PacedStream {
+                source: seed as usize % (n - 1),
+                dest: n - 1,
+                rate,
+                rounds,
+            },
+            1 => SourceSpec::RoundRobin {
+                dests: vec![n / 2, n - 1],
+                rate,
+                rounds,
+            },
+            2 => SourceSpec::Repeat {
+                source: 0,
+                dest: n - 1,
+                per_round: num as usize,
+                rounds,
+            },
+            3 | 4 => {
+                let mesh = TopologySpec::Grid { rows: 3, cols: n }.build().unwrap();
+                let spec = if kind == 3 {
+                    SourceSpec::RowFlood {
+                        row: 1,
+                        rate,
+                        rounds,
+                    }
+                } else {
+                    SourceSpec::ColumnFlood {
+                        col: n / 2,
+                        rate,
+                        rounds,
+                    }
+                };
+                return (spec, mesh);
+            }
+            5 => SourceSpec::PeakChase {
+                rate,
+                sigma,
+                rounds,
+            },
+            6 => SourceSpec::Random {
+                rate,
+                sigma,
+                rounds,
+                dests: DestSpec::Spread { count: 2 },
+                cadence: if seed % 2 == 0 {
+                    Cadence::Smooth
+                } else {
+                    Cadence::Bursty { period: 7 }
+                },
+                seed,
+                attempts: 8,
+            },
+            _ => SourceSpec::Shaped {
+                inner: Box::new(SourceSpec::Repeat {
+                    source: 0,
+                    dest: n - 1,
+                    per_round: 2,
+                    rounds,
+                }),
+                rate,
+                sigma: sigma.max(1),
+            },
+        };
+        (spec, path)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// Every declared bound holds on the materialized schedule: the
+        /// tight σ at the declared ρ never exceeds the declared σ.
+        #[test]
+        fn declared_bounds_hold_on_the_schedule(
+            kind in 0usize..8,
+            n in 3usize..40,
+            rate in (1u32..=4, 1u32..=8),
+            sigma in 0u64..9,
+            rounds in 1u64..300,
+            seed in 0u64..1000,
+        ) {
+            let (spec, topo) = declaring_spec(kind, n, rate, sigma, rounds, seed);
+            let (rate, declared) = spec.declared_bound().expect("declares a bound");
+            let pattern = drain(spec.build(&topo).unwrap());
+            let tight = analyze(&topo, &pattern, rate).tight_sigma;
+            assert!(tight <= declared, "{spec:?}: tight sigma {tight} > declared {declared}");
+        }
+    }
+
+    #[test]
+    fn peak_chase_keeps_its_bound_when_the_run_is_short() {
+        // Half the run is shorter than the first burst's recovery, so the
+        // mid burst would land on an undrained excess (tight σ 16).
+        let path = TopologySpec::Path { n: 256 }.build().unwrap();
+        let rate = Rate::new(1, 8).unwrap();
+        let spec = SourceSpec::PeakChase {
+            rate,
+            sigma: 8,
+            rounds: 10,
+        };
+        let pattern = drain(spec.build(&path).unwrap());
+        assert_eq!(analyze(&path, &pattern, rate).tight_sigma, 8);
+        assert_eq!(spec.declared_bound(), Some((rate, 9)));
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //!
 //! * [`Scenario`] / [`run_scenario`] — the declarative layer: one
 //!   serializable spec describing topology × protocol × workload ×
-//!   capacity, one generic runner executing it; [`ScenarioGrid`] expands
-//!   whole parameter grids and [`run_grid`] sweeps them in parallel;
+//!   capacity, one generic runner executing it and distilling the run
+//!   to a [`RunSummary`], the quantities the theorems speak about;
+//!   [`ScenarioGrid`] expands whole parameter grids and [`run_grid`]
+//!   sweeps them in parallel;
 //! * [`Scenario::validate`] / [`StaticReport`] — the static checker behind
-//!   `scenarios check`: applicability, capacity sanity and the paper's
-//!   closed-form predictions, computed without executing a round;
+//!   `scenarios check` and the one place that prices a scenario against
+//!   the paper: applicability, capacity sanity, the schedule's (ρ, σ*) and
+//!   the closed-form peak predictions, computed without executing a round;
 //! * [`bounds`] — the paper's bound formulas as executable functions;
-//! * [`RunSummary`] / [`run_pattern`] / [`run_source`] /
-//!   [`run_source_capacity`] — generic one-shot runs distilled to the
-//!   quantities the theorems speak about;
 //! * [`run_scenario_probed`] — any scenario with an engine
 //!   [`Probe`](aqt_model::Probe) attached: a streaming
 //!   `TelemetryProbe` (`aqt-telemetry`), an `aqt-trace` `Tracer` or
@@ -68,12 +68,9 @@ mod validate;
 pub use experiment::{Table, Verdict};
 pub use figure1::render_figure1;
 pub use scenario::{
-    run_grid, run_scenario, run_scenario_probed, run_scenarios, run_scenarios_with_threads,
-    CapacitySpec, Scenario, ScenarioError, ScenarioGrid,
+    run_grid, run_scenario, run_scenario_probed, CapacitySpec, Scenario, ScenarioError,
+    ScenarioGrid,
 };
-pub use sweep::{
-    measured_sigma, measured_sigma_on, run_pattern, run_source, run_source_capacity, RunSummary,
-    SweepAggregate,
-};
+pub use sweep::RunSummary;
 pub use threshold::{capacity_threshold, CapacityProbe, CapacityThreshold};
 pub use validate::{Prediction, StaticReport};

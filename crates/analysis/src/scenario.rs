@@ -13,11 +13,15 @@
 //! 3. [`SourceSpec::build`] → a boxed streaming injection source;
 //! 4. the engine runs to the source horizon plus `extra` settle rounds.
 //!
-//! The result is byte-identical to the hand-wired `run_*` helpers the
-//! spec replaces — `tests/scenario_conformance.rs` proves it across the
-//! protocol × topology × capacity matrix. [`ScenarioGrid`] expands
+//! The result is byte-identical to the same run wired by hand on
+//! [`Simulation`] — `tests/scenario_conformance.rs` proves it across the
+//! protocol × topology × capacity matrix. [`Scenario::validate`] is the
+//! one place that states what the paper predicts for a scenario: its
+//! (ρ, σ*) and the closed-form peak bounds. [`ScenarioGrid`] expands
 //! whole parameter grids (topologies × protocols × sources × capacities)
-//! and [`run_grid`] routes them through the deterministic parallel sweep.
+//! and [`run_grid`] routes them through the deterministic parallel sweep;
+//! `sweep::parallel_with_threads(&scenarios, n, run_scenario)` runs any
+//! list of scenarios the same way.
 //!
 //! Dispatch cost: the scenario layer adds one enum-match per `Topology`
 //! call and one vtable hop per protocol/source call. These sit outside
@@ -192,8 +196,9 @@ impl From<ModelError> for ScenarioError {
 }
 
 /// Executes one [`Scenario`] and distills the metrics into a
-/// [`RunSummary`] — the single generic runner behind every workload,
-/// replacing the nine topology-specific `run_*` helpers.
+/// [`RunSummary`] — the single generic runner behind every workload the
+/// specs describe. A run the specs cannot describe is wired on
+/// [`Simulation`] and distilled with [`RunSummary::from_metrics`].
 ///
 /// # Errors
 ///
@@ -315,21 +320,7 @@ impl ScenarioGrid {
 /// sweep ([`sweep::parallel`]): results come back in expansion order, so
 /// a parallel grid run equals a serial one point-for-point.
 pub fn run_grid(grid: &ScenarioGrid) -> Vec<Result<RunSummary, ScenarioError>> {
-    run_scenarios(&grid.expand())
-}
-
-/// Runs a list of scenarios through the deterministic parallel sweep,
-/// preserving input order.
-pub fn run_scenarios(scenarios: &[Scenario]) -> Vec<Result<RunSummary, ScenarioError>> {
-    sweep::parallel(scenarios, run_scenario)
-}
-
-/// [`run_scenarios`] with an explicit worker count (1 = serial).
-pub fn run_scenarios_with_threads(
-    scenarios: &[Scenario],
-    threads: usize,
-) -> Vec<Result<RunSummary, ScenarioError>> {
-    sweep::parallel_with_threads(scenarios, threads, run_scenario)
+    sweep::parallel(&grid.expand(), run_scenario)
 }
 
 #[cfg(test)]
@@ -478,7 +469,7 @@ mod tests {
         let results = run_grid(&grid);
         assert!(results[0].is_err() && results[1].is_err());
         assert!(results[2].is_ok() && results[3].is_ok());
-        let serial = run_scenarios_with_threads(&scenarios, 1);
+        let serial = sweep::serial(&scenarios, run_scenario);
         assert_eq!(results, serial);
     }
 

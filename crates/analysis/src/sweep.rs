@@ -1,9 +1,12 @@
-//! Run helpers and parallel parameter sweeps.
+//! The distilled [`RunSummary`] of a run, and the parallel parameter
+//! sweeps.
 //!
-//! Generic one-shot runners ([`run_pattern`], [`run_source`],
-//! [`run_source_capacity`]) that execute a protocol on **any** topology
-//! and distill the metrics into a [`RunSummary`], plus scoped-thread
-//! sweep runners for embarrassingly-parallel parameter grids (no external
+//! A run is described as a [`Scenario`](crate::Scenario) and executed by
+//! [`run_scenario`](crate::run_scenario); a protocol, source or variant
+//! the spec enums cannot express runs on
+//! [`Simulation`](aqt_model::Simulation) directly and distills its
+//! metrics with [`RunSummary::from_metrics`]. The sweep runners are
+//! scoped threads over embarrassingly-parallel grids (no external
 //! dependency needed):
 //!
 //! * [`serial`] — the reference runner: applies `f` to each grid point in
@@ -11,27 +14,18 @@
 //! * [`parallel`] — scatters the grid across all available cores and
 //!   merges results **deterministically**: outputs are returned in input
 //!   order, so `parallel(grid, f) == serial(grid, f)` for any pure `f`.
-//! * [`parallel_with_threads`] — same, with an explicit thread count;
-//!   [`set_default_threads`] pins [`parallel`]'s worker count globally
-//!   (the `experiments --threads N` plumbing).
-//! * [`SweepAggregate`] — an order-insensitive reduction of many
-//!   [`RunSummary`]s (sums and maxima only).
-//!
-//! Prefer describing a whole run as a [`Scenario`](crate::Scenario) and
-//! letting [`run_scenario`](crate::run_scenario) execute it; the generic
-//! runners here are the layer underneath for hand-wired protocol or
-//! source instances the spec enums cannot express.
+//! * [`parallel_with_threads`] — same, with an explicit thread count
+//!   (`parallel_with_threads(&scenarios, n, run_scenario)` runs a list of
+//!   scenarios); [`set_default_threads`] pins [`parallel`]'s worker count
+//!   globally (the `experiments --threads N` plumbing).
 
-use aqt_model::{
-    analyze, CapacityConfig, DropPolicyKind, InjectionSource, ModelError, Path, Pattern, Protocol,
-    Rate, RunMetrics, Simulation, Topology,
-};
+use aqt_model::{Rate, RunMetrics};
 use serde::{Deserialize, Serialize};
 
 /// Distilled outcome of one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
-    /// Protocol name (from [`Protocol::name`]).
+    /// Protocol name (from [`Protocol::name`](aqt_model::Protocol::name)).
     pub protocol: String,
     /// Peak buffer occupancy (the paper's space requirement).
     pub max_occupancy: usize,
@@ -54,7 +48,8 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    pub(crate) fn from_metrics(protocol: String, metrics: &RunMetrics) -> Self {
+    /// Distills the metrics of a run of the protocol named `protocol`.
+    pub fn from_metrics(protocol: String, metrics: &RunMetrics) -> Self {
         RunSummary {
             protocol,
             max_occupancy: metrics.max_occupancy,
@@ -68,83 +63,6 @@ impl RunSummary {
             goodput: metrics.goodput(),
         }
     }
-}
-
-/// Runs `protocol` on `topology` against `pattern` (validated upfront),
-/// for the pattern horizon plus `extra` settle rounds — the generic core
-/// behind every pattern-based run helper.
-///
-/// # Errors
-///
-/// Propagates pattern validation or plan errors from the engine.
-pub fn run_pattern<T: Topology, P: Protocol<T>>(
-    topology: T,
-    protocol: P,
-    pattern: &Pattern,
-    extra: u64,
-) -> Result<RunSummary, ModelError> {
-    let mut sim = Simulation::new(topology, protocol, pattern)?;
-    sim.run_past_horizon(extra)?;
-    Ok(RunSummary::from_metrics(
-        sim.protocol().name(),
-        sim.metrics(),
-    ))
-}
-
-/// Runs `protocol` on `topology` against a streaming source, for the
-/// source horizon plus `extra` settle rounds — the long-horizon
-/// counterpart of [`run_pattern`], with O(live packets) memory.
-///
-/// # Errors
-///
-/// Propagates injection validation or plan errors from the engine.
-pub fn run_source<T: Topology, P: Protocol<T>, S: InjectionSource>(
-    topology: T,
-    protocol: P,
-    source: S,
-    extra: u64,
-) -> Result<RunSummary, ModelError> {
-    let mut sim = Simulation::from_source(topology, protocol, source);
-    sim.run_past_horizon(extra)?;
-    Ok(RunSummary::from_metrics(
-        sim.protocol().name(),
-        sim.metrics(),
-    ))
-}
-
-/// Capacity-bounded counterpart of [`run_source`]: buffers are capped per
-/// `config` and overflow is resolved by `policy`; losses show up in
-/// [`RunSummary::dropped`] and [`RunSummary::goodput`].
-///
-/// # Errors
-///
-/// Propagates injection validation or plan errors from the engine.
-pub fn run_source_capacity<T: Topology, P: Protocol<T>, S: InjectionSource>(
-    topology: T,
-    protocol: P,
-    source: S,
-    extra: u64,
-    config: CapacityConfig,
-    policy: DropPolicyKind,
-) -> Result<RunSummary, ModelError> {
-    let mut sim = Simulation::from_source(topology, protocol, source).with_capacity(config, policy);
-    sim.run_past_horizon(extra)?;
-    Ok(RunSummary::from_metrics(
-        sim.protocol().name(),
-        sim.metrics(),
-    ))
-}
-
-/// Measures the tight σ of `pattern` on a path of `n` nodes at rate ρ —
-/// shorthand used by every experiment to report the *actual* burstiness of
-/// generated workloads.
-pub fn measured_sigma(n: usize, pattern: &Pattern, rate: Rate) -> u64 {
-    analyze(&Path::new(n), pattern, rate).tight_sigma
-}
-
-/// Measures the tight σ on an arbitrary topology.
-pub fn measured_sigma_on<T: Topology>(topo: &T, pattern: &Pattern, rate: Rate) -> u64 {
-    analyze(topo, pattern, rate).tight_sigma
 }
 
 /// Applies `f` to every grid point in order on the calling thread — the
@@ -271,120 +189,90 @@ where
     indexed.into_iter().map(|(_, o)| o).collect()
 }
 
-/// Order-insensitive reduction of many [`RunSummary`]s: totals and worst
-/// cases only, so serial and parallel sweeps aggregate identically.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SweepAggregate {
-    /// Number of runs folded in.
-    pub runs: usize,
-    /// Total packets injected across runs.
-    pub injected: u64,
-    /// Total packets delivered across runs.
-    pub delivered: u64,
-    /// Worst peak occupancy over all runs.
-    pub worst_occupancy: usize,
-    /// Worst staging peak over all runs.
-    pub worst_staged: usize,
-    /// Worst delivery latency over all runs.
-    pub max_latency: u64,
-    /// Total packets dropped across runs (capacity-bounded sweeps).
-    pub dropped: u64,
-}
-
-impl SweepAggregate {
-    /// Folds summaries into an aggregate (commutative + associative, so
-    /// any execution order yields the same value).
-    pub fn from_summaries<'a, I>(summaries: I) -> Self
-    where
-        I: IntoIterator<Item = &'a RunSummary>,
-    {
-        let mut agg = SweepAggregate::default();
-        for s in summaries {
-            agg.runs += 1;
-            agg.injected += s.injected;
-            agg.delivered += s.delivered;
-            agg.worst_occupancy = agg.worst_occupancy.max(s.max_occupancy);
-            agg.worst_staged = agg.worst_staged.max(s.max_staged);
-            agg.max_latency = agg.max_latency.max(s.max_latency);
-            agg.dropped += s.dropped;
-        }
-        agg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqt_core::{Greedy, GreedyPolicy};
-    use aqt_model::{Dag, DirectedTree, FnSource, Injection};
+    use aqt_core::{DagGreedy, Greedy, GreedyPolicy};
+    use aqt_model::{
+        CapacityConfig, Dag, DirectedTree, DropPolicyKind, FnSource, Injection, InjectionSource,
+        Path, Pattern, Protocol, Simulation, Topology,
+    };
 
-    #[test]
-    fn run_pattern_summarizes_path_runs() {
-        let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 3)]);
-        let s = run_pattern(Path::new(4), Greedy::new(GreedyPolicy::Fifo), &pattern, 5).unwrap();
-        assert_eq!(s.protocol, "Greedy-FIFO");
-        assert_eq!(s.delivered, 1);
-        assert_eq!(s.injected, 1);
-        assert_eq!(s.max_occupancy, 1);
-        assert_eq!(s.mean_latency, Some(3.0));
-    }
-
-    #[test]
-    fn run_pattern_summarizes_tree_runs() {
-        let tree = DirectedTree::star(3);
-        let pattern = Pattern::from_injections(vec![Injection::new(0, 1, 0)]);
-        let s = run_pattern(tree, Greedy::new(GreedyPolicy::Lifo), &pattern, 3).unwrap();
-        assert_eq!(s.delivered, 1);
+    /// Runs `source` to its horizon plus `extra` rounds, under `capacity`
+    /// when given, and distills the summary.
+    fn summarize<T: Topology, P: Protocol<T>, S: InjectionSource>(
+        topology: T,
+        protocol: P,
+        source: S,
+        extra: u64,
+        capacity: Option<(CapacityConfig, DropPolicyKind)>,
+    ) -> RunSummary {
+        let mut sim = Simulation::from_source(topology, protocol, source);
+        if let Some((config, policy)) = capacity {
+            sim = sim.with_capacity(config, policy);
+        }
+        sim.run_past_horizon(extra).unwrap();
+        RunSummary::from_metrics(sim.protocol().name(), sim.metrics())
     }
 
     #[test]
     fn run_source_matches_pattern_run() {
         let pattern: Pattern = (0..12u64).map(|t| Injection::new(t, 0, 3)).collect();
-        let from_pattern =
-            run_pattern(Path::new(4), Greedy::new(GreedyPolicy::Fifo), &pattern, 8).unwrap();
+        let mut sim =
+            Simulation::new(Path::new(4), Greedy::new(GreedyPolicy::Fifo), &pattern).unwrap();
+        sim.run_past_horizon(8).unwrap();
+        let name = Protocol::<Path>::name(sim.protocol());
+        let from_pattern = RunSummary::from_metrics(name, sim.metrics());
         let source = FnSource::new(12, |t, out| out.push(Injection::new(t, 0, 3)));
-        let from_stream =
-            run_source(Path::new(4), Greedy::new(GreedyPolicy::Fifo), source, 8).unwrap();
+        let from_stream = summarize(
+            Path::new(4),
+            Greedy::new(GreedyPolicy::Fifo),
+            source,
+            8,
+            None,
+        );
         assert_eq!(from_pattern, from_stream);
+        assert_eq!(from_stream.protocol, "Greedy-FIFO");
+        assert_eq!(from_stream.injected, 12);
+        assert_eq!(from_stream.delivered, 12);
+        assert_eq!(from_stream.max_occupancy, 1);
+        assert_eq!(from_stream.mean_latency, Some(3.0));
     }
 
     #[test]
     fn run_source_streams_tree_runs() {
         let tree = DirectedTree::star(3);
         let source = FnSource::new(4, |t, out| out.push(Injection::new(t, 1, 0)));
-        let s = run_source(tree, Greedy::new(GreedyPolicy::Fifo), source, 4).unwrap();
+        let s = summarize(tree, Greedy::new(GreedyPolicy::Fifo), source, 4, None);
         assert_eq!(s.delivered, 4);
     }
 
     #[test]
     fn generic_runners_summarize_grid_runs() {
-        use aqt_core::DagGreedy;
         // One packet across a 2×3 mesh corner to corner: 3 hops.
-        let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 5)]);
-        let s = run_pattern(Dag::grid(2, 3), DagGreedy::fifo(), &pattern, 6).unwrap();
+        let source = FnSource::new(1, |t, out| out.push(Injection::new(t, 0, 5)));
+        let s = summarize(Dag::grid(2, 3), DagGreedy::fifo(), source, 6, None);
         assert_eq!(s.protocol, "DagGreedy-FIFO");
         assert_eq!(s.delivered, 1);
         assert_eq!(s.mean_latency, Some(3.0));
         let source = FnSource::new(4, |t, out| out.push(Injection::new(t, 0, 5)));
-        let st = run_source(Dag::grid(2, 3), DagGreedy::fifo(), source, 8).unwrap();
+        let st = summarize(Dag::grid(2, 3), DagGreedy::fifo(), source, 8, None);
         assert_eq!(st.delivered, 4);
     }
 
     #[test]
     fn run_source_capacity_reports_dag_losses() {
-        use aqt_core::DagGreedy;
         let source = FnSource::new(1, |t, out| {
             out.extend(std::iter::repeat_n(Injection::new(t, 0, 3), 4));
         });
-        let s = run_source_capacity(
+        let capacity = (CapacityConfig::uniform(2), DropPolicyKind::Tail);
+        let s = summarize(
             Dag::grid(2, 2),
             DagGreedy::fifo(),
             source,
             10,
-            CapacityConfig::uniform(2),
-            DropPolicyKind::Tail,
-        )
-        .unwrap();
+            Some(capacity),
+        );
         assert_eq!(s.injected, 4);
         assert_eq!(s.dropped, 2);
         assert_eq!(s.delivered, 2);
@@ -395,15 +283,14 @@ mod tests {
         let source = FnSource::new(1, |t, out| {
             out.extend(std::iter::repeat_n(Injection::new(t, 0, 3), 4));
         });
-        let s = run_source_capacity(
+        let capacity = (CapacityConfig::uniform(2), DropPolicyKind::Tail);
+        let s = summarize(
             Path::new(4),
             Greedy::new(GreedyPolicy::Fifo),
             source,
             10,
-            CapacityConfig::uniform(2),
-            DropPolicyKind::Tail,
-        )
-        .unwrap();
+            Some(capacity),
+        );
         assert_eq!(s.injected, 4);
         assert_eq!(s.dropped, 2);
         assert_eq!(s.delivered, 2);
@@ -417,23 +304,16 @@ mod tests {
         let source = FnSource::new(1, |t, out| {
             out.extend(std::iter::repeat_n(Injection::new(t, 1, 0), 3));
         });
-        let s = run_source_capacity(
+        let capacity = (CapacityConfig::uniform(1), DropPolicyKind::Head);
+        let s = summarize(
             tree,
             Greedy::new(GreedyPolicy::Fifo),
             source,
             6,
-            CapacityConfig::uniform(1),
-            DropPolicyKind::Head,
-        )
-        .unwrap();
+            Some(capacity),
+        );
         assert_eq!(s.dropped, 2);
         assert_eq!(s.delivered, 1);
-    }
-
-    #[test]
-    fn measured_sigma_shorthand() {
-        let p = Pattern::from_injections(vec![Injection::new(0, 0, 1); 4]);
-        assert_eq!(measured_sigma(2, &p, Rate::ONE), 3);
     }
 
     #[test]
@@ -486,30 +366,5 @@ mod tests {
                 "workers = {workers}"
             );
         }
-    }
-
-    #[test]
-    fn aggregate_is_order_insensitive() {
-        let mk = |occ: usize, inj: u64| RunSummary {
-            protocol: "x".into(),
-            max_occupancy: occ,
-            max_staged: 0,
-            injected: inj,
-            delivered: inj,
-            mean_latency: None,
-            max_latency: occ as u64,
-            dropped: 1,
-            faulted: 0,
-            goodput: Some(Rate::ONE),
-        };
-        let a = vec![mk(3, 10), mk(7, 2), mk(5, 4)];
-        let mut b = a.clone();
-        b.reverse();
-        let agg_a = SweepAggregate::from_summaries(&a);
-        let agg_b = SweepAggregate::from_summaries(&b);
-        assert_eq!(agg_a, agg_b);
-        assert_eq!(agg_a.runs, 3);
-        assert_eq!(agg_a.injected, 16);
-        assert_eq!(agg_a.worst_occupancy, 7);
     }
 }

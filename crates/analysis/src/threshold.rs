@@ -59,7 +59,7 @@ pub struct CapacityThreshold {
 ///
 /// The factories are invoked once per probe (a run consumes its protocol
 /// and source); each probe runs to the source horizon plus `extra`
-/// settle rounds, like [`run_source`](crate::run_source). The search
+/// settle rounds, like [`run_scenario`](crate::run_scenario). The search
 /// probes O(log peak) capacities plus one unbounded reference run.
 ///
 /// # Errors

@@ -4,8 +4,12 @@
 //!
 //! [`Scenario::validate`] builds every spec (so all of PR 5's
 //! applicability and range checks fire), then statically profiles the
-//! injection schedule ([`SourceSpec::profile`]) and cross-checks it
-//! against the capacity config and the protocol:
+//! injection schedule ([`SourceSpec::profile`]: a schedule of at most
+//! [`PROFILE_DRAIN_CAP`](aqt_adversary::PROFILE_DRAIN_CAP) rounds is
+//! (ρ, σ*)-bounded, with σ* measured at the declared ρ) and cross-checks
+//! it against the capacity config and the protocol. It is the one place
+//! that computes σ and the paper's bounds: the theorem tables of
+//! `experiments` read them from its report.
 //!
 //! * **errors** ([`ScenarioError::Static`]) for combinations that are
 //!   provably broken before round 0 ends — e.g. more round-0 injections
@@ -59,9 +63,11 @@ pub struct StaticReport {
     pub horizon: Option<u64>,
     /// Total injected packets, when statically known.
     pub injections: Option<u64>,
-    /// The (ρ, σ) bound the workload satisfies, when known.
+    /// The ρ of the (ρ, σ) bound the workload satisfies, when known: the
+    /// declared rate, or 1 when the spec declares none.
     pub bound: Option<Rate>,
-    /// The σ of that bound.
+    /// The σ of that bound: the tight σ* measured on a materialized
+    /// schedule, or the declared σ of one too long to materialize.
     pub sigma: Option<u64>,
     /// Closed-form predictions a run can later be checked against.
     pub predictions: Vec<Prediction>,
@@ -692,8 +698,10 @@ mod tests {
         };
         let report = scenario.validate().unwrap();
         assert!(report.warnings.iter().any(|w| w.contains("Thm. 4.1")));
-        // The Thm. 4.1 formula is still reported: l*m + sigma + 1 = 2*4 + 2 + 1.
-        assert_eq!(report.prediction("peak_occupancy").unwrap().value, 11);
+        // The Thm. 4.1 formula is still reported, at the schedule's σ* = 1
+        // (two packets share a round at ρ = 1): l*m + sigma + 1 = 2*4 + 1 + 1.
+        assert_eq!(report.sigma, Some(1));
+        assert_eq!(report.prediction("peak_occupancy").unwrap().value, 10);
     }
 
     #[test]

@@ -11,10 +11,7 @@
 
 use std::io::Write;
 
-use aqt_bench::{
-    engine_experiment, run_experiment, EngineBench, ENGINE_EXPERIMENT_IDS, EXPERIMENT_IDS,
-    EXPERIMENT_INDEX,
-};
+use aqt_bench::{experiment, EngineBench, EXPERIMENTS};
 
 /// Prints `error: {message}` and exits 2, the status for bad input.
 fn bad_input(message: impl std::fmt::Display) -> ! {
@@ -24,6 +21,7 @@ fn bad_input(message: impl std::fmt::Display) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let all_ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("Usage: experiments [--quick] [--csv] [--list] [--threads N]");
         println!("                   [--bench-json PATH] [--bench-baseline PATH] [ID ...]");
@@ -50,23 +48,12 @@ fn main() {
         println!("Exit status: 1 if a table has a VIOLATED verdict or the regression gate");
         println!("fails; 2 on a bad option, experiment id, baseline or --bench-json path.");
         println!();
-        println!(
-            "Experiment ids (default: all): {}",
-            EXPERIMENT_IDS.join(" ")
-        );
+        println!("Experiment ids (default: all): {}", all_ids.join(" "));
         return;
     }
     if args.iter().any(|a| a == "--list") {
-        let id_w = EXPERIMENT_INDEX
-            .iter()
-            .map(|e| e.0.len())
-            .max()
-            .unwrap_or(3);
-        let claim_w = EXPERIMENT_INDEX
-            .iter()
-            .map(|e| e.1.len())
-            .max()
-            .unwrap_or(5);
+        let id_w = EXPERIMENTS.iter().map(|e| e.id.len()).max().unwrap_or(3);
+        let claim_w = EXPERIMENTS.iter().map(|e| e.claim.len()).max().unwrap_or(5);
         println!("{:<id_w$}  {:<claim_w$}  function", "id", "claim");
         println!(
             "{}  {}  {}",
@@ -74,8 +61,8 @@ fn main() {
             "-".repeat(claim_w),
             "-".repeat(8)
         );
-        for (id, claim, function) in EXPERIMENT_INDEX {
-            println!("{id:<id_w$}  {claim:<claim_w$}  {function}");
+        for e in &EXPERIMENTS {
+            println!("{:<id_w$}  {:<claim_w$}  {}", e.id, e.claim, e.function);
         }
         return;
     }
@@ -114,19 +101,16 @@ fn main() {
     }
     // Unknown experiment ids are an error, not a late panic: validate the
     // whole list upfront against the index.
-    let unknown: Vec<&String> = ids
-        .iter()
-        .filter(|id| !EXPERIMENT_IDS.contains(&id.as_str()))
-        .collect();
+    let unknown: Vec<&String> = ids.iter().filter(|id| experiment(id).is_none()).collect();
     if !unknown.is_empty() {
         for id in &unknown {
             eprintln!("error: unknown experiment id `{id}`");
         }
-        eprintln!("valid ids: {}", EXPERIMENT_IDS.join(" "));
+        eprintln!("valid ids: {}", all_ids.join(" "));
         std::process::exit(2);
     }
     let mut ids: Vec<&str> = if ids.is_empty() {
-        EXPERIMENT_IDS.to_vec()
+        all_ids
     } else {
         ids.iter().map(String::as_str).collect()
     };
@@ -149,9 +133,9 @@ fn main() {
         (path, file)
     });
     if baseline.is_some() || bench_file.is_some() {
-        for id in ENGINE_EXPERIMENT_IDS {
-            if !ids.contains(&id) {
-                ids.push(id);
+        for e in EXPERIMENTS.iter().filter(|e| e.is_engine()) {
+            if !ids.contains(&e.id) {
+                ids.push(e.id);
             }
         }
     }
@@ -173,13 +157,8 @@ fn main() {
     let started = std::time::Instant::now();
     for id in &ids {
         let t0 = std::time::Instant::now();
-        let tables = if ENGINE_EXPERIMENT_IDS.contains(id) {
-            let (runs, tables) = engine_experiment(id, quick);
-            bench.runs.extend(runs);
-            tables
-        } else {
-            run_experiment(id, quick)
-        };
+        let (runs, tables) = experiment(id).expect("ids were checked").run(quick);
+        bench.runs.extend(runs);
         for table in &tables {
             if table.violated() {
                 eprintln!("[{id}] VIOLATED: a bound failed in {:?}", table.title());

@@ -14,8 +14,8 @@
 //! harness emits (`--csv` for CSV, `--json` for raw `RunSummary` JSON).
 
 use aqt_analysis::{
-    run_scenario_probed, run_scenarios_with_threads, sweep, RunSummary, Scenario, ScenarioError,
-    ScenarioGrid, StaticReport, Table,
+    run_scenario, run_scenario_probed, sweep, RunSummary, Scenario, ScenarioError, ScenarioGrid,
+    StaticReport, Table,
 };
 use aqt_bench::WallClock;
 use aqt_model::{
@@ -362,7 +362,7 @@ fn main() {
             eprintln!("wrote telemetry report to {path}");
             results
         }
-        None => run_scenarios_with_threads(&scenarios, workers),
+        None => sweep::parallel_with_threads(&scenarios, workers, run_scenario),
     };
     let elapsed = started.elapsed();
 

@@ -9,11 +9,13 @@
 //!   delivery.
 //! * **E8** prints the paper's Figure 1.
 
-use aqt_adversary::{Cadence, DestSpec, RandomAdversary};
-use aqt_analysis::{bounds, render_figure1, run_pattern, Table, Verdict};
+use aqt_adversary::{Cadence, DestSpec};
+use aqt_analysis::{render_figure1, run_scenario, Table, Verdict};
 use aqt_core::badness::max_badness_hpts;
-use aqt_core::{Hierarchy, Hpts, Ppts, Pts};
-use aqt_model::{analyze, NodeId, Path, Rate, Simulation};
+use aqt_core::{Hierarchy, Hpts, ProtocolSpec};
+use aqt_model::{Rate, TopologySpec};
+
+use crate::row::{peak_bound, random, scenario, sigma_star, simulate_on_path};
 
 /// A1 — HPTS with and without the pre-bad cascade.
 ///
@@ -41,12 +43,25 @@ pub fn a1_prebad(quick: bool) -> Vec<Table> {
         ],
     );
     for l in [2u32, 4] {
+        // The plain-HPTS scenario's report prices both variants: Thm 4.1's
+        // bound does not depend on the cascade.
         let rho = Rate::one_over(l).expect("valid rate");
-        let pattern = RandomAdversary::new(rho, 2, rounds)
-            .cadence(Cadence::Bursty { period: 8 })
-            .seed(3)
-            .build_path(&Path::new(n));
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
+        let source = random(
+            rho,
+            2,
+            rounds,
+            DestSpec::AnyReachable,
+            Cadence::Bursty { period: 8 },
+            3,
+        );
+        let plain = scenario(
+            TopologySpec::Path { n },
+            ProtocolSpec::Hpts { levels: l },
+            source,
+            300,
+        );
+        let report = plain.validate().expect("valid scenario");
+        let bound = peak_bound(&report);
         for (label, hpts) in [
             ("full", Hpts::for_line(n, l).expect("fits")),
             (
@@ -54,10 +69,8 @@ pub fn a1_prebad(quick: bool) -> Vec<Table> {
                 Hpts::for_line(n, l).expect("fits").without_prebad(),
             ),
         ] {
-            let m = hpts.hierarchy().base();
             let hierarchy = *hpts.hierarchy();
-            let bound = bounds::hpts_bound(l, m, sigma_star);
-            let mut sim = Simulation::new(Path::new(n), hpts, &pattern).expect("valid pattern");
+            let mut sim = simulate_on_path(&plain, hpts);
             let horizon = rounds + 300;
             let mut max_phase_end_badness = 0usize;
             for t in 0..horizon {
@@ -77,12 +90,12 @@ pub fn a1_prebad(quick: bool) -> Vec<Table> {
                 measured.to_string(),
                 Verdict::upper(measured as u64, bound).to_string(),
                 max_phase_end_badness.to_string(),
-                (sigma_star + 1).to_string(),
+                (sigma_star(&report) + 1).to_string(),
             ]);
         }
     }
     table.note(
-        "the potential stays bounded near the idealized sigma*+1 cap; see DESIGN.md sec 5 on the",
+        "the potential stays bounded near the idealized sigma*+1 cap; see DESIGN.md sec 6 on the",
     );
     table.note("implementation-vs-proof slack (a small additive constant; the occupancy bound is unaffected)");
     vec![table]
@@ -103,25 +116,27 @@ pub fn a2_eager(quick: bool) -> Vec<Table> {
         ],
     );
     let rho = Rate::new(1, 2).expect("valid rate");
-    let single = RandomAdversary::new(rho, 2, rounds)
-        .destinations(DestSpec::fixed([n - 1]))
-        .seed(8)
-        .build_path(&Path::new(n));
-    let multi = RandomAdversary::new(rho, 2, rounds)
-        .destinations(DestSpec::Spread { count: 8 })
-        .seed(9)
-        .build_path(&Path::new(n));
+    let single = random(rho, 2, rounds, DestSpec::fixed([n - 1]), Cadence::Smooth, 8);
+    let multi = random(
+        rho,
+        2,
+        rounds,
+        DestSpec::Spread { count: 8 },
+        Cadence::Smooth,
+        9,
+    );
     let fmt_latency = |l: Option<f64>| l.map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
-    for (protocol, pattern) in [
-        (
-            Box::new(Pts::new(NodeId::new(n - 1))) as Box<dyn aqt_model::Protocol<Path>>,
-            &single,
-        ),
-        (Box::new(Pts::eager(NodeId::new(n - 1))), &single),
-        (Box::new(Ppts::new()), &multi),
-        (Box::new(Ppts::new().eager()), &multi),
+    let pts = |eager| ProtocolSpec::Pts { dest: None, eager };
+    let ppts = |eager| ProtocolSpec::Ppts { eager };
+    for (protocol, source) in [
+        (pts(false), &single),
+        (pts(true), &single),
+        (ppts(false), &multi),
+        (ppts(true), &multi),
     ] {
-        let summary = run_pattern(Path::new(n), protocol, pattern, 400).expect("valid run");
+        let path = TopologySpec::Path { n };
+        let run = run_scenario(&scenario(path, protocol, source.clone(), 400));
+        let summary = run.expect("valid run");
         table.push_row([
             summary.protocol.clone(),
             summary.max_occupancy.to_string(),

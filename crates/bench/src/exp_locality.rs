@@ -8,9 +8,19 @@
 //! periodic bursts.
 
 use aqt_adversary::patterns;
-use aqt_analysis::{run_pattern, Table};
+use aqt_analysis::Table;
 use aqt_core::LocalPts;
-use aqt_model::{analyze, NodeId, Path, Rate};
+use aqt_model::{analyze, NodeId, Path, Pattern, Rate, Simulation};
+
+/// The peak occupancy of radius-`r` LocalPTS toward the last node of an
+/// `n`-node path, run `extra` rounds past `pattern`'s horizon.
+fn peak(n: usize, r: usize, pattern: &Pattern, extra: u64) -> usize {
+    let protocol = LocalPts::new(NodeId::new(n - 1), r);
+    let mut sim = Simulation::new(Path::new(n), protocol, pattern).expect("valid pattern");
+    sim.run_past_horizon(extra)
+        .expect("valid run")
+        .max_occupancy
+}
 
 /// E9 — measured space of locality-r PTS vs the radius and vs n.
 pub fn e9_locality(quick: bool) -> Vec<Table> {
@@ -26,25 +36,11 @@ pub fn e9_locality(quick: bool) -> Vec<Table> {
         format!("E9a (open problem) - LocalPTS space vs radius (n = {n}, sigma* = {sigma_star})"),
         ["radius r", "measured", "PTS reference (r = n)"],
     );
-    let reference = run_pattern(
-        Path::new(n),
-        LocalPts::new(NodeId::new(n - 1), n),
-        &pattern,
-        400,
-    )
-    .expect("valid run")
-    .max_occupancy;
+    let reference = peak(n, n, &pattern, 400);
     for r in [1usize, 2, 4, 8, 16, 64, n] {
-        let summary = run_pattern(
-            Path::new(n),
-            LocalPts::new(NodeId::new(n - 1), r),
-            &pattern,
-            400,
-        )
-        .expect("valid run");
         table.push_row([
             r.to_string(),
-            summary.max_occupancy.to_string(),
+            peak(n, r, &pattern, 400).to_string(),
             reference.to_string(),
         ]);
     }
@@ -62,25 +58,11 @@ pub fn e9_locality(quick: bool) -> Vec<Table> {
     for n in [32usize, 64, 128, 256, 512] {
         let pattern = patterns::peak_chase(n, rho, sigma, rounds);
         let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let local = run_pattern(
-            Path::new(n),
-            LocalPts::new(NodeId::new(n - 1), r),
-            &pattern,
-            2 * n as u64,
-        )
-        .expect("valid run");
-        let full = run_pattern(
-            Path::new(n),
-            LocalPts::new(NodeId::new(n - 1), n),
-            &pattern,
-            2 * n as u64,
-        )
-        .expect("valid run");
         ntable.push_row([
             n.to_string(),
             sigma_star.to_string(),
-            local.max_occupancy.to_string(),
-            full.max_occupancy.to_string(),
+            peak(n, r, &pattern, 2 * n as u64).to_string(),
+            peak(n, n, &pattern, 2 * n as u64).to_string(),
         ]);
     }
     ntable.note("the r = n column is flat (Prop. 3.1); under this benign workload the local");

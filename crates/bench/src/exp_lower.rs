@@ -8,9 +8,9 @@
 //! m for fixed ℓ).
 
 use aqt_adversary::LowerBoundAdversary;
-use aqt_analysis::{run_pattern, Table};
+use aqt_analysis::Table;
 use aqt_core::{Greedy, GreedyPolicy, Hpts, Ppts};
-use aqt_model::{analyze, Path, Protocol, Rate, Topology};
+use aqt_model::{analyze, Path, Pattern, Protocol, Rate, Simulation, Topology};
 
 /// Builds the protocol zoo for a line of `nodes` nodes with an ℓ-level
 /// hierarchy where applicable.
@@ -35,6 +35,15 @@ fn zoo(nodes: usize, l: u32) -> Vec<(&'static str, Box<dyn Protocol<Path>>)> {
         v.push(("HPTS", Box::new(hpts)));
     }
     v
+}
+
+/// The peak occupancy of `protocol` against `pattern` on an `n`-node
+/// path, run `extra` rounds past the pattern's horizon.
+fn peak(n: usize, protocol: Box<dyn Protocol<Path>>, pattern: &Pattern, extra: u64) -> usize {
+    let mut sim = Simulation::new(Path::new(n), protocol, pattern).expect("valid pattern");
+    sim.run_past_horizon(extra)
+        .expect("valid run")
+        .max_occupancy
 }
 
 /// E5a — every protocol pays the lower bound.
@@ -71,14 +80,8 @@ pub fn e5_duel(quick: bool) -> Vec<Table> {
         let sigma_star = analyze(&topo, &pattern, rho).tight_sigma;
         let reference = adv.theorem_bound();
         for (label, protocol) in zoo(topo.node_count(), l) {
-            let summary = run_pattern(
-                Path::new(topo.node_count()),
-                protocol,
-                &pattern,
-                4 * u64::from(l),
-            )
-            .expect("valid run");
-            let ratio = summary.max_occupancy as f64 / reference;
+            let measured = peak(topo.node_count(), protocol, &pattern, 4 * u64::from(l));
+            let ratio = measured as f64 / reference;
             min_ratio = min_ratio.min(ratio);
             table.push_row([
                 l.to_string(),
@@ -88,7 +91,7 @@ pub fn e5_duel(quick: bool) -> Vec<Table> {
                 sigma_star.to_string(),
                 format!("{reference:.1}"),
                 label.to_string(),
-                summary.max_occupancy.to_string(),
+                measured.to_string(),
                 format!("{ratio:.2}"),
             ]);
         }
@@ -116,13 +119,9 @@ pub fn e5_duel(quick: bool) -> Vec<Table> {
         let topo = adv.topology();
         let mut best: Option<(String, usize)> = None;
         for (label, protocol) in zoo(topo.node_count(), 2) {
-            let summary = run_pattern(Path::new(topo.node_count()), protocol, &pattern, 8)
-                .expect("valid run");
-            if best
-                .as_ref()
-                .is_none_or(|(_, b)| summary.max_occupancy < *b)
-            {
-                best = Some((label.to_string(), summary.max_occupancy));
+            let measured = peak(topo.node_count(), protocol, &pattern, 8);
+            if best.as_ref().is_none_or(|(_, b)| measured < *b) {
+                best = Some((label.to_string(), measured));
             }
         }
         let (label, peak) = best.expect("zoo is non-empty");

@@ -6,10 +6,12 @@
 //! the number of destinations by α and either buffers grow by ~α (PPTS) or
 //! rate shrinks by O(log α) with near-flat buffers (HPTS).
 
-use aqt_adversary::{patterns, RandomAdversary};
-use aqt_analysis::{bounds, run_pattern, Table, Verdict};
-use aqt_core::{Hpts, HptsD, Ppts};
-use aqt_model::{analyze, Path, Rate};
+use aqt_adversary::{patterns, Cadence, DestSpec, SourceSpec};
+use aqt_analysis::{Table, Verdict};
+use aqt_core::{Hierarchy, HptsD, ProtocolSpec};
+use aqt_model::{Rate, TopologySpec};
+
+use crate::row::{random, scenario, sigma_star, simulate_on_path, Row};
 
 /// E6 — fixed n, sweep k = ⌊1/ρ⌋: measured HPTS space vs `k·n^{1/k}+σ+1`.
 pub fn e6_tradeoff(quick: bool) -> Vec<Table> {
@@ -21,25 +23,43 @@ pub fn e6_tradeoff(quick: bool) -> Vec<Table> {
     );
     for k in [1u32, 2, 3, 4, 8] {
         let rho = Rate::one_over(k).expect("valid rate");
-        let hpts = Hpts::for_line(n, k).expect("geometry fits");
-        let m = hpts.hierarchy().base();
-        let pattern = RandomAdversary::new(rho, 1, rounds)
-            .seed(77 + u64::from(k))
-            .build_path(&Path::new(n));
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let summary = run_pattern(Path::new(n), hpts, &pattern, 300).expect("valid run");
-        let bound = bounds::hpts_bound(k, m, sigma_star);
+        let source = random(
+            rho,
+            1,
+            rounds,
+            DestSpec::AnyReachable,
+            Cadence::Smooth,
+            77 + u64::from(k),
+        );
+        let row = Row::new(
+            TopologySpec::Path { n },
+            ProtocolSpec::Hpts { levels: k },
+            source,
+            300,
+        );
         table.push_row([
             k.to_string(),
-            m.to_string(),
-            bound.to_string(),
-            summary.max_occupancy.to_string(),
-            Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+            Hierarchy::covering(n, k)
+                .expect("geometry fits")
+                .base()
+                .to_string(),
+            row.bound().to_string(),
+            row.measured().to_string(),
+            row.verdict().to_string(),
         ]);
     }
     table.note("halving the rate (k x2) shrinks the bound from Theta(n) to Theta(k n^{1/k})");
     table.note("k = 8 > log2(256)/... : past k = log n the k factor dominates (convex curve)");
     vec![table]
+}
+
+/// Round-robin traffic from node 0 over `dests` at rate ρ.
+fn round_robin(dests: &[usize], rate: Rate, rounds: u64) -> SourceSpec {
+    SourceSpec::RoundRobin {
+        dests: dests.to_vec(),
+        rate,
+        rounds,
+    }
 }
 
 /// E7 — the α-factor implication of §1: destinations ×α ⇒ buffers ×α
@@ -65,32 +85,40 @@ pub fn e7_alpha(quick: bool) -> Vec<Table> {
     for d in [4usize, 8, 16, 32, 64] {
         let dests = patterns::even_destinations(n, d);
         // PPTS at full rate.
-        let full = patterns::round_robin(&dests, Rate::ONE, rounds);
-        let sigma_full = analyze(&Path::new(n), &full, Rate::ONE).tight_sigma;
-        let ppts = run_pattern(Path::new(n), Ppts::new(), &full, 200).expect("valid run");
-        // HPTS at rate 1/⌈log2 d⌉ with matching level count.
+        let ppts = Row::new(
+            TopologySpec::Path { n },
+            ProtocolSpec::Ppts { eager: false },
+            round_robin(&dests, Rate::ONE, rounds),
+            200,
+        );
+        // HPTS at rate 1/⌈log2 d⌉ with matching level count. Past
+        // `PROFILE_DRAIN_CAP` rounds (d = 32 and 64 in full mode) the bound
+        // keeps the round robin's declared σ = 1.
         let levels = (usize::BITS - (d - 1).leading_zeros()).max(1);
         let rho = Rate::one_over(levels).expect("valid rate");
-        let slow = patterns::round_robin(&dests, rho, rounds * u64::from(levels));
-        let sigma_slow = analyze(&Path::new(n), &slow, rho).tight_sigma;
-        let hpts = Hpts::for_line(n, levels).expect("geometry fits");
-        let m = hpts.hierarchy().base();
-        let hsummary = run_pattern(Path::new(n), hpts, &slow, 300).expect("valid run");
+        let hpts = Row::new(
+            TopologySpec::Path { n },
+            ProtocolSpec::Hpts { levels },
+            round_robin(&dests, rho, rounds * u64::from(levels)),
+            300,
+        );
         table.push_row([
             d.to_string(),
-            bounds::ppts_bound(d, sigma_full).to_string(),
-            ppts.max_occupancy.to_string(),
+            ppts.bound().to_string(),
+            ppts.measured().to_string(),
             levels.to_string(),
             rho.to_string(),
-            bounds::hpts_bound(levels, m, sigma_slow).to_string(),
-            hsummary.max_occupancy.to_string(),
+            hpts.bound().to_string(),
+            hpts.measured().to_string(),
         ]);
     }
     table.note("PPTS columns grow ~linearly in d; HPTS columns grow ~logarithmically");
     table.note("rate for HPTS shrinks by O(log alpha) as the intro's second option describes");
 
     // Second table: the abstract's d-version, measured directly with the
-    // destination-space hierarchy on a line much longer than d.
+    // destination-space hierarchy on a line much longer than d. HPTS-D
+    // has no spec: it runs on the spec'd source, whose σ* the HPTS
+    // scenario's report states.
     let mut dtable = Table::new(
         "E7b (abstract) - HPTS-D: space vs d at fixed n (experimental d-version)",
         [
@@ -107,19 +135,25 @@ pub fn e7_alpha(quick: bool) -> Vec<Table> {
         let dests = patterns::even_destinations(n, d);
         let l = 2u32;
         let rho = Rate::one_over(l).expect("valid rate");
-        let slow = patterns::round_robin(&dests, rho, rounds * u64::from(l));
-        let sigma = analyze(&Path::new(n), &slow, rho).tight_sigma;
+        let slow = scenario(
+            TopologySpec::Path { n },
+            ProtocolSpec::Hpts { levels: l },
+            round_robin(&dests, rho, rounds * u64::from(l)),
+            400,
+        );
+        let sigma = sigma_star(&slow.validate().expect("valid scenario"));
         let hptsd = HptsD::new(dests, l).expect("valid destination set");
         let m = hptsd.hierarchy().base();
         let bound = hptsd.space_bound(sigma);
-        let summary = run_pattern(Path::new(n), hptsd, &slow, 400).expect("valid run");
+        let mut sim = simulate_on_path(&slow, hptsd);
+        let measured = sim.run_past_horizon(400).expect("valid run").max_occupancy;
         dtable.push_row([
             d.to_string(),
             l.to_string(),
             m.to_string(),
             bound.to_string(),
-            summary.max_occupancy.to_string(),
-            Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+            measured.to_string(),
+            Verdict::upper(measured as u64, bound).to_string(),
         ]);
     }
     dtable.note("bound depends on d only (n = 512 fixed): the abstract's O(k d^{1/k})");

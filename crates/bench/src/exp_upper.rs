@@ -6,10 +6,12 @@
 //! would be a counterexample to the respective proposition (or a bug in
 //! this reproduction).
 
-use aqt_adversary::{patterns, Cadence, DestSpec, RandomAdversary};
-use aqt_analysis::{bounds, run_pattern, Table, Verdict};
-use aqt_core::{Greedy, GreedyPolicy, Hpts, LevelSchedule, Ppts, Pts, TreePpts, TreePts};
-use aqt_model::{analyze, DirectedTree, NodeId, Path, Rate, Topology};
+use aqt_adversary::{patterns, Cadence, DestSpec, SourceSpec};
+use aqt_analysis::{run_scenario, Scenario, Table, Verdict};
+use aqt_core::{GreedyPolicy, Hierarchy, Hpts, LevelSchedule, ProtocolSpec};
+use aqt_model::{NodeId, Rate, Topology, TopologySpec, TreeSpec};
+
+use crate::row::{random, simulate_on_path, Row};
 
 /// Settle time after the adversary stops.
 const EXTRA: u64 = 200;
@@ -18,6 +20,11 @@ const EXTRA: u64 = 200;
 pub fn e1_pts(quick: bool) -> Vec<Table> {
     let n = if quick { 32 } else { 64 };
     let rounds = if quick { 200 } else { 600 };
+    let pts = ProtocolSpec::Pts {
+        dest: None,
+        eager: false,
+    };
+    let dest = DestSpec::fixed([n - 1]);
     let mut table = Table::new(
         "E1 (Prop 3.1) - PTS single destination: bound 2 + sigma",
         ["rho", "sigma*", "cadence", "bound", "measured", "verdict"],
@@ -29,25 +36,17 @@ pub fn e1_pts(quick: bool) -> Vec<Table> {
                 (Cadence::Smooth, "smooth"),
                 (Cadence::Bursty { period: 20 }, "bursty"),
             ] {
-                let pattern = RandomAdversary::new(rho, sigma, rounds)
-                    .destinations(DestSpec::fixed([n - 1]))
-                    .cadence(cadence)
-                    .seed(11 + sigma)
-                    .build_path(&Path::new(n));
-                // Report the *measured* σ — the bound is about the actual
+                // The *measured* σ: the bound is about the actual
                 // pattern, which may be less bursty than the budget.
-                let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-                let summary =
-                    run_pattern(Path::new(n), Pts::new(NodeId::new(n - 1)), &pattern, EXTRA)
-                        .expect("valid run");
-                let bound = bounds::pts_bound(sigma_star);
+                let source = random(rho, sigma, rounds, dest.clone(), cadence, 11 + sigma);
+                let row = Row::new(TopologySpec::Path { n }, pts.clone(), source, EXTRA);
                 table.push_row([
                     rho.to_string(),
-                    sigma_star.to_string(),
+                    row.sigma().to_string(),
                     label.to_string(),
-                    bound.to_string(),
-                    summary.max_occupancy.to_string(),
-                    Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+                    row.bound().to_string(),
+                    row.measured().to_string(),
+                    row.verdict().to_string(),
                 ]);
             }
         }
@@ -62,18 +61,19 @@ pub fn e1_pts(quick: bool) -> Vec<Table> {
     );
     for n in [16usize, 64, 256] {
         let rho = Rate::new(1, 2).expect("valid rate");
-        let pattern = patterns::peak_chase(n, rho, 4, 300);
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let summary = run_pattern(Path::new(n), Pts::new(NodeId::new(n - 1)), &pattern, EXTRA)
-            .expect("valid run");
-        let bound = bounds::pts_bound(sigma_star);
+        let source = SourceSpec::PeakChase {
+            rate: rho,
+            sigma: 4,
+            rounds: 300,
+        };
+        let row = Row::new(TopologySpec::Path { n }, pts.clone(), source, EXTRA);
         stress.push_row([
             n.to_string(),
             rho.to_string(),
-            sigma_star.to_string(),
-            bound.to_string(),
-            summary.max_occupancy.to_string(),
-            Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+            row.sigma().to_string(),
+            row.bound().to_string(),
+            row.measured().to_string(),
+            row.verdict().to_string(),
         ]);
     }
     stress.note("bound is n-independent: the measured column must not grow with n");
@@ -86,6 +86,8 @@ pub fn e2_ppts(quick: bool) -> Vec<Table> {
     let n = if quick { 33 } else { 65 };
     let rounds = if quick { 200 } else { 600 };
     let rho = Rate::ONE;
+    let path = TopologySpec::Path { n };
+    let ppts = ProtocolSpec::Ppts { eager: false };
     let mut table = Table::new(
         "E2 (Prop 3.2) - PPTS with d destinations: bound 1 + d + sigma",
         [
@@ -93,44 +95,32 @@ pub fn e2_ppts(quick: bool) -> Vec<Table> {
         ],
     );
     for d in [1usize, 2, 4, 8, 16, 32] {
-        let pattern = RandomAdversary::new(rho, 2, rounds)
-            .destinations(DestSpec::Spread { count: d })
-            .seed(100 + d as u64)
-            .build_path(&Path::new(n));
-        let d_actual = pattern.destinations().len();
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let ppts = run_pattern(Path::new(n), Ppts::new(), &pattern, EXTRA).expect("valid run");
-        let fifo = run_pattern(
-            Path::new(n),
-            Greedy::new(GreedyPolicy::Fifo),
-            &pattern,
-            EXTRA,
-        )
-        .expect("valid run");
-        let lis = run_pattern(
-            Path::new(n),
-            Greedy::new(GreedyPolicy::LongestInSystem),
-            &pattern,
-            EXTRA,
-        )
-        .expect("valid run");
-        let ntg = run_pattern(
-            Path::new(n),
-            Greedy::new(GreedyPolicy::NearestToGo),
-            &pattern,
-            EXTRA,
-        )
-        .expect("valid run");
-        let bound = bounds::ppts_bound(d_actual, sigma_star);
+        let source = random(
+            rho,
+            2,
+            rounds,
+            DestSpec::Spread { count: d },
+            Cadence::Smooth,
+            100 + d as u64,
+        );
+        let row = Row::new(path.clone(), ppts.clone(), source, EXTRA);
+        let greedy = |policy| {
+            let protocol = ProtocolSpec::Greedy { policy };
+            let run = run_scenario(&Scenario {
+                protocol,
+                ..row.scenario.clone()
+            });
+            run.expect("valid run").max_occupancy.to_string()
+        };
         table.push_row([
-            d_actual.to_string(),
-            sigma_star.to_string(),
-            bound.to_string(),
-            ppts.max_occupancy.to_string(),
-            Verdict::upper(ppts.max_occupancy as u64, bound).to_string(),
-            fifo.max_occupancy.to_string(),
-            lis.max_occupancy.to_string(),
-            ntg.max_occupancy.to_string(),
+            row.dest_term().to_string(),
+            row.sigma().to_string(),
+            row.bound().to_string(),
+            row.measured().to_string(),
+            row.verdict().to_string(),
+            greedy(GreedyPolicy::Fifo),
+            greedy(GreedyPolicy::LongestInSystem),
+            greedy(GreedyPolicy::NearestToGo),
         ]);
     }
     table.note(format!(
@@ -145,21 +135,32 @@ pub fn e2_ppts(quick: bool) -> Vec<Table> {
     );
     for d in [2usize, 4, 8] {
         let dests = patterns::even_destinations(n, d);
-        for (label, pattern) in [
-            ("round-robin", patterns::round_robin(&dests, rho, rounds)),
-            ("staircase", patterns::staircase(&dests, 3, 2)),
+        for (label, source) in [
+            (
+                "round-robin",
+                SourceSpec::RoundRobin {
+                    dests: dests.clone(),
+                    rate: rho,
+                    rounds,
+                },
+            ),
+            (
+                "staircase",
+                SourceSpec::Staircase {
+                    dests: dests.clone(),
+                    per_step: 3,
+                    gap: 2,
+                },
+            ),
         ] {
-            let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-            let summary =
-                run_pattern(Path::new(n), Ppts::new(), &pattern, EXTRA).expect("valid run");
-            let bound = bounds::ppts_bound(pattern.destinations().len(), sigma_star);
+            let row = Row::new(path.clone(), ppts.clone(), source, EXTRA);
             stress.push_row([
                 label.to_string(),
-                pattern.destinations().len().to_string(),
-                sigma_star.to_string(),
-                bound.to_string(),
-                summary.max_occupancy.to_string(),
-                Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+                row.dest_term().to_string(),
+                row.sigma().to_string(),
+                row.bound().to_string(),
+                row.measured().to_string(),
+                row.verdict().to_string(),
             ]);
         }
     }
@@ -175,30 +176,41 @@ pub fn e3_trees(quick: bool) -> Vec<Table> {
         "E3a (Prop B.3) - TreePTS single destination (root): bound 2 + sigma",
         ["tree", "nodes", "sigma*", "bound", "measured", "verdict"],
     );
-    let shapes: Vec<(&str, DirectedTree)> = vec![
-        ("path(32)", DirectedTree::path(32)),
-        ("star(16)", DirectedTree::star(16)),
-        ("binary(h=4)", DirectedTree::full_binary(4)),
-        ("caterpillar(8x3)", DirectedTree::caterpillar(8, 3)),
-        ("random(40)", DirectedTree::random(40, 99)),
+    let shapes = [
+        // A caterpillar without legs is the path tree.
+        ("path(32)", TreeSpec::Caterpillar { spine: 32, legs: 0 }),
+        ("star(16)", TreeSpec::Star { leaves: 16 }),
+        ("binary(h=4)", TreeSpec::FullBinary { height: 4 }),
+        (
+            "caterpillar(8x3)",
+            TreeSpec::Caterpillar { spine: 8, legs: 3 },
+        ),
+        ("random(40)", TreeSpec::Random { n: 40, seed: 99 }),
     ];
-    for (label, tree) in &shapes {
+    for (label, shape) in &shapes {
+        let tree = shape.build().expect("valid tree");
         let root = tree.root();
-        let pattern = RandomAdversary::new(rho, 3, rounds)
-            .destinations(DestSpec::Fixed { dests: vec![root] })
-            .seed(7)
-            .build_tree(tree);
-        let sigma_star = aqt_analysis::measured_sigma_on(tree, &pattern, rho);
-        let summary =
-            run_pattern(tree.clone(), TreePts::new(root), &pattern, EXTRA).expect("valid run");
-        let bound = bounds::tree_pts_bound(sigma_star);
+        let source = random(
+            rho,
+            3,
+            rounds,
+            DestSpec::Fixed { dests: vec![root] },
+            Cadence::Smooth,
+            7,
+        );
+        let row = Row::new(
+            TopologySpec::Tree(shape.clone()),
+            ProtocolSpec::TreePts { dest: None },
+            source,
+            EXTRA,
+        );
         single.push_row([
             label.to_string(),
             tree.node_count().to_string(),
-            sigma_star.to_string(),
-            bound.to_string(),
-            summary.max_occupancy.to_string(),
-            Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+            row.sigma().to_string(),
+            row.bound().to_string(),
+            row.measured().to_string(),
+            row.verdict().to_string(),
         ]);
     }
 
@@ -206,7 +218,8 @@ pub fn e3_trees(quick: bool) -> Vec<Table> {
         "E3b (Prop 3.5) - TreePPTS multi destination: bound 1 + d' + sigma",
         ["tree", "d", "d'", "sigma*", "bound", "measured", "verdict"],
     );
-    for (label, tree) in &shapes {
+    for (label, shape) in &shapes {
+        let tree = shape.build().expect("valid tree");
         for count in [2usize, 4] {
             let internal = (0..tree.node_count())
                 .map(NodeId::new)
@@ -215,27 +228,32 @@ pub fn e3_trees(quick: bool) -> Vec<Table> {
             if internal < count {
                 continue;
             }
-            let pattern = RandomAdversary::new(rho, 2, rounds)
-                .destinations(DestSpec::Spread { count })
-                .seed(13)
-                .build_tree(tree);
-            if pattern.is_empty() {
+            let source = random(
+                rho,
+                2,
+                rounds,
+                DestSpec::Spread { count },
+                Cadence::Smooth,
+                13,
+            );
+            let row = Row::new(
+                TopologySpec::Tree(shape.clone()),
+                ProtocolSpec::TreePpts,
+                source,
+                EXTRA,
+            );
+            if row.summary.injected == 0 {
                 continue;
             }
-            let dests = pattern.destinations();
-            let d_prime = tree.destination_depth(&dests);
-            let sigma_star = aqt_analysis::measured_sigma_on(tree, &pattern, rho);
-            let summary =
-                run_pattern(tree.clone(), TreePpts::new(), &pattern, EXTRA).expect("valid run");
-            let bound = bounds::tree_ppts_bound(d_prime, sigma_star);
+            // d is what the spread asks for; d′ is what the bound counted.
             multi.push_row([
                 label.to_string(),
-                dests.len().to_string(),
-                d_prime.to_string(),
-                sigma_star.to_string(),
-                bound.to_string(),
-                summary.max_occupancy.to_string(),
-                Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+                count.to_string(),
+                row.dest_term().to_string(),
+                row.sigma().to_string(),
+                row.bound().to_string(),
+                row.measured().to_string(),
+                row.verdict().to_string(),
             ]);
         }
     }
@@ -255,61 +273,72 @@ pub fn e4_hpts(quick: bool) -> Vec<Table> {
     );
     for l in [1u32, 2, 4, 8] {
         let rho = Rate::one_over(l).expect("valid rate");
-        let hpts = Hpts::for_line(n, l).expect("geometry fits");
-        let m = hpts.hierarchy().base();
-        let pattern = RandomAdversary::new(rho, 2, rounds)
-            .seed(42 + u64::from(l))
-            .build_path(&Path::new(n));
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let summary = run_pattern(
-            Path::new(n),
-            hpts.clone(),
-            &pattern,
+        let m = Hierarchy::covering(n, l).expect("geometry fits").base();
+        let source = random(
+            rho,
+            2,
+            rounds,
+            DestSpec::AnyReachable,
+            Cadence::Smooth,
+            42 + u64::from(l),
+        );
+        let row = Row::new(
+            TopologySpec::Path { n },
+            ProtocolSpec::Hpts { levels: l },
+            source,
             EXTRA + 4 * u64::from(l),
-        )
-        .expect("valid run");
-        let bound = bounds::hpts_bound(l, m, sigma_star);
+        );
         table.push_row([
             l.to_string(),
             m.to_string(),
             rho.to_string(),
-            sigma_star.to_string(),
-            bound.to_string(),
-            summary.max_occupancy.to_string(),
-            Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
-            summary.max_staged.to_string(),
+            row.sigma().to_string(),
+            row.bound().to_string(),
+            row.measured().to_string(),
+            row.verdict().to_string(),
+            row.summary.max_staged.to_string(),
         ]);
     }
     table.note("measured = accepted occupancy (the Thm 4.1 quantity); staged = peak of the phase-batch staging area");
 
-    // Schedule comparison (paper ambiguity; see aqt-core::hpts docs).
+    // Schedule comparison (paper ambiguity; see aqt-core::hpts docs). The
+    // spec's HPTS runs the descending schedule; the ascending variant runs
+    // on the same source, under the same Thm 4.1 bound.
     let mut sched = Table::new(
         "E4b - HPTS level schedule (descending = analysis text, ascending = Alg. 3 literal)",
         ["l", "schedule", "bound", "measured", "verdict"],
     );
     for l in [2u32, 4] {
         let rho = Rate::one_over(l).expect("valid rate");
-        let pattern = RandomAdversary::new(rho, 2, rounds)
-            .cadence(Cadence::Bursty { period: 16 })
-            .seed(5)
-            .build_path(&Path::new(n));
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        for (label, schedule) in [
-            ("descending", LevelSchedule::Descending),
-            ("ascending", LevelSchedule::Ascending),
-        ] {
-            let hpts = Hpts::for_line(n, l)
-                .expect("geometry fits")
-                .schedule(schedule);
-            let m = hpts.hierarchy().base();
-            let summary = run_pattern(Path::new(n), hpts, &pattern, EXTRA).expect("valid run");
-            let bound = bounds::hpts_bound(l, m, sigma_star);
+        let source = random(
+            rho,
+            2,
+            rounds,
+            DestSpec::AnyReachable,
+            Cadence::Bursty { period: 16 },
+            5,
+        );
+        let row = Row::new(
+            TopologySpec::Path { n },
+            ProtocolSpec::Hpts { levels: l },
+            source,
+            EXTRA,
+        );
+        let hpts = Hpts::for_line(n, l)
+            .expect("geometry fits")
+            .schedule(LevelSchedule::Ascending);
+        let mut sim = simulate_on_path(&row.scenario, hpts);
+        let ascending = sim
+            .run_past_horizon(EXTRA)
+            .expect("valid run")
+            .max_occupancy;
+        for (label, measured) in [("descending", row.measured()), ("ascending", ascending)] {
             sched.push_row([
                 l.to_string(),
                 label.to_string(),
-                bound.to_string(),
-                summary.max_occupancy.to_string(),
-                Verdict::upper(summary.max_occupancy as u64, bound).to_string(),
+                row.bound().to_string(),
+                measured.to_string(),
+                Verdict::upper(measured as u64, row.bound()).to_string(),
             ]);
         }
     }

@@ -25,6 +25,12 @@
 //! | A1  | pre-bad cascade ablation | [`a1_prebad`] |
 //! | A2  | eager delivery ablation | [`a2_eager`] |
 //!
+//! [`EXPERIMENTS`] is the one table of ids, claims and runners that
+//! `experiments` lists and dispatches on. The theorem tables (E1–E4, E6,
+//! E7, A1, A2) build each row as a [`Scenario`](aqt_analysis::Scenario)
+//! and print the σ* and bound of its
+//! [`Scenario::validate`](aqt_analysis::Scenario::validate) report.
+//!
 //! Run all of them with `cargo run -p aqt-bench --release --bin
 //! experiments`. The engine experiments (E10, E13, E14, E16) also return
 //! [`EngineRun`] records, one per timed workload (E10's include the
@@ -49,6 +55,7 @@ mod exp_telemetry;
 mod exp_throughput;
 mod exp_tradeoff;
 mod exp_upper;
+mod row;
 
 pub use engine_bench::{EngineBench, EngineRun};
 pub use exp_ablation::{a1_prebad, a2_eager, e8_figure1};
@@ -74,139 +81,107 @@ pub use exp_upper::{e1_pts, e2_ppts, e3_trees, e4_hpts};
 
 use aqt_analysis::Table;
 
-/// All experiment ids in canonical order, derived from
-/// [`EXPERIMENT_INDEX`] (`e9` is the exploratory locality extension, not
-/// a paper artifact; `e10` measures the engine itself; `e11` exercises
-/// the finite-buffer subsystem).
-pub const EXPERIMENT_IDS: [&str; EXPERIMENT_INDEX.len()] = {
-    let mut out = [""; EXPERIMENT_INDEX.len()];
-    let mut i = 0;
-    while i < EXPERIMENT_INDEX.len() {
-        out[i] = EXPERIMENT_INDEX[i].0;
-        i += 1;
+/// How an experiment runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Runner {
+    /// It returns its tables.
+    Tables(fn(bool) -> Vec<Table>),
+    /// An engine experiment: besides tables, it returns the [`EngineRun`]
+    /// records that `experiments --bench-json` writes.
+    Engine(fn(bool) -> (Vec<EngineRun>, Vec<Table>)),
+    /// It renders a figure, printed as a one-cell table.
+    Figure(fn() -> String),
+}
+
+/// One entry of [`EXPERIMENTS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The id `experiments` takes, e.g. `"e1"`.
+    pub id: &'static str,
+    /// The claim it regenerates.
+    pub claim: &'static str,
+    /// The public function that runs it.
+    pub function: &'static str,
+    /// How it runs.
+    pub runner: Runner,
+}
+
+impl Experiment {
+    /// Whether it returns [`EngineRun`] records.
+    pub fn is_engine(&self) -> bool {
+        matches!(self.runner, Runner::Engine(_))
     }
-    out
-};
 
-/// The experiment index: `(id, claim, function)` — what `experiments
-/// --list` prints; the single source of truth for experiment ids.
-pub const EXPERIMENT_INDEX: [(&str, &str, &str); 18] = [
-    (
-        "e1",
-        "Prop. 3.1 - PTS single destination <= 2 + sigma",
-        "e1_pts",
-    ),
-    (
-        "e2",
-        "Prop. 3.2 - PPTS d destinations <= 1 + d + sigma",
-        "e2_ppts",
-    ),
-    ("e3", "Props. B.3 / 3.5 - tree protocols", "e3_trees"),
-    ("e4", "Thm. 4.1 - HPTS <= l*n^(1/l) + sigma + 1", "e4_hpts"),
-    ("e5", "Thm. 5.1 - Omega lower bound duel", "e5_duel"),
-    ("e6", "abstract - k*n^(1/k) tradeoff curve", "e6_tradeoff"),
-    (
-        "e7",
-        "S1 - alpha-factor implication (buffers vs bandwidth)",
-        "e7_alpha",
-    ),
-    (
-        "e8",
-        "Figure 1 - hierarchical partition rendering",
-        "e8_figure1",
-    ),
-    (
-        "e9",
-        "locality axis (open problem, exploratory)",
-        "e9_locality",
-    ),
-    (
-        "e10",
-        "engine throughput (streaming) + parallel sweep scaling + timed planners",
-        "e10_throughput",
-    ),
-    (
-        "e11",
-        "finite buffers - goodput vs capacity, zero-drop space thresholds",
-        "e11_capacity",
-    ),
-    (
-        "e12",
-        "grid routing - peak buffer vs mesh dimensions (DAG engine)",
-        "e12_grid",
-    ),
-    (
-        "e13",
-        "million-node mesh - computed routing, arenas",
-        "e13_mesh",
-    ),
-    (
-        "e14",
-        "telemetry - probe overhead + occupancy/latency sketches",
-        "e14_telemetry",
-    ),
-    (
-        "e15",
-        "degraded regime - peak buffer + goodput vs dead links",
-        "e15_faults",
-    ),
-    (
-        "e16",
-        "sparse wave - O(live packets) rounds on the 1M-node mesh",
-        "e16_sparse",
-    ),
-    ("a1", "ablation - HPTS without ActivatePreBad", "a1_prebad"),
-    ("a2", "ablation - eager delivery variants", "a2_eager"),
-];
-
-/// The engine experiments: besides tables, each returns the
-/// [`EngineRun`] records that `experiments --bench-json` writes.
-pub const ENGINE_EXPERIMENT_IDS: [&str; 4] = ["e10", "e13", "e14", "e16"];
-
-/// Runs one engine experiment by id, returning its records and tables.
-///
-/// # Panics
-///
-/// Panics on an id outside [`ENGINE_EXPERIMENT_IDS`].
-pub fn engine_experiment(id: &str, quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
-    match id {
-        "e10" => e10_throughput(quick),
-        "e13" => e13_mesh(quick),
-        "e14" => e14_telemetry(quick),
-        "e16" => e16_sparse(quick),
-        other => panic!("{other:?} is not an engine experiment; known: {ENGINE_EXPERIMENT_IDS:?}"),
+    /// Runs it: its engine records (none for the others) and its tables.
+    pub fn run(&self, quick: bool) -> (Vec<EngineRun>, Vec<Table>) {
+        match self.runner {
+            Runner::Tables(f) => (Vec::new(), f(quick)),
+            Runner::Engine(f) => f(quick),
+            Runner::Figure(f) => {
+                let mut t = Table::new("E8 (Figure 1) - hierarchical partition", ["figure"]);
+                t.push_row([f()]);
+                (Vec::new(), vec![t])
+            }
+        }
     }
 }
 
-/// Runs one experiment by id, returning its tables (E8 returns a pseudo
-/// table wrapping the figure).
+/// The [`EXPERIMENTS`] entries, each `id, claim, Runner(function);`: the
+/// table records the function's name.
+macro_rules! experiments {
+    ($($id:literal, $claim:literal, $runner:ident($function:ident);)*) => {
+        [$(Experiment {
+            id: $id,
+            claim: $claim,
+            function: stringify!($function),
+            runner: Runner::$runner($function),
+        }),*]
+    };
+}
+
+/// Every experiment in canonical order: what `experiments --list` and
+/// `--help` print, what it dispatches on, and which ids `--bench-json`
+/// implies (the engine ones). `e9` is the exploratory locality extension,
+/// not a paper artifact; `e10` measures the engine itself; `e11`
+/// exercises the finite-buffer subsystem.
+pub static EXPERIMENTS: [Experiment; 18] = experiments! {
+    "e1", "Prop. 3.1 - PTS single destination <= 2 + sigma", Tables(e1_pts);
+    "e2", "Prop. 3.2 - PPTS d destinations <= 1 + d + sigma", Tables(e2_ppts);
+    "e3", "Props. B.3 / 3.5 - tree protocols", Tables(e3_trees);
+    "e4", "Thm. 4.1 - HPTS <= l*n^(1/l) + sigma + 1", Tables(e4_hpts);
+    "e5", "Thm. 5.1 - Omega lower bound duel", Tables(e5_duel);
+    "e6", "abstract - k*n^(1/k) tradeoff curve", Tables(e6_tradeoff);
+    "e7", "S1 - alpha-factor implication (buffers vs bandwidth)", Tables(e7_alpha);
+    "e8", "Figure 1 - hierarchical partition rendering", Figure(e8_figure1);
+    "e9", "locality axis (open problem, exploratory)", Tables(e9_locality);
+    "e10", "engine throughput (streaming) + parallel sweep scaling + timed planners",
+        Engine(e10_throughput);
+    "e11", "finite buffers - goodput vs capacity, zero-drop space thresholds", Tables(e11_capacity);
+    "e12", "grid routing - peak buffer vs mesh dimensions (DAG engine)", Tables(e12_grid);
+    "e13", "million-node mesh - computed routing, arenas", Engine(e13_mesh);
+    "e14", "telemetry - probe overhead + occupancy/latency sketches", Engine(e14_telemetry);
+    "e15", "degraded regime - peak buffer + goodput vs dead links", Tables(e15_faults);
+    "e16", "sparse wave - O(live packets) rounds on the 1M-node mesh", Engine(e16_sparse);
+    "a1", "ablation - HPTS without ActivatePreBad", Tables(a1_prebad);
+    "a2", "ablation - eager delivery variants", Tables(a2_eager);
+};
+
+/// The experiment with id `id`, if any.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// Runs one experiment by id, returning its tables.
 ///
 /// # Panics
 ///
-/// Panics on an unknown id; use [`EXPERIMENT_IDS`] to enumerate.
+/// Panics on an unknown id; [`EXPERIMENTS`] lists the known ones.
 pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
-    match id {
-        "e1" => e1_pts(quick),
-        "e2" => e2_ppts(quick),
-        "e3" => e3_trees(quick),
-        "e4" => e4_hpts(quick),
-        "e5" => e5_duel(quick),
-        "e6" => e6_tradeoff(quick),
-        "e7" => e7_alpha(quick),
-        "e8" => {
-            let mut t = Table::new("E8 (Figure 1) - hierarchical partition", ["figure"]);
-            t.push_row([e8_figure1()]);
-            vec![t]
-        }
-        "e9" => e9_locality(quick),
-        "e10" | "e13" | "e14" | "e16" => engine_experiment(id, quick).1,
-        "e11" => e11_capacity(quick),
-        "e12" => e12_grid(quick),
-        "e15" => e15_faults(quick),
-        "a1" => a1_prebad(quick),
-        "a2" => a2_eager(quick),
-        other => panic!("unknown experiment id {other:?}; known: {EXPERIMENT_IDS:?}"),
-    }
+    let Some(experiment) = experiment(id) else {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        panic!("unknown experiment id {id:?}; known: {known:?}");
+    };
+    experiment.run(quick).1
 }
 
 #[cfg(test)]
@@ -229,12 +204,21 @@ mod tests {
 
     #[test]
     fn index_entries_are_complete_and_dispatchable() {
-        for (id, claim, function) in EXPERIMENT_INDEX {
-            assert!(!claim.is_empty() && !function.is_empty(), "{id}");
+        for e in &EXPERIMENTS {
+            assert!(!e.claim.is_empty() && !e.function.is_empty(), "{}", e.id);
+            assert!(
+                std::ptr::eq(experiment(e.id).unwrap(), e),
+                "{} is unique",
+                e.id
+            );
         }
-        // Every listed id must dispatch (e8 smoke-run above covers the
-        // cheap one; here just check the id strings are the derived set).
-        assert_eq!(EXPERIMENT_IDS[10], "e11");
-        assert_eq!(EXPERIMENT_IDS.len(), EXPERIMENT_INDEX.len());
+        assert_eq!(EXPERIMENTS[10].id, "e11");
+        assert!(experiment("e99").is_none());
+        let engine: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.is_engine())
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(engine, ["e10", "e13", "e14", "e16"]);
     }
 }

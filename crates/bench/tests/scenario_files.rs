@@ -97,7 +97,7 @@ fn new_artifacts_pin_their_static_bounds() {
     // peaks must reproduce exactly and sit within the bound.
     for (file, bound, measured) in [
         ("hpts_shaped_line.json", 11, 3),    // Thm 4.1: l*m + sigma + 1
-        ("ppts_roundrobin_path.json", 6, 5), // Prop 3.2: 1 + d + sigma
+        ("ppts_roundrobin_path.json", 5, 5), // Prop 3.2: 1 + d + sigma
         ("tree_pts_star_burst.json", 5, 4),  // Prop B.3: 2 + sigma
     ] {
         let scenario: Scenario =

@@ -5,8 +5,9 @@
 //! * [`Tracer`] — a [`Probe`](aqt_model::Probe) that records a
 //!   serializable [`Trace`] (per-round configurations `L^t` and the moves
 //!   the engine applied) of any run, without changing behavior.
-//! * [`Monitor`] / [`Monitors`] / [`run_monitored`] — online invariant
-//!   checking at the paper's measurement point. [`BadnessExcessMonitor`]
+//! * [`Monitor`] / [`Monitors`] — online invariant checking at the
+//!   paper's measurement point: [`Monitors`] is a probe any run attaches
+//!   with `run_past_horizon_probed`. [`BadnessExcessMonitor`]
 //!   checks the proof invariant `B^t(i) ≤ ξ_t(i) + 1` that drives
 //!   Props. 3.1/3.2 — *while* the protocol runs.
 //! * [`sparkline`] / [`heatmap`] / [`loss_heatmap`] — ASCII renderings of
@@ -42,20 +43,17 @@
 //!
 //! ```
 //! use aqt_core::Ppts;
-//! use aqt_model::{Injection, Path, Pattern, Rate};
-//! use aqt_trace::{run_monitored, BadnessExcessMonitor};
+//! use aqt_model::{Injection, Path, Pattern, Rate, Simulation};
+//! use aqt_trace::{BadnessExcessMonitor, Monitors};
 //!
 //! let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 5); 3]);
 //! let monitor = BadnessExcessMonitor::new(6, &pattern, Rate::ONE);
-//! let metrics = run_monitored(
-//!     Path::new(6),
-//!     Ppts::new(),
-//!     &pattern,
-//!     30,
-//!     vec![Box::new(monitor)],
-//! )?;
-//! assert!(metrics.max_occupancy <= 1 + 1 + 2); // 1 + d + σ
-//! # Ok::<(), aqt_trace::Violation>(())
+//! let mut monitors = Monitors::new(vec![Box::new(monitor)]);
+//! let mut sim = Simulation::new(Path::new(6), Ppts::new(), &pattern)?;
+//! sim.run_past_horizon_probed(30, &mut monitors)?;
+//! assert!(monitors.violation().is_none());
+//! assert!(sim.metrics().max_occupancy <= 1 + 1 + 2); // 1 + d + σ
+//! # Ok::<(), aqt_model::ModelError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,9 +65,7 @@ mod render;
 mod traced;
 
 pub use event::{RoundRecord, SendRecord, Trace};
-pub use monitor::{
-    run_monitored, BadnessExcessMonitor, Monitor, Monitors, OccupancyMonitor, Violation,
-};
+pub use monitor::{BadnessExcessMonitor, Monitor, Monitors, OccupancyMonitor, Violation};
 pub use render::{grid_heatmap, heatmap, histogram, loss_heatmap, sparkline};
 pub use traced::Tracer;
 

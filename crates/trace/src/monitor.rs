@@ -4,8 +4,8 @@
 //! A [`Monitor`] observes each configuration `L^t` (post-injection,
 //! pre-forwarding — exactly the measurement point of the proofs). The
 //! [`Monitors`] probe runs a stack of monitors at that point of every
-//! round, and [`run_monitored`] is a one-call harness that runs a
-//! protocol to a horizon and returns the first [`Violation`], if any.
+//! round of any run it is attached to (`run_past_horizon_probed`) and
+//! latches the first [`Violation`], if any.
 //!
 //! Checks included:
 //!
@@ -22,8 +22,8 @@ use std::fmt;
 
 use aqt_core::badness::badness_path;
 use aqt_model::{
-    ExcessTracker, ModelError, NetworkState, NodeId, PacketId, Pattern, Probe, Protocol, Rate,
-    Round, RunMetrics, Simulation, StoredPacket, Topology,
+    ExcessTracker, NetworkState, NodeId, PacketId, Pattern, Probe, Rate, Round, StoredPacket,
+    Topology,
 };
 
 /// A detected invariant violation.
@@ -259,47 +259,26 @@ fn repeats_a_destination(buffer: &[StoredPacket], dests: &mut Vec<NodeId>) -> bo
     dests.chunk_by(|a, b| a == b).any(|run| run.len() > 1)
 }
 
-/// Runs `protocol` under `monitors` until `extra` rounds past the
-/// pattern's horizon; returns the metrics, or the first violation.
-///
-/// # Errors
-///
-/// Returns the first violation if any monitor fired; otherwise wraps a
-/// [`ModelError`] from the engine as a violation with monitor name
-/// `"engine"`.
-pub fn run_monitored<T, P>(
-    topology: T,
-    protocol: P,
-    pattern: &Pattern,
-    extra: u64,
-    monitors: Vec<Box<dyn Monitor<T>>>,
-) -> Result<RunMetrics, Violation>
-where
-    T: Topology,
-    P: Protocol<T>,
-{
-    let engine = |round: Round, e: ModelError| Violation {
-        monitor: "engine".into(),
-        round,
-        message: e.to_string(),
-    };
-    let mut sim =
-        Simulation::new(topology, protocol, pattern).map_err(|e| engine(Round::ZERO, e))?;
-    let mut probe = Monitors::new(monitors);
-    let run = sim.run_past_horizon_probed(extra, &mut probe).cloned();
-    match (probe.violation, run) {
-        (Some(v), _) => Err(v),
-        // A failed round leaves the engine's round counter on it.
-        (None, Err(e)) => Err(engine(sim.round(), e)),
-        (None, Ok(metrics)) => Ok(metrics),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aqt_core::{Greedy, GreedyPolicy, Ppts, Pts};
-    use aqt_model::{ForwardingPlan, Injection, Path, Pattern};
+    use aqt_model::{ForwardingPlan, Injection, Path, Pattern, Protocol, Simulation};
+
+    /// Runs `protocol` on an 8-node path `extra` rounds past `pattern`'s
+    /// horizon under `monitors`; returns the peak occupancy and the first
+    /// violation.
+    fn monitor<P: Protocol<Path>>(
+        protocol: P,
+        pattern: &Pattern,
+        extra: u64,
+        monitors: Vec<Box<dyn Monitor<Path>>>,
+    ) -> (usize, Option<Violation>) {
+        let mut probe = Monitors::new(monitors);
+        let mut sim = Simulation::new(Path::new(8), protocol, pattern).unwrap();
+        sim.run_past_horizon_probed(extra, &mut probe).unwrap();
+        (sim.metrics().max_occupancy, probe.violation)
+    }
 
     fn burst_pattern() -> Pattern {
         Pattern::from_injections(vec![
@@ -312,27 +291,25 @@ mod tests {
 
     #[test]
     fn occupancy_monitor_passes_within_bound() {
-        let metrics = run_monitored(
-            Path::new(8),
+        let (peak, violation) = monitor(
             Ppts::new(),
             &burst_pattern(),
             30,
             vec![Box::new(OccupancyMonitor::new(8))],
-        )
-        .expect("bound is generous");
-        assert!(metrics.max_occupancy <= 8);
+        );
+        assert_eq!(violation, None, "bound is generous");
+        assert!(peak <= 8);
     }
 
     #[test]
     fn occupancy_monitor_reports_node_and_round() {
-        let err = run_monitored(
-            Path::new(8),
+        let (_, violation) = monitor(
             Ppts::new(),
             &burst_pattern(),
             30,
             vec![Box::new(OccupancyMonitor::new(1))],
-        )
-        .expect_err("three packets in node 0 at round 0");
+        );
+        let err = violation.expect("three packets in node 0 at round 0");
         assert_eq!(err.round, Round::new(0));
         assert!(err.message.contains("node 0"), "{}", err.message);
     }
@@ -340,15 +317,9 @@ mod tests {
     #[test]
     fn badness_invariant_holds_for_ppts() {
         let pattern = burst_pattern();
-        let monitor = BadnessExcessMonitor::new(8, &pattern, Rate::ONE);
-        run_monitored(
-            Path::new(8),
-            Ppts::new(),
-            &pattern,
-            40,
-            vec![Box::new(monitor)],
-        )
-        .expect("Prop. 3.2 invariant must hold for PPTS");
+        let badness = BadnessExcessMonitor::new(8, &pattern, Rate::ONE);
+        let (_, violation) = monitor(Ppts::new(), &pattern, 40, vec![Box::new(badness)]);
+        assert_eq!(violation, None, "Prop. 3.2 invariant must hold for PPTS");
     }
 
     #[test]
@@ -360,15 +331,14 @@ mod tests {
             Injection::new(3, 2, 7),
             Injection::new(3, 2, 7),
         ]);
-        let monitor = BadnessExcessMonitor::new(8, &pattern, Rate::ONE);
-        run_monitored(
-            Path::new(8),
+        let badness = BadnessExcessMonitor::new(8, &pattern, Rate::ONE);
+        let (_, violation) = monitor(
             Pts::new(NodeId::new(7)),
             &pattern,
             40,
-            vec![Box::new(monitor)],
-        )
-        .expect("Prop. 3.1 invariant must hold for PTS");
+            vec![Box::new(badness)],
+        );
+        assert_eq!(violation, None, "Prop. 3.1 invariant must hold for PTS");
     }
 
     #[test]
@@ -383,9 +353,9 @@ mod tests {
             fn plan(&mut self, _: Round, _: &T, _: &NetworkState, _: &mut ForwardingPlan) {}
         }
         let pattern = burst_pattern();
-        let monitor = BadnessExcessMonitor::new(8, &pattern, Rate::ONE);
-        let err = run_monitored(Path::new(8), Idle, &pattern, 30, vec![Box::new(monitor)])
-            .expect_err("idling must violate the badness invariant");
+        let badness = BadnessExcessMonitor::new(8, &pattern, Rate::ONE);
+        let (_, violation) = monitor(Idle, &pattern, 30, vec![Box::new(badness)]);
+        let err = violation.expect("idling must violate the badness invariant");
         assert!(err.message.contains("B(0)"), "{}", err.message);
     }
 
@@ -411,28 +381,5 @@ mod tests {
             sim.step_probed(&mut probe).unwrap();
         }
         assert!(probe.violation().is_none());
-    }
-
-    #[test]
-    fn engine_errors_surface_as_violations() {
-        // A protocol that lies about packet ids.
-        struct Liar;
-        impl<T: Topology> Protocol<T> for Liar {
-            fn name(&self) -> String {
-                "liar".into()
-            }
-            fn plan(&mut self, _: Round, _: &T, _: &NetworkState, plan: &mut ForwardingPlan) {
-                plan.send(NodeId::new(0), aqt_model::PacketId::new(424242));
-            }
-        }
-        let err = run_monitored(
-            Path::new(4),
-            Liar,
-            &Pattern::from_injections(vec![Injection::new(0, 0, 3)]),
-            4,
-            Vec::new(),
-        )
-        .expect_err("engine must reject the plan");
-        assert_eq!(err.monitor, "engine");
     }
 }

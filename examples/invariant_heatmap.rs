@@ -13,8 +13,8 @@
 //! ```
 
 use small_buffers::{
-    heatmap, run_monitored, sparkline, BadnessExcessMonitor, DestSpec, ForwardingPlan,
-    NetworkState, Path, Ppts, Protocol, RandomAdversary, Rate, Round, Simulation, Tracer,
+    heatmap, sparkline, BadnessExcessMonitor, DestSpec, ForwardingPlan, Monitors, NetworkState,
+    Path, Ppts, Protocol, RandomAdversary, Rate, Round, Simulation, Tracer,
 };
 
 /// PPTS that skips odd rounds: a realistic bug (under-provisioned service
@@ -53,31 +53,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Run 1b: same run under the proof-invariant monitor ----------
-    let monitor = BadnessExcessMonitor::new(n, &pattern, rho);
-    let metrics = run_monitored(
-        topo,
-        Ppts::new(),
-        &pattern,
-        2 * n as u64,
-        vec![Box::new(monitor)],
-    )
-    .expect("Prop. 3.2's potential invariant holds for PPTS");
+    let mut monitors = Monitors::new(vec![Box::new(BadnessExcessMonitor::new(n, &pattern, rho))]);
+    let mut sim = Simulation::new(topo, Ppts::new(), &pattern)?;
+    sim.run_past_horizon_probed(2 * n as u64, &mut monitors)?;
+    if let Some(violation) = monitors.violation() {
+        panic!("Prop. 3.2's potential invariant must hold for PPTS: {violation}");
+    }
     println!(
         "PPTS: B(i) <= xi(i) + 1 held in every round; peak occupancy {}\n",
-        metrics.max_occupancy
+        sim.metrics().max_occupancy
     );
 
     // --- Run 2: the broken protocol is caught ------------------------
-    let monitor = BadnessExcessMonitor::new(n, &pattern, rho);
-    match run_monitored(
-        topo,
-        HalfSpeed(Ppts::new()),
-        &pattern,
-        2 * n as u64,
-        vec![Box::new(monitor)],
-    ) {
-        Ok(_) => println!("unexpected: half-speed PPTS kept the invariant"),
-        Err(violation) => println!("caught the injected bug: {violation}"),
+    let mut monitors = Monitors::new(vec![Box::new(BadnessExcessMonitor::new(n, &pattern, rho))]);
+    let mut sim = Simulation::new(topo, HalfSpeed(Ppts::new()), &pattern)?;
+    sim.run_past_horizon_probed(2 * n as u64, &mut monitors)?;
+    match monitors.violation() {
+        None => println!("unexpected: half-speed PPTS kept the invariant"),
+        Some(violation) => println!("caught the injected bug: {violation}"),
     }
     Ok(())
 }

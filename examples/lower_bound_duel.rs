@@ -10,7 +10,7 @@
 //! ```
 
 use small_buffers::{
-    measured_sigma, Greedy, GreedyPolicy, Hpts, LowerBoundAdversary, Path, Ppts, Protocol, Rate,
+    analyze, Greedy, GreedyPolicy, Hpts, LowerBoundAdversary, Path, Ppts, Protocol, Rate,
     Simulation, Table, Topology,
 };
 
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "measured sigma of the pattern: {} (the construction promises a small constant)",
-        measured_sigma(n, &adversary.pattern(), rho)
+        analyze(&topo, &adversary.pattern(), rho).tight_sigma
     );
     println!(
         "theorem floor (average-load form): {:.2} packets in some buffer\n",

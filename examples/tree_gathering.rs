@@ -13,8 +13,8 @@
 use std::collections::BTreeSet;
 
 use small_buffers::{
-    bounds, measured_sigma_on, DirectedTree, NodeId, RandomAdversary, Rate, Simulation, Table,
-    Topology, TreePpts, TreePts,
+    analyze, bounds, DirectedTree, NodeId, RandomAdversary, Rate, Simulation, Table, Topology,
+    TreePpts, TreePts,
 };
 
 fn run_tree_case(
@@ -32,7 +32,7 @@ fn run_tree_case(
         .destinations(small_buffers::DestSpec::fixed(dests))
         .seed(11)
         .build_tree(&tree);
-    let tight = measured_sigma_on(&tree, &pattern, rho);
+    let tight = analyze(&tree, &pattern, rho).tight_sigma;
 
     let n = tree.node_count();
     let mut sim = Simulation::new(tree, TreePpts::new(), &pattern)?;
@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .destinations(small_buffers::DestSpec::fixed(vec![root.index()]))
         .seed(3)
         .build_tree(&tree);
-    let tight = measured_sigma_on(&tree, &pattern, rho);
+    let tight = analyze(&tree, &pattern, rho).tight_sigma;
     let n = tree.node_count();
     let mut sim = Simulation::new(tree, TreePts::new(root), &pattern)?;
     sim.run_past_horizon(4 * n as u64)?;

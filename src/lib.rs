@@ -119,11 +119,9 @@ pub use aqt_adversary::{
     SourceSpecError,
 };
 pub use aqt_analysis::{
-    bounds, capacity_threshold, measured_sigma, measured_sigma_on, render_figure1, run_grid,
-    run_pattern, run_scenario, run_scenario_probed, run_scenarios, run_scenarios_with_threads,
-    run_source, run_source_capacity, sweep, CapacityProbe, CapacitySpec, CapacityThreshold,
-    Prediction, RunSummary, Scenario, ScenarioError, ScenarioGrid, StaticReport, SweepAggregate,
-    Table, Verdict,
+    bounds, capacity_threshold, render_figure1, run_grid, run_scenario, run_scenario_probed, sweep,
+    CapacityProbe, CapacitySpec, CapacityThreshold, Prediction, RunSummary, Scenario,
+    ScenarioError, ScenarioGrid, StaticReport, Table, Verdict,
 };
 pub use aqt_core::{
     badness, low_antichain, Batched, DagGreedy, DestSpaceError, Greedy, GreedyPolicy, Hierarchy,
@@ -143,8 +141,8 @@ pub use aqt_telemetry::{
     TelemetryProbe, TelemetryProfile, TelemetryReport, TelemetrySpec, TickClock,
 };
 pub use aqt_trace::{
-    grid_heatmap, heatmap, loss_heatmap, run_monitored, sparkline, BadnessExcessMonitor, Monitor,
-    Monitors, OccupancyMonitor, RoundRecord, SendRecord, Trace, Tracer, Violation,
+    grid_heatmap, heatmap, loss_heatmap, sparkline, BadnessExcessMonitor, Monitor, Monitors,
+    OccupancyMonitor, RoundRecord, SendRecord, Trace, Tracer, Violation,
 };
 
 #[cfg(test)]

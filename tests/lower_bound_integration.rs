@@ -3,8 +3,8 @@
 //! implemented protocol to pay the theorem's floor.
 
 use small_buffers::{
-    analyze, measured_sigma, Greedy, GreedyPolicy, Hpts, LowerBoundAdversary, Path, Ppts, Protocol,
-    Rate, Simulation, Topology,
+    analyze, Greedy, GreedyPolicy, Hpts, LowerBoundAdversary, Path, Ppts, Protocol, Rate,
+    Simulation, Topology,
 };
 
 fn peak_against<P: Protocol<Path>>(adv: &LowerBoundAdversary, protocol: P) -> f64 {
@@ -103,7 +103,7 @@ fn floor_grows_with_m_at_fixed_level_count() {
 }
 
 #[test]
-fn measured_sigma_is_constant_as_m_grows() {
+fn tight_sigma_is_constant_as_m_grows() {
     // Burstiness of the construction must not grow with n, otherwise the
     // lower bound would be charged to σ rather than to d/rate structure.
     let rho = Rate::new(1, 2).unwrap();
@@ -112,7 +112,7 @@ fn measured_sigma_is_constant_as_m_grows() {
         .iter()
         .map(|&m| {
             let adv = LowerBoundAdversary::new(2, m, rho).unwrap();
-            measured_sigma(adv.topology().node_count(), &adv.pattern(), rho)
+            analyze(&adv.topology(), &adv.pattern(), rho).tight_sigma
         })
         .collect();
     let max = *sigmas.iter().max().unwrap();

@@ -12,8 +12,8 @@
 use std::collections::BTreeSet;
 
 use small_buffers::{
-    analyze, bounds, measured_sigma_on, patterns, DestSpec, DirectedTree, Hpts, NodeId, Path,
-    Pattern, Ppts, Pts, RandomAdversary, Rate, Simulation, Topology, TreePpts, TreePts,
+    analyze, bounds, patterns, DestSpec, DirectedTree, Hpts, NodeId, Path, Pattern, Ppts, Pts,
+    RandomAdversary, Rate, Simulation, Topology, TreePpts, TreePts,
 };
 
 /// Max occupancy of a protocol run to quiescence on a path.
@@ -157,7 +157,7 @@ fn tree_pts_bound_on_varied_shapes() {
             .destinations(DestSpec::fixed(vec![root.index()]))
             .seed(41)
             .build_tree(&tree);
-        let tight = measured_sigma_on(&tree, &pattern, Rate::ONE);
+        let tight = analyze(&tree, &pattern, Rate::ONE).tight_sigma;
         let n = tree.node_count() as u64;
         let mut sim = Simulation::new(tree, TreePts::new(root), &pattern).unwrap();
         sim.run_past_horizon(6 * n).unwrap();
@@ -183,7 +183,7 @@ fn tree_ppts_bound_uses_destination_depth_not_count() {
     let dests: BTreeSet<NodeId> = pattern.destinations();
     let d_prime = tree.destination_depth(&dests);
     assert!(d_prime <= 1);
-    let tight = measured_sigma_on(&tree, &pattern, rho);
+    let tight = analyze(&tree, &pattern, rho).tight_sigma;
     let mut sim = Simulation::new(tree, TreePpts::new(), &pattern).unwrap();
     sim.run_past_horizon(200).unwrap();
     assert!(sim.metrics().max_occupancy as u64 <= bounds::tree_ppts_bound(d_prime, tight));
@@ -202,7 +202,7 @@ fn tree_ppts_bound_on_caterpillar_spine_destinations() {
         .build_tree(&tree);
     let dests: BTreeSet<NodeId> = pattern.destinations();
     let d_prime = tree.destination_depth(&dests);
-    let tight = measured_sigma_on(&tree, &pattern, rho);
+    let tight = analyze(&tree, &pattern, rho).tight_sigma;
     let n = tree.node_count() as u64;
     let mut sim = Simulation::new(tree, TreePpts::new(), &pattern).unwrap();
     sim.run_past_horizon(6 * n).unwrap();

@@ -5,76 +5,73 @@
 //! matrix, a [`Scenario`] describing the run must produce output
 //! *byte-identical* to the generic runner invocation it replaces:
 //!
-//! * the [`RunSummary`] returned by [`run_scenario`] equals the generic
-//!   runner's ([`run_pattern`] / [`run_source`] /
-//!   [`run_source_capacity`] on the concrete topology), compared as
-//!   serialized JSON;
+//! * the [`RunSummary`] returned by [`run_scenario`] equals the one
+//!   distilled ([`RunSummary::from_metrics`]) from a [`Simulation`] wired
+//!   by hand on the concrete topology, compared as serialized JSON;
 //! * the full [`RunMetrics`] JSON and the per-node cumulative drop
 //!   counters of a simulation assembled from the built specs
 //!   ([`TopologySpec::build`] → [`ProtocolSpec::build`] →
-//!   [`SourceSpec::build`]) equal those of a simulation wired by hand on
-//!   the concrete topology.
+//!   [`SourceSpec::build`]) equal those of the hand-wired simulation.
 //!
 //! Each check drives both stacks end-to-end, so any divergence in
 //! `AnyTopology` dispatch, protocol adaptation, source construction or
 //! capacity plumbing shows up as a byte diff here.
 
 use small_buffers::{
-    run_pattern, run_scenario, run_source, run_source_capacity, Batched, Cadence, CapacityConfig,
-    CapacitySpec, Dag, DagGreedy, DestSpec, DirectedTree, DropPolicyKind, Greedy, GreedyPolicy,
-    Injection, InjectionSource, NodeId, Path, Pattern, Ppts, Protocol, ProtocolSpec, Pts,
-    RandomAdversary, Rate, RunSummary, Scenario, Simulation, SourceSpec, StagingMode, Topology,
-    TopologySpec, TreePpts, TreePts, TreeSpec,
+    run_scenario, Batched, Cadence, CapacityConfig, CapacitySpec, Dag, DagGreedy, DestSpec,
+    DirectedTree, DropPolicyKind, Greedy, GreedyPolicy, Injection, InjectionSource, NodeId, Path,
+    Pattern, Ppts, Protocol, ProtocolSpec, Pts, RandomAdversary, Rate, RunSummary, Scenario,
+    Simulation, SourceSpec, StagingMode, Topology, TopologySpec, TreePpts, TreePts, TreeSpec,
 };
 
 const N: usize = 12;
 const EXTRA: u64 = 40;
 
-/// Serialized `(metrics, per-node drops)` of a hand-wired run.
+/// Serialized `(summary, metrics, per-node drops)` of a run.
+type Artifacts = (String, String, Vec<u64>);
+
+/// The artifacts of a hand-wired run.
 fn artifacts<T: Topology, P: Protocol<T>, S: InjectionSource>(
     topo: T,
     protocol: P,
     source: S,
     capacity: Option<&CapacitySpec>,
-) -> (String, Vec<u64>) {
+) -> Artifacts {
     let mut sim = Simulation::from_source(topo, protocol, source);
     if let Some(cap) = capacity {
         sim = sim.with_capacity(cap.config.clone(), cap.policy);
     }
     sim.run_past_horizon(EXTRA).expect("valid run");
+    let summary = RunSummary::from_metrics(sim.protocol().name(), sim.metrics());
+    let summary = serde_json::to_string(&summary).expect("summary serializes");
     let metrics = serde_json::to_string(sim.metrics()).expect("metrics serialize");
     let drops = (0..sim.state().node_count())
         .map(|v| sim.state().drops_at(NodeId::new(v)))
         .collect();
-    (metrics, drops)
+    (summary, metrics, drops)
 }
 
-/// Serialized `(metrics, per-node drops)` of the same run assembled from
-/// the scenario's built specs — the exact stack [`run_scenario`] executes.
-fn scenario_artifacts(scenario: &Scenario) -> (String, Vec<u64>) {
+/// The artifacts of the same run assembled from the scenario's built
+/// specs — the exact stack [`run_scenario`] executes.
+fn scenario_artifacts(scenario: &Scenario) -> Artifacts {
     let topo = scenario.topology.build().expect("topology builds");
     let protocol = scenario.protocol.build(&topo).expect("protocol builds");
     let source = scenario.source.build(&topo).expect("source builds");
     artifacts(topo, protocol, source, scenario.capacity.as_ref())
 }
 
-/// Asserts the scenario reproduces the legacy helper's summary and the
-/// hand-wired run's metrics + drop counters, byte for byte.
-fn assert_equivalent(
-    label: &str,
-    legacy_summary: &RunSummary,
-    legacy: (String, Vec<u64>),
-    scenario: &Scenario,
-) {
+/// Asserts the scenario reproduces the hand-wired run's summary, metrics
+/// and drop counters, byte for byte.
+fn assert_equivalent(label: &str, hand: Artifacts, scenario: &Scenario) {
     let scenario_summary = run_scenario(scenario).expect("scenario runs");
     assert_eq!(
-        serde_json::to_string(legacy_summary).unwrap(),
+        hand.0,
         serde_json::to_string(&scenario_summary).unwrap(),
         "{label}: RunSummary JSON diverged"
     );
-    let (metrics, drops) = scenario_artifacts(scenario);
-    assert_eq!(legacy.0, metrics, "{label}: RunMetrics JSON diverged");
-    assert_eq!(legacy.1, drops, "{label}: drop counters diverged");
+    let (_, metrics, drops) = scenario_artifacts(scenario);
+    assert_eq!(hand.1, metrics, "{label}: RunMetrics JSON diverged");
+    assert_eq!(hand.2, drops, "{label}: drop counters diverged");
 }
 
 fn single_dest_pattern() -> Pattern {
@@ -118,7 +115,7 @@ fn scenario(
     }
 }
 
-/// run_pattern on a path ≡ scenario, across the whole path protocol registry.
+/// A pattern run on a path ≡ scenario, across the whole path protocol registry.
 #[test]
 fn path_pattern_runs_are_byte_identical() {
     let single = single_dest_pattern();
@@ -174,8 +171,7 @@ fn path_pattern_runs_are_byte_identical() {
         ),
     ];
     for (label, mk, spec, pattern) in cases {
-        let legacy_summary = run_pattern(Path::new(N), mk(), pattern, EXTRA).expect("legacy run");
-        let legacy = artifacts(
+        let hand = artifacts(
             Path::new(N),
             mk(),
             small_buffers::PatternSource::new(pattern),
@@ -187,12 +183,11 @@ fn path_pattern_runs_are_byte_identical() {
             pattern_spec(pattern),
             None,
         );
-        assert_equivalent(label, &legacy_summary, legacy, &s);
+        assert_equivalent(label, hand, &s);
     }
     // Every greedy policy, on both the node-greedy and per-link registries.
     for policy in GreedyPolicy::ALL {
-        let legacy_summary = run_pattern(Path::new(N), Greedy::new(policy), &multi, EXTRA).unwrap();
-        let legacy = artifacts(
+        let hand = artifacts(
             Path::new(N),
             Greedy::new(policy),
             small_buffers::PatternSource::new(&multi),
@@ -204,11 +199,9 @@ fn path_pattern_runs_are_byte_identical() {
             pattern_spec(&multi),
             None,
         );
-        assert_equivalent(&format!("greedy-{policy:?}"), &legacy_summary, legacy, &s);
+        assert_equivalent(&format!("greedy-{policy:?}"), hand, &s);
 
-        let legacy_summary =
-            run_pattern(Path::new(N), DagGreedy::new(policy), &multi, EXTRA).unwrap();
-        let legacy = artifacts(
+        let hand = artifacts(
             Path::new(N),
             DagGreedy::new(policy),
             small_buffers::PatternSource::new(&multi),
@@ -220,16 +213,11 @@ fn path_pattern_runs_are_byte_identical() {
             pattern_spec(&multi),
             None,
         );
-        assert_equivalent(
-            &format!("dag-greedy-{policy:?}"),
-            &legacy_summary,
-            legacy,
-            &s,
-        );
+        assert_equivalent(&format!("dag-greedy-{policy:?}"), hand, &s);
     }
 }
 
-/// run_source on a path ≡ scenario for streaming generator sources.
+/// A streaming run on a path ≡ scenario for streaming generator sources.
 #[test]
 fn path_stream_runs_are_byte_identical() {
     let rate = Rate::new(2, 3).unwrap();
@@ -238,14 +226,7 @@ fn path_stream_runs_are_byte_identical() {
         .destinations(DestSpec::Spread { count: 3 })
         .cadence(Cadence::Bursty { period: 7 })
         .seed(11);
-    let legacy_summary = run_source(
-        Path::new(N),
-        Greedy::new(GreedyPolicy::LongestInSystem),
-        adversary.stream_path(&Path::new(N)),
-        EXTRA,
-    )
-    .unwrap();
-    let legacy = artifacts(
+    let hand = artifacts(
         Path::new(N),
         Greedy::new(GreedyPolicy::LongestInSystem),
         adversary.stream_path(&Path::new(N)),
@@ -267,7 +248,7 @@ fn path_stream_runs_are_byte_identical() {
         },
         None,
     );
-    assert_equivalent("random-path-stream", &legacy_summary, legacy, &s);
+    assert_equivalent("random-path-stream", hand, &s);
 
     // …and a shaped overload stream (unknown horizon).
     let mk_shaped = || {
@@ -280,14 +261,7 @@ fn path_stream_runs_are_byte_identical() {
             2,
         )
     };
-    let legacy_summary = run_source(
-        Path::new(N),
-        Greedy::new(GreedyPolicy::Fifo),
-        mk_shaped(),
-        EXTRA,
-    )
-    .unwrap();
-    let legacy = artifacts(
+    let hand = artifacts(
         Path::new(N),
         Greedy::new(GreedyPolicy::Fifo),
         mk_shaped(),
@@ -310,10 +284,10 @@ fn path_stream_runs_are_byte_identical() {
         },
         None,
     );
-    assert_equivalent("shaped-path-stream", &legacy_summary, legacy, &s);
+    assert_equivalent("shaped-path-stream", hand, &s);
 }
 
-/// run_source_capacity on a path ≡ scenario across drop policies and staging modes.
+/// A capacity-bounded run on a path ≡ scenario across drop policies and staging modes.
 #[test]
 fn path_capacity_runs_are_byte_identical() {
     let overload = || {
@@ -332,20 +306,11 @@ fn path_capacity_runs_are_byte_identical() {
             for cap in [2usize, 5] {
                 let config = CapacityConfig::uniform(cap).staging(staging);
                 // Batched greedy exercises the staging machinery.
-                let legacy_summary = run_source_capacity(
-                    Path::new(N),
-                    Batched::new(Greedy::new(GreedyPolicy::Fifo), 3),
-                    overload(),
-                    EXTRA,
-                    config.clone(),
-                    kind,
-                )
-                .unwrap();
                 let cap_spec = CapacitySpec {
                     config: config.clone(),
                     policy: kind,
                 };
-                let legacy = artifacts(
+                let hand = artifacts(
                     Path::new(N),
                     Batched::new(Greedy::new(GreedyPolicy::Fifo), 3),
                     overload(),
@@ -362,18 +327,13 @@ fn path_capacity_runs_are_byte_identical() {
                     overload_spec.clone(),
                     Some(cap_spec),
                 );
-                assert_equivalent(
-                    &format!("capacity-{staging:?}-{kind:?}-cap{cap}"),
-                    &legacy_summary,
-                    legacy,
-                    &s,
-                );
+                assert_equivalent(&format!("capacity-{staging:?}-{kind:?}-cap{cap}"), hand, &s);
             }
         }
     }
 }
 
-/// run_pattern / run_source / run_source_capacity on trees ≡ scenario on
+/// Pattern, streaming and capacity-bounded runs on trees ≡ scenario on
 /// every tree family.
 #[test]
 fn tree_runs_are_byte_identical() {
@@ -399,8 +359,7 @@ fn tree_runs_are_byte_identical() {
         let topo_spec = TopologySpec::Tree(tree_spec);
 
         // Pattern-based, TreePts and TreePpts.
-        let legacy_summary = run_pattern(tree.clone(), TreePts::new(root), &gather, EXTRA).unwrap();
-        let legacy = artifacts(
+        let hand = artifacts(
             tree.clone(),
             TreePts::new(root),
             small_buffers::PatternSource::new(&gather),
@@ -412,10 +371,9 @@ fn tree_runs_are_byte_identical() {
             pattern_spec(&gather),
             None,
         );
-        assert_equivalent(&format!("{label}-tree-pts"), &legacy_summary, legacy, &s);
+        assert_equivalent(&format!("{label}-tree-pts"), hand, &s);
 
-        let legacy_summary = run_pattern(tree.clone(), TreePpts::new(), &gather, EXTRA).unwrap();
-        let legacy = artifacts(
+        let hand = artifacts(
             tree.clone(),
             TreePpts::new(),
             small_buffers::PatternSource::new(&gather),
@@ -427,19 +385,12 @@ fn tree_runs_are_byte_identical() {
             pattern_spec(&gather),
             None,
         );
-        assert_equivalent(&format!("{label}-tree-ppts"), &legacy_summary, legacy, &s);
+        assert_equivalent(&format!("{label}-tree-ppts"), hand, &s);
 
         // Streaming random adversary.
         let rate = Rate::new(1, 2).unwrap();
         let adversary = RandomAdversary::new(rate, 2, 40).seed(3);
-        let legacy_summary = run_source(
-            tree.clone(),
-            Greedy::new(GreedyPolicy::Fifo),
-            adversary.stream_tree(&tree),
-            EXTRA,
-        )
-        .unwrap();
-        let legacy = artifacts(
+        let hand = artifacts(
             tree.clone(),
             Greedy::new(GreedyPolicy::Fifo),
             adversary.stream_tree(&tree),
@@ -461,24 +412,15 @@ fn tree_runs_are_byte_identical() {
             },
             None,
         );
-        assert_equivalent(&format!("{label}-tree-stream"), &legacy_summary, legacy, &s);
+        assert_equivalent(&format!("{label}-tree-stream"), hand, &s);
 
         // Capacity-bounded.
         let config = CapacityConfig::uniform(2);
-        let legacy_summary = run_source_capacity(
-            tree.clone(),
-            Greedy::new(GreedyPolicy::Fifo),
-            small_buffers::PatternSource::new(&gather),
-            EXTRA,
-            config.clone(),
-            DropPolicyKind::Head,
-        )
-        .unwrap();
         let cap_spec = CapacitySpec {
             config,
             policy: DropPolicyKind::Head,
         };
-        let legacy = artifacts(
+        let hand = artifacts(
             tree.clone(),
             Greedy::new(GreedyPolicy::Fifo),
             small_buffers::PatternSource::new(&gather),
@@ -492,16 +434,11 @@ fn tree_runs_are_byte_identical() {
             pattern_spec(&gather),
             Some(cap_spec),
         );
-        assert_equivalent(
-            &format!("{label}-tree-capacity"),
-            &legacy_summary,
-            legacy,
-            &s,
-        );
+        assert_equivalent(&format!("{label}-tree-capacity"), hand, &s);
     }
 }
 
-/// run_pattern / run_source / run_source_capacity on DAGs ≡ scenario on
+/// Pattern, streaming and capacity-bounded runs on DAGs ≡ scenario on
 /// every DAG family.
 #[test]
 fn dag_runs_are_byte_identical() {
@@ -535,9 +472,7 @@ fn dag_runs_are_byte_identical() {
         let sink = dag.node_count() - 1;
         let pattern: Pattern = (0..8u64).map(|t| Injection::new(t, 0, sink)).collect();
         for policy in [GreedyPolicy::Fifo, GreedyPolicy::NearestToGo] {
-            let legacy_summary =
-                run_pattern(dag.clone(), DagGreedy::new(policy), &pattern, EXTRA).unwrap();
-            let legacy = artifacts(
+            let hand = artifacts(
                 dag.clone(),
                 DagGreedy::new(policy),
                 small_buffers::PatternSource::new(&pattern),
@@ -549,26 +484,17 @@ fn dag_runs_are_byte_identical() {
                 pattern_spec(&pattern),
                 None,
             );
-            assert_equivalent(&format!("{label}-{policy:?}"), &legacy_summary, legacy, &s);
+            assert_equivalent(&format!("{label}-{policy:?}"), hand, &s);
         }
 
         // Capacity-bounded with drops.
         let burst: Pattern = Pattern::from_injections(vec![Injection::new(0, 0, sink); 6]);
         let config = CapacityConfig::uniform(2);
-        let legacy_summary = run_source_capacity(
-            dag.clone(),
-            DagGreedy::fifo(),
-            small_buffers::PatternSource::new(&burst),
-            EXTRA,
-            config.clone(),
-            DropPolicyKind::Tail,
-        )
-        .unwrap();
         let cap_spec = CapacitySpec {
             config,
             policy: DropPolicyKind::Tail,
         };
-        let legacy = artifacts(
+        let hand = artifacts(
             dag.clone(),
             DagGreedy::fifo(),
             small_buffers::PatternSource::new(&burst),
@@ -582,19 +508,12 @@ fn dag_runs_are_byte_identical() {
             pattern_spec(&burst),
             Some(cap_spec),
         );
-        assert_equivalent(&format!("{label}-capacity"), &legacy_summary, legacy, &s);
+        assert_equivalent(&format!("{label}-capacity"), hand, &s);
     }
 
     // Streaming grid loads on a mesh.
     let mesh = Dag::grid(4, 4);
-    let legacy_summary = run_source(
-        mesh.clone(),
-        DagGreedy::fifo(),
-        small_buffers::grid::all_floods_source(4, 4, 15),
-        EXTRA,
-    )
-    .unwrap();
-    let legacy = artifacts(
+    let hand = artifacts(
         mesh,
         DagGreedy::fifo(),
         small_buffers::grid::all_floods_source(4, 4, 15),
@@ -608,5 +527,5 @@ fn dag_runs_are_byte_identical() {
         SourceSpec::AllFloods { rounds: 15 },
         None,
     );
-    assert_equivalent("mesh-floods-stream", &legacy_summary, legacy, &s);
+    assert_equivalent("mesh-floods-stream", hand, &s);
 }

@@ -21,7 +21,7 @@ fn facade_modules_expose_key_types() {
     // algorithms
     let pts = small_buffers::algorithms::Pts::eager(small_buffers::model::NodeId::new(3));
     // analysis
-    let tight = small_buffers::analysis::measured_sigma_on(&topo, &pattern, rate);
+    let tight = small_buffers::model::analyze(&topo, &pattern, rate).tight_sigma;
     assert!(tight <= 2);
     assert!(small_buffers::analysis::bounds::pts_bound(2) >= 2);
     // trace

@@ -13,6 +13,15 @@ fn nondeterministic_everything() {
     let who: ThreadId = thread::current().id();
     println!("{seen:?} {started:?} {coin} {rng:?} {who:?}");
     let _ = run_path(&topo, proto, &pattern, 64);
+    let _ = run_pattern(topo, proto, &pattern, 64);
+    let _ = run_source(topo, proto, source, 64);
+    let _ = run_source_capacity(topo, proto, source, 64, config, policy);
+    let _ = measured_sigma(n, &pattern, rate);
+    let _ = measured_sigma_on(&topo, &pattern, rate);
+    let _ = run_scenarios(&scenarios);
+    let _ = run_scenarios_with_threads(&scenarios, 2);
+    let _ = run_monitored(topo, proto, &pattern, 64, monitors);
+    let _ = SweepAggregate::from_summaries(&summaries);
     let next_hop_table = vec![u32::MAX; n * n];
 }
 

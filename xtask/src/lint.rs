@@ -129,9 +129,20 @@ const CONTENT_RULES: [ContentRule; 8] = [
             "run_path_stream(",
             "run_tree_stream(",
             "run_dag_stream(",
+            "run_pattern(",
+            "run_source(",
+            "run_source_capacity(",
+            "measured_sigma(",
+            "measured_sigma_on(",
+            "run_scenarios(",
+            "run_scenarios_with_threads(",
+            "run_monitored(",
+            "SweepAggregate",
         ],
-        message: "the topology-specific run_* wrappers were removed in PR 8; \
-                  build a Scenario (or call run_pattern/run_source) instead",
+        message: "the run wrappers were removed; build a Scenario and call \
+                  run_scenario (sweep::parallel_with_threads over many), wire a \
+                  Simulation (attach Monitors as its probe), or read \
+                  analyze(..).tight_sigma instead",
         // The wrappers are gone: no definition site or re-export is
         // exempt anymore, so any reappearance fires.
         applies: |_| true,
@@ -314,16 +325,21 @@ fn is_raw_string(chars: &[char], i: usize) -> bool {
 }
 
 /// Word-boundary containment: `token` appears in `line` with no
-/// identifier character hugging either end.
+/// identifier character hugging an end of it that is itself an
+/// identifier character (so a call-shaped `f(` matches `f(x)`).
 fn has_token(line: &str, token: &str) -> bool {
     let bytes = line.as_bytes();
     let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let (open_start, open_end) = (
+        !token.bytes().next().is_some_and(ident),
+        !token.bytes().last().is_some_and(ident),
+    );
     let mut start = 0;
     while let Some(pos) = line[start..].find(token) {
         let p = start + pos;
-        let before_ok = p == 0 || !ident(bytes[p - 1]);
+        let before_ok = open_start || p == 0 || !ident(bytes[p - 1]);
         let end = p + token.len();
-        let after_ok = end >= bytes.len() || !ident(bytes[end]);
+        let after_ok = open_end || end >= bytes.len() || !ident(bytes[end]);
         if before_ok && after_ok {
             return true;
         }
@@ -696,6 +712,20 @@ pub fn f() -> &'static str {
         // `pub use` list) does not fire; only invocations do.
         let reexport = "pub use sweep::{run_path, run_tree};\n";
         assert!(rules_fired("crates/analysis/src/lib.rs", reexport).is_empty());
+        // The later deletions fire too, and `run_scenario` stays legal.
+        for call in [
+            "let _ = run_pattern(topo, proto, &pat, 10);\n",
+            "let _ = sweep::run_source(topo, proto, src, 10);\n",
+            "let _ = run_monitored(topo, proto, &pat, 10, monitors);\n",
+            "let agg = SweepAggregate::default();\n",
+        ] {
+            assert_eq!(
+                rules_fired("crates/bench/src/x.rs", call),
+                vec!["no-deprecated-runners"],
+                "{call}"
+            );
+        }
+        assert!(rules_fired("crates/bench/src/x.rs", "let _ = run_scenario(&s);\n").is_empty());
     }
 
     #[test]
