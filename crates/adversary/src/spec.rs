@@ -276,8 +276,9 @@ pub struct SourceProfile {
     /// materialized schedule, `bound`'s σ being the σ* measured on it at
     /// the declared ρ. When not, `bound` is the spec's declaration.
     pub exact: bool,
-    /// The spec injects more than one packet per round indefinitely
-    /// (ρ > 1): every finite buffer eventually overflows.
+    /// The spec declares more than one packet per round (ρ > 1): every
+    /// finite buffer overflows if the schedule runs long enough. Read
+    /// from the declaration whether or not the schedule was materialized.
     pub sustained_overload: bool,
 }
 
@@ -337,9 +338,10 @@ fn overflow(source: &'static str, arithmetic: String) -> SourceSpecError {
     invalid(source, format!("{arithmetic} overflows 64 bits"))
 }
 
-/// Checks a count of packets injected at one site in one round: a buffer
-/// span counts its packets in 32 bits, so a larger count is not
-/// representable (and would abort the allocation that materializes it).
+/// Checks a count of packets injected at one site in one round (or of a
+/// round's random draws, each of which may inject there): a buffer span
+/// counts its packets in 32 bits, so a larger count is not representable
+/// (and would abort the allocation that materializes it).
 fn check_count<T>(kind: &'static str, field: &str, count: T) -> Result<(), SourceSpecError>
 where
     T: Copy + fmt::Display,
@@ -566,13 +568,17 @@ impl SourceSpec {
                 if *attempts == 0 {
                     return Err(invalid("random", "need at least one attempt per round"));
                 }
-                if let Cadence::Bursty { period } = cadence {
-                    if burst_draws(*attempts, *period).is_none() {
-                        return Err(overflow(
-                            "random",
-                            format!("attempts * period = {attempts} * {period}"),
-                        ));
-                    }
+                match cadence {
+                    Cadence::Smooth => check_count("random", "attempts", *attempts)?,
+                    Cadence::Bursty { period } => match burst_draws(*attempts, *period) {
+                        Some(draws) => check_count("random", "attempts * period", draws)?,
+                        None => {
+                            return Err(overflow(
+                                "random",
+                                format!("attempts * period = {attempts} * {period}"),
+                            ))
+                        }
+                    },
                 }
                 let n = topo.node_count();
                 if n < 2 {
@@ -737,8 +743,8 @@ impl SourceSpec {
         let mut built = self.build(topo)?;
         let horizon = built.horizon();
         let declared = self.declared_bound();
-        // A long-running schedule whose declared rate exceeds 1 packet
-        // per round outgrows every finite buffer.
+        // A declared rate above 1 packet per round outgrows every finite
+        // buffer, on either side of the materialization cap.
         let sustained_overload = declared.is_some_and(|(rate, _)| rate.num() > rate.den());
 
         if horizon.is_some_and(|h| h <= PROFILE_DRAIN_CAP) {
@@ -753,7 +759,7 @@ impl SourceSpec {
                 pairs: Some(distinct_pairs(pattern.injections())),
                 bound: Some((rate, sigma)),
                 exact: true,
-                sustained_overload: false,
+                sustained_overload,
             });
         }
 
@@ -1062,6 +1068,15 @@ mod tests {
 
     #[test]
     fn per_site_counts_beyond_32_bits_are_named_errors() {
+        let random = |cadence, attempts| SourceSpec::Random {
+            rate: Rate::ONE,
+            sigma: 2,
+            rounds: 60,
+            dests: DestSpec::AnyReachable,
+            cadence,
+            seed: 3,
+            attempts,
+        };
         let path = TopologySpec::Path { n: 8 }.build().unwrap();
         let mesh = TopologySpec::Grid { rows: 3, cols: 3 }.build().unwrap();
         let (huge, big) = (usize::MAX, 1usize << 32);
@@ -1123,6 +1138,13 @@ mod tests {
                 },
                 &path,
                 "sigma",
+            ),
+            // A round's draws: each may inject at the same site.
+            (random(Cadence::Smooth, big), &path, "attempts"),
+            (
+                random(Cadence::Bursty { period: 1 << 32 }, 1),
+                &path,
+                "attempts * period",
             ),
         ] {
             let err = spec.build(topo).map(|_| ()).expect_err(spec.kind());

@@ -657,30 +657,6 @@ mod tests {
             .any(|w| w.contains("tree_pts is proven")));
         assert_never_moves(&scenario);
 
-        // Sustained overload.
-        let scenario = Scenario {
-            name: None,
-            topology: TopologySpec::Path { n: 8 },
-            protocol: ProtocolSpec::Greedy {
-                policy: GreedyPolicy::Fifo,
-            },
-            source: SourceSpec::Repeat {
-                source: 0,
-                dest: 7,
-                per_round: 2,
-                rounds: 1_000_000,
-            },
-            extra: 20,
-            capacity: None,
-            telemetry: None,
-            faults: None,
-        };
-        let report = scenario.validate().unwrap();
-        assert!(report
-            .warnings
-            .iter()
-            .any(|w| w.contains("eventually overflows")));
-
         // HPTS past its rho * l <= 1 premise.
         let scenario = Scenario {
             name: None,
@@ -702,6 +678,56 @@ mod tests {
         // (two packets share a round at ρ = 1): l*m + sigma + 1 = 2*4 + 1 + 1.
         assert_eq!(report.sigma, Some(1));
         assert_eq!(report.prediction("peak_occupancy").unwrap().value, 10);
+    }
+
+    #[test]
+    fn the_overload_warning_reads_the_declared_rate_on_both_sides_of_the_cap() {
+        let cap = aqt_adversary::PROFILE_DRAIN_CAP;
+        let warns = |source: SourceSpec| {
+            let scenario = Scenario {
+                name: None,
+                topology: TopologySpec::Path { n: 8 },
+                protocol: ProtocolSpec::Greedy {
+                    policy: GreedyPolicy::Fifo,
+                },
+                source,
+                extra: 20,
+                capacity: None,
+                telemetry: None,
+                faults: None,
+            };
+            let report = scenario.validate().unwrap();
+            report
+                .warnings
+                .iter()
+                .any(|w| w.contains("eventually overflows"))
+        };
+        // Two packets a round, materialized (4,096 rounds) or not.
+        for rounds in [cap, cap + 1, 1_000_000] {
+            let repeat = SourceSpec::Repeat {
+                source: 0,
+                dest: 7,
+                per_round: 2,
+                rounds,
+            };
+            assert!(warns(repeat), "repeat over {rounds} rounds");
+        }
+        let burst = SourceSpec::Burst {
+            round: 0,
+            source: 0,
+            dest: 7,
+            size: 5,
+        };
+        assert!(!warns(burst));
+        for rounds in [cap, cap + 1] {
+            let paced = SourceSpec::PacedStream {
+                source: 0,
+                dest: 7,
+                rate: Rate::ONE,
+                rounds,
+            };
+            assert!(!warns(paced), "paced stream over {rounds} rounds");
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! observation) and memset the full plan table, so the sparse rate
 //! collapsed toward the *dense* mesh rate: the engine was charging
 //! nodes-per-second, not packets-per-second. Now planning walks
-//! `active_nodes()`, move collection walks the touched plan slots,
-//! `observe` walks the live set and `clear_sends` resets only the slots
-//! written last round — the dense scan is gone from every phase.
+//! `active_nodes()`, move collection walks the round's sends (all the
+//! plan holds) and `observe` walks the live set — the dense scan is gone
+//! from every phase.
 //!
 //! The quick instance shares E13's 1024×1024 shape, so the moves/s of the
 //! `sparse wave` and `diagonal wave` records on `grid 1024x1024` in

@@ -150,8 +150,8 @@ pub fn e10_runs(
     );
     assert!(lossy.dropped > 0, "the lossy run must lose packets");
     // All rows flooded right and all columns down: every round exercises
-    // the multi-slot plan layout, per-link validation and multi-out
-    // forwarding (the E12 hot path).
+    // two sends per node, per-link validation and multi-out forwarding
+    // (the E12 hot path).
     let grid = format!("grid {side}x{side}");
     let floods = || {
         Simulation::from_source(

@@ -55,230 +55,91 @@ pub enum InjectionMode {
     },
 }
 
-/// A forwarding decision: for each node, at most one packet per outgoing
-/// link.
+/// A forwarding decision: the round's sends, at most one packet per
+/// outgoing link of each node.
 ///
-/// The plan is a flat array of **slots** — one per (node, out-edge) pair,
-/// laid out per node. On single-out topologies (paths, trees) the layout
-/// degenerates to one slot per node, which is bit-for-bit the historical
-/// representation; on DAGs a node with out-degree `k` owns `k` slots and
-/// may schedule up to `k` sends per round ([`send`](ForwardingPlan::send)
-/// fills the first free slot). Which *link* each send uses is not stored
-/// here: the engine derives it from the packet's destination via
+/// The plan holds only what the protocol scheduled, one entry per
+/// [`send`](ForwardingPlan::send), so its size is the round's sends and
+/// not the topology's. Which *link* a send uses is not stored here: the
+/// engine derives it from the packet's destination via
 /// [`Topology::next_hop`] and rejects two sends from one node over the
-/// same link ([`ModelError::LinkOverload`]).
+/// same link ([`ModelError::LinkOverload`]). On single-out topologies
+/// (paths, trees) that is "one packet out of each buffer" (cf. Lemma
+/// 4.7); on DAGs a node forwards up to its out-degree, one per link, and
+/// a node that plans more sends than it has links puts two on one link.
 ///
-/// The engine owns one plan and hands it to the protocol each round after
-/// resetting it, so steady-state planning incurs no allocation; the send
-/// count is tracked incrementally, making [`len`](ForwardingPlan::len)
-/// O(1).
+/// The engine owns one plan, empties it before each round's
+/// [`Protocol::plan`] and sorts it after, so moves follow node order and,
+/// within a node, the order of the `send` calls — whatever order the
+/// protocol made them in. Steady-state planning allocates nothing.
 ///
 /// # Examples
 ///
 /// ```
 /// use aqt_model::{ForwardingPlan, NodeId, PacketId};
 ///
-/// let mut plan = ForwardingPlan::new(4);
+/// let mut plan = ForwardingPlan::new();
 /// plan.send(NodeId::new(2), PacketId::new(9));
-/// assert_eq!(plan.get(NodeId::new(2)), Some(PacketId::new(9)));
-/// assert_eq!(plan.get(NodeId::new(0)), None);
+/// assert!(plan.is_active(NodeId::new(2)));
+/// assert!(!plan.is_active(NodeId::new(0)));
 /// assert_eq!(plan.len(), 1);
-/// plan.reset(4);
-/// assert!(plan.is_empty());
+/// assert_eq!(
+///     plan.sends().collect::<Vec<_>>(),
+///     vec![(NodeId::new(2), PacketId::new(9))]
+/// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ForwardingPlan {
-    /// Slot-indexed sends; node `v`'s slots are contiguous.
-    sends: Vec<Option<PacketId>>,
-    /// Slot offsets per node (`offsets[v]..offsets[v+1]`), present only
-    /// for non-uniform layouts; empty means one slot per node (identity).
-    offsets: Vec<u32>,
-    count: usize,
-    /// Slots filled since the last clear, in fill order, encoded as
-    /// `(slot << 32) | node` (see [`touched_entry`]). Lets
-    /// [`clear_sends`](ForwardingPlan::clear_sends) reset O(sends) slots
-    /// instead of wiping the whole array, and lets the engine walk only
-    /// scheduled sends — with the owning node carried along, so move
-    /// collection never searches the offset table — the plan-side half
-    /// of the active-set engine.
-    touched: Vec<u64>,
-}
-
-/// Encodes a touched-list entry: the slot in the high 32 bits (so
-/// sorting entries sorts by slot) and the owning node in the low 32.
-/// Carrying the node means decoding a send is O(1) instead of a binary
-/// search through the offset table — at a million nodes that search is
-/// 20 cold probes per send.
-#[inline]
-fn touched_entry(slot: usize, node: usize) -> u64 {
-    ((slot as u64) << 32) | node as u64
-}
-
-/// The slot of a touched-list entry.
-#[inline]
-fn entry_slot(e: u64) -> usize {
-    (e >> 32) as usize
-}
-
-/// The owning node of a touched-list entry.
-#[inline]
-fn entry_node(e: u64) -> usize {
-    (e & u64::from(u32::MAX)) as usize
+    /// One `(key, packet)` per send, the key `(node << 32) | call index`:
+    /// unique, and sorting by it orders the sends node-major and by call
+    /// within a node.
+    sends: Vec<(u64, PacketId)>,
 }
 
 impl ForwardingPlan {
-    /// An empty plan (nobody forwards) for `n` single-out nodes.
-    pub fn new(n: usize) -> Self {
-        ForwardingPlan {
-            sends: vec![None; n],
-            offsets: Vec::new(),
-            count: 0,
-            touched: Vec::new(),
-        }
+    /// An empty plan (nobody forwards).
+    pub fn new() -> Self {
+        ForwardingPlan::default()
     }
 
-    /// Clears all sends and resizes to `n` nodes with one slot each,
-    /// reusing the allocation.
-    pub fn reset(&mut self, n: usize) {
-        self.sends.clear();
-        self.sends.resize(n, None);
-        self.offsets.clear();
-        self.count = 0;
-        self.touched.clear();
-    }
-
-    /// Clears all sends and lays slots out for `topology`: every node gets
-    /// `max(1, out_degree)` slots. Single-out topologies produce the
-    /// identity layout of [`reset`](ForwardingPlan::reset), so the hot
-    /// path is unchanged for paths and trees. One pass over the nodes:
-    /// the offsets are written from the first node with more than one
-    /// slot on, and never exist for the identity layout.
-    pub fn reset_for<T: Topology>(&mut self, topology: &T) {
-        let n = topology.node_count();
-        self.offsets.clear();
-        let mut at = 0u32;
-        for v in 0..n {
-            let width = topology.out_degree(NodeId::new(v)).max(1) as u32;
-            if width > 1 && self.offsets.is_empty() {
-                // Every node before `v` had one slot: offsets 0..=v.
-                self.offsets.reserve(n + 1);
-                self.offsets.extend(0..=at);
-            }
-            at += width;
-            if !self.offsets.is_empty() {
-                self.offsets.push(at);
-            }
-        }
-        self.sends.clear();
-        self.sends.resize(at as usize, None);
-        self.count = 0;
-        self.touched.clear();
-    }
-
-    /// Clears all sends, keeping the current slot layout.
+    /// Schedules `packet` to be forwarded out of `v`.
     ///
-    /// The layout depends only on the topology, which is fixed for a
-    /// simulation's lifetime — so the engine lays slots out once at
-    /// construction ([`reset_for`](ForwardingPlan::reset_for)) and calls
-    /// this every round. Only the slots touched since the last clear are
-    /// reset, so the cost is O(last round's sends), not O(slots) — at a
-    /// million mostly-idle nodes the difference is the round.
-    pub fn clear_sends(&mut self) {
-        for &e in &self.touched {
-            self.sends[entry_slot(e)] = None;
-        }
-        self.touched.clear();
-        self.count = 0;
-    }
-
-    /// Sorts the touched-entry list into slot order (the slot lives in
-    /// the high bits, so a plain sort orders by slot; slots are unique).
-    /// Slots are node-major, so iterating the sorted list visits sends in
-    /// exactly the order a dense `0..node_count()` scan would — the
-    /// engine relies on this for byte-identical move collection.
-    fn sort_touched(&mut self) {
-        self.touched.sort_unstable();
-    }
-
-    /// Number of nodes the current layout covers.
-    fn node_count(&self) -> usize {
-        if self.offsets.is_empty() {
-            self.sends.len()
-        } else {
-            self.offsets.len() - 1
-        }
-    }
-
-    /// The slot range of `v` in the current layout.
-    fn slot_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        if self.offsets.is_empty() {
-            v.index()..v.index() + 1
-        } else {
-            self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
-        }
-    }
-
-    /// Number of forwarding slots `v` owns this round (its clamped
-    /// out-degree).
-    pub fn width(&self, v: NodeId) -> usize {
-        self.slot_range(v).len()
-    }
-
-    /// Schedules `packet` to be forwarded out of `v`, occupying `v`'s
-    /// first free slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all of `v`'s slots are taken — a node forwards at most
-    /// one packet per outgoing link (on single-out topologies: at most one
-    /// packet per round, cf. Lemma 4.7).
+    /// Nothing is checked here: the engine rejects a packet absent from
+    /// `v` ([`ModelError::UnknownPacket`]), one with no next hop
+    /// ([`ModelError::NoNextHop`]) and a second send over one link
+    /// ([`ModelError::LinkOverload`]).
     pub fn send(&mut self, v: NodeId, packet: PacketId) {
-        let range = self.slot_range(v);
-        for i in range.clone() {
-            if self.sends[i].is_none() {
-                self.sends[i] = Some(packet);
-                self.touched.push(touched_entry(i, v.index()));
-                self.count += 1;
-                return;
-            }
-        }
-        panic!(
-            "node {v} already forwards {} packet(s) this round",
-            range.len()
-        );
+        let call = self.sends.len() as u64;
+        // The call index fills the low 32 bits: 2^32 sends would take
+        // 64 GiB of plan before one could spill into the node's bits.
+        debug_assert!(call <= u64::from(u32::MAX), "2^32 sends in one round");
+        self.sends.push((((v.index() as u64) << 32) | call, packet));
     }
 
-    /// Whether `v` already has a scheduled send (in any of its slots).
+    /// Whether `v` already has a scheduled send. A scan of the round's
+    /// sends, O(sends): meant for reference planners and tests, not for a
+    /// planner's hot loop, which knows what it sent.
     pub fn is_active(&self, v: NodeId) -> bool {
-        self.slot_range(v).any(|i| self.sends[i].is_some())
+        self.sends().any(|(u, _)| u == v)
     }
 
-    /// The first packet scheduled out of `v`, if any.
-    pub fn get(&self, v: NodeId) -> Option<PacketId> {
-        self.slot_range(v).find_map(|i| self.sends[i])
-    }
-
-    /// Iterates over the packets scheduled out of `v`.
-    pub fn sends_from(&self, v: NodeId) -> impl Iterator<Item = PacketId> + '_ {
-        self.slot_range(v).filter_map(|i| self.sends[i])
-    }
-
-    /// Iterates over `(node, packet)` scheduled sends, node-major.
+    /// Iterates over the scheduled `(node, packet)` sends: in call order
+    /// while the protocol plans, node-major once the engine has sorted
+    /// them.
     pub fn sends(&self) -> impl Iterator<Item = (NodeId, PacketId)> + '_ {
-        (0..self.node_count()).flat_map(move |v| {
-            let v = NodeId::new(v);
-            self.sends_from(v).map(move |p| (v, p))
-        })
+        self.sends
+            .iter()
+            .map(|&(key, packet)| (NodeId::new((key >> 32) as usize), packet))
     }
 
-    /// Number of scheduled sends (O(1): tracked incrementally).
+    /// Number of scheduled sends.
     pub fn len(&self) -> usize {
-        self.count
+        self.sends.len()
     }
 
     /// Whether no sends are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.sends.is_empty()
     }
 }
 
@@ -299,7 +160,9 @@ pub trait Protocol<T: Topology> {
     }
 
     /// Computes this round's forwarding decision for configuration `L^t`,
-    /// filling `plan` (handed over empty, sized to the topology).
+    /// filling `plan` (handed over empty). Sends may be made in any node
+    /// order: the engine applies them node-major, and in call order
+    /// within a node.
     ///
     /// The engine guarantees the state's active set is exact here (it
     /// refreshes right before the `L^t` observation), so implementations
@@ -358,8 +221,7 @@ pub enum ModelError {
     },
     /// The plan scheduled two packets out of one node over the same link
     /// in one round, violating the one-packet-per-link bandwidth
-    /// constraint (only possible on multi-out topologies; the plan's slot
-    /// structure already forbids it elsewhere).
+    /// constraint (on a path or tree: two sends from one node).
     LinkOverload {
         /// The forwarding node.
         node: NodeId,
@@ -523,10 +385,9 @@ fn phase_mark<Pr: Probe + ?Sized>(probe: &mut Pr, t: Round, phase: EnginePhase, 
 }
 
 /// Validates the plan's sends and collects their moves into `moves`.
-/// The touched slots must be sorted: slots are node-major, so walking
-/// them visits sends exactly as a dense `0..node_count()` scan would, in
-/// O(sends) instead of O(n). Returns the first error in that node order,
-/// if any.
+/// The sends must be sorted by key: node-major, then call order within
+/// a node, so the walk is O(sends). Returns the first error in that
+/// order, if any.
 ///
 /// With a fault mask (`faults`), a send over a blocked link is silently
 /// skipped *before* the per-link bandwidth check — as if the protocol had
@@ -543,11 +404,7 @@ fn collect_moves<T: Topology>(
     moves: &mut Vec<Move>,
 ) -> Option<ModelError> {
     moves.clear();
-    for &entry in &plan.touched {
-        let v = NodeId::new(entry_node(entry));
-        let Some(pid) = plan.sends[entry_slot(entry)] else {
-            continue; // touched then cleared elsewhere: cannot happen today
-        };
+    for (v, pid) in plan.sends() {
         let Some(stored) = state.find(v, pid) else {
             return Some(ModelError::UnknownPacket {
                 node: v,
@@ -569,8 +426,9 @@ fn collect_moves<T: Topology>(
             }
         }
         // One packet per link per round: sends are node-major, so any
-        // earlier send from the same node sits at the tail of the
-        // move list (out-degrees are tiny; this scan is O(deg)).
+        // earlier send from the same node sits at the tail of the move
+        // list, each over a distinct link (out-degrees are tiny; this
+        // scan is O(deg)).
         for &(pv, _, phop, _) in moves.iter().rev() {
             if pv != v {
                 break;
@@ -658,12 +516,6 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
     /// [`ModelError::Pattern`] from [`step`](Simulation::step).
     pub fn from_source(topology: T, protocol: P, source: S) -> Self {
         let n = topology.node_count();
-        // Lay the plan's slots out once: the layout is a pure function of
-        // the (immutable) topology, so the per-round reset is just a
-        // clear. The empty plan owns no memory, so `reset_for` allocates
-        // it once, at its final size.
-        let mut plan_buf = ForwardingPlan::new(0);
-        plan_buf.reset_for(&topology);
         Simulation {
             topology,
             protocol,
@@ -675,7 +527,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
             validate_injections: true,
             injection_buf: Vec::new(),
             accept_buf: Vec::new(),
-            plan_buf,
+            plan_buf: ForwardingPlan::new(),
             moves: Vec::new(),
             lift_buf: Vec::new(),
             capacity: None,
@@ -1005,12 +857,12 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         mark = phase_mark(probe, t, EnginePhase::Inject, mark);
 
         // --- Forwarding step ------------------------------------------
-        self.plan_buf.clear_sends();
+        self.plan_buf.sends.clear();
         self.protocol
             .plan(t, &self.topology, &self.state, &mut self.plan_buf);
-        // Sort the touched slots into node-major order so the move list
-        // matches a dense scan's byte-for-byte.
-        self.plan_buf.sort_touched();
+        // Node-major, call order within a node: the keys are unique, so
+        // the unstable sort is deterministic (and allocates nothing).
+        self.plan_buf.sends.sort_unstable();
         mark = phase_mark(probe, t, EnginePhase::Plan, mark);
         if let Some(e) = collect_moves(
             &self.topology,
@@ -1314,25 +1166,27 @@ mod tests {
         assert!(matches!(sim.step(), Err(ModelError::Pattern(_))));
     }
 
+    /// Sends every packet in node 0's buffer, oldest first.
+    struct SendAllFromZero;
+
+    impl<T: Topology> Protocol<T> for SendAllFromZero {
+        fn name(&self) -> String {
+            "send-all-from-0".into()
+        }
+        fn plan(&mut self, _: Round, _: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
+            for sp in state.buffer(NodeId::new(0)) {
+                plan.send(NodeId::new(0), sp.id());
+            }
+        }
+    }
+
     #[test]
     fn multi_out_node_forwards_one_packet_per_link() {
         use crate::topology::Dag;
         // Diamond: 0 fans out to middles 1..=2; packets destined for the
         // middles themselves use distinct links and may leave together.
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 1), Injection::new(0, 0, 2)]);
-        /// Forwards everything in node 0's buffer (one send per packet).
-        struct FanOut;
-        impl<T: Topology> Protocol<T> for FanOut {
-            fn name(&self) -> String {
-                "fan-out".into()
-            }
-            fn plan(&mut self, _: Round, _: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
-                for sp in state.buffer(NodeId::new(0)) {
-                    plan.send(NodeId::new(0), sp.id());
-                }
-            }
-        }
-        let mut sim = Simulation::new(Dag::diamond(2), FanOut, &p).unwrap();
+        let mut sim = Simulation::new(Dag::diamond(2), SendAllFromZero, &p).unwrap();
         let o = sim.step().unwrap();
         assert_eq!(o.forwarded, 2);
         assert_eq!(o.delivered, 2);
@@ -1345,18 +1199,7 @@ mod tests {
         // Both packets head for the sink: the deterministic router sends
         // them over the same first link, which a plan may use only once.
         let p = Pattern::from_injections(vec![Injection::new(0, 0, 3); 2]);
-        struct FanOut;
-        impl<T: Topology> Protocol<T> for FanOut {
-            fn name(&self) -> String {
-                "fan-out".into()
-            }
-            fn plan(&mut self, _: Round, _: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
-                for sp in state.buffer(NodeId::new(0)) {
-                    plan.send(NodeId::new(0), sp.id());
-                }
-            }
-        }
-        let mut sim = Simulation::new(Dag::diamond(2), FanOut, &p).unwrap();
+        let mut sim = Simulation::new(Dag::diamond(2), SendAllFromZero, &p).unwrap();
         assert!(matches!(
             sim.step(),
             Err(ModelError::LinkOverload { node, .. }) if node == NodeId::new(0)
@@ -1364,52 +1207,72 @@ mod tests {
     }
 
     #[test]
-    fn plan_slots_follow_out_degrees() {
-        use crate::topology::Dag;
-        let d = Dag::diamond(3); // node 0 has out-degree 3
-        let mut plan = ForwardingPlan::new(1);
-        plan.reset_for(&d);
-        assert_eq!(plan.width(NodeId::new(0)), 3);
-        assert_eq!(plan.width(NodeId::new(4)), 1); // sink still gets a slot
-        plan.send(NodeId::new(0), PacketId::new(1));
-        plan.send(NodeId::new(0), PacketId::new(2));
-        plan.send(NodeId::new(0), PacketId::new(3));
-        assert_eq!(plan.len(), 3);
-        assert!(plan.is_active(NodeId::new(0)));
-        assert_eq!(plan.get(NodeId::new(0)), Some(PacketId::new(1)));
-        assert_eq!(
-            plan.sends_from(NodeId::new(0)).collect::<Vec<_>>(),
-            vec![PacketId::new(1), PacketId::new(2), PacketId::new(3)]
-        );
-        assert_eq!(plan.sends().count(), 3);
-        // Identity layout on a path: reset_for == reset.
-        plan.reset_for(&Path::new(4));
-        assert_eq!(plan.width(NodeId::new(0)), 1);
-        assert!(plan.is_empty());
-        let mut identity = ForwardingPlan::new(0);
-        identity.reset(4);
-        assert_eq!(plan, identity);
-        // The first node with two slots comes after a one-slot node.
-        plan.reset_for(&Dag::from_edges(4, &[(0, 1), (1, 2), (1, 3)]).unwrap());
-        let widths: Vec<usize> = (0..4).map(|v| plan.width(NodeId::new(v))).collect();
-        assert_eq!(widths, vec![1, 2, 1, 1]);
-        plan.send(NodeId::new(1), PacketId::new(4));
-        plan.send(NodeId::new(1), PacketId::new(5));
-        plan.send(NodeId::new(2), PacketId::new(6));
-        let sends: Vec<(usize, u64)> = plan.sends().map(|(v, p)| (v.index(), p.value())).collect();
-        assert_eq!(sends, vec![(1, 4), (1, 5), (2, 6)]);
+    fn two_sends_from_one_path_node_are_link_overload() {
+        let p = Pattern::from_injections(vec![Injection::new(0, 0, 3), Injection::new(0, 0, 2)]);
+        let mut sim = Simulation::new(Path::new(4), SendAllFromZero, &p).unwrap();
+        match sim.step() {
+            Err(ModelError::LinkOverload { node, hop, .. }) => {
+                assert_eq!((node, hop), (NodeId::new(0), NodeId::new(1)));
+            }
+            other => panic!("expected LinkOverload over 0 -> 1, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "already forwards")]
-    fn overfilling_a_node_panics() {
+    fn more_sends_than_links_are_link_overload() {
         use crate::topology::Dag;
-        let d = Dag::diamond(2);
-        let mut plan = ForwardingPlan::new(1);
-        plan.reset_for(&d);
-        plan.send(NodeId::new(0), PacketId::new(1));
-        plan.send(NodeId::new(0), PacketId::new(2));
-        plan.send(NodeId::new(0), PacketId::new(3)); // out-degree is 2
+        // Node 0 has two links; its packets for 1 and 2 take one each,
+        // so the third send must reuse one of them.
+        let p = Pattern::from_injections(vec![
+            Injection::new(0, 0, 1),
+            Injection::new(0, 0, 2),
+            Injection::new(0, 0, 3),
+        ]);
+        let mut sim = Simulation::new(Dag::diamond(2), SendAllFromZero, &p).unwrap();
+        assert_eq!(sim.topology().out_degree(NodeId::new(0)), 2);
+        assert!(matches!(
+            sim.step(),
+            Err(ModelError::LinkOverload { node, .. }) if node == NodeId::new(0)
+        ));
+    }
+
+    #[test]
+    fn moves_follow_node_order_then_call_order() {
+        use crate::topology::Dag;
+        /// Sends node 3's packet first, then node 0's newest before its
+        /// oldest.
+        struct Backwards;
+        impl<T: Topology> Protocol<T> for Backwards {
+            fn name(&self) -> String {
+                "backwards".into()
+            }
+            fn plan(&mut self, _: Round, _: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
+                for v in [3, 0] {
+                    for sp in state.buffer(NodeId::new(v)).iter().rev() {
+                        plan.send(NodeId::new(v), sp.id());
+                    }
+                }
+            }
+        }
+        /// Records every move's `(from, packet)`.
+        #[derive(Default)]
+        struct Moves(Vec<(usize, u64)>);
+        impl Probe for Moves {
+            fn on_move(&mut self, _: Round, from: NodeId, packet: PacketId, _: bool) {
+                self.0.push((from.index(), packet.value()));
+            }
+        }
+        // A 3×3 mesh: node 0 has two links (right to 1, down to 3).
+        let p = Pattern::from_injections(vec![
+            Injection::new(0, 0, 1), // id 0, over 0 -> 1
+            Injection::new(0, 0, 3), // id 1, over 0 -> 3
+            Injection::new(0, 3, 4), // id 2, over 3 -> 4
+        ]);
+        let mut sim = Simulation::new(Dag::grid(3, 3), Backwards, &p).unwrap();
+        let mut moves = Moves::default();
+        let o = sim.step_probed(&mut moves).unwrap();
+        assert_eq!(o.delivered, 3);
+        assert_eq!(moves.0, vec![(0, 1), (0, 0), (3, 2)]);
     }
 
     #[test]
@@ -1848,38 +1711,29 @@ mod tests {
 
     #[test]
     fn two_sends_over_a_blocked_link_are_skipped_not_overload() {
-        // Node 0 has out-degree 2 (so the plan accepts two sends), but
-        // both packets are destined to node 1 and resolve to the same
-        // link 0→1. Without the fault that is a LinkOverload; with the
-        // link down both sends are skipped as if never planned.
-        use crate::topology::Dag;
-        struct DoubleSend;
-        impl<T: Topology> Protocol<T> for DoubleSend {
-            fn name(&self) -> String {
-                "double-send".into()
-            }
-            fn plan(&mut self, _: Round, _: &T, state: &NetworkState, plan: &mut ForwardingPlan) {
-                for sp in state.buffer(NodeId::new(0)) {
-                    plan.send(NodeId::new(0), sp.id());
-                }
-            }
+        // Both packets at node 0 are destined to node 1 and resolve to
+        // the same link 0→1, whether node 0 has a second link or not.
+        // Without the fault that is a LinkOverload; with the link down
+        // both sends are skipped as if never planned.
+        fn check<T: Topology>(topology: impl Fn() -> T) {
+            let p = Pattern::from_injections(vec![Injection::new(0, 0, 1); 2]);
+            let mut plain = Simulation::new(topology(), SendAllFromZero, &p).unwrap();
+            assert!(matches!(plain.step(), Err(ModelError::LinkOverload { .. })));
+            let faults = FaultSpec::new(0).with_event(FaultEvent::LinkDown {
+                from: 0,
+                to: 1,
+                at: 0,
+                until: None,
+            });
+            let mut faulted = Simulation::new(topology(), SendAllFromZero, &p)
+                .unwrap()
+                .with_faults(&faults);
+            let o = faulted.step().unwrap();
+            assert_eq!(o.forwarded, 0);
+            assert_eq!(faulted.state().occupancy(NodeId::new(0)), 2);
         }
-        let dag = || Dag::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
-        let p = Pattern::from_injections(vec![Injection::new(0, 0, 1); 2]);
-        let mut plain = Simulation::new(dag(), DoubleSend, &p).unwrap();
-        assert!(matches!(plain.step(), Err(ModelError::LinkOverload { .. })));
-        let faults = FaultSpec::new(0).with_event(FaultEvent::LinkDown {
-            from: 0,
-            to: 1,
-            at: 0,
-            until: None,
-        });
-        let mut faulted = Simulation::new(dag(), DoubleSend, &p)
-            .unwrap()
-            .with_faults(&faults);
-        let o = faulted.step().unwrap();
-        assert_eq!(o.forwarded, 0);
-        assert_eq!(faulted.state().occupancy(NodeId::new(0)), 2);
+        check(|| crate::topology::Dag::from_edges(3, &[(0, 1), (0, 2)]).unwrap());
+        check(|| Path::new(3));
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl Dag {
     /// # Panics
     ///
     /// Panics if `rows == 0` or `cols == 0`, or if the mesh has more than
-    /// `u32::MAX` nodes or edges (node ids and plan slots are 32-bit).
+    /// `u32::MAX` nodes or edges (node ids and edge offsets are 32-bit).
     pub fn grid(rows: usize, cols: usize) -> Self {
         Dag::try_grid(rows, cols).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -298,7 +298,7 @@ impl Dag {
     /// # Panics
     ///
     /// Panics if `k` is not in `1..=26`: at `k = 27` the nodes still fit
-    /// 32-bit ids, but the edges overflow the 32-bit plan slots.
+    /// 32-bit ids, but the edges overflow 32-bit edge offsets.
     pub fn butterfly(k: u32) -> Self {
         Dag::try_butterfly(k).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -88,9 +88,8 @@ pub trait Topology {
     }
 
     /// Number of outgoing links of `v` — the number of packets `v` may
-    /// forward in one round. Defaults to 1 (the single-out case); the
-    /// engine clamps to at least one forwarding slot per node, so
-    /// topologies whose terminal nodes report 0 lose nothing.
+    /// forward in one round (the engine checks one per link, on each
+    /// send's next hop). Defaults to 1 (the single-out case).
     fn out_degree(&self, _v: NodeId) -> usize {
         1
     }

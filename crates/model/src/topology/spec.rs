@@ -126,7 +126,8 @@ pub enum TopologySpecError {
     /// An explicit parent array is not a tree.
     Tree(TreeError),
     /// The spec describes more than `u32::MAX` nodes (or, for a DAG,
-    /// edges): the engine stores node ids and plan slots in 32 bits.
+    /// edges): node ids are 32-bit, and every DAG family keeps to the
+    /// 32-bit edge offsets of a table-backed DAG.
     TooLarge {
         /// The spec kind, e.g. `"grid"`.
         kind: &'static str,
@@ -145,7 +146,7 @@ impl fmt::Display for TopologySpecError {
             TopologySpecError::TooLarge { kind, what } => write!(
                 f,
                 "invalid {kind} spec: more than {} {what}; the engine addresses nodes and \
-                 plan slots in 32 bits",
+                 edges in 32 bits",
                 u32::MAX
             ),
         }
@@ -175,7 +176,7 @@ pub(super) fn invalid(kind: &'static str, reason: impl Into<String>) -> Topology
 }
 
 /// Checks that `count` of `what` (`None` when computing it overflowed)
-/// fits the engine's 32-bit node ids and plan slots.
+/// fits the engine's 32-bit node ids and edge offsets.
 pub(super) fn addressable(
     kind: &'static str,
     what: &'static str,

@@ -189,24 +189,32 @@ fn short_per_node_capacity_is_a_static_check_on_both_paths() {
 #[test]
 fn a_burst_beyond_32_bit_counts_is_a_source_error_on_both_paths() {
     // A buffer span counts its packets in 32 bits; materializing a
-    // larger burst aborts with "capacity overflow", so build refuses it.
+    // larger burst aborts with "capacity overflow", and a burst round of
+    // more random draws stalls, so build refuses both.
     use small_buffers::SourceSpecError;
-    let file = "invalid/burst_size_overflow.json";
-    for err in [reject(file), reject_run(file)] {
-        assert!(
-            matches!(
-                &err,
-                ScenarioError::Source(SourceSpecError::InvalidParameter {
-                    source: "burst",
-                    ..
-                })
-            ),
-            "{err}"
-        );
-        assert!(
-            err.to_string().contains("size = 18446744073709551615"),
-            "{err}"
-        );
+    for (file, kind, count) in [
+        (
+            "invalid/burst_size_overflow.json",
+            "burst",
+            "size = 18446744073709551615",
+        ),
+        (
+            "invalid/random_burst_draws_past_32_bits.json",
+            "random",
+            "attempts * period = 4294967296",
+        ),
+    ] {
+        for err in [reject(file), reject_run(file)] {
+            assert!(
+                matches!(
+                    &err,
+                    ScenarioError::Source(SourceSpecError::InvalidParameter { source, .. })
+                        if *source == kind
+                ),
+                "{file}: {err}"
+            );
+            assert!(err.to_string().contains(count), "{file}: {err}");
+        }
     }
 }
 

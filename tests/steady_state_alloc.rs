@@ -1,8 +1,10 @@
-//! Steady-state rounds make no heap allocation.
+//! Steady-state rounds make no heap allocation, and set-up requests
+//! memory for what is live, not a table per link.
 //!
 //! A counting global allocator counts every allocation and reallocation
-//! made on the calling thread (the test harness runs tests on parallel
-//! threads, so a global count would mix them). Each case builds a run
+//! made on the calling thread, and the bytes each one requests (the test
+//! harness runs tests on parallel threads, so a global count would mix
+//! them). Each case builds a run
 //! whose live set stays bounded, steps it through a warm-up, and counts
 //! the allocations of the next 2,000 rounds. A growing backlog would
 //! allocate for growth rather than per round, so every source injects at
@@ -13,6 +15,9 @@
 //! fault window makes a few in total, never one per round: the first
 //! window sizes the round's down-link list. Its total is a stated bound,
 //! far below one per round.
+//!
+//! Building a simulation on a large mesh requests a stated number of
+//! bytes per node: the buffer spans and the metrics' per-node counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,31 +32,35 @@ thread_local! {
     /// Allocations made by this thread. `const`-initialised with no
     /// destructor, so the allocator can read it without allocating.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations requested (a reallocation requests its
+    /// new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting allocations per thread.
 struct Counting;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: a thread being torn down has no counter left to bump.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments to `System` unchanged; the
 // count is a thread-local cell that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -65,6 +74,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn requested_bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// Rounds stepped before counting starts.
@@ -286,4 +299,24 @@ fn random_link_windows_allocate_a_few_times_in_total() {
     // slab's free lists grow once as the outage empties buffers.
     let made = case.warm_allocations(&mut ());
     assert!(made <= 8, "{made} allocations in {COUNTED} rounds");
+}
+
+#[test]
+fn a_large_mesh_simulation_requests_its_spans_and_counters_only() {
+    // 12 bytes of buffer span and 24 of per-node metrics counters: 36
+    // per node, nothing per link.
+    const SIDE: usize = 512;
+    let topology = mesh(SIDE).build().expect("topology builds");
+    let protocol = dag_greedy().build(&topology).expect("protocol builds");
+    let source = FnSource::new(COUNTED, mesh_pairs::<SIDE>);
+    let before = requested_bytes();
+    let sim = Simulation::from_source(topology, protocol, source);
+    let bytes = requested_bytes() - before;
+    drop(sim);
+    let nodes = (SIDE * SIDE) as u64;
+    assert!(
+        bytes <= 40 * nodes,
+        "{bytes} bytes for {nodes} nodes ({:.2} per node)",
+        bytes as f64 / nodes as f64
+    );
 }
