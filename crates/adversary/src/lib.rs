@@ -3,14 +3,15 @@
 //! Companion crate to `aqt-model` providing the injection patterns used to
 //! exercise the protocols of `aqt-core`:
 //!
-//! * [`Admitter`] — per-buffer token-bucket admission control; patterns
-//!   built through it are (ρ, σ)-bounded **by construction**.
 //! * [`RandomAdversary`] — randomized bounded adversaries on paths and
 //!   trees, with smooth or bursty cadence and configurable destination
-//!   sets; [`RandomAdversary::stream_path`] / `stream_tree` produce
-//!   streaming [`InjectionSource`](aqt_model::InjectionSource)s for
-//!   unbounded horizons, `build_path` / `build_tree` materialize the same
-//!   stream into a `Pattern`.
+//!   sets; [`RandomAdversary::stream_path`] / `stream_tree` produce a
+//!   streaming [`RandomSource`] for unbounded horizons, `build_path` /
+//!   `build_tree` materialize the same stream into a `Pattern`. Each
+//!   candidate packet is admitted through
+//!   [`ExcessTracker::try_admit`](aqt_model::ExcessTracker::try_admit),
+//!   the ξ that `aqt_model::analyze` measures, so the patterns are
+//!   (ρ, σ)-bounded **by construction**.
 //! * deterministic [`patterns`] — bursts, paced streams, round-robin and
 //!   staircase workloads with exactly known parameters, each with a
 //!   `*_source` streaming variant.
@@ -45,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod admission;
 pub mod grid;
 mod lower_bound;
 pub mod patterns;
@@ -53,8 +53,7 @@ mod random;
 mod shaper;
 mod spec;
 
-pub use admission::Admitter;
 pub use lower_bound::{LowerBoundAdversary, LowerBoundError};
-pub use random::{Cadence, DestSpec, RandomAdversary, RandomPathSource, RandomTreeSource};
+pub use random::{Cadence, DestSpec, RandomAdversary, RandomSource};
 pub use shaper::{shape, ShapingSource};
 pub use spec::{SourceProfile, SourceSpec, SourceSpecError, PROFILE_DRAIN_CAP};

@@ -1,13 +1,14 @@
 //! Randomized (ρ, σ)-bounded adversaries.
 //!
-//! These generators draw candidate packets at random and pass them through
-//! an [`Admitter`], so every produced [`Pattern`] is (ρ, σ)-bounded by
+//! These generators draw candidate packets at random and admit each one
+//! only if [`ExcessTracker::try_admit`] keeps every buffer on its route
+//! within σ, so every produced [`Pattern`] is (ρ, σ)-bounded by
 //! construction. They are the workhorses of the upper-bound experiments
 //! (E1–E4): the theorems hold for *all* bounded adversaries, so we verify
 //! them against aggressive randomized ones.
 //!
 //! Generation is **streaming-first**: [`RandomAdversary::stream_path`] /
-//! [`RandomAdversary::stream_tree`] return [`InjectionSource`]s that draw
+//! [`RandomAdversary::stream_tree`] return a [`RandomSource`] that draws
 //! each round's packets on demand, so unbounded-horizon traffic needs no
 //! materialized schedule. [`RandomAdversary::build_path`] /
 //! [`RandomAdversary::build_tree`] are the materializing adapters (they
@@ -16,13 +17,14 @@
 use std::collections::BTreeSet;
 
 use aqt_model::{
-    DirectedTree, Injection, InjectionSource, NodeId, Path, Pattern, Rate, Round, Topology,
+    DirectedTree, ExcessTracker, Injection, InjectionSource, NodeId, Path, Pattern, Rate, Round,
+    Topology,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::admission::Admitter;
+use crate::patterns::even_destinations;
 
 /// Which destinations random packets may have.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,7 +178,10 @@ impl RandomAdversary {
                 );
                 ws
             }
-            DestSpec::Spread { count } => spread_path_dests(n, *count),
+            DestSpec::Spread { count } => even_destinations(n, *count)
+                .into_iter()
+                .map(NodeId::new)
+                .collect(),
         }
     }
 
@@ -187,20 +192,10 @@ impl RandomAdversary {
     ///
     /// Panics if a `Fixed`/`Spread` destination spec is invalid for the
     /// topology (e.g. more destinations than nodes).
-    pub fn stream_path(&self, topo: &Path) -> RandomPathSource {
-        let n = topo.node_count();
-        assert!(n >= 2, "need at least two nodes to route");
-        RandomPathSource {
-            topo: *topo,
-            dests: self.resolve_path_dests(topo),
-            cadence: self.cadence,
-            attempts_per_round: self.attempts_per_round,
-            rounds: self.rounds,
-            rng: StdRng::seed_from_u64(self.seed),
-            admitter: Admitter::new(self.rate, self.sigma, n),
-            route_buf: Vec::new(),
-            next: 0,
-        }
+    pub fn stream_path(&self, topo: &Path) -> RandomSource {
+        assert!(topo.node_count() >= 2, "need at least two nodes to route");
+        let dests = self.resolve_path_dests(topo);
+        self.stream(Draw::Path { topo: *topo, dests }, topo.node_count())
     }
 
     /// Generates a pattern on a path (materializes
@@ -222,25 +217,18 @@ impl RandomAdversary {
     ///
     /// Panics if `Fixed` destinations contain the tree's leaves' own ids in
     /// invalid positions (a destination must have at least one descendant).
-    pub fn stream_tree(&self, topo: &DirectedTree) -> RandomTreeSource {
-        let n = topo.node_count();
-        assert!(n >= 2, "need at least two nodes to route");
+    pub fn stream_tree(&self, topo: &DirectedTree) -> RandomSource {
+        assert!(topo.node_count() >= 2, "need at least two nodes to route");
         let allowed: Option<BTreeSet<NodeId>> = match &self.dests {
             DestSpec::AnyReachable => None,
             DestSpec::Fixed { dests } => Some(dests.iter().copied().collect()),
             DestSpec::Spread { count } => Some(spread_tree_dests(topo, *count)),
         };
-        RandomTreeSource {
+        let draw = Draw::Tree {
             topo: topo.clone(),
             allowed,
-            cadence: self.cadence,
-            attempts_per_round: self.attempts_per_round,
-            rounds: self.rounds,
-            rng: StdRng::seed_from_u64(self.seed),
-            admitter: Admitter::new(self.rate, self.sigma, n),
-            route_buf: Vec::new(),
-            next: 0,
-        }
+        };
+        self.stream(draw, topo.node_count())
     }
 
     /// Generates a pattern on a directed tree (materializes
@@ -253,6 +241,22 @@ impl RandomAdversary {
     pub fn build_tree(&self, topo: &DirectedTree) -> Pattern {
         self.stream_tree(topo).into_pattern()
     }
+
+    /// The source drawing from `draw`, admitting against an excess
+    /// tracker over `n` buffers.
+    fn stream(&self, draw: Draw, n: usize) -> RandomSource {
+        RandomSource {
+            draw,
+            cadence: self.cadence,
+            attempts_per_round: self.attempts_per_round,
+            rounds: self.rounds,
+            rng: StdRng::seed_from_u64(self.seed),
+            tracker: ExcessTracker::new(self.rate, n),
+            sigma: self.sigma,
+            route_buf: Vec::new(),
+            next: 0,
+        }
+    }
 }
 
 /// The candidate draws of a bursty cadence's burst round, which gets the
@@ -262,63 +266,103 @@ pub(crate) fn burst_draws(attempts_per_round: usize, period: u64) -> Option<usiz
     attempts_per_round.checked_mul(usize::try_from(period.max(1)).ok()?)
 }
 
-/// Whether round `t` is active and with how many candidate draws.
+/// How many candidates round `t` draws: 0 in a quiet round.
 ///
 /// # Panics
 ///
 /// Panics on a burst round whose `attempts·period` overflows `usize`.
-fn round_budget(cadence: Cadence, attempts_per_round: usize, t: u64) -> (bool, usize) {
+fn round_draws(cadence: Cadence, attempts_per_round: usize, t: u64) -> usize {
     match cadence {
-        Cadence::Smooth => (true, attempts_per_round),
-        Cadence::Bursty { period } => {
-            if t % period.max(1) == 0 {
-                let draws = burst_draws(attempts_per_round, period)
-                    .expect("attempts * period overflows usize");
-                (true, draws)
-            } else {
-                (false, 0)
-            }
+        Cadence::Smooth => attempts_per_round,
+        Cadence::Bursty { period } if t % period.max(1) == 0 => {
+            burst_draws(attempts_per_round, period).expect("attempts * period overflows usize")
         }
+        Cadence::Bursty { .. } => 0,
     }
 }
 
-/// Streaming state of a [`RandomAdversary`] on a [`Path`]; produced by
-/// [`RandomAdversary::stream_path`]. Memory use is O(1) in the horizon.
+/// Where a [`RandomSource`] draws its candidate packets.
 #[derive(Debug, Clone)]
-pub struct RandomPathSource {
-    topo: Path,
-    dests: Vec<NodeId>,
+enum Draw {
+    /// A destination from `dests`, then a source left of it.
+    Path { topo: Path, dests: Vec<NodeId> },
+    /// A non-root source, then the ancestor a random number of hops above
+    /// it, kept only if `allowed` (when set) holds it.
+    Tree {
+        topo: DirectedTree,
+        allowed: Option<BTreeSet<NodeId>>,
+    },
+}
+
+impl Draw {
+    /// Draws one candidate `(source, dest)` and writes its route into
+    /// `route`, or returns `None` for a skipped draw. The RNG is called
+    /// in a fixed order, so a seed fixes the schedule: on a path the
+    /// destination, then the source; on a tree the source (the root
+    /// skips), then the hop count (a disallowed destination skips).
+    #[inline]
+    fn candidate(&self, rng: &mut StdRng, route: &mut Vec<NodeId>) -> Option<(NodeId, NodeId)> {
+        route.clear();
+        let (source, dest, routed) = match self {
+            Draw::Path { topo, dests } => {
+                let dest = dests[rng.random_range(0..dests.len())];
+                let source = NodeId::new(rng.random_range(0..dest.index()));
+                (source, dest, topo.route_buffers_into(source, dest, route))
+            }
+            Draw::Tree { topo, allowed } => {
+                let source = NodeId::new(rng.random_range(0..topo.node_count()));
+                if source == topo.root() {
+                    return None;
+                }
+                let hops = rng.random_range(1..=topo.depth(source));
+                let mut dest = source;
+                for _ in 0..hops {
+                    dest = topo.parent(dest).expect("depth bounds the climb");
+                }
+                if allowed.as_ref().is_some_and(|a| !a.contains(&dest)) {
+                    return None;
+                }
+                (source, dest, topo.route_buffers_into(source, dest, route))
+            }
+        };
+        debug_assert!(routed, "a drawn destination is reachable from its source");
+        Some((source, dest))
+    }
+}
+
+/// Streaming state of a [`RandomAdversary`] on a [`Path`] or a
+/// [`DirectedTree`]; produced by [`RandomAdversary::stream_path`] and
+/// [`RandomAdversary::stream_tree`]. Memory use is O(nodes), independent
+/// of the horizon.
+#[derive(Debug, Clone)]
+pub struct RandomSource {
+    draw: Draw,
     cadence: Cadence,
     attempts_per_round: usize,
     rounds: u64,
     rng: StdRng,
-    admitter: Admitter,
+    tracker: ExcessTracker,
+    sigma: u64,
     route_buf: Vec<NodeId>,
     next: u64,
 }
 
-impl InjectionSource for RandomPathSource {
+impl InjectionSource for RandomSource {
     fn next_round(&mut self, round: Round, out: &mut Vec<Injection>) {
         let t = round.value();
         debug_assert_eq!(t, self.next, "rounds must be consumed in order");
         if t < self.rounds {
-            let (active, attempts) = round_budget(self.cadence, self.attempts_per_round, t);
-            if active {
-                for _ in 0..attempts {
-                    let dest = self.dests[self.rng.random_range(0..self.dests.len())];
-                    let source = NodeId::new(self.rng.random_range(0..dest.index()));
-                    self.route_buf.clear();
-                    let routed = self
-                        .topo
-                        .route_buffers_into(source, dest, &mut self.route_buf);
-                    debug_assert!(routed, "source is left of dest on a path");
-                    if self.admitter.try_admit(t, &self.route_buf) {
-                        out.push(Injection {
-                            round,
-                            source,
-                            dest,
-                        });
-                    }
+            for _ in 0..round_draws(self.cadence, self.attempts_per_round, t) {
+                let Some((source, dest)) = self.draw.candidate(&mut self.rng, &mut self.route_buf)
+                else {
+                    continue;
+                };
+                if self.tracker.try_admit(round, &self.route_buf, self.sigma) {
+                    out.push(Injection {
+                        round,
+                        source,
+                        dest,
+                    });
                 }
             }
         }
@@ -332,94 +376,6 @@ impl InjectionSource for RandomPathSource {
     fn is_exhausted(&self) -> bool {
         self.next >= self.rounds
     }
-}
-
-/// Streaming state of a [`RandomAdversary`] on a [`DirectedTree`]; produced
-/// by [`RandomAdversary::stream_tree`].
-#[derive(Debug, Clone)]
-pub struct RandomTreeSource {
-    topo: DirectedTree,
-    allowed: Option<BTreeSet<NodeId>>,
-    cadence: Cadence,
-    attempts_per_round: usize,
-    rounds: u64,
-    rng: StdRng,
-    admitter: Admitter,
-    route_buf: Vec<NodeId>,
-    next: u64,
-}
-
-impl InjectionSource for RandomTreeSource {
-    fn next_round(&mut self, round: Round, out: &mut Vec<Injection>) {
-        let t = round.value();
-        debug_assert_eq!(t, self.next, "rounds must be consumed in order");
-        if t < self.rounds {
-            let n = self.topo.node_count();
-            let (active, attempts) = round_budget(self.cadence, self.attempts_per_round, t);
-            if active {
-                for _ in 0..attempts {
-                    let source = NodeId::new(self.rng.random_range(0..n));
-                    if source == self.topo.root() {
-                        continue;
-                    }
-                    // Climb a random number of steps toward the root.
-                    let depth = self.topo.depth(source);
-                    let hops = self.rng.random_range(1..=depth);
-                    let mut dest = source;
-                    for _ in 0..hops {
-                        dest = self.topo.parent(dest).expect("depth bounds the climb");
-                    }
-                    if let Some(allowed) = &self.allowed {
-                        if !allowed.contains(&dest) {
-                            continue;
-                        }
-                    }
-                    self.route_buf.clear();
-                    let routed = self
-                        .topo
-                        .route_buffers_into(source, dest, &mut self.route_buf);
-                    debug_assert!(routed, "dest is an ancestor of source");
-                    if self.admitter.try_admit(t, &self.route_buf) {
-                        out.push(Injection {
-                            round,
-                            source,
-                            dest,
-                        });
-                    }
-                }
-            }
-        }
-        self.next = self.next.max(t + 1);
-    }
-
-    fn horizon(&self) -> Option<u64> {
-        Some(self.rounds)
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.next >= self.rounds
-    }
-}
-
-/// `count` destinations spread evenly over `1..n` (always includes `n−1`).
-fn spread_path_dests(n: usize, count: usize) -> Vec<NodeId> {
-    assert!(count >= 1, "need at least one destination");
-    assert!(
-        count < n,
-        "cannot have {count} distinct destinations among {n} nodes"
-    );
-    let mut dests = BTreeSet::new();
-    for k in 0..count {
-        // Evenly spaced in (0, n−1], biased right so w = n−1 is included.
-        let w = n - 1 - (k * (n - 1)) / count;
-        dests.insert(NodeId::new(w.max(1)));
-    }
-    let mut w = n - 1;
-    while dests.len() < count && w >= 1 {
-        dests.insert(NodeId::new(w));
-        w -= 1;
-    }
-    dests.into_iter().collect()
 }
 
 /// `count` destinations on a tree: internal nodes closest to the root
@@ -498,10 +454,14 @@ mod tests {
 
     #[test]
     fn spread_counts_destinations() {
-        assert_eq!(spread_path_dests(16, 4).len(), 4);
-        assert_eq!(spread_path_dests(16, 1), vec![NodeId::new(15)]);
-        let d8 = spread_path_dests(9, 8);
-        assert_eq!(d8.len(), 8);
+        let spread = |n, count| {
+            RandomAdversary::new(Rate::ONE, 1, 1)
+                .destinations(DestSpec::Spread { count })
+                .resolve_path_dests(&Path::new(n))
+        };
+        assert_eq!(spread(16, 4).len(), 4);
+        assert_eq!(spread(16, 1), vec![NodeId::new(15)]);
+        assert_eq!(spread(9, 8).len(), 8);
     }
 
     #[test]

@@ -11,15 +11,15 @@
 
 use std::collections::VecDeque;
 
-use aqt_model::{Injection, InjectionSource, NodeId, Pattern, PatternSource, Round, Topology};
-
-use crate::admission::Admitter;
+use aqt_model::{
+    ExcessTracker, Injection, InjectionSource, NodeId, Pattern, PatternSource, Round, Topology,
+};
 
 /// Streams a wish source through per-buffer token buckets: each wish is
 /// delayed to the first round — at or after both its wished round and its
-/// emission from the inner source — where the buckets of all buffers on
-/// its route have capacity. Head-of-line blocking preserves the inner
-/// source's emission order.
+/// emission from the inner source — where [`ExcessTracker::try_admit`]
+/// keeps every buffer on its route within σ. Head-of-line blocking
+/// preserves the inner source's emission order.
 ///
 /// The source **owns** its topology (a clone is cheap next to a run), so
 /// a fully-owned `ShapingSource` can be boxed as a
@@ -54,7 +54,8 @@ pub struct ShapingSource<T: Topology, S: InjectionSource> {
     topology: T,
     inner: S,
     queue: VecDeque<Injection>,
-    admitter: Admitter,
+    tracker: ExcessTracker,
+    sigma: u64,
     wish_buf: Vec<Injection>,
     route_buf: Vec<NodeId>,
     max_delay: u64,
@@ -78,12 +79,13 @@ impl<T: Topology, S: InjectionSource> ShapingSource<T, S> {
                 >= u128::from(rate.den()),
             "need rho + sigma >= 1: a single packet is inadmissible at rho = {rate}, sigma = {sigma}"
         );
-        let admitter = Admitter::new(rate, sigma, topology.node_count());
+        let tracker = ExcessTracker::new(rate, topology.node_count());
         ShapingSource {
             topology,
             inner,
             queue: VecDeque::new(),
-            admitter,
+            tracker,
+            sigma,
             wish_buf: Vec::new(),
             route_buf: Vec::new(),
             max_delay: 0,
@@ -118,7 +120,7 @@ impl<T: Topology, S: InjectionSource> InjectionSource for ShapingSource<T, S> {
                 .topology
                 .route_buffers_into(w.source, w.dest, &mut self.route_buf);
             assert!(routed, "wish must have a route");
-            if self.admitter.try_admit(t, &self.route_buf) {
+            if self.tracker.try_admit(round, &self.route_buf, self.sigma) {
                 let w = self.queue.pop_front().expect("front checked above");
                 self.max_delay = self.max_delay.max(t - w.round.value());
                 out.push(Injection {

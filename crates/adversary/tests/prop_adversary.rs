@@ -1,11 +1,22 @@
 //! Property tests for the adversary generators: everything they emit must
 //! be (ρ, σ)-bounded by construction, across rates, cadences, shapes and
-//! seeds — verified with the independent analyzer from `aqt-model`.
+//! seeds — measured with `aqt_model::analyze`.
+//!
+//! The random adversaries and the shaper admit packets through the same
+//! `ExcessTracker` that `analyze` measures with, so for them `analyze`
+//! is not independent. Their properties therefore also measure a small
+//! instance with `brute_force_tight_sigma`, which enumerates intervals
+//! and shares no code with the tracker.
 
 use proptest::prelude::*;
 
 use aqt_adversary::{patterns, shape, Cadence, DestSpec, LowerBoundAdversary, RandomAdversary};
-use aqt_model::{analyze, DirectedTree, Injection, Path, Rate};
+use aqt_model::{analyze, brute_force_tight_sigma, DirectedTree, Injection, Path, Rate};
+
+/// Nodes and rounds of the instances measured by brute force, which
+/// costs O(rounds²·nodes·injections).
+const SMALL_N: usize = 12;
+const SMALL_ROUNDS: u64 = 40;
 
 fn rates() -> impl Strategy<Value = Rate> {
     (1u32..=4, 1u32..=4)
@@ -41,6 +52,13 @@ proptest! {
             report.tight_sigma,
             sigma
         );
+        let small = Path::new(SMALL_N);
+        let pattern = RandomAdversary::new(rate, sigma, SMALL_ROUNDS)
+            .cadence(cadence)
+            .seed(seed)
+            .build_path(&small);
+        let brute = brute_force_tight_sigma(&small, &pattern, rate);
+        prop_assert!(brute <= sigma, "brute force {} > budget {}", brute, sigma);
     }
 
     /// Random tree adversaries honor their budget and route along the
@@ -59,6 +77,12 @@ proptest! {
         pattern.validate(&tree).expect("routable");
         let report = analyze(&tree, &pattern, rate);
         prop_assert!(report.tight_sigma <= sigma);
+        let small = DirectedTree::random(SMALL_N, tree_seed);
+        let pattern = RandomAdversary::new(rate, sigma, SMALL_ROUNDS)
+            .seed(seed)
+            .build_tree(&small);
+        let brute = brute_force_tight_sigma(&small, &pattern, rate);
+        prop_assert!(brute <= sigma, "brute force {} > budget {}", brute, sigma);
     }
 
     /// Spread destination specs produce exactly the requested count (when
@@ -100,6 +124,7 @@ proptest! {
         let (shaped, _) = shape(&topo, wishes.clone(), rate, sigma);
         prop_assert_eq!(shaped.len(), wishes.len());
         prop_assert!(analyze(&topo, &shaped, rate).tight_sigma <= sigma);
+        prop_assert!(brute_force_tight_sigma(&topo, &shaped, rate) <= sigma);
     }
 
     /// The §5 construction stays (ρ, O(1))-bounded across its whole

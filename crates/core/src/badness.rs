@@ -28,18 +28,37 @@ pub fn k_badness_path(state: &NetworkState, i: NodeId, w: NodeId) -> usize {
         .sum()
 }
 
+/// The bad packets of `v`'s buffer among those whose destination
+/// `counts` selects: every selected packet but the first of each
+/// destination's pseudo-buffer, i.e. the selected packets less their
+/// distinct destinations. `dests` is the caller's reusable scratch.
+fn bad_packets(
+    state: &NetworkState,
+    v: NodeId,
+    counts: impl Fn(NodeId) -> bool,
+    dests: &mut Vec<NodeId>,
+) -> usize {
+    dests.clear();
+    dests.extend(
+        state
+            .buffer(v)
+            .iter()
+            .map(|sp| sp.dest())
+            .filter(|&w| counts(w)),
+    );
+    let packets = dests.len();
+    dests.sort_unstable();
+    dests.dedup();
+    packets - dests.len()
+}
+
 /// `B(i)` on a path: total bad packets in buffers `i′ ≤ i` with
 /// destinations strictly beyond `i` (Def. 3.3).
 pub fn badness_path(state: &NetworkState, i: NodeId) -> usize {
-    let mut per_dest: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for v in 0..=i.index() {
-        for (dest, packets) in state.by_destination(NodeId::new(v)) {
-            if dest > i {
-                *per_dest.entry(dest).or_insert(0) += packets.len().saturating_sub(1);
-            }
-        }
-    }
-    per_dest.values().sum()
+    let mut dests = Vec::new();
+    (0..=i.index())
+        .map(|v| bad_packets(state, NodeId::new(v), |w| w > i, &mut dests))
+        .sum()
 }
 
 /// `B(v)` on a directed tree (Def. B.4): bad packets in the subtree rooted
@@ -55,16 +74,13 @@ pub fn badness_tree(state: &NetworkState, tree: &DirectedTree, v: NodeId) -> usi
 /// in the subtree of `v`, for destinations whose route passes through `v`
 /// (i.e. destinations that are ancestors-or-self… strictly above `v`).
 pub fn badness_tree_multi(state: &NetworkState, tree: &DirectedTree, v: NodeId) -> usize {
-    let mut total = 0usize;
-    for u in tree.subtree(v) {
-        for (dest, packets) in state.by_destination(u) {
-            // Only packets that still have to cross v's outgoing link.
-            if dest != v && tree.is_ancestor_or_self(dest, v) {
-                total += packets.len().saturating_sub(1);
-            }
-        }
-    }
-    total
+    // Only packets that still have to cross v's outgoing link count.
+    let crosses_v = |w: NodeId| w != v && tree.is_ancestor_or_self(w, v);
+    let mut dests = Vec::new();
+    tree.subtree(v)
+        .into_iter()
+        .map(|u| bad_packets(state, u, crosses_v, &mut dests))
+        .sum()
 }
 
 /// HPTS badness `B^t(i)` (Def. 4.5): summed over levels j and columns k,

@@ -20,11 +20,25 @@ use crate::pattern::{Injection, Pattern};
 use crate::rate::Rate;
 use crate::topology::Topology;
 
-/// Exact per-node excess tracker (token-bucket algebra, scaled integers).
+/// Exact per-node excess tracker (token-bucket algebra, scaled integers):
+/// the one implementation of ξ, shared by [`analyze`] and by the
+/// generators that admit packets against a budget.
 ///
-/// Feed it per-round injection counts with [`ExcessTracker::observe_round`];
-/// rounds may be skipped (gaps decay lazily). Querying the running maximum
-/// yields the pattern's tight σ.
+/// Per node it keeps the accumulator `ξ_{t−1}·den + N_t·den` of the last
+/// round fed, and that round; ξ_t is the accumulator less ρ, floored at
+/// 0. So a round may be fed more than once, and rounds may be skipped
+/// (gaps decay lazily):
+///
+/// * [`observe_round`](ExcessTracker::observe_round) adds a batch of
+///   crossing counts and tracks the maximum excess;
+/// * [`try_admit`](ExcessTracker::try_admit) adds one packet to every
+///   buffer of a route if each stays within a budget σ.
+///
+/// [`tight_sigma`](ExcessTracker::tight_sigma) and
+/// [`max_at`](ExcessTracker::max_at) report what `observe_round` fed. An
+/// admitted schedule is within σ by construction, so `try_admit` leaves
+/// the maximum alone and costs one decay, one compare and one add per
+/// buffer.
 ///
 /// # Examples
 ///
@@ -40,8 +54,9 @@ use crate::topology::Topology;
 #[derive(Debug, Clone)]
 pub struct ExcessTracker {
     rate: Rate,
-    /// ξ(v) · den, valid as of `last[v]`.
-    scaled: Vec<u128>,
+    /// `ξ_{t−1}·den + N_t·den` for the round in `last[v]`: the excess
+    /// before that round's ρ is subtracted.
+    acc: Vec<u128>,
     last: Vec<Option<Round>>,
     max_scaled: u128,
     max_at: Option<(NodeId, Round)>,
@@ -52,78 +67,135 @@ impl ExcessTracker {
     pub fn new(rate: Rate, n: usize) -> Self {
         ExcessTracker {
             rate,
-            scaled: vec![0; n],
+            acc: vec![0; n],
             last: vec![None; n],
             max_scaled: 0,
             max_at: None,
         }
     }
 
-    /// Records that in `round`, each listed node had the given number of
-    /// crossing injections. Rounds must be fed in non-decreasing order;
-    /// nodes with zero injections may be omitted (decay is lazy).
+    /// Brings node `i`'s accumulator up to `round`: one subtraction of ρ
+    /// per round elapsed since the last one fed (that round's own ρ is
+    /// still pending in the accumulator).
     ///
     /// # Panics
     ///
-    /// Panics if a node was already observed at a *later* round.
+    /// Panics if node `i` was already fed at a later round.
+    #[inline]
+    fn sync(&mut self, i: usize, round: Round) -> &mut u128 {
+        let acc = &mut self.acc[i];
+        if let Some(prev) = self.last[i] {
+            if prev != round {
+                let gap = round
+                    .since(prev)
+                    .expect("rounds must be fed in non-decreasing order");
+                *acc = acc.saturating_sub(u128::from(self.rate.num()) * u128::from(gap));
+            }
+        }
+        self.last[i] = Some(round);
+        acc
+    }
+
+    /// Records that in `round`, each listed node had the given number of
+    /// crossing injections, and tracks the maximum excess. Rounds must be
+    /// fed in non-decreasing order; nodes with zero injections may be
+    /// omitted (decay is lazy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node was already fed at a *later* round.
     pub fn observe_round(&mut self, round: Round, counts: &[(NodeId, u64)]) {
         let num = u128::from(self.rate.num());
         let den = u128::from(self.rate.den());
         for &(v, n) in counts {
-            let i = v.index();
-            let gap = match self.last[i] {
-                None => None,
-                Some(prev) => {
-                    let gap = round
-                        .since(prev)
-                        .expect("rounds must be observed in non-decreasing order");
-                    assert!(gap > 0, "node {v} observed twice in round {round}");
-                    Some(gap)
-                }
-            };
-            // Decay over the (gap − 1) empty rounds since the last update.
-            if let Some(gap) = gap {
-                let decay = num * u128::from(gap - 1);
-                self.scaled[i] = self.scaled[i].saturating_sub(decay);
-            }
-            // This round: ξ ← max(0, ξ + N·1 − ρ), scaled by den.
-            let added = self.scaled[i] + u128::from(n) * den;
-            self.scaled[i] = added.saturating_sub(num);
-            self.last[i] = Some(round);
-            if self.scaled[i] > self.max_scaled {
-                self.max_scaled = self.scaled[i];
+            let acc = self.sync(v.index(), round);
+            *acc += u128::from(n) * den;
+            let xi = acc.saturating_sub(num);
+            if xi > self.max_scaled {
+                self.max_scaled = xi;
                 self.max_at = Some((v, round));
             }
         }
     }
 
-    /// The current excess of `v` as of `round` (applying pending decay),
-    /// as an exact fraction `(numerator, denominator)`.
+    /// Whether one more packet in `round` crossing exactly the buffers in
+    /// `route` keeps the excess of each within `sigma`; if so, adds it to
+    /// every one of them. Rounds must be fed in non-decreasing order;
+    /// within a round, any number of candidates may be tried.
+    ///
+    /// `route` is the set of buffers the packet occupies (source
+    /// inclusive, destination exclusive), as produced by
+    /// [`Topology::route_buffers`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer of `route` was already fed at a later round.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aqt_model::{ExcessTracker, NodeId, Rate, Round};
+    ///
+    /// let mut tracker = ExcessTracker::new(Rate::new(1, 2)?, 3);
+    /// let route = [NodeId::new(0)];
+    /// // σ = 1 at ρ = 1/2: one packet in round 0 is fine (ξ = 1/2)…
+    /// assert!(tracker.try_admit(Round::new(0), &route, 1));
+    /// // …a second would push ξ to 3/2 > 1.
+    /// assert!(!tracker.try_admit(Round::new(0), &route, 1));
+    /// // Two rounds later the bucket has drained enough.
+    /// assert!(tracker.try_admit(Round::new(2), &route, 1));
+    /// # Ok::<(), aqt_model::RateError>(())
+    /// ```
+    pub fn try_admit(&mut self, round: Round, route: &[NodeId], sigma: u64) -> bool {
+        let num = u128::from(self.rate.num());
+        let den = u128::from(self.rate.den());
+        let budget = u128::from(sigma) * den;
+        for &v in route {
+            // ξ_t would become max(0, acc + den − num).
+            if (*self.sync(v.index(), round) + den).saturating_sub(num) > budget {
+                return false;
+            }
+        }
+        for &v in route {
+            self.acc[v.index()] += den;
+        }
+        true
+    }
+
+    /// The excess of `v` after `round`, applying pending decay, as an
+    /// exact fraction `(numerator, denominator)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` was fed at a round later than `round`.
     pub fn excess_at(&self, v: NodeId, round: Round) -> (u128, u64) {
         let i = v.index();
         let s = match self.last[i] {
             None => 0,
             Some(prev) => {
                 let gap = round.since(prev).expect("query round precedes last update");
-                self.scaled[i].saturating_sub(u128::from(self.rate.num()) * u128::from(gap))
+                let decay = u128::from(self.rate.num()) * (u128::from(gap) + 1);
+                self.acc[i].saturating_sub(decay)
             }
         };
         (s, u64::from(self.rate.den()))
     }
 
-    /// The smallest integer σ such that every observed excess satisfies
-    /// `ξ ≤ σ` — i.e. the tight burst parameter of the observed pattern.
+    /// The smallest integer σ such that every excess `observe_round` fed
+    /// satisfies `ξ ≤ σ`: the tight burst parameter of the observed
+    /// pattern.
     pub fn tight_sigma(&self) -> u64 {
         let den = u128::from(self.rate.den());
         u64::try_from(self.max_scaled.div_ceil(den)).expect("excess exceeds u64")
     }
 
-    /// Where the maximum excess was attained, if any injection was seen.
+    /// Where the maximum excess `observe_round` fed was attained, if it
+    /// fed any injection.
     pub fn max_at(&self) -> Option<(NodeId, Round)> {
         self.max_at
     }
 
-    /// The maximum observed excess as an exact fraction.
+    /// The maximum excess `observe_round` fed, as an exact fraction.
     pub fn max_excess(&self) -> (u128, u64) {
         (self.max_scaled, u64::from(self.rate.den()))
     }
@@ -434,6 +506,110 @@ mod tests {
             );
             prev_scaled = cur;
         }
+    }
+
+    #[test]
+    fn a_round_may_be_fed_more_than_once() {
+        // One batch of 3, or batches of 1 and 2 in the same round, give
+        // the same excess and the same maximum.
+        let rate = Rate::new(1, 2).unwrap();
+        let v = NodeId::new(0);
+        let mut once = ExcessTracker::new(rate, 1);
+        once.observe_round(Round::new(4), &[(v, 3)]);
+        let mut twice = ExcessTracker::new(rate, 1);
+        twice.observe_round(Round::new(4), &[(v, 1)]);
+        twice.observe_round(Round::new(4), &[(v, 2)]);
+        assert_eq!(twice.excess_at(v, Round::new(4)), (5, 2));
+        assert_eq!(
+            twice.excess_at(v, Round::new(4)),
+            once.excess_at(v, Round::new(4))
+        );
+        assert_eq!(twice.max_excess(), once.max_excess());
+        assert_eq!(twice.max_at(), Some((v, Round::new(4))));
+    }
+
+    #[test]
+    fn rate_one_sigma_zero_admits_one_per_round() {
+        let mut tracker = ExcessTracker::new(Rate::ONE, 2);
+        let route = [NodeId::new(0)];
+        assert!(tracker.try_admit(Round::new(0), &route, 0));
+        assert!(!tracker.try_admit(Round::new(0), &route, 0));
+        assert!(tracker.try_admit(Round::new(1), &route, 0));
+    }
+
+    #[test]
+    fn burst_budget_is_honored() {
+        let mut tracker = ExcessTracker::new(Rate::ONE, 2);
+        let route = [NodeId::new(0)];
+        // 1 + σ packets fit in one round at rate 1.
+        for _ in 0..4 {
+            assert!(tracker.try_admit(Round::new(0), &route, 3));
+        }
+        assert!(!tracker.try_admit(Round::new(0), &route, 3));
+    }
+
+    #[test]
+    fn budget_replenishes_at_rate() {
+        let mut tracker = ExcessTracker::new(Rate::new(1, 3).unwrap(), 1);
+        let route = [NodeId::new(0)];
+        let admit = |tracker: &mut ExcessTracker, t| tracker.try_admit(Round::new(t), &route, 1);
+        assert!(admit(&mut tracker, 0)); // ξ = 2/3
+        assert!(!admit(&mut tracker, 0)); // would be 5/3 > 1
+        assert!(!admit(&mut tracker, 1)); // ξ decayed to 1/3; +1 = 4/3 > 1
+        assert!(admit(&mut tracker, 2)); // ξ decayed to 0; +1−1/3 = 2/3
+    }
+
+    #[test]
+    fn routes_constrain_all_their_buffers() {
+        let mut tracker = ExcessTracker::new(Rate::ONE, 4);
+        let t = Round::new(0);
+        let long: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        assert!(tracker.try_admit(t, &long, 0));
+        // Buffer 1 is exhausted by the long packet…
+        assert!(!tracker.try_admit(t, &[NodeId::new(1)], 0));
+        // …and a rejected route commits nothing: buffer 3 is untouched.
+        assert!(!tracker.try_admit(t, &[NodeId::new(3), NodeId::new(2)], 0));
+        assert!(tracker.try_admit(t, &[NodeId::new(3)], 0));
+    }
+
+    #[test]
+    fn excess_at_reports_post_round_value() {
+        let mut tracker = ExcessTracker::new(Rate::new(1, 2).unwrap(), 1);
+        let v = NodeId::new(0);
+        assert!(tracker.try_admit(Round::new(0), &[v], 4));
+        assert!(tracker.try_admit(Round::new(0), &[v], 4));
+        // ξ_0 = 2 − 1/2 = 3/2 → scaled 3 over 2.
+        assert_eq!(tracker.excess_at(v, Round::new(0)), (3, 2));
+        // Two quiet rounds: 3/2 − 1 = 1/2.
+        assert_eq!(tracker.excess_at(v, Round::new(2)), (1, 2));
+        // Admission tracks no maximum: that is what `observe_round` fed.
+        assert_eq!(tracker.tight_sigma(), 0);
+        assert_eq!(tracker.max_at(), None);
+    }
+
+    #[test]
+    fn admitted_streams_are_bounded_by_construction() {
+        // Greedily admit as much as possible for 40 rounds, then measure
+        // the stream's tight σ by enumerating intervals, which shares no
+        // code with the tracker.
+        let topo = line(6);
+        let rate = Rate::new(2, 3).unwrap();
+        let sigma = 2;
+        let mut tracker = ExcessTracker::new(rate, 6);
+        let mut injections = Vec::new();
+        for t in 0..40u64 {
+            for (src, dst) in [(0usize, 5usize), (2, 4), (1, 3), (0, 2)] {
+                let route = topo
+                    .route_buffers(NodeId::new(src), NodeId::new(dst))
+                    .unwrap();
+                while tracker.try_admit(Round::new(t), &route, sigma) {
+                    injections.push(Injection::new(t, src, dst));
+                }
+            }
+        }
+        let pattern = Pattern::from_injections(injections);
+        // The greedy fill uses the whole budget and no more.
+        assert_eq!(brute_force_tight_sigma(&topo, &pattern, rate), sigma);
     }
 
     #[test]

@@ -58,39 +58,45 @@ impl EnginePhase {
 ///
 /// The probe points, in round order:
 ///
-/// 1. [`on_fault`](Probe::on_fault) — fault-active rounds only: the
+/// 1. [`on_drop`](Probe::on_drop) — one call per capacity drop of the
+///    injection step: a staged packet's acceptance, an injection's
+///    placement, or a counted-staging tail drop.
+/// 2. [`on_fault`](Probe::on_fault) — fault-active rounds only: the
 ///    resolved [`FaultState`] for the round, right after the fault mask
 ///    is advanced (post-injection, before the `L^t` observation). Never
 ///    called on fault-free rounds or runs.
-/// 2. [`on_observe`](Probe::on_observe) — the paper's `L^t` measurement
+/// 3. [`on_observe`](Probe::on_observe) — the paper's `L^t` measurement
 ///    point (post-injection, pre-forwarding), right after
 ///    `RunMetrics::observe`. This is where occupancy distributions are
 ///    sampled, and the one hook where
 ///    [`NetworkState::active_nodes`] is exact.
-/// 3. [`on_phase`](Probe::on_phase) — once per engine phase
+/// 4. [`on_phase`](Probe::on_phase) — once per engine phase
 ///    ([`EnginePhase`]) with its wall-time in nanoseconds, measured by
 ///    the probe's own [`now_nanos`](Probe::now_nanos) clock. The default
 ///    clock returns 0, so library runs never read wall-clock time; a
 ///    real clock lives behind this hook in `aqt-bench`.
-/// 4. [`on_move`](Probe::on_move) — one call per validated move, in
+/// 5. [`on_move`](Probe::on_move) — one call per validated move, in
 ///    move order, before any move is applied. A planned send over a
 ///    link the fault mask blocks is not a move and is not reported.
-/// 5. [`on_delivery`](Probe::on_delivery) — one call per delivered
-///    packet, in move order.
-/// 6. [`on_round`](Probe::on_round) — the completed [`RoundOutcome`]
+/// 6. [`on_delivery`](Probe::on_delivery) — one call per delivered
+///    packet, in move order, interleaved with one
+///    [`on_drop`](Probe::on_drop) per capacity drop of a forwarded
+///    packet's placement.
+/// 7. [`on_round`](Probe::on_round) — the completed [`RoundOutcome`]
 ///    plus the post-round state.
 ///
 /// Interleaved, one round fires exactly this sequence (`?` at most once,
-/// `*` once per move or delivery):
+/// `*` once per drop, move or delivery):
 ///
 /// ```text
-/// on_fault? on_observe on_phase(Inject) on_phase(Plan) on_move*
-/// on_phase(Forward) on_delivery* on_phase(Merge) on_round
+/// on_drop* on_fault? on_observe on_phase(Inject) on_phase(Plan) on_move*
+/// on_phase(Forward) (on_delivery | on_drop)* on_phase(Merge) on_round
 /// ```
 ///
 /// with as many `on_move`s as the round's
-/// [`forwarded`](RoundOutcome::forwarded) and as many `on_delivery`s as
-/// its [`delivered`](RoundOutcome::delivered)
+/// [`forwarded`](RoundOutcome::forwarded), as many `on_delivery`s as
+/// its [`delivered`](RoundOutcome::delivered) and as many `on_drop`s as
+/// its [`dropped`](RoundOutcome::dropped)
 /// (`tests/probe_conformance.rs` pins this).
 ///
 /// All hooks default to no-ops, so `()` is the null probe: the unprobed
@@ -118,6 +124,12 @@ pub trait Probe {
     /// exact at [`on_round`](Probe::on_round), where the round's moves
     /// have left it stale.
     fn on_observe(&mut self, _round: Round, _state: &NetworkState) {}
+
+    /// A capacity drop at `node` in `round`: the buffer was full, and the
+    /// drop policy lost one packet there (the arriving one or a stored
+    /// victim). Fires where [`RunMetrics`](crate::RunMetrics) records
+    /// the drop, in the injection or the merge step.
+    fn on_drop(&mut self, _round: Round, _node: NodeId) {}
 
     /// One engine phase of `round` took `nanos` nanoseconds (0 when
     /// [`now_nanos`](Probe::now_nanos) is the default).

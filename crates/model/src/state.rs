@@ -27,8 +27,6 @@
 //! which is what lets planning, validation and metrics run in O(live
 //! packets) instead of O(nodes) — the point of the active-set engine.
 
-use std::collections::BTreeMap;
-
 use crate::ids::{NodeId, PacketId, Round};
 use crate::packet::{Packet, StoredPacket};
 
@@ -145,19 +143,10 @@ pub struct NetworkState {
     staged: Vec<Packet>,
     /// Staged packets per source node (capacity enforcement in
     /// [`StagingMode::Counted`](crate::StagingMode::Counted) and
-    /// observability both want this without scanning `staged`). Like
-    /// `drops` and `faults`, a per-node ledger that most runs never
-    /// write: empty until its first write (see `ledger`).
+    /// observability both want this without scanning `staged`). A
+    /// per-node ledger that most runs never write: empty until its first
+    /// write (see `ledger`).
     staged_counts: Vec<usize>,
-    /// Cumulative drops per node (capacity-bounded runs; empty
-    /// otherwise). Observable by protocols and tracers.
-    drops: Vec<u64>,
-    dropped_total: u64,
-    /// Cumulative fault losses per node (fault-injected runs; empty
-    /// otherwise): packets swept from a crashing node's buffer, or
-    /// injections arriving at a dead node.
-    faults: Vec<u64>,
-    faulted_total: u64,
     next_seq: u64,
     /// Occupancy bitset: bit `v` is set iff `v`'s buffer is non-empty.
     /// Exact after every mutation (including crash sweeps and capacity
@@ -181,7 +170,7 @@ pub struct NetworkState {
 
 /// A per-node ledger of `n` entries, allocated (all zero) on its first
 /// write: an empty ledger reads as zero everywhere, so runs that never
-/// stage, drop or fault pay nothing for it.
+/// stage pay nothing for it.
 fn ledger<T: Clone + Default>(entries: &mut Vec<T>, n: usize) -> &mut Vec<T> {
     if entries.is_empty() {
         entries.resize(n, T::default());
@@ -196,10 +185,6 @@ impl NetworkState {
             slab: Slab::default(),
             staged: Vec::new(),
             staged_counts: Vec::new(),
-            drops: Vec::new(),
-            dropped_total: 0,
-            faults: Vec::new(),
-            faulted_total: 0,
             next_seq: 0,
             occ_bits: vec![0; n.div_ceil(64)],
             occ_summary: vec![0; n.div_ceil(64 * 64)],
@@ -249,41 +234,9 @@ impl NetworkState {
         self.staged_counts.get(v.index()).copied().unwrap_or(0)
     }
 
-    /// Cumulative packets dropped at `v` so far (capacity-bounded runs).
-    pub fn drops_at(&self, v: NodeId) -> u64 {
-        self.drops.get(v.index()).copied().unwrap_or(0)
-    }
-
-    /// Cumulative packets dropped anywhere so far.
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped_total
-    }
-
-    /// Cumulative packets lost to faults at `v` so far (fault-injected
-    /// runs; 0 otherwise).
-    pub fn faults_at(&self, v: NodeId) -> u64 {
-        self.faults.get(v.index()).copied().unwrap_or(0)
-    }
-
-    /// Cumulative packets lost to faults anywhere so far.
-    pub fn total_faulted(&self) -> u64 {
-        self.faulted_total
-    }
-
     /// Looks up a packet in `v`'s buffer.
     pub fn find(&self, v: NodeId, id: PacketId) -> Option<&StoredPacket> {
         self.buffer(v).iter().find(|sp| sp.id() == id)
-    }
-
-    /// Groups `v`'s buffer by destination; within each group packets appear
-    /// in ascending `seq` (arrival) order. This is the *virtual output
-    /// queuing* view used by PPTS (§3.2, footnote 2).
-    pub fn by_destination(&self, v: NodeId) -> BTreeMap<NodeId, Vec<&StoredPacket>> {
-        let mut map: BTreeMap<NodeId, Vec<&StoredPacket>> = BTreeMap::new();
-        for sp in self.buffer(v) {
-            map.entry(sp.dest()).or_default().push(sp);
-        }
-        map
     }
 
     /// Number of packets at `v` destined for `dest` (`|L_k(v)|` where
@@ -361,18 +314,6 @@ impl NetworkState {
             self.staged_counts[v.index()] -= removed;
         }
         removed
-    }
-
-    /// Records a capacity drop at `v` in the cumulative counters.
-    pub(crate) fn note_drop(&mut self, v: NodeId) {
-        ledger(&mut self.drops, self.spans.len())[v.index()] += 1;
-        self.dropped_total += 1;
-    }
-
-    /// Records a fault loss at `v` in the cumulative counters.
-    pub(crate) fn note_fault(&mut self, v: NodeId) {
-        ledger(&mut self.faults, self.spans.len())[v.index()] += 1;
-        self.faulted_total += 1;
     }
 
     /// Removes a packet from `v`'s buffer, returning it.
@@ -520,17 +461,13 @@ mod tests {
     }
 
     #[test]
-    fn by_destination_groups_and_orders() {
+    fn count_for_dest_counts_one_destination() {
         let mut st = NetworkState::new(2);
         st.place(NodeId::new(0), packet(1, 1), Round::new(0));
         st.place(NodeId::new(0), packet(2, 5), Round::new(0));
         st.place(NodeId::new(0), packet(3, 1), Round::new(1));
-        let groups = st.by_destination(NodeId::new(0));
-        assert_eq!(groups.len(), 2);
-        let to1 = &groups[&NodeId::new(1)];
-        assert_eq!(to1.len(), 2);
-        assert!(to1[0].seq() < to1[1].seq());
         assert_eq!(st.count_for_dest(NodeId::new(0), NodeId::new(1)), 2);
+        assert_eq!(st.count_for_dest(NodeId::new(0), NodeId::new(5)), 1);
         assert_eq!(st.count_for_dest(NodeId::new(0), NodeId::new(9)), 0);
     }
 
@@ -589,31 +526,15 @@ mod tests {
     }
 
     #[test]
-    fn drop_counters_accumulate() {
-        let mut st = NetworkState::new(3);
-        assert_eq!(st.total_dropped(), 0);
-        st.note_drop(NodeId::new(1));
-        st.note_drop(NodeId::new(1));
-        st.note_drop(NodeId::new(2));
-        assert_eq!(st.drops_at(NodeId::new(1)), 2);
-        assert_eq!(st.drops_at(NodeId::new(0)), 0);
-        assert_eq!(st.total_dropped(), 3);
-    }
-
-    #[test]
     fn ledgers_read_zero_until_their_first_write() {
         let mut st = NetworkState::new(3);
         let v = NodeId::new(2);
-        assert_eq!(
-            (st.staged_count(v), st.drops_at(v), st.faults_at(v)),
-            (0, 0, 0)
-        );
+        assert_eq!(st.staged_count(v), 0);
         // A crash sweep at a node that never staged leaves the ledger alone.
         assert_eq!(st.sweep_staged(v), 0);
-        assert!(st.staged_counts.is_empty() && st.drops.is_empty() && st.faults.is_empty());
-        st.note_fault(v);
-        assert_eq!(st.faults, vec![0, 0, 1]);
-        assert!(st.drops.is_empty(), "one ledger's write allocates only it");
+        assert!(st.staged_counts.is_empty());
+        st.stage(packet(1, 1));
+        assert_eq!(st.staged_counts, vec![1, 0, 0]);
     }
 
     #[test]
@@ -707,7 +628,6 @@ mod tests {
             3 => {
                 while let Some(id) = st.buffer(v).first().map(|sp| sp.id()) {
                     st.remove(v, id).unwrap();
-                    st.note_fault(v);
                 }
             }
             _ => st.refresh_active(),

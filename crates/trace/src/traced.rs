@@ -9,8 +9,10 @@ use crate::event::{RoundRecord, SendRecord, Trace};
 ///
 /// At the paper's `L^t` measurement point
 /// ([`on_observe`](Probe::on_observe)) it appends one [`RoundRecord`]
-/// holding the configuration, and every move the engine then applies in
-/// that round ([`on_move`](Probe::on_move)) becomes one of the record's
+/// holding the configuration and the drops reported
+/// ([`on_drop`](Probe::on_drop)) since the previous record, and every
+/// move the engine then applies in that round
+/// ([`on_move`](Probe::on_move)) becomes one of the record's
 /// [`SendRecord`]s. A trace therefore agrees with
 /// [`RunMetrics`](aqt_model::RunMetrics) under faults too: a send the
 /// fault mask blocks is not a move. Pass the tracer to
@@ -55,11 +57,11 @@ use crate::event::{RoundRecord, SendRecord, Trace};
 #[derive(Debug, Clone)]
 pub struct Tracer {
     trace: Trace,
-    /// Cumulative per-node drop counters as of the previous record, so
-    /// each record carries the delta (capacity-bounded runs; see
+    /// Per-node drops reported since the previous record, drained into
+    /// the next one (capacity-bounded runs; see
     /// [`RoundRecord::drops`](crate::RoundRecord::drops) for the
-    /// attribution rule).
-    seen_drops: Vec<u64>,
+    /// attribution rule). Empty until the first drop or observation.
+    pending_drops: Vec<u64>,
     /// Decimation cap: retained records × node_count stays ≤ this.
     cell_cap: usize,
     /// Current sampling stride; rounds not divisible by it are skipped.
@@ -80,7 +82,7 @@ impl Tracer {
     pub fn new(protocol: impl Into<String>) -> Self {
         Tracer {
             trace: Trace::new(protocol, 0),
-            seen_drops: Vec::new(),
+            pending_drops: Vec::new(),
             cell_cap: Self::DEFAULT_CELL_CAP,
             stride: 1,
         }
@@ -114,27 +116,31 @@ impl Tracer {
 }
 
 impl Probe for Tracer {
+    fn on_drop(&mut self, _round: Round, node: NodeId) {
+        // Round 0's injection drops arrive before the first observation
+        // names the node count, so the counts grow on first use.
+        if self.pending_drops.len() <= node.index() {
+            self.pending_drops.resize(node.index() + 1, 0);
+        }
+        self.pending_drops[node.index()] += 1;
+    }
+
     fn on_observe(&mut self, round: Round, state: &NetworkState) {
         let n = state.node_count();
-        if self.trace.node_count != n {
-            self.trace.node_count = n;
-            self.seen_drops = vec![0; n];
-        }
-        // Stride sampling: skipped rounds leave `seen_drops` untouched,
-        // so their drop deltas accumulate into the next retained record.
+        self.trace.node_count = n;
+        self.pending_drops.resize(n, 0);
+        // Stride sampling: skipped rounds leave `pending_drops` undrained,
+        // so their drops accumulate into the next retained record.
         if round.value() % self.stride != 0 {
             return;
         }
         let occupancy = (0..n)
             .map(|v| state.occupancy(NodeId::new(v)) as u32)
             .collect();
-        let drops = (0..n)
-            .map(|v| {
-                let cum = state.drops_at(NodeId::new(v));
-                let delta = cum - self.seen_drops[v];
-                self.seen_drops[v] = cum;
-                delta as u32
-            })
+        let drops = self
+            .pending_drops
+            .iter_mut()
+            .map(|d| std::mem::take(d) as u32)
             .collect();
         self.trace.rounds.push(RoundRecord {
             round,

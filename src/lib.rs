@@ -114,9 +114,8 @@ pub mod telemetry {
 }
 
 pub use aqt_adversary::{
-    grid, patterns, shape, Admitter, Cadence, DestSpec, LowerBoundAdversary, LowerBoundError,
-    RandomAdversary, RandomPathSource, RandomTreeSource, ShapingSource, SourceSpec,
-    SourceSpecError,
+    grid, patterns, shape, Cadence, DestSpec, LowerBoundAdversary, LowerBoundError,
+    RandomAdversary, RandomSource, ShapingSource, SourceSpec, SourceSpecError,
 };
 pub use aqt_analysis::{
     bounds, capacity_threshold, render_figure1, run_grid, run_scenario, run_scenario_probed, sweep,

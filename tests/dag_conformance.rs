@@ -23,21 +23,22 @@
 
 use small_buffers::{
     Batched, CapacityConfig, Dag, DagGreedy, DestSpec, DirectedTree, DropPolicyKind, Greedy,
-    GreedyPolicy, NodeId, Path, Pattern, Protocol, RandomAdversary, Rate, Simulation, StagingMode,
+    GreedyPolicy, Path, Pattern, Protocol, RandomAdversary, Rate, Simulation, StagingMode,
     Topology, Tracer,
 };
 
 const N: usize = 12;
 const ROUNDS: u64 = 70;
 
-/// One full run: returns `(metrics JSON, trace JSON, per-node cumulative
-/// drops)` — the three artifacts the harness compares byte-for-byte.
+/// One full run: returns `(metrics JSON, trace JSON, drops)`. The harness
+/// compares the two JSON artifacts byte-for-byte (the metrics hold the
+/// per-node drops); the drop total guards against a vacuous matrix.
 fn run_artifacts<T, P>(
     topo: T,
     protocol: P,
     pattern: &Pattern,
     capacity: Option<(usize, StagingMode, DropPolicyKind)>,
-) -> (String, String, Vec<u64>)
+) -> (String, String, u64)
 where
     T: Topology,
     P: Protocol<T>,
@@ -52,10 +53,7 @@ where
     }
     let metrics = serde_json::to_string(sim.metrics()).expect("metrics serialize");
     let trace = serde_json::to_string(tracer.trace()).expect("trace serializes");
-    let drops: Vec<u64> = (0..sim.state().node_count())
-        .map(|v| sim.state().drops_at(NodeId::new(v)))
-        .collect();
-    (metrics, trace, drops)
+    (metrics, trace, sim.metrics().dropped)
 }
 
 /// The capacity axis of the matrix: unbounded, a tight cap (these
@@ -82,14 +80,10 @@ where
     let path = Path::new(N);
     let embedded = Dag::from(path);
     for capacity in capacity_axis() {
-        let (m_path, t_path, d_path) = run_artifacts(path, mk(), pattern, capacity);
-        let (m_dag, t_dag, d_dag) = run_artifacts(embedded.clone(), mk(), pattern, capacity);
+        let (m_path, t_path, _) = run_artifacts(path, mk(), pattern, capacity);
+        let (m_dag, t_dag, _) = run_artifacts(embedded.clone(), mk(), pattern, capacity);
         assert_eq!(m_path, m_dag, "{label}: metrics diverge under {capacity:?}");
         assert_eq!(t_path, t_dag, "{label}: trace diverges under {capacity:?}");
-        assert_eq!(
-            d_path, d_dag,
-            "{label}: drop counters diverge under {capacity:?}"
-        );
     }
 }
 
@@ -101,14 +95,10 @@ where
 {
     let embedded = Dag::from(tree);
     for capacity in capacity_axis() {
-        let (m_tree, t_tree, d_tree) = run_artifacts(tree.clone(), mk(), pattern, capacity);
-        let (m_dag, t_dag, d_dag) = run_artifacts(embedded.clone(), mk(), pattern, capacity);
+        let (m_tree, t_tree, _) = run_artifacts(tree.clone(), mk(), pattern, capacity);
+        let (m_dag, t_dag, _) = run_artifacts(embedded.clone(), mk(), pattern, capacity);
         assert_eq!(m_tree, m_dag, "{label}: metrics diverge under {capacity:?}");
         assert_eq!(t_tree, t_dag, "{label}: trace diverges under {capacity:?}");
-        assert_eq!(
-            d_tree, d_dag,
-            "{label}: drop counters diverge under {capacity:?}"
-        );
     }
 }
 
@@ -218,9 +208,9 @@ fn per_link_greedy_coincides_with_greedy_on_single_out_topologies() {
     let pattern = path_pattern(41);
     for policy in GreedyPolicy::ALL {
         for capacity in capacity_axis() {
-            let (m_classic, _, d_classic) =
+            let (m_classic, _, _) =
                 run_artifacts(Path::new(N), Greedy::new(policy), &pattern, capacity);
-            let (m_perlink, _, d_perlink) =
+            let (m_perlink, _, _) =
                 run_artifacts(Path::new(N), DagGreedy::new(policy), &pattern, capacity);
             assert_eq!(
                 m_classic,
@@ -228,7 +218,6 @@ fn per_link_greedy_coincides_with_greedy_on_single_out_topologies() {
                 "{} classic vs per-link diverge under {capacity:?}",
                 policy.label()
             );
-            assert_eq!(d_classic, d_perlink);
         }
     }
 }
@@ -248,10 +237,7 @@ fn tight_capacity_cells_really_drop() {
         metrics.contains("\"dropped\""),
         "metrics JSON shape changed"
     );
-    assert!(
-        drops.iter().sum::<u64>() > 0,
-        "cap-2 path cell never dropped"
-    );
+    assert!(drops > 0, "cap-2 path cell never dropped");
     let (tree, tree_pattern) = tree_workload(5);
     let (_, _, tree_drops) = run_artifacts(
         tree,
@@ -259,8 +245,5 @@ fn tight_capacity_cells_really_drop() {
         &tree_pattern,
         Some((2, StagingMode::Exempt, DropPolicyKind::Tail)),
     );
-    assert!(
-        tree_drops.iter().sum::<u64>() > 0,
-        "cap-2 tree cell never dropped"
-    );
+    assert!(tree_drops > 0, "cap-2 tree cell never dropped");
 }

@@ -7,9 +7,10 @@
 //! serialized JSON, so every counter — injected, delivered, dropped,
 //! peaks, latencies — participates), and the recorded hooks must follow
 //! the per-round order
-//! `Fault? Observe Phase(Inject) Phase(Plan) Move* Phase(Forward)
-//! Delivery* Phase(Merge) Round`, with one `Move` per forwarded packet and
-//! one `Delivery` per delivered one. The matrix spans the protocol
+//! `Drop* Fault? Observe Phase(Inject) Phase(Plan) Move* Phase(Forward)
+//! (Delivery | Drop)* Phase(Merge) Round`, with one `Move` per forwarded
+//! packet, one `Delivery` per delivered one and one `Drop` per dropped
+//! one; per node, the `Drop`s add up to `RunMetrics::per_node_drops`. The matrix spans the protocol
 //! adapters (`Batched`, tree/path adapters), the capacity pipeline (all
 //! four drop policies, both staging modes), both routing representations
 //! (computed grids and dense-table random DAGs), fault schedules and the
@@ -19,7 +20,7 @@ use small_buffers::model::{EnginePhase, Probe};
 use small_buffers::{
     run_scenario, run_scenario_probed, CapacityConfig, CapacitySpec, DropPolicyKind, FaultEvent,
     FaultSpec, FaultState, GreedyPolicy, Injection, NetworkState, NodeId, Packet, PacketId,
-    ProtocolSpec, Round, RoundOutcome, RunSummary, Scenario, ScenarioError, SourceSpec,
+    ProtocolSpec, Round, RoundOutcome, RunSummary, Scenario, ScenarioError, Simulation, SourceSpec,
     StagingMode, TelemetryProbe, TelemetryReport, TelemetrySpec, Topology, TopologySpec, TreeSpec,
 };
 
@@ -51,8 +52,33 @@ fn assert_probe_invariant(label: &str, scenario: &Scenario) -> RunSummary {
         .filter(|h| matches!(h, Hook::Delivery(..)))
         .count();
     assert_eq!(deliveries as u64, plain.delivered, "{label}: deliveries");
+    let per_node_drops = per_node_drops(scenario);
+    let mut hooked = vec![0u64; per_node_drops.len()];
+    for hook in &recorder.0 {
+        if let Hook::Drop(_, v) = hook {
+            hooked[v.index()] += 1;
+        }
+    }
+    assert_eq!(hooked, per_node_drops, "{label}: on_drop per node");
     assert!(plain.injected > 0, "{label}: vacuous cell");
     plain
+}
+
+/// `RunMetrics::per_node_drops` of `scenario`'s plain run, assembled from
+/// its built specs as `run_scenario` assembles it.
+fn per_node_drops(scenario: &Scenario) -> Vec<u64> {
+    let topology = scenario.topology.build().expect("topology builds");
+    let protocol = scenario.protocol.build(&topology).expect("protocol builds");
+    let source = scenario.source.build(&topology).expect("source builds");
+    let mut sim = Simulation::from_source(topology, protocol, source);
+    if let Some(cap) = &scenario.capacity {
+        sim = sim.with_capacity(cap.config.clone(), cap.policy);
+    }
+    if let Some(faults) = &scenario.faults {
+        sim = sim.with_faults(faults);
+    }
+    sim.run_past_horizon(scenario.extra).expect("valid run");
+    sim.metrics().per_node_drops.clone()
 }
 
 fn scenario(
@@ -549,6 +575,7 @@ fn the_probe_observes_without_perturbing() {
 /// One probe hook as the engine fired it: the round plus its payload.
 #[derive(Debug, Clone, PartialEq)]
 enum Hook {
+    Drop(Round, NodeId),
     Fault(Round),
     /// `active_count` at the `L^t` observation.
     Observe(Round, usize),
@@ -564,6 +591,10 @@ enum Hook {
 struct Recorder(Vec<Hook>);
 
 impl Probe for Recorder {
+    fn on_drop(&mut self, round: Round, node: NodeId) {
+        self.0.push(Hook::Drop(round, node));
+    }
+
     fn on_fault(&mut self, round: Round, _state: &FaultState) {
         self.0.push(Hook::Fault(round));
     }
@@ -590,16 +621,23 @@ impl Probe for Recorder {
 }
 
 /// Walks `log` round by round against the order `Probe` documents:
-/// `Fault? Observe Phase(Inject) Phase(Plan) Move* Phase(Forward)
-/// Delivery* Phase(Merge) Round`, every hook tagged with its round and
-/// the rounds numbered 0, 1, 2, … without gaps. A round's `Move`s must
-/// number its `forwarded`, and its `Delivery`s its `delivered`, in the
-/// order of the delivering moves. Returns how many rounds fired `Fault`.
+/// `Drop* Fault? Observe Phase(Inject) Phase(Plan) Move* Phase(Forward)
+/// (Delivery | Drop)* Phase(Merge) Round`, every hook tagged with its
+/// round and the rounds numbered 0, 1, 2, … without gaps. A round's
+/// `Move`s must number its `forwarded`, its `Delivery`s its `delivered`,
+/// in the order of the delivering moves, and its `Drop`s its `dropped`.
+/// Returns how many rounds fired `Fault`.
 fn assert_documented_order(label: &str, log: &[Hook]) -> usize {
     let mut hooks = log.iter().peekable();
     let mut fault_rounds = 0;
     let mut t = Round::ZERO;
     while hooks.peek().is_some() {
+        let mut drops = 0;
+        while let Some(Hook::Drop(r, _)) = hooks.peek() {
+            assert_eq!(*r, t, "{label}: a drop of round {r} fired in round {t}");
+            drops += 1;
+            hooks.next();
+        }
         if hooks.next_if_eq(&&Hook::Fault(t)).is_some() {
             fault_rounds += 1;
         }
@@ -628,9 +666,18 @@ fn assert_documented_order(label: &str, log: &[Hook]) -> usize {
             "{label}: {t}"
         );
         let mut delivered = Vec::new();
-        while let Some(Hook::Delivery(r, packet)) = hooks.peek() {
-            assert_eq!(*r, t, "{label}: a delivery of round {r} fired in round {t}");
-            delivered.push(*packet);
+        loop {
+            match hooks.peek() {
+                Some(Hook::Delivery(r, packet)) => {
+                    assert_eq!(*r, t, "{label}: a delivery of round {r} fired in round {t}");
+                    delivered.push(*packet);
+                }
+                Some(Hook::Drop(r, _)) => {
+                    assert_eq!(*r, t, "{label}: a drop of round {r} fired in round {t}");
+                    drops += 1;
+                }
+                _ => break,
+            }
             hooks.next();
         }
         assert_eq!(delivered, delivering, "{label}: {t}: deliveries vs moves");
@@ -648,6 +695,7 @@ fn assert_documented_order(label: &str, log: &[Hook]) -> usize {
                     delivered.len(),
                     "{label}: {t}: deliveries vs delivered"
                 );
+                assert_eq!(outcome.dropped, drops, "{label}: {t}: drops vs dropped");
             }
             other => panic!("{label}: round {t} closes with {other:?}, not Round"),
         }

@@ -63,6 +63,9 @@ proptest! {
         prop_assert_eq!(shaped.len(), injs.len(), "shaping must not drop packets");
         let tight = analyze(&topo, &shaped, Rate::ONE).tight_sigma;
         prop_assert!(tight <= sigma);
+        // The shaper admits through the tracker `analyze` measures with;
+        // the brute force shares no code with it.
+        prop_assert!(brute_force_tight_sigma(&topo, &shaped, Rate::ONE) <= sigma);
     }
 
     /// Prop. 3.2 end-to-end on arbitrary shaped traffic: shape to (1, σ),

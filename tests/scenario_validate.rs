@@ -5,6 +5,10 @@
 //! all without executing a single round. The run path never panics on
 //! that corpus either.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
+
 use small_buffers::{run_scenario, Scenario, ScenarioError, ScenarioGrid, TopologySpecError};
 
 fn read(rel: &str) -> String {
@@ -297,10 +301,21 @@ fn the_run_path_never_panics_on_the_invalid_corpus() {
     for name in files {
         let text = read(&format!("invalid/{name}"));
         // A parse error, a named ScenarioError or Ok are all fine; a
-        // panic is not.
-        let run = || serde_json::from_str::<Scenario>(&text).map(|s| run_scenario(&s));
-        if std::panic::catch_unwind(run).is_err() {
-            panic!("parsing or running invalid/{name} panicked");
+        // panic is not, and neither is a run past the 60 s that CI's
+        // corpus loop grants each file. One file runs at a time, on a
+        // thread of its own, so a stalled run fails here and names it.
+        let (done, finished) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            let _ = serde_json::from_str::<Scenario>(&text).map(|s| run_scenario(&s));
+            let _ = done.send(());
+        });
+        // A panic drops `done`, which ends the wait at once.
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+            panic!("parsing or running invalid/{name} ran past 60 s");
         }
+        assert!(
+            worker.join().is_ok(),
+            "parsing or running invalid/{name} panicked"
+        );
     }
 }

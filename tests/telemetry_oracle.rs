@@ -6,9 +6,11 @@
 //! reference probes below are deliberately naive: they visit every node
 //! `0..node_count()` every round, one `HistogramSketch::record` per node,
 //! and the reference quiescence check groups each buffer by destination
-//! through `NetworkState::by_destination`. Each runs beside its library
+//! in a fresh `BTreeMap`. Each runs beside its library
 //! counterpart in the same run, fed the same hooks, and the two must
 //! agree exactly.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use small_buffers::model::{EnginePhase, Probe};
@@ -105,10 +107,11 @@ impl Probe for RefMonitors {
             });
         }
         self.quiet = (0..state.node_count()).all(|v| {
-            state
-                .by_destination(NodeId::new(v))
-                .values()
-                .all(|packets| packets.len() <= 1)
+            let mut per_dest: BTreeMap<NodeId, usize> = BTreeMap::new();
+            for sp in state.buffer(NodeId::new(v)) {
+                *per_dest.entry(sp.dest()).or_insert(0) += 1;
+            }
+            per_dest.values().all(|&packets| packets <= 1)
         });
     }
 
