@@ -11,7 +11,7 @@
 //! into a [`Pattern`] — so a streamed run and a pattern run see the exact
 //! same schedule.
 
-use aqt_model::{FnSource, Injection, InjectionSource, NodeId, Pattern, Rate, Round};
+use aqt_model::{FnSource, Injection, InjectionSource, Pattern, Rate, Round};
 
 /// A single burst: `size` packets injected at `round`, all `source → dest`.
 ///
@@ -233,11 +233,6 @@ pub fn peak_chase_source(n: usize, rate: Rate, sigma: u64, rounds: u64) -> impl 
     })
 }
 
-/// Converts destination indices to [`NodeId`]s (convenience for tests).
-pub fn node_ids(indices: &[usize]) -> Vec<NodeId> {
-    indices.iter().map(|&i| NodeId::new(i)).collect()
-}
-
 /// The highest injection round of a pattern plus one (0 for empty), i.e.
 /// the number of rounds the adversary is active.
 pub fn active_rounds(pattern: &Pattern) -> u64 {
@@ -250,7 +245,7 @@ pub fn active_rounds(pattern: &Pattern) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqt_model::{analyze, Path};
+    use aqt_model::{analyze, NodeId, Path};
 
     #[test]
     #[should_panic(expected = "(count - 1) * period + 1 overflows u64")]

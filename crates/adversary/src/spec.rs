@@ -852,7 +852,7 @@ mod tests {
     }
 
     fn roundtrip(spec: &SourceSpec) -> SourceSpec {
-        SourceSpec::from_value(&spec.to_value()).expect("roundtrip")
+        serde_json::from_str(&serde_json::to_string(spec).unwrap()).expect("roundtrip")
     }
 
     #[test]
@@ -1367,14 +1367,9 @@ mod tests {
 
     #[test]
     fn random_spec_defaults_apply_on_missing_fields() {
-        let v = serde::Value::Object(vec![
-            ("kind".into(), serde::Value::Str("random".into())),
-            ("rate".into(), Rate::ONE.to_value()),
-            ("sigma".into(), 2u64.to_value()),
-            ("rounds".into(), 10u64.to_value()),
-            ("seed".into(), 3u64.to_value()),
-        ]);
-        let spec = SourceSpec::from_value(&v).unwrap();
+        let json = r#"{"kind": "random", "rate": {"num": 1, "den": 1},
+                       "sigma": 2, "rounds": 10, "seed": 3}"#;
+        let spec: SourceSpec = serde_json::from_str(json).unwrap();
         assert_eq!(
             spec,
             SourceSpec::Random {

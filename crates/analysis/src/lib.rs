@@ -23,8 +23,11 @@
 //!   grid of independent runs across cores and merges deterministically
 //!   (equal to [`sweep::serial`] for pure functions);
 //! * [`capacity_threshold`] — finite-buffer experiments: binary-search
-//!   the smallest zero-drop capacity under any
-//!   [`DropPolicyKind`](aqt_model::DropPolicyKind);
+//!   the smallest zero-drop uniform capacity of a [`Scenario`] under any
+//!   [`DropPolicyKind`](aqt_model::DropPolicyKind), every probe a
+//!   [`run_scenario`] of it, so a threshold row replays from its spec and
+//!   compares with the `zero_drop_capacity` [`Scenario::validate`]
+//!   predicts;
 //! * [`Table`] / [`Verdict`] — bound-vs-measured table rendering (ASCII +
 //!   CSV);
 //! * [`render_figure1`] — the paper's Figure 1 as ASCII art.
@@ -72,5 +75,5 @@ pub use scenario::{
     ScenarioGrid,
 };
 pub use sweep::RunSummary;
-pub use threshold::{capacity_threshold, CapacityProbe, CapacityThreshold};
+pub use threshold::{capacity_threshold, CapacityThreshold};
 pub use validate::{Prediction, StaticReport};

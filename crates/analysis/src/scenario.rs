@@ -34,8 +34,8 @@ use std::fmt;
 use aqt_adversary::{SourceSpec, SourceSpecError};
 use aqt_core::{ProtocolSpec, ProtocolSpecError};
 use aqt_model::{
-    CapacityConfig, DropPolicyKind, FaultSpec, ModelError, Probe, Simulation, Topology,
-    TopologySpec, TopologySpecError,
+    CapacityConfig, DropPolicyKind, FaultSpec, ModelError, Probe, Simulation, StagingMode,
+    Topology, TopologySpec, TopologySpecError,
 };
 use aqt_telemetry::TelemetrySpec;
 use serde::{Deserialize, Serialize};
@@ -51,6 +51,21 @@ pub struct CapacitySpec {
     pub config: CapacityConfig,
     /// Which packet loses when a buffer overflows.
     pub policy: DropPolicyKind,
+}
+
+impl CapacitySpec {
+    /// Every buffer holds at most `capacity` packets, `policy` resolves
+    /// overflow, and `staging` decides whether staged packets count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`, as [`CapacityConfig::uniform`] does.
+    pub fn uniform(capacity: usize, policy: DropPolicyKind, staging: StagingMode) -> Self {
+        CapacitySpec {
+            config: CapacityConfig::uniform(capacity).staging(staging),
+            policy,
+        }
+    }
 }
 
 /// A complete, serializable description of one run.
@@ -110,6 +125,27 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The unnamed, unbounded, fault-free scenario of `source` against
+    /// `protocol` on `topology`, run `extra` rounds past the source
+    /// horizon.
+    pub fn new(
+        topology: TopologySpec,
+        protocol: ProtocolSpec,
+        source: SourceSpec,
+        extra: u64,
+    ) -> Self {
+        Scenario {
+            name: None,
+            topology,
+            protocol,
+            source,
+            extra,
+            capacity: None,
+            telemetry: None,
+            faults: None,
+        }
+    }
+
     /// The display name, falling back to a `protocol kind @ topology
     /// kind` synthesis.
     pub fn display_name(&self) -> String {
@@ -405,8 +441,8 @@ mod tests {
                     until: Some(4),
                 }),
         );
-        let v = scenario.to_value();
-        assert_eq!(Scenario::from_value(&v).unwrap(), scenario);
+        let json = serde_json::to_string(&scenario).unwrap();
+        assert_eq!(serde_json::from_str::<Scenario>(&json).unwrap(), scenario);
     }
 
     #[test]
@@ -494,8 +530,8 @@ mod tests {
             ],
             extra: 20,
         };
-        let v = grid.to_value();
-        assert_eq!(ScenarioGrid::from_value(&v).unwrap(), grid);
+        let json = serde_json::to_string(&grid).unwrap();
+        assert_eq!(serde_json::from_str::<ScenarioGrid>(&json).unwrap(), grid);
         assert_eq!(grid.len(), 2);
         let results = run_grid(&grid);
         assert_eq!(results.len(), 2);

@@ -10,12 +10,12 @@
 //! * **E8** prints the paper's Figure 1.
 
 use aqt_adversary::{Cadence, DestSpec};
-use aqt_analysis::{render_figure1, run_scenario, Table, Verdict};
+use aqt_analysis::{render_figure1, run_scenario, Scenario, Table, Verdict};
 use aqt_core::badness::max_badness_hpts;
 use aqt_core::{Hierarchy, Hpts, ProtocolSpec};
 use aqt_model::{Rate, TopologySpec};
 
-use crate::row::{peak_bound, random, scenario, sigma_star, simulate_on_path};
+use crate::row::{peak_bound, random, sigma_star, simulate_on_path};
 
 /// A1 — HPTS with and without the pre-bad cascade.
 ///
@@ -54,14 +54,14 @@ pub fn a1_prebad(quick: bool) -> Vec<Table> {
             Cadence::Bursty { period: 8 },
             3,
         );
-        let plain = scenario(
+        let plain = Scenario::new(
             TopologySpec::Path { n },
             ProtocolSpec::Hpts { levels: l },
             source,
             300,
         );
         let report = plain.validate().expect("valid scenario");
-        let bound = peak_bound(&report);
+        let bound = peak_bound(&report).expect("a paper bound");
         for (label, hpts) in [
             ("full", Hpts::for_line(n, l).expect("fits")),
             (
@@ -135,7 +135,7 @@ pub fn a2_eager(quick: bool) -> Vec<Table> {
         (ppts(true), &multi),
     ] {
         let path = TopologySpec::Path { n };
-        let run = run_scenario(&scenario(path, protocol, source.clone(), 400));
+        let run = run_scenario(&Scenario::new(path, protocol, source.clone(), 400));
         let summary = run.expect("valid run");
         table.push_row([
             summary.protocol.clone(),

@@ -10,9 +10,11 @@
 //!   **shaped** adversaries ([`ShapingSource`]): goodput must climb with
 //!   capacity and plateau once capacity crosses the workload's space
 //!   threshold.
-//! * **E11b** — per protocol, [`capacity_threshold`] binary-searches the
-//!   smallest zero-drop capacity on a stress pattern and compares it with
-//!   the closed-form bound: `threshold ≤ bound` always (else the paper's
+//! * **E11b** — per protocol, a stress workload on a path is a
+//!   [`Scenario`]: [`capacity_threshold`] binary-searches its smallest
+//!   zero-drop capacity, and [`Scenario::validate`] states its ρ, σ* and
+//!   closed-form bound, the same numbers `scenarios check` prints.
+//!   `threshold ≤ bound` always (else the paper's
 //!   claim — or this reproduction — is wrong), with equality when the
 //!   bound is empirically tight. For PTS the [`pts_two_wave`] stress is
 //!   *exactly* tight: capacity `2 + σ` records zero drops and capacity
@@ -22,16 +24,14 @@
 //!   table prints the gap, zero drops at the bound, and the losses just
 //!   below the measured threshold.
 
-use aqt_adversary::{patterns, Cadence, RandomAdversary, SourceSpec};
+use aqt_adversary::{patterns, Cadence, DestSpec, SourceSpec};
 use aqt_analysis::{
-    bounds, capacity_threshold, run_scenario, sweep, CapacitySpec, CapacityThreshold, Scenario,
-    Table,
+    capacity_threshold, run_scenario, sweep, CapacitySpec, CapacityThreshold, Scenario, Table,
 };
-use aqt_core::{Greedy, GreedyPolicy, Hpts, Ppts, ProtocolSpec, Pts};
-use aqt_model::{
-    analyze, CapacityConfig, DropPolicyKind, Injection, NodeId, Path, Pattern, PatternSource,
-    Protocol, Rate, StagingMode, TopologySpec,
-};
+use aqt_core::{GreedyPolicy, ProtocolSpec};
+use aqt_model::{DropPolicyKind, Injection, Pattern, Rate, StagingMode, TopologySpec};
+
+use crate::row::{peak_bound, random, sigma_star};
 
 /// Settle time after the adversary stops.
 const EXTRA: u64 = 200;
@@ -136,10 +136,11 @@ pub fn e11a_scenario(
             sigma,
         },
         extra: EXTRA,
-        capacity: Some(CapacitySpec {
-            config: CapacityConfig::uniform(capacity),
-            policy: DropPolicyKind::Tail,
-        }),
+        capacity: Some(CapacitySpec::uniform(
+            capacity,
+            DropPolicyKind::Tail,
+            StagingMode::Exempt,
+        )),
         telemetry: None,
         faults: None,
     }
@@ -227,14 +228,17 @@ fn e11a_goodput(quick: bool) -> Table {
     table
 }
 
-/// One E11b row: a zero-drop threshold search and the closed-form bound it
-/// is compared against. Public so the golden regression suite
-/// (`tests/e11_golden.rs`) can pin the measured table.
+/// One E11b row: a zero-drop threshold search on a scenario and the
+/// closed-form bound [`Scenario::validate`] predicts for it. Public so the
+/// golden regression suite (`tests/e11_golden.rs`) can pin the measured
+/// table.
 pub struct ThresholdRow {
-    /// Protocol name.
+    /// Protocol label.
     pub protocol: String,
     /// Short workload label.
     pub workload: &'static str,
+    /// The searched run, as data: it replays at any capacity.
+    pub scenario: Scenario,
     /// Injection rate of the workload.
     pub rho: Rate,
     /// Measured tight σ of the workload.
@@ -246,6 +250,34 @@ pub struct ThresholdRow {
 }
 
 impl ThresholdRow {
+    /// Validates the unbounded scenario of `source` against `protocol` on
+    /// an `n`-node path and searches its drop-tail threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario is invalid: every table row is.
+    fn new(
+        label: String,
+        workload: &'static str,
+        n: usize,
+        protocol: ProtocolSpec,
+        source: SourceSpec,
+    ) -> ThresholdRow {
+        let scenario = Scenario::new(TopologySpec::Path { n }, protocol, source, EXTRA);
+        let report = scenario.validate().expect("valid scenario");
+        let search = capacity_threshold(&scenario, DropPolicyKind::Tail, StagingMode::Exempt)
+            .expect("valid search");
+        ThresholdRow {
+            protocol: label,
+            workload,
+            scenario,
+            rho: report.bound.expect("a bounded source"),
+            sigma_star: sigma_star(&report),
+            bound: peak_bound(&report),
+            search,
+        }
+    }
+
     fn verdict(&self) -> String {
         match self.bound {
             None => "n/a".into(),
@@ -267,117 +299,63 @@ impl ThresholdRow {
 /// and the golden regression suite that pins the measured values.
 pub fn e11b_rows(quick: bool) -> Vec<ThresholdRow> {
     let n = 16usize;
-    let mut rows = Vec::new();
-
-    // PTS on the exactly-tight two-wave stress: threshold == 2 + σ.
-    {
-        let sigma = 4u64;
-        let pattern = pts_two_wave(n, n / 2, sigma);
-        let rho = Rate::ONE;
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let search = capacity_threshold(
-            &Path::new(n),
-            || Pts::new(NodeId::new(n - 1)),
-            || PatternSource::new(&pattern),
-            DropPolicyKind::Tail,
-            StagingMode::Exempt,
-            EXTRA,
-        )
-        .expect("valid search");
-        rows.push(ThresholdRow {
-            protocol: Pts::new(NodeId::new(n - 1)).name(),
-            workload: "two-wave burst",
-            rho,
-            sigma_star,
-            bound: Some(bounds::pts_bound(sigma_star)),
-            search,
-        });
-    }
-
-    // PPTS on the staircase stress (d pseudo-buffers fill in parallel).
-    {
-        let rho = Rate::ONE;
-        let dests = patterns::even_destinations(n, 3);
-        let pattern = patterns::staircase(&dests, 3, 2);
-        let d = pattern.destinations().len();
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let search = capacity_threshold(
-            &Path::new(n),
-            Ppts::new,
-            || PatternSource::new(&pattern),
-            DropPolicyKind::Tail,
-            StagingMode::Exempt,
-            EXTRA,
-        )
-        .expect("valid search");
-        rows.push(ThresholdRow {
-            protocol: "PPTS".into(),
-            workload: "staircase",
-            rho,
-            sigma_star,
-            bound: Some(bounds::ppts_bound(d, sigma_star)),
-            search,
-        });
-    }
-
-    // HPTS (ℓ = 2) on a bursty bounded adversary.
-    {
-        let l = 2u32;
-        let rho = Rate::one_over(l).expect("valid rate");
-        let rounds = if quick { 200 } else { 600 };
-        let pattern = RandomAdversary::new(rho, 4, rounds)
-            .cadence(Cadence::Bursty { period: 8 })
-            .seed(0)
-            .build_path(&Path::new(n));
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let hpts = Hpts::for_line(n, l).expect("geometry fits");
-        let m = hpts.hierarchy().base();
-        let search = capacity_threshold(
-            &Path::new(n),
-            || Hpts::for_line(n, l).expect("geometry fits"),
-            || PatternSource::new(&pattern),
-            DropPolicyKind::Tail,
-            StagingMode::Exempt,
-            EXTRA,
-        )
-        .expect("valid search");
-        rows.push(ThresholdRow {
-            protocol: format!("HPTS(l={l})"),
-            workload: "bursty random",
-            rho,
-            sigma_star,
-            bound: Some(bounds::hpts_bound(l, m, sigma_star)),
-            search,
-        });
-    }
-
-    // Greedy FIFO baseline: no paper bound, threshold reported as-is.
-    {
-        let rho = Rate::ONE;
-        let dests = patterns::even_destinations(n, 4);
-        let rounds = if quick { 100 } else { 300 };
-        let pattern = patterns::round_robin(&dests, rho, rounds);
-        let sigma_star = analyze(&Path::new(n), &pattern, rho).tight_sigma;
-        let search = capacity_threshold(
-            &Path::new(n),
-            || Greedy::new(GreedyPolicy::Fifo),
-            || PatternSource::new(&pattern),
-            DropPolicyKind::Tail,
-            StagingMode::Exempt,
-            EXTRA,
-        )
-        .expect("valid search");
-        rows.push(ThresholdRow {
-            protocol: "Greedy-FIFO".into(),
-            workload: "round-robin",
-            rho,
-            sigma_star,
-            bound: None,
-            search,
-        });
-    }
-
-    rows
+    let (random_rounds, round_robin_rounds) = if quick { (200, 100) } else { (600, 300) };
+    vec![
+        // PTS on the exactly-tight two-wave stress: threshold == 2 + σ.
+        ThresholdRow::new(
+            format!("PTS(w=v{})", n - 1),
+            "two-wave burst",
+            n,
+            ProtocolSpec::Pts {
+                dest: None,
+                eager: false,
+            },
+            SourceSpec::Pattern {
+                injections: pts_two_wave(n, n / 2, 4).into_injections(),
+            },
+        ),
+        // PPTS on the staircase stress (d pseudo-buffers fill in parallel).
+        ThresholdRow::new(
+            "PPTS".into(),
+            "staircase",
+            n,
+            ProtocolSpec::Ppts { eager: false },
+            SourceSpec::Staircase {
+                dests: patterns::even_destinations(n, 3),
+                per_step: 3,
+                gap: 2,
+            },
+        ),
+        // HPTS (ℓ = 2) on a bursty bounded adversary.
+        ThresholdRow::new(
+            "HPTS(l=2)".into(),
+            "bursty random",
+            n,
+            ProtocolSpec::Hpts { levels: 2 },
+            random(
+                Rate::one_over(2).expect("valid rate"),
+                4,
+                random_rounds,
+                DestSpec::AnyReachable,
+                Cadence::Bursty { period: 8 },
+                0,
+            ),
+        ),
+        // Greedy FIFO baseline: no paper bound, threshold reported as-is.
+        ThresholdRow::new(
+            "Greedy-FIFO".into(),
+            "round-robin",
+            n,
+            ProtocolSpec::Greedy {
+                policy: GreedyPolicy::Fifo,
+            },
+            SourceSpec::RoundRobin {
+                dests: patterns::even_destinations(n, 4),
+                rate: Rate::ONE,
+                rounds: round_robin_rounds,
+            },
+        ),
+    ]
 }
 
 /// E11b — closed-form bound vs empirically found zero-drop capacity.
@@ -428,15 +406,35 @@ pub fn e11_capacity(quick: bool) -> Vec<Table> {
 mod tests {
     use super::*;
     use aqt_adversary::ShapingSource;
-    use aqt_model::{FnSource, Simulation};
+    use aqt_core::{Greedy, Hpts, Ppts, Pts};
+    use aqt_model::{CapacityConfig, FnSource, NodeId, Path, Protocol, Simulation};
 
-    /// Runs `protocol` against `pattern` at a uniform capacity and
-    /// returns the drop count.
-    fn drops_at<P: Protocol<Path>>(n: usize, protocol: P, pattern: &Pattern, cap: usize) -> u64 {
-        let mut sim = Simulation::from_source(Path::new(n), protocol, PatternSource::new(pattern))
-            .with_capacity(CapacityConfig::uniform(cap), DropPolicyKind::Tail);
-        sim.run_past_horizon(EXTRA).expect("valid run");
-        sim.metrics().dropped
+    /// Runs `scenario` at a uniform drop-tail capacity and returns the
+    /// drop count.
+    fn drops_at(scenario: &Scenario, cap: usize) -> u64 {
+        let mut run = scenario.clone();
+        run.capacity = Some(CapacitySpec::uniform(
+            cap,
+            DropPolicyKind::Tail,
+            StagingMode::Exempt,
+        ));
+        run_scenario(&run).expect("valid run").dropped
+    }
+
+    /// PTS against the [`pts_two_wave`] stress at `site` on an `n`-node
+    /// path, as E11b runs it.
+    fn two_wave(n: usize, site: usize, sigma: u64) -> Scenario {
+        Scenario::new(
+            TopologySpec::Path { n },
+            ProtocolSpec::Pts {
+                dest: None,
+                eager: false,
+            },
+            SourceSpec::Pattern {
+                injections: pts_two_wave(n, site, sigma).into_injections(),
+            },
+            EXTRA,
+        )
     }
 
     #[test]
@@ -478,17 +476,23 @@ mod tests {
         // on the stress pattern, capacity ⌈2 + σ⌉ − 1 records losses.
         let n = 16usize;
         let sigma = 4u64;
-        let pattern = pts_two_wave(n, n / 2, sigma);
-        let sigma_star = analyze(&Path::new(n), &pattern, Rate::ONE).tight_sigma;
-        assert_eq!(sigma_star, sigma, "two-wave is tight by construction");
-        let bound = bounds::pts_bound(sigma_star) as usize;
+        let stress = two_wave(n, n / 2, sigma);
+        let report = stress.validate().unwrap();
         assert_eq!(
-            drops_at(n, Pts::new(NodeId::new(n - 1)), &pattern, bound),
+            sigma_star(&report),
+            sigma,
+            "two-wave is tight by construction"
+        );
+        let bound = peak_bound(&report).unwrap();
+        assert_eq!(bound, 2 + sigma, "Prop 3.1");
+        let bound = bound as usize;
+        assert_eq!(
+            drops_at(&stress, bound),
             0,
             "capacity 2 + sigma must be loss-free (Prop 3.1)"
         );
         assert!(
-            drops_at(n, Pts::new(NodeId::new(n - 1)), &pattern, bound - 1) > 0,
+            drops_at(&stress, bound - 1) > 0,
             "capacity 2 + sigma - 1 must lose packets"
         );
     }
@@ -514,17 +518,28 @@ mod tests {
             "one below the measured threshold must lose packets"
         );
         // Re-run at exactly the closed-form bound: zero drops.
-        let n = 16usize;
-        let rho = Rate::new(1, 2).unwrap();
-        let pattern = RandomAdversary::new(rho, 4, 200)
-            .cadence(Cadence::Bursty { period: 8 })
-            .seed(0)
-            .build_path(&Path::new(n));
         assert_eq!(
-            drops_at(n, Hpts::for_line(n, 2).unwrap(), &pattern, bound as usize),
+            drops_at(&hpts.scenario, bound as usize),
             0,
             "capacity at the Thm 4.1 bound must be loss-free"
         );
+    }
+
+    #[test]
+    fn threshold_rows_replay_from_json() {
+        // A row's scenario is its whole run: read back from JSON, it
+        // drops nothing at the threshold and exactly the table's
+        // `drops@c-1` one below.
+        for row in e11b_rows(true) {
+            let json = serde_json::to_string(&row.scenario).unwrap();
+            let replay: Scenario = serde_json::from_str(&json).unwrap();
+            assert_eq!(replay, row.scenario, "{}", row.protocol);
+            let threshold = row.search.threshold;
+            assert_eq!(drops_at(&replay, threshold), 0, "{}", row.protocol);
+            if let Some(drops) = row.search.drops_below {
+                assert_eq!(drops_at(&replay, threshold - 1), drops, "{}", row.protocol);
+            }
+        }
     }
 
     #[test]
@@ -556,6 +571,7 @@ mod tests {
         let p = pts_two_wave(8, 3, 2);
         p.validate(&Path::new(8)).unwrap();
         assert_eq!(p.len(), 4); // 1 + (σ + 1)
-        assert_eq!(analyze(&Path::new(8), &p, Rate::ONE).tight_sigma, 2);
+        let report = two_wave(8, 3, 2).validate().unwrap();
+        assert_eq!(sigma_star(&report), 2);
     }
 }

@@ -16,14 +16,17 @@
 //!   (ρ = 1, σ = 2)-bounded stream by the leaky-bucket shaper.
 //!
 //! **E12b** closes the loop with the threshold machinery: for each mesh,
-//! the smallest zero-drop capacity under the diagonal wave equals the
-//! unbounded run's peak — the same falsifiable-threshold contract E11
-//! established on paths, now on DAGs.
+//! the smallest zero-drop capacity of the diagonal-wave [`e12_scenario`]
+//! equals the unbounded run's peak — the same falsifiable-threshold
+//! contract E11 established on paths, now on DAGs — and the
+//! `zero_drop_capacity` that [`Scenario::validate`] predicts for it.
 
-use aqt_adversary::{grid as gridpat, SourceSpec};
-use aqt_analysis::{capacity_threshold, run_grid, sweep, Scenario, ScenarioGrid, Table};
-use aqt_core::{DagGreedy, GreedyPolicy, ProtocolSpec};
-use aqt_model::{Dag, DropPolicyKind, PatternSource, Rate, StagingMode, TopologySpec};
+use aqt_adversary::SourceSpec;
+use aqt_analysis::{
+    capacity_threshold, run_grid, sweep, CapacityThreshold, Scenario, ScenarioGrid, Table,
+};
+use aqt_core::{GreedyPolicy, ProtocolSpec};
+use aqt_model::{DropPolicyKind, Rate, StagingMode, TopologySpec};
 
 /// Settle time after the adversary stops.
 const EXTRA: u64 = 100;
@@ -38,10 +41,6 @@ pub fn e12_shapes(quick: bool) -> Vec<(usize, usize)> {
         vec![(4, 4), (4, 8), (8, 8), (8, 16), (16, 16), (16, 32)]
     }
 }
-
-/// All rows flooded right + all columns flooded down at rate 1 — the E12
-/// "floods" load, shared with the shaper's wish stream.
-pub use aqt_adversary::grid::all_floods_source;
 
 /// The three canonical E12 grid loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,23 +156,22 @@ fn e12a_peaks(quick: bool) -> Table {
     table
 }
 
+/// The E12b search: the diag-wave [`e12_scenario`] on a `rows × cols`
+/// mesh, drop-tail with exempt staging.
+fn e12b_threshold(rows: usize, cols: usize) -> CapacityThreshold {
+    capacity_threshold(
+        &e12_scenario(rows, cols, GridLoad::Diag, 0),
+        DropPolicyKind::Tail,
+        StagingMode::Exempt,
+    )
+    .expect("valid threshold search")
+}
+
 /// E12b — zero-drop capacity threshold on meshes (diag wave, drop-tail):
 /// the threshold must equal the unbounded run's peak, as on paths.
 fn e12b_thresholds(quick: bool) -> Table {
     let shapes = e12_shapes(quick);
-    let rows_out = sweep::parallel(&shapes, |&(rows, cols)| {
-        let mesh = Dag::grid(rows, cols);
-        let pattern = gridpat::diagonal_wave(rows, cols, 1, 1);
-        capacity_threshold(
-            &mesh,
-            DagGreedy::fifo,
-            || PatternSource::new(&pattern),
-            DropPolicyKind::Tail,
-            StagingMode::Exempt,
-            EXTRA,
-        )
-        .expect("valid threshold search")
-    });
+    let rows_out = sweep::parallel(&shapes, |&(rows, cols)| e12b_threshold(rows, cols));
     let mut table = Table::new(
         "E12b - zero-drop capacity threshold on meshes (diag wave, drop-tail)",
         ["grid", "threshold", "unbounded peak", "drops@c-1", "probes"],
@@ -203,8 +201,10 @@ pub fn e12_grid(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqt_adversary::grid::{self as gridpat, all_floods_source};
     use aqt_analysis::run_scenario;
-    use aqt_model::{Protocol, Simulation};
+    use aqt_core::DagGreedy;
+    use aqt_model::{Dag, PatternSource, Protocol, Simulation};
 
     /// One E12a measurement through the declarative scenario layer.
     fn peak_for(rows: usize, cols: usize, load: GridLoad, rounds: u64) -> usize {
@@ -225,6 +225,27 @@ mod tests {
             );
         }
         assert!(e12_shapes(true).len() >= 3, "need at least 3 grid shapes");
+    }
+
+    #[test]
+    fn e12b_thresholds_equal_the_predicted_zero_drop_capacity() {
+        // Scenario::validate predicts the diag wave's peak exactly, and
+        // under exempt staging the peak is the zero-drop capacity: the
+        // search must measure that number on every quick shape.
+        for (rows, cols) in e12_shapes(true) {
+            let report = e12_scenario(rows, cols, GridLoad::Diag, 0)
+                .validate()
+                .unwrap();
+            let predicted = report
+                .prediction("zero_drop_capacity")
+                .expect("a diag-wave prediction");
+            assert!(predicted.exact, "{rows}x{cols}");
+            assert_eq!(
+                e12b_threshold(rows, cols).threshold as u64,
+                predicted.value,
+                "{rows}x{cols}"
+            );
+        }
     }
 
     #[test]

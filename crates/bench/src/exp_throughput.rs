@@ -20,7 +20,9 @@
 
 use std::time::Instant;
 
-use aqt_adversary::{patterns, DestSpec, LowerBoundAdversary, RandomAdversary};
+use aqt_adversary::{
+    grid::all_floods_source, patterns, DestSpec, LowerBoundAdversary, RandomAdversary,
+};
 use aqt_analysis::{sweep, Table};
 use aqt_core::{DagGreedy, Greedy, GreedyPolicy, Hpts, HptsD, Ppts, TreePpts};
 use aqt_model::{
@@ -29,7 +31,6 @@ use aqt_model::{
 };
 
 use crate::engine_bench::{render_runs, time_run, EngineRun};
-use crate::exp_grid::all_floods_source;
 
 /// Disjoint-pairs stream on an `n`-node path (`n` even): every round, one
 /// packet `2i → 2i+1` for each of the `n/2` pairs. Each buffer `2i` sees

@@ -7,11 +7,11 @@
 //! rate shrinks by O(log α) with near-flat buffers (HPTS).
 
 use aqt_adversary::{patterns, Cadence, DestSpec, SourceSpec};
-use aqt_analysis::{Table, Verdict};
+use aqt_analysis::{Scenario, Table, Verdict};
 use aqt_core::{Hierarchy, HptsD, ProtocolSpec};
 use aqt_model::{Rate, TopologySpec};
 
-use crate::row::{random, scenario, sigma_star, simulate_on_path, Row};
+use crate::row::{random, sigma_star, simulate_on_path, Row};
 
 /// E6 — fixed n, sweep k = ⌊1/ρ⌋: measured HPTS space vs `k·n^{1/k}+σ+1`.
 pub fn e6_tradeoff(quick: bool) -> Vec<Table> {
@@ -135,7 +135,7 @@ pub fn e7_alpha(quick: bool) -> Vec<Table> {
         let dests = patterns::even_destinations(n, d);
         let l = 2u32;
         let rho = Rate::one_over(l).expect("valid rate");
-        let slow = scenario(
+        let slow = Scenario::new(
             TopologySpec::Path { n },
             ProtocolSpec::Hpts { levels: l },
             round_robin(&dests, rho, rounds * u64::from(l)),

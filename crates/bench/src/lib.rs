@@ -27,9 +27,11 @@
 //!
 //! [`EXPERIMENTS`] is the one table of ids, claims and runners that
 //! `experiments` lists and dispatches on. The theorem tables (E1–E4, E6,
-//! E7, A1, A2) build each row as a [`Scenario`](aqt_analysis::Scenario)
-//! and print the σ* and bound of its
-//! [`Scenario::validate`](aqt_analysis::Scenario::validate) report.
+//! E7, A1, A2) and E11b's threshold table build each row as a
+//! [`Scenario`](aqt_analysis::Scenario) and print the σ* and bound of its
+//! [`Scenario::validate`](aqt_analysis::Scenario::validate) report; E11b
+//! and E12b search their rows' scenarios with
+//! [`capacity_threshold`](aqt_analysis::capacity_threshold).
 //!
 //! Run all of them with `cargo run -p aqt-bench --release --bin
 //! experiments`. The engine experiments (E10, E13, E14, E16) also return
@@ -65,9 +67,7 @@ pub use exp_capacity::{
 pub use exp_faults::{
     dead_links, e15_cells, e15_dead_link_counts, e15_faults, e15_rows, render_e15, FaultRow,
 };
-pub use exp_grid::{
-    all_floods_source, e12_grid, e12_scenario, e12_shapes, e12a_sweep_grid, GridLoad,
-};
+pub use exp_grid::{e12_grid, e12_scenario, e12_shapes, e12a_sweep_grid, GridLoad};
 pub use exp_locality::e9_locality;
 pub use exp_lower::e5_duel;
 pub use exp_mesh::{e13_instances, e13_mesh, measure_mesh, wave_source};

@@ -4,8 +4,9 @@
 //! and [`Scenario::validate`] states what the paper predicts for it — the
 //! schedule's σ* at its declared rate and the closed-form peak bound (a
 //! schedule longer than [`PROFILE_DRAIN_CAP`] rounds is not materialized,
-//! so its bound keeps the declared σ). The tables read both from here, so
-//! the bounds they print are exactly the ones `scenarios check` predicts.
+//! so its bound keeps the declared σ). The tables, E11b's threshold rows
+//! included, read both from here, so the bounds they print are exactly
+//! the ones `scenarios check` predicts.
 
 use aqt_adversary::{Cadence, DestSpec, SourceSpec, PROFILE_DRAIN_CAP};
 use aqt_analysis::{run_scenario, RunSummary, Scenario, StaticReport, Verdict};
@@ -42,29 +43,9 @@ pub(crate) fn random(
     }
 }
 
-/// The unbounded, fault-free scenario of `source` against `protocol` on
-/// `topology`, run `extra` rounds past the source horizon.
-pub(crate) fn scenario(
-    topology: TopologySpec,
-    protocol: ProtocolSpec,
-    source: SourceSpec,
-    extra: u64,
-) -> Scenario {
-    Scenario {
-        name: None,
-        topology,
-        protocol,
-        source,
-        extra,
-        capacity: None,
-        telemetry: None,
-        faults: None,
-    }
-}
-
 impl Row {
-    /// Validates and runs the [`scenario`] of `source` against `protocol`
-    /// on `topology`, `extra` rounds past the source horizon.
+    /// Validates and runs the [`Scenario::new`] of `source` against
+    /// `protocol` on `topology`, `extra` rounds past the source horizon.
     ///
     /// # Panics
     ///
@@ -75,7 +56,7 @@ impl Row {
         source: SourceSpec,
         extra: u64,
     ) -> Row {
-        let scenario = scenario(topology, protocol, source, extra);
+        let scenario = Scenario::new(topology, protocol, source, extra);
         let report = scenario.validate().expect("valid scenario");
         let summary = run_scenario(&scenario).expect("valid run");
         Row {
@@ -92,7 +73,7 @@ impl Row {
 
     /// The paper's peak-occupancy bound for the row.
     pub(crate) fn bound(&self) -> u64 {
-        peak_bound(&self.report)
+        peak_bound(&self.report).expect("a paper bound")
     }
 
     /// The destination term of a `1 + d + σ` bound: d for PPTS (Prop.
@@ -127,14 +108,11 @@ pub(crate) fn sigma_star(report: &StaticReport) -> u64 {
     report.sigma.expect("a bounded source")
 }
 
-/// The paper's peak-occupancy bound in `report`. Its σ is σ* on a
-/// schedule of at most [`PROFILE_DRAIN_CAP`] rounds and the spec's
-/// declared σ on a longer one.
-pub(crate) fn peak_bound(report: &StaticReport) -> u64 {
-    report
-        .prediction("peak_occupancy")
-        .expect("a paper bound")
-        .value
+/// The paper's peak-occupancy bound in `report`, if it states one. Its σ
+/// is σ* on a schedule of at most [`PROFILE_DRAIN_CAP`] rounds and the
+/// spec's declared σ on a longer one.
+pub(crate) fn peak_bound(report: &StaticReport) -> Option<u64> {
+    report.prediction("peak_occupancy").map(|p| p.value)
 }
 
 /// `protocol` against `scenario`'s source on its path: a variant the

@@ -318,7 +318,7 @@ mod tests {
     use aqt_model::TopologySpec;
 
     fn roundtrip(spec: &ProtocolSpec) -> ProtocolSpec {
-        ProtocolSpec::from_value(&spec.to_value()).expect("roundtrip")
+        serde_json::from_str(&serde_json::to_string(spec).unwrap()).expect("roundtrip")
     }
 
     #[test]
@@ -456,9 +456,8 @@ mod tests {
 
     #[test]
     fn missing_eager_field_defaults_to_false() {
-        let v = serde::Value::Object(vec![("kind".into(), serde::Value::Str("ppts".into()))]);
         assert_eq!(
-            ProtocolSpec::from_value(&v).unwrap(),
+            serde_json::from_str::<ProtocolSpec>(r#"{"kind": "ppts"}"#).unwrap(),
             ProtocolSpec::Ppts { eager: false }
         );
     }

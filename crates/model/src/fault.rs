@@ -1022,29 +1022,26 @@ mod tests {
                 },
             ],
         };
-        let value = spec.to_value();
-        let back = FaultSpec::from_value(&value).unwrap();
+        let json = serde_json::to_string(&spec).unwrap();
+        let back: FaultSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
     }
 
     #[test]
     fn deserialize_rejects_empty_windows_and_bad_kinds() {
-        let bad = FaultEvent::LinkDown {
+        let bad = serde_json::to_string(&FaultEvent::LinkDown {
             from: 0,
             to: 1,
             at: 5,
             until: Some(5),
-        }
-        .to_value();
-        assert!(FaultEvent::from_value(&bad)
+        })
+        .unwrap();
+        assert!(serde_json::from_str::<FaultEvent>(&bad)
             .unwrap_err()
             .to_string()
             .contains("until > at"));
-        let unknown = serde::Value::Object(vec![
-            ("kind".into(), serde::Value::Str("meteor_strike".into())),
-            ("at".into(), 0u64.to_value()),
-        ]);
-        assert!(FaultEvent::from_value(&unknown).is_err());
+        let unknown = r#"{"kind": "meteor_strike", "at": 0}"#;
+        assert!(serde_json::from_str::<FaultEvent>(unknown).is_err());
     }
 
     #[test]

@@ -169,12 +169,6 @@ impl Rate {
         Rate::new(num, self.den).expect("denominator is non-zero")
     }
 
-    /// Whether ρ ≤ 1.
-    #[inline]
-    pub fn is_at_most_one(self) -> bool {
-        self.num <= self.den
-    }
-
     /// Approximate value as `f64`, for reporting only (never used in
     /// invariant checks).
     pub fn as_f64(self) -> f64 {

@@ -5,47 +5,59 @@
 //! and renders the goodput curve as a sparkline, then binary-searches the
 //! exact zero-drop threshold ([`capacity_threshold`]) and compares it to
 //! Prop. 3.1's closed-form `2 + σ`. An under-provisioned run is traced
-//! and its losses rendered as a space-time loss heatmap.
+//! and its losses rendered as a space-time loss heatmap. Every run is
+//! the one [`Scenario`] with its capacity varied.
 //!
 //! ```text
 //! cargo run --release --example buffer_sizing
 //! ```
 
 use small_buffers::{
-    bounds, capacity_threshold, loss_heatmap, sparkline, CapacityConfig, DropPolicyKind, FnSource,
-    Injection, NodeId, Path, Protocol, Pts, Rate, Simulation, StagingMode, Tracer,
+    bounds, capacity_threshold, loss_heatmap, run_scenario, run_scenario_probed, sparkline,
+    CapacitySpec, DropPolicyKind, ProtocolSpec, Rate, Scenario, SourceSpec, StagingMode,
+    TopologySpec, Tracer,
 };
 
 const N: usize = 16;
 const SIGMA: u64 = 4;
 const WISH_ROUNDS: u64 = 120;
 
-/// The overload wish stream: 2 packets per round toward the sink, shaped
-/// by the leaky bucket to (1, σ) — a bounded adversary that saturates its
-/// budget.
-fn shaped(topo: Path) -> small_buffers::ShapingSource<Path, impl small_buffers::InjectionSource> {
-    let wishes = FnSource::new(WISH_ROUNDS, |t, out| {
-        out.extend(std::iter::repeat_n(Injection::new(t, 0, N - 1), 2));
-    });
-    small_buffers::ShapingSource::new(topo, wishes, Rate::ONE, SIGMA)
+/// Eager PTS against the overload wish stream (2 packets per round
+/// toward the sink) shaped by the leaky bucket to (1, σ) — a bounded
+/// adversary that saturates its budget — with uniform drop-tail buffers
+/// of `capacity` slots, or unbounded ones.
+fn scenario(capacity: Option<usize>) -> Scenario {
+    let shaped = SourceSpec::Shaped {
+        inner: Box::new(SourceSpec::Repeat {
+            source: 0,
+            dest: N - 1,
+            per_round: 2,
+            rounds: WISH_ROUNDS,
+        }),
+        rate: Rate::ONE,
+        sigma: SIGMA,
+    };
+    let eager_pts = ProtocolSpec::Pts {
+        dest: None,
+        eager: true,
+    };
+    Scenario {
+        capacity: capacity
+            .map(|c| CapacitySpec::uniform(c, DropPolicyKind::Tail, StagingMode::Exempt)),
+        ..Scenario::new(TopologySpec::Path { n: N }, eager_pts, shaped, 200)
+    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let sink = NodeId::new(N - 1);
-    let topo = Path::new(N);
-
     // --- Goodput vs capacity, as a sparkline --------------------------
     let capacities: Vec<usize> = (1..=12).collect();
     let mut goodput_permille = Vec::new();
     let mut losses = Vec::new();
     println!("goodput of eager PTS vs buffer capacity (n = {N}, sigma = {SIGMA}):\n");
     for &cap in &capacities {
-        let mut sim = Simulation::from_source(topo, Pts::eager(sink), shaped(topo))
-            .with_capacity(CapacityConfig::uniform(cap), DropPolicyKind::Tail);
-        sim.run_past_horizon(200)?;
-        let m = sim.metrics();
-        goodput_permille.push((m.delivered * 1000 / m.injected.max(1)) as u32);
-        losses.push(m.dropped as u32);
+        let run = run_scenario(&scenario(Some(cap)))?;
+        goodput_permille.push((run.delivered * 1000 / run.injected.max(1)) as u32);
+        losses.push(run.dropped as u32);
     }
     println!("  capacity  1 ..= 12");
     println!("  goodput   {}", sparkline(&goodput_permille));
@@ -59,14 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- The exact threshold vs the paper's bound ---------------------
-    let th = capacity_threshold(
-        &topo,
-        || Pts::eager(sink),
-        || shaped(topo),
-        DropPolicyKind::Tail,
-        StagingMode::Exempt,
-        200,
-    )?;
+    let th = capacity_threshold(&scenario(None), DropPolicyKind::Tail, StagingMode::Exempt)?;
     println!(
         "zero-drop threshold: {} slots per buffer ({} probes; unbounded peak {})",
         th.threshold,
@@ -83,11 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Where the losses land, one below the threshold ---------------
-    let starved = th.threshold.saturating_sub(1).max(1);
-    let mut sim = Simulation::from_source(topo, Pts::eager(sink), shaped(topo))
-        .with_capacity(CapacityConfig::uniform(starved), DropPolicyKind::Tail);
-    let mut tracer = Tracer::new(sim.protocol().name());
-    sim.run_past_horizon_probed(200, &mut tracer)?;
+    let starved = scenario(Some(th.threshold.saturating_sub(1).max(1)));
+    let mut tracer = Tracer::new(format!("PTS-eager(w=v{})", N - 1));
+    run_scenario_probed(&starved, &mut tracer)?;
     println!("{}", loss_heatmap(tracer.trace(), 64, N.min(8)));
     Ok(())
 }

@@ -12,8 +12,9 @@
 //! ```
 
 use small_buffers::{
-    capacity_threshold, grid, grid_heatmap, Dag, DagGreedy, DropPolicyKind, PatternSource, Rate,
-    Simulation, StagingMode, Topology, Tracer,
+    capacity_threshold, grid, grid_heatmap, run_scenario_probed, Dag, DagGreedy, DropPolicyKind,
+    GreedyPolicy, ProtocolSpec, Rate, Scenario, Simulation, SourceSpec, StagingMode, Topology,
+    TopologySpec, Tracer,
 };
 
 const ROWS: usize = 8;
@@ -31,7 +32,7 @@ fn main() {
     // crossing cells), so the per-link engine delivers them at line rate.
     let mut floods = grid::row_flood(ROWS, COLS, 2, Rate::ONE, 40);
     floods.extend(grid::column_flood(ROWS, COLS, 7, Rate::ONE, 40).into_injections());
-    let mut sim = Simulation::new(mesh.clone(), DagGreedy::fifo(), &floods).expect("valid floods");
+    let mut sim = Simulation::new(mesh, DagGreedy::fifo(), &floods).expect("valid floods");
     sim.run_past_horizon(ROWS as u64 + COLS as u64)
         .expect("valid run");
     println!(
@@ -44,31 +45,34 @@ fn main() {
     // Diagonal waves: every anti-diagonal fires one packet per cell
     // toward the bottom-right corner — XY routing funnels all of it into
     // the last column.
-    let wave = grid::diagonal_wave(ROWS, COLS, 1, 1);
-    let mut traced = Simulation::new(mesh.clone(), DagGreedy::fifo(), &wave).expect("valid wave");
+    let waves = Scenario::new(
+        TopologySpec::Grid {
+            rows: ROWS,
+            cols: COLS,
+        },
+        ProtocolSpec::DagGreedy {
+            policy: GreedyPolicy::Fifo,
+        },
+        SourceSpec::DiagonalWave {
+            per_step: 1,
+            gap: 1,
+        },
+        2 * (ROWS + COLS) as u64,
+    );
     let mut tracer = Tracer::new("DagGreedy-FIFO");
-    traced
-        .run_past_horizon_probed(2 * (ROWS + COLS) as u64, &mut tracer)
-        .expect("valid run");
+    let run = run_scenario_probed(&waves, &mut tracer).expect("valid run");
     println!(
         "diagonal waves: {} packets, peak buffer {} at {:?}",
-        traced.metrics().injected,
-        traced.metrics().max_occupancy,
-        traced.metrics().max_occupancy_at
+        run.injected,
+        run.max_occupancy,
+        tracer.trace().peak_at()
     );
     println!("{}", grid_heatmap(tracer.trace(), ROWS, COLS));
 
     // The E11/E12 threshold contract, on the mesh: the smallest capacity
     // that loses nothing is exactly the unbounded run's peak.
-    let th = capacity_threshold(
-        &mesh,
-        DagGreedy::fifo,
-        || PatternSource::new(&wave),
-        DropPolicyKind::Tail,
-        StagingMode::Exempt,
-        2 * (ROWS + COLS) as u64,
-    )
-    .expect("valid search");
+    let th = capacity_threshold(&waves, DropPolicyKind::Tail, StagingMode::Exempt)
+        .expect("valid search");
     println!(
         "zero-drop threshold: {} buffers (unbounded peak {}, {} drops one below)",
         th.threshold,

@@ -119,8 +119,8 @@ pub use aqt_adversary::{
 };
 pub use aqt_analysis::{
     bounds, capacity_threshold, render_figure1, run_grid, run_scenario, run_scenario_probed, sweep,
-    CapacityProbe, CapacitySpec, CapacityThreshold, Prediction, RunSummary, Scenario,
-    ScenarioError, ScenarioGrid, StaticReport, Table, Verdict,
+    CapacitySpec, CapacityThreshold, Prediction, RunSummary, Scenario, ScenarioError, ScenarioGrid,
+    StaticReport, Table, Verdict,
 };
 pub use aqt_core::{
     badness, low_antichain, Batched, DagGreedy, DestSpaceError, Greedy, GreedyPolicy, Hierarchy,

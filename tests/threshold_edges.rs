@@ -5,10 +5,26 @@
 //! threshold.
 
 use small_buffers::{
-    capacity_threshold, Batched, CapacityConfig, DirectedTree, DropPolicyKind, FnSource, Greedy,
-    GreedyPolicy, Injection, NodeId, Path, Pattern, PatternSource, Simulation, StagingMode,
-    Topology,
+    capacity_threshold, run_scenario, CapacitySpec, DirectedTree, DropPolicyKind, GreedyPolicy,
+    Injection, NodeId, ProtocolSpec, RunSummary, Scenario, SourceSpec, StagingMode, Topology,
+    TopologySpec, TreeSpec,
 };
+
+const FIFO: ProtocolSpec = ProtocolSpec::Greedy {
+    policy: GreedyPolicy::Fifo,
+};
+
+/// `scenario` with uniform drop-tail buffers of `capacity` slots under
+/// `staging`.
+fn run_at(scenario: &Scenario, capacity: usize, staging: StagingMode) -> RunSummary {
+    let mut run = scenario.clone();
+    run.capacity = Some(CapacitySpec::uniform(
+        capacity,
+        DropPolicyKind::Tail,
+        staging,
+    ));
+    run_scenario(&run).unwrap()
+}
 
 #[test]
 fn random_tree_of_one_node_is_just_a_root() {
@@ -59,15 +75,15 @@ fn threshold_on_single_node_topology_with_no_traffic() {
     // n = 1 admits no injection at all (every route would be empty); the
     // search must degenerate gracefully: threshold 1 (the smallest legal
     // capacity), peak 0, nothing below to probe.
-    let th = capacity_threshold(
-        &Path::new(1),
-        || Greedy::new(GreedyPolicy::Fifo),
-        || PatternSource::new(&Pattern::new()),
-        DropPolicyKind::Tail,
-        StagingMode::Exempt,
+    let idle = Scenario::new(
+        TopologySpec::Path { n: 1 },
+        FIFO,
+        SourceSpec::Pattern {
+            injections: Vec::new(),
+        },
         4,
-    )
-    .unwrap();
+    );
+    let th = capacity_threshold(&idle, DropPolicyKind::Tail, StagingMode::Exempt).unwrap();
     assert_eq!(th.threshold, 1);
     assert_eq!(th.unbounded_peak, 0);
     assert_eq!(th.drops_below, None);
@@ -78,16 +94,15 @@ fn threshold_on_a_single_edge_equals_the_burst_size() {
     // The smallest routable topology: one edge, one burst. The threshold
     // is exactly the burst size, and one below loses exactly one packet
     // under drop-tail.
-    let pattern = Pattern::from_injections(vec![Injection::new(0, 0, 1); 3]);
-    let th = capacity_threshold(
-        &Path::new(2),
-        || Greedy::new(GreedyPolicy::Fifo),
-        || PatternSource::new(&pattern),
-        DropPolicyKind::Tail,
-        StagingMode::Exempt,
+    let burst = Scenario::new(
+        TopologySpec::Path { n: 2 },
+        FIFO,
+        SourceSpec::Pattern {
+            injections: vec![Injection::new(0, 0, 1); 3],
+        },
         6,
-    )
-    .unwrap();
+    );
+    let th = capacity_threshold(&burst, DropPolicyKind::Tail, StagingMode::Exempt).unwrap();
     assert_eq!(th.threshold, 3);
     assert_eq!(th.unbounded_peak, 3);
     assert_eq!(th.drops_below, Some(1));
@@ -100,32 +115,22 @@ fn star_at_capacity_one_routes_loss_free() {
     // into the root = delivered), so the minimum legal capacity suffices
     // and the threshold search agrees.
     let leaves = 5usize;
-    let star = DirectedTree::star(leaves);
-    let mk_source = move || {
-        FnSource::new(12, move |t, out| {
-            for leaf in 1..=leaves {
-                out.push(Injection::new(t, leaf, 0));
-            }
-        })
-    };
-    let mut sim =
-        Simulation::from_source(star.clone(), Greedy::new(GreedyPolicy::Fifo), mk_source())
-            .with_capacity(CapacityConfig::uniform(1), DropPolicyKind::Tail);
-    sim.run_past_horizon(4).unwrap();
-    assert!(sim.is_drained());
-    assert_eq!(sim.metrics().dropped, 0);
-    assert_eq!(sim.metrics().delivered, 12 * leaves as u64);
-    assert_eq!(sim.metrics().max_occupancy, 1);
-
-    let th = capacity_threshold(
-        &star,
-        || Greedy::new(GreedyPolicy::Fifo),
-        mk_source,
-        DropPolicyKind::Tail,
-        StagingMode::Exempt,
+    let injections = (0..12u64)
+        .flat_map(|t| (1..=leaves).map(move |leaf| Injection::new(t, leaf, 0)))
+        .collect();
+    let star = Scenario::new(
+        TopologySpec::Tree(TreeSpec::Star { leaves }),
+        FIFO,
+        SourceSpec::Pattern { injections },
         4,
-    )
-    .unwrap();
+    );
+    let run = run_at(&star, 1, StagingMode::Exempt);
+    assert_eq!(run.delivered, run.injected, "the star drains");
+    assert_eq!(run.dropped, 0);
+    assert_eq!(run.delivered, 12 * leaves as u64);
+    assert_eq!(run.max_occupancy, 1);
+
+    let th = capacity_threshold(&star, DropPolicyKind::Tail, StagingMode::Exempt).unwrap();
     assert_eq!(th.threshold, 1);
     assert_eq!(th.drops_below, None);
 }
@@ -137,29 +142,22 @@ fn counted_staging_is_loss_free_at_exactly_the_threshold() {
     // search returns must be *exactly* the boundary: zero drops at the
     // threshold, losses at threshold − 1.
     let n = 8usize;
-    let pattern: Pattern = (0..12u64)
-        .flat_map(|t| std::iter::repeat_n(Injection::new(t, 0, n - 1), 2))
-        .collect();
-    let mk = || Batched::new(Greedy::new(GreedyPolicy::Fifo), 3);
-    let th = capacity_threshold(
-        &Path::new(n),
-        mk,
-        || PatternSource::new(&pattern),
-        DropPolicyKind::Tail,
-        StagingMode::Counted,
+    let batched = Scenario::new(
+        TopologySpec::Path { n },
+        ProtocolSpec::Batched {
+            inner: Box::new(FIFO),
+            phase: 3,
+        },
+        SourceSpec::Repeat {
+            source: 0,
+            dest: n - 1,
+            per_round: 2,
+            rounds: 12,
+        },
         30,
-    )
-    .unwrap();
-    let drops_at = |cap: usize| {
-        let mut sim = Simulation::new(Path::new(n), mk(), &pattern)
-            .unwrap()
-            .with_capacity(
-                CapacityConfig::uniform(cap).staging(StagingMode::Counted),
-                DropPolicyKind::Tail,
-            );
-        sim.run_past_horizon(30).unwrap();
-        sim.metrics().dropped
-    };
+    );
+    let th = capacity_threshold(&batched, DropPolicyKind::Tail, StagingMode::Counted).unwrap();
+    let drops_at = |cap: usize| run_at(&batched, cap, StagingMode::Counted).dropped;
     assert_eq!(drops_at(th.threshold), 0, "threshold must be loss-free");
     assert!(th.threshold > 1, "this workload needs more than one slot");
     assert!(
