@@ -48,7 +48,7 @@ pub struct CapacityThreshold {
 /// `capacity` is replaced on every run: by none for the one unbounded
 /// reference run, and by a uniform limit `c` under `policy` and
 /// `staging` for the probe at `c`. The search probes O(log peak)
-/// capacities.
+/// capacities, none of them twice.
 ///
 /// # Errors
 ///
@@ -100,14 +100,15 @@ pub fn capacity_threshold(
     // until drop-free. (Zero-drop-ness stays monotone either way: a
     // loss-free run is identical to the unbounded run, so every larger
     // capacity replays it loss-free too.)
-    let mut hi = unbounded_peak.max(1);
-    while drops_at(hi)? > 0 {
+    let (mut lo, mut hi) = (1usize, unbounded_peak.max(1));
+    let mut drops_below = None;
+    while let dropped @ 1.. = drops_at(hi)? {
+        (lo, drops_below) = (hi + 1, Some(dropped));
         hi = hi.checked_mul(2).expect("drop-free capacity exists");
     }
-    // `lo` only ever rises to one past a lossy probe, so once it is
-    // above 1 the drops one below the threshold are already measured.
-    let mut lo = 1usize;
-    let mut drops_below = None;
+    // Every lossy probe raises `lo` to one past it, so no capacity is
+    // probed twice, and once `lo` is above 1 the drops one below the
+    // threshold are already measured.
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         match drops_at(mid)? {

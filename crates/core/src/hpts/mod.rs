@@ -46,6 +46,7 @@ pub use geometry::{GeometryError, Hierarchy};
 
 use aqt_model::{
     ForwardingPlan, InjectionMode, NetworkState, NodeId, PacketId, Path, Protocol, Round,
+    StoredPacket,
 };
 
 use crate::classes::ClassTable;
@@ -213,7 +214,7 @@ impl<Z: ZoneMap> Hierarchical<Z> {
     /// columns that actually contain a bad pseudo-buffer (a column's
     /// left-most bad node in the whole interval is also the left-most in
     /// any prefix, so the `i′` cutoff semantics are unchanged).
-    fn form_paths(&self, lambda: u32, scratch: &mut Scratch) {
+    fn form_paths(&self, lambda: u32, state: &NetworkState, scratch: &mut Scratch) {
         let Scratch {
             classes,
             leftmost_bad,
@@ -232,9 +233,9 @@ impl<Z: ZoneMap> Hierarchical<Z> {
             // Left-most bad (λ, k) node per column k, in one pass.
             leftmost_bad.fill(None);
             for i in (lo..=hi).filter(|&i| classes.has_bad(i, lambda)) {
-                for (class, e) in classes.node(i) {
+                for (class, count) in classes.node(i) {
                     let k = class.column();
-                    if class.level() == lambda && e.count >= 2 && leftmost_bad[k].is_none() {
+                    if class.level() == lambda && count >= 2 && leftmost_bad[k].is_none() {
                         leftmost_bad[k] = Some(i);
                     }
                 }
@@ -254,7 +255,7 @@ impl<Z: ZoneMap> Hierarchical<Z> {
                     continue;
                 }
                 for i in ik..end {
-                    let packet = classes.get(i, (lambda, k)).map(|e| (e.top, e.top_dest));
+                    let packet = top(classes.get(state, i, (lambda, k)));
                     set_active(active, i, Active { target: wk, packet });
                 }
                 iprime = ik;
@@ -265,7 +266,13 @@ impl<Z: ZoneMap> Hierarchical<Z> {
     /// Alg. 5 — activate runs of level-j pseudo-buffers ahead of packets
     /// that are about to finish a higher-level segment at a level-j left
     /// endpoint whose receiving pseudo-buffer is occupied.
-    fn activate_prebad(&self, j: u32, classes: &ClassTable, active: &mut [Option<Active>]) {
+    fn activate_prebad(
+        &self,
+        j: u32,
+        state: &NetworkState,
+        classes: &ClassTable,
+        active: &mut [Option<Active>],
+    ) {
         let n = classes.node_count();
         let step = self.h.base().pow(j);
         // Interval 0 starts at node 0, which has no node to its left.
@@ -293,14 +300,14 @@ impl<Z: ZoneMap> Hierarchical<Z> {
             // It must join level j (other levels have their own pass), and
             // pre-bad (Def. 4.6) requires the receiving pseudo-buffer to be
             // occupied.
-            if level != j || classes.get(a, (j, k)).is_none() {
+            if level != j || !classes.holds(a, (j, k)) {
                 continue;
             }
             // Chain: the maximal inactive run from a, capped at w_k − 1.
             let wk = self.zones.start(za + k * step);
             let mut i = a;
             while i < wk && active[i].is_none() {
-                let packet = classes.get(i, (j, k)).map(|e| (e.top, e.top_dest));
+                let packet = top(classes.get(state, i, (j, k)));
                 set_active(active, i, Active { target: wk, packet });
                 i += 1;
             }
@@ -351,6 +358,11 @@ impl Scratch {
     }
 }
 
+/// The id and final destination of a class's LIFO top, if it has one.
+fn top(packet: Option<&StoredPacket>) -> Option<(PacketId, usize)> {
+    packet.map(|sp| (sp.id(), sp.dest().index()))
+}
+
 /// Marks node `i` active; panics if it already is (Lemma 4.7 feasibility is
 /// enforced, not assumed).
 fn set_active(active: &mut [Option<Active>], i: usize, entry: Active) {
@@ -393,10 +405,10 @@ impl<Z: ZoneMap> Protocol<Path> for Hierarchical<Z> {
             .classes
             .sync(round, state, |i, w| self.classify(i, w));
         scratch.reset(n, self.h.base());
-        self.form_paths(lambda, &mut scratch);
+        self.form_paths(lambda, state, &mut scratch);
         if self.prebad {
             for j in (0..lambda).rev() {
-                self.activate_prebad(j, &scratch.classes, &mut scratch.active);
+                self.activate_prebad(j, state, &scratch.classes, &mut scratch.active);
             }
         }
         scratch.send(plan);

@@ -331,9 +331,9 @@ impl<T: Sink, D: Destinations> Protocol<T> for PeakToSink<T, D> {
             if !classes.has_bad(v, 0) {
                 continue;
             }
-            for (class, e) in classes.node(v) {
+            for (class, count) in classes.node(v) {
                 let w = class.column();
-                if e.count >= 2 && serves(w) {
+                if count >= 2 && serves(w) {
                     bad.push((topo.depth(NodeId::new(w)), w, v));
                 }
             }
@@ -349,9 +349,9 @@ impl<T: Sink, D: Destinations> Protocol<T> for PeakToSink<T, D> {
             while at != w && !claimed[at] {
                 claimed[at] = true;
                 let v = NodeId::new(at);
-                // The LIFO top is in the table; a FIFO head takes a scan.
+                // The table finds the LIFO top; a FIFO head takes a scan.
                 let packet = match self.priority {
-                    PseudoPriority::Lifo => classes.get(at, (0, w)).map(|e| e.top),
+                    PseudoPriority::Lifo => classes.get(state, at, (0, w)).map(StoredPacket::id),
                     PseudoPriority::Fifo => state
                         .fifo_head_where(v, |p| p.dest().index() == w)
                         .map(StoredPacket::id),

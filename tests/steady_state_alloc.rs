@@ -240,6 +240,14 @@ fn paper_protocols_on_a_path_allocate_nothing_per_round() {
             "hpts l=2",
             Case::new(path(), ProtocolSpec::Hpts { levels: 2 }, to_last_node),
         ),
+        (
+            "hpts l=2, three destinations",
+            Case::new(path(), ProtocolSpec::Hpts { levels: 2 }, to_three_nodes),
+        ),
+        (
+            "hpts l=3, three destinations",
+            Case::new(path(), ProtocolSpec::Hpts { levels: 3 }, to_three_nodes),
+        ),
     ];
     for (name, case) in cases {
         assert_eq!(case.warm_allocations(&mut ()), 0, "{name}");

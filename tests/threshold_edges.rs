@@ -164,6 +164,13 @@ fn counted_staging_is_loss_free_at_exactly_the_threshold() {
         drops_at(th.threshold - 1) > 0,
         "threshold must be the smallest loss-free capacity"
     );
+    assert_eq!(th.drops_below, Some(drops_at(th.threshold - 1)));
+    // The doubling phase finds the unbounded peak lossy here; the binary
+    // search must not probe it again.
+    let mut probed: Vec<usize> = th.probes.iter().map(|&(c, _)| c).collect();
+    probed.sort_unstable();
+    probed.dedup();
+    assert_eq!(probed.len(), th.probes.len(), "no capacity is probed twice");
     // And the staging reservation really pushed it above the occupancy
     // peak (the case a naive peak-based search gets wrong).
     assert!(
