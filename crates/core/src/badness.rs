@@ -61,6 +61,46 @@ pub fn badness_path(state: &NetworkState, i: NodeId) -> usize {
         .sum()
 }
 
+/// `B(i)` on a path at every node at once: `out[i]` becomes
+/// [`badness_path`]`(state, i)` for every `i`, in one O(n + packets) pass
+/// where per-node calls cost O(i + packets) each.
+///
+/// The `c ≥ 2` packets a buffer `v` holds for `w` are `c − 1` bad packets
+/// that count toward `B(i)` for every `i ∈ [v, w)`. So each such
+/// pseudo-buffer adds `c − 1` at `v` and takes it back at `w` in a
+/// difference array, and the array's prefix sums are the `B(i)`. `counts`
+/// is the per-destination tally of one buffer at a time, all zero
+/// between calls; both vectors are the caller's, reused across calls.
+pub fn badness_path_all(state: &NetworkState, counts: &mut Vec<usize>, out: &mut Vec<usize>) {
+    let n = state.node_count();
+    counts.resize(n, 0);
+    out.clear();
+    out.resize(n, 0);
+    for v in 0..n {
+        let buffer = state.buffer(NodeId::new(v));
+        for sp in buffer {
+            counts[sp.dest().index()] += 1;
+        }
+        // Read and reset each destination's tally at its first packet.
+        for sp in buffer {
+            let w = sp.dest().index();
+            let c = std::mem::take(&mut counts[w]);
+            if c >= 2 && w > v {
+                // A difference array has negative entries; wrapping keeps
+                // them in `usize`, and the prefix sums, which are counts,
+                // come out exact.
+                out[v] = out[v].wrapping_add(c - 1);
+                out[w] = out[w].wrapping_sub(c - 1);
+            }
+        }
+    }
+    let mut acc = 0usize;
+    for b in out.iter_mut() {
+        acc = acc.wrapping_add(*b);
+        *b = acc;
+    }
+}
+
 /// `B(v)` on a directed tree (Def. B.4): bad packets in the subtree rooted
 /// at `v` (single-destination case — every buffer is one pseudo-buffer).
 pub fn badness_tree(state: &NetworkState, tree: &DirectedTree, v: NodeId) -> usize {
@@ -215,6 +255,50 @@ mod tests {
         // Behind node 4 the dest-4 packet no longer counts (w > i fails
         // only for w = 4 < … wait, dest 4 ≤ 4): only dest-5 badness.
         assert_eq!(badness_path(&st, NodeId::new(4)), 2);
+        // The all-nodes pass: node 0's extra dest-5 packet counts on
+        // [0, 5), node 2's on [2, 5).
+        let (mut counts, mut all) = (Vec::new(), Vec::new());
+        badness_path_all(&st, &mut counts, &mut all);
+        assert_eq!(all, vec![1, 1, 2, 2, 2, 0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The all-nodes pass equals `badness_path` at every node of
+        /// random path states: random injections, then a few rounds of
+        /// Greedy-LIFO so packets spread over the path before the check.
+        #[test]
+        fn badness_path_all_matches_per_node_badness(
+            n in 2usize..24,
+            packets in proptest::collection::vec((0u64..4, 0usize..24, 0usize..24), 0..60),
+            rounds in 1u64..8,
+        ) {
+            let pattern = Pattern::from_injections(
+                packets
+                    .into_iter()
+                    .map(|(t, a, b)| (t, a % n, b % n))
+                    .filter(|&(_, a, b)| a < b)
+                    .map(|(t, a, b)| Injection::new(t, a, b))
+                    .collect(),
+            );
+            let mut sim = Simulation::new(
+                Path::new(n),
+                crate::Greedy::new(crate::GreedyPolicy::Lifo),
+                &pattern,
+            )
+            .unwrap();
+            let (mut counts, mut all) = (Vec::new(), Vec::new());
+            for _ in 0..rounds {
+                sim.step().unwrap();
+                badness_path_all(sim.state(), &mut counts, &mut all);
+                let per_node: Vec<usize> = (0..n)
+                    .map(|i| badness_path(sim.state(), NodeId::new(i)))
+                    .collect();
+                proptest::prop_assert_eq!(&all, &per_node);
+                proptest::prop_assert!(counts.iter().all(|&c| c == 0), "scratch left dirty");
+            }
+        }
     }
 
     #[test]

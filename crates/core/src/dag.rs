@@ -5,9 +5,11 @@
 //! single-out topologies, but on a DAG they leave bandwidth on the table:
 //! a node with `k` outgoing links may legally forward `k` packets per
 //! round, one per link. [`DagGreedy`] is the per-link generalization:
-//! every round, every node partitions its buffer by next hop and applies
-//! the configured [`GreedyPolicy`] *within each partition*, forwarding one
-//! packet over every link that has traffic.
+//! every round, every node partitions its buffer by next hop (the
+//! [`StoredPacket::next_hop`](aqt_model::StoredPacket::next_hop) the
+//! engine stored on placement) and applies the configured
+//! [`GreedyPolicy`] *within each partition*, forwarding one packet over
+//! every link that has traffic.
 //!
 //! On a single-out topology every buffered packet shares the node's unique
 //! next hop, so the partition is trivial and `DagGreedy` coincides with
@@ -84,20 +86,22 @@ impl<T: Topology> Protocol<T> for DagGreedy {
             let buffer = state.buffer(v);
             // Singleton fast path: one packet is one candidate link, and
             // every policy's pick among one candidate is that packet — skip
-            // the partition pass (and its extra `next_hop` calls). On
-            // sparse meshes almost every live buffer lands here.
+            // the partition pass and its scratch. On sparse meshes almost
+            // every live buffer lands here.
             if let [sp] = buffer {
-                if topo.next_hop(v, sp.dest()).is_some() {
+                if sp.next_hop().is_some() {
                     plan.send(v, sp.id());
                 }
                 continue;
             }
             // Partition the buffer by next hop: the distinct links with
             // traffic, in buffer (placement) order, each forwarding its
-            // partition's policy pick.
+            // partition's policy pick. The hops are the ones the engine
+            // stored when it placed each packet, so planning routes
+            // nothing.
             self.hops.clear();
             for sp in buffer {
-                if let Some(h) = topo.next_hop(v, sp.dest()) {
+                if let Some(h) = sp.next_hop() {
                     if !self.hops.contains(&h) {
                         self.hops.push(h);
                     }
@@ -107,9 +111,7 @@ impl<T: Topology> Protocol<T> for DagGreedy {
                 let pick = self.policy.select_from(
                     topo,
                     v,
-                    buffer
-                        .iter()
-                        .filter(|sp| topo.next_hop(v, sp.dest()) == Some(h)),
+                    buffer.iter().filter(|sp| sp.next_hop() == Some(h)),
                 );
                 if let Some(sp) = pick {
                     plan.send(v, sp.id());

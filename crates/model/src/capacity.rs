@@ -345,7 +345,7 @@ mod tests {
                 NodeId::new(0),
                 NodeId::new(dest),
             ),
-            Round::new(injected),
+            None,
             seq,
         )
     }

@@ -61,9 +61,10 @@ pub enum InjectionMode {
 /// The plan holds only what the protocol scheduled, one entry per
 /// [`send`](ForwardingPlan::send), so its size is the round's sends and
 /// not the topology's. Which *link* a send uses is not stored here: the
-/// engine derives it from the packet's destination via
-/// [`Topology::next_hop`] and rejects two sends from one node over the
-/// same link ([`ModelError::LinkOverload`]). On single-out topologies
+/// engine reads it off the buffered packet
+/// ([`StoredPacket::next_hop`], routed by [`Topology::next_hop`] when the
+/// packet was placed) and rejects two sends from one node over the same
+/// link ([`ModelError::LinkOverload`]). On single-out topologies
 /// (paths, trees) that is "one packet out of each buffer" (cf. Lemma
 /// 4.7); on DAGs a node forwards up to its out-degree, one per link, and
 /// a node that plans more sends than it has links puts two on one link.
@@ -387,7 +388,8 @@ fn phase_mark<Pr: Probe + ?Sized>(probe: &mut Pr, t: Round, phase: EnginePhase, 
 /// Validates the plan's sends and collects their moves into `moves`.
 /// The sends must be sorted by key: node-major, then call order within
 /// a node, so the walk is O(sends). Returns the first error in that
-/// order, if any.
+/// order, if any. Each send's link is its packet's stored next hop, so
+/// validation routes nothing.
 ///
 /// With a fault mask (`faults`), a send over a blocked link is silently
 /// skipped *before* the per-link bandwidth check — as if the protocol had
@@ -395,8 +397,7 @@ fn phase_mark<Pr: Probe + ?Sized>(probe: &mut Pr, t: Round, phase: EnginePhase, 
 /// rather than a `LinkOverload`. Skipped sends never enter the move list.
 /// The engine also drops the mask entirely when it is empty
 /// ([`FaultState::is_empty`]), skipping the per-send consult.
-fn collect_moves<T: Topology>(
-    topology: &T,
+fn collect_moves(
     state: &NetworkState,
     plan: &ForwardingPlan,
     faults: Option<&FaultState>,
@@ -413,7 +414,7 @@ fn collect_moves<T: Topology>(
             });
         };
         let dest = stored.dest();
-        let Some(hop) = topology.next_hop(v, dest) else {
+        let Some(hop) = stored.next_hop() else {
             return Some(ModelError::NoNextHop {
                 node: v,
                 packet: pid,
@@ -446,6 +447,13 @@ fn collect_moves<T: Topology>(
     None
 }
 
+/// Places `packet` into `v` together with its next hop out of `v`: the
+/// one routing query a packet costs per buffer it enters. Validation and
+/// per-link planners read [`StoredPacket::next_hop`] from then on.
+fn place_routed<T: Topology>(topology: &T, state: &mut NetworkState, v: NodeId, packet: Packet) {
+    state.place(v, packet, topology.next_hop(v, packet.dest()));
+}
+
 /// Places `packet` into `v` unless capacity forbids it; on overflow the
 /// drop policy names the victim, and the drop is recorded and reported
 /// to `probe`. Returns whether `packet` ended up buffered. A free
@@ -463,7 +471,7 @@ fn admit<T: Topology, Pr: Probe + ?Sized>(
     t: Round,
 ) -> bool {
     let Some(cap) = capacity else {
-        state.place(v, packet, t);
+        place_routed(topology, state, v, packet);
         return true;
     };
     let mut occupied = state.occupancy(v);
@@ -471,7 +479,7 @@ fn admit<T: Topology, Pr: Probe + ?Sized>(
         occupied += state.staged_count(v);
     }
     if occupied < cap.config.limit(v) {
-        state.place(v, packet, t);
+        place_routed(topology, state, v, packet);
         return true;
     }
     // Unreachable destinations sort as infinitely far (`route_len` is
@@ -489,7 +497,7 @@ fn admit<T: Topology, Pr: Probe + ?Sized>(
         state
             .remove(v, id)
             .expect("the victim is a stored packet of v");
-        state.place(v, packet, t);
+        place_routed(topology, state, v, packet);
     }
     victim.is_some()
 }
@@ -870,14 +878,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
         // the unstable sort is deterministic (and allocates nothing).
         self.plan_buf.sends.sort_unstable();
         mark = phase_mark(probe, t, EnginePhase::Plan, mark);
-        if let Some(e) = collect_moves(
-            &self.topology,
-            &self.state,
-            &self.plan_buf,
-            faults,
-            t,
-            &mut self.moves,
-        ) {
+        if let Some(e) = collect_moves(&self.state, &self.plan_buf, faults, t, &mut self.moves) {
             return Err(e);
         }
         for &(v, pid, _, delivers) in &self.moves {
@@ -905,7 +906,7 @@ impl<T: Topology, P: Protocol<T>, S: InjectionSource> Simulation<T, P, S> {
                     probe.on_delivery(t, stored.packet());
                     delivered += 1;
                 } else {
-                    self.state.place(hop, *stored.packet(), t);
+                    place_routed(&self.topology, &mut self.state, hop, *stored.packet());
                 }
             }
         } else {

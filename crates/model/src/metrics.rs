@@ -221,9 +221,9 @@ mod tests {
                 NodeId::new(2),
             )
         };
-        st.place(NodeId::new(1), p(0), Round::ZERO);
-        st.place(NodeId::new(1), p(1), Round::ZERO);
-        st.place(NodeId::new(2), p(2), Round::ZERO);
+        st.place(NodeId::new(1), p(0), Some(NodeId::new(2)));
+        st.place(NodeId::new(1), p(1), Some(NodeId::new(2)));
+        st.place(NodeId::new(2), p(2), None);
         st.refresh_active(); // the engine refreshes before every observe
         m.observe(Round::new(0), &st);
         assert_eq!(m.max_occupancy, 2);

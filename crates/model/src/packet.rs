@@ -83,18 +83,24 @@ impl fmt::Display for Packet {
 /// arrival order, so the FIFO head is the minimum and the LIFO top is the
 /// maximum. The paper assumes LIFO within pseudo-buffers "for concreteness";
 /// occupancy bounds are priority-independent.
+///
+/// `next_hop` is the link the packet leaves its buffer `v` by,
+/// [`Topology::next_hop`](crate::Topology::next_hop)`(v, dest)`: a route
+/// is fixed by its source and destination (§2), so the engine routes a
+/// packet once, when it places it, and validation and per-link planners
+/// read the stored hop instead of routing it again every round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoredPacket {
     packet: Packet,
-    arrived_at: Round,
+    next_hop: Option<NodeId>,
     seq: u64,
 }
 
 impl StoredPacket {
-    pub(crate) fn new(packet: Packet, arrived_at: Round, seq: u64) -> Self {
+    pub(crate) fn new(packet: Packet, next_hop: Option<NodeId>, seq: u64) -> Self {
         StoredPacket {
             packet,
-            arrived_at,
+            next_hop,
             seq,
         }
     }
@@ -117,10 +123,12 @@ impl StoredPacket {
         self.packet.dest()
     }
 
-    /// Round in which the packet arrived at its current buffer.
+    /// The head of the link the packet leaves its current buffer by, or
+    /// `None` if the buffer has no route to the destination (see type
+    /// docs).
     #[inline]
-    pub fn arrived_at(&self) -> Round {
-        self.arrived_at
+    pub fn next_hop(&self) -> Option<NodeId> {
+        self.next_hop
     }
 
     /// Buffer-local placement sequence number (see type docs).
@@ -153,12 +161,14 @@ mod tests {
     }
 
     #[test]
-    fn stored_packet_carries_seq_and_arrival() {
-        let sp = StoredPacket::new(packet(1), Round::new(7), 42);
+    fn stored_packet_carries_seq_and_next_hop() {
+        let sp = StoredPacket::new(packet(1), Some(NodeId::new(1)), 42);
         assert_eq!(sp.id(), PacketId::new(1));
-        assert_eq!(sp.arrived_at(), Round::new(7));
+        assert_eq!(sp.next_hop(), Some(NodeId::new(1)));
         assert_eq!(sp.seq(), 42);
         assert_eq!(sp.dest(), NodeId::new(4));
+        // Storing the hop costs no slab memory: a slot stays 40 bytes.
+        assert_eq!(std::mem::size_of::<StoredPacket>(), 40);
     }
 
     #[test]

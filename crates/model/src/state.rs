@@ -27,7 +27,7 @@
 //! which is what lets planning, validation and metrics run in O(live
 //! packets) instead of O(nodes) — the point of the active-set engine.
 
-use crate::ids::{NodeId, PacketId, Round};
+use crate::ids::{NodeId, PacketId};
 use crate::packet::{Packet, StoredPacket};
 
 /// A node's index range inside the slot slab.
@@ -273,8 +273,10 @@ impl NetworkState {
     // Engine-only mutations.
     // ------------------------------------------------------------------
 
-    /// Places `packet` into `v`'s buffer with a fresh sequence number.
-    pub(crate) fn place(&mut self, v: NodeId, packet: Packet, round: Round) {
+    /// Places `packet` into `v`'s buffer with a fresh sequence number and
+    /// `hop`, the packet's next hop out of `v` (see
+    /// [`StoredPacket::next_hop`]).
+    pub(crate) fn place(&mut self, v: NodeId, packet: Packet, hop: Option<NodeId>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let i = v.index();
@@ -287,7 +289,7 @@ impl NetworkState {
             self.occ_bits[word] |= 1u64 << (i % 64);
             self.active_exact = false;
         }
-        self.slab.push(span, StoredPacket::new(packet, round, seq));
+        self.slab.push(span, StoredPacket::new(packet, hop, seq));
     }
 
     /// Adds a packet to the staging area.
@@ -419,6 +421,7 @@ fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Round;
 
     fn packet(id: u64, dest: usize) -> Packet {
         Packet::new(
@@ -432,17 +435,18 @@ mod tests {
     #[test]
     fn place_and_find() {
         let mut st = NetworkState::new(3);
-        st.place(NodeId::new(1), packet(7, 2), Round::new(0));
+        st.place(NodeId::new(1), packet(7, 2), Some(NodeId::new(2)));
         assert_eq!(st.occupancy(NodeId::new(1)), 1);
-        assert!(st.find(NodeId::new(1), PacketId::new(7)).is_some());
+        let sp = st.find(NodeId::new(1), PacketId::new(7)).unwrap();
+        assert_eq!(sp.next_hop(), Some(NodeId::new(2)), "the hop is stored");
         assert!(st.find(NodeId::new(0), PacketId::new(7)).is_none());
     }
 
     #[test]
     fn seq_increases_with_placement_order() {
         let mut st = NetworkState::new(2);
-        st.place(NodeId::new(0), packet(1, 1), Round::new(0));
-        st.place(NodeId::new(0), packet(2, 1), Round::new(0));
+        st.place(NodeId::new(0), packet(1, 1), None);
+        st.place(NodeId::new(0), packet(2, 1), None);
         let buf = st.buffer(NodeId::new(0));
         assert!(buf[0].seq() < buf[1].seq());
     }
@@ -450,9 +454,9 @@ mod tests {
     #[test]
     fn lifo_and_fifo_selection() {
         let mut st = NetworkState::new(2);
-        st.place(NodeId::new(0), packet(1, 1), Round::new(0));
-        st.place(NodeId::new(0), packet(2, 1), Round::new(1));
-        st.place(NodeId::new(0), packet(3, 1), Round::new(2));
+        st.place(NodeId::new(0), packet(1, 1), None);
+        st.place(NodeId::new(0), packet(2, 1), None);
+        st.place(NodeId::new(0), packet(3, 1), None);
         let top = st.lifo_top_where(NodeId::new(0), |_| true).unwrap();
         assert_eq!(top.id(), PacketId::new(3));
         let head = st.fifo_head_where(NodeId::new(0), |_| true).unwrap();
@@ -463,9 +467,9 @@ mod tests {
     #[test]
     fn count_for_dest_counts_one_destination() {
         let mut st = NetworkState::new(2);
-        st.place(NodeId::new(0), packet(1, 1), Round::new(0));
-        st.place(NodeId::new(0), packet(2, 5), Round::new(0));
-        st.place(NodeId::new(0), packet(3, 1), Round::new(1));
+        st.place(NodeId::new(0), packet(1, 1), None);
+        st.place(NodeId::new(0), packet(2, 5), None);
+        st.place(NodeId::new(0), packet(3, 1), None);
         assert_eq!(st.count_for_dest(NodeId::new(0), NodeId::new(1)), 2);
         assert_eq!(st.count_for_dest(NodeId::new(0), NodeId::new(5)), 1);
         assert_eq!(st.count_for_dest(NodeId::new(0), NodeId::new(9)), 0);
@@ -474,7 +478,7 @@ mod tests {
     #[test]
     fn remove_returns_packet() {
         let mut st = NetworkState::new(2);
-        st.place(NodeId::new(0), packet(1, 1), Round::new(0));
+        st.place(NodeId::new(0), packet(1, 1), None);
         let sp = st.remove(NodeId::new(0), PacketId::new(1)).unwrap();
         assert_eq!(sp.id(), PacketId::new(1));
         assert_eq!(st.occupancy(NodeId::new(0)), 0);
@@ -485,7 +489,7 @@ mod tests {
     fn remove_from_middle_preserves_order() {
         let mut st = NetworkState::new(1);
         for id in 1..=5u64 {
-            st.place(NodeId::new(0), packet(id, 0), Round::new(0));
+            st.place(NodeId::new(0), packet(id, 0), None);
         }
         st.remove(NodeId::new(0), PacketId::new(3)).unwrap();
         let ids: Vec<u64> = st
@@ -543,7 +547,7 @@ mod tests {
         // buffers must stay intact and ordered throughout.
         let mut st = NetworkState::new(3);
         for i in 0..30u64 {
-            st.place(NodeId::new((i % 3) as usize), packet(i, 1), Round::new(0));
+            st.place(NodeId::new((i % 3) as usize), packet(i, 1), None);
         }
         for v in 0..3usize {
             let buf = st.buffer(NodeId::new(v));
@@ -591,9 +595,9 @@ mod tests {
     fn active_set_tracks_place_and_remove() {
         let mut st = NetworkState::new(4);
         assert!(!st.is_occupied(NodeId::new(2)));
-        st.place(NodeId::new(2), packet(1, 3), Round::new(0));
-        st.place(NodeId::new(2), packet(2, 3), Round::new(0));
-        st.place(NodeId::new(0), packet(3, 3), Round::new(0));
+        st.place(NodeId::new(2), packet(1, 3), None);
+        st.place(NodeId::new(2), packet(2, 3), None);
+        st.place(NodeId::new(0), packet(3, 3), None);
         assert!(st.is_occupied(NodeId::new(2)));
         assert_active_consistent(&mut st);
         let got: Vec<usize> = st.active_nodes().map(|v| v.index()).collect();
@@ -616,7 +620,7 @@ mod tests {
             // identical at the state layer).
             0 | 1 => {
                 *next_id += 1;
-                st.place(v, packet(*next_id, (*next_id as usize) % n), Round::new(0));
+                st.place(v, packet(*next_id, (*next_id as usize) % n), None);
             }
             // Forward/drop: remove the FIFO head if present.
             2 => {
@@ -712,7 +716,7 @@ mod tests {
         let (rows, cols) = (50usize, 97usize);
         let mut st = NetworkState::new(rows * cols);
         for c in 0..cols {
-            st.place(NodeId::new(c), packet(c as u64, 0), Round::ZERO);
+            st.place(NodeId::new(c), packet(c as u64, 0), None);
         }
         st.refresh_active();
         let mut warm_len = None;
@@ -722,7 +726,7 @@ mod tests {
             for c in 0..cols {
                 let id = PacketId::new(c as u64);
                 let sp = st.remove(NodeId::new(row * cols + c), id).unwrap();
-                st.place(NodeId::new(next * cols + c), *sp.packet(), Round::ZERO);
+                st.place(NodeId::new(next * cols + c), *sp.packet(), None);
             }
             st.refresh_active();
             let expect: Vec<usize> = (next * cols..(next + 1) * cols).collect();
@@ -741,7 +745,7 @@ mod tests {
     fn recycled_extent_keeps_true_capacity() {
         let mut st = NetworkState::new(2);
         for i in 0..5u64 {
-            st.place(NodeId::new(0), packet(i, 1), Round::new(0));
+            st.place(NodeId::new(0), packet(i, 1), None);
         }
         // Growing through 2 and 4 slots released those extents; node 0
         // now holds an 8-slot one.
@@ -753,7 +757,7 @@ mod tests {
         st.refresh_active();
         let slab_len = st.slab.slots.len();
         for i in 10..15u64 {
-            st.place(NodeId::new(1), packet(i, 1), Round::new(0));
+            st.place(NodeId::new(1), packet(i, 1), None);
         }
         // Node 1 grows through the 2-, 4- and 8-slot extents node 0
         // vacated, keeping each one's full capacity, and the slab does

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use aqt_core::badness::badness_path;
+use aqt_core::badness::badness_path_all;
 use aqt_model::{
     ExcessTracker, NetworkState, NodeId, PacketId, Pattern, Probe, Rate, Round, StoredPacket,
     Topology,
@@ -114,6 +114,11 @@ pub struct BadnessExcessMonitor {
     /// Per-round `(node, crossings)` batches, indexed by round value.
     rounds: Vec<Vec<(NodeId, u64)>>,
     fed: u64,
+    /// `B(i)` of every node this round, and the per-destination scratch
+    /// that computes it ([`badness_path_all`]); both are reused round
+    /// over round.
+    badness: Vec<usize>,
+    counts: Vec<usize>,
 }
 
 impl BadnessExcessMonitor {
@@ -142,6 +147,8 @@ impl BadnessExcessMonitor {
             tracker: ExcessTracker::new(rate, n),
             rounds,
             fed: 0,
+            badness: Vec::new(),
+            counts: Vec::new(),
         }
     }
 }
@@ -162,9 +169,12 @@ impl Monitor<aqt_model::Path> for BadnessExcessMonitor {
             self.fed += 1;
         }
         let den = u128::from(self.rate.den());
-        for i in 0..state.node_count() {
+        // Every B(i) in one O(n + packets) pass, then the first node
+        // whose B(i) exceeds its excess plus one.
+        badness_path_all(state, &mut self.counts, &mut self.badness);
+        for (i, &b) in self.badness.iter().enumerate() {
             let v = NodeId::new(i);
-            let b = badness_path(state, v) as u128;
+            let b = b as u128;
             let (xi_num, xi_den) = self.tracker.excess_at(v, round);
             debug_assert_eq!(u128::from(xi_den), den);
             // B ≤ ξ + 1 ⟺ B·den ≤ ξ_num + den.

@@ -14,9 +14,20 @@
 //! every pair of nodes, on randomized shapes up to ~200 nodes. Trees are
 //! checked against a literal parent-walk instead (the pre-interval
 //! reference semantics).
+//!
+//! It also pins how often a run routes: the engine routes a packet once
+//! per buffer it enters and stores the hop, so stepping makes exactly
+//! `injected + forwarded − delivered` `next_hop` calls, counted through a
+//! wrapping topology. Re-routing every round would leave the output
+//! unchanged and cost only time; the count catches it deterministically.
+
+use std::cell::Cell;
 
 use small_buffers::model::util::SplitMix64;
-use small_buffers::{Dag, DirectedTree, NodeId, Topology};
+use small_buffers::{
+    CapacityConfig, Dag, DagGreedy, DirectedTree, DropPolicyKind, Injection, NodeId, Pattern,
+    Protocol, Simulation, Topology,
+};
 
 /// Asserts `g` (computed adjacency and routing) and its dense twin agree
 /// on every adjacency query at every node and on every routing query at
@@ -188,4 +199,156 @@ fn tree_interval_routing_matches_the_parent_walk() {
             }
         }
     }
+}
+
+/// A topology that answers every query from `inner` and counts the
+/// `next_hop` calls made through it (not those `inner` makes itself).
+struct Counting<T> {
+    inner: T,
+    next_hops: Cell<u64>,
+}
+
+impl<T: Topology> Topology for Counting<T> {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn next_hop(&self, from: NodeId, dest: NodeId) -> Option<NodeId> {
+        self.next_hops.set(self.next_hops.get() + 1);
+        self.inner.next_hop(from, dest)
+    }
+    fn reaches(&self, from: NodeId, dest: NodeId) -> bool {
+        self.inner.reaches(from, dest)
+    }
+    fn route_len(&self, from: NodeId, dest: NodeId) -> Option<usize> {
+        self.inner.route_len(from, dest)
+    }
+    fn route_buffers(&self, from: NodeId, dest: NodeId) -> Option<Vec<NodeId>> {
+        self.inner.route_buffers(from, dest)
+    }
+    fn route_buffers_into(&self, from: NodeId, dest: NodeId, out: &mut Vec<NodeId>) -> bool {
+        self.inner.route_buffers_into(from, dest, out)
+    }
+    fn on_route(&self, from: NodeId, dest: NodeId, v: NodeId) -> bool {
+        self.inner.on_route(from, dest, v)
+    }
+    fn contains(&self, id: NodeId) -> bool {
+        self.inner.contains(id)
+    }
+    fn out_degree(&self, v: NodeId) -> usize {
+        self.inner.out_degree(v)
+    }
+    fn out_neighbor(&self, v: NodeId, i: usize) -> Option<NodeId> {
+        self.inner.out_neighbor(v, i)
+    }
+}
+
+/// Runs `protocol` on `dag` under `pattern` until drained, unbounded or
+/// at capacity 2 with `Head` drops (every arrival is placed, evicting the
+/// oldest packet when the buffer is full), and asserts that stepping
+/// routed exactly once per placement: `injected + forwarded − delivered`
+/// `next_hop` calls. Also asserts that some buffer held packets bound for
+/// two different links, so the per-link partition was exercised.
+fn assert_routes_once_per_hop<P: Protocol<Counting<Dag>>>(
+    label: &str,
+    dag: &Dag,
+    protocol: impl Fn() -> P,
+    pattern: &Pattern,
+) {
+    let n = dag.node_count();
+    for capped in [false, true] {
+        let label = format!(
+            "{label}, {}",
+            if capped { "cap 2 Head" } else { "unbounded" }
+        );
+        let topology = Counting {
+            inner: dag.clone(),
+            next_hops: Cell::new(0),
+        };
+        let mut sim = Simulation::new(topology, protocol(), pattern).expect("valid pattern");
+        if capped {
+            sim = sim.with_capacity(CapacityConfig::uniform(2), DropPolicyKind::Head);
+        }
+        let before = sim.topology().next_hops.get();
+        let mut split = false;
+        // While packets are buffered some packet advances every round,
+        // and none has more than `n` hops to go: a run that has not
+        // drained by then has stranded packets.
+        for _ in 0..pattern.len() * n {
+            if sim.is_drained() {
+                break;
+            }
+            sim.step().expect("valid round");
+            split |= (0..n).map(NodeId::new).any(|v| {
+                let buffer = sim.state().buffer(v);
+                buffer
+                    .iter()
+                    .any(|sp| sp.next_hop() != buffer[0].next_hop())
+            });
+        }
+        assert!(sim.is_drained(), "{label}: packets stranded");
+        let calls = sim.topology().next_hops.get() - before;
+        let m = sim.metrics();
+        assert!(split, "{label}: no buffer held packets for two links");
+        assert_eq!(m.dropped > 0, capped, "{label}: drops");
+        assert_eq!(
+            calls,
+            m.injected + m.forwarded - m.delivered,
+            "{label}: {calls} next_hop calls for {} injected, {} forwarded, {} delivered",
+            m.injected,
+            m.forwarded,
+            m.delivered
+        );
+    }
+}
+
+/// Bursts at every node of a `rows × cols` mesh toward the end of its row
+/// (leaving by the right link) and the bottom of its column (leaving by
+/// the down link), so buffers fill with packets for both links.
+fn mesh_bursts(rows: usize, cols: usize) -> Pattern {
+    let mut injections = Vec::new();
+    for t in 0..4u64 {
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = r * cols + c;
+                for dest in [r * cols + cols - 1, (rows - 1) * cols + c] {
+                    if dest != v {
+                        injections.push(Injection::new(t, v, dest));
+                    }
+                }
+            }
+        }
+    }
+    Pattern::from_injections(injections)
+}
+
+#[test]
+fn dag_greedy_routes_once_per_hop_on_a_mesh() {
+    // Width 5 is not a power of two, so XY routing divides.
+    let grid = Dag::grid(7, 5);
+    assert!(grid.is_computed_routing());
+    let pattern = mesh_bursts(7, 5);
+    assert_routes_once_per_hop("7x5 grid FIFO", &grid, DagGreedy::fifo, &pattern);
+    assert_routes_once_per_hop("7x5 grid LIFO", &grid, DagGreedy::lifo, &pattern);
+}
+
+#[test]
+fn dag_greedy_routes_once_per_hop_on_a_random_dag() {
+    let dag = Dag::random_dag(30, 0.3, 17);
+    assert!(!dag.is_computed_routing());
+    // Every node sends to several later nodes in each of four rounds; the
+    // spine edge `i → i + 1` makes every later node reachable.
+    let n = dag.node_count();
+    let mut rng = SplitMix64::new(5);
+    let mut injections = Vec::new();
+    for t in 0..4u64 {
+        for src in 0..n - 1 {
+            for _ in 0..3 {
+                let dest = src + 1 + rng.below((n - 1 - src) as u64) as usize;
+                injections.push(Injection::new(t, src, dest));
+            }
+        }
+    }
+    let pattern = Pattern::from_injections(injections);
+    assert_routes_once_per_hop("random DAG FIFO", &dag, DagGreedy::fifo, &pattern);
+    assert_routes_once_per_hop("random DAG LIFO", &dag, DagGreedy::lifo, &pattern);
 }

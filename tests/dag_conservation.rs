@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use small_buffers::{
     Batched, CapacityConfig, Dag, DagGreedy, DropPolicyKind, Greedy, GreedyPolicy, Injection,
-    Pattern, Protocol, Simulation, StagingMode, Topology,
+    NodeId, Pattern, Protocol, Simulation, StagingMode, Topology,
 };
 
 /// Builds a deterministic injection pattern on `dag`: `count` packets on
@@ -76,6 +76,20 @@ fn assert_conserves<P: Protocol<Dag>>(
         );
         // The per-node ledger must sum to the total.
         prop_assert_eq!(m.per_node_drops.iter().sum::<u64>(), m.dropped);
+        // Every buffered packet carries the hop its buffer routes it by.
+        for v in (0..sim.topology().node_count()).map(NodeId::new) {
+            for sp in sim.state().buffer(v) {
+                prop_assert_eq!(
+                    sp.next_hop(),
+                    sim.topology().next_hop(v, sp.dest()),
+                    "{}: stored hop of {} at {} in {}",
+                    label,
+                    sp.id(),
+                    v,
+                    sim.round()
+                );
+            }
+        }
     }
 }
 

@@ -34,6 +34,18 @@ fn run_checked<T: Topology + Clone, P: Protocol<T>>(
             outcome.round
         );
         assert_eq!(m.delivered, m.latency.delivered);
+        // Every buffered packet carries the hop its buffer routes it by.
+        for v in (0..n).map(NodeId::new) {
+            for sp in sim.state().buffer(v) {
+                assert_eq!(
+                    sp.next_hop(),
+                    sim.topology().next_hop(v, sp.dest()),
+                    "stored hop of {} at {v} in {:?}",
+                    sp.id(),
+                    outcome.round
+                );
+            }
+        }
     }
     sim
 }

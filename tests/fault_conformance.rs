@@ -16,8 +16,8 @@ use proptest::prelude::*;
 
 use small_buffers::{
     run_scenario, Batched, CapacityConfig, CapacitySpec, Dag, DagGreedy, DropPolicyKind,
-    FaultEvent, FaultSpec, GreedyPolicy, Injection, Pattern, Protocol, ProtocolSpec, Scenario,
-    Simulation, SourceSpec, StagingMode, Topology, TopologySpec, TreeSpec,
+    FaultEvent, FaultSpec, GreedyPolicy, Injection, NodeId, Pattern, Protocol, ProtocolSpec,
+    Scenario, Simulation, SourceSpec, StagingMode, Topology, TopologySpec, TreeSpec,
 };
 
 const EXTRA: u64 = 40;
@@ -316,6 +316,20 @@ fn assert_conserves_with_faults<P: Protocol<Dag>>(
             "{}: per-node fault ledger disagrees with the total",
             label
         );
+        // Every buffered packet carries the hop its buffer routes it by.
+        for v in (0..sim.topology().node_count()).map(NodeId::new) {
+            for sp in sim.state().buffer(v) {
+                prop_assert_eq!(
+                    sp.next_hop(),
+                    sim.topology().next_hop(v, sp.dest()),
+                    "{}: stored hop of {} at {} in {}",
+                    label,
+                    sp.id(),
+                    v,
+                    sim.round()
+                );
+            }
+        }
     }
 }
 
